@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet test test-short test-race parity chaos churn-smoke disk-smoke bench bench-json load-json load-smoke obs-smoke digest-smoke fuzz
+.PHONY: check fmt build vet test test-short test-race parity chaos churn-smoke disk-smoke bench bench-json load-json load-smoke obs-smoke digest-smoke ledger-smoke fuzz
 
 check: fmt vet build test-race
 
@@ -119,6 +119,20 @@ digest-smoke:
 	$(GO) test -race -v -run 'TestDigestGroupDeltaSteadyState' ./cmd/eacctl/
 	$(GO) test -race -v -run 'TestDigest|TestIncremental|TestDelta' ./internal/netnode/ ./internal/digest/
 	$(GO) run ./cmd/benchjson -out /tmp/digest-smoke.json -artifacts=false -node-iters 2000 -node-reps 1 -check-digest
+
+# Ledger gate: four seconds of the paper's scenario (coop_mix: 4 live
+# nodes, ICP + EA) through the benchmark ledger (bench/, BENCHMARK.json).
+# Fails when the run exits non-zero or its last line, the result line,
+# does not say "correct": true — a wrong size or outcome on any request,
+# or a validity check such as netnode.tcp_opens_per_req > 0.3. The table
+# and result line are kept as the artifact; the numbers of so short a
+# run are for reading, not for comparing.
+LEDGER_LOG ?= artifacts/ledger-smoke.log
+ledger-smoke:
+	@mkdir -p $(dir $(LEDGER_LOG))
+	@$(GO) run ./bench -workload coop_mix -seconds 4 -trace 0 > $(LEDGER_LOG) 2>&1; \
+	status=$$?; cat $(LEDGER_LOG); \
+	tail -n 1 $(LEDGER_LOG) | grep -q '"correct": *true' || status=1; exit $$status
 
 # Fuzz the decoders that face untrusted bytes: journal/snapshot recovery
 # and the wire parsers. Short per-target budget by default; raise with

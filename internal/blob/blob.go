@@ -525,8 +525,23 @@ func (s *Store) Open(url string) (cache.DiskEntry, io.ReadCloser, bool) {
 	s.mu.Unlock()
 	f, err := os.Open(blobPath(s.dir, e.Sum))
 	if err != nil {
-		s.dropCorrupt(url, e.Sum)
-		return cache.DiskEntry{}, nil, false
+		// Between the unlock and the open a concurrent promotion or
+		// Remove may have dropped the entry and unlinked its blob: that
+		// is the document leaving the tier, not corruption. Under the
+		// lock the index and the files agree, so look again there — only
+		// a blob still indexed under the same sum that still cannot be
+		// opened is corrupt.
+		s.mu.Lock()
+		if d, ok := s.entries[url]; !ok || d.e.Sum != e.Sum || s.closed {
+			s.mu.Unlock()
+			return cache.DiskEntry{}, nil, false
+		}
+		f, err = os.Open(blobPath(s.dir, e.Sum))
+		s.mu.Unlock()
+		if err != nil {
+			s.dropCorrupt(url, e.Sum)
+			return cache.DiskEntry{}, nil, false
+		}
 	}
 	return e, &verifyReader{s: s, f: f, h: sha256.New(), url: url, want: e.Sum, remain: e.Doc.Size}, true
 }

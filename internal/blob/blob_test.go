@@ -464,3 +464,60 @@ func TestClosedStoreIsInert(t *testing.T) {
 		t.Fatalf("double Close: %v", err)
 	}
 }
+
+// TestOpenRacesRemove: readers opening a URL while it is removed and
+// re-admitted in a loop lose the race now and then — the blob is unlinked
+// between their index lookup and their open. That is a document leaving
+// the tier, not corruption: the loser sees "not resident", every winner
+// reads the right bytes, and no checksum failure is counted.
+func TestOpenRacesRemove(t *testing.T) {
+	s := openStore(t, t.TempDir(), 1<<20)
+	defer s.Close()
+	const url, size = "http://race/x", 2048
+	want := body(url, size)
+	admit(t, s, url, size, 0)
+
+	const readers = 8
+	stop := make(chan struct{})
+	errs := make(chan error, readers)
+	for r := 0; r < readers; r++ {
+		go func() {
+			for {
+				select {
+				case <-stop:
+					errs <- nil
+					return
+				default:
+				}
+				_, rc, ok := s.Open(url)
+				if !ok {
+					continue
+				}
+				got, err := io.ReadAll(rc)
+				rc.Close()
+				if err != nil || !bytes.Equal(got, want) {
+					errs <- fmt.Errorf("resident read: %d bytes, err %v", len(got), err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 2000; i++ {
+		if _, ok := s.Remove(url); !ok {
+			t.Fatalf("round %d: Remove found nothing", i)
+		}
+		admit(t, s, url, size, i)
+	}
+	close(stop)
+	for r := 0; r < readers; r++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if n := s.ChecksumFailures(); n != 0 {
+		t.Fatalf("%d checksum failures counted for a blob that was merely removed", n)
+	}
+	if !s.Contains(url) {
+		t.Fatal("entry dropped as corrupt")
+	}
+}

@@ -25,12 +25,14 @@ package hproto
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"eacache/internal/cache"
@@ -72,8 +74,14 @@ const (
 	SourceCache  = "cache"
 	SourceOrigin = "origin"
 
-	maxURLLen    = 8 * 1024
+	contentLengthHeader = "Content-Length"
+
+	maxURLLen = 8 * 1024
+	// maxLineLen caps any one line: the longest URL plus the rest of the
+	// request line, with slack.
+	maxLineLen   = maxURLLen + 64
 	maxHeaderLen = 1 * 1024
+	maxHeaders   = 32
 	// maxTraceLen bounds the opaque trace-context value we are willing to
 	// carry; anything longer is dropped on read and rejected on write.
 	maxTraceLen = 256
@@ -84,6 +92,8 @@ const (
 	StatusOK       = 200
 	StatusNotFound = 404
 )
+
+var space, colon = []byte(" "), []byte(":")
 
 // Errors.
 var (
@@ -154,14 +164,16 @@ type Response struct {
 
 // FormatAge renders an expiration age for the wire: integer milliseconds,
 // or "inf" for cache.NoContention (a cache that has evicted nothing).
-func FormatAge(age time.Duration) string {
+func FormatAge(age time.Duration) string { return string(appendAge(nil, age)) }
+
+func appendAge(b []byte, age time.Duration) []byte {
 	if age >= cache.NoContention {
-		return "inf"
+		return append(b, "inf"...)
 	}
 	if age < 0 {
 		age = 0
 	}
-	return strconv.FormatInt(age.Milliseconds(), 10)
+	return strconv.AppendInt(b, age.Milliseconds(), 10)
 }
 
 // ParseAge parses a wire-format expiration age strictly: negative and
@@ -197,7 +209,9 @@ func ParseAgeClamped(s string) (age time.Duration, clamped bool, err error) {
 	ms, perr := strconv.ParseInt(s, 10, 64)
 	if perr != nil {
 		if !errors.Is(perr, strconv.ErrRange) {
-			return 0, false, fmt.Errorf("%w: bad age %q", ErrMalformed, s)
+			// Clone, as strconv's own errors do, so s does not escape and
+			// the readers can pass a view of their buffer for free.
+			return 0, false, fmt.Errorf("%w: bad age %q", ErrMalformed, strings.Clone(s))
 		}
 		// Out of int64 range entirely: clamp by sign.
 		if strings.HasPrefix(strings.TrimSpace(s), "-") {
@@ -214,6 +228,39 @@ func ParseAgeClamped(s string) (age time.Duration, clamped bool, err error) {
 	return time.Duration(ms) * time.Millisecond, false, nil
 }
 
+// headPool recycles the buffers message heads are assembled in. A head is
+// a few hundred bytes (8 KB and change at the URL cap), built with append
+// and handed to the connection in one Write; the buffer goes back to the
+// pool before any body streams, so a slow transfer pins none.
+var headPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeHead sends b, the head assembled in pooled buffer bp, and frees bp.
+func writeHead(w io.Writer, bp *[]byte, b []byte) error {
+	_, err := w.Write(b)
+	*bp = b[:0]
+	headPool.Put(bp)
+	return err
+}
+
+// checkTrace vets the optional trace-context value. It is opaque but must
+// still be a legal single header value: writing is the one place
+// strictness is cheap and correct (we own the value), reading stays
+// tolerant (the peer's value is dropped when oversized, never fatal).
+func checkTrace(v string) error {
+	if len(v) > maxTraceLen {
+		return fmt.Errorf("%w: trace context", ErrTooLong)
+	}
+	if strings.ContainsAny(v, " \r\n") {
+		return fmt.Errorf("%w: bad trace context %q", ErrMalformed, v)
+	}
+	return nil
+}
+
+// appendHeader appends "name: value\r\n".
+func appendHeader(b []byte, name, value string) []byte {
+	return append(append(append(append(b, name...), ": "...), value...), "\r\n"...)
+}
+
 // WriteRequest serialises req. For a Push request the caller must write
 // exactly req.SizeHint body bytes immediately after.
 func WriteRequest(w io.Writer, req Request) error {
@@ -226,51 +273,40 @@ func WriteRequest(w io.Writer, req Request) error {
 	if req.Push && req.Resolve {
 		return fmt.Errorf("%w: push request cannot resolve", ErrMalformed)
 	}
-	method := "GET"
+	method := "GET "
 	if req.Push {
 		if req.SizeHint < 0 {
 			return fmt.Errorf("%w: negative push size %d", ErrMalformed, req.SizeHint)
 		}
-		method = "PUT"
+		method = "PUT "
 	}
-	resolve := ""
-	if req.Resolve {
-		resolve = ResolveHeader + ": 1\r\n"
-	}
-	ring := ""
-	if req.RingFP != 0 {
-		ring = RingHeader + ": " + strconv.FormatUint(req.RingFP, 16) + "\r\n"
-	}
-	trace, err := traceHeaderLine(req.Trace)
-	if err != nil {
+	if err := checkTrace(req.Trace); err != nil {
 		return err
 	}
-	_, err = fmt.Fprintf(w, "%s %s %s\r\n%s: %s\r\n%s: %d\r\n%s%s%s\r\n",
-		method, req.URL, ProtoVersion,
-		AgeHeader, FormatAge(req.RequesterAge),
-		SizeHintHeader, req.SizeHint,
-		resolve, ring, trace)
-	if err != nil {
+	bp := headPool.Get().(*[]byte)
+	b := append(*bp, method...)
+	b = append(b, req.URL...)
+	b = append(b, " "+ProtoVersion+"\r\n"+AgeHeader+": "...)
+	b = appendAge(b, req.RequesterAge)
+	b = append(b, "\r\n"+SizeHintHeader+": "...)
+	b = strconv.AppendInt(b, req.SizeHint, 10)
+	b = append(b, "\r\n"...)
+	if req.Resolve {
+		b = appendHeader(b, ResolveHeader, "1")
+	}
+	if req.RingFP != 0 {
+		b = append(b, RingHeader+": "...)
+		b = strconv.AppendUint(b, req.RingFP, 16)
+		b = append(b, "\r\n"...)
+	}
+	if req.Trace != "" {
+		b = appendHeader(b, TraceHeader, req.Trace)
+	}
+	b = append(b, "\r\n"...)
+	if err := writeHead(w, bp, b); err != nil {
 		return fmt.Errorf("hproto: write request: %w", err)
 	}
 	return nil
-}
-
-// traceHeaderLine renders the optional trace-context header. The value is
-// opaque but must still be a legal single header value: writing is the one
-// place strictness is cheap and correct (we own the value), reading stays
-// tolerant (the peer's value is dropped when oversized, never fatal).
-func traceHeaderLine(v string) (string, error) {
-	if v == "" {
-		return "", nil
-	}
-	if len(v) > maxTraceLen {
-		return "", fmt.Errorf("%w: trace context", ErrTooLong)
-	}
-	if strings.ContainsAny(v, " \r\n") {
-		return "", fmt.Errorf("%w: bad trace context %q", ErrMalformed, v)
-	}
-	return TraceHeader + ": " + v + "\r\n", nil
 }
 
 // ReadRequest parses one request from r.
@@ -279,40 +315,46 @@ func ReadRequest(r *bufio.Reader) (Request, error) {
 	if err != nil {
 		return Request{}, err
 	}
-	parts := strings.Split(line, " ")
-	if len(parts) != 3 || (parts[0] != "GET" && parts[0] != "PUT") || parts[2] != ProtoVersion {
+	// Exactly "<GET|PUT> <url> EAC/1.0": two spaces, so none in the URL.
+	method, rest, _ := bytes.Cut(line, space)
+	url, proto, ok := bytes.Cut(rest, space)
+	push := string(method) == "PUT"
+	if !ok || (!push && string(method) != "GET") || string(proto) != ProtoVersion {
 		return Request{}, fmt.Errorf("%w: request line %q", ErrMalformed, line)
 	}
-	req := Request{URL: parts[1], Push: parts[0] == "PUT"}
-	headers, err := readHeaders(r)
-	if err != nil {
-		return Request{}, err
-	}
-	if v, ok := headers[AgeHeader]; ok {
-		if req.RequesterAge, req.AgeClamped, err = ParseAgeClamped(v); err != nil {
+	req := Request{URL: string(url), Push: push}
+	// A repeated header replaces the earlier value, its parse error
+	// included, and errors surface in field order once the head is
+	// complete: only the last of each name decides.
+	var ageErr, sizeErr, resolveErr, ringErr error
+	for n := 0; ; n++ {
+		name, value, more, err := readHeader(r, n)
+		if err != nil {
 			return Request{}, err
 		}
-	}
-	if v, ok := headers[SizeHintHeader]; ok {
-		req.SizeHint, err = strconv.ParseInt(v, 10, 64)
-		if err != nil || req.SizeHint < 0 {
-			return Request{}, fmt.Errorf("%w: bad size hint %q", ErrMalformed, v)
+		if !more {
+			break
+		}
+		switch string(name) {
+		case AgeHeader:
+			req.RequesterAge, req.AgeClamped, ageErr = ParseAgeClamped(string(value))
+		case SizeHintHeader:
+			req.SizeHint, sizeErr = parseSize(value, "size hint")
+		case ResolveHeader:
+			req.Resolve, resolveErr = true, nil
+			if string(value) != "1" {
+				resolveErr = fmt.Errorf("%w: bad resolve flag %q", ErrMalformed, value)
+			}
+		case RingHeader:
+			if req.RingFP, ringErr = strconv.ParseUint(string(value), 16, 64); ringErr != nil {
+				ringErr = fmt.Errorf("%w: bad ring fingerprint %q", ErrMalformed, value)
+			}
+		case TraceHeader:
+			req.Trace = traceValue(value)
 		}
 	}
-	if v, ok := headers[ResolveHeader]; ok {
-		if v != "1" {
-			return Request{}, fmt.Errorf("%w: bad resolve flag %q", ErrMalformed, v)
-		}
-		req.Resolve = true
-	}
-	if v, ok := headers[RingHeader]; ok {
-		req.RingFP, err = strconv.ParseUint(v, 16, 64)
-		if err != nil {
-			return Request{}, fmt.Errorf("%w: bad ring fingerprint %q", ErrMalformed, v)
-		}
-	}
-	if v, ok := headers[TraceHeader]; ok && len(v) <= maxTraceLen {
-		req.Trace = v
+	if err := errors.Join(ageErr, sizeErr, resolveErr, ringErr); err != nil {
+		return Request{}, err
 	}
 	if req.Push && req.Resolve {
 		return Request{}, fmt.Errorf("%w: push request cannot resolve", ErrMalformed)
@@ -323,27 +365,32 @@ func ReadRequest(r *bufio.Reader) (Request, error) {
 // WriteResponse serialises resp followed by exactly ContentLength bytes
 // copied from body (body may be nil when ContentLength is 0).
 func WriteResponse(w io.Writer, resp Response, body io.Reader) error {
-	reason := "OK"
-	if resp.Status == StatusNotFound {
-		reason = "Not-Found"
+	if resp.Source != "" && resp.Source != SourceCache && resp.Source != SourceOrigin {
+		return fmt.Errorf("%w: bad source %q", ErrMalformed, resp.Source)
 	}
-	source := ""
-	if resp.Source != "" {
-		if resp.Source != SourceCache && resp.Source != SourceOrigin {
-			return fmt.Errorf("%w: bad source %q", ErrMalformed, resp.Source)
-		}
-		source = SourceHeader + ": " + resp.Source + "\r\n"
-	}
-	trace, err := traceHeaderLine(resp.Trace)
-	if err != nil {
+	if err := checkTrace(resp.Trace); err != nil {
 		return err
 	}
-	_, err = fmt.Fprintf(w, "%s %d %s\r\n%s: %s\r\nContent-Length: %d\r\n%s%s\r\n",
-		ProtoVersion, resp.Status, reason,
-		AgeHeader, FormatAge(resp.ResponderAge),
-		resp.ContentLength,
-		source, trace)
-	if err != nil {
+	bp := headPool.Get().(*[]byte)
+	b := append(*bp, ProtoVersion+" "...)
+	b = strconv.AppendInt(b, int64(resp.Status), 10)
+	if resp.Status == StatusNotFound {
+		b = append(b, " Not-Found\r\n"+AgeHeader+": "...)
+	} else {
+		b = append(b, " OK\r\n"+AgeHeader+": "...)
+	}
+	b = appendAge(b, resp.ResponderAge)
+	b = append(b, "\r\n"+contentLengthHeader+": "...)
+	b = strconv.AppendInt(b, resp.ContentLength, 10)
+	b = append(b, "\r\n"...)
+	if resp.Source != "" {
+		b = appendHeader(b, SourceHeader, resp.Source)
+	}
+	if resp.Trace != "" {
+		b = appendHeader(b, TraceHeader, resp.Trace)
+	}
+	b = append(b, "\r\n"...)
+	if err := writeHead(w, bp, b); err != nil {
 		return fmt.Errorf("hproto: write response: %w", err)
 	}
 	if resp.ContentLength > 0 {
@@ -377,70 +424,104 @@ func ReadResponse(r *bufio.Reader) (Response, error) {
 	if err != nil {
 		return Response{}, err
 	}
-	parts := strings.SplitN(line, " ", 3)
-	if len(parts) < 2 || parts[0] != ProtoVersion {
+	// "EAC/1.0 <status>[ <reason>]"; the reason is free text.
+	proto, rest, ok := bytes.Cut(line, space)
+	if !ok || string(proto) != ProtoVersion {
 		return Response{}, fmt.Errorf("%w: status line %q", ErrMalformed, line)
 	}
-	status, err := strconv.Atoi(parts[1])
+	code, _, _ := bytes.Cut(rest, space)
+	status, err := strconv.Atoi(string(code))
 	if err != nil || (status != StatusOK && status != StatusNotFound) {
-		return Response{}, fmt.Errorf("%w: status %q", ErrMalformed, parts[1])
+		return Response{}, fmt.Errorf("%w: status %q", ErrMalformed, code)
 	}
 	resp := Response{Status: status}
-	headers, err := readHeaders(r)
-	if err != nil {
-		return Response{}, err
-	}
-	if v, ok := headers[AgeHeader]; ok {
-		if resp.ResponderAge, resp.AgeClamped, err = ParseAgeClamped(v); err != nil {
+	// Last duplicate wins, errors in field order: see ReadRequest.
+	var ageErr, lengthErr, sourceErr error
+	for n := 0; ; n++ {
+		name, value, more, err := readHeader(r, n)
+		if err != nil {
 			return Response{}, err
 		}
-	}
-	if v, ok := headers["Content-Length"]; ok {
-		resp.ContentLength, err = strconv.ParseInt(v, 10, 64)
-		if err != nil || resp.ContentLength < 0 {
-			return Response{}, fmt.Errorf("%w: content length %q", ErrMalformed, v)
+		if !more {
+			break
+		}
+		switch string(name) {
+		case AgeHeader:
+			resp.ResponderAge, resp.AgeClamped, ageErr = ParseAgeClamped(string(value))
+		case contentLengthHeader:
+			resp.ContentLength, lengthErr = parseSize(value, "content length")
+		case SourceHeader:
+			resp.Source, sourceErr = SourceCache, nil
+			if string(value) == SourceOrigin {
+				resp.Source = SourceOrigin
+			} else if string(value) != SourceCache {
+				sourceErr = fmt.Errorf("%w: source %q", ErrMalformed, value)
+			}
+		case TraceHeader:
+			resp.Trace = traceValue(value)
 		}
 	}
-	if v, ok := headers[SourceHeader]; ok {
-		if v != SourceCache && v != SourceOrigin {
-			return Response{}, fmt.Errorf("%w: source %q", ErrMalformed, v)
-		}
-		resp.Source = v
-	}
-	if v, ok := headers[TraceHeader]; ok && len(v) <= maxTraceLen {
-		resp.Trace = v
+	if err := errors.Join(ageErr, lengthErr, sourceErr); err != nil {
+		return Response{}, err
 	}
 	return resp, nil
 }
 
-func readLine(r *bufio.Reader) (string, error) {
-	line, err := r.ReadString('\n')
-	if err != nil {
-		return "", fmt.Errorf("hproto: read: %w", err)
+// parseSize parses a non-negative byte count.
+func parseSize(v []byte, what string) (int64, error) {
+	n, err := strconv.ParseInt(string(v), 10, 64)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("%w: bad %s %q", ErrMalformed, what, v)
 	}
-	if len(line) > maxURLLen+64 {
-		return "", ErrTooLong
-	}
-	return strings.TrimRight(line, "\r\n"), nil
+	return n, nil
 }
 
-func readHeaders(r *bufio.Reader) (map[string]string, error) {
-	headers := make(map[string]string, 4)
-	for lines := 0; ; lines++ {
-		line, err := readLine(r)
-		if err != nil {
-			return nil, err
-		}
-		if line == "" {
-			return headers, nil
-		}
-		if lines >= 32 || len(line) > maxHeaderLen {
-			return nil, ErrTooLong
-		}
-		name, value, found := strings.Cut(line, ":")
-		if !found {
-			return nil, fmt.Errorf("%w: header %q", ErrMalformed, line)
-		}
-		headers[strings.TrimSpace(name)] = strings.TrimSpace(value)
+// traceValue materialises a trace-context value; oversized, it is dropped.
+func traceValue(v []byte) string {
+	if len(v) > maxTraceLen {
+		return ""
 	}
+	return string(v)
+}
+
+// readLine returns the next line without its line ending. The result is a
+// view into r's buffer and dies at the next read from r: callers copy out
+// (string(...)) whatever must outlive it. Only a line longer than r's
+// buffer — a 4-8 KB URL through the default 4096 B reader — is assembled
+// in a buffer of its own.
+func readLine(r *bufio.Reader) ([]byte, error) {
+	line, err := r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		long := make([]byte, 0, 2*len(line))
+		for err == bufio.ErrBufferFull && len(long) <= maxLineLen {
+			long = append(long, line...)
+			line, err = r.ReadSlice('\n')
+		}
+		line = append(long, line...)
+	}
+	if len(line) > maxLineLen {
+		return nil, ErrTooLong
+	}
+	if err != nil {
+		return nil, fmt.Errorf("hproto: read: %w", err)
+	}
+	return bytes.TrimRight(line, "\r\n"), nil
+}
+
+// readHeader reads header line n (from 0) of a head and splits it into
+// trimmed name and value, both views like readLine's; more is false at
+// the blank line that ends the head.
+func readHeader(r *bufio.Reader, n int) (name, value []byte, more bool, err error) {
+	line, err := readLine(r)
+	if err != nil || len(line) == 0 {
+		return nil, nil, false, err
+	}
+	if n >= maxHeaders || len(line) > maxHeaderLen {
+		return nil, nil, false, ErrTooLong
+	}
+	name, value, found := bytes.Cut(line, colon)
+	if !found {
+		return nil, nil, false, fmt.Errorf("%w: header %q", ErrMalformed, line)
+	}
+	return bytes.TrimSpace(name), bytes.TrimSpace(value), true, nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,20 +36,29 @@ type Client struct {
 
 	mu      sync.Mutex
 	conn    net.PacketConn
-	pending map[uint32]chan reply
+	pending map[uint32]pendingQuery
 	closed  bool
 }
 
-// reply is one parsed, demultiplexed answer delivered to its query.
+// pendingQuery is one in-flight fan-out's demux slot: where its replies
+// go, and the URL a hit must echo to count.
+type pendingQuery struct {
+	ch  chan reply
+	url string
+}
+
+// reply is one parsed, demultiplexed answer delivered to its query. The
+// source travels as a netip value and the query maps it back to the
+// caller's own *net.UDPAddr, so a reply leaves nothing on the heap.
 type reply struct {
-	op   Opcode
-	url  string
-	from *net.UDPAddr
+	op    Opcode
+	urlOK bool // the reply echoes the query's URL
+	src   netip.AddrPort
 }
 
 // NewClient returns a ready Client, safe for concurrent use. Callers that
 // are done querying should Close it to release the shared socket.
-func NewClient() *Client { return &Client{pending: make(map[uint32]chan reply)} }
+func NewClient() *Client { return &Client{pending: make(map[uint32]pendingQuery)} }
 
 // hitGraceMin/Max bound the post-first-hit drain window: long enough to
 // catch replies already in flight from equally-near neighbours, short
@@ -59,11 +69,15 @@ const (
 )
 
 // readBufPool recycles reply read buffers across reader goroutines (a
-// client rebinding after faults, or many short-lived clients in tests).
-var readBufPool = sync.Pool{New: func() any {
-	b := make([]byte, maxLen)
-	return &b
-}}
+// client rebinding after faults, or many short-lived clients in tests);
+// queryBufPool the buffers a fan-out's one query datagram is marshalled in.
+var (
+	readBufPool = sync.Pool{New: func() any {
+		b := make([]byte, maxLen)
+		return &b
+	}}
+	queryBufPool = sync.Pool{New: func() any { return new([]byte) }}
+)
 
 // Result is the outcome of one fan-out query.
 type Result struct {
@@ -134,27 +148,38 @@ func (c *Client) readLoop(conn net.PacketConn) {
 	bp := readBufPool.Get().(*[]byte)
 	defer readBufPool.Put(bp)
 	buf := *bp
+	udp, _ := conn.(*net.UDPConn)
 	for {
-		n, peer, err := conn.ReadFrom(buf)
+		var (
+			n   int
+			src netip.AddrPort
+			err error
+		)
+		if udp != nil {
+			n, src, err = udp.ReadFromUDPAddrPort(buf)
+		} else {
+			// A wrapped socket (fault injection) only speaks net.Addr.
+			var peer net.Addr
+			if n, peer, err = conn.ReadFrom(buf); err == nil {
+				src = addrPortOf(peer)
+			}
+		}
 		if err != nil {
 			return
 		}
-		m, err := Parse(buf[:n])
-		if err != nil {
-			continue
-		}
-		udp := toUDPAddr(peer)
-		if udp == nil {
+		m, url, err := parse(buf[:n])
+		if err != nil || !src.IsValid() {
 			continue
 		}
 		c.mu.Lock()
-		ch := c.pending[m.ReqNum]
+		q := c.pending[m.ReqNum]
 		c.mu.Unlock()
-		if ch == nil {
+		if q.ch == nil {
 			continue
 		}
+		r := reply{op: m.Op, urlOK: string(url) == q.url, src: src}
 		select {
-		case ch <- reply{op: m.Op, url: m.URL, from: udp}:
+		case q.ch <- r:
 		default:
 			// The query's buffer is full (duplicate floods); drop, as
 			// UDP would.
@@ -204,17 +229,20 @@ func (c *Client) QueryHop(neighbours []*net.UDPAddr, url string, timeout time.Du
 	reqNum := c.reqNum.Add(1)
 	msg := Query(reqNum, url)
 	msg.SetHop(hop)
-	query, err := msg.Marshal()
+	qp := queryBufPool.Get().(*[]byte)
+	defer queryBufPool.Put(qp)
+	query, err := msg.AppendTo((*qp)[:0])
 	if err != nil {
 		return Result{}, err
 	}
+	*qp = query
 
 	// Register the demux slot before the first datagram can possibly
 	// answer. The channel holds one reply per neighbour plus slack for
 	// duplicates; overflow is dropped like any excess datagram.
 	ch := make(chan reply, 2*len(neighbours))
 	c.mu.Lock()
-	c.pending[reqNum] = ch
+	c.pending[reqNum] = pendingQuery{ch: ch, url: url}
 	c.mu.Unlock()
 	defer func() {
 		c.mu.Lock()
@@ -222,10 +250,10 @@ func (c *Client) QueryHop(neighbours []*net.UDPAddr, url string, timeout time.Du
 		c.mu.Unlock()
 	}()
 
-	var res Result
+	res := Result{Answered: make([]*net.UDPAddr, 0, len(neighbours))}
 	sent := 0
 	for _, n := range neighbours {
-		if _, err := conn.WriteTo(query, n); err != nil {
+		if err := sendTo(conn, query, n); err != nil {
 			// An unsendable neighbour is a miss, not a failed query:
 			// the rest of the fan-out proceeds.
 			res.SendFailed = append(res.SendFailed, n)
@@ -244,13 +272,14 @@ func (c *Client) QueryHop(neighbours []*net.UDPAddr, url string, timeout time.Du
 	for res.Replies < sent {
 		select {
 		case r := <-ch:
+			from := neighbourAt(neighbours, r.src)
 			res.Replies++
-			res.Answered = append(res.Answered, r.from)
-			if r.op == OpHit && r.url == url {
-				res.Responders = append(res.Responders, r.from)
+			res.Answered = append(res.Answered, from)
+			if r.op == OpHit && r.urlOK {
+				res.Responders = append(res.Responders, from)
 				if !res.Hit {
 					res.Hit = true
-					res.Responder = r.from
+					res.Responder = from
 					// Resolve now, but drain briefly for other hits
 					// already in flight: they are the retry targets if
 					// this responder dies before the follow-up fetch.
@@ -283,15 +312,43 @@ func (c *Client) QueryHop(neighbours []*net.UDPAddr, url string, timeout time.Du
 	return res, nil
 }
 
-// toUDPAddr recovers a *net.UDPAddr from a reply's source address (which
-// an injector-wrapped conn may surface as another net.Addr type).
-func toUDPAddr(a net.Addr) *net.UDPAddr {
+// sendTo writes one datagram. A plain UDP socket takes the destination as
+// a netip value, sparing the sockaddr net.UDPConn.WriteTo allocates per
+// call; IPv4-mapped forms are unmapped first, which both socket families
+// accept (an AF_INET socket refuses the mapped form).
+func sendTo(conn net.PacketConn, b []byte, to *net.UDPAddr) error {
+	if udp, ok := conn.(*net.UDPConn); ok {
+		if ap := unmapped(to.AddrPort()); ap.IsValid() {
+			_, err := udp.WriteToUDPAddrPort(b, ap)
+			return err
+		}
+	}
+	_, err := conn.WriteTo(b, to)
+	return err
+}
+
+func unmapped(ap netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+}
+
+// neighbourAt maps a reply's source back to the caller's own address for
+// that neighbour; a source that is no neighbour gets a fresh address.
+func neighbourAt(neighbours []*net.UDPAddr, src netip.AddrPort) *net.UDPAddr {
+	src = unmapped(src)
+	for _, n := range neighbours {
+		if unmapped(n.AddrPort()) == src {
+			return n
+		}
+	}
+	return net.UDPAddrFromAddrPort(src)
+}
+
+// addrPortOf recovers the netip form of a reply's source address; the
+// zero value means it has none.
+func addrPortOf(a net.Addr) netip.AddrPort {
 	if u, ok := a.(*net.UDPAddr); ok {
-		return u
+		return u.AddrPort()
 	}
-	u, err := net.ResolveUDPAddr("udp", a.String())
-	if err != nil {
-		return nil
-	}
-	return u
+	ap, _ := netip.ParseAddrPort(a.String())
+	return ap
 }

@@ -10,9 +10,11 @@
 package icp
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -140,55 +142,61 @@ func Reply(q Message, op Opcode) Message {
 }
 
 // Marshal encodes the message into the RFC 2186 wire format.
-func (m Message) Marshal() ([]byte, error) {
-	if strings.IndexByte(m.URL, 0) >= 0 {
-		return nil, fmt.Errorf("%w: URL contains NUL", ErrBadPayload)
-	}
-	payload := len(m.URL) + 1
-	if m.Op == OpQuery {
-		payload += queryPrefix
-	}
-	total := headerLen + payload
-	if total > maxLen-1 {
-		return nil, ErrURLTooLong
-	}
+func (m Message) Marshal() ([]byte, error) { return m.AppendTo(nil) }
 
-	buf := make([]byte, total)
-	buf[0] = byte(m.Op)
+// AppendTo appends the message's wire format to dst and returns the
+// extended slice (dst itself on error); with room in dst it allocates
+// nothing, which is how the server and the fan-out client reuse one buffer
+// across datagrams.
+func (m Message) AppendTo(dst []byte) ([]byte, error) {
+	if strings.IndexByte(m.URL, 0) >= 0 {
+		return dst, fmt.Errorf("%w: URL contains NUL", ErrBadPayload)
+	}
+	total := headerLen + len(m.URL) + 1
+	if m.Op == OpQuery {
+		total += queryPrefix
+	}
+	if total > maxLen-1 {
+		return dst, ErrURLTooLong
+	}
 	version := m.Version
 	if version == 0 {
 		version = Version2
 	}
-	buf[1] = version
-	binary.BigEndian.PutUint16(buf[2:4], uint16(total))
-	binary.BigEndian.PutUint32(buf[4:8], m.ReqNum)
-	binary.BigEndian.PutUint32(buf[8:12], m.Options)
-	binary.BigEndian.PutUint32(buf[12:16], m.OptionData)
-	binary.BigEndian.PutUint32(buf[16:20], m.Sender)
-
-	p := buf[headerLen:]
+	dst = append(slices.Grow(dst, total), byte(m.Op), version)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(total))
+	dst = binary.BigEndian.AppendUint32(dst, m.ReqNum)
+	dst = binary.BigEndian.AppendUint32(dst, m.Options)
+	dst = binary.BigEndian.AppendUint32(dst, m.OptionData)
+	dst = binary.BigEndian.AppendUint32(dst, m.Sender)
 	if m.Op == OpQuery {
-		binary.BigEndian.PutUint32(p[0:4], m.Requester)
-		p = p[4:]
+		dst = binary.BigEndian.AppendUint32(dst, m.Requester)
 	}
-	copy(p, m.URL)
-	// trailing NUL is already zero
-	return buf, nil
+	return append(append(dst, m.URL...), 0), nil // NUL-terminated
 }
 
 // Parse decodes one datagram.
 func Parse(b []byte) (Message, error) {
+	m, url, err := parse(b)
+	m.URL = string(url)
+	return m, err
+}
+
+// parse is Parse without materialising the URL: it is returned as a view
+// into b, so the client's reply loop can compare it to the query's URL
+// and move on without leaving a string behind per datagram.
+func parse(b []byte) (Message, []byte, error) {
 	if len(b) < headerLen {
-		return Message{}, ErrShortMessage
+		return Message{}, nil, ErrShortMessage
 	}
 	var m Message
 	m.Op = Opcode(b[0])
 	m.Version = b[1]
 	if m.Version != Version2 {
-		return Message{}, fmt.Errorf("%w: %d", ErrBadVersion, m.Version)
+		return Message{}, nil, fmt.Errorf("%w: %d", ErrBadVersion, m.Version)
 	}
 	if int(binary.BigEndian.Uint16(b[2:4])) != len(b) {
-		return Message{}, ErrBadLength
+		return Message{}, nil, ErrBadLength
 	}
 	m.ReqNum = binary.BigEndian.Uint32(b[4:8])
 	m.Options = binary.BigEndian.Uint32(b[8:12])
@@ -198,18 +206,17 @@ func Parse(b []byte) (Message, error) {
 	p := b[headerLen:]
 	if m.Op == OpQuery {
 		if len(p) < queryPrefix+1 {
-			return Message{}, fmt.Errorf("%w: query payload too short", ErrBadPayload)
+			return Message{}, nil, fmt.Errorf("%w: query payload too short", ErrBadPayload)
 		}
 		m.Requester = binary.BigEndian.Uint32(p[0:4])
 		p = p[4:]
 	}
 	if len(p) == 0 || p[len(p)-1] != 0 {
-		return Message{}, fmt.Errorf("%w: missing URL terminator", ErrBadPayload)
+		return Message{}, nil, fmt.Errorf("%w: missing URL terminator", ErrBadPayload)
 	}
-	url := string(p[:len(p)-1])
-	if strings.IndexByte(url, 0) >= 0 {
-		return Message{}, fmt.Errorf("%w: embedded NUL in URL", ErrBadPayload)
+	url := p[:len(p)-1]
+	if bytes.IndexByte(url, 0) >= 0 {
+		return Message{}, nil, fmt.Errorf("%w: embedded NUL in URL", ErrBadPayload)
 	}
-	m.URL = url
-	return m, nil
+	return m, url, nil
 }

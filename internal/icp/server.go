@@ -81,9 +81,13 @@ func (s *Server) Close() error {
 
 func (s *Server) serve() {
 	defer s.wg.Done()
+	// One read buffer and one reply buffer for the server's lifetime, and
+	// netip source addresses: answering a query allocates only the URL
+	// string the handler is called with.
 	buf := make([]byte, maxLen)
+	var out []byte
 	for {
-		n, peer, err := s.conn.ReadFromUDP(buf)
+		n, peer, err := s.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			select {
 			case <-s.closed:
@@ -97,12 +101,11 @@ func (s *Server) serve() {
 		if !ok {
 			continue
 		}
-		data, err := reply.Marshal()
-		if err != nil {
+		if out, err = reply.AppendTo(out[:0]); err != nil {
 			s.logf("icp: marshal reply: %v", err)
 			continue
 		}
-		if _, err := s.conn.WriteToUDP(data, peer); err != nil {
+		if _, err := s.conn.WriteToUDPAddrPort(out, peer); err != nil {
 			s.logf("icp: write to %s: %v", peer, err)
 		}
 	}

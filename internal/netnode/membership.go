@@ -68,7 +68,7 @@ func (n *Node) publishLocked() {
 		}
 	}
 	snapshot := append([]Peer(nil), active...)
-	n.peers.Store(&snapshot)
+	n.peers.Store(&peerSet{list: snapshot, icp: icpAddrs(snapshot)})
 	epoch := n.epoch.Add(1)
 	if n.location == resolve.LocateHash {
 		n.rebuildHashRing(snapshot, epoch)

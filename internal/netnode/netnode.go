@@ -319,7 +319,7 @@ type Node struct {
 	// is a zero-cost pass-through to the sharded memory store.
 	store     *cache.TieredStore
 	blobStore *blob.Store // nil without a disk tier
-	peers     atomic.Pointer[[]Peer]
+	peers     atomic.Pointer[peerSet]
 	// hash is the consistent-hash locator under LocateHash, rebuilt on
 	// every membership change and swapped atomically like the peer
 	// snapshot.
@@ -804,11 +804,19 @@ func (n *Node) SetPeers(peers []Peer) {
 	n.publishLocked()
 }
 
+// peerSet is one published peer snapshot: the active peers and, index for
+// index, their ICP addresses — the slice a healthy group's fan-out hands
+// to the ICP client as-is. Immutable once stored.
+type peerSet struct {
+	list []Peer
+	icp  []*net.UDPAddr
+}
+
 // peerList returns the current immutable peer snapshot. Callers must not
 // mutate it.
 func (n *Node) peerList() []Peer {
 	if p := n.peers.Load(); p != nil {
-		return *p
+		return p.list
 	}
 	return nil
 }
@@ -1062,28 +1070,30 @@ func (n *Node) releaseUpstream() { <-n.originSem }
 // failure too. A query resolved early by a hit says nothing about peers
 // that simply had not answered yet.
 func (n *Node) recordFanout(active []Peer, res icp.Result) {
-	byICP := make(map[string]Peer, len(active))
-	for _, p := range active {
-		byICP[p.ICP.String()] = p
+	// heard[i] marks active[i] as accounted for; it stays on the stack
+	// for any group this side of 16 peers.
+	var stack [16]bool
+	heard := stack[:]
+	if len(active) > len(stack) {
+		heard = make([]bool, len(active))
 	}
-	heard := make(map[string]bool, len(res.Answered))
 	for _, a := range res.Answered {
-		if p, ok := byICP[a.String()]; ok {
-			heard[p.HTTP] = true
-			n.health.ReportSuccess(p.HTTP)
+		if i := peerByICP(active, a); i >= 0 {
+			heard[i] = true
+			n.health.ReportSuccess(active[i].HTTP)
 		}
 	}
 	for _, a := range res.SendFailed {
-		if p, ok := byICP[a.String()]; ok {
-			heard[p.HTTP] = true
-			n.health.ReportFailure(p.HTTP)
+		if i := peerByICP(active, a); i >= 0 {
+			heard[i] = true
+			n.health.ReportFailure(active[i].HTTP)
 			n.robust.PeerFailure()
 		}
 	}
 	silent := 0
 	if res.TimedOut {
-		for _, p := range active {
-			if !heard[p.HTTP] {
+		for i, p := range active {
+			if !heard[i] {
 				silent++
 				n.health.ReportFailure(p.HTTP)
 				n.robust.PeerFailure()
@@ -1091,6 +1101,16 @@ func (n *Node) recordFanout(active []Peer, res icp.Result) {
 		}
 	}
 	n.om.observeFanout(len(res.Answered), silent, len(res.SendFailed))
+}
+
+// peerByICP returns the index of the peer whose ICP address is a, or -1.
+func peerByICP(peers []Peer, a *net.UDPAddr) int {
+	for i, p := range peers {
+		if udpAddrEqual(p.ICP, a) {
+			return i
+		}
+	}
+	return -1
 }
 
 // fetchUpstream fetches from the parent or origin with the configured
@@ -1547,8 +1567,7 @@ type OriginServer struct {
 	wg     sync.WaitGroup
 	closed chan struct{}
 
-	mu      sync.Mutex
-	fetches int64
+	fetches atomic.Int64
 }
 
 // NewOriginServer starts an origin on addr ("127.0.0.1:0" for tests).
@@ -1568,11 +1587,7 @@ func (o *OriginServer) Addr() string { return o.ln.Addr().String() }
 
 // Fetches returns how many documents the origin served — the traffic the
 // cache group failed to absorb.
-func (o *OriginServer) Fetches() int64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.fetches
-}
+func (o *OriginServer) Fetches() int64 { return o.fetches.Load() }
 
 // Close stops the origin.
 func (o *OriginServer) Close() error {
@@ -1623,9 +1638,7 @@ func (o *OriginServer) serveConn(conn net.Conn) {
 	if size <= 0 {
 		size = 4096
 	}
-	o.mu.Lock()
-	o.fetches++
-	o.mu.Unlock()
+	o.fetches.Add(1)
 	_ = hproto.WriteResponse(conn, hproto.Response{
 		Status:        hproto.StatusOK,
 		ResponderAge:  cache.NoContention, // origins have no cache contention

@@ -108,28 +108,28 @@ func (l nodeLocator) Locate(rctx any, url string, now time.Time) resolve.Located
 // the first sibling in wiring order.
 func (n *Node) icpLocate(tr *obs.Trace, url string) resolve.Located {
 	// The peer snapshot is immutable, so when every breaker is closed
-	// (the steady state) it is fanned out as-is, copy-free; only a
-	// degraded group pays for the filtered slice.
-	peers := n.peerList()
-	active := peers
-	for i, p := range peers {
+	// (the steady state) it is fanned out as-is, ICP address slice and
+	// all, copy-free; only a degraded group pays for the filtered slices.
+	set := n.peers.Load()
+	if set == nil {
+		return resolve.Located{}
+	}
+	active, addrs := set.list, set.icp
+	for i, p := range set.list {
 		if !n.health.Allow(p.HTTP) {
-			active = make([]Peer, i, len(peers))
-			copy(active, peers[:i])
-			for _, q := range peers[i+1:] {
+			active = make([]Peer, i, len(set.list))
+			copy(active, set.list[:i])
+			for _, q := range set.list[i+1:] {
 				if n.health.Allow(q.HTTP) {
 					active = append(active, q)
 				}
 			}
+			addrs = icpAddrs(active)
 			break
 		}
 	}
 	if len(active) == 0 {
 		return resolve.Located{}
-	}
-	addrs := make([]*net.UDPAddr, len(active))
-	for i, p := range active {
-		addrs[i] = p.ICP
 	}
 	fanout := n.startStage(tr, stICPFanout)
 	res, err := n.icpClient.QueryHop(addrs, url, n.icpTimeout, hopOf(tr))
@@ -163,6 +163,15 @@ func (n *Node) icpLocate(tr *obs.Trace, url string) resolve.Located {
 		n.warn("icp hits from unknown peers", tr, "hits", len(res.Responders), "known", known)
 	}
 	return resolve.Located{Candidates: cands}
+}
+
+// icpAddrs lists the peers' ICP addresses, index for index.
+func icpAddrs(peers []Peer) []*net.UDPAddr {
+	addrs := make([]*net.UDPAddr, len(peers))
+	for i, p := range peers {
+		addrs[i] = p.ICP
+	}
+	return addrs
 }
 
 // udpAddrEqual compares reply source addresses to peer-list addresses
