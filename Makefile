@@ -120,19 +120,26 @@ digest-smoke:
 	$(GO) test -race -v -run 'TestDigest|TestIncremental|TestDelta' ./internal/netnode/ ./internal/digest/
 	$(GO) run ./cmd/benchjson -out /tmp/digest-smoke.json -artifacts=false -node-iters 2000 -node-reps 1 -check-digest
 
-# Ledger gate: four seconds of the paper's scenario (coop_mix: 4 live
-# nodes, ICP + EA) through the benchmark ledger (bench/, BENCHMARK.json).
-# Fails when the run exits non-zero or its last line, the result line,
-# does not say "correct": true — a wrong size or outcome on any request,
-# or a validity check such as netnode.tcp_opens_per_req > 0.3. The table
-# and result line are kept as the artifact; the numbers of so short a
-# run are for reading, not for comparing.
+# Ledger gate: four seconds each of the paper's scenario (coop_mix: 4 live
+# nodes, ICP + EA) and of the trace replay (sim_bu: the simulator at five
+# sizes under EA and ad-hoc) through the benchmark ledger (bench/,
+# BENCHMARK.json). Fails when a run exits non-zero or its last line, the
+# result line, does not say "correct": true — a wrong size or outcome on
+# any request, or a validity check such as netnode.tcp_opens_per_req > 0.3
+# or sim.ea_minus_adhoc_hit_rate_min >= 0. Each table and result line is
+# kept as an artifact; the numbers of so short a run are for reading, not
+# for comparing.
 LEDGER_LOG ?= artifacts/ledger-smoke.log
+LEDGER_SIM_LOG ?= artifacts/ledger-smoke-sim.log
 ledger-smoke:
-	@mkdir -p $(dir $(LEDGER_LOG))
-	@$(GO) run ./bench -workload coop_mix -seconds 4 -trace 0 > $(LEDGER_LOG) 2>&1; \
-	status=$$?; cat $(LEDGER_LOG); \
-	tail -n 1 $(LEDGER_LOG) | grep -q '"correct": *true' || status=1; exit $$status
+	@mkdir -p $(dir $(LEDGER_LOG)) $(dir $(LEDGER_SIM_LOG))
+	@status=0; \
+	for run in coop_mix:$(LEDGER_LOG) sim_bu:$(LEDGER_SIM_LOG); do \
+		log=$${run#*:}; \
+		$(GO) run ./bench -workload $${run%%:*} -seconds 4 -trace 0 > $$log 2>&1 || status=1; \
+		cat $$log; \
+		tail -n 1 $$log | grep -q '"correct": *true' || status=1; \
+	done; exit $$status
 
 # Fuzz the decoders that face untrusted bytes: journal/snapshot recovery
 # and the wire parsers. Short per-target budget by default; raise with

@@ -257,10 +257,17 @@ type Store struct {
 	policy   Policy
 	ages     *ExpAgeTracker
 	sink     func(Event)
+	// free holds the zeroed entries of evicted and removed documents for
+	// the next insert: at capacity every insert follows an eviction.
+	free []*Entry
 
 	insertions int64
 	evictions  int64
 }
+
+// maxFreeEntries bounds Store.free: one large insert can evict hundreds
+// of small documents, and the next inserts will not need them all.
+const maxFreeEntries = 64
 
 // New builds a Store from cfg.
 func New(cfg Config) (*Store, error) {
@@ -388,18 +395,37 @@ func (s *Store) Put(doc Document, now time.Time) ([]Eviction, error) {
 	if err != nil {
 		return evicted, err
 	}
-	e := &Entry{
-		Doc:       doc,
-		EnteredAt: now,
-		LastHit:   now,
-		Hits:      1,
-	}
-	s.entries[doc.URL] = e
-	s.used += doc.Size
+	s.insert(doc, now, now, 1)
 	s.insertions++
-	s.policy.Add(e)
 	s.emit(Event{Kind: EventInsert, Doc: doc, At: now})
 	return evicted, nil
+}
+
+// insert registers doc under a recycled (or new) entry. The entry belongs
+// to the store from here until release; policies keep no reference to it
+// after Policy.Remove.
+func (s *Store) insert(doc Document, enteredAt, lastHit time.Time, hits int64) {
+	var e *Entry
+	if n := len(s.free); n > 0 {
+		e, s.free[n-1] = s.free[n-1], nil
+		s.free = s.free[:n-1]
+	} else {
+		e = new(Entry)
+	}
+	e.Doc, e.EnteredAt, e.LastHit, e.Hits = doc, enteredAt, lastHit, hits
+	s.entries[doc.URL] = e
+	s.used += doc.Size
+	s.policy.Add(e)
+}
+
+// release takes back the entry of a document that left the store, zeroed
+// so that it pins no URL and carries no hit count, heap position, priority
+// or list link into its next life.
+func (s *Store) release(e *Entry) {
+	if len(s.free) < maxFreeEntries {
+		*e = Entry{}
+		s.free = append(s.free, e)
+	}
 }
 
 // Remove deletes url from the cache without recording an eviction age (it
@@ -413,6 +439,7 @@ func (s *Store) Remove(url string) bool {
 	delete(s.entries, url)
 	s.used -= e.Doc.Size
 	s.emit(Event{Kind: EventRemove, Doc: e.Doc})
+	s.release(e)
 	return true
 }
 
@@ -487,10 +514,7 @@ func (s *Store) RestoreEntry(doc Document, enteredAt, lastHit time.Time, hits in
 	if lastHit.IsZero() {
 		lastHit = enteredAt
 	}
-	e := &Entry{Doc: doc, EnteredAt: enteredAt, LastHit: lastHit, Hits: hits}
-	s.entries[doc.URL] = e
-	s.used += doc.Size
-	s.policy.Add(e)
+	s.insert(doc, enteredAt, lastHit, hits)
 	return nil
 }
 
@@ -522,14 +546,11 @@ func (s *Store) PromoteEntry(doc Document, enteredAt time.Time, hits int64, now 
 	if enteredAt.IsZero() {
 		enteredAt = now
 	}
-	e := &Entry{Doc: doc, EnteredAt: enteredAt, LastHit: now, Hits: hits + 1}
-	s.entries[doc.URL] = e
-	s.used += doc.Size
+	s.insert(doc, enteredAt, now, hits+1)
 	s.insertions++
-	s.policy.Add(e)
 	s.emit(Event{
 		Kind: EventPromoteFromDisk, Doc: doc, At: now,
-		EnteredAt: enteredAt, LastHit: now, Hits: e.Hits,
+		EnteredAt: enteredAt, LastHit: now, Hits: hits + 1,
 	})
 	return evicted, nil
 }
@@ -608,9 +629,11 @@ func (s *Store) evict(v *Entry, now time.Time) Eviction {
 		Kind: EventEvict, Doc: v.Doc, At: now, Age: age,
 		EnteredAt: v.EnteredAt, LastHit: v.LastHit, Hits: v.Hits,
 	})
-	return Eviction{
+	ev := Eviction{
 		Doc:           v.Doc,
 		Age:           age,
 		ResidencyTime: now.Sub(v.EnteredAt),
 	}
+	s.release(v)
+	return ev
 }

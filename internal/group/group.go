@@ -224,7 +224,9 @@ func (g *Group) All() []*proxy.Proxy {
 func (g *Group) Route(client string) *proxy.Proxy {
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(client))
-	return g.leaves[int(h.Sum32())%len(g.leaves)]
+	// The modulus is taken unsigned: converted to a 32-bit int, a sum with
+	// the top bit set is negative.
+	return g.leaves[h.Sum32()%uint32(len(g.leaves))]
 }
 
 // AvgCumulativeExpirationAge returns the mean of the caches' cumulative

@@ -1,6 +1,7 @@
 package group
 
 import (
+	"hash/fnv"
 	"testing"
 	"time"
 
@@ -115,6 +116,40 @@ func TestRouteStableAndCovering(t *testing.T) {
 	}
 	if len(seen) != 4 {
 		t.Fatalf("routing covered %d caches, want 4", len(seen))
+	}
+}
+
+// TestRouteTable pins the client-to-cache assignment, including clients
+// whose FNV-1a sum has the top bit set: converted to a 32-bit int
+// (GOARCH=386/arm) that sum is negative, and a signed modulus would index
+// out of range.
+func TestRouteTable(t *testing.T) {
+	for _, tc := range []struct {
+		client string
+		sum    uint32 // FNV-1a of client
+		of4    string
+		of3    string
+	}{
+		{"u0000", 1782186320, "cache-0", "cache-2"},
+		{"u0001", 1798963939, "cache-3", "cache-1"},
+		{"u0042", 71560730, "cache-2", "cache-2"},
+		{"u0590", 2408782710, "cache-2", "cache-0"}, // >= 1<<31
+		{"alice", 2267157479, "cache-3", "cache-2"}, // >= 1<<31
+	} {
+		h := fnv.New32a()
+		_, _ = h.Write([]byte(tc.client))
+		if got := h.Sum32(); got != tc.sum {
+			t.Fatalf("FNV-1a(%q) = %d, want %d", tc.client, got, tc.sum)
+		}
+		for caches, want := range map[int]string{4: tc.of4, 3: tc.of3} {
+			g, err := New(Config{Caches: caches, AggregateBytes: 4 << 20, Scheme: core.AdHoc{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := g.Route(tc.client).ID(); got != want {
+				t.Errorf("Route(%q) over %d caches = %s, want %s", tc.client, caches, got, want)
+			}
+		}
 	}
 }
 

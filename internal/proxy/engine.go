@@ -71,7 +71,7 @@ func (l simLocator) Locate(_ any, url string, now time.Time) resolve.Located {
 		return p.hash.Locate(nil, url, now)
 	default: // LocateICP
 		if hit := p.icpLocate(url, now); hit != nil {
-			return resolve.Located{Candidates: []resolve.Candidate{{ID: hit.id, Ref: hit}}}
+			return resolve.Located{Candidates: hit.self}
 		}
 		return resolve.Located{}
 	}

@@ -226,6 +226,9 @@ type Proxy struct {
 
 	siblings []*Proxy
 	parent   *Proxy
+	// self is this proxy as a neighbour's one-candidate ICP answer:
+	// immutable, so every locate that hits here hands out the same slice.
+	self []resolve.Candidate
 
 	// engine is the shared resolution engine; Request delegates to it.
 	engine *resolve.Engine
@@ -268,6 +271,7 @@ func New(cfg Config) (*Proxy, error) {
 		location: cfg.Location,
 		tracer:   cfg.Tracer,
 	}
+	p.self = []resolve.Candidate{{ID: p.id, Ref: p}}
 	if cfg.Location == LocateDigest {
 		dc := cfg.Digest.WithDefaults(cfg.Store.Capacity())
 		summary, err := digest.NewIncremental(dc.Expected, dc.FPRate, 0)

@@ -43,10 +43,20 @@ type Coalescer struct {
 
 	mu      sync.Mutex
 	flights map[string]*flight
+	// free holds flights that retired without a follower: no goroutine
+	// but the Coalescer ever saw them, so the next leader may take one.
+	free []*flight
 }
 
-// flight is one leader epoch for one URL. The leader publishes res/err
-// and closes done exactly once; followers only ever read after <-done.
+// maxFreeFlights bounds the free stack; a deeper burst of concurrent
+// leaders allocates as before.
+const maxFreeFlights = 64
+
+// flight is one leader epoch for one URL. done stays nil until the first
+// follower joins and makes it (under Coalescer.mu); a leader with
+// followers publishes res/err and closes done exactly once, and followers
+// only ever read after <-done. A leader nobody followed publishes
+// nothing, so a flight on the free stack is always the zero value.
 type flight struct {
 	done chan struct{}
 	res  Result
@@ -64,13 +74,22 @@ func NewCoalescer() *Coalescer {
 func (c *Coalescer) join(url string, retry bool) (*flight, bool) {
 	c.mu.Lock()
 	if f, ok := c.flights[url]; ok {
+		if f.done == nil {
+			f.done = make(chan struct{})
+		}
 		c.mu.Unlock()
 		if c.OnFollower != nil {
 			c.OnFollower(url)
 		}
 		return f, false
 	}
-	f := &flight{done: make(chan struct{})}
+	var f *flight
+	if n := len(c.free); n > 0 {
+		f, c.free[n-1] = c.free[n-1], nil
+		c.free = c.free[:n-1]
+	} else {
+		f = new(flight)
+	}
 	c.flights[url] = f
 	c.mu.Unlock()
 	if c.OnElect != nil {
@@ -82,15 +101,24 @@ func (c *Coalescer) join(url string, retry bool) (*flight, bool) {
 // finish publishes the leader's outcome and retires the flight. The
 // table entry is removed before done is closed, so a follower that wakes
 // to a failure and re-joins can only land on a fresh epoch, never on the
-// dead one.
+// dead one. Once the entry is gone no follower can join, so a done still
+// nil under the lock means nobody holds the flight: it goes back on the
+// free stack untouched. A flight with followers is never reused.
 func (c *Coalescer) finish(url string, f *flight, res Result, err error) {
 	c.mu.Lock()
 	if c.flights[url] == f {
 		delete(c.flights, url)
 	}
+	done := f.done
+	if done == nil && len(c.free) < maxFreeFlights {
+		c.free = append(c.free, f)
+	}
 	c.mu.Unlock()
+	if done == nil {
+		return
+	}
 	f.res, f.err = res, err
-	close(f.done)
+	close(done)
 }
 
 // resolveCoalesced is the single-flight wrapper around the miss-path

@@ -2,6 +2,7 @@ package resolve
 
 import (
 	"errors"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"eacache/internal/cache"
 	"eacache/internal/core"
 	"eacache/internal/metrics"
+	"eacache/internal/race"
 )
 
 // lockedStore is a concurrency-safe LocalStore for the coalescing tests
@@ -261,5 +263,156 @@ func TestCoalesceSerializedIsNoOp(t *testing.T) {
 	}
 	if elections.Load() != 2 {
 		t.Fatalf("elections=%d, want one per serialized miss", elections.Load())
+	}
+}
+
+// mixTransport serves two kinds of URL: "http://solo/<n>" documents are
+// never contended and fail when their size hint is odd; hotURL is the
+// herd's document, whose i-th fetch blocks on hotGates[i] and fails while
+// i < hotFailFirst. The embedded herdTransport supplies the remote and
+// parent paths only.
+type mixTransport struct {
+	herdTransport
+	hotURL       string
+	hotCalls     atomic.Int32
+	hotGates     []chan struct{}
+	hotFailFirst int32
+}
+
+func (t *mixTransport) FetchOrigin(_ any, url string, sizeHint int64, _ time.Duration, _ time.Time) (cache.Document, error) {
+	if url != t.hotURL {
+		if sizeHint%2 == 1 {
+			return cache.Document{}, errors.New("solo origin down")
+		}
+		return cache.Document{URL: url, Size: sizeHint}, nil
+	}
+	n := t.hotCalls.Add(1)
+	<-t.hotGates[n-1]
+	if n <= t.hotFailFirst {
+		return cache.Document{}, errors.New("hot origin overloaded")
+	}
+	return cache.Document{URL: url, Size: sizeHint}, nil
+}
+
+// TestCoalesceSoloFlightsInterleavedWithHerd runs leader-only flights —
+// each a different URL, every other one failing — before, during and
+// after a 32-way herd on one hot URL whose first epoch fails. A flight
+// must never show a requester anything but its own epoch's outcome: solo
+// requests get their own document or their own error, every follower gets
+// the hot document, each hot epoch fetches upstream exactly once, and the
+// failed leader is replaced by exactly one retry epoch.
+func TestCoalesceSoloFlightsInterleavedWithHerd(t *testing.T) {
+	const (
+		herd    = 32
+		hotURL  = "http://hot/doc"
+		hotSize = 7777
+	)
+	g1, g2 := make(chan struct{}), make(chan struct{})
+	tr := &mixTransport{hotURL: hotURL, hotGates: []chan struct{}{g1, g2}, hotFailFirst: 1}
+	var followers, retries atomic.Int32
+	co := NewCoalescer()
+	co.OnFollower = func(string) { followers.Add(1) }
+	co.OnElect = func(_ string, retry bool) {
+		if retry {
+			retries.Add(1)
+		}
+	}
+	e := &Engine{ID: "test mix", Store: newLockedStore(), Scheme: core.AdHoc{}, Transport: tr, Coalescer: co}
+
+	var soloN atomic.Int64
+	solo := func() {
+		n := soloN.Add(1)
+		url := "http://solo/" + strconv.FormatInt(n, 10)
+		res, err := e.Resolve(nil, url, n, at(0))
+		switch {
+		case n%2 == 1:
+			if err == nil || err.Error() != "solo origin down" {
+				t.Errorf("solo %d: res=%+v err=%v, want its own origin error", n, res, err)
+			}
+		case err != nil || res.Coalesced || res.Doc.URL != url || res.Doc.Size != n:
+			t.Errorf("solo %d: res=%+v err=%v, want its own document", n, res, err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		solo()
+	}
+
+	var wg sync.WaitGroup
+	var failed, led, coalesced atomic.Int32
+	for i := 0; i < herd; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := e.Resolve(nil, hotURL, hotSize, at(0))
+			switch {
+			case err != nil:
+				if err.Error() != "hot origin overloaded" {
+					t.Errorf("herd member failed with %v", err)
+				}
+				failed.Add(1)
+			case res.Doc.URL != hotURL || res.Doc.Size != hotSize:
+				t.Errorf("herd member got %+v, want the hot document", res)
+			case res.Coalesced:
+				coalesced.Add(1)
+			default:
+				led.Add(1)
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	var soloWG sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		soloWG.Add(1)
+		go func() {
+			defer soloWG.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					solo()
+				}
+			}
+		}()
+	}
+	waitFor(t, func() bool { return followers.Load() == herd-1 })
+	close(g1)
+	waitFor(t, func() bool { return followers.Load() == 2*herd-3 })
+	close(g2)
+	wg.Wait()
+	close(stop)
+	soloWG.Wait()
+	for i := 0; i < 16; i++ {
+		solo()
+	}
+
+	if failed.Load() != 1 || led.Load() != 1 || coalesced.Load() != herd-2 {
+		t.Fatalf("failed=%d led=%d coalesced=%d, want 1/1/%d", failed.Load(), led.Load(), coalesced.Load(), herd-2)
+	}
+	if got := tr.hotCalls.Load(); got != 2 {
+		t.Fatalf("hot origin fetches = %d, want 2 (failed epoch + retry epoch)", got)
+	}
+	if retries.Load() != 1 {
+		t.Fatalf("retry elections = %d, want 1", retries.Load())
+	}
+}
+
+// TestResolveMissAllocBudget: a miss no other request is waiting on costs
+// the engine and its Coalescer nothing — the flight comes off the free
+// stack and no channel is made.
+func TestResolveMissAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	store := newFakeStore(cache.NoContention)
+	store.tooBig = 0 // keeps nothing: every request is an origin miss
+	e := &Engine{ID: "test alloc", Store: store, Scheme: core.AdHoc{}, Transport: &herdTransport{}, Coalescer: NewCoalescer()}
+	resolve := func() {
+		if _, err := e.Resolve(nil, "http://a/", 100, at(0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, resolve); allocs != 0 {
+		t.Errorf("Resolve of an origin miss: %.2f allocs, want 0", allocs)
 	}
 }

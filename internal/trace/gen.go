@@ -270,6 +270,7 @@ func Generate(cfg GenConfig) ([]Record, error) {
 		rng:       rng,
 		zipf:      zipf,
 		catalog:   catalog,
+		urls:      make([]string, len(catalog)),
 		histories: histories,
 		think:     think,
 		inlineGap: inlineGap,
@@ -323,6 +324,7 @@ type generator struct {
 	rng       *dist.RNG
 	zipf      *dist.Zipf
 	catalog   []int64
+	urls      []string // docURL of each catalog entry, formatted on first reference
 	histories []*history
 	think     *dist.Exponential
 	inlineGap *dist.Exponential
@@ -357,6 +359,7 @@ func (g *generator) masterStream(n int) []step {
 // of the shared master stream with individual timing.
 func (g *generator) emitSession(records []Record, user int, start time.Time, n int, master []step) []Record {
 	h := g.histories[user]
+	client := fmt.Sprintf("u%04d", user)
 	t := start
 	inlineLeft := 0
 	for i := 0; i < n; i++ {
@@ -383,10 +386,13 @@ func (g *generator) emitSession(records []Record, user int, start time.Time, n i
 		if g.cfg.ZeroSizeFraction > 0 && g.rng.Float64() < g.cfg.ZeroSizeFraction {
 			size = 0
 		}
+		if g.urls[docID] == "" {
+			g.urls[docID] = docURL(docID)
+		}
 		records = append(records, Record{
 			Time:   t,
-			Client: fmt.Sprintf("u%04d", user),
-			URL:    docURL(docID),
+			Client: client,
+			URL:    g.urls[docID],
 			Size:   size,
 		})
 	}

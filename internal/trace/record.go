@@ -6,7 +6,7 @@
 package trace
 
 import (
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -47,9 +47,7 @@ func CleanZeroSizes(records []Record, def int64) []Record {
 // SortByTime sorts records chronologically (stable, preserving log order of
 // simultaneous requests).
 func SortByTime(records []Record) {
-	sort.SliceStable(records, func(i, j int) bool {
-		return records[i].Time.Before(records[j].Time)
-	})
+	slices.SortStableFunc(records, func(a, b Record) int { return a.Time.Compare(b.Time) })
 }
 
 // Sorted reports whether records are in chronological order.
