@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet test test-short test-race parity chaos churn-smoke disk-smoke bench bench-json load-json load-smoke obs-smoke digest-smoke ledger-smoke fuzz
+.PHONY: check fmt build vet test test-short test-race parity chaos churn-smoke disk-smoke load-json load-smoke obs-smoke digest-smoke ledger-smoke fuzz
 
 check: fmt vet build test-race
 
@@ -58,30 +58,18 @@ churn-smoke:
 # unit surface, then the live end-to-end checks — a node overflows 10x
 # its memory capacity onto disk, dies without a checkpoint, and the
 # successor recovers every document with every blob checksum intact.
-# Finally the hot-path budget: benchjson -check-tier fails if the tiered
-# pass-through costs a single byte or alloc over the bare memory hit.
+# Finally the hot-path budget, without -race because it counts
+# allocations: TestTieredPassthroughGetAllocs fails if a warm Get through
+# the nil-disk TieredStore allocates at all, as the bare store does not.
 DISK_LOG ?= artifacts/disk-smoke.log
 disk-smoke:
 	@mkdir -p $(dir $(DISK_LOG))
 	@{ $(GO) test -race -v ./internal/blob/ && \
 	   $(GO) test -race -v -run 'TestTiered|TestDemote|TestRestoreDisk' ./internal/cache/ && \
-	   $(GO) test -race -v -run 'TestJournalTier|TestMarshalEventRejects|TestSnapshotV2|TestSnapshotAccepts|TestSnapshotRejects|TestReplayTier|TestCheckpointPersistsDisk' ./internal/persist/ && \
-	   $(GO) test -race -v -run 'TestTier' ./internal/netnode/; } > $(DISK_LOG) 2>&1; \
+	   $(GO) test -race -v -run 'TestJournalTier|TestMarshalEventRejects|TestSnapshotV2|TestSnapshotRejects|TestReplayTier|TestCheckpointPersistsDisk' ./internal/persist/ && \
+	   $(GO) test -race -v -run 'TestTier' ./internal/netnode/ && \
+	   $(GO) test -v -run 'TestTieredPassthroughGetAllocs' ./internal/cache/; } > $(DISK_LOG) 2>&1; \
 	status=$$?; cat $(DISK_LOG); exit $$status
-	$(GO) run ./cmd/benchjson -out /tmp/tier-smoke.json -artifacts=false -node-iters 2000 -node-reps 1 -check-tier
-
-bench:
-	$(GO) test -bench . -benchmem ./...
-
-# Headless benchmark run: paper artifacts, a simulated group replay
-# (hit rate / byte hit rate / estimated latency), the disk-tier
-# demote/promote paths plus the memory-hit parity pair, and the
-# live-socket node benchmarks — telemetry off/on plus the parallel run
-# on the sharded store. Writes BENCH_JSON.
-BENCH_JSON ?= BENCH_pr10.json
-BENCH_FLAGS ?=
-bench-json:
-	$(GO) run ./cmd/benchjson -out $(BENCH_JSON) $(BENCH_FLAGS)
 
 # Open-loop load harness (cmd/loadgen) against a live 2-node group over
 # real sockets. load-json ramps to saturation and writes the tail-latency
@@ -89,7 +77,7 @@ bench-json:
 # load-smoke is the CI gate — a few seconds at low RPS must finish with
 # zero sheds and zero errors, or the overload layer is misfiring at
 # unsaturated load.
-LOAD_JSON ?= BENCH_pr6.json
+LOAD_JSON ?= artifacts/loadgen.json
 load-json:
 	$(GO) run ./cmd/loadgen -nodes 2 -rps 300 -duration 5s -saturate -out $(LOAD_JSON)
 
@@ -113,12 +101,12 @@ obs-smoke:
 # full transfers, every background refresh must ride the change log as
 # a delta — eacctl's aggregated /admin/digests counters prove deltas
 # outnumber fulls and the rebuild escape hatch never fired — and the
-# counting-filter maintenance plus sync wire cost stay within budget
-# (delta bytes < 10% of a full transfer, asserted by -check-digest).
+# sync wire cost stays within budget (TestDeltaSyncWireBudget: delta bytes
+# < 10% of the full transfers they replace, no refresh outside the change
+# log, no counter-saturation rebuild).
 digest-smoke:
 	$(GO) test -race -v -run 'TestDigestGroupDeltaSteadyState' ./cmd/eacctl/
 	$(GO) test -race -v -run 'TestDigest|TestIncremental|TestDelta' ./internal/netnode/ ./internal/digest/
-	$(GO) run ./cmd/benchjson -out /tmp/digest-smoke.json -artifacts=false -node-iters 2000 -node-reps 1 -check-digest
 
 # Ledger gate: four seconds each of the paper's scenario (coop_mix: 4 live
 # nodes, ICP + EA) and of the trace replay (sim_bu: the simulator at five

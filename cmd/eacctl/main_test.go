@@ -85,7 +85,7 @@ func startGroupMemberLoc(t *testing.T, id, origin string, loc resolve.Location) 
 	if loc == resolve.LocateDigest {
 		// Fast revalidation so digest e2e tests see background delta
 		// refreshes within their polling window.
-		cfg.Digest = proxy.DigestConfig{Expected: 64, FPRate: 0.01, RebuildEvery: 1}
+		cfg.Digest = proxy.DigestConfig{Expected: 64, FPRate: 0.01}
 		cfg.DigestRefresh = 40 * time.Millisecond
 	}
 	n, err := netnode.New(cfg)

@@ -13,12 +13,12 @@
 // reported as the saturation RPS.
 //
 // Results — p50/p99/p999 latency, achieved and saturation throughput,
-// shed and coalesce rates — are written as a BENCH_*.json artifact in
-// the same spirit as cmd/benchjson.
+// shed and coalesce rates — are written as a JSON artifact
+// (artifacts/loadgen.json unless -out says otherwise).
 //
 // Usage:
 //
-//	loadgen -nodes 2 -rps 200 -duration 5s -out BENCH_pr6.json
+//	loadgen -nodes 2 -rps 200 -duration 5s -out artifacts/loadgen.json
 //	loadgen -saturate -rps 500 -duration 3s
 //	loadgen -rps 50 -duration 2s -check   # CI smoke: any shed/error fails
 //	loadgen -locate hash -churn -check    # membership cycle under load;
@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
@@ -95,7 +96,7 @@ func run(args []string, stdout io.Writer) error {
 		check      = fs.Bool("check", false, "exit non-zero on any shed or failed request (CI smoke at unsaturated load)")
 		churn      = fs.Bool("churn", false, "run a join->drain->leave membership cycle inside each step; errors completing inside a transition window are reported separately and fail -check")
 		obsFlag    = fs.Bool("obs", false, "wire full telemetry into every node (trace every request) and record the trace IDs of the slowest (>=p99) requests in the artifact, for post-hoc eacctl stitching")
-		out        = fs.String("out", "BENCH_pr6.json", "output JSON artifact path")
+		out        = fs.String("out", "artifacts/loadgen.json", "output JSON artifact path")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -434,6 +435,9 @@ func runLoad(cfg config, stdout io.Writer) error {
 
 	data, err := json.MarshalIndent(art, "", "  ")
 	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(filepath.Dir(cfg.out), 0o755); err != nil {
 		return err
 	}
 	if err := os.WriteFile(cfg.out, append(data, '\n'), 0o644); err != nil {

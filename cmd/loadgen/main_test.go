@@ -12,9 +12,11 @@ import (
 
 // TestLoadgenSmoke runs a short unsaturated step against a live 2-node
 // group and checks the artifact carries the tail percentiles and the
-// saturation figure, with -check proving no shed/error at low load.
+// saturation figure, with -check proving no shed/error at low load. The
+// artifact goes into a directory that does not exist yet, as the default
+// artifacts/loadgen.json does in a fresh checkout.
 func TestLoadgenSmoke(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_load.json")
+	out := filepath.Join(t.TempDir(), "artifacts", "loadgen.json")
 	var buf bytes.Buffer
 	err := run([]string{
 		"-rps", "80", "-duration", "500ms", "-docs", "50",

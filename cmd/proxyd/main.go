@@ -56,8 +56,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		parentAddr = fs.String("parent", "", "hierarchical parent's fetch (TCP) address; misses resolve through it")
 		schemeName = fs.String("scheme", "ea", `placement scheme: "adhoc", "ea" or "never"`)
 		locate     = fs.String("locate", "icp", `document location mechanism: "icp", "digest" or "hash"`)
-		location   = fs.String("location", "", `deprecated alias for -locate`)
-		digestFlag = fs.Bool("digest", false, `deprecated alias for -locate=digest`)
 		hashName   = fs.String("hash-name", "", "this node's hash-ring member name under -locate=hash (default: the bound fetch address)")
 
 		digestRefresh = fs.Duration("digest-refresh", 0, "how long a fetched peer digest is trusted before background revalidation (needs -locate=digest; 0 uses the default)")
@@ -146,7 +144,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	logger := slog.New(slog.NewTextHandler(stderr, nil))
 
-	loc, err := locationFromFlags(fs, stderr, *locate, *location, *digestFlag)
+	loc, err := resolve.ParseLocation(*locate)
 	if err != nil {
 		return err
 	}
@@ -331,40 +329,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "robustness: %+v\n", node.Robustness())
 	}
 	return nil
-}
-
-// locationFromFlags resolves the document-location mechanism from the
-// canonical -locate flag and its two deprecated spellings, warning once
-// per deprecated flag actually used. An explicit -locate wins over the
-// aliases; the aliases must not contradict each other.
-func locationFromFlags(fs *flag.FlagSet, stderr io.Writer, locate, location string, digest bool) (resolve.Location, error) {
-	explicit := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-
-	if location != "" {
-		fmt.Fprintln(stderr, "proxyd: -location is deprecated; use -locate")
-	}
-	if digest {
-		fmt.Fprintln(stderr, "proxyd: -digest is deprecated; use -locate=digest")
-	}
-	if !explicit["locate"] {
-		if location != "" {
-			locate = location
-		} else if digest {
-			locate = "digest"
-		}
-	}
-	loc, err := resolve.ParseLocation(locate)
-	if err != nil {
-		return 0, err
-	}
-	if location != "" && location != loc.String() {
-		return 0, fmt.Errorf("conflicting flags: -locate=%s vs -location=%s", loc, location)
-	}
-	if digest && loc != resolve.LocateDigest {
-		return 0, fmt.Errorf("conflicting flags: -locate=%s vs -digest", loc)
-	}
-	return loc, nil
 }
 
 // newInjector builds a fault injector from a -chaos spec, or nil when the

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"io"
 	"log/slog"
 	"strings"
@@ -149,50 +148,25 @@ func TestOverloadFlagValidation(t *testing.T) {
 	}
 }
 
+// TestLocationFromFlags: -locate is the one spelling of the location
+// mechanism; each valid value reaches the demo group, an unknown one is
+// rejected, and the retired -location/-digest aliases are unknown flags.
 func TestLocationFromFlags(t *testing.T) {
-	parse := func(t *testing.T, args ...string) (resolve.Location, string, error) {
-		t.Helper()
-		fs := flag.NewFlagSet("proxyd", flag.ContinueOnError)
-		locate := fs.String("locate", "icp", "")
-		location := fs.String("location", "", "")
-		digest := fs.Bool("digest", false, "")
-		if err := fs.Parse(args); err != nil {
-			t.Fatal(err)
+	for _, loc := range []string{"icp", "digest", "hash"} {
+		var out bytes.Buffer
+		err := run([]string{"-demo", "-nodes=2", "-requests=20", "-locate=" + loc}, &out, io.Discard)
+		if err != nil || !strings.Contains(out.String(), "locate="+loc+",") {
+			t.Errorf("-locate=%s: err=%v output:\n%s", loc, err, out.String())
 		}
-		var warnings bytes.Buffer
-		loc, err := locationFromFlags(fs, &warnings, *locate, *location, *digest)
-		return loc, warnings.String(), err
 	}
-
-	loc, warns, err := parse(t)
-	if err != nil || loc != resolve.LocateICP || warns != "" {
-		t.Fatalf("default: loc=%v warns=%q err=%v", loc, warns, err)
+	if err := run([]string{"-demo", "-locate=carp"}, io.Discard, io.Discard); err == nil {
+		t.Error("unknown mechanism accepted")
 	}
-	loc, _, err = parse(t, "-locate=hash")
-	if err != nil || loc != resolve.LocateHash {
-		t.Fatalf("-locate=hash: loc=%v err=%v", loc, err)
-	}
-	loc, warns, err = parse(t, "-digest")
-	if err != nil || loc != resolve.LocateDigest || !strings.Contains(warns, "deprecated") {
-		t.Fatalf("-digest: loc=%v warns=%q err=%v", loc, warns, err)
-	}
-	loc, warns, err = parse(t, "-location=digest")
-	if err != nil || loc != resolve.LocateDigest || !strings.Contains(warns, "deprecated") {
-		t.Fatalf("-location=digest: loc=%v warns=%q err=%v", loc, warns, err)
-	}
-	// Redundant spellings agree: allowed.
-	if loc, _, err = parse(t, "-locate=digest", "-digest"); err != nil || loc != resolve.LocateDigest {
-		t.Fatalf("agreeing flags: loc=%v err=%v", loc, err)
-	}
-	// Contradictions are rejected.
-	if _, _, err = parse(t, "-locate=hash", "-digest"); err == nil {
-		t.Fatal("-locate=hash -digest accepted")
-	}
-	if _, _, err = parse(t, "-locate=icp", "-location=digest"); err == nil {
-		t.Fatal("-locate=icp -location=digest accepted")
-	}
-	if _, _, err = parse(t, "-locate=carp"); err == nil {
-		t.Fatal("unknown mechanism accepted")
+	for _, arg := range []string{"-location=digest", "-digest"} {
+		err := run([]string{"-demo", arg}, io.Discard, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: err = %v, want an unknown-flag error", arg, err)
+		}
 	}
 }
 

@@ -8,7 +8,8 @@
 // BU-calibrated synthetic workload generator, a deterministic trace-driven
 // simulator, and a live UDP/TCP proxy node.
 //
-// The benchmarks in this directory regenerate every table and figure of the
-// paper's evaluation section; see DESIGN.md for the experiment index and
+// cmd/experiments regenerates every table and figure of the paper's
+// evaluation section and bench/ (go run ./bench, BENCHMARK.json) is the
+// benchmark ledger; see DESIGN.md for the experiment index and
 // EXPERIMENTS.md for paper-versus-measured results.
 package eacache

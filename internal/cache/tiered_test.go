@@ -11,6 +11,7 @@ import (
 	"eacache/internal/blob"
 	"eacache/internal/cache"
 	"eacache/internal/dist"
+	"eacache/internal/race"
 )
 
 // t0 is the workload epoch.
@@ -115,6 +116,45 @@ func TestTieredPassthroughMatchesSharded(t *testing.T) {
 	}
 	if tiered.Tiered() {
 		t.Fatal("passthrough store claims a disk tier")
+	}
+}
+
+// TestTieredPassthroughGetAllocs is the hot-path budget of the tier
+// facade: a warm Get through a TieredStore with no disk tier allocates
+// exactly what the bare sharded store does, which is nothing.
+func TestTieredPassthroughGetAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const docs = 1024
+	mem, err := cache.NewSharded(cache.ShardedConfig{Capacity: docs * 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiered, err := cache.NewTiered(cache.TieredConfig{Memory: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := t0()
+	urls := make([]string, docs)
+	for i := range urls {
+		urls[i] = fmt.Sprintf("http://tier/hit%d", i)
+		if _, err := mem.Put(cache.Document{URL: urls[i], Size: 1024}, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warmGet := func(get func(string, time.Time) (cache.Document, bool)) float64 {
+		i := 0
+		return testing.AllocsPerRun(2000, func() {
+			if _, ok := get(urls[i%docs], now); !ok {
+				t.Fatal("miss on a warm store")
+			}
+			i++
+		})
+	}
+	bare, through := warmGet(mem.Get), warmGet(tiered.Get)
+	if bare != 0 || through != 0 {
+		t.Errorf("warm Get: %.2f allocs bare, %.2f through the nil-disk TieredStore, want 0 and 0", bare, through)
 	}
 }
 

@@ -110,48 +110,3 @@ func TestQuickNoFalseNegatives(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSummaryLifecycle(t *testing.T) {
-	s, err := NewSummary(100, 0.01, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Nothing advertised before the first rebuild.
-	if s.MayContain("a") {
-		t.Fatal("unbuilt summary advertised content")
-	}
-	if !s.Stale(0) {
-		t.Fatal("unbuilt summary not stale")
-	}
-
-	s.Rebuild([]string{"a", "b"}, 5)
-	if !s.MayContain("a") || !s.MayContain("b") {
-		t.Fatal("rebuilt summary missing content")
-	}
-	if s.Stale(5) || s.Stale(14) {
-		t.Fatal("fresh summary reported stale")
-	}
-	if !s.Stale(15) {
-		t.Fatal("summary not stale after threshold mutations")
-	}
-	if s.Rebuilds() != 1 {
-		t.Fatalf("rebuilds = %d", s.Rebuilds())
-	}
-
-	// A rebuild drops evicted entries.
-	s.Rebuild([]string{"b"}, 20)
-	if s.MayContain("a") && s.Filter().Len() == 1 {
-		// "a" may survive only as a hash collision; with one entry in
-		// a 100-capacity filter a collision is vanishingly unlikely.
-		t.Fatal("stale entry survived rebuild")
-	}
-}
-
-func TestNewSummaryValidation(t *testing.T) {
-	if _, err := NewSummary(100, 0.01, 0); err == nil {
-		t.Fatal("zero rebuild threshold accepted")
-	}
-	if _, err := NewSummary(0, 0.01, 5); err == nil {
-		t.Fatal("bad filter config accepted")
-	}
-}

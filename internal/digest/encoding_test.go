@@ -103,14 +103,3 @@ func TestQuickEncodeDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSummaryFilterAccessor(t *testing.T) {
-	s, err := NewSummary(32, 0.05, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Rebuild([]string{"a"}, 0)
-	if s.Filter() == nil || s.Filter().Len() != 1 {
-		t.Fatalf("Filter() = %+v", s.Filter())
-	}
-}

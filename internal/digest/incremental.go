@@ -8,13 +8,13 @@ import "fmt"
 // the full filter.
 const DefaultDeltaWindow = 4096
 
-// Incremental is the event-driven replacement for Summary's delayed
-// full rebuilds: a counting Bloom filter updated in O(k) per cache
-// mutation, its live bit projection (what peers consult), a generation
-// number that advances once per mutation, and a bounded change log of
-// the projection bits each generation flipped. Peers that refresh with
-// a generation inside the log window receive just the flipped bits
-// (Delta); everyone else falls back to a full filter transfer.
+// Incremental is the event-driven summary a cache advertises: a counting
+// Bloom filter updated in O(k) per cache mutation, its live bit
+// projection (what peers consult), a generation number that advances
+// once per mutation, and a bounded change log of the projection bits each
+// generation flipped. Peers that refresh with a generation inside the log
+// window receive just the flipped bits (Delta); everyone else falls back
+// to a full filter transfer.
 //
 // Generation 0 means "never built". Seed performs the initial build
 // (generation 1); Rebuild is the counter-saturation escape hatch and is

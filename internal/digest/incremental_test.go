@@ -203,6 +203,59 @@ func TestDeltaWindowFallsBackToFull(t *testing.T) {
 	}
 }
 
+// TestDeltaSyncWireBudget is the sync cost budget: a cache holding 8192
+// documents churns 16 of them (one admit + one evict each, constant
+// occupancy) between a peer's refreshes, and over 2048 refreshes — two
+// laps of a URL ring twice the resident set — every refresh must ride the
+// change log, the deltas together must cost under 10% of the full-filter
+// transfers they replace, and the counters must never saturate into the
+// rebuild escape hatch. Byte counts, not timings: the result is the same
+// on every host.
+func TestDeltaSyncWireBudget(t *testing.T) {
+	const resident, churn, refreshes = 8192, 16, 2048
+	ring := make([]string, 2*resident)
+	for i := range ring {
+		ring[i] = fmt.Sprintf("http://digest.example.edu/doc%d", i)
+	}
+	inc, err := NewIncremental(resident, 0.01, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc.Seed(ring[:resident])
+	full, err := EncodeFull(inc.Filter(), inc.Generation())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var deltaBytes int
+	for r := 0; r < refreshes; r++ {
+		since := inc.Generation()
+		for c := 0; c < churn; c++ {
+			step := r*churn + c
+			inc.Add(ring[(step+resident)%len(ring)])
+			inc.Remove(ring[step%len(ring)])
+		}
+		d, ok := inc.Delta(since)
+		if !ok {
+			t.Fatalf("refresh %d: %d mutations fell outside the %d-generation window", r, 2*churn, inc.Window())
+		}
+		wire, err := d.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		deltaBytes += len(wire)
+	}
+	if inc.NeedsRebuild() || inc.Rebuilds() != 0 {
+		t.Fatalf("steady-state churn took the rebuild escape hatch (needs=%v, rebuilds=%d, pinned=%d)",
+			inc.NeedsRebuild(), inc.Rebuilds(), inc.Pinned())
+	}
+	if budget := refreshes * len(full) / 10; deltaBytes >= budget {
+		t.Fatalf("%d refreshes cost %d delta bytes, budget < %d (10%% of %d-byte full transfers)",
+			refreshes, deltaBytes, budget, len(full))
+	}
+	t.Logf("delta %d B/refresh, full %d B: ratio %.3f", deltaBytes/refreshes, len(full),
+		float64(deltaBytes)/float64(refreshes*len(full)))
+}
+
 func TestRebuildEscapeHatch(t *testing.T) {
 	inc, err := NewIncremental(64, 0.01, 8)
 	if err != nil {

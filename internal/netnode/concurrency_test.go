@@ -162,3 +162,85 @@ func TestNodeConcurrentSetPeers(t *testing.T) {
 	close(done)
 	wg.Wait()
 }
+
+// TestRequestsOnOtherShardsPassAParkedOne is the property the parallel
+// request path stands on, tested without a clock: one Request is parked
+// inside its shard's lock (by an event sink that blocks on that URL — the
+// node installs no sink of its own without Obs, DataDir or digests), and
+// while it is parked, requests for 64 other resident documents must
+// mostly complete. Only those that hash to the parked shard may wait; a
+// lock spanning the node or the whole store would let none through.
+func TestRequestsOnOtherShardsPassAParkedOne(t *testing.T) {
+	origin := startOrigin(t)
+	store := newShardedStore(t, 8<<20, 16)
+	n, err := New(Config{
+		ID:         "n",
+		ICPAddr:    "127.0.0.1:0",
+		HTTPAddr:   "127.0.0.1:0",
+		Store:      store,
+		Scheme:     core.EA{},
+		OriginAddr: origin.Addr(),
+		ICPTimeout: 500 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = n.Close() })
+
+	const parked = "http://park.example.edu/parked"
+	others := make([]string, 64)
+	for i := range others {
+		others[i] = fmt.Sprintf("http://park.example.edu/d%d", i)
+	}
+	for _, u := range append([]string{parked}, others...) {
+		if _, err := n.Request(u, 1024); err != nil {
+			t.Fatalf("warm %s: %v", u, err)
+		}
+	}
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	var unparkOnce sync.Once
+	unpark := func() { unparkOnce.Do(func() { close(release) }) }
+	defer unpark() // before Close, which takes every shard lock
+	store.SetEventSink(func(ev cache.Event) {
+		if ev.Kind == cache.EventHit && ev.Doc.URL == parked {
+			close(entered)
+			<-release
+		}
+	})
+
+	localHit := func(url string) error {
+		res, err := n.Request(url, 1024)
+		if err == nil && res.Outcome != metrics.LocalHit {
+			err = fmt.Errorf("%s: outcome %v, want a local hit", url, res.Outcome)
+		}
+		return err
+	}
+	done := make(chan error, 1+len(others)) // one send per request below
+	go func() { done <- localHit(parked) }()
+	select {
+	case <-entered:
+	case err := <-done:
+		t.Fatalf("the parked request returned without a store hit: %v", err)
+	}
+	for _, u := range others {
+		go func(u string) { done <- localHit(u) }(u)
+	}
+	// The deadline only turns a hang into a failure; nothing is timed.
+	deadline := time.After(10 * time.Second)
+	await := func(want int, during string) {
+		for got := 0; got < want; got++ {
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-deadline:
+				t.Fatalf("%d of %d requests completed %s", got, want, during)
+			}
+		}
+	}
+	await(len(others)/2, "while one request sat inside a shard lock: requests serialise on a shared lock")
+	unpark()
+	await(1+len(others)-len(others)/2, "after the parked request was released")
+}

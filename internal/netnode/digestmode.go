@@ -295,21 +295,6 @@ func (n *Node) fetchDigestSince(addr string, since uint64, base *digest.Filter) 
 	return s.Full, s.Gen, digestSyncFull, nil
 }
 
-// fetchDigest GETs a peer's digest from the bare reserved URL (legacy
-// unversioned full transfer). Kept for mixed-version peers and tests;
-// the revalidator uses fetchDigestSince.
-func (n *Node) fetchDigest(addr string) (*digest.Filter, error) {
-	body, err := n.fetchDigestBody(addr, DigestURL)
-	if err != nil {
-		return nil, err
-	}
-	var f digest.Filter
-	if err := f.UnmarshalBinary(body); err != nil {
-		return nil, err
-	}
-	return &f, nil
-}
-
 // fetchDigestBody performs the digest GET and returns the response body.
 // The socket deadline deliberately uses the real clock (Config.Now is
 // the cache-visible clock; see the Config.Now contract).
@@ -390,10 +375,10 @@ func (n *Node) digestLoop() {
 	}
 }
 
-// serveDigestRequest answers a digest fetch. The bare reserved URL
-// serves the legacy unversioned filter; "eac:digest?since=G" serves the
-// versioned sync envelope — a compact delta when the change log covers
-// the requester's generation, a full transfer otherwise.
+// serveDigestRequest answers a digest fetch, "eac:digest?since=G", with
+// the versioned sync envelope — a compact delta when the change log
+// covers the requester's generation, a full transfer otherwise (always
+// for since=0, which the bare reserved URL also means).
 func (n *Node) serveDigestRequest(conn io.Writer, url string) {
 	if n.digests == nil {
 		_ = hproto.WriteResponse(conn, hproto.Response{Status: hproto.StatusNotFound}, nil)
@@ -401,7 +386,6 @@ func (n *Node) serveDigestRequest(conn io.Writer, url string) {
 	}
 	n.maybeRebuildOwn()
 
-	since, versioned := parseDigestSince(url)
 	var (
 		data  []byte
 		err   error
@@ -409,9 +393,7 @@ func (n *Node) serveDigestRequest(conn io.Writer, url string) {
 	)
 	n.digestMu.Lock()
 	own := n.digests.own
-	if !versioned {
-		data, err = own.Filter().MarshalBinary()
-	} else if d, ok := own.Delta(since); ok {
+	if d, ok := own.Delta(parseDigestSince(url)); ok {
 		data, err = d.MarshalBinary()
 		delta = true
 	} else {
@@ -445,22 +427,17 @@ func isDigestURL(url string) bool {
 }
 
 // parseDigestSince extracts the requester's replica generation from
-// "eac:digest?since=G". ok is false for the bare legacy URL; a malformed
-// query degrades to since=0 (a full transfer), never an error.
-func parseDigestSince(url string) (since uint64, ok bool) {
-	rest, found := strings.CutPrefix(url, DigestURL+"?")
-	if !found {
-		return 0, false
-	}
+// "eac:digest?since=G". The bare URL and a malformed query degrade to
+// since=0 (a full transfer), never an error.
+func parseDigestSince(url string) uint64 {
+	rest, _ := strings.CutPrefix(url, DigestURL+"?")
 	for _, kv := range strings.Split(rest, "&") {
 		if v, isSince := strings.CutPrefix(kv, digestSinceParam); isSince {
-			if g, err := strconv.ParseUint(v, 10, 64); err == nil {
-				return g, true
-			}
-			return 0, true
+			g, _ := strconv.ParseUint(v, 10, 64)
+			return g
 		}
 	}
-	return 0, true
+	return 0
 }
 
 // PeerDigestStatus describes one cached peer replica for the admin

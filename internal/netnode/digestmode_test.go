@@ -23,7 +23,7 @@ func startDigestNode(t *testing.T, id string, capacity int64, origin string) *No
 		Scheme:        core.EA{},
 		OriginAddr:    origin,
 		Location:      proxy.LocateDigest,
-		Digest:        proxy.DigestConfig{Expected: 64, FPRate: 0.01, RebuildEvery: 1},
+		Digest:        proxy.DigestConfig{Expected: 64, FPRate: 0.01},
 		DigestRefresh: 50 * time.Millisecond,
 	})
 	if err != nil {
@@ -173,18 +173,39 @@ func TestDigestRefreshPicksUpNewContent(t *testing.T) {
 func TestICPNodeServes404ForDigestURL(t *testing.T) {
 	origin := startOrigin(t)
 	icpNode := startNode(t, "plain", 1<<20, core.EA{}, origin.Addr())
-	if _, err := icpNode.fetchDigest(icpNode.HTTPAddr()); err == nil {
+	if _, _, _, err := icpNode.fetchDigestSince(icpNode.HTTPAddr(), 0, nil); err == nil {
 		t.Fatal("non-digest node served a digest")
+	}
+}
+
+// The reserved URL without a query means since=0: the answer is the full
+// sync envelope, the same encoding every other digest response uses.
+func TestDigestBareURLServesFullEnvelope(t *testing.T) {
+	origin := startOrigin(t)
+	n := startDigestNode(t, "a", 1<<20, origin.Addr())
+	if _, err := n.Request("http://w/held", 500); err != nil {
+		t.Fatal(err)
+	}
+	body, err := n.fetchDigestBody(n.HTTPAddr(), DigestURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := digest.DecodeSync(body)
+	if err != nil {
+		t.Fatalf("bare %s response is not a sync envelope: %v", DigestURL, err)
+	}
+	if s.Full == nil || s.Delta != nil || s.Gen == 0 || !s.Full.MayContain("http://w/held") {
+		t.Fatalf("bare URL answered %+v, want a full transfer advertising the held document", s)
 	}
 }
 
 func TestDigestConfigDefaultsAndNodeID(t *testing.T) {
 	dc := proxy.DigestConfig{}.WithDefaults(1 << 20)
-	if dc.Expected != 256 || dc.FPRate != 0.01 || dc.RebuildEvery != 5 {
+	if dc.Expected != 256 || dc.FPRate != 0.01 {
 		t.Fatalf("defaults = %+v", dc)
 	}
 	tiny := proxy.DigestConfig{}.WithDefaults(100)
-	if tiny.Expected != 16 || tiny.RebuildEvery != 1 {
+	if tiny.Expected != 16 {
 		t.Fatalf("tiny defaults = %+v", tiny)
 	}
 
@@ -203,7 +224,7 @@ func TestNewDigestStateDefaultsRefresh(t *testing.T) {
 	if ds.refresh != DefaultDigestRefresh {
 		t.Fatalf("refresh = %v", ds.refresh)
 	}
-	if _, err := newDigestState(proxy.DigestConfig{Expected: 10, FPRate: 2, RebuildEvery: 1}, 0, 0, 0); err == nil {
+	if _, err := newDigestState(proxy.DigestConfig{Expected: 10, FPRate: 2}, 0, 0, 0); err == nil {
 		t.Fatal("invalid digest config accepted")
 	}
 }

@@ -39,7 +39,7 @@ func startDigestNodeWith(t *testing.T, id, origin string, refresh time.Duration,
 		Scheme:            core.EA{},
 		OriginAddr:        origin,
 		Location:          proxy.LocateDigest,
-		Digest:            proxy.DigestConfig{Expected: 64, FPRate: 0.01, RebuildEvery: 1},
+		Digest:            proxy.DigestConfig{Expected: 64, FPRate: 0.01},
 		DigestRefresh:     refresh,
 		DigestDeltaWindow: window,
 		Now:               now,

@@ -55,7 +55,7 @@ func TestSimLiveParityDigestAdvertisement(t *testing.T) {
 	// Small enough that the trace forces evictions, so the advertised
 	// summary's history includes removals, not just inserts.
 	const capacity = int64(24 << 10)
-	dcfg := proxy.DigestConfig{Expected: 64, FPRate: 0.01, RebuildEvery: 1}
+	dcfg := proxy.DigestConfig{Expected: 64, FPRate: 0.01}
 	records := workload(t)
 
 	// Sim side: one digest-mode proxy replays the whole trace.

@@ -7,7 +7,7 @@
 //
 // File layout (little-endian):
 //
-//	[8]b  magic "EACSNAP2" ("EACSNAP1" accepted: same layout, no disk section)
+//	[8]b  magic "EACSNAP2" (any other magic is a rejected snapshot)
 //	u64   journal generation
 //	u32   entry count
 //	per entry: url (u16 len + bytes), i64 size, i64 expires,
@@ -15,7 +15,7 @@
 //	i64   tracker window, i64 tracker horizon
 //	f64   tracker cumulative sum (seconds), i64 tracker cumulative count
 //	u32   tracker sample count, per sample: i64 at, i64 age
-//	u32   disk entry count (EACSNAP2 only)
+//	u32   disk entry count
 //	per disk entry: url, i64 size, i64 expires, i64 enteredAt,
 //	                i64 lastHit, i64 hits, 32b sum
 //	u32   CRC32C over everything after the magic
@@ -36,10 +36,7 @@ import (
 	"eacache/internal/cache"
 )
 
-var (
-	snapMagic   = []byte("EACSNAP2")
-	snapMagicV1 = []byte("EACSNAP1")
-)
+var snapMagic = []byte("EACSNAP2")
 
 // EntryState is one cached document's persisted metadata.
 type EntryState struct {
@@ -66,7 +63,7 @@ type State struct {
 	// advertises — not the memory tier's internal one.
 	Tracker cache.TrackerState
 	// Disk lists the documents resident in the blob tier at capture time,
-	// oldest last-hit first. Empty for untiered stores and v1 snapshots.
+	// oldest last-hit first. Empty for untiered stores.
 	Disk []cache.DiskEntry
 }
 
@@ -135,8 +132,7 @@ func DecodeSnapshot(data []byte) (State, error) {
 	if len(data) < len(snapMagic)+4 {
 		return State{}, fmt.Errorf("%w: snapshot too short (%d bytes)", ErrCorrupt, len(data))
 	}
-	v1 := bytes.Equal(data[:len(snapMagicV1)], snapMagicV1)
-	if !v1 && !bytes.Equal(data[:len(snapMagic)], snapMagic) {
+	if !bytes.Equal(data[:len(snapMagic)], snapMagic) {
 		return State{}, fmt.Errorf("%w: bad snapshot magic", ErrCorrupt)
 	}
 	body := data[len(snapMagic) : len(data)-4]
@@ -183,31 +179,29 @@ func DecodeSnapshot(data []byte) (State, error) {
 		age := clampDuration(d.i64())
 		st.Tracker.Samples = append(st.Tracker.Samples, cache.TrackerSample{At: at, Age: age})
 	}
-	if !v1 {
-		dn := int(d.u32())
-		if d.err == nil && dn > (len(body)-d.off)/minSnapDiskEntry+1 {
-			return State{}, fmt.Errorf("%w: disk entry count %d impossible", ErrCorrupt, dn)
+	dn := int(d.u32())
+	if d.err == nil && dn > (len(body)-d.off)/minSnapDiskEntry+1 {
+		return State{}, fmt.Errorf("%w: disk entry count %d impossible", ErrCorrupt, dn)
+	}
+	st.Disk = make([]cache.DiskEntry, 0, dn)
+	diskSeen := make(map[string]bool, dn)
+	for i := 0; i < dn; i++ {
+		var de cache.DiskEntry
+		de.Doc.URL = d.str(maxJournalURL)
+		de.Doc.Size = d.i64()
+		de.Doc.Expires = nanoToTime(d.i64())
+		de.EnteredAt = nanoToTime(d.i64())
+		de.LastHit = nanoToTime(d.i64())
+		de.Hits = d.i64()
+		copy(de.Sum[:], d.take(32))
+		if d.err != nil {
+			return State{}, d.err
 		}
-		st.Disk = make([]cache.DiskEntry, 0, dn)
-		diskSeen := make(map[string]bool, dn)
-		for i := 0; i < dn; i++ {
-			var de cache.DiskEntry
-			de.Doc.URL = d.str(maxJournalURL)
-			de.Doc.Size = d.i64()
-			de.Doc.Expires = nanoToTime(d.i64())
-			de.EnteredAt = nanoToTime(d.i64())
-			de.LastHit = nanoToTime(d.i64())
-			de.Hits = d.i64()
-			copy(de.Sum[:], d.take(32))
-			if d.err != nil {
-				return State{}, d.err
-			}
-			if de.Doc.URL == "" || de.Doc.Size <= 0 || diskSeen[de.Doc.URL] || seen[de.Doc.URL] {
-				return State{}, fmt.Errorf("%w: snapshot disk entry %d invalid (url %q, size %d)", ErrCorrupt, i, de.Doc.URL, de.Doc.Size)
-			}
-			diskSeen[de.Doc.URL] = true
-			st.Disk = append(st.Disk, de)
+		if de.Doc.URL == "" || de.Doc.Size <= 0 || diskSeen[de.Doc.URL] || seen[de.Doc.URL] {
+			return State{}, fmt.Errorf("%w: snapshot disk entry %d invalid (url %q, size %d)", ErrCorrupt, i, de.Doc.URL, de.Doc.Size)
 		}
+		diskSeen[de.Doc.URL] = true
+		st.Disk = append(st.Disk, de)
 	}
 	if err := d.done(); err != nil {
 		return State{}, err

@@ -3,9 +3,11 @@ package persist
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -133,10 +135,11 @@ func TestSnapshotV2DiskRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotAcceptsV1 hand-builds a v1 snapshot (old magic, no disk
-// section) and checks the decoder still takes it — pre-tier snapshot
-// files must survive the upgrade.
-func TestSnapshotAcceptsV1(t *testing.T) {
+// TestSnapshotRejectsV1 hand-builds a snapshot in the retired EACSNAP1
+// format (old magic, no disk section, valid CRC) and checks it takes the
+// rejected-snapshot route: a bad-magic error from the decoder, and through
+// Open a discarded snapshot with the journal beside it still replayed.
+func TestSnapshotRejectsV1(t *testing.T) {
 	at := t0()
 	st := State{
 		Gen:     9,
@@ -145,25 +148,37 @@ func TestSnapshotAcceptsV1(t *testing.T) {
 	}
 	v2 := EncodeSnapshot(st)
 	// Strip the magic, drop the trailing empty disk section (u32 count = 0)
-	// from the body, restamp the v1 magic, recompute the CRC.
+	// from the body, stamp the v1 magic, recompute the CRC.
 	body := v2[len(snapMagic) : len(v2)-4]
 	if binary.LittleEndian.Uint32(body[len(body)-4:]) != 0 {
 		t.Fatal("expected empty disk section at body tail")
 	}
 	v1body := body[: len(body)-4 : len(body)-4]
-	v1 := append([]byte{}, snapMagicV1...)
-	v1 = append(v1, v1body...)
+	v1 := append([]byte("EACSNAP1"), v1body...)
 	v1 = binary.LittleEndian.AppendUint32(v1, crc32.Checksum(v1body, crcTable))
 
-	got, err := DecodeSnapshot(v1)
-	if err != nil {
-		t.Fatalf("v1 snapshot rejected: %v", err)
+	if _, err := DecodeSnapshot(v1); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "bad snapshot magic") {
+		t.Fatalf("v1 snapshot: err = %v, want a bad-magic ErrCorrupt", err)
 	}
-	if got.Gen != 9 || len(got.Entries) != 1 || got.Entries[0].URL != "http://v1/1" || len(got.Disk) != 0 {
-		t.Fatalf("v1 decode = %+v", got)
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, snapshotName), v1, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if got.Tracker.Window != 4 || len(got.Tracker.Samples) != 1 {
-		t.Fatalf("v1 tracker = %+v", got.Tracker)
+	journal := encodeAll(t, []cache.Event{
+		{Kind: cache.EventInsert, Doc: cache.Document{URL: "http://journal/1", Size: 100}, At: at},
+	})
+	if err := os.WriteFile(filepath.Join(dir, "journal.0.wal"), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p := openPersister(t, dir)
+	defer p.Close()
+	rep := p.Report()
+	if rep.SnapshotLoaded || !strings.Contains(rep.Discarded, "snapshot rejected") || rep.JournalRecords != 1 {
+		t.Fatalf("report = %+v, want the snapshot discarded and one journal record replayed", rep)
+	}
+	if got := p.RecoveredState().Entries; len(got) != 1 || got[0].URL != "http://journal/1" {
+		t.Fatalf("recovered entries = %+v, want only the journal's document", got)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // newDigestProxy builds a proxy using Summary-Cache digests for location.
-func newDigestProxy(t *testing.T, id string, capacity int64, rebuildEvery int64) *Proxy {
+func newDigestProxy(t *testing.T, id string, capacity int64) *Proxy {
 	t.Helper()
 	store, err := cache.New(cache.Config{Capacity: capacity})
 	if err != nil {
@@ -23,7 +23,7 @@ func newDigestProxy(t *testing.T, id string, capacity int64, rebuildEvery int64)
 		Scheme:   core.AdHoc{},
 		Origin:   SizeHintOrigin{},
 		Location: LocateDigest,
-		Digest:   DigestConfig{Expected: 64, FPRate: 0.01, RebuildEvery: rebuildEvery},
+		Digest:   DigestConfig{Expected: 64, FPRate: 0.01},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +44,7 @@ func newDigestProxyWithOrigin(t *testing.T, id string, capacity int64, origin Or
 		Scheme:   core.AdHoc{},
 		Origin:   origin,
 		Location: LocateDigest,
-		Digest:   DigestConfig{Expected: 64, FPRate: 0.01, RebuildEvery: 1},
+		Digest:   DigestConfig{Expected: 64, FPRate: 0.01},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,18 +63,18 @@ func TestLocationString(t *testing.T) {
 
 func TestDigestConfigDefaults(t *testing.T) {
 	dc := DigestConfig{}.WithDefaults(1 << 20)
-	if dc.Expected != 256 || dc.FPRate != 0.01 || dc.RebuildEvery != 5 {
+	if dc.Expected != 256 || dc.FPRate != 0.01 {
 		t.Fatalf("defaults = %+v", dc)
 	}
 	tiny := DigestConfig{}.WithDefaults(1024)
-	if tiny.Expected != 16 || tiny.RebuildEvery < 1 {
+	if tiny.Expected != 16 {
 		t.Fatalf("tiny defaults = %+v", tiny)
 	}
 }
 
 func TestDigestRemoteHit(t *testing.T) {
-	a := newDigestProxy(t, "a", 1<<20, 1)
-	b := newDigestProxy(t, "b", 1<<20, 1)
+	a := newDigestProxy(t, "a", 1<<20)
+	b := newDigestProxy(t, "b", 1<<20)
 	wire(t, a, b)
 
 	if _, err := a.Request("http://d/", 100, at(0)); err != nil {
@@ -105,8 +105,8 @@ func TestDigestAdvertisesNewContentImmediately(t *testing.T) {
 	// The incremental summary tracks every mutation as it happens: a
 	// document a caches is visible to b's next consultation with no
 	// republication step and no rebuild.
-	a := newDigestProxy(t, "a", 1<<20, 1000)
-	b := newDigestProxy(t, "b", 1<<20, 1000)
+	a := newDigestProxy(t, "a", 1<<20)
+	b := newDigestProxy(t, "b", 1<<20)
 	wire(t, a, b)
 
 	if _, err := a.Request("http://d0/", 100, at(0)); err != nil {
@@ -185,7 +185,7 @@ func TestDigestMixedGroupFallsBackToExact(t *testing.T) {
 	// A digest-mode proxy with an ICP-mode neighbour still finds its
 	// documents: the neighbour answers exactly.
 	a := newProxy(t, "a", 1<<20, core.AdHoc{}) // ICP mode
-	b := newDigestProxy(t, "b", 1<<20, 1)
+	b := newDigestProxy(t, "b", 1<<20)
 	wire(t, a, b)
 
 	if _, err := a.Request("http://d/", 100, at(0)); err != nil {
@@ -204,9 +204,9 @@ func TestDigestGroupWorkload(t *testing.T) {
 	// A longer digest-mode workload: conservation holds and remote hits
 	// happen without any ICP traffic.
 	proxies := []*Proxy{
-		newDigestProxy(t, "p0", 8<<10, 4),
-		newDigestProxy(t, "p1", 8<<10, 4),
-		newDigestProxy(t, "p2", 8<<10, 4),
+		newDigestProxy(t, "p0", 8<<10),
+		newDigestProxy(t, "p1", 8<<10),
+		newDigestProxy(t, "p2", 8<<10),
 	}
 	wire(t, proxies...)
 

@@ -44,13 +44,6 @@ type DigestConfig struct {
 	Expected int
 	// FPRate is the target false-positive rate (default 0.01).
 	FPRate float64
-	// RebuildEvery is the number of cache mutations (insertions +
-	// evictions) tolerated before republishing by the periodic
-	// digest.Summary. The proxy itself now maintains its summary
-	// incrementally (zero steady-state rebuilds); the field is kept so
-	// existing configurations and the standalone Summary type keep
-	// working.
-	RebuildEvery int64
 }
 
 // WithDefaults fills the zero fields from capacity, at the paper's 4KB
@@ -65,12 +58,6 @@ func (c DigestConfig) WithDefaults(capacity int64) DigestConfig {
 	}
 	if c.FPRate == 0 {
 		c.FPRate = 0.01
-	}
-	if c.RebuildEvery == 0 {
-		c.RebuildEvery = int64(c.Expected / 50)
-		if c.RebuildEvery < 1 {
-			c.RebuildEvery = 1
-		}
 	}
 	return c
 }
