@@ -11,10 +11,10 @@ import (
 
 	"eacache/internal/cache"
 	"eacache/internal/core"
+	"eacache/internal/digest"
 	"eacache/internal/metrics"
 	"eacache/internal/netnode"
 	"eacache/internal/obs"
-	"eacache/internal/proxy"
 	"eacache/internal/resolve"
 )
 
@@ -65,7 +65,7 @@ func startGroupMember(t *testing.T, id, origin string) (*netnode.Node, string) {
 
 func startGroupMemberLoc(t *testing.T, id, origin string, loc resolve.Location) (*netnode.Node, string) {
 	t.Helper()
-	store, err := cache.New(cache.Config{Capacity: 1 << 20, ExpirationHorizon: time.Hour})
+	store, err := cache.NewSharded(cache.ShardedConfig{Shards: 1, Capacity: 1 << 20, ExpirationHorizon: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func startGroupMemberLoc(t *testing.T, id, origin string, loc resolve.Location) 
 	if loc == resolve.LocateDigest {
 		// Fast revalidation so digest e2e tests see background delta
 		// refreshes within their polling window.
-		cfg.Digest = proxy.DigestConfig{Expected: 64, FPRate: 0.01}
+		cfg.Digest = digest.Config{Expected: 64, FPRate: 0.01}
 		cfg.DigestRefresh = 40 * time.Millisecond
 	}
 	n, err := netnode.New(cfg)
@@ -243,7 +243,7 @@ func TestEacctlTierReport(t *testing.T) {
 	}
 	defer origin.Close()
 
-	store, err := cache.New(cache.Config{Capacity: 4000, ExpirationHorizon: time.Hour})
+	store, err := cache.NewSharded(cache.ShardedConfig{Shards: 1, Capacity: 4000, ExpirationHorizon: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,14 +83,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		diskDemote   = fs.String("disk-demote", "", `tier demotion rule: "ea" (paper placement rule at the tier boundary, default) or "always" (needs -disk-dir)`)
 		dataDir      = fs.String("data-dir", "", "directory for crash-safe cache persistence (snapshot + journal); empty runs in-memory only")
 		snapInterval = fs.Duration("snapshot-interval", netnode.DefaultSnapshotInterval, "how often to checkpoint the cache (needs -data-dir)")
-		journalBatch = fs.Int("journal-batch", 0,
-			"journal group-commit queue depth in frames; 0 uses the default (needs -data-dir)")
 		drainTimeout = fs.Duration("drain-timeout", 5*time.Second, "how long a SIGTERM/SIGINT drain waits for in-flight fetches before exiting")
 
 		ejectAfter   = fs.Duration("eject-after", 10*time.Second, "eject a peer whose breaker stays dead this long from the locator set until a probe readmits it; 0 disables ejection")
 		readmitProbe = fs.Duration("readmit-probe", netnode.DefaultReadmitProbe, "spacing of readmission probes to ejected peers (needs -eject-after > 0)")
-		migrateConc  = fs.Int("migrate-concurrency", netnode.DefaultMigrateConcurrency, "parallel document transfers during rebalance and drain handoff")
-		migrateRate  = fs.Int("migrate-rate", 0, "max document transfers per second during rebalance/drain; 0 is unpaced")
 		joinWarmup   = fs.Duration("join-warmup", 0, "under -locate=hash, relay without storing for this long after boot so the group converges on this node's arrival; 0 disables")
 
 		nodeID      = fs.String("id", "proxyd", "node name in logs, traces and the decision audit (give each group member its own)")
@@ -119,12 +115,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *readmitProbe <= 0 {
 		return fmt.Errorf("-readmit-probe must be positive, got %v", *readmitProbe)
-	}
-	if *migrateConc <= 0 {
-		return fmt.Errorf("-migrate-concurrency must be positive, got %d", *migrateConc)
-	}
-	if *migrateRate < 0 {
-		return fmt.Errorf("-migrate-rate must be positive, or 0 for unpaced, got %d", *migrateRate)
 	}
 	if *joinWarmup < 0 {
 		return fmt.Errorf("-join-warmup must be positive, or 0 to disable, got %v", *joinWarmup)
@@ -208,9 +198,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		OriginConcurrency: *originConc,
 		MaxInflight:       *maxInflight,
 
-		MigrateConcurrency: *migrateConc,
-		MigrateRate:        *migrateRate,
-		JoinWarmup:         *joinWarmup,
+		JoinWarmup: *joinWarmup,
 
 		Faults: injector,
 		Obs:    tel,
@@ -244,10 +232,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	nodeCfg.DiskDir = *diskDir
 	nodeCfg.DiskDemote = *diskDemote
-	// Passed through unconditionally so netnode rejects -journal-batch
-	// without -data-dir and -digest-delta-window without -locate=digest
-	// instead of ignoring them.
-	nodeCfg.JournalBatch = *journalBatch
+	// Passed through unconditionally so netnode rejects
+	// -digest-delta-window without -locate=digest instead of ignoring it.
 	nodeCfg.DigestDeltaWindow = *digestWindow
 	node, err := netnode.New(nodeCfg)
 	if err != nil {
@@ -374,7 +360,8 @@ func runDemo(stdout io.Writer, logger *slog.Logger, n, requests int, schemeName 
 		}
 	}()
 	for i := 0; i < n; i++ {
-		store, err := cache.New(cache.Config{
+		store, err := cache.NewSharded(cache.ShardedConfig{
+			Shards:           1,
 			Capacity:         256 << 10,
 			ExpirationWindow: cache.DefaultExpirationWindow,
 		})

@@ -205,8 +205,6 @@ func TestMembershipFlagValidation(t *testing.T) {
 		{[]string{"-eject-after=-1s"}, "-eject-after must be positive"},
 		{[]string{"-readmit-probe=0s"}, "-readmit-probe must be positive"},
 		{[]string{"-readmit-probe=-1s"}, "-readmit-probe must be positive"},
-		{[]string{"-migrate-concurrency=0"}, "-migrate-concurrency must be positive"},
-		{[]string{"-migrate-rate=-5"}, "-migrate-rate must be positive"},
 		{[]string{"-join-warmup=-1s"}, "-join-warmup must be positive"},
 	}
 	for _, tc := range cases {

@@ -47,7 +47,8 @@ func run() error {
 		}
 	}()
 	for i := 0; i < nodes; i++ {
-		store, err := cache.New(cache.Config{
+		store, err := cache.NewSharded(cache.ShardedConfig{
+			Shards:            1,
 			Capacity:          128 << 10,
 			ExpirationHorizon: cache.DefaultExpirationHorizon,
 		})

@@ -320,9 +320,6 @@ func (s *Store) Used() int64 { return s.used }
 // Len returns the number of cached documents.
 func (s *Store) Len() int { return len(s.entries) }
 
-// PolicyName returns the replacement policy's name.
-func (s *Store) PolicyName() string { return s.policy.Name() }
-
 // Contains reports whether url is cached, without touching recency state.
 // This is what answers an ICP query.
 func (s *Store) Contains(url string) bool {

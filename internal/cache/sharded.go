@@ -86,9 +86,9 @@ type eaCache struct {
 type ShardedStore struct {
 	shards []*shard
 	mask   uint32
-	// single marks the one-shard store (including SingleShard wrappers):
-	// expiration-age reads delegate straight to the shard so results are
-	// bit-identical with a plain Store.
+	// single marks the one-shard store: expiration-age reads delegate
+	// straight to the shard so results are bit-identical with a plain
+	// Store.
 	single bool
 
 	ea atomic.Pointer[eaCache]
@@ -135,13 +135,6 @@ func NewSharded(cfg ShardedConfig) (*ShardedStore, error) {
 		s.shards[i] = &shard{store: st}
 	}
 	return s, nil
-}
-
-// SingleShard wraps an existing Store as a one-shard ShardedStore: the
-// same cache behind one lock, byte-identical behaviour, concurrency-safe
-// API. This is how the live node adopts a caller-built *cache.Store.
-func SingleShard(st *Store) *ShardedStore {
-	return &ShardedStore{shards: []*shard{{store: st}}, single: true}
 }
 
 // Shards returns the shard count.
@@ -334,9 +327,6 @@ func (s *ShardedStore) Insertions() int64 {
 	return total
 }
 
-// PolicyName returns the replacement policy's name.
-func (s *ShardedStore) PolicyName() string { return s.shards[0].store.PolicyName() }
-
 // Entry exposes a copy of the metadata for url, for tests and inspection.
 func (s *ShardedStore) Entry(url string) (Entry, bool) {
 	sh := s.shardFor(url)
@@ -354,18 +344,6 @@ func (s *ShardedStore) URLs() []string {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		out = append(out, sh.store.URLs()...)
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-// Entries returns copies of every entry across shards; same per-shard
-// consistency caveat as URLs.
-func (s *ShardedStore) Entries() []Entry {
-	var out []Entry
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		out = append(out, sh.store.Entries()...)
 		sh.mu.Unlock()
 	}
 	return out

@@ -98,19 +98,14 @@ func replayEquivalence(t *testing.T, plain *Store, sharded *ShardedStore, steps 
 
 // A one-shard ShardedStore must reproduce the plain Store bit for bit:
 // same hits, same victims, same eviction ages, same expiration-age
-// signal. This is the guarantee that lets the live node wrap any
-// caller-provided Store without changing cache behaviour.
+// signal. This is the guarantee that lets a live node built over a
+// one-shard store (the demo, the parity harness) stand in for a Store.
 func TestShardedSingleShardMatchesStore(t *testing.T) {
 	const capacity = 10_000
 	t.Run("NewSharded", func(t *testing.T) {
 		plain := mustStore(t, Config{Capacity: capacity, ExpirationWindow: 8})
 		sharded := mustSharded(t, ShardedConfig{Shards: 1, Capacity: capacity, ExpirationWindow: 8})
 		replayEquivalence(t, plain, sharded, 4000)
-	})
-	t.Run("SingleShardWrapper", func(t *testing.T) {
-		plain := mustStore(t, Config{Capacity: capacity, ExpirationWindow: 8})
-		wrapped := SingleShard(mustStore(t, Config{Capacity: capacity, ExpirationWindow: 8}))
-		replayEquivalence(t, plain, wrapped, 4000)
 	})
 	t.Run("LFU", func(t *testing.T) {
 		plain := mustStore(t, Config{Capacity: capacity, Policy: NewLFU(), ExpirationWindow: 8})

@@ -206,12 +206,6 @@ func NewTiered(cfg TieredConfig) (*TieredStore, error) {
 	return t, nil
 }
 
-// Tiered reports whether a disk tier is configured.
-func (t *TieredStore) Tiered() bool { return t.disk != nil }
-
-// Memory exposes the underlying memory tier (tests, benchmarks).
-func (t *TieredStore) Memory() *ShardedStore { return t.mem }
-
 // Disk exposes the disk tier (nil without one) for introspection: the
 // admin surface type-asserts it for operations beyond the DiskTier
 // interface, like a full checksum verification pass.
@@ -468,15 +462,6 @@ func (t *TieredStore) Evictions() int64 {
 	}
 	return t.mem.Evictions() + t.diskEvictions.Load()
 }
-
-// Insertions counts memory-tier insertions (promotions included).
-func (t *TieredStore) Insertions() int64 { return t.mem.Insertions() }
-
-// PolicyName returns the memory tier's replacement policy name.
-func (t *TieredStore) PolicyName() string { return t.mem.PolicyName() }
-
-// Shards returns the memory tier's shard count.
-func (t *TieredStore) Shards() int { return t.mem.Shards() }
 
 // URLs returns every resident URL across both tiers (the union migration
 // walks and the digest advertises). Transient duplicates from an

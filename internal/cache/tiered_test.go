@@ -38,6 +38,14 @@ func bodyFn(doc cache.Document) io.Reader {
 // temp dir, with an event recorder attached.
 func newTiered(t *testing.T, memCap, diskCap int64, pol cache.DemotePolicy) (*cache.TieredStore, *blob.Store, *[]cache.Event) {
 	t.Helper()
+	ts, _, disk, events := newTieredMem(t, memCap, diskCap, pol)
+	return ts, disk, events
+}
+
+// newTieredMem is newTiered for the tests that also look at the memory
+// tier directly.
+func newTieredMem(t *testing.T, memCap, diskCap int64, pol cache.DemotePolicy) (*cache.TieredStore, *cache.ShardedStore, *blob.Store, *[]cache.Event) {
+	t.Helper()
 	mem, err := cache.NewSharded(cache.ShardedConfig{Shards: 1, Capacity: memCap, ExpirationWindow: 16})
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +61,7 @@ func newTiered(t *testing.T, memCap, diskCap int64, pol cache.DemotePolicy) (*ca
 	events := &[]cache.Event{}
 	ts.SetEventSink(func(ev cache.Event) { *events = append(*events, ev) })
 	t.Cleanup(func() { disk.Close() })
-	return ts, disk, events
+	return ts, mem, disk, events
 }
 
 // TestTieredPassthroughMatchesSharded: with no disk tier every operation
@@ -114,7 +122,7 @@ func TestTieredPassthroughMatchesSharded(t *testing.T) {
 			t.Fatalf("event %d diverged: %+v vs %+v", i, plainEvents[i], tieredEvents[i])
 		}
 	}
-	if tiered.Tiered() {
+	if tiered.Disk() != nil {
 		t.Fatal("passthrough store claims a disk tier")
 	}
 }
@@ -166,7 +174,7 @@ func TestTieredPassthroughGetAllocs(t *testing.T) {
 func TestDemotePromoteRoundTripProperty(t *testing.T) {
 	rng := dist.NewRNG(1234)
 	for trial := 0; trial < 40; trial++ {
-		ts, disk, events := newTiered(t, 4096, 1<<20, cache.DemoteEA)
+		ts, mem, disk, events := newTieredMem(t, 4096, 1<<20, cache.DemoteEA)
 		url := fmt.Sprintf("http://prop/%d", trial)
 		size := int64(64 + rng.Intn(2048))
 		enter := t0().Add(time.Duration(rng.Intn(1000)) * time.Second)
@@ -180,7 +188,7 @@ func TestDemotePromoteRoundTripProperty(t *testing.T) {
 		// Fill memory so the subject is evicted (fresh filler docs are
 		// more recently used; LRU victims the subject first).
 		evictAt := lastHit.Add(time.Duration(1+rng.Intn(7200)) * time.Second)
-		for i := 0; ts.Memory().Contains(url); i++ {
+		for i := 0; mem.Contains(url); i++ {
 			if _, err := ts.Put(cache.Document{URL: fmt.Sprintf("http://fill/%d", i), Size: 1024}, evictAt); err != nil {
 				t.Fatal(err)
 			}
@@ -234,7 +242,7 @@ func TestDemotePromoteRoundTripProperty(t *testing.T) {
 		if !ok || doc.Size != size {
 			t.Fatalf("trial %d: promote get failed", trial)
 		}
-		me, ok := ts.Memory().Entry(url)
+		me, ok := mem.Entry(url)
 		if !ok {
 			t.Fatalf("trial %d: not in memory after promotion", trial)
 		}
@@ -262,7 +270,7 @@ func TestDemotePromoteRoundTripProperty(t *testing.T) {
 // below the disk tier's expiration age is dropped, not demoted, and the
 // drop feeds the logical exit tracker.
 func TestDemoteEAGate(t *testing.T) {
-	ts, disk, events := newTiered(t, 2048, 4096, cache.DemoteEA)
+	ts, mem, disk, events := newTieredMem(t, 2048, 4096, cache.DemoteEA)
 	now := t0()
 
 	// Load the disk tier's tracker with small ages: evict disk entries
@@ -283,14 +291,14 @@ func TestDemoteEAGate(t *testing.T) {
 
 	// A victim idle longer than diskEA must be dropped (EventEvict
 	// forwarded), not demoted. Make room for it first.
-	ts.Remove(ts.Memory().URLs()[0])
+	ts.Remove(mem.URLs()[0])
 	idle := cache.Document{URL: "http://idle/doc", Size: 1024}
 	if err := ts.RestoreEntry(idle, now.Add(-diskEA-2*time.Hour), now.Add(-diskEA-time.Hour), 1); err != nil {
 		t.Fatal(err)
 	}
 	*events = nil
 	now = now.Add(time.Second)
-	for i := 0; ts.Memory().Contains(idle.URL); i++ {
+	for i := 0; mem.Contains(idle.URL); i++ {
 		if _, err := ts.Put(cache.Document{URL: fmt.Sprintf("http://fill2/%d", i), Size: 1024}, now); err != nil {
 			t.Fatal(err)
 		}
@@ -399,7 +407,7 @@ func TestTieredUnionSurface(t *testing.T) {
 // TestTieredTouchPromotes: a Touch on a disk-resident URL re-promotes it
 // (the responder-side promotion reaches through the tiers).
 func TestTieredTouchPromotes(t *testing.T) {
-	ts, disk, _ := newTiered(t, 2048, 1<<20, cache.DemoteAlways)
+	ts, mem, disk, _ := newTieredMem(t, 2048, 1<<20, cache.DemoteAlways)
 	now := t0()
 	for i := 0; i < 6; i++ {
 		now = now.Add(time.Minute)
@@ -413,7 +421,7 @@ func TestTieredTouchPromotes(t *testing.T) {
 	if !ts.Touch("http://t/0", now.Add(time.Hour)) {
 		t.Fatal("touch on disk-resident URL failed")
 	}
-	if !ts.Memory().Contains("http://t/0") || disk.Contains("http://t/0") {
+	if !mem.Contains("http://t/0") || disk.Contains("http://t/0") {
 		t.Fatal("touch did not promote")
 	}
 	if ts.Touch("http://t/none", now) {

@@ -131,9 +131,6 @@ func (c *Counting) Project() *Filter {
 // Len returns the number of keys currently counted.
 func (c *Counting) Len() int { return c.n }
 
-// Bits returns the number of counters (projection bits).
-func (c *Counting) Bits() uint64 { return c.m }
-
 // Hashes returns the number of hash functions.
 func (c *Counting) Hashes() int { return c.k }
 

@@ -18,6 +18,27 @@ func TestNewFilterValidation(t *testing.T) {
 	}
 }
 
+// Zero fields take the 4KB-mean sizing and the 1% target; set fields pass
+// through. The simulator's proxy and the live node both size from this.
+func TestConfigDefaults(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		in       Config
+		capacity int64
+		want     Config
+	}{
+		{"1MB at 4KB per document", Config{}, 1 << 20, Config{Expected: 256, FPRate: 0.01}},
+		{"floor of 16 below 64KB", Config{}, 1024, Config{Expected: 16, FPRate: 0.01}},
+		{"floor of 16 below one document", Config{}, 100, Config{Expected: 16, FPRate: 0.01}},
+		{"set fields kept", Config{Expected: 64, FPRate: 0.05}, 1 << 20, Config{Expected: 64, FPRate: 0.05}},
+		{"each field defaults alone", Config{Expected: 64}, 1 << 20, Config{Expected: 64, FPRate: 0.01}},
+	} {
+		if got := tc.in.WithDefaults(tc.capacity); got != tc.want {
+			t.Errorf("%s: WithDefaults(%d) = %+v, want %+v", tc.name, tc.capacity, got, tc.want)
+		}
+	}
+}
+
 func TestFilterNoFalseNegatives(t *testing.T) {
 	f, err := NewFilter(1000, 0.01)
 	if err != nil {

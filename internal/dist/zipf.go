@@ -17,8 +17,7 @@ import (
 // any alpha >= 0 is supported (including alpha <= 1, which the standard
 // library's rejection sampler does not handle).
 type Zipf struct {
-	cdf   []float64
-	alpha float64
+	cdf []float64
 }
 
 // NewZipf builds a sampler over ranks 1..n with exponent alpha.
@@ -39,14 +38,11 @@ func NewZipf(n int, alpha float64) (*Zipf, error) {
 		cdf[i] /= sum
 	}
 	cdf[n-1] = 1 // guard against rounding
-	return &Zipf{cdf: cdf, alpha: alpha}, nil
+	return &Zipf{cdf: cdf}, nil
 }
 
 // N returns the number of ranks.
 func (z *Zipf) N() int { return len(z.cdf) }
-
-// Alpha returns the skew exponent.
-func (z *Zipf) Alpha() float64 { return z.alpha }
 
 // Rank draws a rank in [0, N). Rank 0 is the most popular item.
 func (z *Zipf) Rank(r *RNG) int {

@@ -13,6 +13,7 @@ import (
 
 	"eacache/internal/cache"
 	"eacache/internal/core"
+	"eacache/internal/digest"
 	"eacache/internal/proxy"
 )
 
@@ -83,7 +84,7 @@ type Config struct {
 	// Distributed architecture.
 	Location proxy.Location
 	// Digest tunes the summaries when Location is proxy.LocateDigest.
-	Digest proxy.DigestConfig
+	Digest digest.Config
 	// Tracer, when set, observes every proxy's placement decisions.
 	Tracer proxy.Tracer
 }

@@ -118,9 +118,6 @@ func (c *Counters) Snapshot() CountersSnapshot {
 // Rate helpers delegating to a point-in-time snapshot, so existing callers
 // keep reading rates straight off the accumulator.
 
-// Hits returns local + remote hits.
-func (c *Counters) Hits() int64 { return c.Snapshot().Hits() }
-
 // HitRate returns the cumulative document hit rate.
 func (c *Counters) HitRate() float64 { return c.Snapshot().HitRate() }
 

@@ -1,0 +1,141 @@
+package netnode
+
+import (
+	"bufio"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"sync"
+	"time"
+
+	"eacache/internal/hproto"
+	"eacache/internal/obs"
+	"eacache/internal/resolve"
+)
+
+// errNotFound marks a responder that answered the exchange but does not
+// hold (and could not resolve) the document — an application-level miss,
+// not a transport failure, so it is never retried and never counts
+// against the peer's health.
+var errNotFound = errors.New("netnode: document not at responder")
+
+// dial opens the TCP conn for one exchange, through the fault injector
+// when one is configured.
+func (n *Node) dial(addr string) (net.Conn, error) {
+	if n.faults != nil {
+		return n.faults.DialTimeout("tcp", addr, n.dialTimeout)
+	}
+	return net.DialTimeout("tcp", addr, n.dialTimeout)
+}
+
+// exchange is the node's one outbound hproto round trip — every GET, PUT
+// and digest fetch to a peer, parent or origin goes through it. It dials
+// addr, bounds the whole exchange by FetchTimeout on the real clock
+// (Config.Now is the cache-visible clock only), writes req and then body
+// when there is one, and reads the response head through a pooled reader,
+// counting a clamped responder age. The body of a 200 is copied into sink
+// (nil leaves it unread; other statuses carry none); one shorter than
+// advertised maps to hproto.ErrTruncatedBody. Conn and reader are released
+// before returning, so the caller holds nothing but the Response — which
+// is also returned, as far as it was read, beside a body error.
+func (n *Node) exchange(addr string, req hproto.Request, body io.Reader, sink io.Writer) (hproto.Response, error) {
+	conn, err := n.dial(addr)
+	if err != nil {
+		return hproto.Response{}, fmt.Errorf("dial %s: %w", addr, err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(n.fetchTimeout))
+
+	if err := hproto.WriteRequest(conn, req); err != nil {
+		return hproto.Response{}, err
+	}
+	if body != nil {
+		if _, err := io.Copy(conn, body); err != nil {
+			return hproto.Response{}, err
+		}
+	}
+	br := getReader(conn)
+	defer putReader(br)
+	resp, err := hproto.ReadResponse(br)
+	if err != nil {
+		return hproto.Response{}, err
+	}
+	if resp.AgeClamped {
+		n.robust.WireClamp()
+		n.warn("clamped bad responder age", nil, "responder", addr)
+	}
+	if sink != nil && resp.Status == hproto.StatusOK {
+		if _, err := io.CopyN(sink, br, resp.ContentLength); err != nil {
+			return resp, fmt.Errorf("read body from %s: %w: %v", addr, hproto.ErrTruncatedBody, err)
+		}
+	}
+	return resp, nil
+}
+
+// fetchFrom performs one hproto GET against addr, discarding the body and
+// returning its length, the piggybacked responder age, and the body's
+// source (cache or origin; an absent header means cache). A non-OK status
+// maps to errNotFound; a body shorter than advertised maps to
+// hproto.ErrTruncatedBody. A sampled trace's context rides the request
+// (X-Trace-Context) so the responder records a remote-parented leg of
+// the same trace, and the responder's echoed record is annotated back
+// onto tr.
+func (n *Node) fetchFrom(tr *obs.Trace, addr, url string, sizeHint int64, requesterAge time.Duration, rslv bool) (int64, time.Duration, string, error) {
+	req := hproto.Request{
+		URL:          url,
+		RequesterAge: requesterAge,
+		SizeHint:     sizeHint,
+		Resolve:      rslv,
+	}
+	if tr != nil && tr.TraceID != "" {
+		req.Trace = tr.Context().String()
+	}
+	if rslv && n.location == resolve.LocateHash {
+		if h := n.hash.Load(); h != nil {
+			// The topology fingerprint rides along so the responder can
+			// tell failover (matching views) from staleness (mismatch)
+			// when deciding whether to keep the resolved copy.
+			req.RingFP = h.Fingerprint
+		}
+	}
+	resp, err := n.exchange(addr, req, nil, io.Discard)
+	if resp.Trace != "" && tr != nil {
+		if rc, perr := obs.ParseTraceContext(resp.Trace); perr == nil {
+			// The responder's echoed record ID: the cross-node edge the
+			// stitcher draws from this fetch span to the responder's leg.
+			tr.Annotate("remote_id", rc.ParentID)
+		} else {
+			n.robust.TraceClamp()
+		}
+	}
+	if err != nil {
+		return 0, resp.ResponderAge, "", err
+	}
+	if resp.Status != hproto.StatusOK {
+		return 0, resp.ResponderAge, "", fmt.Errorf("fetch %s from %s: status %d: %w", url, addr, resp.Status, errNotFound)
+	}
+	source := resp.Source
+	if source == "" {
+		source = hproto.SourceCache
+	}
+	return resp.ContentLength, resp.ResponderAge, source, nil
+}
+
+// readerPool recycles the bufio.Reader every fetch conn needs for its
+// request or response head — dialled here, accepted in server.go and
+// origin.go — so a steady-state exchange allocates none.
+var readerPool = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
+
+// getReader borrows a pooled bufio.Reader bound to r; return it with
+// putReader once the parse is done.
+func getReader(r io.Reader) *bufio.Reader {
+	br := readerPool.Get().(*bufio.Reader)
+	br.Reset(r)
+	return br
+}
+
+func putReader(br *bufio.Reader) {
+	br.Reset(nil) // drop the conn reference while pooled
+	readerPool.Put(br)
+}

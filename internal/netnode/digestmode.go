@@ -1,7 +1,6 @@
 package netnode
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -13,7 +12,6 @@ import (
 	"eacache/internal/digest"
 	"eacache/internal/hproto"
 	"eacache/internal/metrics"
-	"eacache/internal/proxy"
 )
 
 // DigestURL is the reserved URL under which a node serves its own cache
@@ -70,7 +68,7 @@ type peerDigest struct {
 	deltas, fulls int64
 }
 
-func newDigestState(cfg proxy.DigestConfig, capacity int64, refresh time.Duration, window int) (*digestState, error) {
+func newDigestState(cfg digest.Config, capacity int64, refresh time.Duration, window int) (*digestState, error) {
 	dc := cfg.WithDefaults(capacity)
 	own, err := digest.NewIncremental(dc.Expected, dc.FPRate, window)
 	if err != nil {
@@ -296,30 +294,14 @@ func (n *Node) fetchDigestSince(addr string, since uint64, base *digest.Filter) 
 }
 
 // fetchDigestBody performs the digest GET and returns the response body.
-// The socket deadline deliberately uses the real clock (Config.Now is
-// the cache-visible clock; see the Config.Now contract).
 func (n *Node) fetchDigestBody(addr, url string) ([]byte, error) {
-	conn, err := n.dial(addr)
-	if err != nil {
-		return nil, fmt.Errorf("dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(n.fetchTimeout))
-
-	if err := hproto.WriteRequest(conn, hproto.Request{URL: url}); err != nil {
-		return nil, err
-	}
-	br := bufio.NewReader(conn)
-	resp, err := hproto.ReadResponse(br)
+	var body bytes.Buffer
+	resp, err := n.exchange(addr, hproto.Request{URL: url}, nil, &body)
 	if err != nil {
 		return nil, err
 	}
 	if resp.Status != hproto.StatusOK {
 		return nil, fmt.Errorf("digest fetch from %s: status %d", addr, resp.Status)
-	}
-	var body bytes.Buffer
-	if _, err := io.CopyN(&body, br, resp.ContentLength); err != nil {
-		return nil, fmt.Errorf("read digest body: %w", err)
 	}
 	return body.Bytes(), nil
 }

@@ -9,7 +9,7 @@ import (
 	"eacache/internal/core"
 	"eacache/internal/digest"
 	"eacache/internal/metrics"
-	"eacache/internal/proxy"
+	"eacache/internal/resolve"
 )
 
 // startDigestNode builds a node that locates documents via peer digests.
@@ -22,8 +22,8 @@ func startDigestNode(t *testing.T, id string, capacity int64, origin string) *No
 		Store:         newStore(t, capacity),
 		Scheme:        core.EA{},
 		OriginAddr:    origin,
-		Location:      proxy.LocateDigest,
-		Digest:        proxy.DigestConfig{Expected: 64, FPRate: 0.01},
+		Location:      resolve.LocateDigest,
+		Digest:        digest.Config{Expected: 64, FPRate: 0.01},
 		DigestRefresh: 50 * time.Millisecond,
 	})
 	if err != nil {
@@ -199,16 +199,7 @@ func TestDigestBareURLServesFullEnvelope(t *testing.T) {
 	}
 }
 
-func TestDigestConfigDefaultsAndNodeID(t *testing.T) {
-	dc := proxy.DigestConfig{}.WithDefaults(1 << 20)
-	if dc.Expected != 256 || dc.FPRate != 0.01 {
-		t.Fatalf("defaults = %+v", dc)
-	}
-	tiny := proxy.DigestConfig{}.WithDefaults(100)
-	if tiny.Expected != 16 {
-		t.Fatalf("tiny defaults = %+v", tiny)
-	}
-
+func TestDigestNodeID(t *testing.T) {
 	origin := startOrigin(t)
 	n := startDigestNode(t, "named", 1<<20, origin.Addr())
 	if n.ID() != "named" {
@@ -217,14 +208,14 @@ func TestDigestConfigDefaultsAndNodeID(t *testing.T) {
 }
 
 func TestNewDigestStateDefaultsRefresh(t *testing.T) {
-	ds, err := newDigestState(proxy.DigestConfig{}, 1<<20, 0, 0)
+	ds, err := newDigestState(digest.Config{}, 1<<20, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ds.refresh != DefaultDigestRefresh {
 		t.Fatalf("refresh = %v", ds.refresh)
 	}
-	if _, err := newDigestState(proxy.DigestConfig{Expected: 10, FPRate: 2}, 0, 0, 0); err == nil {
+	if _, err := newDigestState(digest.Config{Expected: 10, FPRate: 2}, 0, 0, 0); err == nil {
 		t.Fatal("invalid digest config accepted")
 	}
 }

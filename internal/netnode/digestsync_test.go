@@ -12,8 +12,9 @@ import (
 	"time"
 
 	"eacache/internal/core"
+	"eacache/internal/digest"
 	"eacache/internal/metrics"
-	"eacache/internal/proxy"
+	"eacache/internal/resolve"
 )
 
 // fakeClock is an injectable Config.Now that only moves when advanced.
@@ -38,8 +39,8 @@ func startDigestNodeWith(t *testing.T, id, origin string, refresh time.Duration,
 		Store:             newStore(t, 1<<20),
 		Scheme:            core.EA{},
 		OriginAddr:        origin,
-		Location:          proxy.LocateDigest,
-		Digest:            proxy.DigestConfig{Expected: 64, FPRate: 0.01},
+		Location:          resolve.LocateDigest,
+		Digest:            digest.Config{Expected: 64, FPRate: 0.01},
 		DigestRefresh:     refresh,
 		DigestDeltaWindow: window,
 		Now:               now,
@@ -218,7 +219,7 @@ func TestDigestDeltaWindowValidation(t *testing.T) {
 	}
 
 	cfg := base()
-	cfg.Location = proxy.LocateDigest
+	cfg.Location = resolve.LocateDigest
 	cfg.DigestDeltaWindow = -1
 	if _, err := New(cfg); err == nil {
 		t.Fatal("negative delta window accepted")
@@ -231,7 +232,7 @@ func TestDigestDeltaWindowValidation(t *testing.T) {
 	}
 
 	cfg = base()
-	cfg.Location = proxy.LocateDigest
+	cfg.Location = resolve.LocateDigest
 	cfg.DigestDeltaWindow = 8
 	n, err := New(cfg)
 	if err != nil {

@@ -159,9 +159,11 @@ func TestEjectionAndReadmission(t *testing.T) {
 	waitFor(t, 2*time.Second, "readmission", func() bool {
 		return len(n.peerList()) == 1
 	})
-	if h := n.hash.Load(); !h.Ring.Contains("e1") {
-		t.Fatal("readmitted peer not back on the ring")
-	}
+	// A publish swaps the peer snapshot first and the ring second, so the
+	// ring is waited for, not read once.
+	waitFor(t, 2*time.Second, "the readmitted peer back on the ring", func() bool {
+		return n.hash.Load().Ring.Contains("e1")
+	})
 	if rb := n.Robustness(); rb.Readmissions != 1 {
 		t.Fatalf("readmissions = %d, want 1", rb.Readmissions)
 	}

@@ -39,6 +39,10 @@ const (
 
 var migrateResultNames = [mrCount]string{"kept", "transferred", "skipped_ea", "refused", "failed"}
 
+// migrateConcurrency bounds parallel handoff transfers during ring
+// rebalances and drain.
+const migrateConcurrency = 2
+
 // MigrationReport accounts for one migration pass. Every scanned
 // document lands in exactly one bucket:
 //
@@ -252,25 +256,13 @@ func (d *destAges) set(addr string, age time.Duration) {
 // migrate walks the store with bounded concurrency, routing each
 // document through dest (returning false keeps it local) and tallying
 // the per-document results. abort, when set, is polled between documents
-// and cuts the pass short (Aborted=true). Transfers are paced to
-// Config.MigrateRate when set, so a rebalance never starves the request
-// path for bandwidth.
+// and cuts the pass short (Aborted=true).
 func (n *Node) migrate(reason string, epoch int64, dest func(string) (string, bool), abort func() bool) MigrationReport {
 	start := time.Now()
 	rep := MigrationReport{Epoch: epoch, Reason: reason}
 	urls := n.store.URLs()
 
-	var pace <-chan time.Time
-	if n.migrateRate > 0 {
-		t := time.NewTicker(time.Second / time.Duration(n.migrateRate))
-		defer t.Stop()
-		pace = t.C
-	}
-
-	var (
-		mu   sync.Mutex
-		stop atomic.Bool
-	)
+	var mu sync.Mutex
 	tally := func(res int, bytes int64) {
 		n.om.migration(res, bytes)
 		mu.Lock()
@@ -294,33 +286,34 @@ func (n *Node) migrate(reason string, epoch int64, dest func(string) (string, bo
 	ages := &destAges{known: make(map[string]time.Duration)}
 	work := make(chan string)
 	var wg sync.WaitGroup
-	for i := 0; i < n.migrateConc; i++ {
+	for i := 0; i < migrateConcurrency; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for url := range work {
-				res, bytes := n.migrateDoc(url, dest, ages, pace, &stop)
+				res, bytes := n.migrateDoc(url, dest, ages)
 				tally(res, bytes)
 			}
 		}()
 	}
+	aborted := false
 	for _, url := range urls {
 		if abort != nil && abort() {
-			stop.Store(true)
+			aborted = true
 		}
 		select {
 		case <-n.closed:
-			stop.Store(true)
+			aborted = true
 		default:
 		}
-		if stop.Load() {
+		if aborted {
 			break
 		}
 		work <- url
 	}
 	close(work)
 	wg.Wait()
-	rep.Aborted = stop.Load()
+	rep.Aborted = aborted
 	rep.DurationMS = float64(time.Since(start)) / float64(time.Millisecond)
 	return rep
 }
@@ -329,7 +322,7 @@ func (n *Node) migrate(reason string, epoch int64, dest func(string) (string, bo
 // the local copy is removed BEFORE the push, so no poll of the group can
 // ever see two copies; a push that then fails or is refused leaves the
 // document origin-recoverable, never duplicated.
-func (n *Node) migrateDoc(url string, dest func(string) (string, bool), ages *destAges, pace <-chan time.Time, stop *atomic.Bool) (int, int64) {
+func (n *Node) migrateDoc(url string, dest func(string) (string, bool), ages *destAges) (int, int64) {
 	addr, move := dest(url)
 	if !move {
 		return mrKept, 0
@@ -345,15 +338,6 @@ func (n *Node) migrateDoc(url string, dest func(string) (string, bool), ages *de
 	idle := n.now().Sub(entry.LastHit)
 	if age, known := ages.get(addr); known && age != cache.NoContention && idle > age {
 		return mrSkippedEA, 0
-	}
-	if pace != nil {
-		select {
-		case <-pace:
-		case <-n.closed:
-			stop.Store(true)
-			n.robust.MigrationFailure()
-			return mrFailed, 0
-		}
 	}
 	stored, destAge, err := n.pushCopy(addr, entry.Doc)
 	if err != nil {
@@ -375,33 +359,14 @@ func (n *Node) migrateDoc(url string, dest func(string) (string, bool), ages *de
 // streaming the (synthetic) body, and returns whether the destination
 // stored it plus the destination's piggybacked expiration age.
 func (n *Node) pushCopy(addr string, doc cache.Document) (stored bool, destAge time.Duration, err error) {
-	conn, err := n.dial(addr)
-	if err != nil {
-		return false, 0, err
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(n.fetchTimeout))
-
-	if err := hproto.WriteRequest(conn, hproto.Request{
+	resp, err := n.exchange(addr, hproto.Request{
 		URL:          doc.URL,
 		RequesterAge: n.store.ExpirationAge(n.now()),
 		SizeHint:     doc.Size,
 		Push:         true,
-	}); err != nil {
-		return false, 0, err
-	}
-	if _, err := io.Copy(conn, zeroReader(doc.Size)); err != nil {
-		return false, 0, err
-	}
-	br := getReader(conn)
-	defer putReader(br)
-	resp, err := hproto.ReadResponse(br)
+	}, zeroReader(doc.Size), nil)
 	if err != nil {
 		return false, 0, err
-	}
-	if resp.AgeClamped {
-		n.robust.WireClamp()
-		n.warn("clamped bad push-response age", nil, "responder", addr)
 	}
 	return resp.Status == hproto.StatusOK, resp.ResponderAge, nil
 }

@@ -10,9 +10,9 @@ import (
 	"eacache/internal/metrics"
 )
 
-func newStore(t *testing.T, capacity int64) *cache.Store {
+func newStore(t *testing.T, capacity int64) *cache.ShardedStore {
 	t.Helper()
-	s, err := cache.New(cache.Config{Capacity: capacity, ExpirationHorizon: time.Hour})
+	s, err := cache.NewSharded(cache.ShardedConfig{Shards: 1, Capacity: capacity, ExpirationHorizon: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

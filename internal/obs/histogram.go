@@ -77,9 +77,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return float64(h.sumNano.Load()) / 1e9 }
 
-// Bounds returns the upper bucket edges (excluding +Inf).
-func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
-
 // snapshot copies the per-bucket counts (len(bounds)+1).
 func (h *Histogram) snapshot() []int64 {
 	out := make([]int64, len(h.counts))

@@ -18,6 +18,7 @@ import (
 
 	"eacache/internal/cache"
 	"eacache/internal/core"
+	"eacache/internal/digest"
 	"eacache/internal/hproto"
 	"eacache/internal/netnode"
 	"eacache/internal/proxy"
@@ -55,7 +56,7 @@ func TestSimLiveParityDigestAdvertisement(t *testing.T) {
 	// Small enough that the trace forces evictions, so the advertised
 	// summary's history includes removals, not just inserts.
 	const capacity = int64(24 << 10)
-	dcfg := proxy.DigestConfig{Expected: 64, FPRate: 0.01}
+	dcfg := digest.Config{Expected: 64, FPRate: 0.01}
 	records := workload(t)
 
 	// Sim side: one digest-mode proxy replays the whole trace.
@@ -92,7 +93,8 @@ func TestSimLiveParityDigestAdvertisement(t *testing.T) {
 		t.Fatalf("origin: %v", err)
 	}
 	defer origin.Close()
-	liveStore, err := cache.New(cache.Config{
+	liveStore, err := cache.NewSharded(cache.ShardedConfig{
+		Shards:            1,
 		Capacity:          capacity,
 		ExpirationHorizon: cache.DefaultExpirationHorizon,
 	})

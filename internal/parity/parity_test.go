@@ -142,7 +142,8 @@ func TestSimLiveParityICPEA(t *testing.T) {
 
 	nodes := make([]*netnode.Node, caches)
 	for i := range nodes {
-		store, err := cache.New(cache.Config{
+		store, err := cache.NewSharded(cache.ShardedConfig{
+			Shards:            1,
 			Capacity:          perCache,
 			ExpirationHorizon: cache.DefaultExpirationHorizon,
 		})

@@ -61,14 +61,6 @@ func (d *decoder) take(n int) []byte {
 	return out
 }
 
-func (d *decoder) u8() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
 func (d *decoder) u16() uint16 {
 	b := d.take(2)
 	if b == nil {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"eacache/internal/cache"
-	"eacache/internal/obs"
 	"eacache/internal/resolve"
 )
 
@@ -145,60 +144,29 @@ func (h simHooks) OnFalseHit(_ any, _ resolve.Candidate, _ string) {
 	h.p.icp.DigestFalseHits++
 }
 
-func (h simHooks) OnRemoteHit(_ any, c resolve.Candidate, url string, size int64, reqAge, respAge time.Duration, _, stored, promoted bool, now time.Time) {
+func (h simHooks) OnRemoteHit(_ any, c resolve.Candidate, url string, _ int64, reqAge, respAge time.Duration, _, stored, promoted bool, now time.Time) {
 	h.p.trace(Event{
 		Time: now, Kind: EventRemoteFetch, Proxy: h.p.id, URL: url,
 		Peer: c.ID, RequesterAge: reqAge, ResponderAge: respAge,
 		Stored: stored, Promoted: promoted,
 	})
-	h.p.auditDecision(h.p.id, url, obs.RoleRequester, verdictOf(stored), size, reqAge, respAge, now)
-	if promoted {
-		// The responder-side refresh is a decision of its own, attributed
-		// to the responder — the same event the live responder records in
-		// serveConn, kept here so sim and live audit streams match.
-		h.p.auditDecision(c.ID, url, obs.RoleResponder, obs.DecisionPromote, size, respAge, reqAge, now)
-	}
 }
 
 func (h simHooks) OnFallback(any) {}
 
 func (h simHooks) OnParentDegrade(any, string, error) {}
 
-func (h simHooks) OnParentFetch(_ any, parentID, url string, size int64, reqAge, parentAge time.Duration, _, _, stored bool, now time.Time) {
+func (h simHooks) OnParentFetch(_ any, parentID, url string, _ int64, reqAge, parentAge time.Duration, _, _, stored bool, now time.Time) {
 	h.p.trace(Event{
 		Time: now, Kind: EventRemoteFetch, Proxy: h.p.id, URL: url,
 		Peer: parentID, RequesterAge: reqAge, ResponderAge: parentAge,
 		Stored: stored,
 	})
-	h.p.auditDecision(h.p.id, url, obs.RoleRequester, verdictOf(stored), size, reqAge, parentAge, now)
 }
 
-func (h simHooks) OnOriginFetch(_ any, url string, size int64, reqAge time.Duration, _, stored bool, now time.Time) {
+func (h simHooks) OnOriginFetch(_ any, url string, _ int64, reqAge time.Duration, _, stored bool, now time.Time) {
 	h.p.trace(Event{
 		Time: now, Kind: EventOriginFetch, Proxy: h.p.id, URL: url,
 		RequesterAge: reqAge, Stored: stored,
-	})
-	h.p.auditDecision(h.p.id, url, obs.RoleRequester, verdictOf(stored), size, reqAge, cache.NoContention, now)
-}
-
-// verdictOf maps a store effect to its audit verdict.
-func verdictOf(stored bool) string {
-	if stored {
-		return obs.DecisionAccept
-	}
-	return obs.DecisionReject
-}
-
-// auditDecision records one placement verdict into the proxy's decision
-// log, when one is attached (RecordDecisions). The simulator records the
-// same events the live node does so the audit stream itself is
-// parity-testable.
-func (p *Proxy) auditDecision(node, url, role, verdict string, size int64, localAge, peerAge time.Duration, now time.Time) {
-	if p.decisions == nil {
-		return
-	}
-	p.decisions.Record(&obs.Decision{
-		Time: now, Node: node, URL: url, Role: role, Verdict: verdict,
-		LocalAgeMS: obs.AgeMS(localAge), PeerAgeMS: obs.AgeMS(peerAge), SizeBytes: size,
 	})
 }

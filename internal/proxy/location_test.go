@@ -7,6 +7,7 @@ import (
 
 	"eacache/internal/cache"
 	"eacache/internal/core"
+	"eacache/internal/digest"
 	"eacache/internal/metrics"
 )
 
@@ -23,7 +24,7 @@ func newDigestProxy(t *testing.T, id string, capacity int64) *Proxy {
 		Scheme:   core.AdHoc{},
 		Origin:   SizeHintOrigin{},
 		Location: LocateDigest,
-		Digest:   DigestConfig{Expected: 64, FPRate: 0.01},
+		Digest:   digest.Config{Expected: 64, FPRate: 0.01},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +45,7 @@ func newDigestProxyWithOrigin(t *testing.T, id string, capacity int64, origin Or
 		Scheme:   core.AdHoc{},
 		Origin:   origin,
 		Location: LocateDigest,
-		Digest:   DigestConfig{Expected: 64, FPRate: 0.01},
+		Digest:   digest.Config{Expected: 64, FPRate: 0.01},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,17 +59,6 @@ func TestLocationString(t *testing.T) {
 	}
 	if Location(9).String() != "location(9)" {
 		t.Fatal("unknown location string")
-	}
-}
-
-func TestDigestConfigDefaults(t *testing.T) {
-	dc := DigestConfig{}.WithDefaults(1 << 20)
-	if dc.Expected != 256 || dc.FPRate != 0.01 {
-		t.Fatalf("defaults = %+v", dc)
-	}
-	tiny := DigestConfig{}.WithDefaults(1024)
-	if tiny.Expected != 16 {
-		t.Fatalf("tiny defaults = %+v", tiny)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"eacache/internal/chash"
 	"eacache/internal/core"
 	"eacache/internal/digest"
-	"eacache/internal/obs"
 	"eacache/internal/resolve"
 )
 
@@ -36,31 +35,6 @@ const (
 	// LocateHash routes every URL to its consistent-hash home node.
 	LocateHash = resolve.LocateHash
 )
-
-// DigestConfig tunes the Summary-Cache digests when LocateDigest is used.
-type DigestConfig struct {
-	// Expected is the filter's expected entry count; 0 derives it from
-	// the cache capacity at the paper's 4KB mean document size.
-	Expected int
-	// FPRate is the target false-positive rate (default 0.01).
-	FPRate float64
-}
-
-// WithDefaults fills the zero fields from capacity, at the paper's 4KB
-// mean document size. Exported so the live node (internal/netnode) sizes
-// its filters exactly the same way as the in-process proxy.
-func (c DigestConfig) WithDefaults(capacity int64) DigestConfig {
-	if c.Expected == 0 {
-		c.Expected = int(capacity / 4096)
-		if c.Expected < 16 {
-			c.Expected = 16
-		}
-	}
-	if c.FPRate == 0 {
-		c.FPRate = 0.01
-	}
-	return c
-}
 
 // Origin models the origin servers behind the cache group. Trace-driven
 // simulations know each document's size from the trace record, so the
@@ -165,7 +139,7 @@ type Config struct {
 	Location Location
 	// Digest tunes the Summary-Cache digests when Location is
 	// LocateDigest.
-	Digest DigestConfig
+	Digest digest.Config
 	// Tracer, when set, observes every placement-relevant step — the
 	// exchanged expiration ages and the store/promote decisions.
 	Tracer Tracer
@@ -223,18 +197,8 @@ type Proxy struct {
 	// location is LocateHash.
 	hash *resolve.HashLocator
 
-	// decisions, when attached via RecordDecisions, receives every
-	// placement verdict this proxy's requests produce — the simulator's
-	// copy of the live node's /debug/placement audit stream.
-	decisions *obs.DecisionLog
-
 	icp ICPStats
 }
-
-// RecordDecisions attaches a placement-decision audit log; every
-// accept/reject/promote verdict from this proxy's requests is recorded
-// into it, mirroring the live node's audit stream. A nil log detaches.
-func (p *Proxy) RecordDecisions(l *obs.DecisionLog) { p.decisions = l }
 
 // New builds a proxy from cfg.
 func New(cfg Config) (*Proxy, error) {
@@ -297,9 +261,6 @@ func (p *Proxy) ID() string { return p.id }
 
 // Store exposes the proxy's cache for inspection.
 func (p *Proxy) Store() *cache.Store { return p.store }
-
-// Scheme returns the placement scheme in use.
-func (p *Proxy) Scheme() core.Scheme { return p.scheme }
 
 // ICP returns a copy of the protocol counters.
 func (p *Proxy) ICP() ICPStats { return p.icp }
