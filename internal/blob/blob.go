@@ -30,12 +30,11 @@ package blob
 
 import (
 	"bufio"
-	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -117,10 +116,13 @@ type Store struct {
 	used       int64
 	ages       *cache.ExpAgeTracker
 	index      *os.File
-	frames     int // frames in the log since the last compaction
+	frame      []byte    // scratch the one index frame being written is built in
+	frames     int       // frames in the log since the last compaction
+	fanout     [256]bool // blobs/<hh> directories known to exist
 	evictions  int64
 	closed     bool
 
+	tmpSeq           atomic.Uint64 // last tmp/admit-<n> name handed out
 	checksumFailures atomic.Int64
 	report           Report
 }
@@ -165,10 +167,16 @@ func Open(cfg Config) (*Store, error) {
 // indexPath returns the index log path.
 func (s *Store) indexPath() string { return filepath.Join(s.dir, "index.log") }
 
-// blobPath returns the fan-out path for a content sum.
+// sep is the path separator as a string, for paths built by append.
+const sep = string(filepath.Separator)
+
+// blobPath returns the fan-out path for a content sum, built in a stack
+// buffer so the returned string is its only allocation.
 func blobPath(dir string, sum [32]byte) string {
-	h := hex.EncodeToString(sum[:])
-	return filepath.Join(dir, "blobs", h[:2], h)
+	var stack [192]byte
+	b := append(append(stack[:0], dir...), sep+"blobs"+sep...)
+	b = append(hex.AppendEncode(b, sum[:1]), sep...)
+	return string(hex.AppendEncode(b, sum[:]))
 }
 
 // recover replays the index log, reconciles it against the blob files,
@@ -311,7 +319,8 @@ func (s *Store) compactLocked() error {
 	w := bufio.NewWriter(f)
 	// Oldest-first so a replay rebuilds the same LRU order.
 	for d := s.tail; d != nil; d = d.prev {
-		if _, err := w.Write(marshalIndexRecord(IndexRecord{Entry: d.e})); err != nil {
+		s.frame = appendIndexRecord(s.frame[:0], IndexRecord{Entry: d.e})
+		if _, err := w.Write(s.frame); err != nil {
 			f.Close()
 			return fmt.Errorf("blob: compact: %w", err)
 		}
@@ -342,7 +351,8 @@ func (s *Store) compactLocked() error {
 // appendLocked writes one index frame, tracking garbage (frames the
 // current residency no longer needs) and compacting when it dominates.
 func (s *Store) appendLocked(r IndexRecord) error {
-	if _, err := s.index.Write(marshalIndexRecord(r)); err != nil {
+	s.frame = appendIndexRecord(s.frame[:0], r)
+	if _, err := s.index.Write(s.frame); err != nil {
 		return fmt.Errorf("blob: index append: %w", err)
 	}
 	s.frames++
@@ -419,28 +429,24 @@ func (s *Store) Admit(e cache.DiskEntry, body io.Reader, now time.Time) (cache.D
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		if staged != "" {
+	defer func() {
+		if staged != "" { // not placed: refused, or the body is already there
 			os.Remove(staged)
 		}
+	}()
+	if s.closed {
 		return e, nil, ErrClosed
 	}
 	var evicted []cache.DiskEviction
 	if old, ok := s.entries[e.Doc.URL]; ok {
 		// Re-demotion over a live entry: replace silently.
 		if err := s.dropLocked(old); err != nil {
-			if staged != "" {
-				os.Remove(staged)
-			}
 			return e, nil, err
 		}
 	}
 	for s.used+e.Doc.Size > s.capacity {
 		v := s.tail
 		if v == nil {
-			if staged != "" {
-				os.Remove(staged)
-			}
 			return e, nil, fmt.Errorf("blob: cannot free %d bytes", e.Doc.Size)
 		}
 		age := now.Sub(v.e.LastHit)
@@ -449,9 +455,6 @@ func (s *Store) Admit(e cache.DiskEntry, body io.Reader, now time.Time) (cache.D
 		}
 		ev := cache.DiskEviction{Entry: v.e, Age: age}
 		if err := s.dropLocked(v); err != nil {
-			if staged != "" {
-				os.Remove(staged)
-			}
 			return e, evicted, err
 		}
 		s.evictions++
@@ -460,19 +463,10 @@ func (s *Store) Admit(e cache.DiskEntry, body io.Reader, now time.Time) (cache.D
 	}
 	if s.refs[sum] == 0 {
 		// First reference: move the staged file into place.
-		dst := blobPath(s.dir, sum)
-		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-			os.Remove(staged)
-			return e, evicted, fmt.Errorf("blob: %w", err)
-		}
-		if err := os.Rename(staged, dst); err != nil {
-			os.Remove(staged)
+		if err := s.placeLocked(staged, sum); err != nil {
 			return e, evicted, fmt.Errorf("blob: %w", err)
 		}
 		staged = ""
-	}
-	if staged != "" {
-		os.Remove(staged)
 	}
 	d := &dentry{e: e}
 	s.entries[e.Doc.URL] = d
@@ -483,32 +477,6 @@ func (s *Store) Admit(e cache.DiskEntry, body io.Reader, now time.Time) (cache.D
 		return e, evicted, err
 	}
 	return e, evicted, nil
-}
-
-// stageBody streams body into a temp file, hashing as it goes, and
-// returns the sum and the staged path. Bodies whose length disagrees
-// with size are rejected.
-func (s *Store) stageBody(body io.Reader, size int64) ([32]byte, string, error) {
-	var sum [32]byte
-	f, err := os.CreateTemp(filepath.Join(s.dir, "tmp"), "admit-*")
-	if err != nil {
-		return sum, "", fmt.Errorf("blob: stage: %w", err)
-	}
-	h := sha256.New()
-	n, err := io.Copy(io.MultiWriter(f, h), io.LimitReader(body, size))
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(f.Name())
-		return sum, "", fmt.Errorf("blob: stage: %w", err)
-	}
-	if n != size {
-		os.Remove(f.Name())
-		return sum, "", fmt.Errorf("blob: body is %d bytes, want %d", n, size)
-	}
-	copy(sum[:], h.Sum(nil))
-	return sum, f.Name(), nil
 }
 
 // Open implements cache.DiskTier: the entry plus a reader that verifies
@@ -543,7 +511,9 @@ func (s *Store) Open(url string) (cache.DiskEntry, io.ReadCloser, bool) {
 			return cache.DiskEntry{}, nil, false
 		}
 	}
-	return e, &verifyReader{s: s, f: f, h: sha256.New(), url: url, want: e.Sum, remain: e.Doc.Size}, true
+	st := stagers.Get().(*stager)
+	st.h.Reset()
+	return e, &verifyReader{s: s, f: f, st: st, url: url, want: e.Sum, remain: e.Doc.Size}, true
 }
 
 // dropCorrupt removes a failed entry and counts the checksum failure.
@@ -558,11 +528,11 @@ func (s *Store) dropCorrupt(url string, sum [32]byte) {
 
 // verifyReader streams a blob while hashing it; EOF fails with
 // ErrChecksum unless exactly the indexed bytes with the indexed sum were
-// read.
+// read. It owns its stager (only the hash is used) from Open to Close.
 type verifyReader struct {
 	s      *Store
 	f      *os.File
-	h      hash.Hash
+	st     *stager // nil once closed
 	url    string
 	want   [32]byte
 	remain int64
@@ -572,6 +542,9 @@ type verifyReader struct {
 
 // Read implements io.Reader.
 func (r *verifyReader) Read(p []byte) (int, error) {
+	if r.st == nil {
+		return 0, fs.ErrClosed
+	}
 	if r.remain == 0 {
 		if !r.done {
 			r.done = true
@@ -585,7 +558,7 @@ func (r *verifyReader) Read(p []byte) (int, error) {
 		p = p[:r.remain]
 	}
 	n, err := r.f.Read(p)
-	r.h.Write(p[:n])
+	r.st.h.Write(p[:n])
 	r.remain -= int64(n)
 	if err == io.EOF && r.remain > 0 {
 		// Shorter than indexed: corrupt.
@@ -606,9 +579,7 @@ func (r *verifyReader) Read(p []byte) (int, error) {
 
 // verify compares the streamed hash with the indexed sum.
 func (r *verifyReader) verify() error {
-	var got [32]byte
-	copy(got[:], r.h.Sum(nil))
-	if got != r.want {
+	if r.st.sum() != r.want {
 		r.fail()
 		return ErrChecksum
 	}
@@ -627,6 +598,10 @@ func (r *verifyReader) fail() {
 // nil (partial reads cannot verify), after a failure it reports it.
 func (r *verifyReader) Close() error {
 	err := r.f.Close()
+	if r.st != nil {
+		stagers.Put(r.st)
+		r.st = nil
+	}
 	if r.failed {
 		return ErrChecksum
 	}

@@ -64,41 +64,35 @@ func nanoToTime(n int64) time.Time {
 	return time.Unix(0, n)
 }
 
-// ienc is a little append-only encoder.
-type ienc struct{ b []byte }
-
-func (e *ienc) u8(v byte)    { e.b = append(e.b, v) }
-func (e *ienc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *ienc) i64(v int64)  { e.b = binary.LittleEndian.AppendUint64(e.b, uint64(v)) }
-func (e *ienc) raw(v []byte) { e.b = append(e.b, v...) }
-func (e *ienc) str(v string) { e.u32(uint32(len(v))); e.b = append(e.b, v...) }
-
-// marshalIndexRecord frames one record. Records with impossible fields
-// (URL too long) must not be produced by the store; they panic to catch
-// programming errors rather than persist garbage.
-func marshalIndexRecord(r IndexRecord) []byte {
-	if len(r.Entry.Doc.URL) == 0 || len(r.Entry.Doc.URL) > maxIndexURL {
+// appendIndexRecord appends r's frame to dst, writing length, payload and
+// CRC in place, and returns the extended slice. Records with impossible
+// fields (URL too long) must not be produced by the store; they panic to
+// catch programming errors rather than persist garbage.
+func appendIndexRecord(dst []byte, r IndexRecord) []byte {
+	url := r.Entry.Doc.URL
+	if len(url) == 0 || len(url) > maxIndexURL {
 		panic("blob: index record with bad URL length")
 	}
-	var e ienc
+	le := binary.LittleEndian
+	start := len(dst)
+	kind := iPut
 	if r.Del {
-		e.u8(iDel)
-		e.str(r.Entry.Doc.URL)
-	} else {
-		e.u8(iPut)
-		e.str(r.Entry.Doc.URL)
-		e.i64(r.Entry.Doc.Size)
-		e.i64(timeToNano(r.Entry.Doc.Expires))
-		e.i64(timeToNano(r.Entry.EnteredAt))
-		e.i64(timeToNano(r.Entry.LastHit))
-		e.i64(r.Entry.Hits)
-		e.raw(r.Entry.Sum[:])
+		kind = iDel
 	}
-	frame := make([]byte, 0, len(e.b)+8)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(e.b)-1))
-	frame = append(frame, e.b...)
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(e.b, crcTable))
-	return frame
+	dst = append(le.AppendUint32(dst, 0), kind) // payload length: set once the payload is in
+	dst = le.AppendUint32(dst, uint32(len(url)))
+	dst = append(dst, url...)
+	if !r.Del {
+		dst = le.AppendUint64(dst, uint64(r.Entry.Doc.Size))
+		dst = le.AppendUint64(dst, uint64(timeToNano(r.Entry.Doc.Expires)))
+		dst = le.AppendUint64(dst, uint64(timeToNano(r.Entry.EnteredAt)))
+		dst = le.AppendUint64(dst, uint64(timeToNano(r.Entry.LastHit)))
+		dst = le.AppendUint64(dst, uint64(r.Entry.Hits))
+		dst = append(dst, r.Entry.Sum[:]...)
+	}
+	body := dst[start+4:] // kind + payload: what the CRC covers
+	le.PutUint32(dst[start:], uint32(len(body)-1))
+	return le.AppendUint32(dst, crc32.Checksum(body, crcTable))
 }
 
 // idec is a latching decoder over one payload.

@@ -248,7 +248,9 @@ func (t *TieredStore) memEvent(ev Event) {
 			return
 		}
 		// Admission failed (oversized for the disk tier, I/O error, or
-		// the tier is closed): fall through to a true exit.
+		// the tier is closed): fall through to a true exit. Whatever the
+		// tier evicted before it failed has left it all the same.
+		t.diskExits(evicted, now)
 	}
 	t.demotionDrops.Add(1)
 	t.recordExit(ev.Age, now)

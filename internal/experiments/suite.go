@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"eacache/internal/cache"
@@ -85,10 +86,10 @@ type runKey struct {
 	horizon   time.Duration
 }
 
-// NewSuite prepares a suite over records (cleaned of zero sizes, as the
-// paper does, and sorted).
+// NewSuite prepares a suite over a copy of records (cleaned of zero sizes,
+// as the paper does, and sorted); the caller's slice is left as it is.
 func NewSuite(records []trace.Record, cfg Config) *Suite {
-	cleaned := trace.CleanZeroSizes(records, trace.DefaultDocSize)
+	cleaned := trace.CleanZeroSizes(slices.Clone(records), trace.DefaultDocSize)
 	trace.SortByTime(cleaned)
 	return &Suite{
 		records: cleaned,

@@ -33,13 +33,18 @@ func FuzzJournalReplay(f *testing.F) {
 		if good < 0 || good > len(data) {
 			t.Fatalf("goodBytes %d outside [0, %d]", good, len(data))
 		}
+		// Re-encode the way Append does, frame after frame onto one
+		// buffer, and hold each frame against the legacy encoder.
 		var reenc []byte
 		for _, ev := range events {
-			frame, err := MarshalEvent(ev)
-			if err != nil {
+			at := len(reenc)
+			var err error
+			if reenc, err = appendEvent(reenc, ev); err != nil {
 				t.Fatalf("replayed event does not re-marshal: %+v: %v", ev, err)
 			}
-			reenc = append(reenc, frame...)
+			if want, _ := legacyMarshalEvent(ev); !bytes.Equal(reenc[at:], want) {
+				t.Fatalf("appendEvent and the legacy encoder disagree on %+v:\n got %x\nwant %x", ev, reenc[at:], want)
+			}
 		}
 		again, good2, damage2 := ReplayJournal(reenc)
 		if damage2 != nil || good2 != len(reenc) {

@@ -62,9 +62,14 @@ const (
 )
 
 // MarshalEvent frames one cache event for the journal.
-func MarshalEvent(ev cache.Event) ([]byte, error) {
+func MarshalEvent(ev cache.Event) ([]byte, error) { return appendEvent(nil, ev) }
+
+// appendEvent appends ev's frame to dst, writing length, payload and CRC
+// in place, and returns the extended slice. An event with no journal
+// encoding is an error and leaves dst as it was.
+func appendEvent(dst []byte, ev cache.Event) ([]byte, error) {
 	if ev.Doc.URL == "" || len(ev.Doc.URL) > maxJournalURL {
-		return nil, fmt.Errorf("persist: bad journal URL (len %d)", len(ev.Doc.URL))
+		return dst, fmt.Errorf("persist: bad journal URL (len %d)", len(ev.Doc.URL))
 	}
 	kind := byte(ev.Kind)
 	if ev.Tier == cache.TierDisk {
@@ -74,10 +79,13 @@ func MarshalEvent(ev cache.Event) ([]byte, error) {
 		case cache.EventRemove:
 			kind = kindDiskRemove
 		default:
-			return nil, fmt.Errorf("persist: disk-tier %v event has no journal encoding", ev.Kind)
+			return dst, fmt.Errorf("persist: disk-tier %v event has no journal encoding", ev.Kind)
 		}
 	}
-	var p encoder
+	start := len(dst)
+	p := encoder{b: dst}
+	p.u32(0) // payload length, set once the payload is in
+	p.u8(kind)
 	p.str(ev.Doc.URL)
 	switch ev.Kind {
 	case cache.EventInsert:
@@ -107,15 +115,12 @@ func MarshalEvent(ev cache.Event) ([]byte, error) {
 		p.i64(timeToNano(ev.EnteredAt))
 		p.i64(ev.Hits)
 	default:
-		return nil, fmt.Errorf("persist: unknown event kind %v", ev.Kind)
+		return dst, fmt.Errorf("persist: unknown event kind %v", ev.Kind)
 	}
-
-	var f encoder
-	f.u32(uint32(len(p.b)))
-	f.u8(kind)
-	f.b = append(f.b, p.b...)
-	f.u32(crc32.Checksum(f.b[4:], crcTable))
-	return f.b, nil
+	body := p.b[start+4:] // kind + payload: what the CRC covers
+	binary.LittleEndian.PutUint32(p.b[start:], uint32(len(body)-1))
+	p.u32(crc32.Checksum(body, crcTable))
+	return p.b, nil
 }
 
 // decodeEventPayload rebuilds the event from one verified frame payload.

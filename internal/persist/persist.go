@@ -91,15 +91,15 @@ type Report struct {
 // each other, but the caller must serialise Rotate against the capture of
 // the state it snapshots (see Checkpoint contract in internal/netnode).
 //
-// Appends are group-committed: an appender parks its frame in a bounded
-// queue and blocks until the background flusher has written it, so
-// concurrent appenders coalesce into one write() syscall per batch while
-// the durability contract is unchanged — when Append returns, the frame
-// is physically in the journal file (a recovery that reads the file at
-// that instant replays it). A lone appender degenerates to exactly the
-// old one-write-per-event behaviour. Sync policy is also unchanged:
-// fsync happens at Rotate/Close, not per batch, so crash semantics
-// (torn-tail truncation, replay-on-snapshot) are identical.
+// Appends are group-committed: an appender encodes its frame onto the
+// end of a bounded batch and blocks until the background flusher has
+// written it, so concurrent appenders coalesce into one write() syscall
+// per batch while the durability contract is unchanged — when Append
+// returns, the frame is physically in the journal file (a recovery that
+// reads the file at that instant replays it). A lone appender degenerates
+// to exactly the old one-write-per-event behaviour. Sync policy is also
+// unchanged: fsync happens at Rotate/Close, not per batch, so crash
+// semantics (torn-tail truncation, replay-on-snapshot) are identical.
 type Persister struct {
 	dir    string
 	logger *log.Logger
@@ -110,11 +110,11 @@ type Persister struct {
 	closed  bool
 
 	// Group commit (all guarded by mu; the conds share it).
-	batchCap int
-	pending  [][]byte // frames queued for the flusher
-	spare    [][]byte // recycled backing array for pending
-	seqIn    uint64   // frames enqueued so far
-	seqDone  uint64   // frames physically written so far
+	batchCap      int
+	pending       []byte // the batch being formed: whole frames, back to back
+	pendingFrames int    // how many frames pending holds
+	seqIn         uint64 // frames enqueued so far
+	seqDone       uint64 // frames physically written so far
 	// flushCond wakes the flusher when frames arrive or the persister
 	// closes; doneCond wakes appenders (and drain barriers) when seqDone
 	// advances or the queue drains.
@@ -271,22 +271,31 @@ func (p *Persister) Report() Report { return p.report }
 // caller's request path: an I/O error degrades durability and is logged,
 // the cache keeps serving.
 func (p *Persister) Append(ev cache.Event) {
-	frame, err := MarshalEvent(ev)
-	if err != nil {
+	if err := p.enqueue(ev); err != nil {
 		p.logf("persist: drop event: %v", err)
-		return
 	}
+}
+
+// enqueue encodes ev straight into the pending batch under the lock and
+// waits for the flusher to cover it. The error is the encoder's; an event
+// it refuses never touches the batch.
+func (p *Persister) enqueue(ev cache.Event) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	// Backpressure: a full queue means the flusher is behind; wait for it
 	// to drain rather than growing the batch without bound.
-	for len(p.pending) >= p.batchCap && !p.closed {
+	for p.pendingFrames >= p.batchCap && !p.closed {
 		p.doneCond.Wait()
 	}
 	if p.closed || p.journal == nil {
-		return
+		return nil
 	}
-	p.pending = append(p.pending, frame)
+	batch, err := appendEvent(p.pending, ev)
+	if err != nil {
+		return err
+	}
+	p.pending = batch
+	p.pendingFrames++
 	p.seqIn++
 	seq := p.seqIn
 	p.flushCond.Signal()
@@ -295,44 +304,43 @@ func (p *Persister) Append(ev cache.Event) {
 	for p.seqDone < seq && !p.closed {
 		p.doneCond.Wait()
 	}
+	return nil
 }
 
 // flusher is the single background goroutine that drains the pending
-// queue: it swaps the whole batch out under the lock, concatenates the
-// frames, and issues ONE write() for the batch. It exits when the
-// persister closes with the queue empty (Close drains first).
+// batch: it swaps the buffer out under the lock and issues ONE write()
+// for it as it stands. Two buffers alternate: the one appenders encode
+// into belongs to whoever holds p.mu, the other is the flusher's alone
+// from the swap until its write returns. It exits when the persister
+// closes with the queue empty (Close drains first).
 func (p *Persister) flusher() {
 	defer close(p.flusherExited)
-	var buf []byte
+	var spare []byte
 	p.mu.Lock()
 	for {
-		for len(p.pending) == 0 && !p.closed {
+		for p.pendingFrames == 0 && !p.closed {
 			p.flushCond.Wait()
 		}
-		if len(p.pending) == 0 {
+		if p.pendingFrames == 0 {
 			p.mu.Unlock()
 			return
 		}
-		batch := p.pending
-		p.pending = p.spare[:0]
+		batch, frames := p.pending, p.pendingFrames
+		p.pending, p.pendingFrames = spare[:0], 0
 		target := p.journal
 		p.mu.Unlock()
 
-		buf = buf[:0]
-		for _, frame := range batch {
-			buf = append(buf, frame...)
-		}
 		if target != nil {
-			if _, err := target.Write(buf); err != nil {
-				p.logf("persist: journal append (%d frames): %v", len(batch), err)
+			if _, err := target.Write(batch); err != nil {
+				p.logf("persist: journal append (%d frames): %v", frames, err)
 			}
 		}
+		spare = batch
 
 		p.mu.Lock()
 		// Frames are on disk (or dropped with a logged error — durability
 		// degraded, same contract as before): release the appenders.
-		p.seqDone += uint64(len(batch))
-		p.spare = batch[:0]
+		p.seqDone += uint64(frames)
 		p.doneCond.Broadcast()
 	}
 }

@@ -31,17 +31,16 @@ const DefaultDocSize = 4096
 
 // CleanZeroSizes returns records with every non-positive size replaced by
 // def, mirroring the paper's trace preparation ("we made the size of each
-// such record equal to average document size of 4K bytes"). The input slice
-// is not modified.
+// such record equal to average document size of 4K bytes"). It cleans in
+// place, like SortByTime, and returns the slice it was given: a second copy
+// of a whole trace is the largest allocation a replay would make.
 func CleanZeroSizes(records []Record, def int64) []Record {
-	out := make([]Record, len(records))
-	copy(out, records)
-	for i := range out {
-		if out[i].Size <= 0 {
-			out[i].Size = def
+	for i := range records {
+		if records[i].Size <= 0 {
+			records[i].Size = def
 		}
 	}
-	return out
+	return records
 }
 
 // SortByTime sorts records chronologically (stable, preserving log order of
