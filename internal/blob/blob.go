@@ -1,36 +1,34 @@
 // Package blob is the content-addressed disk tier beneath the sharded
-// memory cache: checksummed blob files in sharded fan-out directories,
+// memory cache: checksummed bodies in a few append-only segment files,
 // indexed by an append-only CRC32C-framed log, with its own byte budget,
 // LRU replacement and expiration-age tracker (the admission price the
 // tier controller charges demotions — see internal/cache's TieredStore).
 //
 // Layout under Config.Dir:
 //
-//	index.log            append-only index (put/del frames)
-//	blobs/<hh>/<sha256>  body files, named by content hash, fanned out
-//	                     by the first two hex digits
-//	tmp/                 staging area for in-flight writes
+//	index.log  append-only index (put/del frames; a put names its extent)
+//	seg/<n>    body segments, appended to only, descriptors kept open
 //
-// Addressing by content hash means identical bodies share one file: the
-// refcounted index tracks how many URLs reference each sum and unlinks
-// the file only when the last reference goes. (The node's synthetic
-// zero-filled bodies make this the common case — every same-sized body
-// dedupes — so Used() accounts logical bytes, the sum of entry sizes,
-// against Capacity.)
+// segment.go has an extent's life cycle. Addressing by content hash means
+// identical bodies share one extent: the refcounted index tracks how many
+// URLs reference each sum and the bytes die only when the last reference
+// goes. (The node's synthetic zero-filled bodies make this the common
+// case — every same-sized body dedupes — so Used() accounts logical
+// bytes, the sum of entry sizes, against Capacity.)
 //
 // Recovery mirrors internal/persist's posture: Open replays the longest
 // verifiable index prefix (truncating a torn tail), then cross-checks
-// every entry against its blob file by presence and size — no bodies are
-// re-read, which is what makes a warm restart over a large tier take
-// seconds. Full checksum verification is available separately through
-// VerifyAll (the disk-smoke gate) and happens implicitly on every read:
-// Open(url) returns a reader that hashes as it streams and fails at EOF
-// on a mismatch, dropping the corrupt entry.
+// every entry's extent against its segment's length — one fstat per
+// segment, no bodies re-read, which is what makes a warm restart over a
+// large tier take seconds. Full checksum verification is available
+// separately through VerifyAll (the disk-smoke gate) and happens
+// implicitly on every read: Open(url) returns a reader that hashes as it
+// streams and fails at EOF on a mismatch, dropping the corrupt entry. A
+// directory in the earlier file-per-blob layout opens as an empty tier.
 package blob
 
 import (
 	"bufio"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -45,15 +43,15 @@ import (
 	"eacache/internal/cache"
 )
 
-// ErrChecksum reports a blob whose stored bytes no longer match its
-// content hash. The entry is dropped and the failure counted.
-var ErrChecksum = errors.New("blob: checksum mismatch")
-
-// ErrClosed reports an operation on a closed store.
-var ErrClosed = errors.New("blob: store closed")
-
-// ErrTooLarge reports a body bigger than the whole tier.
-var ErrTooLarge = errors.New("blob: document larger than disk capacity")
+var (
+	// ErrChecksum reports a blob whose stored bytes no longer match its
+	// content hash. The entry is dropped and the failure counted.
+	ErrChecksum = errors.New("blob: checksum mismatch")
+	// ErrClosed reports an operation on a closed store.
+	ErrClosed = errors.New("blob: store closed")
+	// ErrTooLarge reports a body bigger than the whole tier.
+	ErrTooLarge = errors.New("blob: document larger than disk capacity")
+)
 
 // Config configures a Store.
 type Config struct {
@@ -80,11 +78,13 @@ type Report struct {
 	IndexRecords int
 	// TruncatedBytes is the torn tail cut from the index log.
 	TruncatedBytes int64
-	// LostBlobs counts index entries whose blob file was missing or had
-	// the wrong size (dropped).
+	// LostBlobs counts index entries whose extent was not there: segment
+	// missing, or shorter than the extent's end (dropped).
 	LostBlobs int
-	// Orphans counts blob files no index entry referenced (unlinked).
+	// Orphans counts segment files no index entry referenced (unlinked).
 	Orphans int
+	// Legacy counts the files of a file-per-blob layout swept from Dir.
+	Legacy int
 	// Compacted reports whether the index log was rewritten.
 	Compacted bool
 }
@@ -97,10 +97,12 @@ type VerifyReport struct {
 	FailedURLs []string
 }
 
-// dentry is one resident document: its tier entry plus LRU links.
+// dentry is one resident document: its tier entry, where its body lies,
+// and LRU links.
 type dentry struct {
 	e          cache.DiskEntry
-	prev, next *dentry // LRU list: head = most recent, tail = victim
+	at         extent
+	prev, next *dentry // LRU ring through Store.lru
 }
 
 // Store is the disk tier. All methods are safe for concurrent use; it
@@ -108,21 +110,23 @@ type dentry struct {
 type Store struct {
 	dir      string
 	capacity int64
+	segSize  int64 // nominal segment size: the active segment rolls past it
 
-	mu         sync.Mutex
-	entries    map[string]*dentry
-	refs       map[[32]byte]int
-	head, tail *dentry
-	used       int64
-	ages       *cache.ExpAgeTracker
-	index      *os.File
-	frame      []byte    // scratch the one index frame being written is built in
-	frames     int       // frames in the log since the last compaction
-	fanout     [256]bool // blobs/<hh> directories known to exist
-	evictions  int64
-	closed     bool
+	mu      sync.Mutex
+	entries map[string]*dentry
+	blobs   map[[32]byte]blobRef
+	lru     dentry // ring sentinel: next = most recent, prev = victim
+	used    int64
+	ages    *cache.ExpAgeTracker
+	index   *os.File
+	frame   []byte // scratch the one index frame being written is built in
+	frames  int    // frames in the log since the last compaction
+	segs    map[uint32]*segment
+	active  *segment // takes reservations; nil until the first one
+	nextSeg uint32
+	dead    int64 // segment bytes no entry references, reservations in flight included
+	closed  bool
 
-	tmpSeq           atomic.Uint64 // last tmp/admit-<n> name handed out
 	checksumFailures atomic.Int64
 	report           Report
 }
@@ -136,29 +140,27 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.Capacity <= 0 {
 		return nil, fmt.Errorf("blob: capacity must be positive, got %d", cfg.Capacity)
 	}
-	if cfg.ExpirationWindow < 0 || cfg.ExpirationHorizon < 0 {
-		return nil, fmt.Errorf("blob: negative expiration window/horizon")
+	if w, h := cfg.ExpirationWindow, cfg.ExpirationHorizon; w < 0 || h < 0 || w > 0 && h > 0 {
+		return nil, fmt.Errorf("blob: expiration window and horizon must not be negative nor both set")
 	}
-	if cfg.ExpirationWindow > 0 && cfg.ExpirationHorizon > 0 {
-		return nil, fmt.Errorf("blob: expiration window and horizon are mutually exclusive")
-	}
-	for _, sub := range []string{"", "blobs", "tmp"} {
-		if err := os.MkdirAll(filepath.Join(cfg.Dir, sub), 0o755); err != nil {
-			return nil, fmt.Errorf("blob: %w", err)
-		}
-	}
-	ages := cache.NewExpAgeTracker(cfg.ExpirationWindow)
-	if cfg.ExpirationHorizon > 0 {
-		ages = cache.NewTimeHorizonTracker(cfg.ExpirationHorizon)
+	if err := os.MkdirAll(filepath.Join(cfg.Dir, "seg"), 0o755); err != nil {
+		return nil, fmt.Errorf("blob: %w", err)
 	}
 	s := &Store{
 		dir:      cfg.Dir,
 		capacity: cfg.Capacity,
+		segSize:  max(cfg.Capacity/32, 64<<10),
 		entries:  make(map[string]*dentry),
-		refs:     make(map[[32]byte]int),
-		ages:     ages,
+		blobs:    make(map[[32]byte]blobRef),
+		segs:     make(map[uint32]*segment),
+		ages:     cache.NewExpAgeTracker(cfg.ExpirationWindow),
 	}
+	if cfg.ExpirationHorizon > 0 {
+		s.ages = cache.NewTimeHorizonTracker(cfg.ExpirationHorizon)
+	}
+	s.lru.prev, s.lru.next = &s.lru, &s.lru
 	if err := s.recover(); err != nil {
+		s.Close()
 		return nil, err
 	}
 	return s, nil
@@ -167,22 +169,20 @@ func Open(cfg Config) (*Store, error) {
 // indexPath returns the index log path.
 func (s *Store) indexPath() string { return filepath.Join(s.dir, "index.log") }
 
-// sep is the path separator as a string, for paths built by append.
-const sep = string(filepath.Separator)
-
-// blobPath returns the fan-out path for a content sum, built in a stack
-// buffer so the returned string is its only allocation.
-func blobPath(dir string, sum [32]byte) string {
-	var stack [192]byte
-	b := append(append(stack[:0], dir...), sep+"blobs"+sep...)
-	b = append(hex.AppendEncode(b, sum[:1]), sep...)
-	return string(hex.AppendEncode(b, sum[:]))
-}
-
-// recover replays the index log, reconciles it against the blob files,
-// sweeps orphans and reopens the log for appending (compacting it first
-// when replay found it garbage-heavy).
+// recover replays the index log, reconciles it against the segments,
+// reopens the log for appending (compacting it first when replay found
+// it torn, garbage-heavy or split over two copies of one body) and sweeps
+// the segments nothing references.
 func (s *Store) recover() error {
+	for _, sub := range []string{"blobs", "tmp"} { // the file-per-blob layout's
+		filepath.WalkDir(filepath.Join(s.dir, sub), func(_ string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				s.report.Legacy++
+			}
+			return nil
+		})
+		os.RemoveAll(filepath.Join(s.dir, sub))
+	}
 	raw, err := os.ReadFile(s.indexPath())
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("blob: read index: %w", err)
@@ -191,159 +191,102 @@ func (s *Store) recover() error {
 	s.report.IndexRecords = len(recs)
 	s.report.TruncatedBytes = int64(len(raw) - valid)
 
-	// Fold the record stream into the final residency.
-	folded := make(map[string]cache.DiskEntry)
+	// Fold the record stream into the final residency: each URL's last frame.
+	folded := make(map[string]IndexRecord)
 	for _, r := range recs {
-		if r.Del {
-			delete(folded, r.Entry.Doc.URL)
-		} else {
-			folded[r.Entry.Doc.URL] = r.Entry
-		}
+		folded[r.Entry.Doc.URL] = r
 	}
 
-	// Cross-check each entry's blob file by presence and size (one stat
-	// per distinct sum; bodies are not read).
-	type fileState struct {
-		size int64
-		ok   bool
+	if err := s.openSegments(); err != nil {
+		return err
 	}
-	files := make(map[[32]byte]fileState)
-	for _, e := range folded {
-		if _, seen := files[e.Sum]; seen {
-			continue
+	// Rebuild the LRU in recency order.
+	puts := make([]IndexRecord, 0, len(folded))
+	for _, r := range folded {
+		if !r.Del {
+			puts = append(puts, r)
 		}
-		fi, err := os.Stat(blobPath(s.dir, e.Sum))
-		files[e.Sum] = fileState{size: func() int64 {
-			if err != nil {
-				return -1
-			}
-			return fi.Size()
-		}(), ok: err == nil}
 	}
-	kept := make([]cache.DiskEntry, 0, len(folded))
-	for _, e := range folded {
-		st := files[e.Sum]
-		if !st.ok || st.size != e.Doc.Size {
+	sort.Slice(puts, func(i, j int) bool {
+		a, b := puts[i].Entry, puts[j].Entry
+		return a.LastHit.Before(b.LastHit) || a.LastHit.Equal(b.LastHit) && a.Doc.URL < b.Doc.URL
+	})
+	split := false
+	for _, r := range puts {
+		// Cross-check the extent against its segment's length (bodies
+		// are not read).
+		if seg := s.segs[r.at.seg]; seg == nil || r.at.off > seg.size-r.Entry.Doc.Size {
 			s.report.LostBlobs++
 			continue
 		}
-		kept = append(kept, e)
-	}
-	// Rebuild the LRU in recency order.
-	sort.Slice(kept, func(i, j int) bool {
-		if !kept[i].LastHit.Equal(kept[j].LastHit) {
-			return kept[i].LastHit.Before(kept[j].LastHit)
+		// A crash part-way through a segment compaction leaves a body's
+		// entries split between its old extent and its new one; both hold
+		// the same bytes, so all adopt the first and the index is
+		// rewritten to say so before either segment can go.
+		at, first := s.insertLocked(r.Entry, r.at)
+		if first {
+			s.segs[at.seg].live += r.Entry.Doc.Size
 		}
-		return kept[i].Doc.URL < kept[j].Doc.URL
-	})
-	for _, e := range kept {
-		d := &dentry{e: e}
-		s.entries[e.Doc.URL] = d
-		s.pushFront(d)
-		s.refs[e.Sum]++
-		s.used += e.Doc.Size
+		split = split || at != r.at
 	}
 	s.report.Entries = len(s.entries)
 	s.report.Bytes = s.used
 
-	// Sweep blob files nothing references (crashed half-demotions,
-	// entries whose del frame landed but whose unlink did not) and empty
-	// tmp staging leftovers.
-	s.report.Orphans = s.sweepOrphans()
-
 	// Reopen the log for appending; rewrite it first if replay carried a
-	// torn tail or heavy garbage.
+	// torn tail, heavy garbage or a split body.
 	garbage := s.report.IndexRecords - len(s.entries)
-	if s.report.TruncatedBytes > 0 || garbage > len(s.entries)+128 {
-		if err := s.compactLocked(); err != nil {
-			return err
-		}
-		s.report.Compacted = true
+	if s.report.Compacted = s.report.TruncatedBytes > 0 || split || garbage > len(s.entries)+128; s.report.Compacted {
+		err = s.compactLocked()
 	} else {
-		f, err := os.OpenFile(s.indexPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("blob: open index: %w", err)
-		}
-		s.index = f
 		s.frames = s.report.IndexRecords
+		s.index, err = os.OpenFile(s.indexPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	}
-	return nil
-}
+	if err != nil {
+		return fmt.Errorf("blob: open index: %w", err)
+	}
 
-// sweepOrphans removes unreferenced blob files and tmp leftovers,
-// returning how many blob files were unlinked.
-func (s *Store) sweepOrphans() int {
-	orphans := 0
-	root := filepath.Join(s.dir, "blobs")
-	dirs, _ := os.ReadDir(root)
-	for _, d := range dirs {
-		if !d.IsDir() {
-			continue
-		}
-		files, _ := os.ReadDir(filepath.Join(root, d.Name()))
-		for _, f := range files {
-			var sum [32]byte
-			b, err := hex.DecodeString(f.Name())
-			if err != nil || len(b) != 32 {
-				os.Remove(filepath.Join(root, d.Name(), f.Name()))
-				orphans++
-				continue
-			}
-			copy(sum[:], b)
-			if s.refs[sum] == 0 {
-				os.Remove(filepath.Join(root, d.Name(), f.Name()))
-				orphans++
-			}
-		}
+	// Every recovered segment is sealed (reservations go to a fresh one):
+	// those with nothing live are crashed half-demotions and bodies whose
+	// del frame landed, and go now.
+	n := len(s.segs)
+	for _, seg := range s.segs {
+		s.dead += seg.size - seg.live
+		s.retireLocked(seg)
 	}
-	tmps, _ := os.ReadDir(filepath.Join(s.dir, "tmp"))
-	for _, f := range tmps {
-		os.Remove(filepath.Join(s.dir, "tmp", f.Name()))
-	}
-	return orphans
+	s.report.Orphans = n - len(s.segs)
+	return nil
 }
 
 // compactLocked rewrites the index log to one put frame per live entry
 // (atomic temp+fsync+rename) and reopens it for appending. Caller holds
 // mu or is the single-threaded recovery path.
 func (s *Store) compactLocked() error {
-	if s.index != nil {
-		s.index.Close()
-		s.index = nil
-	}
-	tmp := filepath.Join(s.dir, "tmp", "index.compact")
+	s.index.Close()
+	tmp := s.indexPath() + ".compact"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("blob: compact: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	// Oldest-first so a replay rebuilds the same LRU order.
-	for d := s.tail; d != nil; d = d.prev {
-		s.frame = appendIndexRecord(s.frame[:0], IndexRecord{Entry: d.e})
-		if _, err := w.Write(s.frame); err != nil {
-			f.Close()
-			return fmt.Errorf("blob: compact: %w", err)
+	if err == nil {
+		w := bufio.NewWriter(f)
+		// Oldest-first so a replay rebuilds the same LRU order.
+		for d := s.lru.prev; d != &s.lru; d = d.prev {
+			s.frame = appendIndexRecord(s.frame[:0], IndexRecord{Entry: d.e, at: d.at})
+			w.Write(s.frame) // a failed write sticks: Flush reports it
+		}
+		if err = w.Flush(); err == nil {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("blob: compact: %w", err)
+	if err == nil {
+		err = os.Rename(tmp, s.indexPath())
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("blob: compact: %w", err)
+	if err == nil {
+		s.index, err = os.OpenFile(s.indexPath(), os.O_WRONLY|os.O_APPEND, 0o644)
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("blob: compact: %w", err)
-	}
-	if err := os.Rename(tmp, s.indexPath()); err != nil {
-		return fmt.Errorf("blob: compact: %w", err)
-	}
-	out, err := os.OpenFile(s.indexPath(), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("blob: reopen index: %w", err)
+		return fmt.Errorf("blob: compact: %w", err)
 	}
-	s.index = out
 	s.frames = len(s.entries)
 	return nil
 }
@@ -362,43 +305,39 @@ func (s *Store) appendLocked(r IndexRecord) error {
 	return nil
 }
 
-// pushFront links d as the most recently used entry.
-func (s *Store) pushFront(d *dentry) {
-	d.prev, d.next = nil, s.head
-	if s.head != nil {
-		s.head.prev = d
+// insertLocked makes e resident as the most recently used entry. The
+// first reference to a body takes at for its extent; later ones share
+// the first's, which is returned.
+func (s *Store) insertLocked(e cache.DiskEntry, at extent) (extent, bool) {
+	b := s.blobs[e.Sum]
+	first := b.refs == 0
+	if first {
+		b.at = at
 	}
-	s.head = d
-	if s.tail == nil {
-		s.tail = d
-	}
-}
-
-// unlink removes d from the LRU list.
-func (s *Store) unlink(d *dentry) {
-	if d.prev != nil {
-		d.prev.next = d.next
-	} else {
-		s.head = d.next
-	}
-	if d.next != nil {
-		d.next.prev = d.prev
-	} else {
-		s.tail = d.prev
-	}
-	d.prev, d.next = nil, nil
+	b.refs++
+	s.blobs[e.Sum] = b
+	d := &dentry{e: e, at: b.at, prev: &s.lru, next: s.lru.next}
+	d.prev.next, d.next.prev = d, d
+	s.entries[e.Doc.URL] = d
+	s.used += e.Doc.Size
+	return b.at, first
 }
 
 // dropLocked removes d's entry: index del frame, refcount decrement and
-// file unlink on last reference.
+// the extent turning dead on last reference.
 func (s *Store) dropLocked(d *dentry) error {
 	delete(s.entries, d.e.Doc.URL)
-	s.unlink(d)
+	d.prev.next, d.next.prev = d.next, d.prev
 	s.used -= d.e.Doc.Size
-	s.refs[d.e.Sum]--
-	if s.refs[d.e.Sum] <= 0 {
-		delete(s.refs, d.e.Sum)
-		os.Remove(blobPath(s.dir, d.e.Sum))
+	if b := s.blobs[d.e.Sum]; b.refs > 1 {
+		b.refs--
+		s.blobs[d.e.Sum] = b
+	} else { // last reference: the extent is dead space now
+		delete(s.blobs, d.e.Sum)
+		seg := s.segs[b.at.seg]
+		seg.live -= d.e.Doc.Size
+		s.dead += d.e.Doc.Size
+		s.retireLocked(seg)
 	}
 	return s.appendLocked(IndexRecord{Del: true, Entry: cache.DiskEntry{Doc: cache.Document{URL: d.e.Doc.URL}}})
 }
@@ -413,9 +352,9 @@ func (s *Store) Admit(e cache.DiskEntry, body io.Reader, now time.Time) (cache.D
 	if e.Doc.Size > s.capacity {
 		return e, nil, ErrTooLarge
 	}
-	// Hash (and stage) the body outside any consideration of residency:
-	// the sum decides whether bytes need to land at all.
-	sum, staged, err := s.stageBody(body, e.Doc.Size)
+	// Hash and write the body before any consideration of residency: the
+	// sum decides whether the bytes stay live.
+	sum, seg, off, err := s.stageBody(body, e.Doc.Size)
 	if err != nil {
 		return e, nil, err
 	}
@@ -429,11 +368,11 @@ func (s *Store) Admit(e cache.DiskEntry, body io.Reader, now time.Time) (cache.D
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer func() {
-		if staged != "" { // not placed: refused, or the body is already there
-			os.Remove(staged)
-		}
-	}()
+	// Unpinned only after the commit, or the extent could go with its
+	// segment first; left uncommitted — refused, or the body is already
+	// there — the extent is dead space, which may be due for reclaiming.
+	defer s.reclaimLocked()
+	defer s.unpinLocked(seg)
 	if s.closed {
 		return e, nil, ErrClosed
 	}
@@ -445,43 +384,30 @@ func (s *Store) Admit(e cache.DiskEntry, body io.Reader, now time.Time) (cache.D
 		}
 	}
 	for s.used+e.Doc.Size > s.capacity {
-		v := s.tail
-		if v == nil {
+		v := s.lru.prev
+		if v == &s.lru {
 			return e, nil, fmt.Errorf("blob: cannot free %d bytes", e.Doc.Size)
 		}
-		age := now.Sub(v.e.LastHit)
-		if age < 0 {
-			age = 0
-		}
+		age := max(now.Sub(v.e.LastHit), 0)
 		ev := cache.DiskEviction{Entry: v.e, Age: age}
 		if err := s.dropLocked(v); err != nil {
 			return e, evicted, err
 		}
-		s.evictions++
 		s.ages.Record(age, now)
 		evicted = append(evicted, ev)
 	}
-	if s.refs[sum] == 0 {
-		// First reference: move the staged file into place.
-		if err := s.placeLocked(staged, sum); err != nil {
-			return e, evicted, fmt.Errorf("blob: %w", err)
-		}
-		staged = ""
+	at, first := s.insertLocked(e, extent{seg: seg.id, off: off})
+	if first { // the extent just written is the body
+		s.commitLocked(seg, e.Doc.Size)
 	}
-	d := &dentry{e: e}
-	s.entries[e.Doc.URL] = d
-	s.pushFront(d)
-	s.refs[sum]++
-	s.used += e.Doc.Size
-	if err := s.appendLocked(IndexRecord{Entry: e}); err != nil {
-		return e, evicted, err
-	}
-	return e, evicted, nil
+	return e, evicted, s.appendLocked(IndexRecord{Entry: e, at: at})
 }
 
 // Open implements cache.DiskTier: the entry plus a reader that verifies
 // the checksum as it streams (failing at EOF on a mismatch and dropping
-// the corrupt entry).
+// the corrupt entry). The extent's segment is pinned under the same lock
+// that found the entry, so a reader never loses a race with Remove: the
+// bytes stay where they are until it closes.
 func (s *Store) Open(url string) (cache.DiskEntry, io.ReadCloser, bool) {
 	s.mu.Lock()
 	d, ok := s.entries[url]
@@ -489,31 +415,12 @@ func (s *Store) Open(url string) (cache.DiskEntry, io.ReadCloser, bool) {
 		s.mu.Unlock()
 		return cache.DiskEntry{}, nil, false
 	}
-	e := d.e
+	e, seg, off := d.e, s.segs[d.at.seg], d.at.off
+	seg.pins++
 	s.mu.Unlock()
-	f, err := os.Open(blobPath(s.dir, e.Sum))
-	if err != nil {
-		// Between the unlock and the open a concurrent promotion or
-		// Remove may have dropped the entry and unlinked its blob: that
-		// is the document leaving the tier, not corruption. Under the
-		// lock the index and the files agree, so look again there — only
-		// a blob still indexed under the same sum that still cannot be
-		// opened is corrupt.
-		s.mu.Lock()
-		if d, ok := s.entries[url]; !ok || d.e.Sum != e.Sum || s.closed {
-			s.mu.Unlock()
-			return cache.DiskEntry{}, nil, false
-		}
-		f, err = os.Open(blobPath(s.dir, e.Sum))
-		s.mu.Unlock()
-		if err != nil {
-			s.dropCorrupt(url, e.Sum)
-			return cache.DiskEntry{}, nil, false
-		}
-	}
 	st := stagers.Get().(*stager)
 	st.h.Reset()
-	return e, &verifyReader{s: s, f: f, st: st, url: url, want: e.Sum, remain: e.Doc.Size}, true
+	return e, &verifyReader{s: s, seg: seg, off: off, st: st, e: e, remain: e.Doc.Size}, true
 }
 
 // dropCorrupt removes a failed entry and counts the checksum failure.
@@ -522,20 +429,22 @@ func (s *Store) dropCorrupt(url string, sum [32]byte) {
 	s.mu.Lock()
 	if d, ok := s.entries[url]; ok && d.e.Sum == sum && !s.closed {
 		s.dropLocked(d)
+		s.reclaimLocked()
 	}
 	s.mu.Unlock()
 }
 
-// verifyReader streams a blob while hashing it; EOF fails with
+// verifyReader streams an extent while hashing it; EOF fails with
 // ErrChecksum unless exactly the indexed bytes with the indexed sum were
-// read. It owns its stager (only the hash is used) from Open to Close.
+// read. It owns its stager (only the hash is used) and its pin on the
+// segment from Open to Close.
 type verifyReader struct {
 	s      *Store
-	f      *os.File
+	seg    *segment
+	off    int64   // next byte to read
+	remain int64   // bytes of the extent left
 	st     *stager // nil once closed
-	url    string
-	want   [32]byte
-	remain int64
+	e      cache.DiskEntry
 	failed bool
 	done   bool
 }
@@ -545,67 +454,50 @@ func (r *verifyReader) Read(p []byte) (int, error) {
 	if r.st == nil {
 		return 0, fs.ErrClosed
 	}
-	if r.remain == 0 {
-		if !r.done {
-			r.done = true
-			if err := r.verify(); err != nil {
-				return 0, err
-			}
-		}
-		return 0, io.EOF
-	}
 	if int64(len(p)) > r.remain {
 		p = p[:r.remain]
 	}
-	n, err := r.f.Read(p)
+	n, err := r.seg.f.ReadAt(p, r.off)
 	r.st.h.Write(p[:n])
+	r.off += int64(n)
 	r.remain -= int64(n)
-	if err == io.EOF && r.remain > 0 {
-		// Shorter than indexed: corrupt.
-		r.fail()
-		return n, ErrChecksum
-	}
 	if err == io.EOF {
 		err = nil
 	}
-	if err == nil && r.remain == 0 && !r.done {
+	if err != nil || r.remain > 0 && n == len(p) {
+		return n, err
+	}
+	// The extent is drained, or its segment ended first: either the
+	// indexed bytes with the indexed sum were read, or the blob is corrupt.
+	if !r.done {
 		r.done = true
-		if verr := r.verify(); verr != nil {
-			return n, verr
+		if r.failed = r.remain > 0 || r.st.sum() != r.e.Sum; r.failed {
+			r.s.dropCorrupt(r.e.Doc.URL, r.e.Sum)
 		}
 	}
+	if r.failed {
+		return n, ErrChecksum
+	}
+	if n == 0 {
+		err = io.EOF
+	}
 	return n, err
-}
-
-// verify compares the streamed hash with the indexed sum.
-func (r *verifyReader) verify() error {
-	if r.st.sum() != r.want {
-		r.fail()
-		return ErrChecksum
-	}
-	return nil
-}
-
-// fail records the corruption once.
-func (r *verifyReader) fail() {
-	if !r.failed {
-		r.failed = true
-		r.s.dropCorrupt(r.url, r.want)
-	}
 }
 
 // Close implements io.Closer; a close before the verified EOF returns
 // nil (partial reads cannot verify), after a failure it reports it.
 func (r *verifyReader) Close() error {
-	err := r.f.Close()
 	if r.st != nil {
 		stagers.Put(r.st)
 		r.st = nil
+		r.s.mu.Lock()
+		r.s.unpinLocked(r.seg)
+		r.s.mu.Unlock()
 	}
 	if r.failed {
 		return ErrChecksum
 	}
-	return err
+	return nil
 }
 
 // Remove implements cache.DiskTier.
@@ -618,64 +510,51 @@ func (s *Store) Remove(url string) (cache.DiskEntry, bool) {
 	}
 	e := d.e
 	s.dropLocked(d)
+	s.reclaimLocked()
 	return e, true
 }
 
 // Contains implements cache.DiskTier.
 func (s *Store) Contains(url string) bool {
-	s.mu.Lock()
-	_, ok := s.entries[url]
-	s.mu.Unlock()
+	_, ok := s.Peek(url)
 	return ok
 }
 
 // Peek implements cache.DiskTier.
-func (s *Store) Peek(url string) (cache.DiskEntry, bool) {
+func (s *Store) Peek(url string) (e cache.DiskEntry, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	d, ok := s.entries[url]
-	if !ok {
-		return cache.DiskEntry{}, false
+	if d := s.entries[url]; d != nil {
+		return d.e, true
 	}
-	return d.e, true
+	return e, false
 }
 
 // ExpirationAge implements cache.DiskTier: eq. 5 over the tier's own
 // evictions — NoContention until the first one.
 func (s *Store) ExpirationAge(now time.Time) time.Duration {
 	s.mu.Lock()
-	age := s.ages.WindowedAt(now)
-	s.mu.Unlock()
-	return age
+	defer s.mu.Unlock()
+	return s.ages.WindowedAt(now)
 }
 
 // Len implements cache.DiskTier.
 func (s *Store) Len() int {
 	s.mu.Lock()
-	n := len(s.entries)
-	s.mu.Unlock()
-	return n
+	defer s.mu.Unlock()
+	return len(s.entries)
 }
 
-// Used implements cache.DiskTier (logical bytes; shared files count once
-// per referencing URL).
+// Used implements cache.DiskTier (logical bytes; a shared extent counts
+// once per referencing URL).
 func (s *Store) Used() int64 {
 	s.mu.Lock()
-	u := s.used
-	s.mu.Unlock()
-	return u
+	defer s.mu.Unlock()
+	return s.used
 }
 
 // Capacity implements cache.DiskTier.
 func (s *Store) Capacity() int64 { return s.capacity }
-
-// Evictions returns the number of LRU evictions performed.
-func (s *Store) Evictions() int64 {
-	s.mu.Lock()
-	n := s.evictions
-	s.mu.Unlock()
-	return n
-}
 
 // URLs implements cache.DiskTier.
 func (s *Store) URLs() []string {
@@ -705,69 +584,60 @@ func (s *Store) ChecksumFailures() int64 { return s.checksumFailures.Load() }
 // Report returns the Open-time recovery accounting.
 func (s *Store) Report() Report {
 	s.mu.Lock()
-	r := s.report
-	s.mu.Unlock()
-	return r
+	defer s.mu.Unlock()
+	return s.report
 }
 
-// VerifyAll re-reads every blob through the verifying reader — the full
-// integrity pass the disk-smoke gate and the post-crash e2e run. Corrupt
-// entries are dropped and counted.
+// VerifyAll re-reads every extent through the verifying reader — the
+// full integrity pass the disk-smoke gate and the post-crash e2e run.
+// Corrupt entries are dropped and counted.
 func (s *Store) VerifyAll() VerifyReport {
 	var rep VerifyReport
 	for _, url := range s.URLs() {
-		_, rc, ok := s.Open(url)
-		if !ok {
-			rep.Failed++
-			rep.FailedURLs = append(rep.FailedURLs, url)
+		err := ErrChecksum // an entry gone since URLs() counts as failed
+		if _, rc, ok := s.Open(url); ok {
+			_, err = io.Copy(io.Discard, rc)
+			if cerr := rc.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err == nil {
+			rep.Verified++
 			continue
 		}
-		_, err := io.Copy(io.Discard, rc)
-		if cerr := rc.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			rep.Failed++
-			rep.FailedURLs = append(rep.FailedURLs, url)
-			continue
-		}
-		rep.Verified++
+		rep.Failed++
+		rep.FailedURLs = append(rep.FailedURLs, url)
 	}
 	return rep
 }
 
-// Sync implements cache.DiskTier: fsync the index log.
+// Sync implements cache.DiskTier: fsync the segments written since the
+// last Sync, then the index log.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || s.index == nil {
+	if s.closed {
 		return nil
 	}
-	if err := s.index.Sync(); err != nil {
-		return fmt.Errorf("blob: sync index: %w", err)
-	}
-	return nil
+	return s.syncLocked()
 }
 
-// Close implements cache.DiskTier: final index fsync and close. Later
-// calls on the store are inert.
+// Close implements cache.DiskTier: final fsync, then every descriptor is
+// closed — a reader still open gets fs.ErrClosed from its next Read.
+// Later calls on the store are inert.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}
+	err := s.syncLocked()
 	s.closed = true
-	if s.index == nil {
-		return nil
+	for _, seg := range s.segs {
+		seg.f.Close()
 	}
-	err := s.index.Sync()
-	if cerr := s.index.Close(); err == nil {
-		err = cerr
+	if cerr := s.index.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("blob: close: %w", cerr)
 	}
-	s.index = nil
-	if err != nil {
-		return fmt.Errorf("blob: close: %w", err)
-	}
-	return nil
+	return err
 }

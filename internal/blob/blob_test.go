@@ -53,6 +53,28 @@ func admit(t *testing.T, s *Store, url string, size int64, seq int) cache.DiskEn
 	return e
 }
 
+// where returns the segment file and offset of url's extent.
+func where(t *testing.T, s *Store, url string) (string, int64) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	d, ok := s.entries[url]
+	if !ok {
+		t.Fatalf("%s not resident", url)
+	}
+	return segPath(s.dir, d.at.seg), d.at.off
+}
+
+// liveBytes sums the bytes the store counts live and dead over its segments.
+func liveBytes(s *Store) (live, dead int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, seg := range s.segs {
+		live += seg.live
+	}
+	return live, s.dead
+}
+
 // readAll drains url through the verifying reader.
 func readAll(t *testing.T, s *Store, url string) ([]byte, cache.DiskEntry, error) {
 	t.Helper()
@@ -94,8 +116,8 @@ func TestAdmitOpenRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDedupeRefcount: identical bodies share one file; it survives until
-// the last referencing URL goes.
+// TestDedupeRefcount: identical bodies share one extent; it stays live
+// until the last referencing URL goes.
 func TestDedupeRefcount(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, 1<<20)
@@ -114,23 +136,26 @@ func TestDedupeRefcount(t *testing.T) {
 	if a.Sum != b.Sum {
 		t.Fatalf("equal bodies, different sums")
 	}
-	path := blobPath(dir, a.Sum)
-	if _, err := os.Stat(path); err != nil {
-		t.Fatal(err)
+	pa, oa := where(t, s, "http://dup/a")
+	if pb, ob := where(t, s, "http://dup/b"); pa != pb || oa != ob {
+		t.Fatalf("equal bodies in two extents: %s@%d and %s@%d", pa, oa, pb, ob)
+	}
+	if live, dead := liveBytes(s); live != 512 || dead != 512 {
+		t.Fatalf("live %d, dead %d: want the first copy live and the second dead", live, dead)
 	}
 	if s.Used() != 1024 {
 		t.Fatalf("logical used = %d, want 1024", s.Used())
 	}
 	s.Remove("http://dup/a")
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("shared file unlinked while referenced: %v", err)
+	if live, _ := liveBytes(s); live != 512 {
+		t.Fatalf("shared extent dead while referenced: %d live bytes", live)
 	}
 	if _, _, err := readAll(t, s, "http://dup/b"); err != nil {
 		t.Fatalf("surviving reference unreadable: %v", err)
 	}
 	s.Remove("http://dup/b")
-	if _, err := os.Stat(path); err == nil {
-		t.Fatalf("file survived last dereference")
+	if live, dead := liveBytes(s); live != 0 || dead != 1024 {
+		t.Fatalf("extent survived last dereference: live %d, dead %d", live, dead)
 	}
 }
 
@@ -162,9 +187,6 @@ func TestLRUEvictionOrder(t *testing.T) {
 	}
 	if got := s.ExpirationAge(now); got == cache.NoContention || got <= 0 {
 		t.Fatalf("post-eviction age = %v", got)
-	}
-	if s.Evictions() != 2 {
-		t.Fatalf("evictions = %d", s.Evictions())
 	}
 }
 
@@ -211,19 +233,19 @@ func TestWarmRestart(t *testing.T) {
 	}
 }
 
-// TestChecksumFailure: corrupting a blob file makes the read fail, drops
-// the entry and counts the failure.
+// TestChecksumFailure: a byte flipped inside a segment makes the read of
+// that extent fail, drops the entry and counts the failure.
 func TestChecksumFailure(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, 1<<20)
 	defer s.Close()
-	e := admit(t, s, "http://bad/x", 512, 0)
-	path := blobPath(dir, e.Sum)
+	admit(t, s, "http://bad/x", 512, 0)
+	path, off := where(t, s, "http://bad/x")
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[100] ^= 0xff
+	raw[off+100] ^= 0xff
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -237,9 +259,10 @@ func TestChecksumFailure(t *testing.T) {
 	if s.ChecksumFailures() != 1 {
 		t.Fatalf("failures = %d", s.ChecksumFailures())
 	}
-	// A truncated blob also fails.
-	e2 := admit(t, s, "http://bad/y", 512, 1)
-	if err := os.Truncate(blobPath(dir, e2.Sum), 100); err != nil {
+	// An extent its segment ends inside also fails.
+	admit(t, s, "http://bad/y", 512, 1)
+	path, off = where(t, s, "http://bad/y")
+	if err := os.Truncate(path, off+100); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := readAll(t, s, "http://bad/y"); err != ErrChecksum {
@@ -324,7 +347,7 @@ func TestKillAtEveryOffsetIndex(t *testing.T) {
 	cuts := map[int]bool{0: true, len(full): true}
 	off := 0
 	for _, r := range expect {
-		off += len(marshalIndexRecord(r))
+		off += len(appendIndexRecord(nil, r))
 		cuts[off] = true
 		if off > 0 {
 			cuts[off-1] = true
@@ -336,20 +359,17 @@ func TestKillAtEveryOffsetIndex(t *testing.T) {
 	}
 
 	for cut := range cuts {
-		sub := t.TempDir()
-		linkBlobTree(t, dir, sub)
-		if err := os.WriteFile(filepath.Join(sub, "index.log"), full[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
+		sub := crash(t, dir, cut)
 		// The recovered residency must be exactly the fold of the
-		// committed prefix, minus entries whose blob file was already
-		// unlinked before the crash (a replaced body's old sum): the
-		// runtime unlink legitimately loses them, and recovery must
-		// count — not resurrect — them.
+		// committed prefix, minus entries whose segment was already
+		// unlinked before the crash (a replaced body's old extent, once
+		// everything beside it died): the runtime unlink legitimately
+		// loses them, and recovery must count — not resurrect — them.
 		wantFold := make(map[string]cache.DiskEntry)
+		at := make(map[string]extent)
 		woff := 0
 		for _, r := range expect {
-			frame := marshalIndexRecord(r)
+			frame := appendIndexRecord(nil, r)
 			if woff+len(frame) > cut {
 				break
 			}
@@ -357,12 +377,12 @@ func TestKillAtEveryOffsetIndex(t *testing.T) {
 			if r.Del {
 				delete(wantFold, r.Entry.Doc.URL)
 			} else {
-				wantFold[r.Entry.Doc.URL] = r.Entry
+				wantFold[r.Entry.Doc.URL], at[r.Entry.Doc.URL] = r.Entry, r.at
 			}
 		}
 		for url, e := range wantFold {
-			fi, err := os.Stat(filepath.Join(sub, "blobs", fmt.Sprintf("%x", e.Sum)[:2], fmt.Sprintf("%x", e.Sum)))
-			if err != nil || fi.Size() != e.Doc.Size {
+			fi, err := os.Stat(segPath(sub, at[url].seg))
+			if err != nil || fi.Size() < at[url].off+e.Doc.Size {
 				delete(wantFold, url)
 			}
 		}
@@ -397,31 +417,21 @@ func TestKillAtEveryOffsetIndex(t *testing.T) {
 	}
 }
 
-// linkBlobTree hardlinks src's blobs/ fan-out into dst (cheap per-trial
-// copies for the chaos loop).
-func linkBlobTree(t *testing.T, src, dst string) {
+// linkSegments hardlinks src's seg/ files into dst (cheap per-trial
+// copies for the chaos loops: a recovered segment is never written to).
+func linkSegments(t *testing.T, src, dst string) {
 	t.Helper()
-	root := filepath.Join(src, "blobs")
-	dirs, err := os.ReadDir(root)
+	files, err := os.ReadDir(filepath.Join(src, "seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range dirs {
-		if !d.IsDir() {
-			continue
-		}
-		out := filepath.Join(dst, "blobs", d.Name())
-		if err := os.MkdirAll(out, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(dst, "seg"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		err := os.Link(filepath.Join(src, "seg", f.Name()), filepath.Join(dst, "seg", f.Name()))
+		if err != nil && !os.IsExist(err) {
 			t.Fatal(err)
-		}
-		files, err := os.ReadDir(filepath.Join(root, d.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range files {
-			if err := os.Link(filepath.Join(root, d.Name(), f.Name()), filepath.Join(out, f.Name())); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 }

@@ -14,25 +14,26 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"math"
 	"time"
 
 	"eacache/internal/cache"
 )
 
-// Index record kinds.
+// Index record kinds. Kind 1 was the put frame of the file-per-blob
+// layout; it is retired, so a log that carries one is damaged from there.
 const (
-	iPut byte = 1 // full entry metadata: the URL became disk-resident
 	iDel byte = 2 // the URL left the tier
-)
+	iPut byte = 3 // the URL became disk-resident: entry metadata and extent
 
-const (
 	// maxIndexURL bounds URL length, mirroring the journal's bound.
 	maxIndexURL = 8192
 	// maxIndexPayload bounds a frame payload against corrupt lengths.
 	maxIndexPayload = 64 << 10
 	// indexOverhead is the framing cost: length, kind, CRC.
 	indexOverhead = 4 + 1 + 4
+	// putFixed is what a put payload carries after the URL: size, three
+	// times, hits, sum, segment, offset.
+	putFixed = 5*8 + 32 + 4 + 8
 )
 
 // ErrCorrupt reports an index frame that failed structural validation.
@@ -46,6 +47,8 @@ type IndexRecord struct {
 	Del bool
 	// Entry is the full metadata for put records.
 	Entry cache.DiskEntry
+	// at is where a put record's body lies.
+	at extent
 }
 
 // timeToNano flattens a time for encoding; the zero time encodes as 0.
@@ -89,87 +92,40 @@ func appendIndexRecord(dst []byte, r IndexRecord) []byte {
 		dst = le.AppendUint64(dst, uint64(timeToNano(r.Entry.LastHit)))
 		dst = le.AppendUint64(dst, uint64(r.Entry.Hits))
 		dst = append(dst, r.Entry.Sum[:]...)
+		dst = le.AppendUint32(dst, r.at.seg)
+		dst = le.AppendUint64(dst, uint64(r.at.off))
 	}
 	body := dst[start+4:] // kind + payload: what the CRC covers
 	le.PutUint32(dst[start:], uint32(len(body)-1))
 	return le.AppendUint32(dst, crc32.Checksum(body, crcTable))
 }
 
-// idec is a latching decoder over one payload.
-type idec struct {
-	b   []byte
-	off int
-	bad bool
-}
-
-func (d *idec) fail() { d.bad = true }
-
-func (d *idec) take(n int) []byte {
-	if d.bad || d.off+n > len(d.b) {
-		d.fail()
-		return nil
-	}
-	v := d.b[d.off : d.off+n]
-	d.off += n
-	return v
-}
-
-func (d *idec) u32() uint32 {
-	v := d.take(4)
-	if v == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(v)
-}
-
-func (d *idec) i64() int64 {
-	v := d.take(8)
-	if v == nil {
-		return 0
-	}
-	return int64(binary.LittleEndian.Uint64(v))
-}
-
-func (d *idec) str() string {
-	n := d.u32()
-	if d.bad || n > maxIndexURL {
-		d.fail()
-		return ""
-	}
-	v := d.take(int(n))
-	if v == nil {
-		return ""
-	}
-	return string(v)
-}
-
-// done reports whether the payload was consumed exactly and cleanly.
-func (d *idec) done() bool { return !d.bad && d.off == len(d.b) }
-
 // decodeIndexPayload decodes one record from kind + payload bytes.
-func decodeIndexPayload(kind byte, payload []byte) (IndexRecord, error) {
-	d := &idec{b: payload}
-	var r IndexRecord
-	switch kind {
-	case iPut:
-		r.Entry.Doc.URL = d.str()
-		r.Entry.Doc.Size = d.i64()
-		r.Entry.Doc.Expires = nanoToTime(d.i64())
-		r.Entry.EnteredAt = nanoToTime(d.i64())
-		r.Entry.LastHit = nanoToTime(d.i64())
-		r.Entry.Hits = d.i64()
-		copy(r.Entry.Sum[:], d.take(32))
-		if !d.done() || r.Entry.Doc.URL == "" || r.Entry.Doc.Size < 0 {
-			return r, ErrCorrupt
-		}
-	case iDel:
-		r.Del = true
-		r.Entry.Doc.URL = d.str()
-		if !d.done() || r.Entry.Doc.URL == "" {
-			return r, ErrCorrupt
-		}
-	default:
+func decodeIndexPayload(kind byte, p []byte) (r IndexRecord, err error) {
+	le := binary.LittleEndian
+	if kind != iPut && kind != iDel || len(p) < 4 {
 		return r, ErrCorrupt
+	}
+	n := int(le.Uint32(p))
+	rest := len(p) - 4 - n
+	if n == 0 || n > maxIndexURL || kind == iDel && rest != 0 || kind == iPut && rest != putFixed {
+		return r, ErrCorrupt
+	}
+	r.Del = kind == iDel
+	r.Entry.Doc.URL = string(p[4 : 4+n])
+	if !r.Del {
+		p = p[4+n:]
+		i64 := func(i int) int64 { return int64(le.Uint64(p[8*i:])) }
+		r.Entry.Doc.Size = i64(0)
+		r.Entry.Doc.Expires = nanoToTime(i64(1))
+		r.Entry.EnteredAt = nanoToTime(i64(2))
+		r.Entry.LastHit = nanoToTime(i64(3))
+		r.Entry.Hits = i64(4)
+		copy(r.Entry.Sum[:], p[40:72])
+		r.at = extent{seg: le.Uint32(p[72:]), off: int64(le.Uint64(p[76:]))}
+		if r.Entry.Doc.Size < 0 || r.at.off < 0 {
+			return r, ErrCorrupt
+		}
 	}
 	return r, nil
 }
@@ -185,16 +141,13 @@ func ReplayIndex(raw []byte) (recs []IndexRecord, valid int, damage error) {
 		if len(raw)-off < indexOverhead {
 			return recs, off, ErrCorrupt
 		}
-		plen := binary.LittleEndian.Uint32(raw[off:])
-		if plen > maxIndexPayload || plen > math.MaxInt32 {
+		plen := int(binary.LittleEndian.Uint32(raw[off:]))
+		total := indexOverhead + plen
+		if plen > maxIndexPayload || off+total > len(raw) {
 			return recs, off, ErrCorrupt
 		}
-		total := indexOverhead + int(plen)
-		if off+total > len(raw) {
-			return recs, off, ErrCorrupt
-		}
-		body := raw[off+4 : off+4+1+int(plen)]
-		wantCRC := binary.LittleEndian.Uint32(raw[off+5+int(plen):])
+		body := raw[off+4 : off+4+1+plen]
+		wantCRC := binary.LittleEndian.Uint32(raw[off+5+plen:])
 		if crc32.Checksum(body, crcTable) != wantCRC {
 			return recs, off, ErrCorrupt
 		}

@@ -7,8 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -19,24 +17,20 @@ import (
 	"eacache/internal/race"
 )
 
-// stagedFiles lists what is left in the store's staging area.
-func stagedFiles(t *testing.T, dir string) []string {
-	t.Helper()
-	ents, err := os.ReadDir(filepath.Join(dir, "tmp"))
-	if err != nil {
-		t.Fatal(err)
+// pinned counts the pins held on the store's segments.
+func pinned(s *Store) (n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, seg := range s.segs {
+		n += seg.pins
 	}
-	var names []string
-	for _, e := range ents {
-		names = append(names, e.Name())
-	}
-	return names
+	return n
 }
 
 // TestStageBodyChecksLength: a body must be exactly as long as the entry
 // says. A longer one used to be cut at size and indexed under the hash of
 // its prefix; a shorter one and a failing source were already refused. No
-// failure may leave its staged file behind.
+// failure may leave its segment pinned or its extent anything but dead.
 func TestStageBodyChecksLength(t *testing.T) {
 	const size = 70_000 // three trips through the stager's buffer
 	data := body("http://stage/len", size+1)
@@ -60,14 +54,18 @@ func TestStageBodyChecksLength(t *testing.T) {
 			dir := t.TempDir()
 			s := openStore(t, dir, 1<<20)
 			defer s.Close()
-			sum, staged, err := s.stageBody(tc.src, size)
+			sum, seg, off, err := s.stageBody(tc.src, size)
 			if tc.want == "" {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, rerr := os.ReadFile(staged)
+				got := make([]byte, size)
+				_, rerr := seg.f.ReadAt(got, off)
 				if rerr != nil || !bytes.Equal(got, data[:size]) || sum != sha256.Sum256(data[:size]) {
-					t.Fatalf("staged file or sum differs from the body (%v)", rerr)
+					t.Fatalf("staged extent or sum differs from the body (%v)", rerr)
+				}
+				if pinned(s) != 1 {
+					t.Fatalf("%d pins on a staged extent, want 1", pinned(s))
 				}
 				return
 			}
@@ -77,8 +75,8 @@ func TestStageBodyChecksLength(t *testing.T) {
 			if tc.name == "errors mid-way" && !errors.Is(err, boom) {
 				t.Fatalf("source error not wrapped: %v", err)
 			}
-			if staged != "" || len(stagedFiles(t, dir)) != 0 {
-				t.Fatalf("failure left %q staged, tmp holds %v", staged, stagedFiles(t, dir))
+			if _, dead := liveBytes(s); seg != nil || pinned(s) != 0 || dead != size {
+				t.Fatalf("failure left segment %v, %d pins, %d dead bytes (want none, 0, %d)", seg, pinned(s), dead, size)
 			}
 		})
 	}
@@ -89,61 +87,15 @@ func TestStageBodyChecksLength(t *testing.T) {
 	defer s.Close()
 	admit(t, s, "http://stage/kept", 100, 0)
 	_, evicted, err := s.Admit(cache.DiskEntry{Doc: cache.Document{URL: "http://stage/long", Size: size}}, bytes.NewReader(data), t0())
-	if err == nil || len(evicted) != 0 || s.Contains("http://stage/long") || s.Used() != 100 || len(stagedFiles(t, dir)) != 0 {
-		t.Fatalf("over-long admit: err %v, evicted %d, used %d, tmp %v", err, len(evicted), s.Used(), stagedFiles(t, dir))
+	live, _ := liveBytes(s)
+	if err == nil || len(evicted) != 0 || s.Contains("http://stage/long") || s.Used() != 100 || live != 100 || pinned(s) != 0 {
+		t.Fatalf("over-long admit: err %v, evicted %d, used %d, live %d, pins %d", err, len(evicted), s.Used(), live, pinned(s))
 	}
-	if _, err := os.Stat(blobPath(dir, sha256.Sum256(data[:size]))); !os.IsNotExist(err) {
-		t.Fatalf("the prefix of an over-long body reached blobs/: %v", err)
-	}
-}
-
-// TestStagedNameCollision: staging names come from a counter, so a file
-// already under the next name — left by a crash, or anything else — must
-// cost a retry, not the admission; and whatever is in tmp/ when the store
-// is next opened is swept.
-func TestStagedNameCollision(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, dir, 1<<20)
-	for _, name := range []string{"admit-1", "admit-2"} {
-		if err := os.WriteFile(filepath.Join(dir, "tmp", name), []byte("half a body"), 0o600); err != nil {
-			t.Fatal(err)
-		}
-	}
-	admit(t, s, "http://tmp/a", 256, 0)
-	if got, _, err := readAll(t, s, "http://tmp/a"); err != nil || !bytes.Equal(got, body("http://tmp/a", 256)) {
-		t.Fatalf("admission beside leftovers unreadable: %v", err)
-	}
-	if left := stagedFiles(t, dir); len(left) != 2 {
-		t.Fatalf("tmp holds %v, want the two leftovers untouched", left)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s = openStore(t, dir, 1<<20)
-	defer s.Close()
-	if left := stagedFiles(t, dir); len(left) != 0 {
-		t.Fatalf("leftovers survived Open: %v", left)
-	}
-	if !s.Contains("http://tmp/a") {
-		t.Fatal("entry lost across reopen")
-	}
-	admit(t, s, "http://tmp/b", 256, 1) // the counter restarts at 1 on a clean tmp/
-}
-
-// TestFanoutDirectoryRemade: the store remembers which blobs/<hh>
-// directories it made; one removed behind its back is made again.
-func TestFanoutDirectoryRemade(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, dir, 1<<20)
-	defer s.Close()
-	e := admit(t, s, "http://fan/a", 128, 0)
-	s.Remove("http://fan/a")
-	if err := os.Remove(filepath.Dir(blobPath(dir, e.Sum))); err != nil {
-		t.Fatal(err)
-	}
-	admit(t, s, "http://fan/a", 128, 1) // same body, same directory
-	if _, _, err := readAll(t, s, "http://fan/a"); err != nil {
-		t.Fatal(err)
+	s.mu.Lock()
+	_, indexed := s.blobs[sha256.Sum256(data[:size])]
+	s.mu.Unlock()
+	if indexed {
+		t.Fatal("the prefix of an over-long body was indexed")
 	}
 }
 
@@ -240,17 +192,8 @@ type budgetStore struct {
 
 func newBudgetStore(t *testing.T, n, spare int) *budgetStore {
 	t.Helper()
-	dir := t.TempDir()
-	b := &budgetStore{Store: openStore(t, dir, 64<<20), data: make([]byte, 8<<10), src: bytes.NewReader(nil), now: t0()}
+	b := &budgetStore{Store: openStore(t, t.TempDir(), 64<<20), data: make([]byte, 8<<10), src: bytes.NewReader(nil), now: t0()}
 	t.Cleanup(func() { b.Close() })
-	// Warm means every fan-out directory is there: distinct bodies land
-	// in all 256 of them.
-	for hh := range b.fanout {
-		if err := os.MkdirAll(filepath.Join(dir, "blobs", fmt.Sprintf("%02x", hh)), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		b.fanout[hh] = true
-	}
 	for i := 0; i < n+spare; i++ {
 		b.urls = append(b.urls, fmt.Sprintf("http://budget.example.edu/documents/%d", i))
 	}
@@ -261,7 +204,7 @@ func newBudgetStore(t *testing.T, n, spare int) *budgetStore {
 }
 
 // admit stores document i under a body no other document has, so the
-// staged file is renamed into place and not dropped as a duplicate.
+// extent is committed and not left dead as a duplicate.
 func (b *budgetStore) admit(t *testing.T, i int) {
 	binary.LittleEndian.PutUint64(b.data, uint64(i))
 	b.src.Reset(b.data)
@@ -270,25 +213,25 @@ func (b *budgetStore) admit(t *testing.T, i int) {
 	}
 }
 
-// TestAdmitAllocBudget: staging, hashing, placing and indexing an 8 KB
-// body. What is left is the entry, the *os.File and the path strings of
-// open, rename and the syscalls under them: 11 here, 29 on the parent.
+// TestAdmitAllocBudget: reserving, writing, hashing, committing and
+// indexing an 8 KB body. What is left is the entry: 1 here, 11 with a
+// file per blob.
 func TestAdmitAllocBudget(t *testing.T) {
 	const runs = 200
 	b := newBudgetStore(t, 64, runs+1)
 	i := 64
-	allocBudget(t, "Admit of an 8 KB body", 12, runs, func() {
+	allocBudget(t, "Admit of an 8 KB body", 2, runs, func() {
 		b.admit(t, i)
 		i++
 	})
 }
 
 // TestOpenVerifyAllocBudget: Open, drain through the verifying reader,
-// Close: 5 here, 9 on the parent.
+// Close. What is left is the reader: 1 here, 5 with a file per blob.
 func TestOpenVerifyAllocBudget(t *testing.T) {
 	b := newBudgetStore(t, 64, 0)
 	i := 0
-	allocBudget(t, "Open + drain + Close", 6, 200, func() {
+	allocBudget(t, "Open + drain + Close", 1, 200, func() {
 		_, rc, ok := b.Open(b.urls[i%64])
 		if !ok {
 			t.Fatal("not resident")
@@ -303,12 +246,13 @@ func TestOpenVerifyAllocBudget(t *testing.T) {
 	})
 }
 
-// TestRemoveAllocBudget: del frame, refcount, unlink: 2 here, 7 on the parent.
+// TestRemoveAllocBudget: del frame, refcount, the extent turning dead:
+// nothing here, 2 with a file per blob.
 func TestRemoveAllocBudget(t *testing.T) {
 	const runs = 200
 	b := newBudgetStore(t, runs+1, 0)
 	i := 0
-	allocBudget(t, "Remove", 4, runs, func() {
+	allocBudget(t, "Remove", 0, runs, func() {
 		if _, ok := b.Remove(b.urls[i]); !ok {
 			t.Fatal("not resident")
 		}
@@ -317,7 +261,7 @@ func TestRemoveAllocBudget(t *testing.T) {
 }
 
 // TestIndexAppendAllocs: an index frame is built in the store's scratch
-// slice and written from it (5 allocations on the parent).
+// slice and written from it.
 func TestIndexAppendAllocs(t *testing.T) {
 	b := newBudgetStore(t, 1, 0)
 	e, _ := b.Peek(b.urls[0])

@@ -296,11 +296,14 @@ func (t *TieredStore) Get(url string, now time.Time) (Document, bool) {
 // bytes are discarded — the read is the checksum verification), the entry
 // re-enters the memory tier with its metadata preserved, and the blob is
 // dropped afterwards (recovery prefers the memory copy during the
-// overlap window).
+// overlap window). A document in transition is always in at least one
+// tier — promotion inserts before it removes, demotion runs under the
+// shard lock — so when the disk tier does not have it either, a racing
+// promotion has put it in memory since the caller missed there.
 func (t *TieredStore) promoteFromDisk(url string, now time.Time) (Document, bool) {
 	de, rc, ok := t.disk.Open(url)
 	if !ok {
-		return Document{}, false
+		return t.mem.Get(url, now)
 	}
 	_, err := io.Copy(io.Discard, rc)
 	if cerr := rc.Close(); err == nil {
@@ -317,8 +320,9 @@ func (t *TieredStore) promoteFromDisk(url string, now time.Time) (Document, bool
 		// shard slice). Serve it from disk without promoting.
 		return de.Doc, true
 	}
-	t.promotions.Add(1)
-	t.disk.Remove(url)
+	if _, ok := t.disk.Remove(url); ok { // of racing promoters, one removes
+		t.promotions.Add(1)
+	}
 	return de.Doc, true
 }
 
