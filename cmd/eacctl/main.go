@@ -105,15 +105,11 @@ func writeJSON(w io.Writer, v any) error {
 type client struct{ hc *http.Client }
 
 func (c *client) getJSON(addr, path string, v any) error {
-	resp, err := c.hc.Get("http://" + addr + path)
+	body, err := c.getBody(addr, path)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s%s: %s", addr, path, resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
+	return json.Unmarshal(body, v)
 }
 
 func (c *client) getBody(addr, path string) ([]byte, error) {
@@ -187,29 +183,29 @@ type residentView struct {
 	URLs      []string `json:"urls"`
 }
 
-// digestView mirrors GET /admin/digests (netnode.DigestReport).
+// digestView is one member's digest machinery: the replica state GET
+// /admin/digests serves (netnode.DigestReport) plus, under Stats, the
+// eac_digest_* event counts of the member's /metrics scrape.
 type digestView struct {
 	Enabled        bool                      `json:"enabled"`
 	OwnGeneration  uint64                    `json:"own_generation"`
 	OwnLen         int                       `json:"own_len"`
 	Window         int                       `json:"window"`
 	PinnedCounters int                       `json:"pinned_counters"`
-	RebuildEscapes int64                     `json:"rebuild_escapes"`
 	Stats          digestStatsView           `json:"stats"`
 	Peers          map[string]digestPeerView `json:"peers"`
 }
 
 type digestStatsView struct {
-	DeltasServed     int64 `json:"deltas_served"`
-	FullsServed      int64 `json:"fulls_served"`
-	DeltasApplied    int64 `json:"deltas_applied"`
-	FullsApplied     int64 `json:"fulls_applied"`
-	DeltaBytesServed int64 `json:"delta_bytes_served"`
-	FullBytesServed  int64 `json:"full_bytes_served"`
-	RebuildEscapes   int64 `json:"rebuild_escapes"`
-	StaleServed      int64 `json:"stale_served"`
-	Fetches          int64 `json:"fetches"`
-	FetchFailures    int64 `json:"fetch_failures"`
+	DeltasServed     float64 `json:"deltas_served"`
+	FullsServed      float64 `json:"fulls_served"`
+	DeltasApplied    float64 `json:"deltas_applied"`
+	FullsApplied     float64 `json:"fulls_applied"`
+	DeltaBytesServed float64 `json:"delta_bytes_served"`
+	FullBytesServed  float64 `json:"full_bytes_served"`
+	RebuildEscapes   float64 `json:"rebuild_escapes"`
+	StaleServed      float64 `json:"stale_served"`
+	FetchFailures    float64 `json:"fetch_failures"`
 }
 
 type digestPeerView struct {
@@ -317,13 +313,13 @@ func buildReport(cl *client, seed string, stderr io.Writer) (*GroupReport, error
 		}
 		if d := nr.Digest; d != nil && d.Enabled {
 			rep.DigestEnabled = true
-			rep.DigestDeltasServed += d.Stats.DeltasServed
-			rep.DigestFullsServed += d.Stats.FullsServed
-			rep.DigestDeltaBytes += d.Stats.DeltaBytesServed
-			rep.DigestFullBytes += d.Stats.FullBytesServed
-			rep.DigestRebuildEscapes += d.Stats.RebuildEscapes
-			rep.DigestStaleServed += d.Stats.StaleServed
-			rep.DigestFetchFailures += d.Stats.FetchFailures
+			rep.DigestDeltasServed += int64(d.Stats.DeltasServed)
+			rep.DigestFullsServed += int64(d.Stats.FullsServed)
+			rep.DigestDeltaBytes += int64(d.Stats.DeltaBytesServed)
+			rep.DigestFullBytes += int64(d.Stats.FullBytesServed)
+			rep.DigestRebuildEscapes += int64(d.Stats.RebuildEscapes)
+			rep.DigestStaleServed += int64(d.Stats.StaleServed)
+			rep.DigestFetchFailures += int64(d.Stats.FetchFailures)
 		}
 	}
 	if rep.ReachableMember == 0 {
@@ -398,6 +394,48 @@ func agreement(nodes []NodeReport) (epochOK, ringOK bool) {
 	return epochOK, ringOK
 }
 
+// seriesTable routes each /metrics series eacctl reads — named by its
+// exposition text, labels in the registry's sorted order — to the
+// NodeReport field it fills.
+var seriesTable = map[string]func(*NodeReport) *float64{
+	`eac_cache_expiration_age_seconds`: func(nr *NodeReport) *float64 { return &nr.EAAgeSeconds },
+	`eac_cache_documents`:              func(nr *NodeReport) *float64 { return &nr.Documents },
+	`eac_cache_bytes`:                  func(nr *NodeReport) *float64 { return &nr.CacheBytes },
+	`eac_cache_evictions`:              func(nr *NodeReport) *float64 { return &nr.Evictions },
+
+	`eac_tier_documents{tier="memory"}`:      func(nr *NodeReport) *float64 { return &nr.Tier.MemDocs },
+	`eac_tier_documents{tier="disk"}`:        func(nr *NodeReport) *float64 { return &nr.Tier.DiskDocs },
+	`eac_tier_bytes{tier="memory"}`:          func(nr *NodeReport) *float64 { return &nr.Tier.MemBytes },
+	`eac_tier_bytes{tier="disk"}`:            func(nr *NodeReport) *float64 { return &nr.Tier.DiskBytes },
+	`eac_tier_capacity_bytes{tier="memory"}`: func(nr *NodeReport) *float64 { return &nr.Tier.MemCapacity },
+	`eac_tier_capacity_bytes{tier="disk"}`:   func(nr *NodeReport) *float64 { return &nr.Tier.DiskCapacity },
+	`eac_tier_demotions`:                     func(nr *NodeReport) *float64 { return &nr.Tier.Demotions },
+	`eac_tier_demotion_drops`:                func(nr *NodeReport) *float64 { return &nr.Tier.DemotionDrops },
+	`eac_tier_promotions`:                    func(nr *NodeReport) *float64 { return &nr.Tier.Promotions },
+	`eac_tier_disk_evictions`:                func(nr *NodeReport) *float64 { return &nr.Tier.DiskEvictions },
+	`eac_tier_checksum_failures`:             func(nr *NodeReport) *float64 { return &nr.Tier.ChecksumFailures },
+
+	`eac_digest_transfers_total{dir="served",kind="delta"}`:  func(nr *NodeReport) *float64 { return &nr.Digest.Stats.DeltasServed },
+	`eac_digest_transfers_total{dir="served",kind="full"}`:   func(nr *NodeReport) *float64 { return &nr.Digest.Stats.FullsServed },
+	`eac_digest_transfers_total{dir="applied",kind="delta"}`: func(nr *NodeReport) *float64 { return &nr.Digest.Stats.DeltasApplied },
+	`eac_digest_transfers_total{dir="applied",kind="full"}`:  func(nr *NodeReport) *float64 { return &nr.Digest.Stats.FullsApplied },
+	`eac_digest_bytes_total{kind="delta"}`:                   func(nr *NodeReport) *float64 { return &nr.Digest.Stats.DeltaBytesServed },
+	`eac_digest_bytes_total{kind="full"}`:                    func(nr *NodeReport) *float64 { return &nr.Digest.Stats.FullBytesServed },
+	`eac_digest_rebuild_escapes_total`:                       func(nr *NodeReport) *float64 { return &nr.Digest.Stats.RebuildEscapes },
+	`eac_digest_stale_served_total`:                          func(nr *NodeReport) *float64 { return &nr.Digest.Stats.StaleServed },
+	`eac_peer_failures_total{cause="digest-fetch"}`:          func(nr *NodeReport) *float64 { return &nr.Digest.Stats.FetchFailures },
+}
+
+// vectorTable does the same for families reported per label value.
+var vectorTable = map[string]struct {
+	dst func(*NodeReport) map[string]float64
+	key func(labels map[string]string) string
+}{
+	"eac_requests_total":            {func(nr *NodeReport) map[string]float64 { return nr.Requests }, func(l map[string]string) string { return l["outcome"] }},
+	"eac_bytes_served_total":        {func(nr *NodeReport) map[string]float64 { return nr.Bytes }, func(l map[string]string) string { return l["outcome"] }},
+	"eac_placement_decisions_total": {func(nr *NodeReport) map[string]float64 { return nr.Decisions }, func(l map[string]string) string { return l["role"] + "/" + l["decision"] }},
+}
+
 func scrapeNode(cl *client, addr string) NodeReport {
 	nr := NodeReport{
 		Admin:        addr,
@@ -405,6 +443,8 @@ func scrapeNode(cl *client, addr string) NodeReport {
 		Bytes:        map[string]float64{},
 		Decisions:    map[string]float64{},
 		EAAgeSeconds: -1, // stays -1 when the gauge is absent or +Inf
+		Digest:       &digestView{},
+		Tier:         &tierView{},
 	}
 	var hd healthDetail
 	if err := cl.getJSON(addr, "/healthz", &hd); err == nil {
@@ -421,62 +461,20 @@ func scrapeNode(cl *client, addr string) NodeReport {
 		nr.Err = err.Error()
 		return nr
 	}
-	samples := parseMetrics(body)
-	var tier tierView
-	for _, s := range samples {
-		switch s.name {
-		case "eac_tier_documents":
-			if s.labels["tier"] == "disk" {
-				tier.DiskDocs = s.value
-			} else {
-				tier.MemDocs = s.value
-			}
-		case "eac_tier_bytes":
-			if s.labels["tier"] == "disk" {
-				tier.DiskBytes = s.value
-			} else {
-				tier.MemBytes = s.value
-			}
-		case "eac_tier_capacity_bytes":
-			if s.labels["tier"] == "disk" {
-				tier.DiskCapacity = s.value
-			} else {
-				tier.MemCapacity = s.value
-			}
-		case "eac_tier_demotions":
-			tier.Demotions = s.value
-		case "eac_tier_demotion_drops":
-			tier.DemotionDrops = s.value
-		case "eac_tier_promotions":
-			tier.Promotions = s.value
-		case "eac_tier_disk_evictions":
-			tier.DiskEvictions = s.value
-		case "eac_tier_checksum_failures":
-			tier.ChecksumFailures = s.value
-		case "eac_requests_total":
-			nr.Requests[s.labels["outcome"]] += s.value
-		case "eac_bytes_served_total":
-			nr.Bytes[s.labels["outcome"]] += s.value
-		case "eac_placement_decisions_total":
-			nr.Decisions[s.labels["role"]+"/"+s.labels["decision"]] += s.value
-		case "eac_cache_expiration_age_seconds":
-			// +Inf is the no-contention sentinel; JSON cannot carry
-			// infinities, so it becomes -1 here and "none" in the report.
-			if math.IsInf(s.value, 1) {
-				nr.EAAgeSeconds = -1
-			} else {
-				nr.EAAgeSeconds = s.value
-			}
-		case "eac_cache_documents":
-			nr.Documents = s.value
-		case "eac_cache_bytes":
-			nr.CacheBytes = s.value
-		case "eac_cache_evictions":
-			nr.Evictions = s.value
+	for _, s := range parseMetrics(body) {
+		if dst, ok := seriesTable[s.series]; ok {
+			*dst(&nr) = s.value
+		} else if v, ok := vectorTable[s.name]; ok {
+			v.dst(&nr)[v.key(s.labels)] += s.value
 		}
 	}
-	if tier.DiskCapacity > 0 {
-		nr.Tier = &tier
+	if math.IsInf(nr.EAAgeSeconds, 1) {
+		// +Inf is the no-contention sentinel; JSON cannot carry
+		// infinities, so it becomes -1 here and "none" in the report.
+		nr.EAAgeSeconds = -1
+	}
+	if nr.Tier.DiskCapacity == 0 {
+		nr.Tier = nil
 	}
 	var peers membershipView
 	if err := cl.getJSON(addr, "/admin/peers", &peers); err == nil {
@@ -485,9 +483,9 @@ func scrapeNode(cl *client, addr string) NodeReport {
 			nr.Node = peers.Self
 		}
 	}
-	var dg digestView
-	if err := cl.getJSON(addr, "/admin/digests", &dg); err == nil {
-		nr.Digest = &dg
+	// The replica state decodes around the counts already in Stats.
+	if err := cl.getJSON(addr, "/admin/digests", nr.Digest); err != nil {
+		nr.Digest = nil
 	}
 	var res residentView
 	if err := cl.getJSON(addr, "/admin/resident", &res); err == nil {
@@ -504,6 +502,7 @@ func scrapeNode(cl *client, addr string) NodeReport {
 
 // sample is one parsed Prometheus text-exposition series point.
 type sample struct {
+	series string // "name{labels}" exactly as exposed
 	name   string
 	labels map[string]string
 	value  float64
@@ -531,7 +530,7 @@ func parseMetrics(body []byte) []sample {
 			continue
 		}
 		series := line[:sp]
-		s := sample{value: val, labels: map[string]string{}}
+		s := sample{series: series, value: val, labels: map[string]string{}}
 		if br := strings.IndexByte(series, '{'); br >= 0 {
 			if !strings.HasSuffix(series, "}") {
 				continue

@@ -346,8 +346,8 @@ func TestEacctlFlagAndCommandErrors(t *testing.T) {
 // member fetches its peers' summaries, then let the background
 // revalidators run. After the first full-transfer handshakes, every
 // refresh must ride the change-log as a compact delta, so the
-// group-wide delta count eacctl aggregates from /admin/digests must
-// overtake the full count — and the counter-saturation escape hatch
+// group-wide delta count eacctl sums from every member's eac_digest_*
+// scrape must overtake the full count — and the counter-saturation escape hatch
 // must never fire.
 func TestDigestGroupDeltaSteadyState(t *testing.T) {
 	origin, err := netnode.NewOriginServer("127.0.0.1:0", nil)

@@ -15,7 +15,6 @@
 package main
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -24,8 +23,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -241,7 +238,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	defer node.Close() // idempotent; the drain below already released everything
 	node.SetPeers(peers.peers)
-	publishPeerVars(node)
 
 	if tel != nil {
 		admin, err := obs.ServeAdmin(obs.AdminConfig{
@@ -484,42 +480,6 @@ func runDemo(stdout io.Writer, logger *slog.Logger, n, requests int, schemeName 
 		fmt.Fprintf(stdout, "group robustness: %+v\n", rb)
 	}
 	return nil
-}
-
-// Peer-health expvar. expvar registration is process-global and panics
-// on re-registration, so the variable is published exactly once and
-// reads through an atomic holder that each run swaps its node into —
-// tests can call run repeatedly in one process.
-var (
-	peerVarsOnce sync.Once
-	peerVarsNode atomic.Pointer[netnode.Node]
-)
-
-// publishPeerVars exposes the node's membership table — per-peer breaker
-// state, last transition time, ejection status, epoch, drain state — as
-// the "eacache_peers" expvar on /debug/vars.
-func publishPeerVars(n *netnode.Node) {
-	peerVarsNode.Store(n)
-	peerVarsOnce.Do(func() {
-		expvar.Publish("eacache_peers", expvar.Func(func() any {
-			n := peerVarsNode.Load()
-			if n == nil {
-				return nil
-			}
-			return map[string]any{
-				"epoch":    n.Epoch(),
-				"draining": n.Draining(),
-				"members":  n.Members(),
-			}
-		}))
-		expvar.Publish("eacache_robustness", expvar.Func(func() any {
-			n := peerVarsNode.Load()
-			if n == nil {
-				return nil
-			}
-			return n.Robustness()
-		}))
-	})
 }
 
 // peerList parses repeated -peer <icp>/<http> flags.

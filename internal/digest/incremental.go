@@ -37,8 +37,7 @@ type Incremental struct {
 	logStart int
 	logLen   int
 
-	rebuilds int64
-	scratch  []uint32
+	scratch []uint32
 }
 
 // flipRec records the projection bits one generation flipped: an Add
@@ -132,11 +131,7 @@ func (s *Incremental) NeedsRebuild() bool { return s.counts.NeedsRebuild() }
 // is counted.
 func (s *Incremental) Rebuild(urls []string) {
 	s.rebuild(urls)
-	s.rebuilds++
 }
-
-// Rebuilds returns how many escape-hatch rebuilds have happened.
-func (s *Incremental) Rebuilds() int64 { return s.rebuilds }
 
 // Pinned exposes the saturated-counter count for inspection.
 func (s *Incremental) Pinned() int { return s.counts.Pinned() }

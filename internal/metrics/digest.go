@@ -1,92 +1,17 @@
 package metrics
 
-import "sync/atomic"
-
-// Digest counts the digest-maintenance work a node performs — the
-// traffic the incremental counting-filter + delta-sync path is supposed
-// to shrink, kept as exact counters so tests and the eacctl report can
-// assert on it without the telemetry registry. The zero value is ready;
-// all methods are safe for concurrent use.
-type Digest struct {
-	deltasServed  atomic.Int64
-	fullsServed   atomic.Int64
-	deltasApplied atomic.Int64
-	fullsApplied  atomic.Int64
-
-	deltaBytesServed atomic.Int64
-	fullBytesServed  atomic.Int64
-
-	rebuildEscapes atomic.Int64
-	staleServed    atomic.Int64
-	fetches        atomic.Int64
-	fetchFailures  atomic.Int64
-}
-
-// DeltaServed records answering a peer's ?since= refresh with a compact
-// delta of the given wire size.
-func (d *Digest) DeltaServed(bytes int) {
-	d.deltasServed.Add(1)
-	d.deltaBytesServed.Add(int64(bytes))
-}
-
-// FullServed records answering a digest fetch with a full filter
-// transfer of the given wire size.
-func (d *Digest) FullServed(bytes int) {
-	d.fullsServed.Add(1)
-	d.fullBytesServed.Add(int64(bytes))
-}
-
-// DeltaApplied records advancing a peer-digest replica with a delta.
-func (d *Digest) DeltaApplied() { d.deltasApplied.Add(1) }
-
-// FullApplied records replacing a peer-digest replica with a full
-// transfer.
-func (d *Digest) FullApplied() { d.fullsApplied.Add(1) }
-
-// RebuildEscape records taking the counter-saturation escape hatch: a
-// full-URL-scan rebuild of the own digest. Steady state must never
-// increment this.
-func (d *Digest) RebuildEscape() { d.rebuildEscapes.Add(1) }
-
-// StaleServed records a lookup answered from a stale peer digest while a
-// background refresh was (already) in flight — the serve-stale path that
-// keeps digest fetches off the miss path.
-func (d *Digest) StaleServed() { d.staleServed.Add(1) }
-
-// Fetch records one digest fetch dialled to a peer (single-flight: a
-// 32-way miss herd on a cold peer digest still counts 1).
-func (d *Digest) Fetch() { d.fetches.Add(1) }
-
-// FetchFailure records a digest fetch that dialled but failed.
-func (d *Digest) FetchFailure() { d.fetchFailures.Add(1) }
-
-// DigestSnapshot is a point-in-time copy of the counters.
+// DigestSnapshot is a point-in-time copy of a node's digest-maintenance
+// counters (netnode.Node.DigestStats), the traffic the incremental
+// counting-filter + delta-sync path is supposed to shrink.
 type DigestSnapshot struct {
-	DeltasServed     int64 `json:"deltas_served"`
-	FullsServed      int64 `json:"fulls_served"`
-	DeltasApplied    int64 `json:"deltas_applied"`
-	FullsApplied     int64 `json:"fulls_applied"`
-	DeltaBytesServed int64 `json:"delta_bytes_served"`
-	FullBytesServed  int64 `json:"full_bytes_served"`
-	RebuildEscapes   int64 `json:"rebuild_escapes"`
-	StaleServed      int64 `json:"stale_served"`
-	Fetches          int64 `json:"fetches"`
-	FetchFailures    int64 `json:"fetch_failures"`
-}
-
-// Snapshot returns a consistent-enough copy for reporting (each counter
-// is read atomically; the set is not a transaction).
-func (d *Digest) Snapshot() DigestSnapshot {
-	return DigestSnapshot{
-		DeltasServed:     d.deltasServed.Load(),
-		FullsServed:      d.fullsServed.Load(),
-		DeltasApplied:    d.deltasApplied.Load(),
-		FullsApplied:     d.fullsApplied.Load(),
-		DeltaBytesServed: d.deltaBytesServed.Load(),
-		FullBytesServed:  d.fullBytesServed.Load(),
-		RebuildEscapes:   d.rebuildEscapes.Load(),
-		StaleServed:      d.staleServed.Load(),
-		Fetches:          d.fetches.Load(),
-		FetchFailures:    d.fetchFailures.Load(),
-	}
+	DeltasServed     int64
+	FullsServed      int64
+	DeltasApplied    int64
+	FullsApplied     int64
+	DeltaBytesServed int64
+	FullBytesServed  int64
+	RebuildEscapes   int64
+	StaleServed      int64
+	Fetches          int64
+	FetchFailures    int64
 }

@@ -39,9 +39,8 @@ func (o Outcome) String() string {
 
 // Counters accumulates request outcomes. The zero value is ready to use.
 // All methods are safe for concurrent use: the fields are atomics, so a
-// scrape (Snapshot) can run concurrently with Record on the request path —
-// like Robustness, and unlike the pre-telemetry version whose plain int64
-// fields raced. Read values through Snapshot or the rate helpers.
+// scrape (Snapshot) can run concurrently with Record on the request path.
+// Read values through Snapshot or the rate helpers.
 type Counters struct {
 	requests   atomic.Int64
 	localHits  atomic.Int64

@@ -1,104 +1,10 @@
 package metrics
 
-import "sync/atomic"
-
-// Robustness counts the degradations the fault-tolerant fetch path takes,
-// so that surviving a failure is observable rather than silent. The zero
-// value is ready to use; all methods are safe for concurrent use (the
-// request path increments these while holding no locks).
-type Robustness struct {
-	peerFailures  atomic.Int64
-	retries       atomic.Int64
-	fallbacks     atomic.Int64
-	breakerOpens  atomic.Int64
-	breakerCloses atomic.Int64
-	wireClamps    atomic.Int64
-	traceClamps   atomic.Int64
-
-	coalescedFollowers atomic.Int64
-	leaderElections    atomic.Int64
-	leaderRetries      atomic.Int64
-	sheds              atomic.Int64
-	originWaits        atomic.Int64
-
-	ejections      atomic.Int64
-	readmissions   atomic.Int64
-	migratedDocs   atomic.Int64
-	migratedBytes  atomic.Int64
-	migrationFails atomic.Int64
-}
-
-// PeerFailure records one failed exchange with a peer: an ICP silence on a
-// timed-out fan-out, a failed dial, or a fetch that broke mid-body.
-func (r *Robustness) PeerFailure() { r.peerFailures.Add(1) }
-
-// Retry records one extra attempt after a failure: the next ICP hit
-// responder, or a repeated parent/origin fetch.
-func (r *Robustness) Retry() { r.retries.Add(1) }
-
-// Fallback records a request that abandoned the cooperative path (every
-// hit responder failed) and degraded to the parent/origin instead.
-func (r *Robustness) Fallback() { r.fallbacks.Add(1) }
-
-// BreakerOpen records a peer breaker opening (peer marked dead).
-func (r *Robustness) BreakerOpen() { r.breakerOpens.Add(1) }
-
-// BreakerClose records a dead peer resurrecting after a successful probe.
-func (r *Robustness) BreakerClose() { r.breakerCloses.Add(1) }
-
-// WireClamp records a piggybacked expiration age that arrived negative or
-// overflowing and was clamped instead of trusted (hproto.ParseAgeClamped)
-// — a peer whose wire output cannot be taken at face value.
-func (r *Robustness) WireClamp() { r.wireClamps.Add(1) }
-
-// TraceClamp records a malformed X-Trace-Context header that was dropped
-// instead of propagated: the request proceeds untraced rather than failing
-// over observability metadata.
-func (r *Robustness) TraceClamp() { r.traceClamps.Add(1) }
-
-// Coalesced records a request served as a single-flight follower: a
-// concurrent miss for the same URL led the fetch and this request shared
-// its result instead of going upstream itself.
-func (r *Robustness) Coalesced() { r.coalescedFollowers.Add(1) }
-
-// LeaderElection records a request elected to lead a single-flight
-// epoch — the one resolution sent upstream however many requesters are
-// coalesced behind it.
-func (r *Robustness) LeaderElection() { r.leaderElections.Add(1) }
-
-// LeaderRetry records a leader election that replaced a failed leader: a
-// follower's one bounded retry after the epoch it waited on errored.
-func (r *Robustness) LeaderRetry() { r.leaderRetries.Add(1) }
-
-// Shed records a request refused at the front door because the node was
-// over its in-flight bound and the queue-wait budget elapsed.
-func (r *Robustness) Shed() { r.sheds.Add(1) }
-
-// OriginWait records an upstream fetch that found the origin/parent
-// concurrency semaphore full and had to queue for a slot.
-func (r *Robustness) OriginWait() { r.originWaits.Add(1) }
-
-// Ejection records a peer removed from the locator set because its
-// breaker stayed dead past the membership grace window.
-func (r *Robustness) Ejection() { r.ejections.Add(1) }
-
-// Readmission records an ejected peer restored to the locator set after
-// an out-of-band probe succeeded.
-func (r *Robustness) Readmission() { r.readmissions.Add(1) }
-
-// Migrated records one document handed off to its new owner during a
-// membership rebalance or drain.
-func (r *Robustness) Migrated(bytes int64) {
-	r.migratedDocs.Add(1)
-	r.migratedBytes.Add(bytes)
-}
-
-// MigrationFailure records a handoff that failed in transit (the document
-// stays recoverable from the origin, but the transfer bytes were wasted).
-func (r *Robustness) MigrationFailure() { r.migrationFails.Add(1) }
-
-// RobustnessSnapshot is a consistent-enough copy of the counters for
-// reporting and tests.
+// RobustnessSnapshot is a copy of the degradations a live node's
+// fault-tolerant fetch path has taken, so that surviving a failure is
+// observable rather than silent. The node counts each one once, in the
+// counter /metrics serves (netnode.Node.Robustness fills this from that
+// storage); each counter is read atomically, the set is not a transaction.
 type RobustnessSnapshot struct {
 	PeerFailures  int64
 	Retries       int64
@@ -119,29 +25,4 @@ type RobustnessSnapshot struct {
 	MigratedDocs      int64
 	MigratedBytes     int64
 	MigrationFailures int64
-}
-
-// Snapshot returns the current counter values.
-func (r *Robustness) Snapshot() RobustnessSnapshot {
-	return RobustnessSnapshot{
-		PeerFailures:  r.peerFailures.Load(),
-		Retries:       r.retries.Load(),
-		Fallbacks:     r.fallbacks.Load(),
-		BreakerOpens:  r.breakerOpens.Load(),
-		BreakerCloses: r.breakerCloses.Load(),
-		WireClamps:    r.wireClamps.Load(),
-		TraceClamps:   r.traceClamps.Load(),
-
-		CoalescedFollowers: r.coalescedFollowers.Load(),
-		LeaderElections:    r.leaderElections.Load(),
-		LeaderRetries:      r.leaderRetries.Load(),
-		Sheds:              r.sheds.Load(),
-		OriginWaits:        r.originWaits.Load(),
-
-		Ejections:         r.ejections.Load(),
-		Readmissions:      r.readmissions.Load(),
-		MigratedDocs:      r.migratedDocs.Load(),
-		MigratedBytes:     r.migratedBytes.Load(),
-		MigrationFailures: r.migrationFails.Load(),
-	}
 }

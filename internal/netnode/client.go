@@ -62,7 +62,7 @@ func (n *Node) exchange(addr string, req hproto.Request, body io.Reader, sink io
 		return hproto.Response{}, err
 	}
 	if resp.AgeClamped {
-		n.robust.WireClamp()
+		n.om.clamps[clampAge].Inc()
 		n.warn("clamped bad responder age", nil, "responder", addr)
 	}
 	if sink != nil && resp.Status == hproto.StatusOK {
@@ -106,7 +106,7 @@ func (n *Node) fetchFrom(tr *obs.Trace, addr, url string, sizeHint int64, reques
 			// stitcher draws from this fetch span to the responder's leg.
 			tr.Annotate("remote_id", rc.ParentID)
 		} else {
-			n.robust.TraceClamp()
+			n.om.clamps[clampTrace].Inc()
 		}
 	}
 	if err != nil {

@@ -129,8 +129,7 @@ func (n *Node) maybeRebuildOwn() {
 	n.digestMu.Lock()
 	if n.digests.own.NeedsRebuild() {
 		n.digests.own.Rebuild(urls)
-		n.dg.RebuildEscape()
-		n.om.digestRebuildEscape()
+		n.om.digestRebuilds.Inc()
 	}
 	n.digestMu.Unlock()
 	n.warn("digest rebuild escape hatch taken", nil, "urls", len(urls))
@@ -186,8 +185,7 @@ func (n *Node) peerDigest(p Peer) *digest.Filter {
 		n.startDigestFlightLocked(p, pd)
 		f := pd.filter
 		n.digestMu.Unlock()
-		n.dg.StaleServed()
-		n.om.digestStaleServed()
+		n.om.digestStale.Inc()
 		return f
 	}
 	// First contact: join the single flight.
@@ -227,7 +225,6 @@ func (n *Node) digestFlight(p Peer, pd *peerDigest) {
 	}
 	n.digestMu.Unlock()
 
-	n.dg.Fetch()
 	f, gen, applied, err := n.fetchDigestSince(p.HTTP, since, base)
 
 	n.digestMu.Lock()
@@ -245,19 +242,12 @@ func (n *Node) digestFlight(p Peer, pd *peerDigest) {
 	close(done)
 
 	if err != nil {
-		n.dg.FetchFailure()
-		n.om.digestFetchFailure()
 		n.warn("digest fetch failed", nil, "peer", p.HTTP, "err", err)
 		n.health.ReportFailure(p.HTTP)
-		n.robust.PeerFailure()
+		n.om.peerFailures[pfDigestFetch].Inc()
 		return
 	}
-	if applied == digestSyncDelta {
-		n.dg.DeltaApplied()
-	} else {
-		n.dg.FullApplied()
-	}
-	n.om.digestApplied(applied)
+	n.om.digestApplied[applied].Inc()
 	n.health.ReportSuccess(p.HTTP)
 }
 
@@ -369,15 +359,15 @@ func (n *Node) serveDigestRequest(conn io.Writer, url string) {
 	n.maybeRebuildOwn()
 
 	var (
-		data  []byte
-		err   error
-		delta bool
+		data []byte
+		err  error
+		kind = digestSyncFull
 	)
 	n.digestMu.Lock()
 	own := n.digests.own
 	if d, ok := own.Delta(parseDigestSince(url)); ok {
 		data, err = d.MarshalBinary()
-		delta = true
+		kind = digestSyncDelta
 	} else {
 		data, err = digest.EncodeFull(own.Filter(), own.Generation())
 	}
@@ -387,13 +377,8 @@ func (n *Node) serveDigestRequest(conn io.Writer, url string) {
 		_ = hproto.WriteResponse(conn, hproto.Response{Status: hproto.StatusNotFound}, nil)
 		return
 	}
-	if delta {
-		n.dg.DeltaServed(len(data))
-		n.om.digestServed(digestSyncDelta, len(data))
-	} else {
-		n.dg.FullServed(len(data))
-		n.om.digestServed(digestSyncFull, len(data))
-	}
+	n.om.digestServed[kind].Inc()
+	n.om.digestBytes[kind].Add(int64(len(data)))
 	if err := hproto.WriteResponse(conn, hproto.Response{
 		Status:        hproto.StatusOK,
 		ContentLength: int64(len(data)),
@@ -436,24 +421,24 @@ type PeerDigestStatus struct {
 	FullsApplied  int64 `json:"fulls_applied"`
 }
 
-// DigestReport is the GET /admin/digests body: the own summary's
-// generation and health plus every cached peer replica, so digest
-// staleness across the group is visible from one seed node.
+// DigestReport is the GET /admin/digests body: the current state of the
+// own summary and of every cached peer replica, so digest staleness
+// across the group is visible from one seed node. The transfer, byte,
+// rebuild and stale-serve counts are events and live on /metrics
+// (eac_digest_*), not here.
 type DigestReport struct {
 	Enabled        bool                        `json:"enabled"`
 	OwnGeneration  uint64                      `json:"own_generation"`
 	OwnLen         int                         `json:"own_len"`
 	Window         int                         `json:"window"`
 	PinnedCounters int                         `json:"pinned_counters"`
-	RebuildEscapes int64                       `json:"rebuild_escapes"`
-	Stats          metrics.DigestSnapshot      `json:"stats"`
 	Peers          map[string]PeerDigestStatus `json:"peers,omitempty"`
 }
 
 // DigestReport snapshots the digest machinery (zero-valued when the node
 // does not locate via digests).
 func (n *Node) DigestReport() DigestReport {
-	rep := DigestReport{Stats: n.dg.Snapshot()}
+	var rep DigestReport
 	if n.digests == nil {
 		return rep
 	}
@@ -465,7 +450,6 @@ func (n *Node) DigestReport() DigestReport {
 	rep.OwnLen = n.digests.own.Len()
 	rep.Window = n.digests.own.Window()
 	rep.PinnedCounters = n.digests.own.Pinned()
-	rep.RebuildEscapes = n.digests.own.Rebuilds()
 	rep.Peers = make(map[string]PeerDigestStatus, len(n.digests.peers))
 	for addr, pd := range n.digests.peers {
 		st := PeerDigestStatus{
@@ -484,5 +468,22 @@ func (n *Node) DigestReport() DigestReport {
 	return rep
 }
 
-// DigestStats exposes the digest traffic counters.
-func (n *Node) DigestStats() metrics.DigestSnapshot { return n.dg.Snapshot() }
+// DigestStats returns the digest traffic counters, likewise straight from
+// the /metrics storage. Every dialled fetch ends applied or failed, so
+// Fetches counts completed flights.
+func (n *Node) DigestStats() metrics.DigestSnapshot {
+	o := n.om
+	s := metrics.DigestSnapshot{
+		DeltasServed:     o.digestServed[digestSyncDelta].Value(),
+		FullsServed:      o.digestServed[digestSyncFull].Value(),
+		DeltasApplied:    o.digestApplied[digestSyncDelta].Value(),
+		FullsApplied:     o.digestApplied[digestSyncFull].Value(),
+		DeltaBytesServed: o.digestBytes[digestSyncDelta].Value(),
+		FullBytesServed:  o.digestBytes[digestSyncFull].Value(),
+		RebuildEscapes:   o.digestRebuilds.Value(),
+		StaleServed:      o.digestStale.Value(),
+		FetchFailures:    o.peerFailures[pfDigestFetch].Value(),
+	}
+	s.Fetches = s.DeltasApplied + s.FullsApplied + s.FetchFailures
+	return s
+}

@@ -197,9 +197,8 @@ func TestDigestSteadyStateNeverRebuilds(t *testing.T) {
 	if !rep.Enabled {
 		t.Fatal("digest report disabled on a digest node")
 	}
-	if rep.RebuildEscapes != 0 || rep.Stats.RebuildEscapes != 0 {
-		t.Fatalf("rebuild escapes = %d/%d, want 0 in steady state",
-			rep.RebuildEscapes, rep.Stats.RebuildEscapes)
+	if got := a.DigestStats().RebuildEscapes; got != 0 {
+		t.Fatalf("rebuild escapes = %d, want 0 in steady state", got)
 	}
 	if rep.OwnGeneration < 200 {
 		t.Fatalf("own generation = %d, want one advance per mutation", rep.OwnGeneration)

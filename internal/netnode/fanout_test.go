@@ -31,14 +31,14 @@ func (n *Node) legacyRecordFanout(active []Peer, res icp.Result) {
 		if p, ok := byICP[a.String()]; ok {
 			heard[p.HTTP] = true
 			n.health.ReportFailure(p.HTTP)
-			n.robust.PeerFailure()
+			n.om.peerFailures[pfICPSend].Inc()
 		}
 	}
 	if res.TimedOut {
 		for _, p := range active {
 			if !heard[p.HTTP] {
 				n.health.ReportFailure(p.HTTP)
-				n.robust.PeerFailure()
+				n.om.peerFailures[pfICPSilent].Inc()
 			}
 		}
 	}
@@ -48,7 +48,7 @@ func (n *Node) legacyRecordFanout(active []Peer, res icp.Result) {
 // clock keeps breaker timestamps comparable between two of them.
 func bareNode() *Node {
 	epoch := time.Unix(1_000_000, 0)
-	return &Node{health: health.NewTracker(health.Config{DeadAfter: 3, Now: func() time.Time { return epoch }})}
+	return &Node{om: new(nodeObs), health: health.NewTracker(health.Config{DeadAfter: 3, Now: func() time.Time { return epoch }})}
 }
 
 func udp(ip net.IP, port int) *net.UDPAddr { return &net.UDPAddr{IP: ip, Port: port} }

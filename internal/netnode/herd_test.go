@@ -27,7 +27,10 @@ type gatedOrigin struct {
 	ln      net.Listener
 	gate    chan struct{}
 	fetches atomic.Int64
-	wg      sync.WaitGroup
+	// drop is how many of the next connections are closed unanswered, so
+	// a test can make exactly that many upstream attempts fail.
+	drop atomic.Int64
+	wg   sync.WaitGroup
 }
 
 func startGatedOrigin(t *testing.T) *gatedOrigin {
@@ -61,7 +64,7 @@ func (o *gatedOrigin) acceptLoop() {
 			br := getReader(conn)
 			req, err := hproto.ReadRequest(br)
 			putReader(br)
-			if err != nil {
+			if err != nil || o.drop.Add(-1) >= 0 {
 				return
 			}
 			o.fetches.Add(1)

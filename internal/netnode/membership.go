@@ -44,9 +44,9 @@ func ringName(p Peer) string {
 }
 
 // publishLocked pushes the current membership out to everything the
-// request path reads: breaker bookkeeping, peer gauges, the immutable
-// peer snapshot, and (under hash location) a rebuilt ring stamped with
-// the bumped epoch, which also kicks the migrator. Callers hold n.mem.
+// request path reads: breaker bookkeeping, the immutable peer snapshot,
+// and (under hash location) a rebuilt ring stamped with the bumped epoch,
+// which also kicks the migrator. Callers hold n.mem.
 func (n *Node) publishLocked() {
 	members := n.mem.members
 	// The breaker keeps state for ejected members too — recovery is
@@ -56,7 +56,6 @@ func (n *Node) publishLocked() {
 		keep[p.HTTP] = true
 	}
 	n.health.Forget(keep)
-	n.om.registerPeerGauges(n, members)
 
 	active := members
 	if len(n.mem.ejected) > 0 {
@@ -288,8 +287,7 @@ func (n *Node) sweepMembership(now time.Time) {
 		st := n.health.Status(p.HTTP)
 		if st.State == health.Dead && !st.Since.IsZero() && now.Sub(st.Since) >= n.ejectAfter {
 			n.mem.ejected[p.HTTP] = &ejection{since: now, nextProbe: now.Add(n.readmitProbe)}
-			n.robust.Ejection()
-			n.om.membershipEvent(memEjection)
+			n.om.memEvents[memEjection].Inc()
 			n.warn("peer ejected after grace window", nil,
 				"peer", p.HTTP, "dead_for", now.Sub(st.Since), "grace", n.ejectAfter)
 			changed = true
@@ -336,7 +334,6 @@ func (n *Node) readmit(p Peer) {
 
 // noteReadmission records one readmission; callers hold n.mem.
 func (n *Node) noteReadmission(p Peer, how string) {
-	n.robust.Readmission()
-	n.om.membershipEvent(memReadmission)
+	n.om.memEvents[memReadmission].Inc()
 	n.warn("peer readmitted", nil, "peer", p.HTTP, "via", how)
 }

@@ -264,7 +264,8 @@ func (n *Node) migrate(reason string, epoch int64, dest func(string) (string, bo
 
 	var mu sync.Mutex
 	tally := func(res int, bytes int64) {
-		n.om.migration(res, bytes)
+		n.om.migrations[res].Inc()
+		n.om.migrBytes.Add(bytes)
 		mu.Lock()
 		rep.Scanned++
 		switch res {
@@ -342,7 +343,6 @@ func (n *Node) migrateDoc(url string, dest func(string) (string, bool), ages *de
 	stored, destAge, err := n.pushCopy(addr, entry.Doc)
 	if err != nil {
 		n.health.ReportFailure(addr)
-		n.robust.MigrationFailure()
 		n.warn("migration push failed", nil, "url", url, "dest", addr, "err", err)
 		return mrFailed, 0
 	}
@@ -351,7 +351,6 @@ func (n *Node) migrateDoc(url string, dest func(string) (string, bool), ages *de
 	if !stored {
 		return mrRefused, 0
 	}
-	n.robust.Migrated(entry.Doc.Size)
 	return mrTransferred, entry.Doc.Size
 }
 
@@ -384,7 +383,6 @@ func (n *Node) servePush(conn io.Writer, br io.Reader, req hproto.Request) {
 		}
 	}
 	stored := n.mayAcceptPush(req.URL) && n.putIfFits(cache.Document{URL: req.URL, Size: req.SizeHint})
-	n.om.pushReceived(stored)
 	status := hproto.StatusNotFound
 	if stored {
 		status = hproto.StatusOK

@@ -43,11 +43,9 @@ type Node struct {
 	engine        *resolve.Engine
 	digests       *digestState
 	health        *health.Tracker
-	robust        metrics.Robustness
-	dg            metrics.Digest
 	faults        *faults.Injector
-	obs           *obs.Telemetry
-	om            *nodeObs
+	obs           *obs.Telemetry // nil without Config.Obs: no traces, no histograms, nothing scraped
+	om            *nodeObs       // never nil (see nodeObs)
 	logger        *slog.Logger
 
 	// Overload protection: originSem bounds concurrent parent/origin
@@ -168,6 +166,7 @@ func New(cfg Config) (*Node, error) {
 		readmitProbe:  cfg.ReadmitProbe,
 		icpClient:     icp.NewClient(),
 		closed:        make(chan struct{}),
+		om:            new(nodeObs),
 	}
 	n.mem.ejected = make(map[string]*ejection)
 	if cfg.JoinWarmup > 0 && cfg.Location == resolve.LocateHash {
@@ -177,18 +176,18 @@ func New(cfg Config) (*Node, error) {
 		n.inflight = make(chan struct{}, cfg.MaxInflight)
 	}
 	n.obs = cfg.Obs
-	n.om = newNodeObs(n, cfg.Obs)
+	n.om.register(n, cfg.Obs)
 
-	// The breaker feeds the robustness counters; a user callback (tests)
+	// The breaker feeds the transition counters; a user callback (tests)
 	// is chained after them.
 	healthCfg := cfg.Health
 	userStateChange := healthCfg.OnStateChange
 	healthCfg.OnStateChange = func(peer string, from, to health.State) {
 		switch {
 		case to == health.Dead:
-			n.robust.BreakerOpen()
+			n.om.breaker[brOpen].Inc()
 		case from == health.Dead:
-			n.robust.BreakerClose()
+			n.om.breaker[brClose].Inc()
 		}
 		n.warn("peer breaker state change", nil, "peer", peer, "from", from, "to", to)
 		if userStateChange != nil {
@@ -252,7 +251,6 @@ func New(cfg Config) (*Node, error) {
 		n.persister = p
 		n.snapEvery = cfg.SnapshotInterval
 		n.recovery = &RecoveryReport{Report: p.Report(), Restored: stats}
-		n.om.setRecovery(*n.recovery)
 	}
 
 	// The own digest is seeded from the (possibly just recovered) store
@@ -269,7 +267,7 @@ func New(cfg Config) (*Node, error) {
 	if n.persister != nil {
 		sinks = append(sinks, n.persister.Append)
 	}
-	if n.om != nil {
+	if n.obs != nil {
 		sinks = append(sinks, n.om.cacheEvent)
 	}
 	if n.digests != nil {
@@ -316,19 +314,15 @@ func New(cfg Config) (*Node, error) {
 	// store, transport, locators, and telemetry through the adapters in
 	// resolve.go. A broken parent degrades to the origin when one is
 	// known — the live node's availability posture. Concurrent misses for
-	// one URL are coalesced single-flight; the callbacks feed the
-	// robustness counters and telemetry.
+	// one URL are coalesced single-flight, counted by the callbacks.
 	co := resolve.NewCoalescer()
-	co.OnFollower = func(string) {
-		n.robust.Coalesced()
-		n.om.coalesced()
-	}
+	co.OnFollower = func(string) { n.om.coalesced.Inc() }
 	co.OnElect = func(_ string, retry bool) {
-		n.robust.LeaderElection()
 		if retry {
-			n.robust.LeaderRetry()
+			n.om.elections[elRetry].Inc()
+		} else {
+			n.om.elections[elInitial].Inc()
 		}
-		n.om.leaderElection(retry)
 	}
 	n.engine = &resolve.Engine{
 		ID:              "netnode " + n.id,
@@ -438,9 +432,39 @@ func (n *Node) peerList() []Peer {
 	return nil
 }
 
-// Robustness returns the node's degradation counters: peer failures,
-// retries, fallbacks to parent/origin, and breaker transitions.
-func (n *Node) Robustness() metrics.RobustnessSnapshot { return n.robust.Snapshot() }
+func sum(cs []obs.Counter) (total int64) {
+	for i := range cs {
+		total += cs[i].Value()
+	}
+	return total
+}
+
+// Robustness returns the node's degradation counters — the same storage
+// /metrics serves, read without a registry.
+func (n *Node) Robustness() metrics.RobustnessSnapshot {
+	o := n.om
+	return metrics.RobustnessSnapshot{
+		PeerFailures:  sum(o.peerFailures[:]),
+		Retries:       o.retries.Value(),
+		Fallbacks:     o.fallbacks.Value(),
+		BreakerOpens:  o.breaker[brOpen].Value(),
+		BreakerCloses: o.breaker[brClose].Value(),
+		WireClamps:    o.clamps[clampAge].Value(),
+		TraceClamps:   o.clamps[clampTrace].Value(),
+
+		CoalescedFollowers: o.coalesced.Value(),
+		LeaderElections:    sum(o.elections[:]),
+		LeaderRetries:      o.elections[elRetry].Value(),
+		Sheds:              o.sheds.Value(),
+		OriginWaits:        o.upstreamWaits.Value(),
+
+		Ejections:         o.memEvents[memEjection].Value(),
+		Readmissions:      o.memEvents[memReadmission].Value(),
+		MigratedDocs:      o.migrations[mrTransferred].Value(),
+		MigratedBytes:     o.migrBytes.Value(),
+		MigrationFailures: o.migrations[mrFailed].Value(),
+	}
+}
 
 // PeerHealth returns the breaker state of every tracked peer, keyed by the
 // peer's fetch (HTTP) address.
@@ -545,7 +569,6 @@ func (n *Node) snapshotLoop() {
 // the rotated-away journal and every later one in the new generation),
 // then writes the snapshot without blocking the request path.
 func (n *Node) checkpoint() error {
-	start := time.Now()
 	var st persist.State
 	err := n.store.Checkpoint(func(view cache.StoreView) error {
 		st = persist.CaptureState(view)
@@ -554,7 +577,11 @@ func (n *Node) checkpoint() error {
 	if err == nil {
 		err = n.persister.WriteSnapshot(st)
 	}
-	n.om.observeCheckpoint(time.Since(start), err)
+	if err != nil {
+		n.om.checkpointErr.Inc()
+	} else {
+		n.om.checkpoints.Inc()
+	}
 	return err
 }
 

@@ -2,15 +2,24 @@ package netnode
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
+	"os"
+	"reflect"
+	"regexp"
+	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"eacache/internal/core"
+	"eacache/internal/health"
 	"eacache/internal/metrics"
 	"eacache/internal/obs"
+	"eacache/internal/resolve"
 )
 
 // startObservedNode is startNode plus a Telemetry wired into the node.
@@ -196,7 +205,278 @@ func TestNodeWithoutTelemetryStaysInert(t *testing.T) {
 	if _, err := n.Request("http://obs.example.edu/inert", 512); err != nil {
 		t.Fatal(err)
 	}
-	if n.obs != nil || n.om != nil {
+	if n.obs != nil || n.om.reqDur[ocMiss] != nil || n.om.requests[ocMiss].Value() != 0 {
 		t.Fatal("telemetry should be absent")
+	}
+}
+
+// scrape renders tel's registry the way /metrics serves it and returns
+// the text plus every sample keyed by its series text.
+func scrape(t *testing.T, tel *obs.Telemetry) (string, map[string]float64) {
+	t.Helper()
+	var sb strings.Builder
+	if err := tel.Registry.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	samples := make(map[string]float64)
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		cut := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[cut+1:], 64)
+		if err != nil {
+			t.Fatalf("unparseable sample %q", line)
+		}
+		samples[line[:cut]] = v
+	}
+	return sb.String(), samples
+}
+
+// TestRobustnessIsTheScrape drives a herd, a shed, a failed peer fetch
+// with its fallback and an upstream retry through one observed node, then
+// rebuilds the Robustness snapshot from nothing but the /metrics text:
+// the two must agree field by field, because there is one counter per
+// fact and both read it.
+func TestRobustnessIsTheScrape(t *testing.T) {
+	checkGoroutines(t)
+	const herd = 8
+	origin := startGatedOrigin(t)
+	tel := obs.New("rb", 8)
+	n := startChaosNode(t, Config{
+		ID:            "rb",
+		OriginAddr:    origin.ln.Addr().String(),
+		ICPTimeout:    500 * time.Millisecond,
+		MaxInflight:   herd,
+		ShedQueueWait: 5 * time.Millisecond,
+		Health:        health.Config{DeadAfter: 1, ProbeBase: time.Minute},
+		Obs:           tel,
+	})
+
+	var wg sync.WaitGroup
+	for i := 0; i < herd; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := n.Request("http://rb.example.edu/hot", 1024); err != nil {
+				t.Errorf("herd request: %v", err)
+			}
+		}()
+	}
+	waitUntil(t, func() bool { return n.Robustness().CoalescedFollowers == herd-1 })
+	if _, s := scrape(t, tel); s["eac_inflight_requests"] != herd {
+		t.Fatalf("eac_inflight_requests = %v with %d requests parked, want %d", s["eac_inflight_requests"], herd, herd)
+	}
+	if _, err := n.Request("http://rb.example.edu/shed", 1024); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("request over the in-flight bound: err = %v, want ErrOverloaded", err)
+	}
+	close(origin.gate)
+	wg.Wait()
+
+	// A neighbour that answers HIT but refuses the fetch: one peer
+	// failure, its breaker opens, the request falls back to the origin —
+	// whose first connection is dropped, so the upstream fetch retries.
+	n.SetPeers([]Peer{fakeHitPeer(t, deadTCPAddr(t))})
+	origin.drop.Store(1)
+	if _, err := n.Request("http://rb.example.edu/degraded", 1024); err != nil {
+		t.Fatalf("degraded request: %v", err)
+	}
+
+	text, s := scrape(t, tel)
+	val := func(series string) int64 {
+		v, ok := s[series]
+		if !ok {
+			t.Errorf("series %s is not on /metrics", series)
+		}
+		return int64(v)
+	}
+	initial, retry := val(`eac_coalesce_leader_elections_total{kind="initial"}`), val(`eac_coalesce_leader_elections_total{kind="retry"}`)
+	scraped := metrics.RobustnessSnapshot{
+		PeerFailures: val(`eac_peer_failures_total{cause="icp-send"}`) + val(`eac_peer_failures_total{cause="icp-silent"}`) +
+			val(`eac_peer_failures_total{cause="fetch"}`) + val(`eac_peer_failures_total{cause="digest-fetch"}`),
+		Retries:            val("eac_fetch_retries_total"),
+		Fallbacks:          val("eac_fallbacks_total"),
+		BreakerOpens:       val(`eac_breaker_transitions_total{transition="open"}`),
+		BreakerCloses:      val(`eac_breaker_transitions_total{transition="close"}`),
+		WireClamps:         val(`eac_wire_clamps_total{header="expiration-age"}`),
+		TraceClamps:        val(`eac_wire_clamps_total{header="trace-context"}`),
+		CoalescedFollowers: val("eac_coalesced_followers_total"),
+		LeaderElections:    initial + retry,
+		LeaderRetries:      retry,
+		Sheds:              val("eac_requests_shed_total"),
+		OriginWaits:        val("eac_origin_sem_waits_total"),
+		Ejections:          val(`eac_membership_events_total{event="ejection"}`),
+		Readmissions:       val(`eac_membership_events_total{event="readmission"}`),
+		MigratedDocs:       val(`eac_migration_docs_total{result="transferred"}`),
+		MigratedBytes:      val("eac_migration_bytes_total"),
+		MigrationFailures:  val(`eac_migration_docs_total{result="failed"}`),
+	}
+	rb := n.Robustness()
+	if scraped != rb {
+		t.Fatalf("scrape and Robustness() disagree:\n scrape %+v\n node   %+v\n%s", scraped, rb, text)
+	}
+	if rb.CoalescedFollowers != herd-1 || rb.Sheds != 1 || rb.PeerFailures != 1 || rb.BreakerOpens != 1 ||
+		rb.Fallbacks != 1 || rb.Retries != 1 || rb.LeaderElections != 2 {
+		t.Fatalf("robustness = %+v, want the herd, the shed, the failed fetch, its fallback and the retry", rb)
+	}
+}
+
+// TestOriginWaitTimeoutIsCounted: a miss that queues for the origin
+// semaphore and gives up at FetchTimeout is on /metrics like one that won
+// its slot — counted where it contends, its wait observed on both exits.
+func TestOriginWaitTimeoutIsCounted(t *testing.T) {
+	checkGoroutines(t)
+	origin := startGatedOrigin(t) // stalls every fetch until the gate opens
+	defer close(origin.gate)
+	tel := obs.New("ow", 8)
+	n := startChaosNode(t, Config{
+		ID:                "ow",
+		OriginAddr:        origin.ln.Addr().String(),
+		OriginConcurrency: 1,
+		FetchTimeout:      50 * time.Millisecond,
+		FetchAttempts:     4, // the winner holds the only slot for 200ms
+		Obs:               tel,
+	})
+	errs := make(chan error, 2)
+	go func() { _, err := n.Request("http://ow.example.edu/winner", 1024); errs <- err }()
+	waitUntil(t, func() bool { return origin.fetches.Load() == 1 })
+	go func() { _, err := n.Request("http://ow.example.edu/loser", 1024); errs <- err }()
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err == nil {
+			t.Fatal("a miss against the stalled origin succeeded")
+		}
+	}
+	_, s := scrape(t, tel)
+	if s["eac_origin_sem_waits_total"] != 1 || s["eac_origin_sem_wait_seconds_count"] != 1 {
+		t.Fatalf("timed-out wait not on /metrics: waits_total = %v, wait_seconds_count = %v, want 1 and 1",
+			s["eac_origin_sem_waits_total"], s["eac_origin_sem_wait_seconds_count"])
+	}
+	if got := n.Robustness().OriginWaits; got != 1 {
+		t.Fatalf("Robustness().OriginWaits = %d, want 1", got)
+	}
+}
+
+// TestRemovedPeerLeavesTheScrape: the per-peer family follows the member
+// table — a departed peer's series go with it and a joiner brings exactly
+// one back.
+func TestRemovedPeerLeavesTheScrape(t *testing.T) {
+	tel := obs.New("rp", 8)
+	n := startChaosNode(t, Config{ID: "rp", OriginAddr: deadTCPAddr(t), Obs: tel})
+	peers := []Peer{
+		{ICP: udpAddr(t, "127.0.0.1:4101"), HTTP: "127.0.0.1:5101"},
+		{ICP: udpAddr(t, "127.0.0.1:4102"), HTTP: "127.0.0.1:5102"},
+		{ICP: udpAddr(t, "127.0.0.1:4103"), HTTP: "127.0.0.1:5103"},
+	}
+	perPeer := func() map[string][]string {
+		text, _ := scrape(t, tel)
+		series := make(map[string][]string)
+		for _, line := range strings.Split(text, "\n") {
+			for _, p := range peers {
+				if line != "" && line[0] != '#' && strings.Contains(line, p.HTTP) {
+					series[p.HTTP] = append(series[p.HTTP], line)
+				}
+			}
+		}
+		return series
+	}
+	n.SetPeers(peers)
+	if got := perPeer(); len(got) != 3 {
+		t.Fatalf("three members, per-peer series for %d: %v", len(got), got)
+	}
+	if err := n.RemovePeer(peers[1].HTTP); err != nil {
+		t.Fatal(err)
+	}
+	if got := perPeer(); len(got) != 2 || got[peers[1].HTTP] != nil {
+		t.Fatalf("removed peer still scraped: %v", got)
+	}
+	if err := n.AddPeer(peers[1]); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{`eac_peer_breaker_state{peer="` + peers[1].HTTP + `"} 0`}
+	if got := perPeer(); len(got) != 3 || !reflect.DeepEqual(got[peers[1].HTTP], want) {
+		t.Fatalf("rejoined peer's series = %v, want exactly %v", got[peers[1].HTTP], want)
+	}
+}
+
+// catalogueRow is one family as METRICS.md tabulates it and as a scrape
+// shows it: "<kind> <sorted label keys>".
+var (
+	catalogueLabel = regexp.MustCompile("`([a-z_]+)`")
+	catalogueRow   = regexp.MustCompile("^\\| `(eac_[a-z_]+)` \\| (counter|gauge|histogram) \\| ([^|]*) \\|")
+)
+
+// TestMetricsCatalogue holds METRICS.md and the live /metrics equal: the
+// same families, each with the same kind and label keys, in both
+// directions — so a family cannot be added, dropped or relabelled in one
+// and not the other. Registration does not depend on configuration; the
+// two locations with every subsystem on are there to prove that.
+func TestMetricsCatalogue(t *testing.T) {
+	doc, err := os.ReadFile("../../METRICS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := make(map[string]string)
+	for _, line := range strings.Split(string(doc), "\n") {
+		m := catalogueRow.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		keys := catalogueLabel.FindAllStringSubmatch(m[3], -1)
+		labels := make([]string, len(keys))
+		for i, k := range keys {
+			labels[i] = k[1]
+		}
+		sort.Strings(labels)
+		documented[m[1]] = m[2] + " " + strings.Join(labels, ",")
+	}
+
+	for _, loc := range []resolve.Location{resolve.LocateHash, resolve.LocateDigest} {
+		t.Run(loc.String(), func(t *testing.T) {
+			tel := obs.New("cat", 8)
+			n := startChaosNode(t, Config{
+				ID: "cat", OriginAddr: deadTCPAddr(t), Location: loc, Obs: tel,
+				DataDir: t.TempDir(), DiskDir: t.TempDir(), DiskCapacity: 1 << 20,
+				MaxInflight: 4, EjectAfter: time.Minute,
+			})
+			n.SetPeers([]Peer{{ICP: udpAddr(t, "127.0.0.1:4201"), HTTP: "127.0.0.1:5201"}})
+			if err := n.checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			text, s := scrape(t, tel)
+			if s["eac_checkpoints_total"] != 1 || s["eac_checkpoint_failures_total"] != 0 {
+				t.Errorf("one good checkpoint scraped as %v done, %v failed", s["eac_checkpoints_total"], s["eac_checkpoint_failures_total"])
+			}
+			scraped := make(map[string]string)
+			kinds := make(map[string]string)
+			for _, line := range strings.Split(text, "\n") {
+				if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+					kinds[f[2]] = f[3]
+				}
+			}
+			for series := range s {
+				name, rest, _ := strings.Cut(series, "{")
+				if _, ok := kinds[name]; !ok { // a histogram's _bucket/_sum/_count
+					name = name[:strings.LastIndexByte(name, '_')]
+				}
+				var labels []string
+				for _, kv := range strings.Split(strings.TrimSuffix(rest, "}"), ",") {
+					if k, _, ok := strings.Cut(kv, "="); ok && k != "le" {
+						labels = append(labels, k)
+					}
+				}
+				sort.Strings(labels)
+				scraped[name] = kinds[name] + " " + strings.Join(labels, ",")
+			}
+			for name, shape := range documented {
+				if scraped[name] != shape {
+					t.Errorf("%s: METRICS.md says %q, /metrics serves %q", name, shape, scraped[name])
+				}
+			}
+			for name, shape := range scraped {
+				if _, ok := documented[name]; !ok {
+					t.Errorf("%s (%s) is on /metrics and not in METRICS.md", name, shape)
+				}
+			}
+		})
 	}
 }

@@ -56,7 +56,7 @@ func (n *Node) Request(url string, sizeHint int64) (Result, error) {
 	start := time.Now()
 	tr := n.obs.StartTrace(n.id, url)
 	res, err := n.serveRequest(tr, url, sizeHint)
-	n.om.observeRequest(res, err, time.Since(start))
+	n.observeRequest(res, err, time.Since(start))
 	if tr != nil {
 		res.TraceID = tr.TraceID
 		if err != nil {
@@ -109,36 +109,37 @@ func (n *Node) admit() error {
 	case n.inflight <- struct{}{}:
 		return nil
 	case <-timer.C:
-		n.robust.Shed()
-		n.om.shed()
+		n.om.sheds.Inc()
 		return fmt.Errorf("%w (%d in flight, waited %v)", ErrOverloaded, cap(n.inflight), n.shedWait)
 	}
 }
 
 // acquireUpstream takes an origin-semaphore slot, so at most
 // OriginConcurrency parent/origin fetches run at once. A contended
-// acquire is counted and bounded by the request's remaining fetch budget
-// (FetchTimeout) — a saturated upstream fails the request instead of
-// parking goroutines forever.
+// acquire is counted where it contends, timed on both exits, and bounded
+// by the request's remaining fetch budget (FetchTimeout) — a saturated
+// upstream fails the request instead of parking goroutines forever.
 func (n *Node) acquireUpstream(tr *obs.Trace) error {
 	select {
 	case n.originSem <- struct{}{}:
 		return nil
 	default:
 	}
-	n.robust.OriginWait()
+	n.om.upstreamWaits.Inc()
 	start := time.Now()
 	timer := time.NewTimer(n.fetchTimeout)
 	defer timer.Stop()
+	var err error
 	select {
 	case n.originSem <- struct{}{}:
-		n.om.observeUpstreamWait(time.Since(start))
-		return nil
 	case <-timer.C:
-		err := fmt.Errorf("netnode %s: upstream concurrency limit %d saturated for %v", n.id, cap(n.originSem), n.fetchTimeout)
+		err = fmt.Errorf("netnode %s: upstream concurrency limit %d saturated for %v", n.id, cap(n.originSem), n.fetchTimeout)
 		n.warn("upstream semaphore saturated", tr, "limit", cap(n.originSem), "waited", n.fetchTimeout)
-		return err
 	}
+	if n.obs != nil {
+		n.om.upstreamWaitDur.ObserveDuration(time.Since(start))
+	}
+	return err
 }
 
 func (n *Node) releaseUpstream() { <-n.originSem }
@@ -166,20 +167,18 @@ func (n *Node) recordFanout(active []Peer, res icp.Result) {
 		if i := peerByICP(active, a); i >= 0 {
 			heard[i] = true
 			n.health.ReportFailure(active[i].HTTP)
-			n.robust.PeerFailure()
+			n.om.peerFailures[pfICPSend].Inc()
 		}
 	}
-	silent := 0
 	if res.TimedOut {
 		for i, p := range active {
 			if !heard[i] {
-				silent++
 				n.health.ReportFailure(p.HTTP)
-				n.robust.PeerFailure()
+				n.om.peerFailures[pfICPSilent].Inc()
 			}
 		}
 	}
-	n.om.observeFanout(len(res.Answered), silent, len(res.SendFailed))
+	n.om.icpReplies.Add(int64(len(res.Answered)))
 }
 
 // peerByICP returns the index of the peer whose ICP address is a, or -1.
@@ -204,7 +203,7 @@ func (n *Node) fetchUpstream(tr *obs.Trace, addr, url string, sizeHint int64, re
 	var lastErr error
 	for attempt := 0; attempt < n.fetchAttempts; attempt++ {
 		if attempt > 0 {
-			n.robust.Retry()
+			n.om.retries.Inc()
 		}
 		size, age, source, err := n.fetchFrom(tr, addr, url, sizeHint, reqAge, resolve)
 		if err == nil {

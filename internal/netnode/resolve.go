@@ -256,7 +256,7 @@ func (t nodeTransport) FetchRemote(rctx any, c resolve.Candidate, url string, si
 	case err != nil:
 		n.warn("remote fetch failed", tr, "peer", c.ID, "err", err)
 		n.health.ReportFailure(c.ID)
-		n.robust.PeerFailure()
+		n.om.peerFailures[pfFetch].Inc()
 		return resolve.Remote{}, resolve.FetchFailed
 	}
 	n.health.ReportSuccess(c.ID)
@@ -316,7 +316,7 @@ var _ resolve.Hooks = nodeHooks{}
 // extra span.
 func (h nodeHooks) OnLocalHit(any, string, time.Time) {}
 
-func (h nodeHooks) OnRetry(any) { h.n.robust.Retry() }
+func (h nodeHooks) OnRetry(any) { h.n.om.retries.Inc() }
 
 func (h nodeHooks) OnFalseHit(rctx any, c resolve.Candidate, url string) {
 	if h.n.location == resolve.LocateDigest {
@@ -331,11 +331,11 @@ func (h nodeHooks) OnRemoteHit(rctx any, _ resolve.Candidate, url string, size i
 	h.n.placementSpan(traceOf(rctx), roleRequester, url, size, reqAge, respAge, decisionOf(store))
 }
 
-func (h nodeHooks) OnFallback(any) { h.n.robust.Fallback() }
+func (h nodeHooks) OnFallback(any) { h.n.om.fallbacks.Inc() }
 
 func (h nodeHooks) OnParentDegrade(rctx any, url string, err error) {
 	h.n.warn("parent resolve failed, degrading to origin", traceOf(rctx), "url", url, "err", err)
-	h.n.robust.Fallback()
+	h.n.om.fallbacks.Inc()
 }
 
 func (h nodeHooks) OnParentFetch(rctx any, _, url string, size int64, reqAge, parentAge time.Duration, _, store, _ bool, _ time.Time) {

@@ -51,7 +51,7 @@ func (n *Node) serveConn(conn net.Conn) {
 		return
 	}
 	if req.AgeClamped {
-		n.robust.WireClamp()
+		n.om.clamps[clampAge].Inc()
 		n.warn("clamped bad requester age", nil, "remote", conn.RemoteAddr().String())
 	}
 	if req.Push {
@@ -82,10 +82,10 @@ func (n *Node) serveConn(conn net.Conn) {
 		tc, perr := obs.ParseTraceContext(req.Trace)
 		switch {
 		case perr != nil:
-			n.robust.TraceClamp()
+			n.om.clamps[clampTrace].Inc()
 			n.warn("dropped malformed trace context", nil, "remote", conn.RemoteAddr().String())
 		case tc.Hop >= obs.MaxTraceHops:
-			n.robust.TraceClamp()
+			n.om.clamps[clampTrace].Inc()
 			n.warn("dropped trace context at hop limit", nil, "trace", tc.TraceID)
 		default:
 			rtr = n.obs.StartRemoteTrace(n.id, req.URL, tc)
@@ -112,10 +112,10 @@ func (n *Node) serveConn(conn net.Conn) {
 			// remote-parented trace like every placement decision.
 			if n.scheme.OnRemoteHit(req.RequesterAge, respAge).PromoteAtResponder {
 				n.store.Touch(req.URL, n.now())
-				n.om.decision(roleResponder, decisionPromote)
+				n.om.decisions[roleResponder][decisionPromote].Inc()
 				n.auditDecision(rtr, roleResponder, req.URL, obs.DecisionPromote, doc.Size, respAge, req.RequesterAge)
 			} else {
-				n.om.decision(roleResponder, decisionReject)
+				n.om.decisions[roleResponder][decisionReject].Inc()
 				n.auditDecision(rtr, roleResponder, req.URL, obs.DecisionReject, doc.Size, respAge, req.RequesterAge)
 			}
 		}
@@ -221,7 +221,7 @@ func (n *Node) resolveAndServe(conn net.Conn, req hproto.Request, myAge time.Dur
 	if n.draining.Load() {
 		keep = false
 	}
-	n.om.decision(roleParent, decisionOf(keep))
+	n.om.decisions[roleParent][decisionOf(keep)].Inc()
 	n.auditDecision(rtr, roleParent, req.URL, decisionNames[decisionOf(keep)], size, myAge, req.RequesterAge)
 	if keep {
 		n.putIfFits(cache.Document{URL: req.URL, Size: size})

@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -48,7 +47,6 @@ type Admin struct {
 //	                  to one group-wide trace ID)
 //	/debug/placement  JSON dump of the placement-decision audit log
 //	                  (?trace= and ?verdict= filter)
-//	/debug/vars       expvar (process stats, cmdline)
 //	/debug/pprof/     CPU, heap, goroutine, ... profiles
 func ServeAdmin(cfg AdminConfig) (*Admin, error) {
 	if cfg.Telemetry == nil {
@@ -94,7 +92,6 @@ func ServeAdmin(cfg AdminConfig) (*Admin, error) {
 		q := r.URL.Query()
 		_ = cfg.Telemetry.Placement.WriteJSON(w, q.Get("trace"), q.Get("verdict"))
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

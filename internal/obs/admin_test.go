@@ -73,9 +73,9 @@ func TestAdminEndpoints(t *testing.T) {
 		t.Fatalf("traces = %+v", traces)
 	}
 
-	code, body = get(t, base+"/debug/vars")
-	if code != 200 || !strings.Contains(body, "cmdline") {
-		t.Fatalf("/debug/vars = %d\n%s", code, body)
+	// Counters and current state have one surface each; expvar is not one.
+	if code, _ = get(t, base+"/debug/vars"); code != 404 {
+		t.Fatalf("/debug/vars = %d, want 404 (not routed)", code)
 	}
 
 	code, body = get(t, base+"/debug/pprof/")

@@ -2,7 +2,7 @@
 // counter/gauge/histogram registry with Prometheus text exposition, HDR-style
 // log-bucketed latency histograms, per-request trace spans in a lock-cheap
 // ring buffer, and an opt-in admin HTTP surface (/metrics, /healthz,
-// /debug/trace, /debug/vars, pprof). It is stdlib-only and designed so that
+// /debug/trace, pprof). It is stdlib-only and designed so that
 // a node built without telemetry pays nothing: every recording entry point
 // is nil-safe and the hot-path cost with telemetry on is a handful of
 // atomic adds per request.
@@ -76,35 +76,13 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a value that can go up and down (stored as float64 bits).
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add increments the gauge by d.
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // instrumentKind discriminates a family's value type for exposition.
 type instrumentKind int
 
 const (
 	kindCounter instrumentKind = iota + 1
-	kindGauge
 	kindGaugeFunc
+	kindGaugeSet
 	kindHistogram
 )
 
@@ -112,7 +90,7 @@ func (k instrumentKind) promType() string {
 	switch k {
 	case kindCounter:
 		return "counter"
-	case kindGauge, kindGaugeFunc:
+	case kindGaugeFunc, kindGaugeSet:
 		return "gauge"
 	case kindHistogram:
 		return "histogram"
@@ -127,12 +105,13 @@ type family struct {
 	help string
 	kind instrumentKind
 
-	// instruments by canonical label string. Values are *Counter, *Gauge,
+	// instruments by canonical label string. Values are *Counter,
 	// func() float64, or *Histogram depending on kind.
 	instruments map[string]any
-	// labels preserves the label set per canonical key for GaugeFunc
-	// collectors that are re-registered (same key replaces).
+	// order is the label-registration order of the series.
 	order []string
+	// collect produces a kindGaugeSet family's series at scrape time.
+	collect func(emit func(Labels, float64))
 }
 
 // Registry holds named instruments and renders them in Prometheus text
@@ -184,18 +163,17 @@ func (f *family) add(labels Labels, inst any, replace bool) any {
 
 // Counter returns the counter for (name, labels), creating it on first use.
 func (r *Registry) Counter(name, help string, labels Labels) *Counter {
+	return r.RegisterCounter(name, help, labels, &Counter{})
+}
+
+// RegisterCounter exposes c, a counter its owner holds and increments
+// whether or not anything scrapes it, as (name, labels). When the pair is
+// already registered the existing counter is returned and c is ignored.
+func (r *Registry) RegisterCounter(name, help string, labels Labels, c *Counter) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.lookup(name, help, kindCounter)
-	return f.add(labels, &Counter{}, false).(*Counter)
-}
-
-// Gauge returns the gauge for (name, labels), creating it on first use.
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.lookup(name, help, kindGauge)
-	return f.add(labels, &Gauge{}, false).(*Gauge)
+	return f.add(labels, c, false).(*Counter)
 }
 
 // GaugeFunc registers fn as the value source for (name, labels); fn is
@@ -206,6 +184,17 @@ func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64
 	defer r.mu.Unlock()
 	f := r.lookup(name, help, kindGaugeFunc)
 	f.add(labels, fn, true)
+}
+
+// GaugeSet registers a gauge family whose series are produced at scrape
+// time: every exposition calls collect, which emits one (labels, value)
+// pair per series. A family keyed by a changing population — the current
+// member table — therefore never serves a series for something that has
+// gone. Re-registering the name replaces collect.
+func (r *Registry) GaugeSet(name, help string, collect func(emit func(Labels, float64))) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.lookup(name, help, kindGaugeSet).collect = collect
 }
 
 // Histogram returns the log-bucketed histogram for (name, labels), creating
@@ -233,6 +222,17 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				return err
 			}
 		}
+		if f.collect != nil {
+			var err error
+			f.collect(func(l Labels, v float64) {
+				if err == nil {
+					_, err = fmt.Fprintf(w, "%s%s %s\n", name, l.canonical(), formatFloat(v))
+				}
+			})
+			if err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -241,9 +241,6 @@ func writeSeries(w io.Writer, f *family, key string) error {
 	switch inst := f.instruments[key].(type) {
 	case *Counter:
 		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, key, inst.Value())
-		return err
-	case *Gauge:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, key, formatFloat(inst.Value()))
 		return err
 	case func() float64:
 		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, key, formatFloat(inst()))

@@ -22,21 +22,43 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Fatal("re-registration returned a different counter")
 	}
 
-	g := r.Gauge("eac_used_bytes", "bytes", nil)
-	g.Set(12.5)
-	g.Add(-2.5)
-	if g.Value() != 10 {
-		t.Fatalf("gauge = %v", g.Value())
+	// A counter its owner holds is exposed by pointer: the scrape reads
+	// the owner's storage.
+	var owned Counter
+	owned.Add(7)
+	if got := r.RegisterCounter("eac_owned_total", "owned", nil, &owned); got != &owned {
+		t.Fatal("RegisterCounter did not adopt the caller's counter")
 	}
 
 	called := false
 	r.GaugeFunc("eac_age_seconds", "age", nil, func() float64 { called = true; return 3 })
-	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
+	// A gauge set is re-collected on every scrape, so a series whose
+	// subject is gone leaves the exposition.
+	peers := []string{"a", "b"}
+	r.GaugeSet("eac_peer_state", "per peer", func(emit func(Labels, float64)) {
+		for i, p := range peers {
+			emit(Labels{"peer": p}, float64(i))
+		}
+	})
+	scrape := func() string {
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
 	}
+	text := scrape()
 	if !called {
 		t.Fatal("gauge func not called at scrape")
+	}
+	for _, want := range []string{"eac_owned_total 7\n", "# TYPE eac_peer_state gauge\n", `eac_peer_state{peer="a"} 0` + "\n", `eac_peer_state{peer="b"} 1` + "\n"} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("scrape missing %q:\n%s", want, text)
+		}
+	}
+	peers = peers[:1]
+	if text = scrape(); strings.Contains(text, `peer="b"`) {
+		t.Fatalf("departed series still scraped:\n%s", text)
 	}
 }
 
@@ -48,7 +70,7 @@ func TestKindClashPanics(t *testing.T) {
 			t.Fatal("gauge under a counter name accepted")
 		}
 	}()
-	r.Gauge("x", "", nil)
+	r.GaugeFunc("x", "", nil, func() float64 { return 0 })
 }
 
 // TestPrometheusExpositionParses is the golden test: every line of the
@@ -59,7 +81,7 @@ func TestPrometheusExpositionParses(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("eac_requests_total", "requests by outcome", Labels{"outcome": "local-hit"}).Add(3)
 	r.Counter("eac_requests_total", "requests by outcome", Labels{"outcome": "miss"}).Add(2)
-	r.Gauge("eac_resident_bytes", "bytes resident", nil).Set(4096)
+	r.GaugeFunc("eac_resident_bytes", "bytes resident", nil, func() float64 { return 4096 })
 	r.GaugeFunc("eac_expiration_age_seconds", "EA signal", nil, func() float64 { return 12.25 })
 	h := r.Histogram("eac_stage_seconds", "stage latency", Labels{"stage": "local"}, []float64{0.001, 0.01, 0.1})
 	h.Observe(0.0005)
@@ -210,11 +232,9 @@ func TestRegistryConcurrent(t *testing.T) {
 			defer wg.Done()
 			c := r.Counter("eac_concurrent_total", "", Labels{"worker": fmt.Sprint(i % 2)})
 			h := r.Histogram("eac_concurrent_seconds", "", nil, nil)
-			g := r.Gauge("eac_concurrent_gauge", "", nil)
 			for j := 0; j < 2000; j++ {
 				c.Inc()
 				h.Observe(0.001)
-				g.Add(1)
 			}
 		}(i)
 	}

@@ -140,10 +140,10 @@ func TestSimLiveParityDigestAdvertisement(t *testing.T) {
 	if got := p.ICP().DigestRebuilds; got != 0 {
 		t.Errorf("sim rebuild escapes = %d, want 0", got)
 	}
-	rep := node.DigestReport()
-	if rep.RebuildEscapes != 0 {
-		t.Errorf("live rebuild escapes = %d, want 0", rep.RebuildEscapes)
+	if got := node.DigestStats().RebuildEscapes; got != 0 {
+		t.Errorf("live rebuild escapes = %d, want 0", got)
 	}
+	rep := node.DigestReport()
 	if rep.OwnGeneration < uint64(len(records)/4) {
 		t.Errorf("live generation = %d over %d requests; trace exercised too few mutations",
 			rep.OwnGeneration, len(records))
