@@ -282,11 +282,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "disk tier: %s (%s, demote=%s)\n", *diskDir, *diskCap, demote)
 	}
 	if rec, ok := node.Recovery(); ok {
-		fmt.Fprintf(stdout, "warm restart: recovered %d entries (%d bytes) from %s (snapshot %d entries + %d journal records)\n",
-			rec.Restored.Entries, rec.Restored.Bytes, *dataDir, rec.SnapshotEntries, rec.JournalRecords)
-		if rec.Restored.DiskRestored > 0 || rec.Restored.DiskLost > 0 {
-			fmt.Fprintf(stdout, "warm restart: disk tier kept %d documents, lost %d\n",
-				rec.Restored.DiskRestored, rec.Restored.DiskLost)
+		if *dataDir != "" {
+			fmt.Fprintf(stdout, "warm restart: recovered %d entries (%d bytes) from %s (snapshot %d entries + %d journal records)\n",
+				rec.Restored.Entries, rec.Restored.Bytes, *dataDir, rec.SnapshotEntries, rec.JournalRecords)
+		}
+		if d := rec.Disk; *diskDir != "" {
+			fmt.Fprintf(stdout, "warm restart: disk tier kept %d documents, lost %d (%d trimmed for memory copies, %d orphan segments, %d legacy files, %d index bytes truncated)\n",
+				d.Entries-rec.DiskTrimmed, d.LostBlobs, rec.DiskTrimmed, d.Orphans, d.Legacy, d.TruncatedBytes)
 		}
 		if rec.Discarded != "" {
 			fmt.Fprintf(stdout, "warm restart: discarded %d corrupt journal bytes (%s)\n",

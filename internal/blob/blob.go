@@ -567,17 +567,6 @@ func (s *Store) URLs() []string {
 	return out
 }
 
-// Entries implements cache.DiskTier.
-func (s *Store) Entries() []cache.DiskEntry {
-	s.mu.Lock()
-	out := make([]cache.DiskEntry, 0, len(s.entries))
-	for _, d := range s.entries {
-		out = append(out, d.e)
-	}
-	s.mu.Unlock()
-	return out
-}
-
 // ChecksumFailures implements cache.DiskTier.
 func (s *Store) ChecksumFailures() int64 { return s.checksumFailures.Load() }
 

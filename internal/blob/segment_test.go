@@ -37,8 +37,8 @@ func crash(t *testing.T, dir string, indexBytes int) string {
 // residency is what a store holds, keyed by URL.
 func residency(s *Store) map[string]cache.DiskEntry {
 	out := make(map[string]cache.DiskEntry)
-	for _, e := range s.Entries() {
-		out[e.Doc.URL] = e
+	for _, url := range s.URLs() {
+		out[url], _ = s.Peek(url)
 	}
 	return out
 }

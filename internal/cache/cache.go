@@ -175,10 +175,10 @@ const (
 	EventRemove
 	// EventDemote: the memory tier evicted the document and the tier
 	// controller moved it to the disk tier instead of dropping it. The
-	// event carries the entry metadata (EnteredAt/LastHit/Hits) and the
-	// blob checksum so replay can rebuild disk residency exactly. A
-	// demotion is a tier move, not an exit: no expiration age is recorded
-	// and set-membership observers (the digest) keep advertising the URL.
+	// event carries the entry metadata (EnteredAt/LastHit/Hits) as the
+	// disk tier admitted it. A demotion is a tier move, not an exit: no
+	// expiration age is recorded and set-membership observers (the
+	// digest) keep advertising the URL.
 	EventDemote
 	// EventPromoteFromDisk: a disk-resident document was accessed and
 	// moved back into the memory tier. EnteredAt/Hits carry the metadata
@@ -241,10 +241,6 @@ type Event struct {
 	EnteredAt time.Time
 	LastHit   time.Time
 	Hits      int64
-	// Sum is the blob checksum (EventDemote only): the SHA-256 of the
-	// demoted body as stored by the disk tier, journaled so recovery can
-	// cross-check residency against the blob index.
-	Sum [32]byte
 }
 
 // Store is a single proxy cache: documents, capacity accounting, replacement

@@ -26,7 +26,9 @@
 // shard's lock: the controller swallows the inner EventEvict and emits
 // either EventDemote (tier move) or the EventEvict itself (true exit), so
 // the per-URL event order the journal replays is exactly the order the
-// logical store mutated. Blob I/O under a shard lock is deliberate — it
+// logical store mutated. Disk residency itself is recorded once, by the
+// disk tier's own index: the journal only learns that the document left
+// memory. Blob I/O under a shard lock is deliberate — it
 // serialises the victim's lifecycle and it is off the memory-hit hot
 // path, which does not take the disk tier into account at all: with no
 // disk tier configured every method is a direct pass-through and the
@@ -90,7 +92,6 @@ type DiskTier interface {
 	Used() int64
 	Capacity() int64
 	URLs() []string
-	Entries() []DiskEntry
 	// ChecksumFailures counts blobs that failed verification on read.
 	ChecksumFailures() int64
 	// Sync flushes the blob index to stable storage.
@@ -236,13 +237,12 @@ func (t *TieredStore) memEvent(ev Event) {
 	now := ev.At
 	if t.shouldDemote(ev.Age, now) {
 		de := DiskEntry{Doc: ev.Doc, EnteredAt: ev.EnteredAt, LastHit: ev.LastHit, Hits: ev.Hits}
-		admitted, evicted, err := t.disk.Admit(de, t.body(ev.Doc), now)
+		_, evicted, err := t.disk.Admit(de, t.body(ev.Doc), now)
 		if err == nil {
 			t.demotions.Add(1)
 			t.forward(Event{
 				Kind: EventDemote, Doc: ev.Doc, At: now, Age: ev.Age,
 				EnteredAt: ev.EnteredAt, LastHit: ev.LastHit, Hits: ev.Hits,
-				Sum: admitted.Sum,
 			})
 			t.diskExits(evicted, now)
 			return
@@ -269,7 +269,7 @@ func (t *TieredStore) shouldDemote(victimAge time.Duration, now time.Time) bool 
 
 // diskExits records documents the disk tier evicted: true exits from the
 // logical store, surfaced as disk-tier EventEvicts so the digest stops
-// advertising them and replay drops their residency.
+// advertising them and replay feeds the exit tracker.
 func (t *TieredStore) diskExits(evs []DiskEviction, now time.Time) {
 	for _, de := range evs {
 		t.diskEvictions.Add(1)
@@ -360,7 +360,7 @@ func (t *TieredStore) Touch(url string, now time.Time) bool {
 
 // Put inserts doc into the memory tier. A stale disk copy of the same URL
 // (possible when a push races a demotion) is dropped first so the tiers
-// stay exclusive, and the drop is journaled before the insert.
+// stay exclusive: the index del lands before the journal's insert.
 func (t *TieredStore) Put(doc Document, now time.Time) ([]Eviction, error) {
 	if t.disk != nil && t.disk.Contains(doc.URL) {
 		if de, ok := t.disk.Remove(doc.URL); ok {
@@ -418,33 +418,6 @@ func (t *TieredStore) Len() int {
 		return t.mem.Len()
 	}
 	return t.mem.Len() + t.disk.Len()
-}
-
-// MemLen/MemUsed/MemCapacity and DiskLen/DiskUsed/DiskCapacity expose the
-// per-tier occupancy for the eac_tier_* gauges.
-func (t *TieredStore) MemLen() int        { return t.mem.Len() }
-func (t *TieredStore) MemUsed() int64     { return t.mem.Used() }
-func (t *TieredStore) MemCapacity() int64 { return t.mem.Capacity() }
-
-func (t *TieredStore) DiskLen() int {
-	if t.disk == nil {
-		return 0
-	}
-	return t.disk.Len()
-}
-
-func (t *TieredStore) DiskUsed() int64 {
-	if t.disk == nil {
-		return 0
-	}
-	return t.disk.Used()
-}
-
-func (t *TieredStore) DiskCapacity() int64 {
-	if t.disk == nil {
-		return 0
-	}
-	return t.disk.Capacity()
 }
 
 // TierCounters returns the controller's monotonic counters.
@@ -523,52 +496,17 @@ func (t *TieredStore) SetEventSink(fn func(Event)) {
 	t.extSink.Store(&fn)
 }
 
-// RestoreEntry reinserts a recovered document into the memory tier. A
-// blob left over from the crash window where a journal-visible memory
-// entry also reached disk (a promotion whose blob drop never landed) is
-// trimmed: recovery always prefers the memory copy.
+// RestoreEntry reinserts a recovered document into the memory tier. This
+// is the one rule that joins the two logs at recovery: the disk tier has
+// already recovered itself from its own index, and a URL the journal puts
+// in memory too (a demotion whose journal frame, or a promotion whose
+// index del, never landed) keeps the memory copy and drops the blob.
 func (t *TieredStore) RestoreEntry(doc Document, enteredAt, lastHit time.Time, hits int64) error {
 	err := t.mem.RestoreEntry(doc, enteredAt, lastHit, hits)
 	if err == nil && t.disk != nil {
 		t.disk.Remove(doc.URL)
 	}
 	return err
-}
-
-// RestoreDisk reconciles persisted disk residency against the blob
-// index rebuilt by the disk tier's own recovery: entries both agree on
-// (URL, size and checksum) are kept, entries the persist layer knows but
-// the blob tier lost (torn index tail, missing or resized blob file) are
-// counted lost, and blobs the persist layer does not account for are
-// swept. Memory-resident URLs always win (see RestoreEntry). Returns the
-// kept and lost counts.
-func (t *TieredStore) RestoreDisk(entries []DiskEntry) (restored, lost int) {
-	if t.disk == nil {
-		return 0, len(entries)
-	}
-	want := make(map[string]struct{}, len(entries))
-	for _, de := range entries {
-		if t.mem.Contains(de.Doc.URL) {
-			t.disk.Remove(de.Doc.URL)
-			continue
-		}
-		want[de.Doc.URL] = struct{}{}
-		got, ok := t.disk.Peek(de.Doc.URL)
-		if !ok || got.Sum != de.Sum || got.Doc.Size != de.Doc.Size {
-			if ok {
-				t.disk.Remove(de.Doc.URL)
-			}
-			lost++
-			continue
-		}
-		restored++
-	}
-	for _, url := range t.disk.URLs() {
-		if _, ok := want[url]; !ok {
-			t.disk.Remove(url)
-		}
-	}
-	return restored, lost
 }
 
 // TrackerState exports the advertised tracker for persistence: the
@@ -597,26 +535,23 @@ func (t *TieredStore) RestoreTracker(st TrackerState) {
 	t.exitMu.Unlock()
 }
 
-// tieredCheckpointView augments the all-shards-locked memory view with
-// the disk tier's entries and swaps in the logical tracker, so one
-// checkpoint images the whole logical store.
+// tieredCheckpointView is the all-shards-locked memory view with the
+// logical tracker swapped in. The disk tier is not part of a checkpoint:
+// its index is its own durable record.
 type tieredCheckpointView struct {
 	StoreView
 	tracker TrackerState
-	disk    []DiskEntry
 }
 
 // TrackerState returns the logical (advertised) tracker state.
 func (v tieredCheckpointView) TrackerState() TrackerState { return v.tracker }
 
-// DiskEntries returns the disk tier's entries at the checkpoint instant.
-func (v tieredCheckpointView) DiskEntries() []DiskEntry { return v.disk }
-
 // Checkpoint runs capture with a consistent point-in-time view of the
-// logical store. All memory shard locks are held, which also excludes
-// every tier transition (demotions and promotions mutate under a shard
-// lock), so the memory image, the disk image and the logical tracker are
-// mutually consistent.
+// memory tier and the logical tracker. All memory shard locks are held,
+// which also excludes every tier transition (demotions and promotions
+// mutate under a shard lock), so the two are mutually consistent; the
+// disk tier is not touched, so the barrier's length does not depend on
+// how much it holds.
 func (t *TieredStore) Checkpoint(capture func(view StoreView) error) error {
 	if t.disk == nil {
 		return t.mem.Checkpoint(capture)
@@ -625,7 +560,7 @@ func (t *TieredStore) Checkpoint(capture func(view StoreView) error) error {
 		t.exitMu.Lock()
 		tr := t.exits.State()
 		t.exitMu.Unlock()
-		return capture(tieredCheckpointView{StoreView: v, tracker: tr, disk: t.disk.Entries()})
+		return capture(tieredCheckpointView{StoreView: v, tracker: tr})
 	})
 }
 
@@ -634,8 +569,8 @@ func (t *TieredStore) Checkpoint(capture func(view StoreView) error) error {
 // shard locks, so taking the full checkpoint barrier is the flush: any
 // demotion that began before Quiesce has finished its blob and index
 // writes by the time the barrier is acquired. Node.Close runs this
-// before the journal's final rotate so the snapshot and the blob index
-// agree.
+// before the journal's final rotate so every demotion the final snapshot
+// leaves out of memory is backed by a durable index frame.
 func (t *TieredStore) Quiesce() error {
 	if t.disk == nil {
 		return nil

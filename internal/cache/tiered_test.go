@@ -216,9 +216,6 @@ func TestDemotePromoteRoundTripProperty(t *testing.T) {
 		if want := evictAt.Sub(lastHit); demote.Age != want {
 			t.Fatalf("trial %d: demote age %v, want %v", trial, demote.Age, want)
 		}
-		if demote.Sum != de.Sum {
-			t.Fatalf("trial %d: demote event sum differs from index", trial)
-		}
 
 		// Body bytes round-trip through the verified reader.
 		_, rc, ok := disk.Open(url)
@@ -347,7 +344,7 @@ func TestDemoteAlwaysSpills(t *testing.T) {
 // TestTieredUnionSurface: membership, sizes, Entry and URLs span both
 // tiers; Remove and Put keep the tiers exclusive.
 func TestTieredUnionSurface(t *testing.T) {
-	ts, disk, events := newTiered(t, 2048, 1<<20, cache.DemoteAlways)
+	ts, mem, disk, events := newTieredMem(t, 2048, 1<<20, cache.DemoteAlways)
 	now := t0()
 	for i := 0; i < 6; i++ {
 		now = now.Add(time.Minute)
@@ -356,8 +353,8 @@ func TestTieredUnionSurface(t *testing.T) {
 		}
 	}
 	// 2 in memory, 4 on disk.
-	if ts.MemLen() != 2 || ts.DiskLen() != 4 || ts.Len() != 6 {
-		t.Fatalf("mem/disk/len = %d/%d/%d", ts.MemLen(), ts.DiskLen(), ts.Len())
+	if mem.Len() != 2 || disk.Len() != 4 || ts.Len() != 6 {
+		t.Fatalf("mem/disk/len = %d/%d/%d", mem.Len(), disk.Len(), ts.Len())
 	}
 	if ts.Used() != 6*1024 || ts.Capacity() != 2048+1<<20 {
 		t.Fatalf("used/capacity = %d/%d", ts.Used(), ts.Capacity())
@@ -378,7 +375,7 @@ func TestTieredUnionSurface(t *testing.T) {
 		}
 	}
 	// Remove a disk-resident URL: gone from the logical store, with a
-	// disk-tier remove event for the digest/journal.
+	// disk-tier remove event for the digest and the counters.
 	*events = nil
 	if !ts.Remove("http://u/0") {
 		t.Fatal("remove of disk-resident URL failed")
@@ -389,7 +386,7 @@ func TestTieredUnionSurface(t *testing.T) {
 	if len(*events) != 1 || (*events)[0].Kind != cache.EventRemove || (*events)[0].Tier != cache.TierDisk {
 		t.Fatalf("events = %+v", *events)
 	}
-	// Put over a disk-resident URL drops the stale blob first (journal
+	// Put over a disk-resident URL drops the stale blob first (the sink
 	// sees disk-remove then insert).
 	*events = nil
 	if _, err := ts.Put(cache.Document{URL: "http://u/1", Size: 512}, now.Add(time.Hour)); err != nil {
@@ -475,28 +472,67 @@ func TestTieredExitTracker(t *testing.T) {
 	}
 }
 
-// TestTieredCheckpointView: the checkpoint view carries both tiers and
-// the logical tracker.
+// recordingDisk is a DiskTier that counts every call made to it.
+type recordingDisk struct {
+	cache.DiskTier
+	calls *int
+}
+
+func (d recordingDisk) tier() cache.DiskTier { *d.calls++; return d.DiskTier }
+
+func (d recordingDisk) Admit(e cache.DiskEntry, body io.Reader, now time.Time) (cache.DiskEntry, []cache.DiskEviction, error) {
+	return d.tier().Admit(e, body, now)
+}
+func (d recordingDisk) Open(url string) (cache.DiskEntry, io.ReadCloser, bool) {
+	return d.tier().Open(url)
+}
+func (d recordingDisk) Remove(url string) (cache.DiskEntry, bool) { return d.tier().Remove(url) }
+func (d recordingDisk) Contains(url string) bool                  { return d.tier().Contains(url) }
+func (d recordingDisk) Peek(url string) (cache.DiskEntry, bool)   { return d.tier().Peek(url) }
+func (d recordingDisk) ExpirationAge(now time.Time) time.Duration { return d.tier().ExpirationAge(now) }
+func (d recordingDisk) Len() int                                  { return d.tier().Len() }
+func (d recordingDisk) Used() int64                               { return d.tier().Used() }
+func (d recordingDisk) Capacity() int64                           { return d.tier().Capacity() }
+func (d recordingDisk) URLs() []string                            { return d.tier().URLs() }
+func (d recordingDisk) ChecksumFailures() int64                   { return d.tier().ChecksumFailures() }
+func (d recordingDisk) Sync() error                               { return d.tier().Sync() }
+func (d recordingDisk) Close() error                              { return d.tier().Close() }
+
+// TestTieredCheckpointView: the checkpoint view is the memory tier plus
+// the logical tracker, and nothing inside the all-shards barrier calls
+// the disk tier — what it holds cannot lengthen the barrier.
 func TestTieredCheckpointView(t *testing.T) {
-	ts, _, _ := newTiered(t, 2048, 1<<20, cache.DemoteAlways)
+	mem, err := cache.NewSharded(cache.ShardedConfig{Shards: 4, Capacity: 8192, ExpirationWindow: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk, err := blob.Open(blob.Config{Dir: t.TempDir(), Capacity: 1 << 20, ExpirationWindow: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	calls := 0
+	ts, err := cache.NewTiered(cache.TieredConfig{Memory: mem, Disk: recordingDisk{disk, &calls}, Demote: cache.DemoteAlways, Body: bodyFn})
+	if err != nil {
+		t.Fatal(err)
+	}
 	now := t0()
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 40; i++ {
 		now = now.Add(time.Minute)
 		if _, err := ts.Put(cache.Document{URL: fmt.Sprintf("http://cp/%d", i), Size: 1024}, now); err != nil {
 			t.Fatal(err)
 		}
 	}
-	err := ts.Checkpoint(func(v cache.StoreView) error {
-		mem := v.Entries()
-		if len(mem) != 2 {
-			t.Fatalf("checkpoint memory entries = %d", len(mem))
+	if calls == 0 || disk.Len() == 0 {
+		t.Fatalf("setup: %d disk-tier calls, %d disk residents", calls, disk.Len())
+	}
+	before, inMem := calls, mem.Len() // not inside the barrier: Len takes the shard locks
+	err = ts.Checkpoint(func(v cache.StoreView) error {
+		if got := len(v.Entries()); got != inMem || got+disk.Len() != 40 {
+			t.Fatalf("checkpoint memory entries = %d, memory holds %d beside %d on disk", got, inMem, disk.Len())
 		}
-		dv, ok := v.(interface{ DiskEntries() []cache.DiskEntry })
-		if !ok {
-			t.Fatal("checkpoint view has no DiskEntries")
-		}
-		if got := dv.DiskEntries(); len(got) != 4 {
-			t.Fatalf("checkpoint disk entries = %d", len(got))
+		if _, ok := v.(interface{ DiskEntries() []cache.DiskEntry }); ok {
+			t.Fatal("checkpoint view still images the disk tier")
 		}
 		if v.TrackerState().TotalCount != 0 {
 			t.Fatal("logical tracker counted tier moves")
@@ -506,56 +542,50 @@ func TestTieredCheckpointView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if calls != before {
+		t.Fatalf("Checkpoint made %d disk-tier calls, want none", calls-before)
+	}
 }
 
-// TestRestoreDiskReconciles: persisted residency is cross-checked
-// against the blob index; mismatches are lost, memory wins, orphans are
-// swept.
+// TestRestoreDiskReconciles: the blob index is the record of disk
+// residency and recovery joins it to the journal by one rule — a URL the
+// journal restores into memory keeps the memory copy and loses its blob.
+// A blob the journal never mentions stays, and so does one whose memory
+// restore was refused: the document is in exactly one tier either way.
 func TestRestoreDiskReconciles(t *testing.T) {
-	ts, disk, _ := newTiered(t, 4096, 1<<20, cache.DemoteAlways)
+	ts, mem, disk, _ := newTieredMem(t, 300, 1<<20, cache.DemoteAlways)
 	now := t0()
-	// Three entries straight into the disk tier.
-	var des []cache.DiskEntry
+	// Three entries straight into the disk tier, as its own recovery
+	// leaves them.
 	for i := 0; i < 3; i++ {
 		url := fmt.Sprintf("http://rd/%d", i)
-		e, _, err := disk.Admit(cache.DiskEntry{
+		if _, _, err := disk.Admit(cache.DiskEntry{
 			Doc: cache.Document{URL: url, Size: 256}, EnteredAt: now, LastHit: now, Hits: 1,
-		}, bytes.NewReader(docBody(url, 256)), now)
-		if err != nil {
+		}, bytes.NewReader(docBody(url, 256)), now); err != nil {
 			t.Fatal(err)
 		}
-		des = append(des, e)
 	}
-	// rd/0 is also memory-resident (promotion crash window): memory wins.
+	// rd/0 is memory-resident by the journal too (a promotion whose index
+	// del, or a demotion whose journal frame, never landed): memory wins.
 	if err := ts.RestoreEntry(cache.Document{URL: "http://rd/0", Size: 256}, now, now, 2); err != nil {
 		t.Fatal(err)
 	}
-	// rd/1's persisted record has a stale sum (the blob was re-written
-	// after the snapshot): lost.
-	stale := des[1]
-	stale.Sum[0] ^= 0xff
-	// rd/2 round-trips. An orphan blob (never persisted) is swept.
-	orphanURL := "http://rd/orphan"
-	if _, _, err := disk.Admit(cache.DiskEntry{
-		Doc: cache.Document{URL: orphanURL, Size: 64}, EnteredAt: now, LastHit: now, Hits: 1,
-	}, bytes.NewReader(docBody(orphanURL, 64)), now); err != nil {
-		t.Fatal(err)
+	// rd/1 is too, but no longer fits the memory tier: the restore is
+	// refused and the blob is the copy that stays.
+	if err := ts.RestoreEntry(cache.Document{URL: "http://rd/1", Size: 256}, now, now, 2); err == nil {
+		t.Fatal("restore past the memory capacity accepted")
 	}
-
-	restored, lost := ts.RestoreDisk([]cache.DiskEntry{des[0], stale, des[2]})
-	if restored != 1 || lost != 1 {
-		t.Fatalf("restored/lost = %d/%d, want 1/1", restored, lost)
+	// rd/2 the journal never mentions: the index alone keeps it.
+	for url, where := range map[string][2]bool{
+		"http://rd/0": {true, false},
+		"http://rd/1": {false, true},
+		"http://rd/2": {false, true},
+	} {
+		if inMem, onDisk := mem.Contains(url), disk.Contains(url); inMem != where[0] || onDisk != where[1] {
+			t.Fatalf("%s: memory %v, disk %v; want %v, %v", url, inMem, onDisk, where[0], where[1])
+		}
 	}
-	if disk.Contains("http://rd/0") {
-		t.Fatal("memory-resident URL kept its blob")
-	}
-	if disk.Contains("http://rd/1") {
-		t.Fatal("stale-sum entry kept its blob")
-	}
-	if !disk.Contains("http://rd/2") {
-		t.Fatal("clean entry lost")
-	}
-	if disk.Contains(orphanURL) {
-		t.Fatal("orphan blob survived reconciliation")
+	if rep := disk.VerifyAll(); rep.Failed != 0 || rep.Verified != 2 {
+		t.Fatalf("verify after reconcile = %+v", rep)
 	}
 }

@@ -21,8 +21,7 @@ import (
 // queries. A peer holding a replica at generation G requests
 // "eac:digest?since=G" and receives a compact delta of the projection
 // bits that flipped since G (or a full transfer when the change log no
-// longer covers the span); the bare URL still serves the legacy
-// unversioned filter for old peers.
+// longer covers the span); the bare URL means since=0.
 const DigestURL = "eac:digest"
 
 // digestSinceParam is the query key carrying the requester's replica

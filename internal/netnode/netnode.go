@@ -90,7 +90,7 @@ type Node struct {
 
 	persister *persist.Persister
 	snapEvery time.Duration
-	recovery  *RecoveryReport
+	recovery  RecoveryReport
 
 	icpServer *icp.Server
 	icpClient *icp.Client
@@ -102,12 +102,18 @@ type Node struct {
 	closeErr  error
 }
 
-// RecoveryReport describes a warm restart: what the persistence layer
-// found on disk and what was actually loaded back into the store.
+// RecoveryReport describes a warm restart. Each directory recovers on its
+// own: DataDir's snapshot and journal restore the memory tier, DiskDir's
+// blob index the disk tier; either half is zero without its directory.
 type RecoveryReport struct {
 	persist.Report
-	// Restored is what made it into the live store.
+	// Restored is what made it into the live memory tier.
 	Restored persist.RestoreStats
+	// Disk is the blob tier's own Open-time recovery.
+	Disk blob.Report
+	// DiskTrimmed counts the Disk.Entries dropped since because the journal
+	// restored the same URL into memory (the memory copy wins).
+	DiskTrimmed int
 }
 
 // New starts a node's ICP responder and fetch listener. Close releases
@@ -119,9 +125,9 @@ func New(cfg Config) (*Node, error) {
 	}
 	// The tiered facade always fronts the memory store. Without DiskDir it
 	// is a pure pass-through (identical behaviour and cost); with it, the
-	// blob tier recovers its own index here — a warm restart that never
-	// re-reads blob bodies — and the EA-aware controller starts demoting
-	// memory victims that still have life ahead of them.
+	// blob tier recovers itself from its own index here — a warm restart
+	// that never re-reads blob bodies nor needs DataDir — and the EA-aware
+	// controller starts demoting victims that still have life ahead of them.
 	var blobStore *blob.Store
 	tcfg := cache.TieredConfig{Memory: cfg.Store, Demote: demotePolicy}
 	if cfg.DiskDir != "" {
@@ -176,7 +182,7 @@ func New(cfg Config) (*Node, error) {
 		n.inflight = make(chan struct{}, cfg.MaxInflight)
 	}
 	n.obs = cfg.Obs
-	n.om.register(n, cfg.Obs)
+	n.om.register(n, cfg.Store, cfg.Obs)
 
 	// The breaker feeds the transition counters; a user callback (tests)
 	// is chained after them.
@@ -228,10 +234,17 @@ func New(cfg Config) (*Node, error) {
 		stdLogger = slog.NewLogLogger(cfg.Logger.Handler(), slog.LevelWarn)
 	}
 
-	// Recover persisted state into the store before any server can touch
-	// it, then journal every mutation from here on. Persistence observes
-	// the store through its event sink, so the replacement policies and
-	// the request path stay oblivious to it.
+	// Recover persisted state into the memory tier before any server can
+	// touch it (a URL the blob index recovered too loses its blob to the
+	// memory copy), then journal every mutation from here on. Persistence
+	// observes the store through its event sink, so the replacement
+	// policies and the request path stay oblivious to it.
+	if blobStore != nil {
+		n.recovery.Disk = blobStore.Report()
+		if lost := n.recovery.Disk.LostBlobs; lost > 0 {
+			n.warn("disk tier recovery dropped entries whose bytes were gone", nil, "lost", lost)
+		}
+	}
 	if cfg.DataDir != "" {
 		p, err := persist.Open(persist.Config{
 			Dir:    cfg.DataDir,
@@ -240,17 +253,16 @@ func New(cfg Config) (*Node, error) {
 		if err != nil {
 			return nil, fmt.Errorf("netnode: %w", err)
 		}
-		stats := persist.Restore(n.store, p.RecoveredState())
-		if stats.Skipped > 0 {
-			n.warn("recovery skipped entries that no longer fit", nil, "skipped", stats.Skipped)
+		n.recovery.Report = p.Report()
+		n.recovery.Restored = persist.Restore(n.store, p.RecoveredState())
+		if skipped := n.recovery.Restored.Skipped; skipped > 0 {
+			n.warn("recovery skipped entries that no longer fit", nil, "skipped", skipped)
 		}
-		if stats.DiskLost > 0 {
-			n.warn("recovery lost disk-tier residency claims", nil,
-				"lost", stats.DiskLost, "restored", stats.DiskRestored)
+		if blobStore != nil {
+			n.recovery.DiskTrimmed = n.recovery.Disk.Entries - blobStore.Len()
 		}
 		n.persister = p
 		n.snapEvery = cfg.SnapshotInterval
-		n.recovery = &RecoveryReport{Report: p.Report(), Restored: stats}
 	}
 
 	// The own digest is seeded from the (possibly just recovered) store
@@ -510,8 +522,8 @@ func (n *Node) shutdown(wait time.Duration) error {
 		// takes the all-shards checkpoint barrier (every in-flight demotion
 		// and promotion mutates under a shard lock, so acquiring all of
 		// them means none is mid-flight) and fsyncs the blob index. Only
-		// then does the final checkpoint capture and rotate, so the
-		// snapshot's disk-residency claims are backed by durable blobs.
+		// then does the final checkpoint capture and rotate, so a document
+		// the snapshot no longer lists in memory is durably on disk.
 		if err := n.store.Quiesce(); err != nil {
 			n.warn("disk tier quiesce failed", nil, "err", err)
 		}
@@ -539,12 +551,9 @@ func (n *Node) shutdown(wait time.Duration) error {
 }
 
 // Recovery reports what the last warm restart recovered; ok is false when
-// the node runs without persistence.
+// the node runs with neither a data nor a disk directory.
 func (n *Node) Recovery() (RecoveryReport, bool) {
-	if n.recovery == nil {
-		return RecoveryReport{}, false
-	}
-	return *n.recovery, true
+	return n.recovery, n.persister != nil || n.blobStore != nil
 }
 
 // snapshotLoop checkpoints every snapEvery until the node closes.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"time"
 
+	"eacache/internal/blob"
 	"eacache/internal/cache"
 	"eacache/internal/metrics"
 	"eacache/internal/obs"
@@ -217,17 +218,23 @@ func histograms(key string, names []string, hs []*obs.Histogram) []series {
 	return out
 }
 
-// tiers is a per-tier gauge pair.
-func tiers[T int | int64](mem, disk func() T) []series {
-	m, d := gauge(mem), gauge(disk)
+// tiers is a per-tier gauge pair. An untiered node (b nil) scrapes zeros
+// for the disk series, so dashboards stay stable across configurations.
+func tiers[T int | int64](mem func() T, b *blob.Store, disk func(*blob.Store) T) []series {
+	m, d := gauge(mem), gauge(func() T {
+		if b == nil {
+			return 0
+		}
+		return disk(b)
+	})
 	m[0].labels, d[0].labels = obs.Labels{"tier": "memory"}, obs.Labels{"tier": "disk"}
 	return append(m, d...)
 }
 
 // families is the node's whole /metrics catalogue (METRICS.md tabulates
 // the same rows; TestMetricsCatalogue holds the two equal).
-func (o *nodeObs) families(n *Node) []family {
-	st := n.store
+func (o *nodeObs) families(n *Node, mem *cache.ShardedStore) []family {
+	st, disk := n.store, n.blobStore
 	tier := func(f func(cache.TierCounters) int64) []series {
 		return gauge(func() int64 { return f(st.TierCounters()) })
 	}
@@ -272,17 +279,15 @@ func (o *nodeObs) families(n *Node) []family {
 		{"eac_digest_rebuild_escapes_total", "Full-scan digest rebuilds via the counter-saturation escape hatch (steady state: 0).", counter(&o.digestRebuilds), nil},
 		{"eac_digest_stale_served_total", "Lookups answered from a stale peer digest while its refresh was in flight.", counter(&o.digestStale), nil},
 
-		{"eac_cache_events_total", "Cache mutations by kind (with persistence on, each is one journal record).", counters("kind", kinds, o.events[cache.EventInsert:]), nil},
+		{"eac_cache_events_total", "Cache mutations by kind, across both tiers (a disk-tier exit counts under evict or remove).", counters("kind", kinds, o.events[cache.EventInsert:]), nil},
 		{"eac_cache_expiration_age_seconds", "Cache expiration age, the EA contention signal (+Inf = no contention yet).", gauge(n.expirationAgeSeconds), nil},
 		{"eac_cache_documents", "Resident documents.", gauge(st.Len), nil},
 		{"eac_cache_bytes", "Resident bytes.", gauge(st.Used), nil},
 		{"eac_cache_evictions", "Documents evicted by the replacement policy.", gauge(st.Evictions), nil},
 
-		// An untiered node scrapes zeros for the disk series, so dashboards
-		// stay stable across configurations.
-		{"eac_tier_documents", "Resident documents, by storage tier.", tiers(st.MemLen, st.DiskLen), nil},
-		{"eac_tier_bytes", "Resident bytes, by storage tier.", tiers(st.MemUsed, st.DiskUsed), nil},
-		{"eac_tier_capacity_bytes", "Byte budget, by storage tier.", tiers(st.MemCapacity, st.DiskCapacity), nil},
+		{"eac_tier_documents", "Resident documents, by storage tier.", tiers(mem.Len, disk, (*blob.Store).Len), nil},
+		{"eac_tier_bytes", "Resident bytes, by storage tier.", tiers(mem.Used, disk, (*blob.Store).Used), nil},
+		{"eac_tier_capacity_bytes", "Byte budget, by storage tier.", tiers(mem.Capacity, disk, (*blob.Store).Capacity), nil},
 		{"eac_tier_demotions", "Memory victims moved to the disk tier instead of exiting.", tier(func(c cache.TierCounters) int64 { return c.Demotions }), nil},
 		{"eac_tier_demotion_drops", "Memory victims the demotion rule (or a refusing disk tier) dropped.", tier(func(c cache.TierCounters) int64 { return c.DemotionDrops }), nil},
 		{"eac_tier_promotions", "Disk hits re-promoted into the memory tier.", tier(func(c cache.TierCounters) int64 { return c.Promotions }), nil},
@@ -324,12 +329,12 @@ func (n *Node) expirationAgeSeconds() float64 {
 
 // register exposes the catalogue on tel's registry; without telemetry the
 // counters count unexposed and the histograms stay nil.
-func (o *nodeObs) register(n *Node, tel *obs.Telemetry) {
+func (o *nodeObs) register(n *Node, mem *cache.ShardedStore, tel *obs.Telemetry) {
 	if tel == nil {
 		return
 	}
 	r := tel.Registry
-	for _, f := range o.families(n) {
+	for _, f := range o.families(n, mem) {
 		if f.collect != nil {
 			r.GaugeSet(f.name, f.help, f.collect)
 		}

@@ -63,9 +63,8 @@ func (n *Node) serveConn(conn net.Conn) {
 	}
 	putReader(br)
 
-	// The reserved digest URL serves this node's own cache digest —
-	// bare for the legacy full transfer, ?since=<gen> for the versioned
-	// delta sync.
+	// The reserved digest URL serves this node's own cache digest as a
+	// delta from ?since=<gen>; the bare URL means since=0.
 	if isDigestURL(req.URL) {
 		n.serveDigestRequest(conn, req.URL)
 		return

@@ -1,12 +1,19 @@
 package netnode
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"eacache/internal/cache"
 	"eacache/internal/core"
 	"eacache/internal/metrics"
+	"eacache/internal/persist"
 )
 
 // startTieredNode starts a node with a small memory tier backed by a blob
@@ -87,7 +94,7 @@ func TestTierPromoteOverWire(t *testing.T) {
 	if got := n.store.TierCounters().Demotions; got < 4 {
 		t.Fatalf("demotions = %d, want >= 4", got)
 	}
-	if n.store.DiskLen() == 0 {
+	if n.blobStore.Len() == 0 {
 		t.Fatal("no documents on disk after overflow")
 	}
 	// The first document is the coldest: it must be disk-resident now.
@@ -115,8 +122,8 @@ func TestTierPromoteOverWire(t *testing.T) {
 
 // TestTierCloseFlushesDemotions is the drain/close-ordering check: a
 // graceful Close must flush in-flight tier demotions (Quiesce) before the
-// journal's final rotate, so the restart snapshot and the blob index
-// agree on every disk resident.
+// journal's final rotate, so every document the restart snapshot leaves
+// out of memory is one the blob index recovers.
 func TestTierCloseFlushesDemotions(t *testing.T) {
 	origin := startOrigin(t)
 	dataDir, diskDir := t.TempDir(), t.TempDir()
@@ -129,7 +136,8 @@ func TestTierCloseFlushesDemotions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	diskLen, memLen := n1.store.DiskLen(), n1.store.MemLen()
+	diskLen := n1.blobStore.Len()
+	memLen := n1.Len() - diskLen
 	if diskLen == 0 {
 		t.Fatal("workload produced no demotions")
 	}
@@ -143,13 +151,13 @@ func TestTierCloseFlushesDemotions(t *testing.T) {
 	if !ok || !rep.SnapshotLoaded {
 		t.Fatalf("recovery = %+v, ok=%v; want snapshot-led", rep, ok)
 	}
-	if rep.Restored.DiskRestored != diskLen || rep.Restored.DiskLost != 0 {
-		t.Fatalf("disk recovery = %d restored / %d lost, want %d / 0",
-			rep.Restored.DiskRestored, rep.Restored.DiskLost, diskLen)
+	if rep.Disk.Entries != diskLen || rep.Disk.LostBlobs != 0 || rep.DiskTrimmed != 0 {
+		t.Fatalf("disk recovery = %d entries / %d lost / %d trimmed, want %d / 0 / 0",
+			rep.Disk.Entries, rep.Disk.LostBlobs, rep.DiskTrimmed, diskLen)
 	}
-	if n2.store.DiskLen() != diskLen || n2.store.MemLen() != memLen {
+	if got := n2.blobStore.Len(); got != diskLen || n2.Len()-got != memLen {
 		t.Fatalf("restored occupancy = %d mem / %d disk, want %d / %d",
-			n2.store.MemLen(), n2.store.DiskLen(), memLen, diskLen)
+			n2.Len()-got, got, memLen, diskLen)
 	}
 	fetches := origin.Fetches()
 	for _, u := range urls {
@@ -187,8 +195,8 @@ func TestTierKill9Recovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	diskLen := n1.store.DiskLen()
-	if used := n1.store.DiskUsed(); used < 10*memCap {
+	diskLen := n1.blobStore.Len()
+	if used := n1.blobStore.Used(); used < 10*memCap {
 		t.Fatalf("disk tier holds %d bytes, want >= 10x memory capacity (%d)", used, 10*memCap)
 	}
 	// Simulated kill -9: tear down the sockets so the ports are free, but
@@ -204,13 +212,13 @@ func TestTierKill9Recovery(t *testing.T) {
 	if !ok || rep.SnapshotLoaded || rep.JournalRecords == 0 {
 		t.Fatalf("recovery = %+v, ok=%v; want journal-only", rep, ok)
 	}
-	if rep.Restored.DiskLost != 0 {
-		t.Fatalf("kill -9 lost %d disk residents", rep.Restored.DiskLost)
+	if rep.Disk.LostBlobs != 0 || rep.DiskTrimmed != 0 {
+		t.Fatalf("kill -9 lost %d disk residents, trimmed %d", rep.Disk.LostBlobs, rep.DiskTrimmed)
 	}
-	if n2.store.DiskLen() != diskLen {
-		t.Fatalf("recovered disk tier = %d documents, want %d", n2.store.DiskLen(), diskLen)
+	if got := n2.blobStore.Len(); got != diskLen {
+		t.Fatalf("recovered disk tier = %d documents, want %d", got, diskLen)
 	}
-	if used := n2.store.DiskUsed(); used < 10*memCap {
+	if used := n2.blobStore.Used(); used < 10*memCap {
 		t.Fatalf("recovered disk tier holds %d bytes, want >= 10x memory capacity", used)
 	}
 	// Every blob must read back byte-for-byte against its checksum.
@@ -236,5 +244,132 @@ func TestTierKill9Recovery(t *testing.T) {
 	}
 	if origin.Fetches() != fetches {
 		t.Fatal("post-crash restart refetched from origin")
+	}
+}
+
+// TestTierParentFormatDataDir starts a node over a data directory the
+// parent commit (b9c72ce) could have left — an EACSNAP2 snapshot (disk
+// section and all) and a journal in which the first demotion is the
+// retired frame carrying the entry's metadata and checksum. Nothing is
+// converted and nothing is fatal: the snapshot is rejected by its magic,
+// replay keeps the frames before the old demote and stops there as damage,
+// and the node serves what that left it.
+func TestTierParentFormatDataDir(t *testing.T) {
+	le, castagnoli := binary.LittleEndian, crc32.MakeTable(crc32.Castagnoli)
+	at := time.Unix(1_700_000_000, 0)
+	kept, past := "http://parent.example.edu/kept", "http://parent.example.edu/past"
+
+	// EACSNAP2: today's body, then the disk section (here empty), then the CRC.
+	v3 := persist.EncodeSnapshot(persist.State{Gen: 0, Entries: []persist.EntryState{
+		{URL: "http://parent.example.edu/snap", Size: 500, EnteredAt: at, LastHit: at, Hits: 1}}})
+	body := le.AppendUint32(v3[8:len(v3)-4:len(v3)-4], 0)
+	snap := le.AppendUint32(append([]byte("EACSNAP2"), body...), crc32.Checksum(body, castagnoli))
+
+	// The parent's demote frame: kind 6 over url, at, age, size, expires,
+	// enteredAt, lastHit, hits and the 32-byte checksum, CRC intact.
+	body = le.AppendUint16([]byte{6}, uint16(len(kept))) // what the CRC covers: kind, then the payload
+	body = append(append(body, kept...), make([]byte, 7*8+32)...)
+	demote := append(le.AppendUint32(nil, uint32(len(body)-1)), body...)
+	demote = le.AppendUint32(demote, crc32.Checksum(body, castagnoli))
+
+	var journal []byte
+	for _, part := range []any{
+		cache.Event{Kind: cache.EventInsert, Doc: cache.Document{URL: kept, Size: 1000}, At: at},
+		demote,
+		cache.Event{Kind: cache.EventInsert, Doc: cache.Document{URL: past, Size: 1000}, At: at.Add(time.Second)},
+	} {
+		frame, ok := part.([]byte)
+		if !ok {
+			var err error
+			if frame, err = persist.MarshalEvent(part.(cache.Event)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		journal = append(journal, frame...)
+	}
+	dataDir := t.TempDir()
+	for name, raw := range map[string][]byte{"snapshot.dat": snap, "journal.0.wal": journal} {
+		if err := os.WriteFile(filepath.Join(dataDir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	origin := startOrigin(t)
+	n := startTieredNode(t, "tp1", dataDir, t.TempDir(), origin.Addr(), 4000, 1<<20)
+	defer func() { _ = n.Close() }()
+	rep, ok := n.Recovery()
+	if !ok || rep.SnapshotLoaded || !strings.Contains(rep.Discarded, "snapshot rejected") {
+		t.Fatalf("recovery = %+v, ok=%v; want the EACSNAP2 snapshot rejected", rep, ok)
+	}
+	if rep.JournalRecords != 1 || rep.DiscardedBytes != int64(len(journal))-rep.JournalBytes || !strings.Contains(rep.Discarded, "journal gen 0: frame at offset") || !strings.Contains(rep.Discarded, "trailing bytes") {
+		t.Fatalf("recovery = %+v; want replay to stop at the old demote frame, one record in", rep)
+	}
+	if !n.Contains(kept) || n.Contains(past) || n.Len() != 1 {
+		t.Fatalf("node holds %d documents (kept %v, past the damage %v), want only the one before it", n.Len(), n.Contains(kept), n.Contains(past))
+	}
+	if res, err := n.Request(kept, 1000); err != nil || res.Outcome != metrics.LocalHit {
+		t.Fatalf("request after a parent-format start = %+v, %v", res, err)
+	}
+}
+
+// TestTierRecoveryReportsDiskTier: the blob tier's own recovery reaches
+// Node.Recovery. A node with a disk directory and no data directory
+// reports the index it replayed (it used to report nothing), and a blob
+// whose URL the journal restores into memory is counted as trimmed.
+func TestTierRecoveryReportsDiskTier(t *testing.T) {
+	origin := startOrigin(t)
+	diskOnly := func(diskDir string) *Node {
+		n, err := New(Config{
+			ID: "tr0", ICPAddr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0",
+			Store: newStore(t, 4000), Scheme: core.AdHoc{}, OriginAddr: origin.Addr(),
+			DiskDir: diskDir, DiskCapacity: 1 << 20, DiskDemote: "always",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	diskDir := t.TempDir()
+	n1 := diskOnly(diskDir)
+	if rep, ok := n1.Recovery(); !ok || rep.Disk.Entries != 0 || rep.JournalRecords != 0 {
+		t.Fatalf("first start: recovery = %+v, ok=%v; want an empty disk tier reported", rep, ok)
+	}
+	for i := 0; i < 16; i++ {
+		if _, err := n1.Request(fmt.Sprintf("http://tierrep.example.edu/doc%d", i), 1000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	diskLen, diskUsed := n1.blobStore.Len(), n1.blobStore.Used()
+	if err := n1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n2 := diskOnly(diskDir)
+	rep, ok := n2.Recovery()
+	if !ok || diskLen == 0 || rep.Disk.Entries != diskLen || rep.Disk.Bytes != diskUsed || rep.Disk.LostBlobs != 0 || rep.DiskTrimmed != 0 {
+		t.Fatalf("restart: recovery = %+v, ok=%v; want the %d documents (%d bytes) the index holds", rep, ok, diskLen, diskUsed)
+	}
+	if n2.Len() != diskLen {
+		t.Fatalf("restart holds %d documents, want the %d on disk", n2.Len(), diskLen)
+	}
+	url := n2.blobStore.URLs()[0]
+	_ = n2.Close()
+
+	// One of those URLs, journaled as a memory resident: the blob goes.
+	frame, err := persist.MarshalEvent(cache.Event{Kind: cache.EventInsert, Doc: cache.Document{URL: url, Size: 1000}, At: time.Now()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dataDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dataDir, "journal.0.wal"), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	n3 := startTieredNode(t, "tr0", dataDir, diskDir, origin.Addr(), 4000, 1<<20)
+	defer func() { _ = n3.Close() }()
+	rep, _ = n3.Recovery()
+	if rep.Disk.Entries != diskLen || rep.DiskTrimmed != 1 || rep.Restored.Entries != 1 || n3.blobStore.Len() != diskLen-1 {
+		t.Fatalf("recovery = %+v with %d blobs left; want %d entries, one trimmed", rep, n3.blobStore.Len(), diskLen)
+	}
+	if n3.blobStore.Contains(url) || !n3.Contains(url) || n3.Len() != diskLen {
+		t.Fatalf("%s: on disk %v, resident %v, %d documents; want the memory copy alone among %d", url, n3.blobStore.Contains(url), n3.Contains(url), n3.Len(), diskLen)
 	}
 }

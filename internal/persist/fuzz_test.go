@@ -27,6 +27,8 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3})
 	f.Add(bytes.Repeat([]byte{0}, 64))
+	// The parent's retired frames behind good ones: well-formed, refused.
+	f.Add(append(append(clean[:len(clean):len(clean)], parentDemoteFrame(demoteEvent())...), parentDiskRemoveFrame("http://a/5")...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events, good, _ := ReplayJournal(data)

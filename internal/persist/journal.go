@@ -1,8 +1,9 @@
 // The write-ahead journal: an append-only file of CRC32C-framed records,
-// one per cache mutation (insert/hit/promote/evict/remove). Each record is
-// appended with a single write() so a crash leaves at worst one torn frame
-// at the tail; replay verifies every frame checksum and stops at the first
-// bad one, keeping every fully-committed record and discarding the tear.
+// one per mutation of the memory tier or of the advertised exit tracker.
+// Each record is appended with a single write() so a crash leaves at worst
+// one torn frame at the tail; replay verifies every frame checksum and
+// stops at the first bad one, keeping every fully-committed record and
+// discarding the tear.
 //
 // Frame layout (little-endian):
 //
@@ -18,17 +19,19 @@
 //	promote:      url, i64 at
 //	evict:        url, i64 at, i64 age
 //	remove:       url
-//	demote:       url, i64 at, i64 age, i64 size, i64 expires,
-//	              i64 enteredAt, i64 lastHit, i64 hits, 32b sum
+//	demote:       url
 //	promote-disk: url, i64 at, i64 size, i64 expires, i64 enteredAt,
 //	              i64 hits
 //	disk-evict:   url, i64 at, i64 age
-//	disk-remove:  url
 //
-// The tier dimension rides the kind byte: memory-tier events keep their
-// cache.EventKind values (1-5), demote/promote-disk are the EventKind
-// values 6/7, and disk-tier evict/remove get the dedicated codes 8/9 so
-// the original five frames never widened.
+// Which documents are disk-resident is the blob index's to record
+// (internal/blob), not the journal's: a demote only takes the URL out of
+// memory, a promote-disk rebuilds the memory entry, a disk-evict feeds the
+// exit tracker, and a disk-tier remove has no frame at all. Memory-tier
+// events use their cache.EventKind value (1-7) as the kind byte and the
+// disk-tier evict gets the dedicated code 8. Kind 9 (disk-remove) and the
+// demote frame that carried the entry's metadata and checksum are retired:
+// a journal that holds one is damaged from there.
 package persist
 
 import (
@@ -52,14 +55,10 @@ const (
 	frameOverhead = 9
 )
 
-// Journal kind bytes for disk-tier exits. Memory-tier events use their
-// cache.EventKind value as the kind byte; a disk-tier evict or remove
-// carries the same payload as its memory twin but needs a distinct code
-// so replay can restore the Tier dimension.
-const (
-	kindDiskEvict  byte = 8
-	kindDiskRemove byte = 9
-)
+// kindDiskEvict is the journal kind byte of a disk-tier eviction: the
+// payload of its memory twin under a distinct code, so replay can restore
+// the Tier dimension.
+const kindDiskEvict byte = 8
 
 // MarshalEvent frames one cache event for the journal.
 func MarshalEvent(ev cache.Event) ([]byte, error) { return appendEvent(nil, ev) }
@@ -73,14 +72,10 @@ func appendEvent(dst []byte, ev cache.Event) ([]byte, error) {
 	}
 	kind := byte(ev.Kind)
 	if ev.Tier == cache.TierDisk {
-		switch ev.Kind {
-		case cache.EventEvict:
-			kind = kindDiskEvict
-		case cache.EventRemove:
-			kind = kindDiskRemove
-		default:
+		if ev.Kind != cache.EventEvict {
 			return dst, fmt.Errorf("persist: disk-tier %v event has no journal encoding", ev.Kind)
 		}
+		kind = kindDiskEvict
 	}
 	start := len(dst)
 	p := encoder{b: dst}
@@ -97,17 +92,8 @@ func appendEvent(dst []byte, ev cache.Event) ([]byte, error) {
 	case cache.EventEvict:
 		p.i64(timeToNano(ev.At))
 		p.i64(int64(ev.Age))
-	case cache.EventRemove:
+	case cache.EventRemove, cache.EventDemote:
 		// URL only.
-	case cache.EventDemote:
-		p.i64(timeToNano(ev.At))
-		p.i64(int64(ev.Age))
-		p.i64(ev.Doc.Size)
-		p.i64(timeToNano(ev.Doc.Expires))
-		p.i64(timeToNano(ev.EnteredAt))
-		p.i64(timeToNano(ev.LastHit))
-		p.i64(ev.Hits)
-		p.b = append(p.b, ev.Sum[:]...)
 	case cache.EventPromoteFromDisk:
 		p.i64(timeToNano(ev.At))
 		p.i64(ev.Doc.Size)
@@ -126,11 +112,8 @@ func appendEvent(dst []byte, ev cache.Event) ([]byte, error) {
 // decodeEventPayload rebuilds the event from one verified frame payload.
 func decodeEventPayload(kind byte, payload []byte) (cache.Event, error) {
 	ev := cache.Event{Kind: cache.EventKind(kind)}
-	switch kind {
-	case kindDiskEvict:
+	if kind == kindDiskEvict {
 		ev.Kind, ev.Tier = cache.EventEvict, cache.TierDisk
-	case kindDiskRemove:
-		ev.Kind, ev.Tier = cache.EventRemove, cache.TierDisk
 	}
 	d := &decoder{b: payload}
 	ev.Doc.URL = d.str(maxJournalURL)
@@ -150,20 +133,8 @@ func decodeEventPayload(kind byte, payload []byte) (cache.Event, error) {
 	case ev.Kind == cache.EventEvict:
 		ev.At = nanoToTime(d.i64())
 		ev.Age = clampDuration(d.i64())
-	case ev.Kind == cache.EventRemove:
+	case ev.Kind == cache.EventRemove, ev.Kind == cache.EventDemote:
 		// URL only.
-	case ev.Kind == cache.EventDemote:
-		ev.At = nanoToTime(d.i64())
-		ev.Age = clampDuration(d.i64())
-		ev.Doc.Size = d.i64()
-		ev.Doc.Expires = nanoToTime(d.i64())
-		ev.EnteredAt = nanoToTime(d.i64())
-		ev.LastHit = nanoToTime(d.i64())
-		ev.Hits = d.i64()
-		copy(ev.Sum[:], d.take(32))
-		if d.err == nil && ev.Doc.Size <= 0 {
-			d.fail("non-positive size %d", ev.Doc.Size)
-		}
 	case ev.Kind == cache.EventPromoteFromDisk:
 		ev.At = nanoToTime(d.i64())
 		ev.Doc.Size = d.i64()

@@ -10,24 +10,20 @@ import (
 	"eacache/internal/cache"
 )
 
-// legacyMarshalEvent is MarshalEvent as it stood before appendEvent, body
-// verbatim (payload built in one encoder, copied into a second behind the
-// length): the reference the in-place encoder is compared against byte
-// for byte.
+// legacyMarshalEvent is MarshalEvent as it stood before appendEvent
+// (payload built in one encoder, copied into a second behind the length),
+// over the frame set the journal writes now: the reference the in-place
+// encoder is compared against byte for byte.
 func legacyMarshalEvent(ev cache.Event) ([]byte, error) {
 	if ev.Doc.URL == "" || len(ev.Doc.URL) > maxJournalURL {
 		return nil, fmt.Errorf("persist: bad journal URL (len %d)", len(ev.Doc.URL))
 	}
 	kind := byte(ev.Kind)
 	if ev.Tier == cache.TierDisk {
-		switch ev.Kind {
-		case cache.EventEvict:
-			kind = kindDiskEvict
-		case cache.EventRemove:
-			kind = kindDiskRemove
-		default:
+		if ev.Kind != cache.EventEvict {
 			return nil, fmt.Errorf("persist: disk-tier %v event has no journal encoding", ev.Kind)
 		}
+		kind = kindDiskEvict
 	}
 	var p encoder
 	p.str(ev.Doc.URL)
@@ -41,17 +37,8 @@ func legacyMarshalEvent(ev cache.Event) ([]byte, error) {
 	case cache.EventEvict:
 		p.i64(timeToNano(ev.At))
 		p.i64(int64(ev.Age))
-	case cache.EventRemove:
+	case cache.EventRemove, cache.EventDemote:
 		// URL only.
-	case cache.EventDemote:
-		p.i64(timeToNano(ev.At))
-		p.i64(int64(ev.Age))
-		p.i64(ev.Doc.Size)
-		p.i64(timeToNano(ev.Doc.Expires))
-		p.i64(timeToNano(ev.EnteredAt))
-		p.i64(timeToNano(ev.LastHit))
-		p.i64(ev.Hits)
-		p.b = append(p.b, ev.Sum[:]...)
 	case cache.EventPromoteFromDisk:
 		p.i64(timeToNano(ev.At))
 		p.i64(ev.Doc.Size)
@@ -62,12 +49,41 @@ func legacyMarshalEvent(ev cache.Event) ([]byte, error) {
 		return nil, fmt.Errorf("persist: unknown event kind %v", ev.Kind)
 	}
 
+	return rawFrame(kind, p.b), nil
+}
+
+// rawFrame frames payload under kind with a valid CRC, whatever they are.
+func rawFrame(kind byte, payload []byte) []byte {
 	var f encoder
-	f.u32(uint32(len(p.b)))
+	f.u32(uint32(len(payload)))
 	f.u8(kind)
-	f.b = append(f.b, p.b...)
+	f.b = append(f.b, payload...)
 	f.u32(crc32.Checksum(f.b[4:], crcTable))
-	return f.b, nil
+	return f.b
+}
+
+// parentDemoteFrame and parentDiskRemoveFrame are the two frames of the
+// parent commit's journal (b9c72ce) that are retired: the demote that
+// restated the blob index's put frame — metadata and checksum behind the
+// URL — and kind 9. Valid CRCs, so only the decoder can turn them away.
+func parentDemoteFrame(ev cache.Event) []byte {
+	var p encoder
+	p.str(ev.Doc.URL)
+	p.i64(timeToNano(ev.At))
+	p.i64(int64(ev.Age))
+	p.i64(ev.Doc.Size)
+	p.i64(timeToNano(ev.Doc.Expires))
+	p.i64(timeToNano(ev.EnteredAt))
+	p.i64(timeToNano(ev.LastHit))
+	p.i64(ev.Hits)
+	p.b = append(p.b, make([]byte, 32)...) // the checksum
+	return rawFrame(byte(cache.EventDemote), p.b)
+}
+
+func parentDiskRemoveFrame(url string) []byte {
+	var p encoder
+	p.str(url)
+	return rawFrame(9, p.b)
 }
 
 // TestAppendEventMatchesLegacy: every kind under both tiers, including
@@ -87,13 +103,12 @@ func TestAppendEventMatchesLegacy(t *testing.T) {
 					Doc: cache.Document{URL: url, Size: 1 << 33, Expires: at.Add(time.Hour)},
 					At:  at.Add(time.Minute), Age: 90 * time.Second,
 					EnteredAt: at.Add(-time.Hour), LastHit: at, Hits: 1<<40 + 3,
-					Sum: [32]byte{0: 0xde, 15: 0xad, 31: 0xbe},
 				})
 			}
 		}
 	}
 	evs = append(evs, sampleEvents()...)
-	evs = append(evs, cache.Event{Kind: cache.EventDemote, Doc: cache.Document{URL: "http://zero/"}}) // zero times, zero sum
+	evs = append(evs, cache.Event{Kind: cache.EventDemote, Doc: cache.Document{URL: "http://zero/"}}) // zero times
 	dirty := []byte("not a frame \x00\xff")
 	accepted := 0
 	for i, ev := range evs {
@@ -114,9 +129,9 @@ func TestAppendEventMatchesLegacy(t *testing.T) {
 			accepted++
 		}
 	}
-	// 9 encodable kind×tier pairs for each of the three good URLs, plus
+	// 8 encodable kind×tier pairs for each of the three good URLs, plus
 	// the hand-written ones.
-	if want := 3*9 + len(sampleEvents()) + 1; accepted != want {
+	if want := 3*8 + len(sampleEvents()) + 1; accepted != want {
 		t.Fatalf("%d events were encodable, expected %d", accepted, want)
 	}
 }

@@ -6,7 +6,10 @@
 // rejoining the group cold with a meaningless contention signal.
 //
 // The store stays decoupled: persistence observes cache.Store events (see
-// cache.SetEventSink) and never reaches into replacement policies.
+// cache.SetEventSink) and never reaches into replacement policies. Under a
+// tiered store it owns the memory tier and the advertised exit tracker
+// only; which documents are disk-resident is recorded once, by the blob
+// tier's own index (internal/blob).
 //
 // Disk layout under the data directory:
 //
@@ -79,10 +82,6 @@ type Report struct {
 	// Entries and Bytes describe the final recovered state.
 	Entries int
 	Bytes   int64
-	// DiskEntries and DiskBytes describe the recovered blob-tier residency
-	// claims (before reconciliation against the blob store's own index).
-	DiskEntries int
-	DiskBytes   int64
 }
 
 // Persister owns a node's data directory: it replays whatever survived
@@ -220,10 +219,6 @@ func Open(cfg Config) (*Persister, error) {
 	p.recovered.Gen = appendGen
 	p.report.Entries = len(p.recovered.Entries)
 	p.report.Bytes = p.recovered.LiveBytes()
-	p.report.DiskEntries = len(p.recovered.Disk)
-	for _, de := range p.recovered.Disk {
-		p.report.DiskBytes += de.Doc.Size
-	}
 
 	// 3. Open the append target, truncating away any torn tail so new
 	// frames land on a verifiable boundary; sweep journals outside the
@@ -269,8 +264,12 @@ func (p *Persister) Report() Report { return p.report }
 // the frame is in the journal file when Append returns (recovery-visible
 // immediately, exactly like the old direct write). It never fails the
 // caller's request path: an I/O error degrades durability and is logged,
-// the cache keeps serving.
+// the cache keeps serving. A disk-tier remove is not the journal's to
+// record (the blob index's del frame is that mutation) and is skipped.
 func (p *Persister) Append(ev cache.Event) {
+	if ev.Tier == cache.TierDisk && ev.Kind == cache.EventRemove {
+		return
+	}
 	if err := p.enqueue(ev); err != nil {
 		p.logf("persist: drop event: %v", err)
 	}
@@ -545,13 +544,12 @@ func (p *Persister) logf(format string, args ...any) {
 // cache.Store semantics exactly: an insert of a cached URL refreshes it
 // like a hit, hits and promotions bump the counter and last-hit time, and
 // evictions feed the expiration-age tracker. Tier moves mirror
-// cache.TieredStore: a demote shifts the entry from the memory map to the
-// disk map without touching the tracker (the document did not exit), a
-// promote-disk shifts it back, and only disk evictions and demotion drops
-// (which stay plain memory evicts) record an exit age.
+// cache.TieredStore's memory side: a demote takes the entry out of memory
+// without touching the tracker (the document did not exit), a promote-disk
+// puts it back, and only disk evictions and demotion drops (which stay
+// plain memory evicts) record an exit age.
 type replayState struct {
 	entries map[string]*EntryState
-	disk    map[string]*cache.DiskEntry
 	tracker *cache.ExpAgeTracker
 }
 
@@ -569,36 +567,18 @@ func newReplayState(base State) *replayState {
 	}
 	r := &replayState{
 		entries: make(map[string]*EntryState, len(base.Entries)),
-		disk:    make(map[string]*cache.DiskEntry, len(base.Disk)),
 		tracker: cache.NewTrackerFromState(tr),
 	}
 	for i := range base.Entries {
 		e := base.Entries[i]
 		r.entries[e.URL] = &e
 	}
-	for i := range base.Disk {
-		de := base.Disk[i]
-		r.disk[de.Doc.URL] = &de
-	}
 	return r
 }
 
 func (r *replayState) apply(ev cache.Event) {
-	if ev.Tier == cache.TierDisk {
-		switch ev.Kind {
-		case cache.EventEvict:
-			delete(r.disk, ev.Doc.URL)
-			r.tracker.Record(ev.Age, ev.At)
-		case cache.EventRemove:
-			delete(r.disk, ev.Doc.URL)
-		}
-		return
-	}
 	switch ev.Kind {
 	case cache.EventInsert:
-		// A fresh body supersedes any stale disk copy (the tiered store
-		// journals the disk-remove first; this is belt and braces).
-		delete(r.disk, ev.Doc.URL)
 		if e, ok := r.entries[ev.Doc.URL]; ok {
 			e.Size = ev.Doc.Size
 			e.Expires = ev.Doc.Expires
@@ -620,21 +600,13 @@ func (r *replayState) apply(ev cache.Event) {
 			e.LastHit = ev.At
 		}
 	case cache.EventEvict:
-		delete(r.entries, ev.Doc.URL)
-		r.tracker.Record(ev.Age, ev.At)
-	case cache.EventRemove:
-		delete(r.entries, ev.Doc.URL)
-	case cache.EventDemote:
-		delete(r.entries, ev.Doc.URL)
-		r.disk[ev.Doc.URL] = &cache.DiskEntry{
-			Doc:       ev.Doc,
-			EnteredAt: ev.EnteredAt,
-			LastHit:   ev.LastHit,
-			Hits:      ev.Hits,
-			Sum:       ev.Sum,
+		if ev.Tier == cache.TierMemory { // a disk-tier eviction is an exit all the same
+			delete(r.entries, ev.Doc.URL)
 		}
+		r.tracker.Record(ev.Age, ev.At)
+	case cache.EventRemove, cache.EventDemote:
+		delete(r.entries, ev.Doc.URL)
 	case cache.EventPromoteFromDisk:
-		delete(r.disk, ev.Doc.URL)
 		r.entries[ev.Doc.URL] = &EntryState{
 			URL:       ev.Doc.URL,
 			Size:      ev.Doc.Size,
@@ -662,17 +634,5 @@ func (r *replayState) state() State {
 		}
 		return st.Entries[i].URL < st.Entries[j].URL
 	})
-	if len(r.disk) > 0 {
-		st.Disk = make([]cache.DiskEntry, 0, len(r.disk))
-		for _, de := range r.disk {
-			st.Disk = append(st.Disk, *de)
-		}
-		sort.Slice(st.Disk, func(i, j int) bool {
-			if !st.Disk[i].LastHit.Equal(st.Disk[j].LastHit) {
-				return st.Disk[i].LastHit.Before(st.Disk[j].LastHit)
-			}
-			return st.Disk[i].Doc.URL < st.Disk[j].Doc.URL
-		})
-	}
 	return st
 }

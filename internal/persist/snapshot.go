@@ -7,7 +7,7 @@
 //
 // File layout (little-endian):
 //
-//	[8]b  magic "EACSNAP2" (any other magic is a rejected snapshot)
+//	[8]b  magic "EACSNAP3" (any other magic is a rejected snapshot)
 //	u64   journal generation
 //	u32   entry count
 //	per entry: url (u16 len + bytes), i64 size, i64 expires,
@@ -15,15 +15,11 @@
 //	i64   tracker window, i64 tracker horizon
 //	f64   tracker cumulative sum (seconds), i64 tracker cumulative count
 //	u32   tracker sample count, per sample: i64 at, i64 age
-//	u32   disk entry count
-//	per disk entry: url, i64 size, i64 expires, i64 enteredAt,
-//	                i64 lastHit, i64 hits, 32b sum
 //	u32   CRC32C over everything after the magic
 //
-// The disk section records which documents were blob-tier resident at the
-// checkpoint; recovery reconciles it against the blob store's own index
-// (cache.TieredStore.RestoreDisk), so a snapshot claiming a blob that was
-// lost to corruption trims cleanly instead of resurrecting a ghost.
+// Under a tiered store the entries are the memory tier's and the tracker
+// is the advertised exit tracker; blob-tier residency is not imaged (the
+// blob index is its record).
 package persist
 
 import (
@@ -36,7 +32,7 @@ import (
 	"eacache/internal/cache"
 )
 
-var snapMagic = []byte("EACSNAP2")
+var snapMagic = []byte("EACSNAP3")
 
 // EntryState is one cached document's persisted metadata.
 type EntryState struct {
@@ -62,9 +58,6 @@ type State struct {
 	// tiered store this is the logical exit tracker — the signal the node
 	// advertises — not the memory tier's internal one.
 	Tracker cache.TrackerState
-	// Disk lists the documents resident in the blob tier at capture time,
-	// oldest last-hit first. Empty for untiered stores.
-	Disk []cache.DiskEntry
 }
 
 // LiveBytes sums the entry sizes.
@@ -98,16 +91,6 @@ func EncodeSnapshot(st State) []byte {
 		e.i64(timeToNano(s.At))
 		e.i64(int64(s.Age))
 	}
-	e.u32(uint32(len(st.Disk)))
-	for _, de := range st.Disk {
-		e.str(de.Doc.URL)
-		e.i64(de.Doc.Size)
-		e.i64(timeToNano(de.Doc.Expires))
-		e.i64(timeToNano(de.EnteredAt))
-		e.i64(timeToNano(de.LastHit))
-		e.i64(de.Hits)
-		e.b = append(e.b, de.Sum[:]...)
-	}
 
 	out := make([]byte, 0, len(snapMagic)+len(e.b)+4)
 	out = append(out, snapMagic...)
@@ -120,10 +103,6 @@ func EncodeSnapshot(st State) []byte {
 // minSnapEntry is the smallest possible encoded entry (1-byte URL), used
 // to sanity-bound counts before allocating.
 const minSnapEntry = 2 + 1 + 5*8
-
-// minSnapDiskEntry is the smallest encoded disk entry: a memory entry's
-// fields plus the 32-byte content sum.
-const minSnapDiskEntry = minSnapEntry + 32
 
 // DecodeSnapshot parses and verifies a snapshot. Any structural damage or
 // checksum mismatch returns an error wrapping ErrCorrupt; the caller falls
@@ -179,30 +158,6 @@ func DecodeSnapshot(data []byte) (State, error) {
 		age := clampDuration(d.i64())
 		st.Tracker.Samples = append(st.Tracker.Samples, cache.TrackerSample{At: at, Age: age})
 	}
-	dn := int(d.u32())
-	if d.err == nil && dn > (len(body)-d.off)/minSnapDiskEntry+1 {
-		return State{}, fmt.Errorf("%w: disk entry count %d impossible", ErrCorrupt, dn)
-	}
-	st.Disk = make([]cache.DiskEntry, 0, dn)
-	diskSeen := make(map[string]bool, dn)
-	for i := 0; i < dn; i++ {
-		var de cache.DiskEntry
-		de.Doc.URL = d.str(maxJournalURL)
-		de.Doc.Size = d.i64()
-		de.Doc.Expires = nanoToTime(d.i64())
-		de.EnteredAt = nanoToTime(d.i64())
-		de.LastHit = nanoToTime(d.i64())
-		de.Hits = d.i64()
-		copy(de.Sum[:], d.take(32))
-		if d.err != nil {
-			return State{}, d.err
-		}
-		if de.Doc.URL == "" || de.Doc.Size <= 0 || diskSeen[de.Doc.URL] || seen[de.Doc.URL] {
-			return State{}, fmt.Errorf("%w: snapshot disk entry %d invalid (url %q, size %d)", ErrCorrupt, i, de.Doc.URL, de.Doc.Size)
-		}
-		diskSeen[de.Doc.URL] = true
-		st.Disk = append(st.Disk, de)
-	}
 	if err := d.done(); err != nil {
 		return State{}, err
 	}
@@ -235,16 +190,6 @@ func CaptureState(store cache.StoreView) State {
 			Hits:      e.Hits,
 		})
 	}
-	if dv, ok := store.(interface{ DiskEntries() []cache.DiskEntry }); ok {
-		disk := dv.DiskEntries()
-		sort.Slice(disk, func(i, j int) bool {
-			if !disk[i].LastHit.Equal(disk[j].LastHit) {
-				return disk[i].LastHit.Before(disk[j].LastHit)
-			}
-			return disk[i].Doc.URL < disk[j].Doc.URL
-		})
-		st.Disk = disk
-	}
 	return st
 }
 
@@ -256,11 +201,6 @@ type RestoreStats struct {
 	// Skipped counts entries that could not be restored (they no longer
 	// fit, e.g. the store was reopened with a smaller capacity).
 	Skipped int
-	// DiskRestored and DiskLost count blob-tier residency reconciliation:
-	// restored entries had a matching checksummed blob on disk, lost ones
-	// were claimed by the persisted state but the blob was gone or stale.
-	DiskRestored int
-	DiskLost     int
 }
 
 // RestoreTarget is the write side of recovery: what Restore needs from a
@@ -291,17 +231,6 @@ func Restore(store RestoreTarget, st State) RestoreStats {
 		}
 		stats.Entries++
 		stats.Bytes += e.Size
-	}
-	if dt, ok := store.(interface {
-		RestoreDisk([]cache.DiskEntry) (int, int)
-	}); ok {
-		// Reconcile even when st.Disk is empty: blobs the persisted state
-		// does not claim are crash-window leftovers the tier must trim.
-		stats.DiskRestored, stats.DiskLost = dt.RestoreDisk(st.Disk)
-	} else if len(st.Disk) > 0 {
-		// No disk tier to receive them (store reopened untiered): the
-		// residency claims are unrecoverable, count them lost.
-		stats.DiskLost = len(st.Disk)
 	}
 	store.RestoreTracker(st.Tracker)
 	return stats
