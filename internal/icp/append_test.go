@@ -90,30 +90,37 @@ func TestAppendToAllocatesNothing(t *testing.T) {
 }
 
 // TestNeighbourAt: a reply's netip source maps back to the caller's own
-// *net.UDPAddr whether either side is in IPv4 or IPv4-mapped form, and a
-// stranger still gets an address of its own.
+// neighbour whether either side is in IPv4 or IPv4-mapped form; a
+// neighbour already heard, like a stranger, maps to none.
 func TestNeighbourAt(t *testing.T) {
 	v4 := &net.UDPAddr{IP: net.IP{127, 0, 0, 1}, Port: 4000}
 	mapped := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 4001} // 16-byte form
 	v6 := &net.UDPAddr{IP: net.ParseIP("::1"), Port: 4002}
-	neighbours := []*net.UDPAddr{v4, mapped, v6}
+	neighbours := []*net.UDPAddr{v4, mapped, v6, v4}
+	heard := make([]bool, len(neighbours))
 	for _, tt := range []struct {
 		src  string
-		want *net.UDPAddr
+		want int
 	}{
-		{"127.0.0.1:4000", v4},
-		{"[::ffff:127.0.0.1]:4000", v4},
-		{"127.0.0.1:4001", mapped},
-		{"[::ffff:127.0.0.1]:4001", mapped},
-		{"[::1]:4002", v6},
+		{"127.0.0.1:4000", 0},
+		{"[::ffff:127.0.0.1]:4000", 0},
+		{"127.0.0.1:4001", 1},
+		{"[::ffff:127.0.0.1]:4001", 1},
+		{"[::1]:4002", 2},
+		{"127.0.0.1:4999", -1},
 	} {
-		if got := neighbourAt(neighbours, netip.MustParseAddrPort(tt.src)); got != tt.want {
-			t.Errorf("neighbourAt(%s) = %v, want the caller's %v", tt.src, got, tt.want)
+		if got := unheard(neighbours, heard, netip.MustParseAddrPort(tt.src)); got != tt.want {
+			t.Errorf("unheard(%s) = %d, want %d", tt.src, got, tt.want)
 		}
 	}
-	stranger := neighbourAt(neighbours, netip.MustParseAddrPort("127.0.0.1:4999"))
-	if stranger == nil || stranger.Port != 4999 || !stranger.IP.Equal(net.IPv4(127, 0, 0, 1)) {
-		t.Fatalf("stranger = %v", stranger)
+	// A neighbour listed twice is matched once per listing, then no more.
+	heard[0] = true
+	if got := unheard(neighbours, heard, netip.MustParseAddrPort("127.0.0.1:4000")); got != 3 {
+		t.Errorf("second reply from a twice-listed neighbour = %d, want 3", got)
+	}
+	heard[3] = true
+	if got := unheard(neighbours, heard, netip.MustParseAddrPort("127.0.0.1:4000")); got != -1 {
+		t.Errorf("third reply from a twice-listed neighbour = %d, want -1", got)
 	}
 }
 
@@ -130,7 +137,7 @@ func TestQueryHandsBackCallersAddresses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Hit || res.Responder != hitAddr || len(res.Responders) != 1 || res.Responders[0] != hitAddr {
+	if !res.Hit || len(res.Responders) != 1 || res.Responders[0] != hitAddr {
 		t.Fatalf("res = %+v, want a hit from the caller's own %p", res, hitAddr)
 	}
 	for _, a := range res.Answered {
@@ -155,7 +162,7 @@ func TestQueryOverWrappedSocket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Hit || res.Responder != addr || len(res.Answered) != 1 || res.Answered[0] != addr {
+	if !res.Hit || len(res.Responders) != 1 || res.Responders[0] != addr || len(res.Answered) != 1 || res.Answered[0] != addr {
 		t.Fatalf("res = %+v, want one hit from the caller's own %p", res, addr)
 	}
 	if err := c.Close(); err != nil {

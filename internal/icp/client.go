@@ -36,15 +36,43 @@ type Client struct {
 
 	mu      sync.Mutex
 	conn    net.PacketConn
-	pending map[uint32]pendingQuery
+	pending map[uint32]*slot
 	closed  bool
 }
 
-// pendingQuery is one in-flight fan-out's demux slot: where its replies
-// go, and the URL a hit must echo to count.
-type pendingQuery struct {
-	ch  chan reply
-	url string
+// slot is one fan-out's reused record: the demux channel its replies
+// arrive on, the URL a hit must echo to count, its timer, the datagram
+// buffer, and one heard mark per neighbour. Its life cycle is register →
+// send → wait → unregister → drain → return to slotPool; the reader
+// delivers under Client.mu, so once a slot is unregistered nothing can
+// reach its channel, and draining it then leaves the next query that
+// draws the slot nothing of this one's.
+type slot struct {
+	ch    chan reply
+	timer *time.Timer // stopped and drained whenever the slot is pooled
+	url   string
+	query []byte
+	heard []bool
+}
+
+// slotPool's slots start with no channel or marks: a fan-out wider than
+// the slot it drew makes them anew at its width, which the slot keeps.
+var slotPool = sync.Pool{New: func() any {
+	s := &slot{timer: time.NewTimer(time.Hour)}
+	s.stopTimer()
+	return s
+}}
+
+// stopTimer leaves the timer stopped with an empty channel, whether or
+// not it fired: go.mod's language version keeps timer channels buffered,
+// so a Reset is only safe after Stop and a non-blocking drain.
+func (s *slot) stopTimer() {
+	if !s.timer.Stop() {
+		select {
+		case <-s.timer.C:
+		default:
+		}
+	}
 }
 
 // reply is one parsed, demultiplexed answer delivered to its query. The
@@ -58,7 +86,7 @@ type reply struct {
 
 // NewClient returns a ready Client, safe for concurrent use. Callers that
 // are done querying should Close it to release the shared socket.
-func NewClient() *Client { return &Client{pending: make(map[uint32]pendingQuery)} }
+func NewClient() *Client { return &Client{pending: make(map[uint32]*slot)} }
 
 // hitGraceMin/Max bound the post-first-hit drain window: long enough to
 // catch replies already in flight from equally-near neighbours, short
@@ -68,31 +96,18 @@ const (
 	hitGraceMax = 20 * time.Millisecond
 )
 
-// readBufPool recycles reply read buffers across reader goroutines (a
-// client rebinding after faults, or many short-lived clients in tests);
-// queryBufPool the buffers a fan-out's one query datagram is marshalled in.
-var (
-	readBufPool = sync.Pool{New: func() any {
-		b := make([]byte, maxLen)
-		return &b
-	}}
-	queryBufPool = sync.Pool{New: func() any { return new([]byte) }}
-)
-
-// Result is the outcome of one fan-out query.
+// Result is the outcome of one fan-out query. Its slices hold the
+// caller's own neighbour addresses and belong to the Result: QueryInto
+// refills them in place, so they are valid until the Result is handed to
+// the next QueryInto.
 type Result struct {
 	// Hit is true if some neighbour answered ICP_OP_HIT.
 	Hit bool
-	// Responder is the address of the first neighbour that answered
-	// ICP_OP_HIT, when Hit is true.
-	Responder *net.UDPAddr
 	// Responders lists every neighbour that answered ICP_OP_HIT, in
-	// arrival order (fastest first). Responders[0] == Responder.
+	// arrival order (fastest first).
 	Responders []*net.UDPAddr
-	// Replies counts the answers received before the query resolved.
-	Replies int
 	// Answered lists the neighbours that replied at all (hit or miss),
-	// in arrival order.
+	// each once, in arrival order.
 	Answered []*net.UDPAddr
 	// SendFailed lists the neighbours the query datagram could not even
 	// be sent to; they are counted as misses.
@@ -102,41 +117,56 @@ type Result struct {
 	// unreachability. A query that resolved on a hit or on a full set of
 	// replies leaves it false.
 	TimedOut bool
-	// Elapsed is the time the exchange took.
-	Elapsed time.Duration
 }
 
-// bind returns the shared query socket, binding it and starting the
-// reader on first use.
-func (c *Client) bind() (net.PacketConn, error) {
+// register binds the shared query socket on first use (starting the
+// reader) and enters s in the demux table under reqNum — before the first
+// datagram can possibly be answered.
+func (c *Client) register(reqNum uint32, s *slot) (net.PacketConn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return nil, errors.New("icp: client closed")
 	}
-	if c.conn != nil {
-		return c.conn, nil
-	}
-	var (
-		conn net.PacketConn
-		err  error
-	)
-	if c.Listen != nil {
-		conn, err = c.Listen()
-	} else {
-		conn, err = net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-		if err != nil {
-			// Fall back to an unspecified local address (non-loopback
-			// peers).
-			conn, err = net.ListenUDP("udp", nil)
+	if c.conn == nil {
+		var (
+			conn net.PacketConn
+			err  error
+		)
+		if c.Listen != nil {
+			conn, err = c.Listen()
+		} else {
+			conn, err = net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+			if err != nil {
+				// Fall back to an unspecified local address (non-loopback
+				// peers).
+				conn, err = net.ListenUDP("udp", nil)
+			}
 		}
+		if err != nil {
+			return nil, err
+		}
+		c.conn = conn
+		go c.readLoop(conn)
 	}
-	if err != nil {
-		return nil, err
+	c.pending[reqNum] = s
+	return c.conn, nil
+}
+
+// release unregisters the slot, empties it and pools it. After the delete
+// the reader can no longer find the slot, so what the drain leaves behind
+// is an empty channel: a reply that arrives after its query resolved is
+// dropped by the reader, never seen by the slot's next query.
+func (c *Client) release(reqNum uint32, s *slot) {
+	c.mu.Lock()
+	delete(c.pending, reqNum)
+	c.mu.Unlock()
+	s.stopTimer()
+	for len(s.ch) > 0 {
+		<-s.ch
 	}
-	c.conn = conn
-	go c.readLoop(conn)
-	return conn, nil
+	s.url = ""
+	slotPool.Put(s)
 }
 
 // readLoop is the demultiplexer: it parses every datagram arriving on the
@@ -145,9 +175,7 @@ func (c *Client) bind() (net.PacketConn, error) {
 // as a per-query socket would have ignored them. It exits on the first
 // read error — Close closing the socket, or a fatal socket fault.
 func (c *Client) readLoop(conn net.PacketConn) {
-	bp := readBufPool.Get().(*[]byte)
-	defer readBufPool.Put(bp)
-	buf := *bp
+	buf := make([]byte, maxLen)
 	udp, _ := conn.(*net.UDPConn)
 	for {
 		var (
@@ -171,19 +199,20 @@ func (c *Client) readLoop(conn net.PacketConn) {
 		if err != nil || !src.IsValid() {
 			continue
 		}
+		// Delivered under the lock: the slot is still this request
+		// number's while it is in the table, and release takes the same
+		// lock before the slot can go to another query. The send never
+		// blocks.
 		c.mu.Lock()
-		q := c.pending[m.ReqNum]
+		if s := c.pending[m.ReqNum]; s != nil {
+			select {
+			case s.ch <- reply{op: m.Op, urlOK: string(url) == s.url, src: src}:
+			default:
+				// The query's buffer is full (duplicate floods); drop, as
+				// UDP would.
+			}
+		}
 		c.mu.Unlock()
-		if q.ch == nil {
-			continue
-		}
-		r := reply{op: m.Op, urlOK: string(url) == q.url, src: src}
-		select {
-		case q.ch <- r:
-		default:
-			// The query's buffer is full (duplicate floods); drop, as
-			// UDP would.
-		}
 	}
 }
 
@@ -210,106 +239,101 @@ func (c *Client) Close() error {
 // hit, resolving on the first. A neighbour that does not answer within
 // timeout counts as a miss, as does one the datagram cannot be sent to.
 func (c *Client) Query(neighbours []*net.UDPAddr, url string, timeout time.Duration) (Result, error) {
-	return c.QueryHop(neighbours, url, timeout, -1)
+	var res Result
+	err := c.QueryInto(&res, neighbours, url, timeout, -1)
+	return res, err
 }
 
-// QueryHop is Query with the sender's trace hop depth stamped onto the
-// datagrams (FlagTraceHop); hop < 0 sends a plain unstamped query.
-func (c *Client) QueryHop(neighbours []*net.UDPAddr, url string, timeout time.Duration, hop int) (Result, error) {
-	start := time.Now()
+// QueryInto is Query filling a caller-supplied Result — reusing its
+// slices, so a Result kept across queries makes the fan-out allocate
+// nothing — with the sender's trace hop depth stamped onto the datagrams
+// (FlagTraceHop); hop < 0 sends a plain unstamped query. On error res is
+// left empty.
+func (c *Client) QueryInto(res *Result, neighbours []*net.UDPAddr, url string, timeout time.Duration, hop int) error {
+	*res = Result{Responders: res.Responders[:0], Answered: res.Answered[:0], SendFailed: res.SendFailed[:0]}
 	if len(neighbours) == 0 {
-		return Result{Elapsed: time.Since(start)}, nil
+		return nil
 	}
+	start := time.Now()
 
-	conn, err := c.bind()
-	if err != nil {
-		return Result{}, fmt.Errorf("icp: open query socket: %w", err)
+	s := slotPool.Get().(*slot)
+	if len(neighbours) > len(s.heard) {
+		// One reply per neighbour plus as much slack for duplicates;
+		// overflow is dropped like any excess datagram.
+		s.ch = make(chan reply, 2*len(neighbours))
+		s.heard = make([]bool, len(neighbours))
 	}
-
+	s.url = url
 	reqNum := c.reqNum.Add(1)
+	conn, err := c.register(reqNum, s)
+	if err != nil {
+		slotPool.Put(s)
+		return fmt.Errorf("icp: open query socket: %w", err)
+	}
+	defer c.release(reqNum, s)
 	msg := Query(reqNum, url)
 	msg.SetHop(hop)
-	qp := queryBufPool.Get().(*[]byte)
-	defer queryBufPool.Put(qp)
-	query, err := msg.AppendTo((*qp)[:0])
-	if err != nil {
-		return Result{}, err
+	if s.query, err = msg.AppendTo(s.query[:0]); err != nil {
+		return err
 	}
-	*qp = query
 
-	// Register the demux slot before the first datagram can possibly
-	// answer. The channel holds one reply per neighbour plus slack for
-	// duplicates; overflow is dropped like any excess datagram.
-	ch := make(chan reply, 2*len(neighbours))
-	c.mu.Lock()
-	c.pending[reqNum] = pendingQuery{ch: ch, url: url}
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.pending, reqNum)
-		c.mu.Unlock()
-	}()
-
-	res := Result{Answered: make([]*net.UDPAddr, 0, len(neighbours))}
+	// heard[i] marks neighbours[i] as accounted for: a reply from it was
+	// counted, or its datagram never left.
+	heard := s.heard[:len(neighbours)]
+	clear(heard)
+	if cap(res.Answered) < len(neighbours) {
+		res.Answered = make([]*net.UDPAddr, 0, len(neighbours))
+	}
 	sent := 0
-	for _, n := range neighbours {
-		if err := sendTo(conn, query, n); err != nil {
+	for i, n := range neighbours {
+		if err := sendTo(conn, s.query, n); err != nil {
 			// An unsendable neighbour is a miss, not a failed query:
 			// the rest of the fan-out proceeds.
 			res.SendFailed = append(res.SendFailed, n)
+			heard[i] = true
 			continue
 		}
 		sent++
 	}
 	if sent == 0 {
-		res.Elapsed = time.Since(start)
-		return res, nil
+		return nil
 	}
 
-	deadline := start.Add(timeout)
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	for res.Replies < sent {
+	s.timer.Reset(timeout)
+	for len(res.Answered) < sent {
 		select {
-		case r := <-ch:
-			from := neighbourAt(neighbours, r.src)
-			res.Replies++
-			res.Answered = append(res.Answered, from)
+		case r := <-s.ch:
+			// Each neighbour counts once: a duplicated datagram, or one
+			// from a source that was never asked, must not stand in for
+			// a neighbour still to be heard from.
+			i := unheard(neighbours, heard, r.src)
+			if i < 0 {
+				continue
+			}
+			heard[i] = true
+			res.Answered = append(res.Answered, neighbours[i])
 			if r.op == OpHit && r.urlOK {
-				res.Responders = append(res.Responders, from)
+				res.Responders = append(res.Responders, neighbours[i])
 				if !res.Hit {
 					res.Hit = true
-					res.Responder = from
 					// Resolve now, but drain briefly for other hits
 					// already in flight: they are the retry targets if
 					// this responder dies before the follow-up fetch.
-					grace := time.Since(start)
-					if grace < hitGraceMin {
-						grace = hitGraceMin
-					}
-					if grace > hitGraceMax {
-						grace = hitGraceMax
-					}
-					if remaining := time.Until(deadline); grace > remaining {
-						grace = remaining
-					}
-					if !timer.Stop() {
-						<-timer.C
-					}
-					timer.Reset(grace)
+					elapsed := time.Since(start)
+					grace := min(max(elapsed, hitGraceMin), hitGraceMax, timeout-elapsed)
+					s.stopTimer()
+					s.timer.Reset(grace)
 				}
 			}
-		case <-timer.C:
+		case <-s.timer.C:
 			// Deadline: with no hit this is the timeout path (silent
 			// neighbours count as misses); with a hit it merely ends
 			// the post-hit grace drain.
 			res.TimedOut = !res.Hit
-			res.Elapsed = time.Since(start)
-			return res, nil
+			return nil
 		}
 	}
-	res.Elapsed = time.Since(start)
-	return res, nil
+	return nil
 }
 
 // sendTo writes one datagram. A plain UDP socket takes the destination as
@@ -331,16 +355,18 @@ func unmapped(ap netip.AddrPort) netip.AddrPort {
 	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
 
-// neighbourAt maps a reply's source back to the caller's own address for
-// that neighbour; a source that is no neighbour gets a fresh address.
-func neighbourAt(neighbours []*net.UDPAddr, src netip.AddrPort) *net.UDPAddr {
+// unheard maps a reply's source back to the index of the neighbour it
+// came from, skipping neighbours already heard — so a duplicate reply, like
+// one from a source that is no neighbour at all, maps to -1, and a
+// neighbour listed twice is matched once per listing.
+func unheard(neighbours []*net.UDPAddr, heard []bool, src netip.AddrPort) int {
 	src = unmapped(src)
-	for _, n := range neighbours {
-		if unmapped(n.AddrPort()) == src {
-			return n
+	for i, n := range neighbours {
+		if !heard[i] && unmapped(n.AddrPort()) == src {
+			return i
 		}
 	}
-	return net.UDPAddrFromAddrPort(src)
+	return -1
 }
 
 // addrPortOf recovers the netip form of a reply's source address; the

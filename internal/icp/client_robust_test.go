@@ -80,8 +80,8 @@ func TestQueryIgnoresWrongURLInHit(t *testing.T) {
 		t.Fatal("HIT for a different URL accepted")
 	}
 	// The reply still counts as an answer (the neighbour is alive).
-	if res.Replies != 1 {
-		t.Fatalf("replies = %d", res.Replies)
+	if len(res.Answered) != 1 {
+		t.Fatalf("replies = %d", len(res.Answered))
 	}
 }
 
@@ -94,7 +94,7 @@ func TestQueryIgnoresGarbageDatagrams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Hit || res.Replies != 0 {
+	if res.Hit || len(res.Answered) != 0 {
 		t.Fatalf("garbage counted as an answer: %+v", res)
 	}
 }
@@ -128,7 +128,7 @@ func TestQueryErrReplyCountsAsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Hit || res.Replies != 1 {
+	if res.Hit || len(res.Answered) != 1 {
 		t.Fatalf("res = %+v, want one non-hit reply", res)
 	}
 }
@@ -181,9 +181,6 @@ func TestQueryCollectsEveryHitResponder(t *testing.T) {
 	if len(res.Responders) != 2 {
 		t.Fatalf("responders = %v, want both neighbours", res.Responders)
 	}
-	if res.Responder == nil || res.Responders[0].Port != res.Responder.Port {
-		t.Fatal("Responders[0] is not the first responder")
-	}
 }
 
 func TestQueryTimedOutFlag(t *testing.T) {
@@ -203,11 +200,12 @@ func TestQueryTimedOutFlag(t *testing.T) {
 	}
 
 	// All neighbours answering resolves without the timeout flag.
+	start := time.Now()
 	res, err = c.Query([]*net.UDPAddr{missSrv.Addr()}, "http://x/", 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TimedOut || res.Elapsed > time.Second {
+	if res.TimedOut || time.Since(start) > time.Second {
 		t.Fatalf("res = %+v, want fast non-timeout miss", res)
 	}
 }

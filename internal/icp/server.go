@@ -1,11 +1,13 @@
 package icp
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"log"
 	"net"
 	"sync"
+	"unsafe"
 )
 
 // Handler answers ICP queries. Implementations must be safe for concurrent
@@ -13,6 +15,10 @@ import (
 type Handler interface {
 	// HandleQuery reports the reply opcode for url: OpHit when the
 	// document is cached, OpMiss (or OpMissNoFetch / OpDenied) otherwise.
+	//
+	// url is a view of the server's read buffer, valid only for the
+	// duration of the call: the next datagram overwrites it. A handler
+	// that keeps the URL must copy it (strings.Clone).
 	HandleQuery(url string) Opcode
 }
 
@@ -82,8 +88,9 @@ func (s *Server) Close() error {
 func (s *Server) serve() {
 	defer s.wg.Done()
 	// One read buffer and one reply buffer for the server's lifetime, and
-	// netip source addresses: answering a query allocates only the URL
-	// string the handler is called with.
+	// netip source addresses: answering a query allocates nothing. The
+	// reply's URL is still a view of buf until AppendTo copies it into out,
+	// which happens before the next read.
 	buf := make([]byte, maxLen)
 	var out []byte
 	for {
@@ -112,20 +119,20 @@ func (s *Server) serve() {
 }
 
 func (s *Server) handle(datagram []byte) (Message, bool) {
-	m, err := Parse(datagram)
+	m, url, err := parse(datagram)
 	if err != nil {
 		// RFC 2186: reply ICP_OP_ERR when the query is unintelligible
-		// but a request number can be recovered; otherwise drop.
+		// but a request number can be recovered; otherwise drop. The
+		// number sits at a fixed offset whatever else is wrong with the
+		// header.
 		if len(datagram) >= headerLen {
-			bad := Message{Op: OpErr, Version: Version2}
-			parsed, perr := Parse(datagram[:headerLen])
-			if perr == nil {
-				bad.ReqNum = parsed.ReqNum
-			}
-			return bad, true
+			return Message{Op: OpErr, Version: Version2, ReqNum: binary.BigEndian.Uint32(datagram[4:8])}, true
 		}
 		return Message{}, false
 	}
+	// The URL as a string without a copy, a view of datagram: Handler says
+	// how long it lives.
+	m.URL = unsafe.String(unsafe.SliceData(url), len(url))
 	switch m.Op {
 	case OpQuery:
 		return Reply(m, s.handler.HandleQuery(m.URL)), true

@@ -39,11 +39,11 @@ func TestQueryHitAndMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Hit || res.Responder == nil {
+	if !res.Hit || len(res.Responders) != 1 {
 		t.Fatalf("want hit, got %+v", res)
 	}
-	if res.Responder.Port != srv.Addr().Port {
-		t.Fatalf("responder = %v, want %v", res.Responder, srv.Addr())
+	if res.Responders[0].Port != srv.Addr().Port {
+		t.Fatalf("responder = %v, want %v", res.Responders[0], srv.Addr())
 	}
 
 	res, err = c.Query([]*net.UDPAddr{srv.Addr()}, "http://other.example.edu/", time.Second)
@@ -53,8 +53,8 @@ func TestQueryHitAndMiss(t *testing.T) {
 	if res.Hit {
 		t.Fatalf("want miss, got %+v", res)
 	}
-	if res.Replies != 1 {
-		t.Fatalf("replies = %d, want 1", res.Replies)
+	if len(res.Answered) != 1 {
+		t.Fatalf("replies = %d, want 1", len(res.Answered))
 	}
 }
 
@@ -73,8 +73,8 @@ func TestQueryFanOutFirstHitWins(t *testing.T) {
 	if !res.Hit {
 		t.Fatalf("want hit, got %+v", res)
 	}
-	if res.Responder.Port != hit.Addr().Port {
-		t.Fatalf("responder = %v, want the hit server %v", res.Responder, hit.Addr())
+	if res.Responders[0].Port != hit.Addr().Port {
+		t.Fatalf("responder = %v, want the hit server %v", res.Responders[0], hit.Addr())
 	}
 }
 
@@ -97,7 +97,7 @@ func TestQueryTimeoutOnSilentPeer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Hit || res.Replies != 0 {
+	if res.Hit || len(res.Answered) != 0 {
 		t.Fatalf("want silent miss, got %+v", res)
 	}
 	if time.Since(start) > 2*time.Second {
@@ -111,7 +111,7 @@ func TestQueryNoNeighbours(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Hit || res.Replies != 0 {
+	if res.Hit || len(res.Answered) != 0 {
 		t.Fatalf("empty fan-out should miss instantly, got %+v", res)
 	}
 }
@@ -176,8 +176,8 @@ func TestServerRepliesErrToGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Op != OpErr {
-		t.Fatalf("reply = %+v, want ICP_OP_ERR", m)
+	if m.Op != OpErr || m.ReqNum != 77 {
+		t.Fatalf("reply = %+v, want ICP_OP_ERR echoing request number 77", m)
 	}
 }
 

@@ -32,14 +32,15 @@ func (n *Node) dial(addr string) (net.Conn, error) {
 // exchange is the node's one outbound hproto round trip — every GET, PUT
 // and digest fetch to a peer, parent or origin goes through it. It dials
 // addr, bounds the whole exchange by FetchTimeout on the real clock
-// (Config.Now is the cache-visible clock only), writes req and then body
-// when there is one, and reads the response head through a pooled reader,
+// (Config.Now is the cache-visible clock only), writes req and then
+// bodySize synthetic body bytes when a PUT carries some, and reads the
+// response head through a pooled record,
 // counting a clamped responder age. The body of a 200 is copied into sink
 // (nil leaves it unread; other statuses carry none); one shorter than
-// advertised maps to hproto.ErrTruncatedBody. Conn and reader are released
+// advertised maps to hproto.ErrTruncatedBody. Conn and record are released
 // before returning, so the caller holds nothing but the Response — which
 // is also returned, as far as it was read, beside a body error.
-func (n *Node) exchange(addr string, req hproto.Request, body io.Reader, sink io.Writer) (hproto.Response, error) {
+func (n *Node) exchange(addr string, req hproto.Request, bodySize int64, sink io.Writer) (hproto.Response, error) {
 	conn, err := n.dial(addr)
 	if err != nil {
 		return hproto.Response{}, fmt.Errorf("dial %s: %w", addr, err)
@@ -47,17 +48,17 @@ func (n *Node) exchange(addr string, req hproto.Request, body io.Reader, sink io
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(n.fetchTimeout))
 
+	rec := getRec(conn)
+	defer putRec(rec)
 	if err := hproto.WriteRequest(conn, req); err != nil {
 		return hproto.Response{}, err
 	}
-	if body != nil {
-		if _, err := io.Copy(conn, body); err != nil {
+	if bodySize > 0 {
+		if _, err := rec.zeros(bodySize).WriteTo(conn); err != nil {
 			return hproto.Response{}, err
 		}
 	}
-	br := getReader(conn)
-	defer putReader(br)
-	resp, err := hproto.ReadResponse(br)
+	resp, err := hproto.ReadResponse(rec.br)
 	if err != nil {
 		return hproto.Response{}, err
 	}
@@ -66,7 +67,7 @@ func (n *Node) exchange(addr string, req hproto.Request, body io.Reader, sink io
 		n.warn("clamped bad responder age", nil, "responder", addr)
 	}
 	if sink != nil && resp.Status == hproto.StatusOK {
-		if _, err := io.CopyN(sink, br, resp.ContentLength); err != nil {
+		if err := rec.copyBody(sink, resp.ContentLength); err != nil {
 			return resp, fmt.Errorf("read body from %s: %w: %v", addr, hproto.ErrTruncatedBody, err)
 		}
 	}
@@ -99,7 +100,7 @@ func (n *Node) fetchFrom(tr *obs.Trace, addr, url string, sizeHint int64, reques
 			req.RingFP = h.Fingerprint
 		}
 	}
-	resp, err := n.exchange(addr, req, nil, io.Discard)
+	resp, err := n.exchange(addr, req, 0, io.Discard)
 	if resp.Trace != "" && tr != nil {
 		if rc, perr := obs.ParseTraceContext(resp.Trace); perr == nil {
 			// The responder's echoed record ID: the cross-node edge the
@@ -122,20 +123,51 @@ func (n *Node) fetchFrom(tr *obs.Trace, addr, url string, sizeHint int64, reques
 	return resp.ContentLength, resp.ResponderAge, source, nil
 }
 
-// readerPool recycles the bufio.Reader every fetch conn needs for its
-// request or response head — dialled here, accepted in server.go and
-// origin.go — so a steady-state exchange allocates none.
-var readerPool = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
-
-// getReader borrows a pooled bufio.Reader bound to r; return it with
-// putReader once the parse is done.
-func getReader(r io.Reader) *bufio.Reader {
-	br := readerPool.Get().(*bufio.Reader)
-	br.Reset(r)
-	return br
+// connRec is the reused record of one hproto exchange, on whichever side
+// of the conn: the bufio.Reader its request or response head is parsed
+// through, the limiter a body is read through, and the synthetic body a
+// response (or a PUT) streams — dialled in exchange, accepted in server.go
+// and origin.go — so a steady-state exchange allocates none of them. All
+// three are only valid between getRec and putRec.
+type connRec struct {
+	br   *bufio.Reader
+	body io.LimitedReader // over br
+	zero zeroBody
 }
 
-func putReader(br *bufio.Reader) {
-	br.Reset(nil) // drop the conn reference while pooled
-	readerPool.Put(br)
+var recPool = sync.Pool{New: func() any {
+	rec := &connRec{br: bufio.NewReader(nil)}
+	rec.body.R = rec.br
+	return rec
+}}
+
+// getRec borrows a pooled record with its reader bound to r; return it
+// with putRec once the exchange is over.
+func getRec(r io.Reader) *connRec {
+	rec := recPool.Get().(*connRec)
+	rec.br.Reset(r)
+	return rec
+}
+
+func putRec(rec *connRec) {
+	rec.br.Reset(nil) // drop the conn reference while pooled
+	recPool.Put(rec)
+}
+
+// copyBody copies exactly n body bytes from the record's reader to dst —
+// io.CopyN without the LimitedReader it allocates per call, and like it
+// reporting a body that ends early as io.EOF.
+func (rec *connRec) copyBody(dst io.Writer, n int64) error {
+	rec.body.N = n
+	written, err := io.Copy(dst, &rec.body)
+	if err == nil && written < n {
+		err = io.EOF
+	}
+	return err
+}
+
+// zeros is the record's synthetic body, reset to stream n zero bytes.
+func (rec *connRec) zeros(n int64) *zeroBody {
+	rec.zero.remaining = n
+	return &rec.zero
 }

@@ -285,7 +285,7 @@ func (n *Node) fetchDigestSince(addr string, since uint64, base *digest.Filter) 
 // fetchDigestBody performs the digest GET and returns the response body.
 func (n *Node) fetchDigestBody(addr, url string) ([]byte, error) {
 	var body bytes.Buffer
-	resp, err := n.exchange(addr, hproto.Request{URL: url}, nil, &body)
+	resp, err := n.exchange(addr, hproto.Request{URL: url}, 0, &body)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,9 @@ package netnode
 // it through each of the three verbs built on it.
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"net"
 	"os"
 	"runtime"
@@ -16,6 +18,8 @@ import (
 	"eacache/internal/cache"
 	"eacache/internal/core"
 	"eacache/internal/faults"
+	"eacache/internal/hproto"
+	"eacache/internal/race"
 )
 
 var exchangeVerbs = []struct {
@@ -142,4 +146,67 @@ func TestExchangeVerbs(t *testing.T) {
 			})
 		}
 	})
+}
+
+// TestExchangeAddsNothingToNet: a GET answered 200 with a 4 KB body costs
+// what dialling and closing the conn costs and not one object more — the
+// request head, the response head, the body limiter and the reader all
+// come from reused records. Both sides of the comparison run against the
+// same stub responder, which itself allocates nothing per conn beyond its
+// Accept, so the difference is the exchange's own.
+func TestExchangeAddsNothingToNet(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	var canned bytes.Buffer
+	if err := hproto.WriteResponse(&canned, hproto.Response{
+		Status: hproto.StatusOK, ResponderAge: 3 * time.Second, ContentLength: 4096, Source: hproto.SourceCache,
+	}, bytes.NewReader(make([]byte, 4096))); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		buf := make([]byte, 4096)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			// One read takes the whole request head (it is far smaller
+			// than buf and written at once); a dial-and-close reads EOF.
+			if n, _ := conn.Read(buf); n > 0 {
+				_, _ = conn.Write(canned.Bytes())
+			}
+			_ = conn.Close()
+		}
+	}()
+	defer func() { _ = ln.Close(); <-done }()
+
+	n := startNode(t, "x", 1<<20, core.EA{}, "")
+	addr := ln.Addr().String()
+	req := hproto.Request{URL: "http://x.example.edu/doc", RequesterAge: 90 * time.Second, SizeHint: 4096}
+	exchange := func() {
+		resp, err := n.exchange(addr, req, 0, io.Discard)
+		if err != nil || resp.Status != hproto.StatusOK || resp.ContentLength != 4096 {
+			t.Fatalf("exchange = %+v, %v", resp, err)
+		}
+	}
+	dialClose := func() {
+		conn, err := n.dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetDeadline(time.Now().Add(n.fetchTimeout))
+		_ = conn.Close()
+	}
+	exchange() // fills the pools
+	got, base := testing.AllocsPerRun(100, exchange), testing.AllocsPerRun(100, dialClose)
+	if got > base {
+		t.Fatalf("exchange: %.0f allocs per call, dial+close alone: %.0f", got, base)
+	}
 }

@@ -61,9 +61,9 @@ func (o *gatedOrigin) acceptLoop() {
 			defer o.wg.Done()
 			defer conn.Close()
 			_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
-			br := getReader(conn)
-			req, err := hproto.ReadRequest(br)
-			putReader(br)
+			rec := getRec(conn)
+			defer putRec(rec)
+			req, err := hproto.ReadRequest(rec.br)
 			if err != nil || o.drop.Add(-1) >= 0 {
 				return
 			}
@@ -78,7 +78,7 @@ func (o *gatedOrigin) acceptLoop() {
 				ResponderAge:  cache.NoContention,
 				ContentLength: size,
 				Source:        hproto.SourceOrigin,
-			}, zeroReader(size))
+			}, rec.zeros(size))
 		}()
 	}
 }

@@ -67,7 +67,7 @@ func (n *Node) publishLocked() {
 		}
 	}
 	snapshot := append([]Peer(nil), active...)
-	n.peers.Store(&peerSet{list: snapshot, icp: icpAddrs(snapshot)})
+	n.peers.Store(newPeerSet(snapshot))
 	epoch := n.epoch.Add(1)
 	if n.location == resolve.LocateHash {
 		n.rebuildHashRing(snapshot, epoch)

@@ -363,7 +363,7 @@ func (n *Node) pushCopy(addr string, doc cache.Document) (stored bool, destAge t
 		RequesterAge: n.store.ExpirationAge(n.now()),
 		SizeHint:     doc.Size,
 		Push:         true,
-	}, zeroReader(doc.Size), nil)
+	}, doc.Size, nil)
 	if err != nil {
 		return false, 0, err
 	}
@@ -375,9 +375,9 @@ func (n *Node) pushCopy(addr string, doc cache.Document) (stored bool, destAge t
 // store iff mayAcceptPush allows it. 200 means stored; 404 means
 // declined; either way this node's expiration age rides back for the
 // sender's EA gate.
-func (n *Node) servePush(conn io.Writer, br io.Reader, req hproto.Request) {
+func (n *Node) servePush(conn io.Writer, rec *connRec, req hproto.Request) {
 	if req.SizeHint > 0 {
-		if _, err := io.CopyN(io.Discard, br, req.SizeHint); err != nil {
+		if err := rec.copyBody(io.Discard, req.SizeHint); err != nil {
 			n.warn("push body truncated", nil, "url", req.URL, "err", err)
 			return
 		}

@@ -429,10 +429,21 @@ func (n *Node) SetPeers(peers []Peer) {
 
 // peerSet is one published peer snapshot: the active peers and, index for
 // index, their ICP addresses — the slice a healthy group's fan-out hands
-// to the ICP client as-is. Immutable once stored.
+// to the ICP client as-is — and their fetch addresses as candidates, which
+// a fan-out with one holder answers with a one-element view of. Immutable
+// once stored.
 type peerSet struct {
-	list []Peer
-	icp  []*net.UDPAddr
+	list  []Peer
+	icp   []*net.UDPAddr
+	cands []resolve.Candidate
+}
+
+func newPeerSet(list []Peer) *peerSet {
+	set := &peerSet{list: list, icp: icpAddrs(list), cands: make([]resolve.Candidate, len(list))}
+	for i, p := range list {
+		set.cands[i] = resolve.Candidate{ID: p.HTTP}
+	}
+	return set
 }
 
 // peerList returns the current immutable peer snapshot. Callers must not

@@ -396,12 +396,13 @@ func (n *Node) placementSpan(tr *obs.Trace, role int, url string, size int64, re
 // the deciding node's own expiration age, peerAge the one piggybacked
 // from the other side, whichever role this node played. Unlike traces
 // the log is not sampled: every decision of every request is recorded
-// (one small allocation each), because the audit's value is exactness.
+// (copied into the ring by value, so the record below never leaves the
+// stack), because the audit's value is exactness.
 func (n *Node) auditDecision(tr *obs.Trace, role int, url, verdict string, size int64, localAge, peerAge time.Duration) {
 	if n.obs == nil || n.obs.Placement == nil {
 		return
 	}
-	d := &obs.Decision{
+	d := obs.Decision{
 		Time: n.now(), Node: n.id, URL: url,
 		Role: roleNames[role], Verdict: verdict,
 		LocalAgeMS: obs.AgeMS(localAge), PeerAgeMS: obs.AgeMS(peerAge),

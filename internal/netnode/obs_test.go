@@ -15,10 +15,12 @@ import (
 	"testing"
 	"time"
 
+	"eacache/internal/cache"
 	"eacache/internal/core"
 	"eacache/internal/health"
 	"eacache/internal/metrics"
 	"eacache/internal/obs"
+	"eacache/internal/race"
 	"eacache/internal/resolve"
 )
 
@@ -478,5 +480,28 @@ func TestMetricsCatalogue(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAuditDecisionAllocatesNothing: the exact, unsampled placement audit
+// copies its record into the ring by value, traced or not.
+func TestAuditDecisionAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	n, tel := startObservedNode(t, "n", core.EA{}, "")
+	tr := &obs.Trace{ID: "n-000001", TraceID: "0123456789abcdef"}
+	for i := 0; i < obs.DefaultDecisionCapacity; i++ { // the ring grows until full
+		n.auditDecision(nil, roleParent, "http://x.example.edu/fill", obs.DecisionReject, 1, 0, 0)
+	}
+	for _, tr := range []*obs.Trace{nil, tr} {
+		if got := testing.AllocsPerRun(200, func() {
+			n.auditDecision(tr, roleRequester, "http://x.example.edu/doc", obs.DecisionAccept, 4096, 3*time.Second, cache.NoContention)
+		}); got != 0 {
+			t.Errorf("auditDecision (traced: %v): %.1f allocs per verdict, want 0", tr != nil, got)
+		}
+	}
+	if d := tel.Placement.Snapshot(); len(d) == 0 || d[len(d)-1].TraceID != tr.TraceID || d[len(d)-1].PeerAgeMS != -1 {
+		t.Fatalf("the audited verdicts did not reach the log: %+v", d)
 	}
 }

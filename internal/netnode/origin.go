@@ -82,9 +82,9 @@ func (o *OriginServer) acceptLoop() {
 func (o *OriginServer) serveConn(conn net.Conn) {
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	br := getReader(conn)
-	req, err := hproto.ReadRequest(br)
-	putReader(br)
+	rec := getRec(conn)
+	defer putRec(rec)
+	req, err := hproto.ReadRequest(rec.br)
 	if err != nil {
 		return
 	}
@@ -98,7 +98,7 @@ func (o *OriginServer) serveConn(conn net.Conn) {
 		ResponderAge:  cache.NoContention, // origins have no cache contention
 		ContentLength: size,
 		Source:        hproto.SourceOrigin,
-	}, zeroReader(size))
+	}, rec.zeros(size))
 }
 
 // zeroBufPool holds pre-zeroed body chunks. Bodies are synthetic zeros in
@@ -109,14 +109,11 @@ var zeroBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// zeroReader streams n zero bytes; cached bodies are synthetic in this
-// reproduction (the simulator tracks sizes, not payloads). It implements
-// io.WriterTo, so hproto.WriteResponse streams it from a pooled chunk
-// instead of allocating a copy buffer per response.
-func zeroReader(n int64) io.Reader {
-	return &zeroBody{remaining: n}
-}
-
+// zeroBody streams its remaining count of zero bytes; cached bodies are
+// synthetic in this reproduction (the simulator tracks sizes, not
+// payloads). It implements io.WriterTo, so hproto.WriteResponse streams it
+// from a pooled chunk instead of allocating a copy buffer per response.
+// Every one in use is a connRec's (connRec.zeros).
 type zeroBody struct{ remaining int64 }
 
 func (z *zeroBody) Read(p []byte) (int, error) {
@@ -126,9 +123,7 @@ func (z *zeroBody) Read(p []byte) (int, error) {
 	if int64(len(p)) > z.remaining {
 		p = p[:z.remaining]
 	}
-	for i := range p {
-		p[i] = 0
-	}
+	clear(p)
 	z.remaining -= int64(len(p))
 	return len(p), nil
 }
@@ -152,8 +147,3 @@ func (z *zeroBody) WriteTo(w io.Writer) (int64, error) {
 	}
 	return written, nil
 }
-
-var (
-	_ io.Reader   = (*zeroBody)(nil)
-	_ io.WriterTo = (*zeroBody)(nil)
-)

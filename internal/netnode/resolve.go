@@ -14,12 +14,15 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"eacache/internal/cache"
 	"eacache/internal/chash"
 	"eacache/internal/hproto"
+	"eacache/internal/icp"
 	"eacache/internal/obs"
 	"eacache/internal/resolve"
 )
@@ -114,9 +117,10 @@ func (n *Node) icpLocate(tr *obs.Trace, url string) resolve.Located {
 	if set == nil {
 		return resolve.Located{}
 	}
-	active, addrs := set.list, set.icp
+	active, addrs, shared := set.list, set.icp, set.cands
 	for i, p := range set.list {
 		if !n.health.Allow(p.HTTP) {
+			shared = nil
 			active = make([]Peer, i, len(set.list))
 			copy(active, set.list[:i])
 			for _, q := range set.list[i+1:] {
@@ -132,8 +136,12 @@ func (n *Node) icpLocate(tr *obs.Trace, url string) resolve.Located {
 		return resolve.Located{}
 	}
 	fanout := n.startStage(tr, stICPFanout)
-	res, err := n.icpClient.QueryHop(addrs, url, n.icpTimeout, hopOf(tr))
-	if err != nil {
+	// The Result and its slices are this fan-out's until the Put: nothing
+	// below keeps an address past the candidate list, which holds the
+	// peers' own fetch addresses.
+	res := fanoutPool.Get().(*icp.Result)
+	defer fanoutPool.Put(res)
+	if err := n.icpClient.QueryInto(res, addrs, url, n.icpTimeout, hopOf(tr)); err != nil {
 		tr.SpanErr(err)
 		n.endStage(tr, fanout)
 		n.warn("icp query failed", tr, "err", err)
@@ -146,24 +154,28 @@ func (n *Node) icpLocate(tr *obs.Trace, url string) resolve.Located {
 		tr.Annotate("timed_out", "true")
 	}
 	n.endStage(tr, fanout)
-	n.recordFanout(active, res)
+	n.recordFanout(active, *res)
 
-	known := 0
+	// Responders are addrs' own pointers, so identity finds the peer. A
+	// lone holder — the common case — is a view of the snapshot's own
+	// candidate list, capped at one element so that a second holder's
+	// append copies out instead of writing into the snapshot.
 	var cands []resolve.Candidate
-	for _, p := range active {
-		for _, responder := range res.Responders {
-			if udpAddrEqual(p.ICP, responder) {
-				known++
-				cands = append(cands, resolve.Candidate{ID: p.HTTP})
-				break
-			}
+	for i, p := range active {
+		if !slices.Contains(res.Responders, p.ICP) {
+			continue
 		}
-	}
-	if known < len(res.Responders) {
-		n.warn("icp hits from unknown peers", tr, "hits", len(res.Responders), "known", known)
+		if cands == nil && shared != nil {
+			cands = shared[i : i+1 : i+1]
+		} else {
+			cands = append(cands, resolve.Candidate{ID: p.HTTP})
+		}
 	}
 	return resolve.Located{Candidates: cands}
 }
+
+// fanoutPool recycles the Result (and its address slices) a fan-out fills.
+var fanoutPool = sync.Pool{New: func() any { return new(icp.Result) }}
 
 // icpAddrs lists the peers' ICP addresses, index for index.
 func icpAddrs(peers []Peer) []*net.UDPAddr {

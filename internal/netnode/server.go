@@ -43,10 +43,12 @@ func (n *Node) serveConn(conn net.Conn) {
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(n.fetchTimeout))
 
-	br := getReader(conn)
-	req, err := hproto.ReadRequest(br)
+	// The record is held to the end: its reader for the request (and a
+	// pushed body), its synthetic body for the response.
+	rec := getRec(conn)
+	defer putRec(rec)
+	req, err := hproto.ReadRequest(rec.br)
 	if err != nil {
-		putReader(br)
 		n.warn("bad fetch request", nil, "err", err)
 		return
 	}
@@ -55,13 +57,11 @@ func (n *Node) serveConn(conn net.Conn) {
 		n.warn("clamped bad requester age", nil, "remote", conn.RemoteAddr().String())
 	}
 	if req.Push {
-		// Migration handoff: the body still sits (partly) in the bufio
-		// reader, so it is drained before the reader is pooled again.
-		n.servePush(conn, br, req)
-		putReader(br)
+		// Migration handoff: the body still sits (partly) in the
+		// record's reader.
+		n.servePush(conn, rec, req)
 		return
 	}
-	putReader(br)
 
 	// The reserved digest URL serves this node's own cache digest as a
 	// delta from ?since=<gen>; the bare URL means since=0.
@@ -128,13 +128,13 @@ func (n *Node) serveConn(conn net.Conn) {
 			ContentLength: doc.Size,
 			Source:        hproto.SourceCache,
 			Trace:         echoContext(rtr),
-		}, zeroReader(doc.Size))
+		}, rec.zeros(doc.Size))
 		if rtr != nil {
 			rtr.Outcome = outcomeServeHit
 			rtr.SizeBytes = doc.Size
 		}
 	case req.Resolve:
-		err = n.resolveAndServe(conn, req, respAge, rtr)
+		err = n.resolveAndServe(conn, rec, req, respAge, rtr)
 	default:
 		err = hproto.WriteResponse(conn, hproto.Response{
 			Status:       hproto.StatusNotFound,
@@ -182,7 +182,7 @@ func echoContext(rtr *obs.Trace) string {
 // remote-parented trace continued from the requester's context (nil for
 // untraced exchanges); the upstream fetch rides on it, so a recursive
 // parent chain propagates the same trace ID all the way up.
-func (n *Node) resolveAndServe(conn net.Conn, req hproto.Request, myAge time.Duration, rtr *obs.Trace) error {
+func (n *Node) resolveAndServe(conn net.Conn, rec *connRec, req hproto.Request, myAge time.Duration, rtr *obs.Trace) error {
 	var (
 		size   int64
 		source string
@@ -236,7 +236,7 @@ func (n *Node) resolveAndServe(conn net.Conn, req hproto.Request, myAge time.Dur
 		ContentLength: size,
 		Source:        source,
 		Trace:         echoContext(rtr),
-	}, zeroReader(size))
+	}, rec.zeros(size))
 }
 
 func (n *Node) putIfFits(doc cache.Document) bool {

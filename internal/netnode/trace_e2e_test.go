@@ -96,12 +96,12 @@ func TestCrossPeerTracePropagation(t *testing.T) {
 	var reqDecision, respDecision *obs.Decision
 	for _, d := range telB.Placement.Snapshot() {
 		if d.TraceID == res.TraceID && d.Role == obs.RoleRequester {
-			reqDecision = d
+			reqDecision = &d
 		}
 	}
 	for _, d := range telA.Placement.Snapshot() {
 		if d.TraceID == res.TraceID && d.Role == obs.RoleResponder {
-			respDecision = d
+			respDecision = &d
 		}
 	}
 	if reqDecision == nil {

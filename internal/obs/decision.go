@@ -3,7 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sync/atomic"
+	"sync"
 	"time"
 )
 
@@ -48,14 +48,16 @@ type Decision struct {
 	RequestID string `json:"request_id,omitempty"`
 }
 
-// DecisionLog is a fixed-capacity ring of placement decisions, published
-// with the same lock-cheap discipline as TraceRing: one atomic counter
-// increment plus one atomic pointer store per record, snapshots never stop
-// writers. Unlike traces, every decision is recorded — the audit is exact,
-// not sampled — so Record stays allocation-light (one Decision per call).
+// DecisionLog is a fixed-capacity ring of placement decisions held by
+// value under a mutex: Record copies the decision in, Snapshot and
+// WriteJSON copy out, so recording leaves nothing on the heap and a reader
+// never sees a slot being overwritten. Unlike traces, every decision is
+// recorded — the audit is exact, not sampled.
 type DecisionLog struct {
-	slots []atomic.Pointer[Decision]
-	next  atomic.Uint64
+	mu    sync.Mutex
+	size  int        // capacity of the ring
+	slots []Decision // grows to size as decisions arrive: a node that decides nothing holds nothing
+	next  uint64     // decisions ever recorded; next%size is the slot to fill
 }
 
 // DefaultDecisionCapacity is the decision-log size Telemetry defaults to.
@@ -67,56 +69,41 @@ func NewDecisionLog(n int) *DecisionLog {
 	if n < 1 {
 		n = DefaultDecisionCapacity
 	}
-	return &DecisionLog{slots: make([]atomic.Pointer[Decision], n)}
+	return &DecisionLog{size: n}
 }
 
-// Record publishes one decision, overwriting the oldest when full. The
-// record must not be mutated afterwards. Safe on a nil log.
-func (l *DecisionLog) Record(d *Decision) {
-	if l == nil || d == nil {
+// Record copies one decision into the ring, overwriting the oldest when
+// full. Safe on a nil log.
+func (l *DecisionLog) Record(d Decision) {
+	if l == nil {
 		return
 	}
-	idx := l.next.Add(1) - 1
-	l.slots[idx%uint64(len(l.slots))].Store(d)
+	l.mu.Lock()
+	if len(l.slots) < l.size {
+		l.slots = append(l.slots, d)
+	} else {
+		l.slots[l.next%uint64(l.size)] = d
+	}
+	l.next++
+	l.mu.Unlock()
 }
 
-// Len returns how many decisions are currently held.
-func (l *DecisionLog) Len() int {
-	if l == nil {
-		return 0
-	}
-	n := l.next.Load()
-	if n > uint64(len(l.slots)) {
-		return len(l.slots)
-	}
-	return int(n)
-}
-
-// Total returns how many decisions were ever recorded (including ones the
-// ring has since overwritten).
-func (l *DecisionLog) Total() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.next.Load()
-}
-
-// Snapshot returns the held decisions, oldest first. Safe on a nil log.
-func (l *DecisionLog) Snapshot() []*Decision {
+// Snapshot returns copies of the held decisions, oldest first. Safe on a
+// nil log.
+func (l *DecisionLog) Snapshot() []Decision {
 	if l == nil {
 		return nil
 	}
-	n := l.next.Load()
-	size := uint64(len(l.slots))
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	size := uint64(l.size)
 	start := uint64(0)
-	if n > size {
-		start = n - size
+	if l.next > size {
+		start = l.next - size
 	}
-	out := make([]*Decision, 0, n-start)
-	for i := start; i < n; i++ {
-		if d := l.slots[i%size].Load(); d != nil {
-			out = append(out, d)
-		}
+	out := make([]Decision, 0, l.next-start)
+	for i := start; i < l.next; i++ {
+		out = append(out, l.slots[i%size])
 	}
 	return out
 }
@@ -128,7 +115,7 @@ func (l *DecisionLog) WriteJSON(w io.Writer, traceID, verdict string) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	all := l.Snapshot()
-	out := make([]*Decision, 0, len(all))
+	out := make([]Decision, 0, len(all)) // "[]", not "null", when empty
 	for _, d := range all {
 		if traceID != "" && d.TraceID != traceID {
 			continue
