@@ -191,16 +191,16 @@ func TestEacctlAgainstLiveGroup(t *testing.T) {
 
 	// Stitch the remote hit's trace: the requester record lives in b's
 	// ring, the serve record in a's — one eacctl invocation joins them.
-	if len(res.TraceID) != 16 {
+	if res.TraceID == 0 {
 		t.Fatalf("remote hit carries no trace ID: %+v", res)
 	}
 	out.Reset()
-	if err := run([]string{"-addr", adminA, "trace", res.TraceID}, &out, &errb); err != nil {
+	if err := run([]string{"-addr", adminA, "trace", res.TraceID.String()}, &out, &errb); err != nil {
 		t.Fatalf("eacctl trace: %v\nstderr: %s", err, errb.String())
 	}
 	timeline := out.String()
 	for _, want := range []string{
-		"trace " + res.TraceID + ": 2 record(s) across 2 node(s)",
+		"trace " + res.TraceID.String() + ": 2 record(s) across 2 node(s)",
 		"url: " + url,
 		"[hop 0] node-b",
 		"[hop 1] node-a",
@@ -214,7 +214,7 @@ func TestEacctlAgainstLiveGroup(t *testing.T) {
 	// JSON timeline is causally ordered: hop 0 before hop 1, parent link
 	// intact.
 	out.Reset()
-	if err := run([]string{"-addr", adminA, "-json", "trace", res.TraceID}, &out, &errb); err != nil {
+	if err := run([]string{"-addr", adminA, "-json", "trace", res.TraceID.String()}, &out, &errb); err != nil {
 		t.Fatalf("eacctl -json trace: %v", err)
 	}
 	var tl Timeline

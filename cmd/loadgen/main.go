@@ -497,7 +497,7 @@ func runStep(g *group, cfg config, zipf *dist.Zipf, rng *dist.RNG, targetRPS flo
 		latency time.Duration
 		done    time.Time
 		outcome metrics.Outcome
-		traceID string
+		traceID obs.TraceID
 		err     error
 	}
 	samples := make([]sample, len(schedule))
@@ -584,11 +584,11 @@ func runStep(g *group, cfg config, zipf *dist.Zipf, rng *dist.RNG, targetRPS flo
 	if cfg.obs && len(latencies) > 0 {
 		threshold := time.Duration(st.P99MS * float64(time.Millisecond))
 		for i, s := range samples {
-			if s.err != nil || s.traceID == "" || s.latency < threshold {
+			if s.err != nil || s.traceID == 0 || s.latency < threshold {
 				continue
 			}
 			st.SlowTraces = append(st.SlowTraces, slowTrace{
-				TraceID:   s.traceID,
+				TraceID:   s.traceID.String(),
 				LatencyMS: float64(s.latency) / float64(time.Millisecond),
 				URL:       schedule[i].url,
 				Node:      g.nodes[schedule[i].node].ID(),

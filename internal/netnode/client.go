@@ -88,9 +88,7 @@ func (n *Node) fetchFrom(tr *obs.Trace, addr, url string, sizeHint int64, reques
 		RequesterAge: requesterAge,
 		SizeHint:     sizeHint,
 		Resolve:      rslv,
-	}
-	if tr != nil && tr.TraceID != "" {
-		req.Trace = tr.Context().String()
+		Trace:        tr.Context(),
 	}
 	if rslv && n.location == resolve.LocateHash {
 		if h := n.hash.Load(); h != nil {

@@ -168,7 +168,9 @@ func TestExchangeAddsNothingToNet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
+	// handled ticks once per conn the stub has served and closed, so each
+	// call below counts exactly one Accept, however the scheduler runs it.
+	done, handled := make(chan struct{}), make(chan struct{}, 1)
 	go func() {
 		defer close(done)
 		buf := make([]byte, 4096)
@@ -183,6 +185,7 @@ func TestExchangeAddsNothingToNet(t *testing.T) {
 				_, _ = conn.Write(canned.Bytes())
 			}
 			_ = conn.Close()
+			handled <- struct{}{}
 		}
 	}()
 	defer func() { _ = ln.Close(); <-done }()
@@ -195,6 +198,7 @@ func TestExchangeAddsNothingToNet(t *testing.T) {
 		if err != nil || resp.Status != hproto.StatusOK || resp.ContentLength != 4096 {
 			t.Fatalf("exchange = %+v, %v", resp, err)
 		}
+		<-handled
 	}
 	dialClose := func() {
 		conn, err := n.dial(addr)
@@ -203,6 +207,7 @@ func TestExchangeAddsNothingToNet(t *testing.T) {
 		}
 		_ = conn.SetDeadline(time.Now().Add(n.fetchTimeout))
 		_ = conn.Close()
+		<-handled
 	}
 	exchange() // fills the pools
 	got, base := testing.AllocsPerRun(100, exchange), testing.AllocsPerRun(100, dialClose)

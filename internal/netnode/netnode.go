@@ -626,14 +626,15 @@ func (n *Node) Len() int { return n.store.Len() }
 
 // warn emits one structured operational warning, tagged with the node ID
 // and — when the call sits on a traced request path — the request ID, so
-// log lines join up with /debug/trace entries.
+// log lines join up with /debug/trace entries (rendered here, off the
+// request path, as the parent the trace's onward context names).
 func (n *Node) warn(msg string, tr *obs.Trace, attrs ...any) {
 	if n.logger == nil {
 		return
 	}
 	attrs = append(attrs, "node", n.id)
-	if tr != nil {
-		attrs = append(attrs, "request_id", tr.ID)
+	if tc, err := obs.ParseTraceContext(tr.Context()); err == nil {
+		attrs = append(attrs, "request_id", tc.ParentID)
 	}
 	n.logger.Warn(msg, attrs...)
 }

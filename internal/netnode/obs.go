@@ -402,17 +402,12 @@ func (n *Node) auditDecision(tr *obs.Trace, role int, url, verdict string, size 
 	if n.obs == nil || n.obs.Placement == nil {
 		return
 	}
-	d := obs.Decision{
+	n.obs.Placement.Record(obs.Decision{
 		Time: n.now(), Node: n.id, URL: url,
 		Role: roleNames[role], Verdict: verdict,
 		LocalAgeMS: obs.AgeMS(localAge), PeerAgeMS: obs.AgeMS(peerAge),
 		SizeBytes: size,
-	}
-	if tr != nil {
-		d.TraceID = tr.TraceID
-		d.RequestID = tr.ID
-	}
-	n.obs.Placement.Record(d)
+	}, tr)
 }
 
 // stageTimer brackets one lifecycle stage. It is a plain value (no

@@ -484,13 +484,15 @@ func TestMetricsCatalogue(t *testing.T) {
 }
 
 // TestAuditDecisionAllocatesNothing: the exact, unsampled placement audit
-// copies its record into the ring by value, traced or not.
+// copies its record into the ring by value, on an unsampled request and
+// on a sampled one, whose numbers the copy names it by.
 func TestAuditDecisionAllocatesNothing(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
 	}
 	n, tel := startObservedNode(t, "n", core.EA{}, "")
-	tr := &obs.Trace{ID: "n-000001", TraceID: "0123456789abcdef"}
+	tel.SetTraceSampling(1)
+	tr := tel.StartTrace("n", "http://x.example.edu/doc")
 	for i := 0; i < obs.DefaultDecisionCapacity; i++ { // the ring grows until full
 		n.auditDecision(nil, roleParent, "http://x.example.edu/fill", obs.DecisionReject, 1, 0, 0)
 	}
@@ -501,7 +503,42 @@ func TestAuditDecisionAllocatesNothing(t *testing.T) {
 			t.Errorf("auditDecision (traced: %v): %.1f allocs per verdict, want 0", tr != nil, got)
 		}
 	}
-	if d := tel.Placement.Snapshot(); len(d) == 0 || d[len(d)-1].TraceID != tr.TraceID || d[len(d)-1].PeerAgeMS != -1 {
-		t.Fatalf("the audited verdicts did not reach the log: %+v", d)
+	id := tel.Finish(tr)
+	rec := tel.Traces.Snapshot()[0]
+	if d := tel.Placement.Snapshot(); len(d) == 0 || d[len(d)-1].TraceID != id.String() || d[len(d)-1].RequestID != rec.ID || d[len(d)-1].PeerAgeMS != -1 {
+		t.Fatalf("the audited verdicts did not reach the log as request %s of trace %s: %+v", rec.ID, id, d[len(d)-1])
+	}
+}
+
+// TestTracedLocalHitAllocatesNothing: a request that stays off the wire
+// allocates nothing, traced or not — with every request sampled, a local
+// hit's record is copied into a full ring, not allocated.
+func TestTracedLocalHitAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	origin := startOrigin(t)
+	n, tel := startObservedNode(t, "n", core.EA{}, origin.Addr())
+	const url = "http://x.example.edu/resident"
+	if _, err := n.Request(url, 4096); err != nil {
+		t.Fatal(err)
+	}
+	for _, sampling := range []int{1 << 30, 1} {
+		tel.SetTraceSampling(sampling)
+		for i := 0; i < 64; i++ { // the ring grows until full
+			if _, err := n.Request(url, 4096); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := testing.AllocsPerRun(200, func() {
+			if res, err := n.Request(url, 4096); err != nil || res.Outcome != metrics.LocalHit {
+				t.Fatalf("local hit: %+v, %v", res, err)
+			}
+		}); got != 0 {
+			t.Errorf("local hit at sampling %d: %.1f allocs per request, want 0", sampling, got)
+		}
+	}
+	if recs := tel.Traces.Snapshot(); len(recs) != 64 || recs[63].Outcome != metrics.LocalHit.String() || recs[63].URL != url {
+		t.Fatalf("ring holds %d records, the last %+v", len(recs), recs[len(recs)-1])
 	}
 }

@@ -34,9 +34,9 @@ type Result struct {
 	// the same URL as a single-flight follower instead of fetching itself.
 	Coalesced bool
 	// TraceID is the group-wide trace identifier when the request was
-	// sampled ("" otherwise) — the handle for finding this request's
-	// spans on every node it touched (/debug/trace?trace=...).
-	TraceID string
+	// sampled (0 otherwise) — its String is the handle for finding this
+	// request's spans on every node it touched (/debug/trace?trace=...).
+	TraceID obs.TraceID
 }
 
 // Request serves a client request end-to-end over the real protocols:
@@ -58,7 +58,6 @@ func (n *Node) Request(url string, sizeHint int64) (Result, error) {
 	res, err := n.serveRequest(tr, url, sizeHint)
 	n.observeRequest(res, err, time.Since(start))
 	if tr != nil {
-		res.TraceID = tr.TraceID
 		if err != nil {
 			tr.Outcome = outcomeError
 			tr.Err = err.Error()
@@ -68,7 +67,7 @@ func (n *Node) Request(url string, sizeHint int64) (Result, error) {
 			tr.Responder = res.Responder
 			tr.Stored = res.Stored
 		}
-		n.obs.Finish(tr)
+		res.TraceID = n.obs.Finish(tr)
 	}
 	return res, err
 }

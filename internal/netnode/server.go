@@ -127,7 +127,7 @@ func (n *Node) serveConn(conn net.Conn) {
 			ResponderAge:  respAge,
 			ContentLength: doc.Size,
 			Source:        hproto.SourceCache,
-			Trace:         echoContext(rtr),
+			Trace:         rtr.Context(),
 		}, rec.zeros(doc.Size))
 		if rtr != nil {
 			rtr.Outcome = outcomeServeHit
@@ -139,7 +139,7 @@ func (n *Node) serveConn(conn net.Conn) {
 		err = hproto.WriteResponse(conn, hproto.Response{
 			Status:       hproto.StatusNotFound,
 			ResponderAge: respAge,
-			Trace:        echoContext(rtr),
+			Trace:        rtr.Context(),
 		}, nil)
 		if rtr != nil {
 			rtr.Outcome = outcomeServeMiss
@@ -165,16 +165,6 @@ const (
 	outcomeServeResolve = "serve-resolve"
 )
 
-// echoContext is the X-Trace-Context value echoed on responses: this
-// node's own record as the parent, so the requester can point at the
-// responder's span. Empty ("" — header omitted) for untraced exchanges.
-func echoContext(rtr *obs.Trace) string {
-	if rtr == nil {
-		return ""
-	}
-	return rtr.Context().String()
-}
-
 // resolveAndServe is the parent's miss path: fetch the document from this
 // node's own parent (recursively, preserving the source tag) or origin,
 // store a copy iff this node's expiration age strictly exceeds the child's
@@ -198,7 +188,7 @@ func (n *Node) resolveAndServe(conn net.Conn, rec *connRec, req hproto.Request, 
 		return hproto.WriteResponse(conn, hproto.Response{
 			Status:       hproto.StatusNotFound,
 			ResponderAge: myAge,
-			Trace:        echoContext(rtr),
+			Trace:        rtr.Context(),
 		}, nil)
 	}
 	if err != nil {
@@ -206,7 +196,7 @@ func (n *Node) resolveAndServe(conn net.Conn, rec *connRec, req hproto.Request, 
 		return hproto.WriteResponse(conn, hproto.Response{
 			Status:       hproto.StatusNotFound,
 			ResponderAge: myAge,
-			Trace:        echoContext(rtr),
+			Trace:        rtr.Context(),
 		}, nil)
 	}
 	keep := n.scheme.OnParentResolve(myAge, req.RequesterAge)
@@ -235,7 +225,7 @@ func (n *Node) resolveAndServe(conn net.Conn, rec *connRec, req hproto.Request, 
 		ResponderAge:  myAge,
 		ContentLength: size,
 		Source:        source,
-		Trace:         echoContext(rtr),
+		Trace:         rtr.Context(),
 	}, rec.zeros(size))
 }
 

@@ -32,13 +32,13 @@ func TestCrossPeerTracePropagation(t *testing.T) {
 	if err != nil || res.Outcome != metrics.RemoteHit {
 		t.Fatalf("remote hit: res=%+v err=%v", res, err)
 	}
-	if len(res.TraceID) != 16 {
-		t.Fatalf("Result.TraceID = %q, want a 16-hex group trace ID", res.TraceID)
+	if res.TraceID == 0 {
+		t.Fatalf("Result.TraceID = %q, want a group trace ID", res.TraceID)
 	}
 
 	// Requester side: b's ring holds the front-door record at hop 0.
 	var reqRec *obs.Trace
-	for _, tr := range telB.Traces.SnapshotTrace(res.TraceID) {
+	for _, tr := range telB.Traces.SnapshotTrace(res.TraceID.String()) {
 		if tr.URL == url {
 			reqRec = tr
 		}
@@ -52,7 +52,7 @@ func TestCrossPeerTracePropagation(t *testing.T) {
 
 	// Responder side: a's ring holds a remote-parented serve record for
 	// the same trace ID, one hop deeper, parented by b's record.
-	serveRecs := telA.Traces.SnapshotTrace(res.TraceID)
+	serveRecs := telA.Traces.SnapshotTrace(res.TraceID.String())
 	if len(serveRecs) != 1 {
 		t.Fatalf("responder ring holds %d records for trace %s, want 1", len(serveRecs), res.TraceID)
 	}
@@ -95,12 +95,12 @@ func TestCrossPeerTracePropagation(t *testing.T) {
 	// a requester store decision, a made a responder promote decision.
 	var reqDecision, respDecision *obs.Decision
 	for _, d := range telB.Placement.Snapshot() {
-		if d.TraceID == res.TraceID && d.Role == obs.RoleRequester {
+		if d.TraceID == res.TraceID.String() && d.Role == obs.RoleRequester {
 			reqDecision = &d
 		}
 	}
 	for _, d := range telA.Placement.Snapshot() {
-		if d.TraceID == res.TraceID && d.Role == obs.RoleResponder {
+		if d.TraceID == res.TraceID.String() && d.Role == obs.RoleResponder {
 			respDecision = &d
 		}
 	}

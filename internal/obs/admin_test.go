@@ -44,7 +44,7 @@ func TestAdminEndpoints(t *testing.T) {
 	tel := New("t", 8)
 	tel.Registry.Counter("eac_requests_total", "reqs", Labels{"outcome": "miss"}).Add(7)
 	tr := tel.StartTrace("t", "http://w/doc")
-	tr.StartSpan(StageLocalLookup)()
+	tr.CloseSpan(tr.OpenSpan(StageLocalLookup, time.Now()), 0)
 	tr.Outcome = "miss"
 	tel.Finish(tr)
 

@@ -37,26 +37,9 @@ const MaxTraceHops = 64
 
 var errBadTraceContext = errors.New("obs: malformed trace context")
 
-// String renders the wire form: "<trace-id>/<parent-id>/<hop>/<0|1>".
-// Slashes inside ParentID are tolerated by Parse (it splits from the ends),
-// so node IDs need no escaping.
-func (tc TraceContext) String() string {
-	var b strings.Builder
-	b.Grow(len(tc.TraceID) + len(tc.ParentID) + 8)
-	b.WriteString(tc.TraceID)
-	b.WriteByte('/')
-	b.WriteString(tc.ParentID)
-	b.WriteByte('/')
-	b.WriteString(strconv.Itoa(tc.Hop))
-	if tc.Sampled {
-		b.WriteString("/1")
-	} else {
-		b.WriteString("/0")
-	}
-	return b.String()
-}
-
-// ParseTraceContext decodes the wire form. It is strict about shape —
+// ParseTraceContext decodes the wire form Trace.Context renders,
+// "<trace-id>/<parent-id>/<hop>/<0|1>"; slashes inside the parent ID are
+// tolerated, so node IDs need no escaping. It is strict about shape —
 // callers treat any error as "no context" and count a clamp, never fail
 // the request over it.
 func ParseTraceContext(s string) (TraceContext, error) {
@@ -82,7 +65,7 @@ func ParseTraceContext(s string) (TraceContext, error) {
 	}
 	tc := TraceContext{TraceID: s[:first], ParentID: rest[:mid]}
 
-	if !validTraceID(tc.TraceID) {
+	if _, ok := parseTraceID(tc.TraceID); !ok {
 		return TraceContext{}, errBadTraceContext
 	}
 	hop, err := strconv.Atoi(rest[mid+1:])
@@ -100,17 +83,37 @@ func ParseTraceContext(s string) (TraceContext, error) {
 	return tc, nil
 }
 
-func validTraceID(id string) bool {
-	if len(id) != 16 {
-		return false
+// TraceID is a group-wide trace identifier, held as the number it is
+// minted as; the zero value means no trace (an unsampled request).
+type TraceID uint64
+
+// String renders the wire and JSON form: 16 lowercase hex digits.
+func (id TraceID) String() string {
+	var b [16]byte
+	return string(id.appendHex(b[:0]))
+}
+
+func (id TraceID) appendHex(b []byte) []byte {
+	const hex = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, hex[id>>shift&0xf])
 	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
+	return b
+}
+
+// parseTraceID decodes the wire form, rejecting anything but 16 lowercase
+// hex digits.
+func parseTraceID(s string) (TraceID, bool) {
+	if len(s) != 16 {
+		return 0, false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return 0, false
 		}
 	}
-	return true
+	n, err := strconv.ParseUint(s, 16, 64)
+	return TraceID(n), err == nil
 }
 
 // Trace-ID generation: a per-process random seed mixed with an atomic
@@ -127,19 +130,13 @@ var (
 	traceSeq atomic.Uint64
 )
 
-// NewTraceID mints a fresh 16-hex-digit trace ID.
-func NewTraceID() string {
+// NewTraceID mints a fresh trace ID.
+func NewTraceID() TraceID {
 	z := traceSeed + traceSeq.Add(1)*0x9e3779b97f4a7c15
 	z ^= z >> 30
 	z *= 0xbf58476d1ce4e5b9
 	z ^= z >> 27
 	z *= 0x94d049bb133111eb
 	z ^= z >> 31
-	var b [16]byte
-	const hex = "0123456789abcdef"
-	for i := 15; i >= 0; i-- {
-		b[i] = hex[z&0xf]
-		z >>= 4
-	}
-	return string(b[:])
+	return TraceID(z)
 }

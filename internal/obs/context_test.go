@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -13,9 +14,11 @@ func TestTraceContextRoundTrip(t *testing.T) {
 		{TraceID: "deadbeefdeadbeef", ParentID: "", Hop: 1, Sampled: true},
 	}
 	for _, tc := range cases {
-		got, err := ParseTraceContext(tc.String())
+		sampled := map[bool]int{false: 0, true: 1}[tc.Sampled]
+		wire := fmt.Sprintf("%s/%s/%d/%d", tc.TraceID, tc.ParentID, tc.Hop, sampled)
+		got, err := ParseTraceContext(wire)
 		if err != nil {
-			t.Fatalf("ParseTraceContext(%q): %v", tc.String(), err)
+			t.Fatalf("ParseTraceContext(%q): %v", wire, err)
 		}
 		if got != tc {
 			t.Fatalf("round trip changed context: %+v -> %+v", tc, got)
@@ -49,7 +52,7 @@ func TestParseTraceContextRejectsMalformed(t *testing.T) {
 func TestNewTraceIDShapeAndUniqueness(t *testing.T) {
 	seen := make(map[string]bool)
 	for i := 0; i < 1000; i++ {
-		id := NewTraceID()
+		id := NewTraceID().String()
 		if len(id) != 16 {
 			t.Fatalf("trace ID %q is not 16 chars", id)
 		}
@@ -78,26 +81,29 @@ func TestStartRemoteTraceHonoursContext(t *testing.T) {
 	if tr == nil {
 		t.Fatal("sampled remote context must override local sampling")
 	}
-	if tr.TraceID != tc.TraceID {
-		t.Fatalf("trace ID not inherited: got %q want %q", tr.TraceID, tc.TraceID)
-	}
-	if tr.ParentID != tc.ParentID {
-		t.Fatalf("parent ID not inherited: got %q want %q", tr.ParentID, tc.ParentID)
-	}
 	if tr.Hop != tc.Hop+1 {
 		t.Fatalf("hop not advanced: got %d want %d", tr.Hop, tc.Hop+1)
 	}
 
 	// The onward context names this record as the parent of the next hop.
-	next := tr.Context()
-	if next.TraceID != tc.TraceID || next.ParentID != tr.ID || next.Hop != tr.Hop || !next.Sampled {
-		t.Fatalf("onward context wrong: %+v (record id %q hop %d)", next, tr.ID, tr.Hop)
+	next, err := ParseTraceContext(tr.Context())
+	if err != nil {
+		t.Fatalf("onward context %q: %v", tr.Context(), err)
 	}
-
-	tel.Finish(tr)
+	if id := tel.Finish(tr); id.String() != tc.TraceID {
+		t.Fatalf("Finish returned trace %s, want %s", id, tc.TraceID)
+	}
 	recs := tel.Traces.Snapshot()
-	if len(recs) != 1 || recs[0].TraceID != tc.TraceID {
+	if len(recs) != 1 {
 		t.Fatalf("remote-parented record not published: %+v", recs)
+	}
+	// The record inherited trace and parent verbatim, so eacctl can
+	// stitch the records by ID.
+	if rec := recs[0]; rec.TraceID != tc.TraceID || rec.ParentID != tc.ParentID || rec.Hop != tc.Hop+1 {
+		t.Fatalf("record = trace %q parent %q hop %d, want %q %q %d", rec.TraceID, rec.ParentID, rec.Hop, tc.TraceID, tc.ParentID, tc.Hop+1)
+	}
+	if next.TraceID != tc.TraceID || next.ParentID != recs[0].ID || next.Hop != recs[0].Hop || !next.Sampled {
+		t.Fatalf("onward context wrong: %+v (record id %q hop %d)", next, recs[0].ID, recs[0].Hop)
 	}
 
 	// An unsampled context must not record even with eager local sampling.
@@ -120,14 +126,19 @@ func TestLocalTraceMintsID(t *testing.T) {
 	if tr == nil {
 		t.Fatal("expected a sampled trace")
 	}
-	if len(tr.TraceID) != 16 {
-		t.Fatalf("local trace did not mint a trace ID: %q", tr.TraceID)
+	ctx, err := ParseTraceContext(tr.Context())
+	if err != nil {
+		t.Fatalf("outgoing context %q: %v", tr.Context(), err)
 	}
-	if tr.Hop != 0 || tr.ParentID != "" {
-		t.Fatalf("front-door trace should be hop 0 with no parent, got hop %d parent %q", tr.Hop, tr.ParentID)
+	id := tel.Finish(tr)
+	if id == 0 || ctx.TraceID != id.String() {
+		t.Fatalf("local trace did not mint a trace ID: %s, context %+v", id, ctx)
 	}
-	ctx := tr.Context()
-	if ctx.ParentID != tr.ID || !ctx.Sampled {
-		t.Fatalf("outgoing context should name the record as parent: %+v vs id %q", ctx, tr.ID)
+	rec := tel.Traces.Snapshot()[0]
+	if rec.TraceID != id.String() || rec.Hop != 0 || rec.ParentID != "" {
+		t.Fatalf("front-door trace should be trace %s at hop 0 with no parent, got %q hop %d parent %q", id, rec.TraceID, rec.Hop, rec.ParentID)
+	}
+	if ctx.ParentID != rec.ID || !ctx.Sampled {
+		t.Fatalf("outgoing context should name the record as parent: %+v vs id %q", ctx, rec.ID)
 	}
 }

@@ -46,13 +46,23 @@ type Decision struct {
 	// RequestID is the node-local request record (trace ID within the
 	// node's ring / slog request_id), when sampled.
 	RequestID string `json:"request_id,omitempty"`
+
+	id identity // the sampled request's, rendered into TraceID/RequestID on the way out
+}
+
+// named renders the identity of d, a copy leaving the log.
+func (d *Decision) named() {
+	if d.id.seq != 0 {
+		d.TraceID, d.RequestID = d.id.trace.String(), d.id.requestID()
+	}
 }
 
 // DecisionLog is a fixed-capacity ring of placement decisions held by
-// value under a mutex: Record copies the decision in, Snapshot and
-// WriteJSON copy out, so recording leaves nothing on the heap and a reader
-// never sees a slot being overwritten. Unlike traces, every decision is
-// recorded — the audit is exact, not sampled.
+// value under a mutex: Record copies the decision in, naming it by its
+// request's numbers, and Snapshot and WriteJSON copy out, rendering them,
+// so recording leaves nothing on the heap and a reader never sees a slot
+// being overwritten. Unlike traces, every decision is recorded — the
+// audit is exact, not sampled.
 type DecisionLog struct {
 	mu    sync.Mutex
 	size  int        // capacity of the ring
@@ -73,10 +83,14 @@ func NewDecisionLog(n int) *DecisionLog {
 }
 
 // Record copies one decision into the ring, overwriting the oldest when
-// full. Safe on a nil log.
-func (l *DecisionLog) Record(d Decision) {
+// full, named by tr, the sampled request it belongs to (nil if none).
+// Safe on a nil log.
+func (l *DecisionLog) Record(d Decision, tr *Trace) {
 	if l == nil {
 		return
+	}
+	if tr != nil {
+		d.id = tr.id
 	}
 	l.mu.Lock()
 	if len(l.slots) < l.size {
@@ -95,15 +109,13 @@ func (l *DecisionLog) Snapshot() []Decision {
 		return nil
 	}
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	size := uint64(l.size)
-	start := uint64(0)
-	if l.next > size {
-		start = l.next - size
+	out := make([]Decision, 0, len(l.slots))
+	for i := l.next - uint64(len(l.slots)); i < l.next; i++ {
+		out = append(out, l.slots[i%uint64(l.size)])
 	}
-	out := make([]Decision, 0, l.next-start)
-	for i := start; i < l.next; i++ {
-		out = append(out, l.slots[i%size])
+	l.mu.Unlock()
+	for i := range out {
+		out[i].named()
 	}
 	return out
 }

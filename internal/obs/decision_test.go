@@ -29,7 +29,7 @@ func TestDecisionLogRingSemantics(t *testing.T) {
 		t.Fatalf("fresh log holds %d decisions", n)
 	}
 	for i := 0; i < 6; i++ {
-		l.Record(mkDecision(i, DecisionAccept, ""))
+		l.Record(mkDecision(i, DecisionAccept, ""), nil)
 	}
 	snap := l.Snapshot()
 	if len(snap) != 4 {
@@ -46,9 +46,9 @@ func TestDecisionLogRingSemantics(t *testing.T) {
 
 func TestDecisionLogWriteJSONFilters(t *testing.T) {
 	l := NewDecisionLog(16)
-	l.Record(mkDecision(0, DecisionAccept, "aaaaaaaaaaaaaaaa"))
-	l.Record(mkDecision(1, DecisionReject, "aaaaaaaaaaaaaaaa"))
-	l.Record(mkDecision(2, DecisionAccept, "bbbbbbbbbbbbbbbb"))
+	l.Record(mkDecision(0, DecisionAccept, "aaaaaaaaaaaaaaaa"), nil)
+	l.Record(mkDecision(1, DecisionReject, "aaaaaaaaaaaaaaaa"), nil)
+	l.Record(mkDecision(2, DecisionAccept, "bbbbbbbbbbbbbbbb"), nil)
 
 	decode := func(traceID, verdict string) []Decision {
 		t.Helper()
@@ -89,7 +89,7 @@ func TestDecisionLogConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				l.Record(mkDecision(g*1000+i, DecisionAccept, ""))
+				l.Record(mkDecision(g*1000+i, DecisionAccept, ""), nil)
 			}
 		}(g)
 	}
@@ -113,7 +113,7 @@ func TestDecisionLogConcurrent(t *testing.T) {
 
 func TestNilDecisionLogInert(t *testing.T) {
 	var l *DecisionLog
-	l.Record(mkDecision(0, DecisionAccept, ""))
+	l.Record(mkDecision(0, DecisionAccept, ""), nil)
 	if l.Snapshot() != nil {
 		t.Fatal("nil log must be inert")
 	}

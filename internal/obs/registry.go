@@ -1,7 +1,7 @@
 // Package obs is the runtime telemetry layer of the live node: a typed
 // counter/gauge/histogram registry with Prometheus text exposition, HDR-style
-// log-bucketed latency histograms, per-request trace spans in a lock-cheap
-// ring buffer, and an opt-in admin HTTP surface (/metrics, /healthz,
+// log-bucketed latency histograms, per-request trace records copied by value
+// into a bounded ring, and an opt-in admin HTTP surface (/metrics, /healthz,
 // /debug/trace, pprof). It is stdlib-only and designed so that
 // a node built without telemetry pays nothing: every recording entry point
 // is nil-safe and the hot-path cost with telemetry on is a handful of

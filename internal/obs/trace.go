@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -102,9 +103,10 @@ type Span struct {
 
 // Trace is one request's record: identity, outcome, the placement
 // decision's inputs (both piggybacked expiration ages) and its spans.
-// A Trace is built single-threaded by the request goroutine and becomes
-// immutable once published to the ring; nil receivers make every method a
-// no-op so a node without telemetry skips all of it.
+// StartTrace hands out a recycled builder that the request goroutine alone
+// fills in until Finish copies it into the ring; nil receivers make every
+// builder method a no-op. Builders and ring slots name the request by
+// numbers: only Snapshot's copies carry ID, TraceID and ParentID strings.
 type Trace struct {
 	// ID is the node-unique request ID (also the slog request_id).
 	ID string `json:"id"`
@@ -147,10 +149,44 @@ type Trace struct {
 	// Spans are the stages in execution order.
 	Spans []Span `json:"spans"`
 
-	// spanBuf backs Spans for the typical request (1 span for a local
-	// hit, up to 4 for a remote hit), so opening spans costs no
-	// allocation beyond the Trace itself; retries regrow onto the heap.
+	id     identity
+	parent string // ParentID: a view of the wire context it arrived in
+	// spanBuf and attrBuf back Spans and their Attrs for the typical
+	// request (a remote hit: 4 spans, 5 attributes), so recording one
+	// allocates nothing; retries regrow onto the heap.
 	spanBuf [4]Span
+	attrBuf [8]Attr
+	nattr   int // attrBuf entries taken by the spans before the last
+}
+
+// identity names a record by numbers: the node's request-ID prefix and
+// sequence number (ID "<prefix>-000042") and the group-wide trace ID. A
+// zero seq names nothing — an unsampled decision.
+type identity struct {
+	prefix string
+	seq    uint64
+	trace  TraceID
+}
+
+// appendRequestID appends "<prefix>-<seq>", seq padded to six digits.
+func (id identity) appendRequestID(b []byte) []byte {
+	b = append(b, id.prefix...)
+	b = append(b, '-')
+	for d := uint64(100000); d > 1 && id.seq < d; d /= 10 {
+		b = append(b, '0')
+	}
+	return strconv.AppendUint(b, id.seq, 10)
+}
+
+func (id identity) requestID() string {
+	return string(id.appendRequestID(make([]byte, 0, len(id.prefix)+8)))
+}
+
+// named renders the identity of t, a copy leaving the ring.
+func (t *Trace) named() {
+	if t.id.seq != 0 {
+		t.ID, t.TraceID, t.ParentID = t.id.requestID(), t.id.trace.String(), t.parent
+	}
 }
 
 // AgeMS converts a piggybacked expiration age to the trace encoding:
@@ -164,14 +200,17 @@ func AgeMS(age time.Duration) int64 {
 
 // OpenSpan appends an open span starting at the wall-clock instant start
 // and returns its index, or -1 on a nil trace. Close it with CloseSpan.
-// The indexed pair lets hot paths time a stage with a single closure and
-// a caller-supplied clock reading; StartSpan is the convenience form.
+// The indexed pair lets hot paths time a stage with a caller-supplied
+// clock reading and no closure.
 func (t *Trace) OpenSpan(stage string, start time.Time) int {
 	if t == nil {
 		return -1
 	}
 	if t.Spans == nil {
 		t.Spans = t.spanBuf[:0]
+	} else {
+		// The last span's attributes are final: the new span's go after.
+		t.nattr = min(t.nattr+len(t.Spans[len(t.Spans)-1].Attrs), len(t.attrBuf))
 	}
 	t.Spans = append(t.Spans, Span{Stage: stage, StartUS: start.Sub(t.Start).Microseconds()})
 	return len(t.Spans) - 1
@@ -186,19 +225,6 @@ func (t *Trace) CloseSpan(idx int, dur time.Duration) {
 	t.Spans[idx].DurUS = dur.Microseconds()
 }
 
-// StartSpan opens a stage span; close it with the returned func. Safe on a
-// nil trace.
-func (t *Trace) StartSpan(stage string) func() {
-	if t == nil {
-		return func() {}
-	}
-	start := time.Now()
-	idx := t.OpenSpan(stage, start)
-	return func() {
-		t.CloseSpan(idx, time.Since(start))
-	}
-}
-
 // Annotate adds an attribute to the most recently started span. Safe on a
 // nil trace.
 func (t *Trace) Annotate(k, v string) {
@@ -207,7 +233,7 @@ func (t *Trace) Annotate(k, v string) {
 	}
 	sp := &t.Spans[len(t.Spans)-1]
 	if sp.Attrs == nil {
-		sp.Attrs = make(AttrList, 0, 4)
+		sp.Attrs = t.attrBuf[t.nattr:t.nattr]
 	}
 	sp.Attrs = append(sp.Attrs, Attr{Key: k, Value: v})
 }
@@ -221,14 +247,36 @@ func (t *Trace) SpanErr(err error) {
 	t.Spans[len(t.Spans)-1].Err = err.Error()
 }
 
-// TraceRing is a fixed-capacity ring of completed traces. Publishing is
-// lock-cheap — one atomic counter increment plus one atomic pointer store —
-// so the request path never contends with scrapes; Snapshot reads the slots
-// without stopping writers (a concurrent publish may replace a slot
-// mid-snapshot, which is fine: every returned trace is complete).
+// copyTo copies t into dst, spans and attributes into dst's own inline
+// arrays (the heap only past them), so the two share no memory. dst may
+// be t: a slot the ring's growth moved re-points its spans this way.
+func (t *Trace) copyTo(dst *Trace) {
+	spans := t.Spans
+	*dst = *t
+	if spans == nil {
+		return
+	}
+	dst.Spans = append(dst.spanBuf[:0], spans...)
+	attrs := dst.attrBuf[:0]
+	for i := range dst.Spans {
+		sp := &dst.Spans[i]
+		if sp.Attrs != nil {
+			n := len(attrs)
+			attrs = append(attrs, sp.Attrs...)
+			sp.Attrs = attrs[n:len(attrs):len(attrs)]
+		}
+	}
+}
+
+// TraceRing is a fixed-capacity ring of completed traces held by value
+// under a mutex, like DecisionLog: Finish copies a record in, Snapshot and
+// WriteJSON copy out, so a snapshot is the last min(published, capacity)
+// records in publish order and what a reader holds is its own.
 type TraceRing struct {
-	slots []atomic.Pointer[Trace]
-	next  atomic.Uint64
+	mu    sync.Mutex
+	size  int     // capacity of the ring
+	slots []Trace // grows to size as records arrive
+	next  uint64  // records ever published; next%size is the slot to fill
 }
 
 // DefaultTraceCapacity is the ring size ServeAdmin and proxyd default to.
@@ -245,63 +293,64 @@ func NewTraceRing(n int) *TraceRing {
 	if n < 1 {
 		n = DefaultTraceCapacity
 	}
-	return &TraceRing{slots: make([]atomic.Pointer[Trace], n)}
+	return &TraceRing{size: n}
 }
 
-// Publish stores a completed trace, overwriting the oldest when full. The
-// trace must not be mutated afterwards. Safe on a nil ring.
-func (r *TraceRing) Publish(t *Trace) {
+// publish copies a finished record in, overwriting the oldest when full.
+// Safe on a nil ring.
+func (r *TraceRing) publish(t *Trace) {
 	if r == nil || t == nil {
 		return
 	}
-	idx := r.next.Add(1) - 1
-	r.slots[idx%uint64(len(r.slots))].Store(t)
+	r.mu.Lock()
+	if len(r.slots) < r.size {
+		moved := len(r.slots) == cap(r.slots)
+		r.slots = append(r.slots, Trace{})
+		if moved {
+			// Moved records' spans still point into the old array.
+			for i := range r.slots[:len(r.slots)-1] {
+				r.slots[i].copyTo(&r.slots[i])
+			}
+		}
+	}
+	t.copyTo(&r.slots[r.next%uint64(r.size)])
+	r.next++
+	r.mu.Unlock()
 }
 
-// Len returns how many traces are currently held.
-func (r *TraceRing) Len() int {
-	if r == nil {
-		return 0
-	}
-	n := r.next.Load()
-	if n > uint64(len(r.slots)) {
-		return len(r.slots)
-	}
-	return int(n)
-}
-
-// Snapshot returns the held traces, oldest first. Safe on a nil ring.
-func (r *TraceRing) Snapshot() []*Trace {
+// copyOut returns named copies of the records keep accepts (nil keeps
+// all), oldest first; only the copying holds the lock.
+func (r *TraceRing) copyOut(keep func(*Trace) bool) []*Trace {
 	if r == nil {
 		return nil
 	}
-	n := r.next.Load()
-	size := uint64(len(r.slots))
-	start := uint64(0)
-	if n > size {
-		start = n - size
-	}
-	out := make([]*Trace, 0, n-start)
-	for i := start; i < n; i++ {
-		if t := r.slots[i%size].Load(); t != nil {
-			out = append(out, t)
+	r.mu.Lock()
+	held := make([]Trace, 0, len(r.slots))
+	for i := r.next - uint64(len(r.slots)); i < r.next; i++ {
+		if s := &r.slots[i%uint64(r.size)]; keep == nil || keep(s) {
+			held = append(held, Trace{})
+			s.copyTo(&held[len(held)-1])
 		}
+	}
+	r.mu.Unlock()
+	out := make([]*Trace, len(held))
+	for i := range held {
+		held[i].named()
+		out[i] = &held[i]
 	}
 	return out
 }
 
-// SnapshotTrace returns the held records belonging to one group-wide
-// trace ID, oldest first — a node's contribution to a stitched timeline.
-// Safe on a nil ring.
+// Snapshot returns copies of the held traces, oldest first. Safe on a nil
+// ring.
+func (r *TraceRing) Snapshot() []*Trace { return r.copyOut(nil) }
+
+// SnapshotTrace returns copies of the held records belonging to one
+// group-wide trace ID, oldest first — a node's contribution to a stitched
+// timeline. Safe on a nil ring.
 func (r *TraceRing) SnapshotTrace(traceID string) []*Trace {
-	all := r.Snapshot()
-	out := all[:0]
-	for _, t := range all {
-		if t.TraceID == traceID {
-			out = append(out, t)
-		}
-	}
-	return out
+	id, ok := parseTraceID(traceID)
+	return r.copyOut(func(t *Trace) bool { return ok && t.id.seq != 0 && t.id.trace == id })
 }
 
 // WriteJSON dumps the ring as a JSON array, oldest first — the
@@ -349,36 +398,11 @@ func New(prefix string, traceCap int) *Telemetry {
 	}
 }
 
-// NextRequestID returns a node-unique request ID ("<prefix>-000042").
-// Hand-rolled formatting: this runs once per request, and fmt.Sprintf
-// costs several times the rest of the trace-start path combined.
-func (t *Telemetry) NextRequestID() string {
-	if t == nil {
-		return ""
-	}
-	return t.formatID(t.reqSeq.Add(1))
-}
-
-func (t *Telemetry) formatID(n uint64) string {
-	b := make([]byte, 0, len(t.prefix)+8)
-	b = append(b, t.prefix...)
-	b = append(b, '-')
-	digits := 1
-	for v := n; v >= 10; v /= 10 {
-		digits++
-	}
-	for ; digits < 6; digits++ {
-		b = append(b, '0')
-	}
-	b = strconv.AppendUint(b, n, 10)
-	return string(b)
-}
-
 // SetTraceSampling keeps one trace per n requests (n <= 1 traces every
 // request, the default). Metrics are unaffected: sampling only bounds
-// the tracing cost — the per-request Trace allocation and span
-// bookkeeping — which dominates the telemetry overhead on a busy node.
-// Safe to change at runtime and on a nil Telemetry.
+// the tracing cost — a record's span bookkeeping and its copy into the
+// ring — which dominates the telemetry overhead on a busy node. Safe to
+// change at runtime and on a nil Telemetry.
 func (t *Telemetry) SetTraceSampling(n int) {
 	if t == nil {
 		return
@@ -386,10 +410,19 @@ func (t *Telemetry) SetTraceSampling(n int) {
 	t.sample.Store(int64(n))
 }
 
+// builders recycles the records StartTrace and StartRemoteTrace hand out.
+var builders = sync.Pool{New: func() any { return new(Trace) }}
+
+func (t *Telemetry) builder(id identity, parent string, hop int, node, url string) *Trace {
+	tr := builders.Get().(*Trace)
+	tr.id, tr.parent, tr.Hop, tr.Node, tr.URL, tr.Start = id, parent, hop, node, url, time.Now()
+	return tr
+}
+
 // StartTrace opens a front-door request trace, or nil — inert — without
 // telemetry or when sampling skips this request. Every Trace method is
 // nil-safe, so callers never branch on the sampling decision. A sampled
-// trace gets a fresh group-wide TraceID at hop 0, ready to propagate.
+// trace gets a fresh group-wide trace ID at hop 0, ready to propagate.
 func (t *Telemetry) StartTrace(node, url string) *Trace {
 	if t == nil {
 		return nil
@@ -398,7 +431,7 @@ func (t *Telemetry) StartTrace(node, url string) *Trace {
 	if s := t.sample.Load(); s > 1 && n%uint64(s) != 0 {
 		return nil
 	}
-	return &Trace{ID: t.formatID(n), TraceID: NewTraceID(), Node: node, URL: url, Start: time.Now()}
+	return t.builder(identity{prefix: t.prefix, seq: n, trace: NewTraceID()}, "", 0, node, url)
 }
 
 // StartRemoteTrace opens a remote-parented trace for work this node does on
@@ -406,39 +439,43 @@ func (t *Telemetry) StartTrace(node, url string) *Trace {
 // resolve). The incoming sampled bit overrides local sampling entirely:
 // if the originator recorded the trace, every hop records its leg, so the
 // stitched timeline is never half-missing. Returns nil — inert — without
-// telemetry or when the context is unsampled.
+// telemetry or when the context is unsampled or names no valid trace.
 func (t *Telemetry) StartRemoteTrace(node, url string, tc TraceContext) *Trace {
-	if t == nil || !tc.Sampled || tc.TraceID == "" {
+	if t == nil || !tc.Sampled {
 		return nil
 	}
-	return &Trace{
-		ID:       t.formatID(t.reqSeq.Add(1)),
-		TraceID:  tc.TraceID,
-		ParentID: tc.ParentID,
-		Hop:      tc.Hop + 1,
-		Node:     node,
-		URL:      url,
-		Start:    time.Now(),
+	id, ok := parseTraceID(tc.TraceID)
+	if !ok {
+		return nil
 	}
+	return t.builder(identity{prefix: t.prefix, seq: t.reqSeq.Add(1), trace: id}, tc.ParentID, tc.Hop+1, node, url)
 }
 
-// Context returns the wire context a downstream fetch on behalf of tr
-// should carry: same trace ID, this record as the parent span, same hop
-// depth (the receiver increments). The zero TraceContext (unsampled) is
-// returned for a nil trace so callers can propagate unconditionally.
-func (tr *Trace) Context() TraceContext {
+// Context renders the X-Trace-Context value a downstream fetch on behalf
+// of tr carries: same trace ID, this record as the parent, same hop (the
+// receiver increments). "" — no header — for a nil trace.
+func (tr *Trace) Context() string {
 	if tr == nil {
-		return TraceContext{}
+		return ""
 	}
-	return TraceContext{TraceID: tr.TraceID, ParentID: tr.ID, Hop: tr.Hop, Sampled: true}
+	var buf [64]byte
+	b := append(tr.id.trace.appendHex(buf[:0]), '/')
+	b = append(tr.id.appendRequestID(b), '/')
+	b = strconv.AppendInt(b, int64(tr.Hop), 10)
+	return string(append(b, "/1"...))
 }
 
-// Finish seals tr (computing its duration) and publishes it. Safe on nil
-// telemetry and/or nil trace.
-func (t *Telemetry) Finish(tr *Trace) {
+// Finish seals tr (computing its duration), copies it into the ring and
+// takes the builder back — tr must not be used afterwards — returning its
+// group-wide trace ID. Safe on nil telemetry and/or nil trace (0).
+func (t *Telemetry) Finish(tr *Trace) TraceID {
 	if t == nil || tr == nil {
-		return
+		return 0
 	}
 	tr.DurUS = time.Since(tr.Start).Microseconds()
-	t.Traces.Publish(tr)
+	t.Traces.publish(tr)
+	id := tr.id.trace
+	*tr = Trace{}
+	builders.Put(tr)
+	return id
 }

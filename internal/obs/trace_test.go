@@ -4,30 +4,32 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"eacache/internal/race"
 )
 
 func TestTraceSpansAndAttrs(t *testing.T) {
 	tel := New("n0", 8)
 	tr := tel.StartTrace("n0", "http://w/doc")
-	if tr.ID == "" || !strings.HasPrefix(tr.ID, "n0-") {
-		t.Fatalf("request id = %q", tr.ID)
-	}
-	end := tr.StartSpan(StageLocalLookup)
-	end()
-	end = tr.StartSpan(StagePlacement)
+	tr.CloseSpan(tr.OpenSpan(StageLocalLookup, time.Now()), 0)
+	idx := tr.OpenSpan(StagePlacement, time.Now())
 	tr.Annotate("requester_age", "1.5s")
 	tr.Annotate("responder_age", "3s")
 	tr.SpanErr(errors.New("boom"))
-	end()
+	tr.CloseSpan(idx, time.Millisecond)
 	tel.Finish(tr)
 
 	got := tel.Traces.Snapshot()
 	if len(got) != 1 {
 		t.Fatalf("ring holds %d traces", len(got))
+	}
+	if got[0].ID != "n0-000001" {
+		t.Fatalf("request id = %q", got[0].ID)
 	}
 	spans := got[0].Spans
 	if len(spans) != 2 || spans[0].Stage != StageLocalLookup || spans[1].Stage != StagePlacement {
@@ -52,16 +54,15 @@ func TestNilTelemetryInert(t *testing.T) {
 	if tr != nil {
 		t.Fatal("nil telemetry returned a live trace")
 	}
-	tr.StartSpan("x")()
+	tr.CloseSpan(tr.OpenSpan("x", time.Now()), 0)
 	tr.Annotate("k", "v")
 	tr.SpanErr(errors.New("e"))
-	tel.Finish(tr)
-	if id := tel.NextRequestID(); id != "" {
-		t.Fatalf("nil telemetry request id = %q", id)
+	if id := tel.Finish(tr); id != 0 || tr.Context() != "" {
+		t.Fatalf("nil trace finished as %v with context %q", id, tr.Context())
 	}
 	var ring *TraceRing
-	ring.Publish(&Trace{})
-	if ring.Snapshot() != nil || ring.Len() != 0 {
+	ring.publish(&Trace{})
+	if ring.Snapshot() != nil {
 		t.Fatal("nil ring not inert")
 	}
 }
@@ -69,11 +70,11 @@ func TestNilTelemetryInert(t *testing.T) {
 func TestTraceRingWraparound(t *testing.T) {
 	r := NewTraceRing(4)
 	for i := 0; i < 10; i++ {
-		r.Publish(&Trace{ID: fmt.Sprintf("t%d", i)})
+		r.publish(&Trace{ID: fmt.Sprintf("t%d", i)})
 	}
 	got := r.Snapshot()
-	if len(got) != 4 || r.Len() != 4 {
-		t.Fatalf("len = %d/%d, want 4", len(got), r.Len())
+	if len(got) != 4 {
+		t.Fatalf("len = %d, want 4", len(got))
 	}
 	// Oldest first: t6..t9 survive.
 	for i, tr := range got {
@@ -85,8 +86,8 @@ func TestTraceRingWraparound(t *testing.T) {
 
 func TestTraceRingPartialFill(t *testing.T) {
 	r := NewTraceRing(8)
-	r.Publish(&Trace{ID: "a"})
-	r.Publish(&Trace{ID: "b"})
+	r.publish(&Trace{ID: "a"})
+	r.publish(&Trace{ID: "b"})
 	got := r.Snapshot()
 	if len(got) != 2 || got[0].ID != "a" || got[1].ID != "b" {
 		t.Fatalf("snapshot = %+v", got)
@@ -101,7 +102,7 @@ func TestTraceRingConcurrentPublish(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				r.Publish(&Trace{ID: fmt.Sprintf("w%d-%d", w, i)})
+				r.publish(&Trace{ID: fmt.Sprintf("w%d-%d", w, i)})
 				if i%50 == 0 {
 					_ = r.Snapshot()
 				}
@@ -116,7 +117,7 @@ func TestTraceRingConcurrentPublish(t *testing.T) {
 
 func TestWriteJSONRoundTrip(t *testing.T) {
 	r := NewTraceRing(4)
-	r.Publish(&Trace{
+	r.publish(&Trace{
 		ID: "x-000001", Node: "x", URL: "http://w/d", Outcome: "remote-hit",
 		RequesterAgeMS: 1500, ResponderAgeMS: 3000, Decision: DecisionReject,
 		Start: time.Now(),
@@ -162,7 +163,7 @@ func TestTraceSampling(t *testing.T) {
 	live := 0
 	for i := 0; i < 12; i++ {
 		tr := tel.StartTrace("s", "http://w/d")
-		tr.StartSpan(StageLocalLookup)() // must be safe on sampled-out (nil) traces
+		tr.CloseSpan(tr.OpenSpan(StageLocalLookup, time.Now()), 0) // must be safe on sampled-out (nil) traces
 		tel.Finish(tr)
 		if tr != nil {
 			live++
@@ -171,7 +172,7 @@ func TestTraceSampling(t *testing.T) {
 	if live != 3 {
 		t.Fatalf("sampled %d traces over 12 requests at 1:4, want 3", live)
 	}
-	if got := tel.Traces.Len(); got != 3 {
+	if got := len(tel.Traces.Snapshot()); got != 3 {
 		t.Fatalf("ring holds %d, want 3", got)
 	}
 
@@ -206,5 +207,93 @@ func TestAttrList(t *testing.T) {
 	}
 	if back.Get("b") != `q"uo` {
 		t.Fatalf("unmarshal = %+v", back)
+	}
+}
+
+// TestTraceRecordAllocatesNothing: a sampled record costs a copy, not an
+// allocation — a front-door record with four spans and four attributes,
+// and a remote-parented leg, each started and finished into a full ring.
+func TestTraceRecordAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	tel := New("n", 8)
+	tel.SetTraceSampling(1)
+	front := func() {
+		tr := tel.StartTrace("n", "http://x.example.edu/doc")
+		for _, stage := range []string{StageLocalLookup, StageICPFanout, StageRemoteFetch, StagePlacement} {
+			idx := tr.OpenSpan(stage, time.Now())
+			tr.Annotate("stage", stage)
+			tr.CloseSpan(idx, time.Microsecond)
+		}
+		tel.Finish(tr)
+	}
+	tc := TraceContext{TraceID: "0123456789abcdef", ParentID: "p-000042", Hop: 0, Sampled: true}
+	remote := func() {
+		tr := tel.StartRemoteTrace("n", "http://x.example.edu/doc", tc)
+		tr.CloseSpan(tr.OpenSpan(StageServe, time.Now()), time.Microsecond)
+		tel.Finish(tr)
+	}
+	for i := 0; i < 8; i++ { // the ring grows until full
+		front()
+	}
+	if got := testing.AllocsPerRun(200, front); got != 0 {
+		t.Errorf("front door: %.1f allocs per record, want 0", got)
+	}
+	got := tel.Traces.Snapshot()
+	if last := got[len(got)-1]; len(last.Spans) != 4 || last.Spans[3].Attrs.Get("stage") != StagePlacement || last.Hop != 0 {
+		t.Fatalf("front-door record = %+v", last)
+	}
+	if got := testing.AllocsPerRun(200, remote); got != 0 {
+		t.Errorf("remote leg: %.1f allocs per record, want 0", got)
+	}
+	got = tel.Traces.Snapshot()
+	if last := got[len(got)-1]; last.ParentID != tc.ParentID || last.TraceID != tc.TraceID || last.Hop != 1 {
+		t.Fatalf("remote leg recorded as %+v", last)
+	}
+}
+
+// TestTraceIDForms: a trace ID renders as 16 lowercase hex digits and
+// parses back; anything else is refused.
+func TestTraceIDForms(t *testing.T) {
+	for _, id := range []TraceID{0, 1, 0x0123456789abcdef, 1<<64 - 1} {
+		s := id.String()
+		if back, ok := parseTraceID(s); len(s) != 16 || !ok || back != id {
+			t.Fatalf("%d renders as %q, parses back as %d (%v)", uint64(id), s, uint64(back), ok)
+		}
+	}
+	for _, bad := range []string{"", "0123456789ABCDEF", "0123456789abcde", "0123456789abcdefa", "0123456789abcdeg"} {
+		if _, ok := parseTraceID(bad); ok {
+			t.Fatalf("parseTraceID(%q) accepted", bad)
+		}
+	}
+}
+
+// TestSnapshotCopiesAreTheReaders: a copy handed out shares nothing with
+// the ring — a reader that rewrites it changes no later snapshot — and
+// records with more spans and attributes than the inline arrays hold are
+// copied whole.
+func TestSnapshotCopiesAreTheReaders(t *testing.T) {
+	tel := New("c", 4)
+	tel.SetTraceSampling(1)
+	tr := tel.StartTrace("c", "http://x.example.edu/big")
+	for s := 0; s < 6; s++ {
+		tr.OpenSpan(StageRemoteFetch, time.Now())
+		for a := 0; a < 3; a++ {
+			tr.Annotate("a"+strconv.Itoa(a), strconv.Itoa(s))
+		}
+	}
+	tel.Finish(tr)
+	first := tel.Traces.Snapshot()[0]
+	first.Spans[0].Stage = "scribbled"
+	first.Spans[5].Attrs[2].Value = "scribbled"
+	again := tel.Traces.Snapshot()[0]
+	if len(again.Spans) != 6 || again.Spans[0].Stage != StageRemoteFetch {
+		t.Fatalf("spans after a reader's write: %+v", again.Spans)
+	}
+	for s, sp := range again.Spans {
+		if len(sp.Attrs) != 3 || sp.Attrs.Get("a2") != strconv.Itoa(s) {
+			t.Fatalf("span %d attrs = %+v", s, sp.Attrs)
+		}
 	}
 }
