@@ -59,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		digestWindow  = fs.Int("digest-delta-window", 0, "generations of digest changes kept for delta sync; peers further behind get a full transfer (needs -locate=digest; 0 uses the default)")
 		capacity      = fs.String("capacity", "10MB", "cache capacity")
 		shards        = fs.Int("cache-shards", cache.DefaultShards,
-			"cache lock shards (rounded up to a power of two); 1 serialises the store")
+			"cache lock shards (rounded up to a power of two); 1 serialises the store. A lock count: the expiration-age window is node-wide either way")
 		peers      peerList
 		originMode = fs.Bool("origin-mode", false, "run as the group's origin server instead of a proxy")
 		demo       = fs.Bool("demo", false, "run a self-contained demo group and exit")

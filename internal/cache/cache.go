@@ -270,22 +270,13 @@ func New(cfg Config) (*Store, error) {
 	if cfg.Capacity <= 0 {
 		return nil, fmt.Errorf("cache: capacity must be positive, got %d", cfg.Capacity)
 	}
-	if cfg.ExpirationWindow < 0 {
-		return nil, fmt.Errorf("cache: expiration window must be >= 0, got %d", cfg.ExpirationWindow)
-	}
-	if cfg.ExpirationHorizon < 0 {
-		return nil, fmt.Errorf("cache: expiration horizon must be >= 0, got %v", cfg.ExpirationHorizon)
-	}
-	if cfg.ExpirationWindow > 0 && cfg.ExpirationHorizon > 0 {
-		return nil, fmt.Errorf("cache: expiration window and horizon are mutually exclusive")
+	ages, err := newTracker(cfg.ExpirationWindow, cfg.ExpirationHorizon)
+	if err != nil {
+		return nil, err
 	}
 	policy := cfg.Policy
 	if policy == nil {
 		policy = NewLRU()
-	}
-	ages := NewExpAgeTracker(cfg.ExpirationWindow)
-	if cfg.ExpirationHorizon > 0 {
-		ages = NewTimeHorizonTracker(cfg.ExpirationHorizon)
 	}
 	return &Store{
 		capacity: cfg.Capacity,

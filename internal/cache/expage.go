@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math"
 	"time"
 )
@@ -75,6 +76,22 @@ func NewTimeHorizonTracker(horizon time.Duration) *ExpAgeTracker {
 	}
 }
 
+// newTracker builds the tracker a Config or ShardedConfig asks for: a
+// time horizon, a count window, or (both zero) cumulative.
+func newTracker(window int, horizon time.Duration) (*ExpAgeTracker, error) {
+	switch {
+	case window < 0:
+		return nil, fmt.Errorf("cache: expiration window must be >= 0, got %d", window)
+	case horizon < 0:
+		return nil, fmt.Errorf("cache: expiration horizon must be >= 0, got %v", horizon)
+	case window > 0 && horizon > 0:
+		return nil, fmt.Errorf("cache: expiration window and horizon are mutually exclusive")
+	case horizon > 0:
+		return NewTimeHorizonTracker(horizon), nil
+	}
+	return NewExpAgeTracker(window), nil
+}
+
 // Window returns the configured count window (0 = cumulative or time
 // horizon).
 func (t *ExpAgeTracker) Window() int { return t.window }
@@ -145,21 +162,6 @@ func (t *ExpAgeTracker) WindowedAt(now time.Time) time.Duration {
 		return NoContention
 	}
 	return t.ringSum / time.Duration(t.ringLen)
-}
-
-// WindowedStatsAt returns the sum (in seconds) and count of the victim
-// ages inside the configured window as of now — the mergeable form of
-// WindowedAt. A ShardedStore combines the per-shard (sum, count) pairs
-// into one group-level cache expiration age; count == 0 means this
-// tracker contributes no contention evidence.
-func (t *ExpAgeTracker) WindowedStatsAt(now time.Time) (sumSeconds float64, count int64) {
-	if t.window == WindowAll && t.horizon == 0 {
-		return t.totalSum, t.totalCount
-	}
-	if t.horizon > 0 {
-		t.prune(now)
-	}
-	return t.ringSum.Seconds(), int64(t.ringLen)
 }
 
 // Cumulative returns the all-time mean expiration age, or NoContention

@@ -14,17 +14,16 @@
 //     (verified by TestShardedSingleShardMatchesStore); with more shards
 //     the group-level hit/eviction behaviour converges statistically but
 //     is not byte-identical, which is why the simulator keeps using Store.
-//   - Each shard keeps its own expiration-age tracker; the group-level
-//     cache expiration age (the paper's placement signal) is the merged
-//     mean over every shard's windowed victims, cached in an atomic and
-//     invalidated on eviction rather than re-averaged on every miss.
+//   - The node keeps one expiration-age tracker, not one per shard: the
+//     cache expiration age (the paper's eq. 5, the placement signal) is
+//     the mean over the last ExpirationWindow victims node-wide, whatever
+//     the shard count. Shards are a lock count; they do not widen the
+//     window. Each victim is recorded while its shard's lock is held.
 package cache
 
 import (
 	"fmt"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -39,14 +38,6 @@ type StoreView interface {
 // DefaultShards is the shard count used when ShardedConfig.Shards is 0.
 const DefaultShards = 8
 
-// eaMaxStale bounds how long the cached merged expiration age may be
-// served without recomputation. Evictions invalidate the cache
-// immediately; this bound only covers time-horizon trackers, whose
-// windowed mean also decays as samples age out of the horizon. Horizons
-// are hours (DefaultExpirationHorizon) while the bound is milliseconds,
-// so the staleness is negligible against the signal's own time constant.
-const eaMaxStale = 100 * time.Millisecond
-
 // ShardedConfig configures a ShardedStore.
 type ShardedConfig struct {
 	// Shards is the number of shards; rounded up to a power of two.
@@ -60,8 +51,9 @@ type ShardedConfig struct {
 	// NewPolicy builds one replacement policy per shard (policies are
 	// stateful, so shards cannot share an instance). Nil means LRU.
 	NewPolicy func() Policy
-	// ExpirationWindow / ExpirationHorizon configure each shard's
-	// expiration-age tracker, with Config's semantics.
+	// ExpirationWindow / ExpirationHorizon configure the node's one
+	// expiration-age tracker, with Config's semantics. The window counts
+	// victims node-wide: Shards does not change it.
 	ExpirationWindow  int
 	ExpirationHorizon time.Duration
 }
@@ -73,25 +65,24 @@ type shard struct {
 	store *Store
 }
 
-// eaCache is one cached merged expiration age: the value and the caller
-// timestamp it was computed at.
-type eaCache struct {
-	age time.Duration
-	at  time.Time
-}
-
 // ShardedStore is a concurrency-safe document cache: N independent Stores
 // behind per-shard locks, presenting the single-store API the live node
 // needs. All methods are safe for concurrent use.
 type ShardedStore struct {
 	shards []*shard
 	mask   uint32
-	// single marks the one-shard store: expiration-age reads delegate
-	// straight to the shard so results are bit-identical with a plain
-	// Store.
-	single bool
+	// tiered marks the memory tier of a TieredStore with a disk tier. Its
+	// evictions are not exits, so it records none: the tier controller
+	// records the true exits in ages instead. Set by NewTiered before
+	// traffic.
+	tiered bool
 
-	ea atomic.Pointer[eaCache]
+	// agesMu guards ages, the node's one expiration-age tracker. It is
+	// written only while some shard lock is held, so the all-shards
+	// Checkpoint barrier sees each exit in both the entries and the
+	// tracker, or in neither. Lock order: shard locks, then agesMu.
+	agesMu sync.Mutex
+	ages   *ExpAgeTracker
 }
 
 // NewSharded builds a ShardedStore from cfg.
@@ -112,23 +103,23 @@ func NewSharded(cfg ShardedConfig) (*ShardedStore, error) {
 	if cfg.Capacity < int64(n) {
 		return nil, fmt.Errorf("cache: capacity %d cannot back %d shards", cfg.Capacity, n)
 	}
+	ages, err := newTracker(cfg.ExpirationWindow, cfg.ExpirationHorizon)
+	if err != nil {
+		return nil, err
+	}
 	newPolicy := cfg.NewPolicy
 	if newPolicy == nil {
 		newPolicy = func() Policy { return NewLRU() }
 	}
 	base, rem := cfg.Capacity/int64(n), cfg.Capacity%int64(n)
-	s := &ShardedStore{shards: make([]*shard, n), mask: uint32(n - 1), single: n == 1}
+	s := &ShardedStore{shards: make([]*shard, n), mask: uint32(n - 1), ages: ages}
 	for i := range s.shards {
 		capacity := base
 		if int64(i) < rem {
 			capacity++
 		}
-		st, err := New(Config{
-			Capacity:          capacity,
-			Policy:            newPolicy(),
-			ExpirationWindow:  cfg.ExpirationWindow,
-			ExpirationHorizon: cfg.ExpirationHorizon,
-		})
+		// A shard's own tracker is cumulative: it keeps no window.
+		st, err := New(Config{Capacity: capacity, Policy: newPolicy()})
 		if err != nil {
 			return nil, err
 		}
@@ -190,17 +181,13 @@ func (s *ShardedStore) Touch(url string, now time.Time) bool {
 	return ok
 }
 
-// Put inserts doc, evicting within its shard as needed. An eviction
-// invalidates the cached group expiration age so the next placement
-// decision sees the new contention evidence.
+// Put inserts doc, evicting within its shard as needed.
 func (s *ShardedStore) Put(doc Document, now time.Time) ([]Eviction, error) {
 	sh := s.shardFor(doc.URL)
 	sh.mu.Lock()
 	evicted, err := sh.store.Put(doc, now)
+	s.recordEvictions(evicted, now)
 	sh.mu.Unlock()
-	if len(evicted) > 0 {
-		s.ea.Store(nil)
-	}
 	return evicted, err
 }
 
@@ -211,11 +198,29 @@ func (s *ShardedStore) PromoteEntry(doc Document, enteredAt time.Time, hits int6
 	sh := s.shardFor(doc.URL)
 	sh.mu.Lock()
 	evicted, err := sh.store.PromoteEntry(doc, enteredAt, hits, now)
+	s.recordEvictions(evicted, now)
 	sh.mu.Unlock()
-	if len(evicted) > 0 {
-		s.ea.Store(nil)
-	}
 	return evicted, err
+}
+
+// recordEvictions folds a shard's victims into the node's tracker, unless
+// the tier controller records exits instead. The caller holds the
+// evicting shard's lock.
+func (s *ShardedStore) recordEvictions(evicted []Eviction, now time.Time) {
+	if s.tiered {
+		return
+	}
+	for _, ev := range evicted {
+		s.recordExit(ev.Age, now)
+	}
+}
+
+// recordExit folds one document that left the node into its tracker. The
+// caller holds a shard lock (see agesMu).
+func (s *ShardedStore) recordExit(age time.Duration, now time.Time) {
+	s.agesMu.Lock()
+	s.ages.Record(age, now)
+	s.agesMu.Unlock()
 }
 
 // Remove deletes url without recording an eviction age.
@@ -227,51 +232,13 @@ func (s *ShardedStore) Remove(url string) bool {
 	return ok
 }
 
-// ExpirationAge returns the group-level cache expiration age as of now:
-// the mean document expiration age over every shard's windowed victims.
-// The merged value is cached in an atomic — a miss storm reads one
-// pointer instead of re-averaging N trackers — and recomputed after an
-// eviction (the cache is invalidated) or when the cached value is older
-// than eaMaxStale.
+// ExpirationAge returns the node's cache expiration age as of now: the
+// windowed mean over its victims, or NoContention without contention
+// evidence (see Store.ExpirationAge).
 func (s *ShardedStore) ExpirationAge(now time.Time) time.Duration {
-	if c := s.ea.Load(); c != nil && !now.Before(c.at) && now.Sub(c.at) < eaMaxStale {
-		return c.age
-	}
-	age := s.computeExpirationAge(now)
-	s.ea.Store(&eaCache{age: age, at: now})
-	return age
-}
-
-// computeExpirationAge merges the per-shard windowed stats. The one-shard
-// case delegates to the shard's own ExpirationAge so the result is
-// bit-identical with a plain Store (no float round trip).
-func (s *ShardedStore) computeExpirationAge(now time.Time) time.Duration {
-	if s.single {
-		sh := s.shards[0]
-		sh.mu.Lock()
-		age := sh.store.ExpirationAge(now)
-		sh.mu.Unlock()
-		return age
-	}
-	var (
-		sum   float64
-		count int64
-	)
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		ss, sc := sh.store.ages.WindowedStatsAt(now)
-		sh.mu.Unlock()
-		sum += ss
-		count += sc
-	}
-	if count == 0 {
-		return NoContention
-	}
-	secs := sum / float64(count)
-	if secs >= (float64(NoContention) / float64(time.Second)) {
-		return NoContention
-	}
-	return time.Duration(secs * float64(time.Second))
+	s.agesMu.Lock()
+	defer s.agesMu.Unlock()
+	return s.ages.WindowedAt(now)
 }
 
 // Capacity returns the total configured byte budget.
@@ -349,42 +316,11 @@ func (s *ShardedStore) URLs() []string {
 	return out
 }
 
-// TrackerState exports the merged expiration-age tracker state; same
-// per-shard consistency caveat as URLs.
+// TrackerState exports the node's expiration-age tracker for persistence.
 func (s *ShardedStore) TrackerState() TrackerState {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-	}
-	defer func() {
-		for _, sh := range s.shards {
-			sh.mu.Unlock()
-		}
-	}()
-	return s.trackerStateLocked()
-}
-
-// trackerStateLocked merges the per-shard tracker states into one. The
-// caller holds every shard lock. Samples merge in ascending eviction
-// time; totals sum exactly, so a capture → restore → capture round trip
-// preserves the cumulative signal.
-func (s *ShardedStore) trackerStateLocked() TrackerState {
-	if s.single {
-		return s.shards[0].store.TrackerState()
-	}
-	merged := TrackerState{
-		Window:  s.shards[0].store.ages.Window(),
-		Horizon: s.shards[0].store.ages.Horizon(),
-	}
-	for _, sh := range s.shards {
-		st := sh.store.TrackerState()
-		merged.TotalSumSeconds += st.TotalSumSeconds
-		merged.TotalCount += st.TotalCount
-		merged.Samples = append(merged.Samples, st.Samples...)
-	}
-	sort.SliceStable(merged.Samples, func(i, j int) bool {
-		return merged.Samples[i].At.Before(merged.Samples[j].At)
-	})
-	return merged
+	s.agesMu.Lock()
+	defer s.agesMu.Unlock()
+	return s.ages.State()
 }
 
 // SetEventSink installs fn as every shard's mutation observer; nil
@@ -409,54 +345,16 @@ func (s *ShardedStore) RestoreEntry(doc Document, enteredAt, lastHit time.Time, 
 	sh.mu.Lock()
 	err := sh.store.RestoreEntry(doc, enteredAt, lastHit, hits)
 	sh.mu.Unlock()
-	s.ea.Store(nil)
 	return err
 }
 
-// RestoreTracker rebuilds the expiration-age trackers from a persisted
-// (merged) state. With one shard the state passes through unchanged —
-// exactly Store.RestoreTracker. With more, samples are dealt round-robin
-// (each shard receives an ascending-time subsequence) and the cumulative
-// totals are partitioned so their sum is preserved: the merged windowed
-// signal and merged totals match the captured state.
+// RestoreTracker rebuilds the node's tracker from a persisted state,
+// re-windowed into the configured shape (see Store.RestoreTracker).
 func (s *ShardedStore) RestoreTracker(st TrackerState) {
-	defer s.ea.Store(nil)
-	if s.single {
-		sh := s.shards[0]
-		sh.mu.Lock()
-		sh.store.RestoreTracker(st)
-		sh.mu.Unlock()
-		return
-	}
-	n := len(s.shards)
-	parts := make([]TrackerState, n)
-	for i, sample := range st.Samples {
-		p := &parts[i%n]
-		p.Samples = append(p.Samples, sample)
-	}
-	var restSum float64
-	var restCount int64
-	for i := 1; i < n; i++ {
-		for _, sample := range parts[i].Samples {
-			parts[i].TotalSumSeconds += sample.Age.Seconds()
-		}
-		parts[i].TotalCount = int64(len(parts[i].Samples))
-		restSum += parts[i].TotalSumSeconds
-		restCount += parts[i].TotalCount
-	}
-	parts[0].TotalSumSeconds = st.TotalSumSeconds - restSum
-	parts[0].TotalCount = st.TotalCount - restCount
-	if parts[0].TotalSumSeconds < 0 {
-		parts[0].TotalSumSeconds = 0
-	}
-	if parts[0].TotalCount < int64(len(parts[0].Samples)) {
-		parts[0].TotalCount = int64(len(parts[0].Samples))
-	}
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		sh.store.RestoreTracker(parts[i])
-		sh.mu.Unlock()
-	}
+	s.agesMu.Lock()
+	defer s.agesMu.Unlock()
+	st.Window, st.Horizon = s.ages.Window(), s.ages.Horizon()
+	s.ages = NewTrackerFromState(st)
 }
 
 // checkpointView is the consistent all-shards-locked view Checkpoint
@@ -474,7 +372,7 @@ func (v checkpointView) Entries() []Entry {
 }
 
 // TrackerState implements StoreView at the checkpoint instant.
-func (v checkpointView) TrackerState() TrackerState { return v.s.trackerStateLocked() }
+func (v checkpointView) TrackerState() TrackerState { return v.s.TrackerState() }
 
 // Checkpoint locks every shard — a full stall of the request path — and
 // runs capture with a consistent point-in-time view of the whole store.

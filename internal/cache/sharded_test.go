@@ -240,9 +240,8 @@ func TestShardedCheckpointView(t *testing.T) {
 	}
 }
 
-// The cached EA signal must be invalidated by evictions: after new
-// contention evidence arrives, the next read reflects it even within the
-// staleness bound.
+// The EA signal reflects evictions at once: after new contention
+// evidence arrives, the next read sees it.
 func TestShardedExpirationAgeInvalidatedOnEviction(t *testing.T) {
 	s := mustSharded(t, ShardedConfig{Shards: 2, Capacity: 400, ExpirationWindow: 4})
 	now := t0
@@ -255,9 +254,9 @@ func TestShardedExpirationAgeInvalidatedOnEviction(t *testing.T) {
 		_, _ = s.Put(Document{URL: fmt.Sprintf("http://h/d%d", i), Size: 150, Expires: now.Add(time.Minute)}, now)
 	}
 	if s.Evictions() == 0 {
-		t.Fatal("no evictions; invalidation untested")
+		t.Fatal("no evictions; the signal untested")
 	}
 	if got := s.ExpirationAge(now); got == NoContention {
-		t.Fatal("ExpirationAge still NoContention after evictions: cache not invalidated")
+		t.Fatal("ExpirationAge still NoContention after evictions")
 	}
 }

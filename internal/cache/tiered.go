@@ -12,15 +12,13 @@
 // memory on access, preserving the entry's metadata (entry time and hit
 // history survive the round trip; the promoting access counts as a hit).
 //
-// Three expiration-age signals coexist, one per decision:
+// Two expiration-age signals coexist, one per decision:
 //
-//   - each memory shard's tracker keeps driving shard-local eviction
-//     bookkeeping (untouched);
 //   - the disk tier's own tracker prices demotion admission;
-//   - the TieredStore's logical "exit" tracker records only documents
-//     that truly left the node (memory evictions that were dropped, and
-//     disk evictions) — this is the contention signal the node advertises
-//     to its peers, because a demotion is a tier move, not an exit.
+//   - the memory store's tracker, the node's one advertised signal, is fed
+//     by the controller with documents that truly left the node (memory
+//     evictions that were dropped, and disk evictions): a demotion is a
+//     tier move, not an exit, so it records nothing.
 //
 // Demotions happen inside the memory store's event sink, under the owning
 // shard's lock: the controller swallows the inner EventEvict and emits
@@ -38,7 +36,6 @@ package cache
 import (
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -175,13 +172,6 @@ type TieredStore struct {
 	// it through the atomic so SetEventSink stays safe mid-traffic.
 	extSink atomic.Pointer[func(Event)]
 
-	// exits is the logical exit tracker (see package comment). Guarded by
-	// exitMu against concurrent reads; writes additionally happen only
-	// under some shard lock, so the all-shards Checkpoint barrier excludes
-	// them.
-	exitMu sync.Mutex
-	exits  *ExpAgeTracker
-
 	demotions     atomic.Int64
 	demotionDrops atomic.Int64
 	promotions    atomic.Int64
@@ -198,10 +188,9 @@ func NewTiered(cfg TieredConfig) (*TieredStore, error) {
 		if t.body == nil {
 			t.body = zeroBody
 		}
-		// The logical exit tracker adopts the memory tier's window shape
-		// so the advertised signal is configured once.
-		st := cfg.Memory.TrackerState()
-		t.exits = NewTrackerFromState(TrackerState{Window: st.Window, Horizon: st.Horizon})
+		// From here the memory store records no evictions of its own:
+		// memEvent records the true exits into its tracker.
+		cfg.Memory.tiered = true
 		cfg.Memory.SetEventSink(t.memEvent)
 	}
 	return t, nil
@@ -217,13 +206,6 @@ func (t *TieredStore) forward(ev Event) {
 	if p := t.extSink.Load(); p != nil && *p != nil {
 		(*p)(ev)
 	}
-}
-
-// recordExit folds one true exit into the logical tracker.
-func (t *TieredStore) recordExit(age time.Duration, now time.Time) {
-	t.exitMu.Lock()
-	t.exits.Record(age, now)
-	t.exitMu.Unlock()
 }
 
 // memEvent is the transformer installed as the memory tier's sink. It
@@ -253,7 +235,7 @@ func (t *TieredStore) memEvent(ev Event) {
 		t.diskExits(evicted, now)
 	}
 	t.demotionDrops.Add(1)
-	t.recordExit(ev.Age, now)
+	t.mem.recordExit(ev.Age, now)
 	t.forward(ev)
 }
 
@@ -269,11 +251,11 @@ func (t *TieredStore) shouldDemote(victimAge time.Duration, now time.Time) bool 
 
 // diskExits records documents the disk tier evicted: true exits from the
 // logical store, surfaced as disk-tier EventEvicts so the digest stops
-// advertising them and replay feeds the exit tracker.
+// advertising them and replay feeds the tracker.
 func (t *TieredStore) diskExits(evs []DiskEviction, now time.Time) {
 	for _, de := range evs {
 		t.diskEvictions.Add(1)
-		t.recordExit(de.Age, now)
+		t.mem.recordExit(de.Age, now)
 		t.forward(Event{
 			Kind: EventEvict, Tier: TierDisk, Doc: de.Entry.Doc, At: now, Age: de.Age,
 			EnteredAt: de.Entry.EnteredAt, LastHit: de.Entry.LastHit, Hits: de.Entry.Hits,
@@ -382,18 +364,11 @@ func (t *TieredStore) Remove(url string) bool {
 	return ok
 }
 
-// ExpirationAge returns the node's advertised cache expiration age: with
-// a disk tier, the logical exit tracker's windowed mean (only documents
-// that truly left the node count as contention evidence); without one,
-// the memory tier's signal unchanged.
+// ExpirationAge returns the node's advertised cache expiration age, the
+// memory store's tracker. With a disk tier only documents that truly left
+// the node feed it.
 func (t *TieredStore) ExpirationAge(now time.Time) time.Duration {
-	if t.disk == nil {
-		return t.mem.ExpirationAge(now)
-	}
-	t.exitMu.Lock()
-	age := t.exits.WindowedAt(now)
-	t.exitMu.Unlock()
-	return age
+	return t.mem.ExpirationAge(now)
 }
 
 // Capacity returns the total byte budget across both tiers.
@@ -509,59 +484,21 @@ func (t *TieredStore) RestoreEntry(doc Document, enteredAt, lastHit time.Time, h
 	return err
 }
 
-// TrackerState exports the advertised tracker for persistence: the
-// logical exit tracker with a disk tier, the memory tier's otherwise.
-func (t *TieredStore) TrackerState() TrackerState {
-	if t.disk == nil {
-		return t.mem.TrackerState()
-	}
-	t.exitMu.Lock()
-	st := t.exits.State()
-	t.exitMu.Unlock()
-	return st
-}
+// TrackerState exports the advertised tracker for persistence.
+func (t *TieredStore) TrackerState() TrackerState { return t.mem.TrackerState() }
 
 // RestoreTracker rebuilds the advertised tracker from a persisted state,
 // re-windowed into the configured shape (see Store.RestoreTracker).
-func (t *TieredStore) RestoreTracker(st TrackerState) {
-	if t.disk == nil {
-		t.mem.RestoreTracker(st)
-		return
-	}
-	t.exitMu.Lock()
-	st.Window = t.exits.Window()
-	st.Horizon = t.exits.Horizon()
-	t.exits = NewTrackerFromState(st)
-	t.exitMu.Unlock()
-}
-
-// tieredCheckpointView is the all-shards-locked memory view with the
-// logical tracker swapped in. The disk tier is not part of a checkpoint:
-// its index is its own durable record.
-type tieredCheckpointView struct {
-	StoreView
-	tracker TrackerState
-}
-
-// TrackerState returns the logical (advertised) tracker state.
-func (v tieredCheckpointView) TrackerState() TrackerState { return v.tracker }
+func (t *TieredStore) RestoreTracker(st TrackerState) { t.mem.RestoreTracker(st) }
 
 // Checkpoint runs capture with a consistent point-in-time view of the
-// memory tier and the logical tracker. All memory shard locks are held,
-// which also excludes every tier transition (demotions and promotions
-// mutate under a shard lock), so the two are mutually consistent; the
-// disk tier is not touched, so the barrier's length does not depend on
-// how much it holds.
+// memory tier and the advertised tracker. All memory shard locks are
+// held, which also excludes every tier transition (demotions and
+// promotions mutate under a shard lock); the disk tier is not touched, so
+// the barrier's length does not depend on how much it holds: its index
+// is its own durable record.
 func (t *TieredStore) Checkpoint(capture func(view StoreView) error) error {
-	if t.disk == nil {
-		return t.mem.Checkpoint(capture)
-	}
-	return t.mem.Checkpoint(func(v StoreView) error {
-		t.exitMu.Lock()
-		tr := t.exits.State()
-		t.exitMu.Unlock()
-		return capture(tieredCheckpointView{StoreView: v, tracker: tr})
-	})
+	return t.mem.Checkpoint(capture)
 }
 
 // Quiesce blocks until every in-flight tier transition has completed and

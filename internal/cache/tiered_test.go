@@ -265,7 +265,7 @@ func TestDemotePromoteRoundTripProperty(t *testing.T) {
 
 // TestDemoteEAGate: the strict EA rule — a victim whose DocExpAge is not
 // below the disk tier's expiration age is dropped, not demoted, and the
-// drop feeds the logical exit tracker.
+// drop feeds the node's tracker.
 func TestDemoteEAGate(t *testing.T) {
 	ts, mem, disk, events := newTieredMem(t, 2048, 4096, cache.DemoteEA)
 	now := t0()
@@ -499,7 +499,7 @@ func (d recordingDisk) Sync() error                               { return d.tie
 func (d recordingDisk) Close() error                              { return d.tier().Close() }
 
 // TestTieredCheckpointView: the checkpoint view is the memory tier plus
-// the logical tracker, and nothing inside the all-shards barrier calls
+// the node's tracker, and nothing inside the all-shards barrier calls
 // the disk tier — what it holds cannot lengthen the barrier.
 func TestTieredCheckpointView(t *testing.T) {
 	mem, err := cache.NewSharded(cache.ShardedConfig{Shards: 4, Capacity: 8192, ExpirationWindow: 16})
@@ -535,7 +535,7 @@ func TestTieredCheckpointView(t *testing.T) {
 			t.Fatal("checkpoint view still images the disk tier")
 		}
 		if v.TrackerState().TotalCount != 0 {
-			t.Fatal("logical tracker counted tier moves")
+			t.Fatal("the tracker counted tier moves")
 		}
 		return nil
 	})

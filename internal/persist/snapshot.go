@@ -54,9 +54,8 @@ type State struct {
 	Gen uint64
 	// Entries are the live documents, oldest last-hit first.
 	Entries []EntryState
-	// Tracker is the expiration-age tracker (the contention signal). For a
-	// tiered store this is the logical exit tracker — the signal the node
-	// advertises — not the memory tier's internal one.
+	// Tracker is the node's one expiration-age tracker, the contention
+	// signal it advertises. Under a tiered store only true exits feed it.
 	Tracker cache.TrackerState
 }
 
