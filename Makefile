@@ -92,18 +92,20 @@ churn-smoke:
 # TestTieredPassthroughGetAllocs fails if a warm Get through the nil-disk
 # TieredStore allocates at all, as the bare store does not,
 # TestTieredExpirationAgeAllocatesNothing if reading the placement signal
-# does, and the tier
-# round trip's own budgets hold blob's Admit / Open+verify / Remove / index
-# append and the journal's Append to the entry and the reader — bodies live
-# in segment files that stay open, so no *os.File and no path string is
-# made (internal/blob/stage_test.go, internal/persist/append_test.go).
+# does, TestTieredDiskHitCycleAllocatesNothing if a steady-state disk hit
+# (verify, promote, demote one victim, remove the blob) does, and the tier
+# round trip's own budgets hold blob's Admit / Verify / Remove / index
+# append and the journal's Append to nothing, and Open+verify to its
+# reader — bodies live in segment files that stay open, so no *os.File and
+# no path string is made (internal/blob/stage_test.go,
+# internal/persist/append_test.go).
 DISK_LOG ?= artifacts/disk-smoke.log
 disk-smoke:
 	@$(call named-tests,$(GO) test -race -v ./internal/blob/ && \
 	   $(GO) test -race -v -run 'TestTiered|TestDemote|TestRestoreDisk' ./internal/cache/ && \
 	   $(GO) test -race -v -run 'TestJournalTier|TestMarshalEventRejects|TestSnapshotRejects|TestReplayTier|TestCheckpointPersistsDisk' ./internal/persist/ && \
 	   $(GO) test -race -v -run 'TestTier' ./internal/netnode/ && \
-	   $(GO) test -v -run 'TestTieredPassthroughGetAllocs|TestTieredExpirationAgeAllocatesNothing' ./internal/cache/ && \
+	   $(GO) test -v -run 'TestTieredPassthroughGetAllocs|TestTieredExpirationAgeAllocatesNothing|TestTieredDiskHitCycleAllocatesNothing' ./internal/cache/ && \
 	   $(GO) test -v -run 'AllocBudget|TestIndexAppendAllocs' ./internal/blob/ && \
 	   $(GO) test -v -run 'TestJournalAppendAllocs' ./internal/persist/,$(DISK_LOG))
 

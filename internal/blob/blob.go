@@ -22,8 +22,8 @@
 // segment, no bodies re-read, which is what makes a warm restart over a
 // large tier take seconds. Full checksum verification is available
 // separately through VerifyAll (the disk-smoke gate) and happens
-// implicitly on every read: Open(url) returns a reader that hashes as it
-// streams and fails at EOF on a mismatch, dropping the corrupt entry. A
+// implicitly on every read: Verify(url) and Open(url)'s reader hash as they
+// stream and fail at EOF on a mismatch, dropping the corrupt entry. A
 // directory in the earlier file-per-blob layout opens as an empty tier.
 package blob
 
@@ -114,6 +114,7 @@ type Store struct {
 
 	mu      sync.Mutex
 	entries map[string]*dentry
+	free    []*dentry // zeroed dentries of dropped entries, for the next insert
 	blobs   map[[32]byte]blobRef
 	lru     dentry // ring sentinel: next = most recent, prev = victim
 	used    int64
@@ -316,7 +317,13 @@ func (s *Store) insertLocked(e cache.DiskEntry, at extent) (extent, bool) {
 	}
 	b.refs++
 	s.blobs[e.Sum] = b
-	d := &dentry{e: e, at: b.at, prev: &s.lru, next: s.lru.next}
+	var d *dentry
+	if n := len(s.free); n > 0 {
+		d, s.free[n-1], s.free = s.free[n-1], nil, s.free[:n-1]
+	} else {
+		d = new(dentry)
+	}
+	*d = dentry{e: e, at: b.at, prev: &s.lru, next: s.lru.next}
 	d.prev.next, d.next.prev = d, d
 	s.entries[e.Doc.URL] = d
 	s.used += e.Doc.Size
@@ -324,7 +331,8 @@ func (s *Store) insertLocked(e cache.DiskEntry, at extent) (extent, bool) {
 }
 
 // dropLocked removes d's entry: index del frame, refcount decrement and
-// the extent turning dead on last reference.
+// the extent turning dead on last reference. d is zeroed and kept for the
+// next insert while the free stack holds fewer than 64.
 func (s *Store) dropLocked(d *dentry) error {
 	delete(s.entries, d.e.Doc.URL)
 	d.prev.next, d.next.prev = d.next, d.prev
@@ -339,7 +347,11 @@ func (s *Store) dropLocked(d *dentry) error {
 		s.dead += d.e.Doc.Size
 		s.retireLocked(seg)
 	}
-	return s.appendLocked(IndexRecord{Del: true, Entry: cache.DiskEntry{Doc: cache.Document{URL: d.e.Doc.URL}}})
+	err := s.appendLocked(IndexRecord{Del: true, Entry: cache.DiskEntry{Doc: cache.Document{URL: d.e.Doc.URL}}})
+	if *d = (dentry{}); len(s.free) < 64 {
+		s.free = append(s.free, d)
+	}
+	return err
 }
 
 // Admit implements cache.DiskTier: store e's body, evicting LRU victims
@@ -403,24 +415,50 @@ func (s *Store) Admit(e cache.DiskEntry, body io.Reader, now time.Time) (cache.D
 	return e, evicted, s.appendLocked(IndexRecord{Entry: e, at: at})
 }
 
-// Open implements cache.DiskTier: the entry plus a reader that verifies
-// the checksum as it streams (failing at EOF on a mismatch and dropping
-// the corrupt entry). The extent's segment is pinned under the same lock
+// Open returns the entry plus a reader that verifies the checksum as it
+// streams (failing at EOF on a mismatch and dropping the corrupt entry),
+// for callers that want the bytes.
+func (s *Store) Open(url string) (cache.DiskEntry, io.ReadCloser, bool) {
+	r := new(verifyReader)
+	if !s.open(url, r) {
+		return cache.DiskEntry{}, nil, false
+	}
+	return r.e, r, true
+}
+
+// Verify implements cache.DiskTier: Open, drain and Close with the reader
+// on this frame and the bytes discarded in its stager's buffer.
+func (s *Store) Verify(url string) (cache.DiskEntry, bool, error) {
+	var r verifyReader
+	if !s.open(url, &r) {
+		return cache.DiskEntry{}, false, nil
+	}
+	var err error
+	for err == nil {
+		_, err = r.Read(r.st.buf[:])
+	}
+	if cerr := r.Close(); err == io.EOF {
+		err = cerr
+	}
+	return r.e, true, err
+}
+
+// open starts r on url's extent. The segment is pinned under the same lock
 // that found the entry, so a reader never loses a race with Remove: the
 // bytes stay where they are until it closes.
-func (s *Store) Open(url string) (cache.DiskEntry, io.ReadCloser, bool) {
+func (s *Store) open(url string, r *verifyReader) bool {
 	s.mu.Lock()
 	d, ok := s.entries[url]
 	if !ok || s.closed {
 		s.mu.Unlock()
-		return cache.DiskEntry{}, nil, false
+		return false
 	}
-	e, seg, off := d.e, s.segs[d.at.seg], d.at.off
-	seg.pins++
+	*r = verifyReader{s: s, seg: s.segs[d.at.seg], off: d.at.off, e: d.e, remain: d.e.Doc.Size}
+	r.seg.pins++
 	s.mu.Unlock()
-	st := stagers.Get().(*stager)
-	st.h.Reset()
-	return e, &verifyReader{s: s, seg: seg, off: off, st: st, e: e, remain: e.Doc.Size}, true
+	r.st = stagers.Get().(*stager)
+	r.st.h.Reset()
+	return true
 }
 
 // dropCorrupt removes a failed entry and counts the checksum failure.
@@ -436,8 +474,8 @@ func (s *Store) dropCorrupt(url string, sum [32]byte) {
 
 // verifyReader streams an extent while hashing it; EOF fails with
 // ErrChecksum unless exactly the indexed bytes with the indexed sum were
-// read. It owns its stager (only the hash is used) and its pin on the
-// segment from Open to Close.
+// read. It owns its stager (Open's uses only the hash, Verify's the buffer
+// too) and its pin on the segment from open to Close.
 type verifyReader struct {
 	s      *Store
 	seg    *segment
@@ -577,20 +615,13 @@ func (s *Store) Report() Report {
 	return s.report
 }
 
-// VerifyAll re-reads every extent through the verifying reader — the
-// full integrity pass the disk-smoke gate and the post-crash e2e run.
-// Corrupt entries are dropped and counted.
+// VerifyAll runs Verify over every entry — the full integrity pass the
+// disk-smoke gate and the post-crash e2e run. Corrupt entries are dropped
+// and counted; an entry gone since URLs() counts as failed.
 func (s *Store) VerifyAll() VerifyReport {
 	var rep VerifyReport
 	for _, url := range s.URLs() {
-		err := ErrChecksum // an entry gone since URLs() counts as failed
-		if _, rc, ok := s.Open(url); ok {
-			_, err = io.Copy(io.Discard, rc)
-			if cerr := rc.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err == nil {
+		if _, ok, err := s.Verify(url); ok && err == nil {
 			rep.Verified++
 			continue
 		}

@@ -214,14 +214,32 @@ func (b *budgetStore) admit(t *testing.T, i int) {
 }
 
 // TestAdmitAllocBudget: reserving, writing, hashing, committing and
-// indexing an 8 KB body. What is left is the entry: 1 here, 11 with a
-// file per blob.
+// indexing an 8 KB body into a store whose population holds steady, so
+// each admit takes the dentry the removal before it gave back: nothing
+// here, 11 with a file per blob. (Making room by eviction instead would
+// count the []DiskEviction Admit returns.)
 func TestAdmitAllocBudget(t *testing.T) {
 	const runs = 200
 	b := newBudgetStore(t, 64, runs+1)
 	i := 64
-	allocBudget(t, "Admit of an 8 KB body", 2, runs, func() {
+	allocBudget(t, "Remove + Admit of an 8 KB body", 0, runs, func() {
+		if _, ok := b.Remove(b.urls[i-64]); !ok {
+			t.Fatal("not resident")
+		}
 		b.admit(t, i)
+		i++
+	})
+}
+
+// TestVerifyAllocBudget: the checksum pass a promotion makes drives its
+// reader on Verify's own frame through the pooled stager's buffer.
+func TestVerifyAllocBudget(t *testing.T) {
+	b := newBudgetStore(t, 64, 0)
+	i := 0
+	allocBudget(t, "Verify", 0, 200, func() {
+		if _, ok, err := b.Verify(b.urls[i%64]); !ok || err != nil {
+			t.Fatalf("Verify: resident %v, %v", ok, err)
+		}
 		i++
 	})
 }
@@ -273,4 +291,60 @@ func TestIndexAppendAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestRecycledDentriesAreClean: a dropped entry's dentry waits on the free
+// stack zeroed — no entry, extent or LRU links — and the next insert takes
+// it and starts it as a new one.
+func TestRecycledDentriesAreClean(t *testing.T) {
+	s := openStore(t, t.TempDir(), 1<<20)
+	defer s.Close()
+	for i := 0; i < 4; i++ {
+		admit(t, s, fmt.Sprintf("http://free/%d", i), 1000, i)
+	}
+	s.Remove("http://free/1")
+	s.Remove("http://free/2")
+	s.mu.Lock()
+	n := len(s.free)
+	for _, d := range s.free {
+		if *d != (dentry{}) {
+			t.Errorf("dentry on the free stack is not zeroed: %+v", *d)
+		}
+	}
+	top := s.free[n-1]
+	s.mu.Unlock()
+	if n != 2 {
+		t.Fatalf("free stack holds %d dentries, want 2", n)
+	}
+	e := admit(t, s, "http://free/new", 500, 9)
+	path, off := where(t, s, "http://free/new")
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	d := s.entries["http://free/new"]
+	if d != top || len(s.free) != 1 || s.free[:2][1] != nil {
+		t.Fatalf("insert did not pop the top of the free stack (%d left)", len(s.free))
+	}
+	if d.e != e || segPath(s.dir, d.at.seg) != path || d.at.off != off || d.prev != &s.lru || s.lru.next != d || d.next.prev != d {
+		t.Fatalf("recycled dentry carries stale state: %+v", *d)
+	}
+}
+
+// TestDentryFreeStackIsBounded: one admission that evicts hundreds of
+// small entries leaves at most 64 dentries behind.
+func TestDentryFreeStackIsBounded(t *testing.T) {
+	s := openStore(t, t.TempDir(), 256<<10)
+	defer s.Close()
+	for i := 0; i < 256; i++ {
+		admit(t, s, fmt.Sprintf("http://small/%d", i), 1<<10, i)
+	}
+	if _, evicted, err := s.Admit(cache.DiskEntry{Doc: cache.Document{URL: "http://huge", Size: 256 << 10}},
+		bytes.NewReader(body("http://huge", 256<<10)), t0().Add(time.Hour)); err != nil || len(evicted) != 256 {
+		t.Fatalf("evicted %d, err %v; want 256 evictions", len(evicted), err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// The stack filled to its bound, then "huge" took one dentry back.
+	if len(s.free) != 63 || cap(s.free) > 128 {
+		t.Fatalf("free stack len %d cap %d, want len 63", len(s.free), cap(s.free))
+	}
 }

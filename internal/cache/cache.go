@@ -255,7 +255,8 @@ type Store struct {
 	sink     func(Event)
 	// free holds the zeroed entries of evicted and removed documents for
 	// the next insert: at capacity every insert follows an eviction.
-	free []*Entry
+	free    []*Entry
+	evicted []Eviction // the list Put and PromoteEntry return, reused
 
 	insertions int64
 	evictions  int64
@@ -355,8 +356,9 @@ func (s *Store) Touch(url string, now time.Time) bool {
 }
 
 // Put inserts doc at time now, evicting victims as needed, and returns the
-// evictions performed. Re-inserting a cached URL refreshes it like a hit
-// (and adopts the new size). Documents larger than the capacity are
+// evictions performed in a list the store owns: it is valid until the next
+// mutating call on the store. Re-inserting a cached URL refreshes it like a
+// hit (and adopts the new size). Documents larger than the capacity are
 // rejected with ErrTooLarge and cached nowhere, matching proxy behaviour.
 func (s *Store) Put(doc Document, now time.Time) ([]Eviction, error) {
 	if doc.Size < 0 {
@@ -372,7 +374,7 @@ func (s *Store) Put(doc Document, now time.Time) ([]Eviction, error) {
 		e.LastHit = now
 		s.policy.Touch(e)
 		s.emit(Event{Kind: EventInsert, Doc: doc, At: now, Refresh: true})
-		return s.makeRoom(now, doc.URL)
+		return s.makeRoomFor(0, now, doc.URL)
 	}
 
 	evicted, err := s.makeRoomFor(doc.Size, now, doc.URL)
@@ -508,7 +510,8 @@ func (s *Store) RestoreEntry(doc Document, enteredAt, lastHit time.Time, hits in
 // promoted entry's LastHit is now and Hits is the disk-carried count plus
 // one). If the URL is already present — a racing fetch re-admitted it —
 // the call degrades to a Touch. Victims evicted to make room are returned
-// like Put's; oversized documents are rejected with ErrTooLarge.
+// like Put's, in the same store-owned list valid until the next mutating
+// call; oversized documents are rejected with ErrTooLarge.
 func (s *Store) PromoteEntry(doc Document, enteredAt time.Time, hits int64, now time.Time) ([]Eviction, error) {
 	if doc.Size < 0 {
 		return nil, fmt.Errorf("cache: negative size %d for %q", doc.Size, doc.URL)
@@ -563,39 +566,35 @@ func (s *Store) URLs() []string {
 	return out
 }
 
-// makeRoomFor evicts victims until size more bytes fit. The document named
-// skip (the one being inserted or refreshed) is never evicted: if the
-// policy nominates it — a resized document can be the SIZE policy's
-// largest, for example — it is sidelined from the policy for the duration
-// and reinstated afterwards.
+// makeRoomFor evicts victims until size more bytes fit, listing them in
+// s.evicted, whose previous contents are cleared so that no evicted
+// document stays pinned. The document named skip (the one being inserted
+// or refreshed) is never evicted: if the policy nominates it — a resized
+// document can be the SIZE policy's largest, for example — it is sidelined
+// from the policy for the duration and reinstated afterwards.
 func (s *Store) makeRoomFor(size int64, now time.Time, skip string) ([]Eviction, error) {
-	var (
-		evicted   []Eviction
-		sidelined *Entry
-	)
+	clear(s.evicted)
+	s.evicted = s.evicted[:0]
+	var sidelined *Entry
 	for s.used+size > s.capacity {
 		v := s.policy.Victim()
 		if v == nil {
 			if sidelined != nil {
 				s.policy.Add(sidelined)
 			}
-			return evicted, fmt.Errorf("cache: cannot free %d bytes", size)
+			return s.evicted, fmt.Errorf("cache: cannot free %d bytes", size)
 		}
 		if v.Doc.URL == skip {
 			s.policy.Remove(v)
 			sidelined = v
 			continue
 		}
-		evicted = append(evicted, s.evict(v, now))
+		s.evicted = append(s.evicted, s.evict(v, now))
 	}
 	if sidelined != nil {
 		s.policy.Add(sidelined)
 	}
-	return evicted, nil
-}
-
-func (s *Store) makeRoom(now time.Time, skip string) ([]Eviction, error) {
-	return s.makeRoomFor(0, now, skip)
+	return s.evicted, nil
 }
 
 // evict removes v and records its expiration age.

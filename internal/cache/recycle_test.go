@@ -82,8 +82,8 @@ func TestStoreTranscriptGolden(t *testing.T) {
 	}
 }
 
-// TestPutAllocBudget: at capacity an insert allocates only the eviction
-// list it returns.
+// TestPutAllocBudget: at capacity an insert allocates nothing — the entry
+// comes off the free stack and the eviction list it returns is the store's.
 func TestPutAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
@@ -104,8 +104,8 @@ func TestPutAllocBudget(t *testing.T) {
 	for range urls { // fill, then cycle once so every insert evicts
 		put()
 	}
-	if allocs := testing.AllocsPerRun(1000, put); allocs > 1 {
-		t.Errorf("Put at capacity: %.2f allocs, want <= 1 (the returned eviction list)", allocs)
+	if allocs := testing.AllocsPerRun(1000, put); allocs != 0 {
+		t.Errorf("Put at capacity: %.2f allocs, want 0", allocs)
 	}
 }
 
@@ -169,5 +169,37 @@ func TestFreeStackIsBounded(t *testing.T) {
 	// The stack filled to its bound, then "huge" took one entry back.
 	if len(s.free) != maxFreeEntries-1 || cap(s.free) > 2*maxFreeEntries {
 		t.Fatalf("free stack len %d cap %d, want len %d", len(s.free), cap(s.free), maxFreeEntries-1)
+	}
+}
+
+// TestEvictionListPinsNothing: the list Put returns is reused by the next
+// Put, and after a burst of 1024 evictions a one-victim Put leaves no
+// evicted Document in the buffer past its length to keep alive.
+func TestEvictionListPinsNothing(t *testing.T) {
+	s := mustStore(t, Config{Capacity: 1 << 20})
+	for i := 0; i < 1024; i++ {
+		if _, err := s.Put(doc(fmt.Sprintf("small-%d", i), 1<<10), at(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	burst, err := s.Put(doc("huge", 1<<20), at(2000))
+	if err != nil || len(burst) != 1024 {
+		t.Fatalf("evicted %d, err %v; want 1024 evictions", len(burst), err)
+	}
+	one, err := s.Put(doc("next", 1<<10), at(2001))
+	if err != nil || len(one) != 1 || one[0].Doc.URL != "huge" {
+		t.Fatalf("evicted %+v, err %v; want huge alone", one, err)
+	}
+	if &one[0] != &burst[0] {
+		t.Fatal("the second Put did not reuse the store's eviction list")
+	}
+	for i, ev := range one[1:cap(one)] {
+		if ev != (Eviction{}) {
+			t.Fatalf("buffer slot %d past the list still holds %+v", i+1, ev)
+		}
+	}
+	none, err := s.Put(doc("next", 1<<10), at(2002)) // a refresh: no victim
+	if err != nil || len(none) != 0 || none[:1][0] != (Eviction{}) {
+		t.Fatalf("refresh evicted %+v (err %v), or left huge in the buffer", none, err)
 	}
 }

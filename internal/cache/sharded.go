@@ -181,7 +181,9 @@ func (s *ShardedStore) Touch(url string, now time.Time) bool {
 	return ok
 }
 
-// Put inserts doc, evicting within its shard as needed.
+// Put inserts doc, evicting within its shard as needed. The eviction list
+// is the shard store's own (see Store.Put): the next mutation of that shard,
+// by any goroutine, may overwrite it.
 func (s *ShardedStore) Put(doc Document, now time.Time) ([]Eviction, error) {
 	sh := s.shardFor(doc.URL)
 	sh.mu.Lock()
@@ -193,7 +195,7 @@ func (s *ShardedStore) Put(doc Document, now time.Time) ([]Eviction, error) {
 
 // PromoteEntry re-inserts a disk-promoted document into its shard with
 // its carried metadata (see Store.PromoteEntry), evicting within the
-// shard as needed.
+// shard as needed. The eviction list is the shard's own, as Put's is.
 func (s *ShardedStore) PromoteEntry(doc Document, enteredAt time.Time, hits int64, now time.Time) ([]Eviction, error) {
 	sh := s.shardFor(doc.URL)
 	sh.mu.Lock()
@@ -241,58 +243,30 @@ func (s *ShardedStore) ExpirationAge(now time.Time) time.Duration {
 	return s.ages.WindowedAt(now)
 }
 
-// Capacity returns the total configured byte budget.
-func (s *ShardedStore) Capacity() int64 {
-	var total int64
+// sum adds up f over the shards, reading each under its lock.
+func sum[T int | int64](s *ShardedStore, f func(*Store) T) (total T) {
 	for _, sh := range s.shards {
-		total += sh.store.Capacity()
+		sh.mu.Lock()
+		total += f(sh.store)
+		sh.mu.Unlock()
 	}
 	return total
 }
+
+// Capacity returns the total configured byte budget.
+func (s *ShardedStore) Capacity() int64 { return sum(s, (*Store).Capacity) }
 
 // Used returns the bytes currently occupied across all shards.
-func (s *ShardedStore) Used() int64 {
-	var total int64
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		total += sh.store.Used()
-		sh.mu.Unlock()
-	}
-	return total
-}
+func (s *ShardedStore) Used() int64 { return sum(s, (*Store).Used) }
 
 // Len returns the number of cached documents.
-func (s *ShardedStore) Len() int {
-	total := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		total += sh.store.Len()
-		sh.mu.Unlock()
-	}
-	return total
-}
+func (s *ShardedStore) Len() int { return sum(s, (*Store).Len) }
 
 // Evictions returns total contention evictions across all shards.
-func (s *ShardedStore) Evictions() int64 {
-	var total int64
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		total += sh.store.Evictions()
-		sh.mu.Unlock()
-	}
-	return total
-}
+func (s *ShardedStore) Evictions() int64 { return sum(s, (*Store).Evictions) }
 
 // Insertions returns total document insertions across all shards.
-func (s *ShardedStore) Insertions() int64 {
-	var total int64
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		total += sh.store.Insertions()
-		sh.mu.Unlock()
-	}
-	return total
-}
+func (s *ShardedStore) Insertions() int64 { return sum(s, (*Store).Insertions) }
 
 // Entry exposes a copy of the metadata for url, for tests and inspection.
 func (s *ShardedStore) Entry(url string) (Entry, bool) {

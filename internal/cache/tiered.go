@@ -36,6 +36,7 @@ package cache
 import (
 	"fmt"
 	"io"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -71,11 +72,10 @@ type DiskTier interface {
 	// Admit stores e's body (read fully from body) and returns the entry
 	// with its checksum filled in, plus any entries evicted to make room.
 	Admit(e DiskEntry, body io.Reader, now time.Time) (DiskEntry, []DiskEviction, error)
-	// Open returns the entry and a streaming reader over its body. The
-	// reader verifies the checksum as it goes: a read or Close error
-	// means the blob was corrupt (the tier drops it and counts the
-	// failure).
-	Open(url string) (DiskEntry, io.ReadCloser, bool)
+	// Verify reads url's body through its checksum and returns the entry
+	// and whether url was resident. An error means the blob was unreadable
+	// or corrupt (the tier drops a corrupt one and counts the failure).
+	Verify(url string) (DiskEntry, bool, error)
 	// Remove drops url, returning the removed entry.
 	Remove(url string) (DiskEntry, bool)
 	// Contains reports whether url is disk-resident.
@@ -186,7 +186,7 @@ func NewTiered(cfg TieredConfig) (*TieredStore, error) {
 	t := &TieredStore{mem: cfg.Memory, disk: cfg.Disk, demote: cfg.Demote, body: cfg.Body}
 	if t.disk != nil {
 		if t.body == nil {
-			t.body = zeroBody
+			t.body = zeroBodyOf
 		}
 		// From here the memory store records no evictions of its own:
 		// memEvent records the true exits into its tracker.
@@ -219,13 +219,15 @@ func (t *TieredStore) memEvent(ev Event) {
 	now := ev.At
 	if t.shouldDemote(ev.Age, now) {
 		de := DiskEntry{Doc: ev.Doc, EnteredAt: ev.EnteredAt, LastHit: ev.LastHit, Hits: ev.Hits}
-		_, evicted, err := t.disk.Admit(de, t.body(ev.Doc), now)
+		body := t.body(ev.Doc)
+		_, evicted, err := t.disk.Admit(de, body, now)
+		if z, ok := body.(*zeroBody); ok { // Admit is done with it
+			zeroBodies.Put(z)
+		}
 		if err == nil {
 			t.demotions.Add(1)
-			t.forward(Event{
-				Kind: EventDemote, Doc: ev.Doc, At: now, Age: ev.Age,
-				EnteredAt: ev.EnteredAt, LastHit: ev.LastHit, Hits: ev.Hits,
-			})
+			ev.Kind = EventDemote // the same document, metadata and age
+			t.forward(ev)
 			t.diskExits(evicted, now)
 			return
 		}
@@ -274,22 +276,18 @@ func (t *TieredStore) Get(url string, now time.Time) (Document, bool) {
 }
 
 // promoteFromDisk moves a disk-resident document back into memory: the
-// blob is read through its verifying reader (bodies are synthetic, so the
-// bytes are discarded — the read is the checksum verification), the entry
-// re-enters the memory tier with its metadata preserved, and the blob is
-// dropped afterwards (recovery prefers the memory copy during the
-// overlap window). A document in transition is always in at least one
-// tier — promotion inserts before it removes, demotion runs under the
-// shard lock — so when the disk tier does not have it either, a racing
-// promotion has put it in memory since the caller missed there.
+// blob's checksum is verified (bodies are synthetic, so the bytes are read
+// only for that), the entry re-enters the memory tier with its metadata
+// preserved, and the blob is dropped afterwards (recovery prefers the
+// memory copy during the overlap window). A document in transition is
+// always in at least one tier — promotion inserts before it removes,
+// demotion runs under the shard lock — so when the disk tier does not have
+// it either, a racing promotion has put it in memory since the caller
+// missed there.
 func (t *TieredStore) promoteFromDisk(url string, now time.Time) (Document, bool) {
-	de, rc, ok := t.disk.Open(url)
+	de, ok, err := t.disk.Verify(url)
 	if !ok {
 		return t.mem.Get(url, now)
-	}
-	_, err := io.Copy(io.Discard, rc)
-	if cerr := rc.Close(); err == nil {
-		err = cerr
 	}
 	if err != nil {
 		// Corrupt blob: the disk tier already dropped it and counted the
@@ -321,20 +319,14 @@ func (t *TieredStore) Peek(url string) (Document, bool) {
 
 // Contains reports whether url is resident in either tier.
 func (t *TieredStore) Contains(url string) bool {
-	if t.mem.Contains(url) {
-		return true
-	}
-	return t.disk != nil && t.disk.Contains(url)
+	return t.mem.Contains(url) || t.disk != nil && t.disk.Contains(url)
 }
 
 // Touch promotes url as if hit at now. A disk-resident document is
 // re-promoted into memory (the touch is the promoting hit).
 func (t *TieredStore) Touch(url string, now time.Time) bool {
-	if t.mem.Touch(url, now) {
-		return true
-	}
-	if t.disk == nil {
-		return false
+	if ok := t.mem.Touch(url, now); ok || t.disk == nil {
+		return ok
 	}
 	_, ok := t.promoteFromDisk(url, now)
 	return ok
@@ -342,7 +334,8 @@ func (t *TieredStore) Touch(url string, now time.Time) bool {
 
 // Put inserts doc into the memory tier. A stale disk copy of the same URL
 // (possible when a push races a demotion) is dropped first so the tiers
-// stay exclusive: the index del lands before the journal's insert.
+// stay exclusive: the index del lands before the journal's insert. The
+// eviction list is the memory shard's own, as ShardedStore.Put's is.
 func (t *TieredStore) Put(doc Document, now time.Time) ([]Eviction, error) {
 	if t.disk != nil && t.disk.Contains(doc.URL) {
 		if de, ok := t.disk.Remove(doc.URL); ok {
@@ -411,9 +404,6 @@ func (t *TieredStore) TierCounters() TierCounters {
 
 // Evictions counts replacement-policy evictions across both tiers.
 func (t *TieredStore) Evictions() int64 {
-	if t.disk == nil {
-		return t.mem.Evictions()
-	}
 	return t.mem.Evictions() + t.diskEvictions.Load()
 }
 
@@ -443,11 +433,8 @@ func (t *TieredStore) URLs() []string {
 
 // Entry returns the metadata for url from whichever tier holds it.
 func (t *TieredStore) Entry(url string) (Entry, bool) {
-	if e, ok := t.mem.Entry(url); ok {
-		return e, true
-	}
-	if t.disk == nil {
-		return Entry{}, false
+	if e, ok := t.mem.Entry(url); ok || t.disk == nil {
+		return e, ok
 	}
 	de, ok := t.disk.Peek(url)
 	if !ok {
@@ -526,16 +513,25 @@ func (t *TieredStore) CloseDisk() error {
 	return t.disk.Close()
 }
 
-// zeroSrc is an endless zero-byte reader.
-type zeroSrc struct{}
+// zeroBody reads as its count of zero bytes.
+type zeroBody int64
 
-func (zeroSrc) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = 0
+func (z *zeroBody) Read(p []byte) (int, error) {
+	if *z <= 0 {
+		return 0, io.EOF
 	}
+	p = p[:min(int64(len(p)), int64(*z))]
+	clear(p)
+	*z -= zeroBody(len(p))
 	return len(p), nil
 }
 
-// zeroBody is the default demotion body source: doc.Size zero bytes (the
-// node's synthetic bodies).
-func zeroBody(doc Document) io.Reader { return io.LimitReader(zeroSrc{}, doc.Size) }
+var zeroBodies = sync.Pool{New: func() any { return new(zeroBody) }}
+
+// zeroBodyOf is the default demotion body source: doc.Size zero bytes (the
+// node's synthetic bodies), in a reader memEvent returns to zeroBodies.
+func zeroBodyOf(doc Document) io.Reader {
+	z := zeroBodies.Get().(*zeroBody)
+	*z = zeroBody(doc.Size)
+	return z
+}

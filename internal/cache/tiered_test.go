@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -163,6 +165,140 @@ func TestTieredPassthroughGetAllocs(t *testing.T) {
 	bare, through := warmGet(mem.Get), warmGet(tiered.Get)
 	if bare != 0 || through != 0 {
 		t.Errorf("warm Get: %.2f allocs bare, %.2f through the nil-disk TieredStore, want 0 and 0", bare, through)
+	}
+}
+
+// TestTieredDiskHitCycleAllocatesNothing is the budget of the disk hit at
+// steady state: memory is full, the disk is warm, and every Get of the
+// round robin finds its document on disk, so it verifies the blob,
+// promotes the document, demotes one victim through the default zero body
+// and removes the promoted blob — all without allocating.
+func TestTieredDiskHitCycleAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const docs, inMemory, runs = 64, 16, 1000
+	mem, err := cache.NewSharded(cache.ShardedConfig{Shards: 1, Capacity: inMemory << 10, ExpirationWindow: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk, err := blob.Open(blob.Config{Dir: t.TempDir(), Capacity: 1 << 20, ExpirationWindow: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	ts, err := cache.NewTiered(cache.TieredConfig{Memory: mem, Disk: disk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	urls := make([]string, docs)
+	now := t0()
+	for i := range urls {
+		urls[i] = fmt.Sprintf("http://cycle/%d", i)
+		now = now.Add(time.Second)
+		if _, err := ts.Put(cache.Document{URL: urls[i], Size: 1 << 10}, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	get := func() {
+		now = now.Add(time.Second)
+		if _, ok := ts.Get(urls[i%docs], now); !ok {
+			t.Fatalf("%s: miss", urls[i%docs])
+		}
+		i++
+	}
+	for range urls { // one lap to warm the pools and the free stacks
+		get()
+	}
+	before := ts.TierCounters()
+	allocs := testing.AllocsPerRun(runs, get)
+	after := ts.TierCounters()
+	if p, d := after.Promotions-before.Promotions, after.Demotions-before.Demotions; p != runs+1 || d != runs+1 ||
+		after.DemotionDrops+after.DiskEvictions+after.ChecksumFailures != 0 {
+		t.Fatalf("%d promotions and %d demotions for %d disk hits; counters %+v", p, d, runs+1, after)
+	}
+	if mem.Len() != inMemory || disk.Len() != docs-inMemory {
+		t.Fatalf("%d in memory, %d on disk; want %d and %d", mem.Len(), disk.Len(), inMemory, docs-inMemory)
+	}
+	if allocs != 0 {
+		t.Errorf("disk hit: %.2f allocs, want 0", allocs)
+	}
+}
+
+// corruptBody flips one byte of url's demoted body where it lies in the
+// blob tier's segment files under dir.
+func corruptBody(t *testing.T, dir, url string, size int64) {
+	t.Helper()
+	segs, _ := filepath.Glob(filepath.Join(dir, "seg", "*"))
+	for _, path := range segs {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if off := bytes.Index(data, docBody(url, size)); off >= 0 {
+			f, err := os.OpenFile(path, os.O_WRONLY, 0)
+			if err == nil {
+				_, err = f.WriteAt([]byte{^data[off+7]}, int64(off+7))
+				f.Close()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+	}
+	t.Fatalf("%s: body not found in %d segments", url, len(segs))
+}
+
+// TestTieredCorruptBlobPromotesAsMiss: a promotion whose blob fails its
+// checksum is a miss. The disk tier drops the entry and counts one
+// failure, observers get the disk-tier EventRemove, and memory is left as
+// it was. VerifyAll over the same store reports a second corrupt blob.
+func TestTieredCorruptBlobPromotesAsMiss(t *testing.T) {
+	dir := t.TempDir()
+	mem, err := cache.NewSharded(cache.ShardedConfig{Shards: 1, Capacity: 2048, ExpirationWindow: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk, err := blob.Open(blob.Config{Dir: dir, Capacity: 1 << 20, ExpirationWindow: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	ts, err := cache.NewTiered(cache.TieredConfig{Memory: mem, Disk: disk, Demote: cache.DemoteAlways, Body: bodyFn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []cache.Event
+	ts.SetEventSink(func(ev cache.Event) { events = append(events, ev) })
+	now := t0()
+	for i := 0; i < 6; i++ { // 2 in memory, 4 on disk
+		now = now.Add(time.Minute)
+		if _, err := ts.Put(cache.Document{URL: fmt.Sprintf("http://rot/%d", i), Size: 1024}, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	corruptBody(t, dir, "http://rot/0", 1024)
+	corruptBody(t, dir, "http://rot/1", 1024)
+	events = nil
+	if doc, ok := ts.Get("http://rot/0", now.Add(time.Minute)); ok {
+		t.Fatalf("corrupt blob served as %+v", doc)
+	}
+	if ts.Contains("http://rot/0") || mem.Len() != 2 || disk.Len() != 3 {
+		t.Fatalf("after the failed promotion: resident %v, %d in memory, %d on disk", ts.Contains("http://rot/0"), mem.Len(), disk.Len())
+	}
+	if c := ts.TierCounters(); c.ChecksumFailures != 1 || c.Promotions != 0 || c.Demotions != 4 {
+		t.Fatalf("counters %+v, want 1 checksum failure, no promotion", c)
+	}
+	if len(events) != 1 || events[0].Kind != cache.EventRemove || events[0].Tier != cache.TierDisk || events[0].Doc.URL != "http://rot/0" {
+		t.Fatalf("events %+v, want the disk-tier EventRemove of rot/0 alone", events)
+	}
+	if rep := disk.VerifyAll(); rep.Verified != 2 || rep.Failed != 1 || len(rep.FailedURLs) != 1 || rep.FailedURLs[0] != "http://rot/1" {
+		t.Fatalf("VerifyAll = %+v, want rot/1 failed beside 2 verified", rep)
+	}
+	if n := disk.ChecksumFailures(); n != 2 {
+		t.Fatalf("%d checksum failures, want 2", n)
 	}
 }
 
@@ -483,20 +619,18 @@ func (d recordingDisk) tier() cache.DiskTier { *d.calls++; return d.DiskTier }
 func (d recordingDisk) Admit(e cache.DiskEntry, body io.Reader, now time.Time) (cache.DiskEntry, []cache.DiskEviction, error) {
 	return d.tier().Admit(e, body, now)
 }
-func (d recordingDisk) Open(url string) (cache.DiskEntry, io.ReadCloser, bool) {
-	return d.tier().Open(url)
-}
-func (d recordingDisk) Remove(url string) (cache.DiskEntry, bool) { return d.tier().Remove(url) }
-func (d recordingDisk) Contains(url string) bool                  { return d.tier().Contains(url) }
-func (d recordingDisk) Peek(url string) (cache.DiskEntry, bool)   { return d.tier().Peek(url) }
-func (d recordingDisk) ExpirationAge(now time.Time) time.Duration { return d.tier().ExpirationAge(now) }
-func (d recordingDisk) Len() int                                  { return d.tier().Len() }
-func (d recordingDisk) Used() int64                               { return d.tier().Used() }
-func (d recordingDisk) Capacity() int64                           { return d.tier().Capacity() }
-func (d recordingDisk) URLs() []string                            { return d.tier().URLs() }
-func (d recordingDisk) ChecksumFailures() int64                   { return d.tier().ChecksumFailures() }
-func (d recordingDisk) Sync() error                               { return d.tier().Sync() }
-func (d recordingDisk) Close() error                              { return d.tier().Close() }
+func (d recordingDisk) Verify(url string) (cache.DiskEntry, bool, error) { return d.tier().Verify(url) }
+func (d recordingDisk) Remove(url string) (cache.DiskEntry, bool)        { return d.tier().Remove(url) }
+func (d recordingDisk) Contains(url string) bool                         { return d.tier().Contains(url) }
+func (d recordingDisk) Peek(url string) (cache.DiskEntry, bool)          { return d.tier().Peek(url) }
+func (d recordingDisk) ExpirationAge(now time.Time) time.Duration        { return d.tier().ExpirationAge(now) }
+func (d recordingDisk) Len() int                                         { return d.tier().Len() }
+func (d recordingDisk) Used() int64                                      { return d.tier().Used() }
+func (d recordingDisk) Capacity() int64                                  { return d.tier().Capacity() }
+func (d recordingDisk) URLs() []string                                   { return d.tier().URLs() }
+func (d recordingDisk) ChecksumFailures() int64                          { return d.tier().ChecksumFailures() }
+func (d recordingDisk) Sync() error                                      { return d.tier().Sync() }
+func (d recordingDisk) Close() error                                     { return d.tier().Close() }
 
 // TestTieredCheckpointView: the checkpoint view is the memory tier plus
 // the node's tracker, and nothing inside the all-shards barrier calls

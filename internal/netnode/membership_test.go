@@ -332,6 +332,9 @@ func TestPushAcceptance(t *testing.T) {
 	checkGoroutines(t)
 	origin := startOrigin(t)
 	nodes := startHashGroup(t, origin, "q0", "q1", "q2")
+	for _, n := range nodes { // a rebalance pass still due would move q2's copy to q1
+		waitSettled(t, n, "startup")
+	}
 	ring, err := chash.New(0, "q0", "q1", "q2")
 	if err != nil {
 		t.Fatal(err)
