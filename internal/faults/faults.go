@@ -1,6 +1,6 @@
 // Package faults is a deterministic, seedable fault injector for the live
-// node path. It wraps net.Conn / net.PacketConn values (and the dial and
-// listen operations that produce them) so tests and manual chaos runs can
+// node path. It wraps net.Conn / net.PacketConn values and listeners, and
+// draws which outbound dials fail, so tests and manual chaos runs can
 // drop, delay, truncate, or corrupt UDP datagrams and fail, reset, stall,
 // or slow TCP streams — without touching the protocol code under test.
 //
@@ -40,7 +40,7 @@ type Config struct {
 	// delivering it (applied after the drop/corrupt/truncate draws).
 	UDPDelay time.Duration
 
-	// TCPDialErrRate fails a Dial with ECONNREFUSED before any traffic.
+	// TCPDialErrRate fails a dial (FailDial) with ECONNREFUSED up front.
 	TCPDialErrRate float64
 	// TCPResetRate aborts a wrapped stream mid-transfer: the draw happens
 	// per Read/Write, and once it fires every later operation on that
@@ -115,20 +115,19 @@ func (in *Injector) Stats() Stats {
 	return in.stats
 }
 
-// draw reports whether a fault with probability rate fires now.
-func (in *Injector) draw(rate float64) bool {
+// draw reports whether a fault with probability rate fires now, counting
+// it in *n, one of the injector's Stats fields, when it does.
+func (in *Injector) draw(rate float64, n *int64) bool {
 	if rate <= 0 {
 		return false
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return in.rng.Float64() < rate
-}
-
-func (in *Injector) count(f func(*Stats)) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	f(&in.stats)
+	fired := in.rng.Float64() < rate
+	if fired {
+		*n++
+	}
+	return fired
 }
 
 // FlipBits returns a copy of data with n random single-bit flips drawn
@@ -150,26 +149,20 @@ func (in *Injector) FlipBits(data []byte, n int) []byte {
 	return out
 }
 
-// DialTimeout dials like net.DialTimeout but may fail the dial outright
-// (TCPDialErrRate) and wraps the resulting conn with the TCP stream faults.
-func (in *Injector) DialTimeout(network, addr string, timeout time.Duration) (net.Conn, error) {
-	if in.draw(in.cfg.TCPDialErrRate) {
-		in.count(func(s *Stats) { s.DialErrors++ })
-		return nil, &net.OpError{Op: "dial", Net: network, Err: syscall.ECONNREFUSED}
-	}
-	conn, err := net.DialTimeout(network, addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	return in.WrapConn(conn), nil
+// ErrDialRefused is what a dial that FailDial fails returns.
+var ErrDialRefused error = &net.OpError{Op: "dial", Net: "tcp", Err: syscall.ECONNREFUSED}
+
+// FailDial draws and counts a dial failure (TCPDialErrRate). The caller
+// fails a drawn dial with ErrDialRefused and wraps any other's conn.
+func (in *Injector) FailDial() bool {
+	return in.draw(in.cfg.TCPDialErrRate, &in.stats.DialErrors)
 }
 
 // WrapConn applies the TCP stream faults to c. The stall draw happens here,
 // once per conn.
 func (in *Injector) WrapConn(c net.Conn) net.Conn {
 	fc := &conn{Conn: c, in: in}
-	if in.draw(in.cfg.TCPStallRate) {
-		in.count(func(s *Stats) { s.Stalls++ })
+	if in.draw(in.cfg.TCPStallRate, &in.stats.Stalls) {
 		fc.stalled = true
 		fc.unblock = make(chan struct{})
 	}
@@ -220,9 +213,8 @@ func (c *conn) maybeReset() error {
 	if c.reset {
 		return errReset
 	}
-	if c.in.draw(c.in.cfg.TCPResetRate) {
+	if c.in.draw(c.in.cfg.TCPResetRate, &c.in.stats.Resets) {
 		c.reset = true
-		c.in.count(func(s *Stats) { s.Resets++ })
 		return errReset
 	}
 	return nil
@@ -313,10 +305,9 @@ type packetConn struct {
 }
 
 func (p *packetConn) WriteTo(b []byte, addr net.Addr) (int, error) {
-	if p.in.draw(p.in.cfg.UDPDropRate) {
+	if p.in.draw(p.in.cfg.UDPDropRate, &p.in.stats.UDPDropped) {
 		// A dropped send looks successful to the sender, exactly like a
 		// datagram lost in the network.
-		p.in.count(func(s *Stats) { s.UDPDropped++ })
 		return len(b), nil
 	}
 	return p.PacketConn.WriteTo(b, addr)
@@ -328,16 +319,13 @@ func (p *packetConn) ReadFrom(b []byte) (int, net.Addr, error) {
 		if err != nil {
 			return n, addr, err
 		}
-		if p.in.draw(p.in.cfg.UDPDropRate) {
-			p.in.count(func(s *Stats) { s.UDPDropped++ })
+		if p.in.draw(p.in.cfg.UDPDropRate, &p.in.stats.UDPDropped) {
 			continue // lost before delivery; keep waiting
 		}
-		if n > 0 && p.in.draw(p.in.cfg.UDPCorruptRate) {
-			p.in.count(func(s *Stats) { s.UDPCorrupted++ })
+		if n > 0 && p.in.draw(p.in.cfg.UDPCorruptRate, &p.in.stats.UDPCorrupted) {
 			b[n-1] ^= 0xff
 		}
-		if p.in.draw(p.in.cfg.UDPTruncRate) {
-			p.in.count(func(s *Stats) { s.UDPTruncated++ })
+		if p.in.draw(p.in.cfg.UDPTruncRate, &p.in.stats.UDPTruncated) {
 			n /= 2
 		}
 		if d := p.in.cfg.UDPDelay; d > 0 {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"os"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -34,7 +35,7 @@ func TestDeterministicDraws(t *testing.T) {
 		in := mustInjector(t, Config{Seed: seed, UDPDropRate: 0.5})
 		out := make([]bool, 64)
 		for i := range out {
-			out[i] = in.draw(0.5)
+			out[i] = in.draw(0.5, new(int64))
 		}
 		return out
 	}
@@ -187,16 +188,24 @@ func TestTCPReset(t *testing.T) {
 
 func TestDialErr(t *testing.T) {
 	in := mustInjector(t, Config{TCPDialErrRate: 1})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	if _, err := in.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
+	if !in.FailDial() {
 		t.Fatal("dial survived dial-err rate 1")
 	}
 	if s := in.Stats(); s.DialErrors != 1 {
 		t.Fatalf("dial errors = %d, want 1", s.DialErrors)
+	}
+	if !errors.Is(ErrDialRefused, syscall.ECONNREFUSED) {
+		t.Fatalf("ErrDialRefused = %v, want ECONNREFUSED", ErrDialRefused)
+	}
+	// A zero rate never fails a dial and counts nothing.
+	clean := mustInjector(t, Config{})
+	for i := 0; i < 100; i++ {
+		if clean.FailDial() {
+			t.Fatal("dial failed at dial-err rate 0")
+		}
+	}
+	if s := clean.Stats(); s.DialErrors != 0 {
+		t.Fatalf("dial errors = %d at rate 0, want 0", s.DialErrors)
 	}
 }
 

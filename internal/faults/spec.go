@@ -32,19 +32,19 @@ func ParseSpec(spec string) (Config, error) {
 		case "seed":
 			cfg.Seed, err = strconv.ParseInt(value, 10, 64)
 		case "udp-drop":
-			cfg.UDPDropRate, err = parseRate(value)
+			cfg.UDPDropRate, err = strconv.ParseFloat(value, 64)
 		case "udp-corrupt":
-			cfg.UDPCorruptRate, err = parseRate(value)
+			cfg.UDPCorruptRate, err = strconv.ParseFloat(value, 64)
 		case "udp-trunc":
-			cfg.UDPTruncRate, err = parseRate(value)
+			cfg.UDPTruncRate, err = strconv.ParseFloat(value, 64)
 		case "udp-delay":
 			cfg.UDPDelay, err = time.ParseDuration(value)
 		case "tcp-dial-err":
-			cfg.TCPDialErrRate, err = parseRate(value)
+			cfg.TCPDialErrRate, err = strconv.ParseFloat(value, 64)
 		case "tcp-reset":
-			cfg.TCPResetRate, err = parseRate(value)
+			cfg.TCPResetRate, err = strconv.ParseFloat(value, 64)
 		case "tcp-stall":
-			cfg.TCPStallRate, err = parseRate(value)
+			cfg.TCPStallRate, err = strconv.ParseFloat(value, 64)
 		case "tcp-byte-delay":
 			cfg.TCPByteDelay, err = time.ParseDuration(value)
 		default:
@@ -58,15 +58,4 @@ func ParseSpec(spec string) (Config, error) {
 		return Config{}, err
 	}
 	return cfg, nil
-}
-
-func parseRate(s string) (float64, error) {
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, err
-	}
-	if v < 0 || v > 1 {
-		return 0, fmt.Errorf("rate %v outside [0,1]", v)
-	}
-	return v, nil
 }

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
+	"eacache/internal/faults"
 	"eacache/internal/hproto"
 	"eacache/internal/obs"
 	"eacache/internal/resolve"
@@ -20,13 +22,34 @@ import (
 // against the peer's health.
 var errNotFound = errors.New("netnode: document not at responder")
 
-// dial opens the TCP conn for one exchange, through the fault injector
-// when one is configured.
-func (n *Node) dial(addr string) (net.Conn, error) {
-	if n.faults != nil {
-		return n.faults.DialTimeout("tcp", addr, n.dialTimeout)
+// literalDialer dials an ip:port under a connectDeadline: one address has
+// no Happy Eyeballs race, and with Done nil net's connect hands the deadline
+// to the poller as the socket's write deadline, with no timer or goroutine.
+var literalDialer = net.Dialer{FallbackDelay: -1}
+
+type connectDeadline time.Time
+
+func (d connectDeadline) Deadline() (time.Time, bool) { return time.Time(d), true }
+func (connectDeadline) Done() <-chan struct{}         { return nil }
+func (connectDeadline) Err() error                    { return nil }
+func (connectDeadline) Value(any) any                 { return nil }
+
+// dial opens the TCP conn for one exchange within DialTimeout. A host name
+// keeps net.DialTimeout, whose cancellable deadline also bounds the lookup.
+// A fault injector may refuse the dial, and wraps the conn of one it lets by.
+func (n *Node) dial(addr string) (conn net.Conn, err error) {
+	if n.faults != nil && n.faults.FailDial() {
+		return nil, faults.ErrDialRefused
 	}
-	return net.DialTimeout("tcp", addr, n.dialTimeout)
+	if _, perr := netip.ParseAddrPort(addr); perr == nil {
+		conn, err = literalDialer.DialContext(connectDeadline(time.Now().Add(n.dialTimeout)), "tcp", addr)
+	} else {
+		conn, err = net.DialTimeout("tcp", addr, n.dialTimeout)
+	}
+	if err == nil && n.faults != nil {
+		conn = n.faults.WrapConn(conn)
+	}
+	return conn, err
 }
 
 // exchange is the node's one outbound hproto round trip — every GET, PUT

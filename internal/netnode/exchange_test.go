@@ -40,6 +40,39 @@ var exchangeVerbs = []struct {
 	}},
 }
 
+// stubResponder accepts conns one at a time and answers each with canned
+// (a dial-and-close reads EOF and gets nothing), allocating nothing per
+// conn beyond its Accept. handled ticks once per conn the stub has served
+// and closed, so a caller that waits on it counts exactly one Accept per
+// call, however the scheduler runs it.
+func stubResponder(t *testing.T, canned []byte) (addr string, handled <-chan struct{}) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, tick := make(chan struct{}), make(chan struct{}, 1)
+	go func() {
+		defer close(done)
+		buf := make([]byte, 4096)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			// One read takes the whole request head (it is far smaller
+			// than buf and written at once).
+			if n, _ := conn.Read(buf); n > 0 {
+				_, _ = conn.Write(canned)
+			}
+			_ = conn.Close()
+			tick <- struct{}{}
+		}
+	}()
+	t.Cleanup(func() { _ = ln.Close(); <-done })
+	return ln.Addr().String(), tick
+}
+
 // silentListener accepts connections and never answers them.
 func silentListener(t *testing.T) string {
 	t.Helper()
@@ -164,34 +197,8 @@ func TestExchangeAddsNothingToNet(t *testing.T) {
 	}, bytes.NewReader(make([]byte, 4096))); err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// handled ticks once per conn the stub has served and closed, so each
-	// call below counts exactly one Accept, however the scheduler runs it.
-	done, handled := make(chan struct{}), make(chan struct{}, 1)
-	go func() {
-		defer close(done)
-		buf := make([]byte, 4096)
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			// One read takes the whole request head (it is far smaller
-			// than buf and written at once); a dial-and-close reads EOF.
-			if n, _ := conn.Read(buf); n > 0 {
-				_, _ = conn.Write(canned.Bytes())
-			}
-			_ = conn.Close()
-			handled <- struct{}{}
-		}
-	}()
-	defer func() { _ = ln.Close(); <-done }()
-
+	addr, handled := stubResponder(t, canned.Bytes())
 	n := startNode(t, "x", 1<<20, core.EA{}, "")
-	addr := ln.Addr().String()
 	req := hproto.Request{URL: "http://x.example.edu/doc", RequesterAge: 90 * time.Second, SizeHint: 4096}
 	exchange := func() {
 		resp, err := n.exchange(addr, req, 0, io.Discard)

@@ -62,6 +62,14 @@ func TestDebugDumpsGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// a publishes the served leg of b's remote hit after writing the
+	// response b's Request returned on, so wait for it: a's ring then holds
+	// its own origin miss and that leg.
+	for deadline := time.Now().Add(5 * time.Second); len(telA.Traces.Snapshot()) < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a never published the served leg of b's remote hit")
+		}
+	}
 
 	norm := strings.NewReplacer(a.HTTPAddr(), "<a>", b.HTTPAddr(), "<b>", origin.Addr(), "<origin>")
 	stamps := regexp.MustCompile(`"(start|time)": "[^"]*"`)
