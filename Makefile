@@ -27,11 +27,11 @@ size:
 	set -- $$(find . -name '*.go' -not -name '*_test.go' | xargs wc -l | grep -v ' total$$' | sort -n | tail -n 1); \
 	flags=$$($(GO) run ./cmd/proxyd -h 2>&1 | grep -c '^  -'); \
 	families=$$(grep -c '^| `eac_' METRICS.md); \
-	echo "non-test Go lines:     $$lines (ceiling 23697)"; \
+	echo "non-test Go lines:     $$lines (ceiling 23684)"; \
 	echo "largest non-test file: $$1 $$2 (ceiling 855)"; \
 	echo "proxyd flags:          $$flags (ceiling 36)"; \
 	echo "eac_* families:        $$families (ceiling 40)"; \
-	[ $$lines -le 23697 ] && [ $$1 -le 855 ] && [ $$flags -le 36 ] && [ $$families -le 40 ]
+	[ $$lines -le 23684 ] && [ $$1 -le 855 ] && [ $$flags -le 36 ] && [ $$families -le 40 ]
 
 build:
 	$(GO) build ./...

@@ -214,10 +214,27 @@ func (c GenConfig) Validate() error {
 }
 
 // Generate produces a chronologically sorted synthetic reference stream.
+// Requests are drawn as 16-byte events, one time-ordered run per session,
+// and the runs are merged straight into the records: each Record is built
+// once, in its final place, and no 64-byte record is ever moved by a sort.
 func Generate(cfg GenConfig) ([]Record, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	// The records come before the events, so that the collection that sets
+	// the heap goal for the rest of the trace's life sees only them.
+	records := make([]Record, cfg.Requests)
+	g, err := draw(cfg)
+	if err != nil {
+		return nil, err
+	}
+	g.merge(records)
+	return records, nil
+}
+
+// draw builds the generator and draws every request of the trace as an
+// event, in generation order.
+func draw(cfg GenConfig) (*generator, error) {
 	rng := dist.NewRNG(cfg.Seed)
 
 	catalog, err := buildCatalog(cfg, rng.Split())
@@ -240,7 +257,6 @@ func Generate(cfg GenConfig) ([]Record, error) {
 	}
 	rng.Shuffle(cfg.Users, func(i, j int) { userPerm[i], userPerm[j] = userPerm[j], userPerm[i] })
 
-	records := make([]Record, 0, cfg.Requests)
 	histories := make([]*history, cfg.Users)
 	for i := range histories {
 		histories[i] = newHistory(cfg.HistoryDepth)
@@ -270,10 +286,13 @@ func Generate(cfg GenConfig) ([]Record, error) {
 		rng:       rng,
 		zipf:      zipf,
 		catalog:   catalog,
-		urls:      make([]string, len(catalog)),
 		histories: histories,
 		think:     think,
 		inlineGap: inlineGap,
+		events:    make([]event, 0, cfg.Requests),
+		runs:      make(runHeap, 0, cfg.Sessions),
+		clients:   make([]string, cfg.Users),
+		urls:      make([]string, len(catalog)),
 	}
 
 	// The first cohortSessions sessions are grouped into cohorts of
@@ -301,7 +320,7 @@ func Generate(cfg GenConfig) ([]Record, error) {
 		for m := 0; m < cfg.CohortSize; m++ {
 			user := userPerm[userZipf.Rank(rng)]
 			jitter := time.Duration(rng.Float64() * float64(spread))
-			records = gen.emitSession(records, user, start.Add(jitter), sessionLen(s), master)
+			gen.emitSession(user, start+jitter, sessionLen(s), master)
 			s++
 		}
 	}
@@ -311,11 +330,9 @@ func Generate(cfg GenConfig) ([]Record, error) {
 			continue
 		}
 		user := userPerm[userZipf.Rank(rng)]
-		records = gen.emitSession(records, user, sampleSessionStart(cfg, rng), n, nil)
+		gen.emitSession(user, sampleSessionStart(cfg, rng), n, nil)
 	}
-
-	SortByTime(records)
-	return records, nil
+	return gen, nil
 }
 
 // generator carries the shared sampling state of one Generate call.
@@ -324,10 +341,91 @@ type generator struct {
 	rng       *dist.RNG
 	zipf      *dist.Zipf
 	catalog   []int64
-	urls      []string // docURL of each catalog entry, formatted on first reference
 	histories []*history
 	think     *dist.Exponential
 	inlineGap *dist.Exponential
+	events    []event  // every request, in generation order
+	runs      runHeap  // one run of events per session
+	clients   []string // client name of each user, formatted on first reference
+	urls      []string // docURL of each catalog entry, formatted on first reference
+}
+
+// event is one drawn request in 16 bytes: its offset from cfg.Start, its
+// document, and its user, stored inverted when the log recorded no size.
+type event struct {
+	at   time.Duration
+	doc  int32
+	user int32
+}
+
+// run is a cursor over one session's events, which are in time order
+// because every gap a session draws is non-negative.
+type run struct {
+	at       time.Duration // events[pos].at
+	pos, end int
+}
+
+// before orders runs by their next event's time. Runs are laid out in
+// generation order, so on equal times the lower position is the earlier
+// run and ties keep generation order.
+func (r run) before(o run) bool {
+	return r.at < o.at || r.at == o.at && r.pos < o.pos
+}
+
+// runHeap is a binary min-heap of runs: a k-way merge of the sessions.
+type runHeap []run
+
+func (h runHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// merge fills records with the events in time order, ties in generation
+// order, building each Record once in place.
+func (g *generator) merge(records []Record) {
+	h := g.runs
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	for i := range records {
+		e := g.events[h[0].pos]
+		if h[0].pos++; h[0].pos < h[0].end {
+			h[0].at = g.events[h[0].pos].at
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		h.down(0)
+		g.record(&records[i], e)
+	}
+}
+
+// record builds e's Record in *r. Client names are formatted once per user
+// and URLs once per document.
+func (g *generator) record(r *Record, e event) {
+	user, size := int(e.user), g.catalog[e.doc]
+	if user < 0 {
+		user, size = ^user, 0
+	}
+	if g.clients[user] == "" {
+		g.clients[user] = fmt.Sprintf("u%04d", user)
+	}
+	if g.urls[e.doc] == "" {
+		g.urls[e.doc] = docURL(int(e.doc))
+	}
+	*r = Record{Time: g.cfg.Start.Add(e.at), Client: g.clients[user], URL: g.urls[e.doc], Size: size}
 }
 
 // step is one position of a cohort's shared page stream.
@@ -354,13 +452,13 @@ func (g *generator) masterStream(n int) []step {
 	return master
 }
 
-// emitSession appends one session's records: either a solo browse (master
-// nil — pages drawn per user with self-affinity) or a cohort member's walk
-// of the shared master stream with individual timing.
-func (g *generator) emitSession(records []Record, user int, start time.Time, n int, master []step) []Record {
+// emitSession appends one session's events and its run: either a solo
+// browse (master nil — pages drawn per user with self-affinity) or a cohort
+// member's walk of the shared master stream with individual timing. start
+// and the event times are offsets from cfg.Start.
+func (g *generator) emitSession(user int, start time.Duration, n int, master []step) {
 	h := g.histories[user]
-	client := fmt.Sprintf("u%04d", user)
-	t := start
+	t, pos := start, len(g.events)
 	inlineLeft := 0
 	for i := 0; i < n; i++ {
 		var (
@@ -377,26 +475,20 @@ func (g *generator) emitSession(records []Record, user int, start time.Time, n i
 			inlineLeft = sampleGeometric(g.rng, g.cfg.InlinePerView)
 		}
 		if inline {
-			t = t.Add(time.Duration((0.2 + g.inlineGap.Sample(g.rng)) * float64(time.Second)))
+			t += time.Duration((0.2 + g.inlineGap.Sample(g.rng)) * float64(time.Second))
 		} else {
-			t = t.Add(time.Duration(g.think.Sample(g.rng) * float64(time.Second)))
+			t += time.Duration(g.think.Sample(g.rng) * float64(time.Second))
 		}
 		h.add(docID)
-		size := g.catalog[docID]
+		e := event{at: t, doc: int32(docID), user: int32(user)}
 		if g.cfg.ZeroSizeFraction > 0 && g.rng.Float64() < g.cfg.ZeroSizeFraction {
-			size = 0
+			e.user = ^e.user
 		}
-		if g.urls[docID] == "" {
-			g.urls[docID] = docURL(docID)
-		}
-		records = append(records, Record{
-			Time:   t,
-			Client: client,
-			URL:    g.urls[docID],
-			Size:   size,
-		})
+		g.events = append(g.events, e)
 	}
-	return records
+	if n > 0 {
+		g.runs = append(g.runs, run{at: g.events[pos].at, pos: pos, end: len(g.events)})
+	}
 }
 
 // buildCatalog draws a size for every document. Document IDs are already in
@@ -423,14 +515,15 @@ func buildCatalog(cfg GenConfig, rng *dist.RNG) ([]int64, error) {
 	return catalog, nil
 }
 
-// sampleSessionStart draws a session start time, concentrated into weekday
-// daytime hours by rejection sampling against the diurnal/weekly intensity
-// profile. With DiurnalStrength 0 and WeekendFactor 1 it is uniform.
-func sampleSessionStart(cfg GenConfig, rng *dist.RNG) time.Time {
+// sampleSessionStart draws a session start as an offset from cfg.Start,
+// concentrated into weekday daytime hours by rejection sampling against the
+// diurnal/weekly intensity profile. With DiurnalStrength 0 and
+// WeekendFactor 1 it is uniform.
+func sampleSessionStart(cfg GenConfig, rng *dist.RNG) time.Duration {
 	for {
-		t := cfg.Start.Add(time.Duration(rng.Float64() * float64(cfg.Span)))
-		if rng.Float64() <= sessionIntensity(cfg, t) {
-			return t
+		d := time.Duration(rng.Float64() * float64(cfg.Span))
+		if rng.Float64() <= sessionIntensity(cfg, cfg.Start.Add(d)) {
+			return d
 		}
 	}
 }

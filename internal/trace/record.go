@@ -44,8 +44,12 @@ func CleanZeroSizes(records []Record, def int64) []Record {
 }
 
 // SortByTime sorts records chronologically (stable, preserving log order of
-// simultaneous requests).
+// simultaneous requests). A trace that is already in order, as Generate's
+// output is, costs one scan.
 func SortByTime(records []Record) {
+	if Sorted(records) {
+		return
+	}
 	slices.SortStableFunc(records, func(a, b Record) int { return a.Time.Compare(b.Time) })
 }
 

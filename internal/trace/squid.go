@@ -75,3 +75,19 @@ func parseSquidLine(line string) (Record, bool) {
 	}
 	return Record{Time: t, Client: client, URL: url, Size: size}, true
 }
+
+// WriteSquid serialises records in Squid's native access.log format, so a
+// synthetic workload can drive any tool that consumes Squid logs (including
+// this repository's own ReadSquid). Outcome fields that a trace does not
+// carry are written as TCP_MISS/200 direct-to-origin GETs.
+func WriteSquid(w io.Writer, records []Record) error {
+	bw := bufio.NewWriter(w)
+	for _, r := range records {
+		_, err := fmt.Fprintf(bw, "%d.%03d %6d %s TCP_MISS/200 %d GET %s - DIRECT/origin -\n",
+			r.Time.Unix(), r.Time.Nanosecond()/1e6, 0, r.Client, r.Size, r.URL)
+		if err != nil {
+			return fmt.Errorf("trace: write squid: %w", err)
+		}
+	}
+	return bw.Flush()
+}

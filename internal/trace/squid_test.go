@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -49,6 +51,47 @@ func TestReadSquidEmpty(t *testing.T) {
 	records, skipped, err := ReadSquid(strings.NewReader(""))
 	if err != nil || len(records) != 0 || skipped != 0 {
 		t.Fatalf("empty log: %v, %d, %d", err, len(records), skipped)
+	}
+}
+
+func TestWriteSquidRoundTrip(t *testing.T) {
+	records := []Record{
+		{Time: ts(784900000, 123000000), Client: "10.0.0.7", URL: "http://cs-www.bu.edu/", Size: 2314},
+		{Time: ts(784900002, 0), Client: "10.0.0.9", URL: "http://cs-www.bu.edu/logo.gif", Size: 1804},
+	}
+	var buf bytes.Buffer
+	if err := WriteSquid(&buf, records); err != nil {
+		t.Fatal(err)
+	}
+	got, skipped, err := ReadSquid(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if skipped != 0 {
+		t.Fatalf("own output skipped %d lines", skipped)
+	}
+	if !reflect.DeepEqual(got, records) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", got, records)
+	}
+}
+
+func TestWriteSquidDrivesSimulatorInput(t *testing.T) {
+	cfg := BULike().Scaled(0.001)
+	cfg.ZeroSizeFraction = 0
+	records, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteSquid(&buf, records); err != nil {
+		t.Fatal(err)
+	}
+	got, skipped, err := ReadSquid(&buf)
+	if err != nil || skipped != 0 {
+		t.Fatalf("squid round trip: %v, %d skipped", err, skipped)
+	}
+	if len(got) != len(records) {
+		t.Fatalf("records = %d, want %d", len(got), len(records))
 	}
 }
 
