@@ -27,11 +27,11 @@ size:
 	set -- $$(find . -name '*.go' -not -name '*_test.go' | xargs wc -l | grep -v ' total$$' | sort -n | tail -n 1); \
 	flags=$$($(GO) run ./cmd/proxyd -h 2>&1 | grep -c '^  -'); \
 	families=$$(grep -c '^| `eac_' METRICS.md); \
-	echo "non-test Go lines:     $$lines (ceiling 23684)"; \
+	echo "non-test Go lines:     $$lines (ceiling 23678)"; \
 	echo "largest non-test file: $$1 $$2 (ceiling 855)"; \
 	echo "proxyd flags:          $$flags (ceiling 36)"; \
 	echo "eac_* families:        $$families (ceiling 40)"; \
-	[ $$lines -le 23684 ] && [ $$1 -le 855 ] && [ $$flags -le 36 ] && [ $$families -le 40 ]
+	[ $$lines -le 23678 ] && [ $$1 -le 855 ] && [ $$flags -le 36 ] && [ $$families -le 40 ]
 
 build:
 	$(GO) build ./...
@@ -73,11 +73,12 @@ chaos:
 # readmission under continuous traffic, race-enabled. -short runs the
 # same transitions over a smaller catalogue (the CI smoke); the verbose
 # log carries the per-step migration accounting and is kept as the
-# artifact.
+# artifact. TestHomeStoreAfterEpochChange forces the interleaving where
+# a join moves a URL while its home's origin fetch is in flight.
 CHURN_LOG ?= artifacts/churn-smoke.log
 churn-smoke:
 	@mkdir -p $(dir $(CHURN_LOG))
-	@$(GO) test -race -short -v -run TestChaosChurn ./internal/netnode/ > $(CHURN_LOG) 2>&1; \
+	@$(GO) test -race -short -v -run 'TestChaosChurn|TestHomeStoreAfterEpochChange' ./internal/netnode/ > $(CHURN_LOG) 2>&1; \
 	status=$$?; cat $(CHURN_LOG); exit $$status
 
 # Disk-tier gate: the blob store's own suite (kill-at-every-offset index

@@ -50,8 +50,8 @@ func TestSuiteDefaults(t *testing.T) {
 
 func TestSuiteCleansAndSorts(t *testing.T) {
 	records := []trace.Record{
-		{Time: time.Unix(200, 0), Client: "u", URL: "b", Size: 0},
-		{Time: time.Unix(100, 0), Client: "u", URL: "a", Size: 10},
+		{UnixNano: time.Unix(200, 0).UnixNano(), Client: "u", URL: "b", Size: 0},
+		{UnixNano: time.Unix(100, 0).UnixNano(), Client: "u", URL: "a", Size: 10},
 	}
 	s := NewSuite(records, Config{})
 	got := s.Records()

@@ -283,10 +283,10 @@ func broadcastWorkload(clients []string) []trace.Record {
 		for d := 0; d < docs; d++ {
 			for _, client := range clients {
 				records = append(records, trace.Record{
-					Time:   start.Add(time.Duration(tick) * time.Second),
-					Client: client,
-					URL:    fmt.Sprintf("http://bcast.example.edu/doc%03d.html", d),
-					Size:   trace.DefaultDocSize,
+					UnixNano: start.Add(time.Duration(tick) * time.Second).UnixNano(),
+					Client:   client,
+					URL:      fmt.Sprintf("http://bcast.example.edu/doc%03d.html", d),
+					Size:     trace.DefaultDocSize,
 				})
 				tick++
 			}

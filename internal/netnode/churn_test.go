@@ -10,6 +10,7 @@ package netnode
 // the per-step accounting as the CI artifact.
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"net"
@@ -21,6 +22,7 @@ import (
 	"eacache/internal/chash"
 	"eacache/internal/core"
 	"eacache/internal/health"
+	"eacache/internal/hproto"
 	"eacache/internal/resolve"
 )
 
@@ -260,7 +262,6 @@ func TestChaosChurnKillJoinRevive(t *testing.T) {
 // the old ring, where no later pass moves it, and the new owner keeps a
 // second copy on the next request.
 func TestHomeStoreAfterEpochChange(t *testing.T) {
-	t.Skip("known node bug: a requester keeps a copy it located under a ring that a join has replaced (ROADMAP item 1)")
 	checkGoroutines(t)
 	origin := startOrigin(t)
 
@@ -340,4 +341,51 @@ func TestHomeStoreAfterEpochChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSingleCopy(t, "after the stale home store", []string{u}, a, b, c)
+}
+
+// TestResolveCarriesTheLocatedRing: a resolve request carries the
+// fingerprint of the ring its responder was located on, not that of a
+// ring published between the locate and the send. Otherwise a home that
+// had already moved to the new ring would see its own fingerprint, take
+// the request for failover and keep a copy that its migration pass had
+// just pushed to the URL's new owner.
+func TestResolveCarriesTheLocatedRing(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	sent := make(chan uint64, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		req, err := hproto.ReadRequest(bufio.NewReader(conn))
+		if err != nil {
+			return
+		}
+		sent <- req.RingFP
+		_ = hproto.WriteResponse(conn, hproto.Response{Status: hproto.StatusNotFound}, nil)
+	}()
+
+	udp := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9}
+	a := startChurnNode(t, "", "a", "", "")
+	a.SetPeers([]Peer{{ICP: udp, HTTP: ln.Addr().String(), Name: "b"}})
+	located := a.hash.Load()
+	u := urlWithOwners(t, located.Ring, "b", "a")
+	cands := located.Locate(nil, u, time.Time{}).Candidates
+	if err := a.AddPeer(Peer{ICP: udp, HTTP: "127.0.0.1:1", Name: "c"}); err != nil {
+		t.Fatal(err)
+	}
+	if a.RingFingerprint() == located.Fingerprint {
+		t.Fatal("the join did not change the ring")
+	}
+	if _, status := (nodeTransport{a}).FetchRemote(nil, cands[0], u, 10, 0, true, time.Time{}); status != resolve.FetchNotFound {
+		t.Fatalf("FetchRemote status %v, want not found", status)
+	}
+	if got := <-sent; got != located.Fingerprint {
+		t.Fatalf("resolve request carried ring %x, want the located ring %x (published since: %x)", got, located.Fingerprint, a.RingFingerprint())
+	}
 }

@@ -13,7 +13,6 @@ import (
 	"eacache/internal/faults"
 	"eacache/internal/hproto"
 	"eacache/internal/obs"
-	"eacache/internal/resolve"
 )
 
 // errNotFound marks a responder that answered the exchange but does not
@@ -104,22 +103,17 @@ func (n *Node) exchange(addr string, req hproto.Request, bodySize int64, sink io
 // hproto.ErrTruncatedBody. A sampled trace's context rides the request
 // (X-Trace-Context) so the responder records a remote-parented leg of
 // the same trace, and the responder's echoed record is annotated back
-// onto tr.
-func (n *Node) fetchFrom(tr *obs.Trace, addr, url string, sizeHint int64, requesterAge time.Duration, rslv bool) (int64, time.Duration, string, error) {
+// onto tr. A nonzero ringFP is the fingerprint of the hash ring addr was
+// located on: the responder compares it with its own to tell failover
+// (matching views) from staleness before it keeps a resolved copy.
+func (n *Node) fetchFrom(tr *obs.Trace, addr, url string, sizeHint int64, requesterAge time.Duration, rslv bool, ringFP uint64) (int64, time.Duration, string, error) {
 	req := hproto.Request{
 		URL:          url,
 		RequesterAge: requesterAge,
 		SizeHint:     sizeHint,
 		Resolve:      rslv,
+		RingFP:       ringFP,
 		Trace:        tr.Context(),
-	}
-	if rslv && n.location == resolve.LocateHash {
-		if h := n.hash.Load(); h != nil {
-			// The topology fingerprint rides along so the responder can
-			// tell failover (matching views) from staleness (mismatch)
-			// when deciding whether to keep the resolved copy.
-			req.RingFP = h.Fingerprint
-		}
 	}
 	resp, err := n.exchange(addr, req, 0, io.Discard)
 	if resp.Trace != "" && tr != nil {

@@ -224,11 +224,11 @@ func TestFetchFromErrors(t *testing.T) {
 	origin := startOrigin(t)
 	node := startNode(t, "n", 1<<20, core.EA{}, origin.Addr())
 	// Unreachable address.
-	if _, _, _, err := node.fetchFrom(nil, "127.0.0.1:1", "http://x/", 10, 0, false); err == nil {
+	if _, _, _, err := node.fetchFrom(nil, "127.0.0.1:1", "http://x/", 10, 0, false, 0); err == nil {
 		t.Fatal("dial to closed port succeeded")
 	}
 	// A responder that 404s maps to errNotFound (a miss, not a fault).
-	_, _, _, err := node.fetchFrom(nil, node.HTTPAddr(), "http://absent/", 10, 0, false)
+	_, _, _, err := node.fetchFrom(nil, node.HTTPAddr(), "http://absent/", 10, 0, false, 0)
 	if err == nil {
 		t.Fatal("404 fetch reported success")
 	}

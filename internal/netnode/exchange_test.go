@@ -27,7 +27,7 @@ var exchangeVerbs = []struct {
 	do   func(n *Node, addr string) error
 }{
 	{"GET", func(n *Node, addr string) error {
-		_, _, _, err := n.fetchFrom(nil, addr, "http://x.example.edu/doc", 64, cache.NoContention, false)
+		_, _, _, err := n.fetchFrom(nil, addr, "http://x.example.edu/doc", 64, cache.NoContention, false, 0)
 		return err
 	}},
 	{"PUT", func(n *Node, addr string) error {

@@ -169,12 +169,11 @@ func (n *Node) warming() bool {
 // fingerprint means the requester's view is stale; the URL's real owner
 // under the current ring may be alive and already holding the copy, so
 // this node relays the body without storing rather than mint a second
-// copy. Draining and warming nodes never keep.
-func (n *Node) mayKeepResolved(reqFP uint64) bool {
+// copy. Draining and warming nodes never keep. h is the node's ring.
+func (n *Node) mayKeepResolved(h *resolve.HashLocator, reqFP uint64) bool {
 	if n.draining.Load() || n.warming() {
 		return false
 	}
-	h := n.hash.Load()
 	if h == nil {
 		return true
 	}
@@ -314,7 +313,7 @@ func (n *Node) sweepMembership(now time.Time) {
 const probeURL = "http://eacache.invalid/readmit-probe"
 
 func (n *Node) probePeer(addr string) bool {
-	_, _, _, err := n.fetchFrom(nil, addr, probeURL, 0, cache.NoContention, false)
+	_, _, _, err := n.fetchFrom(nil, addr, probeURL, 0, cache.NoContention, false, 0)
 	return err == nil || errors.Is(err, errNotFound)
 }
 

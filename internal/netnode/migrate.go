@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"eacache/internal/cache"
-	"eacache/internal/chash"
 	"eacache/internal/health"
 	"eacache/internal/hproto"
 	"eacache/internal/resolve"
@@ -131,9 +130,7 @@ func (n *Node) runRebalance() MigrationReport {
 	epoch := n.epoch.Load()
 	loc := n.hash.Load()
 	dest := func(url string) (string, bool) {
-		if loc == nil {
-			return "", false
-		}
+		// A nil locator (no ring) places everything here.
 		l := loc.Locate(nil, url, n.now())
 		if l.Placement == resolve.PlacementAlways || len(l.Candidates) == 0 {
 			// Still the (acting) home — or every new owner is dead, in
@@ -162,11 +159,10 @@ func (n *Node) DrainHandoff() MigrationReport {
 	peers := n.peerList()
 	var dest func(string) (string, bool)
 	if n.location == resolve.LocateHash {
-		loc := n.drainLocator(peers)
+		// The ring without this node: where every document lives once
+		// the node departs.
+		loc := n.hashLocator(peers, false, n.epoch.Load())
 		dest = func(url string) (string, bool) {
-			if loc == nil {
-				return "", false
-			}
 			l := loc.Locate(nil, url, n.now())
 			if len(l.Candidates) == 0 {
 				return "", false
@@ -195,41 +191,6 @@ func (n *Node) DrainHandoff() MigrationReport {
 		"kept", rep.Kept, "skipped_ea", rep.SkippedEA,
 		"refused", rep.Refused, "failed", rep.Failed)
 	return rep
-}
-
-// drainLocator is the ring without this node: where every document lives
-// once the node departs. Self is this node's own name, which is NOT in
-// the ring, so Locate never short-circuits on it and the first live
-// owner is always a remote candidate.
-func (n *Node) drainLocator(peers []Peer) *resolve.HashLocator {
-	if len(peers) == 0 {
-		return nil
-	}
-	members := make([]string, 0, len(peers))
-	byName := make(map[string]Peer, len(peers))
-	for _, p := range peers {
-		name := ringName(p)
-		members = append(members, name)
-		byName[name] = p
-	}
-	ring, err := chash.New(0, members...)
-	if err != nil {
-		n.warn("drain ring build failed", nil, "err", err)
-		return nil
-	}
-	return &resolve.HashLocator{
-		Ring:        ring,
-		Self:        n.hashName,
-		Epoch:       n.epoch.Load(),
-		Fingerprint: ring.Fingerprint(),
-		Candidate: func(member string) (resolve.Candidate, bool) {
-			p, ok := byName[member]
-			if !ok || !n.health.Allow(p.HTTP) {
-				return resolve.Candidate{}, false
-			}
-			return resolve.Candidate{ID: p.HTTP}, true
-		},
-	}
 }
 
 // destAges caches each destination's piggybacked expiration age across a
@@ -382,7 +343,8 @@ func (n *Node) servePush(conn io.Writer, rec *connRec, req hproto.Request) {
 			return
 		}
 	}
-	stored := n.mayAcceptPush(req.URL) && n.putIfFits(cache.Document{URL: req.URL, Size: req.SizeHint})
+	h := n.hash.Load()
+	stored := n.mayAcceptPush(h, req.URL) && n.keepOnRing(cache.Document{URL: req.URL, Size: req.SizeHint}, h, n.now())
 	status := hproto.StatusNotFound
 	if stored {
 		status = hproto.StatusOK
@@ -405,12 +367,11 @@ func (n *Node) servePush(conn io.Writer, rec *connRec, req hproto.Request) {
 // the leave is published. No health gating and no fingerprint check:
 // senders remove their copy before any byte travels, so accepting a
 // push can never mint a second copy — which is also why a warming node
-// accepts pushes while refusing resolve-keeps.
-func (n *Node) mayAcceptPush(url string) bool {
+// accepts pushes while refusing resolve-keeps. h is the node's ring.
+func (n *Node) mayAcceptPush(h *resolve.HashLocator, url string) bool {
 	if n.draining.Load() {
 		return false
 	}
-	h := n.hash.Load()
 	if n.location != resolve.LocateHash || h == nil || h.Ring == nil {
 		return true
 	}

@@ -204,7 +204,7 @@ func (n *Node) fetchUpstream(tr *obs.Trace, addr, url string, sizeHint int64, re
 		if attempt > 0 {
 			n.om.retries.Inc()
 		}
-		size, age, source, err := n.fetchFrom(tr, addr, url, sizeHint, reqAge, resolve)
+		size, age, source, err := n.fetchFrom(tr, addr, url, sizeHint, reqAge, resolve, 0)
 		if err == nil {
 			return size, age, source, nil
 		}

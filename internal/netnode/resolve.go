@@ -64,7 +64,8 @@ func (s nodeStore) ExpirationAge(now time.Time) time.Duration {
 }
 
 func (s nodeStore) StoreCopy(doc cache.Document, now time.Time) bool {
-	if s.n.draining.Load() || s.n.warming() {
+	n := s.n
+	if n.draining.Load() || n.warming() {
 		// A draining node keeps no new copies (its store must only
 		// shrink while the handoff walks it), and a warming one relays
 		// without storing until the group has converged on its arrival
@@ -72,13 +73,43 @@ func (s nodeStore) StoreCopy(doc cache.Document, now time.Time) bool {
 		// still holds. Migration pushes bypass this path.
 		return false
 	}
-	_, err := s.n.store.Put(doc, now)
-	return err == nil
+	// Under hash location the copy is the group's only one, so this node
+	// must be its home on the ring current at store time, not on the one
+	// the request located under: a join published while the origin
+	// answered has moved the URL, and that epoch's migration pass walked a
+	// store that did not hold it yet.
+	h := n.hash.Load()
+	if n.location == resolve.LocateHash && !homes(h, doc.URL) {
+		return false
+	}
+	return n.keepOnRing(doc, h, now)
+}
+
+// keepOnRing stores doc, decided on the hash ring h (nil outside hash
+// location), and reports whether the copy stayed. A publish that replaces
+// h during the Put may have run its migration pass before the copy
+// arrived, and no later pass would move it; so when the new ring homes
+// the URL elsewhere, the copy is dropped again.
+func (n *Node) keepOnRing(doc cache.Document, h *resolve.HashLocator, now time.Time) bool {
+	if _, err := n.store.Put(doc, now); err != nil {
+		return false
+	}
+	if h2 := n.hash.Load(); h2 != h && !homes(h2, doc.URL) {
+		n.store.Remove(doc.URL)
+		return false
+	}
+	return true
+}
+
+// homes reports whether h places url on this node.
+func homes(h *resolve.HashLocator, url string) bool {
+	return h.Locate(nil, url, time.Time{}).Placement == resolve.PlacementAlways
 }
 
 // nodeLocator dispatches to the node's configured location mechanism.
-// Candidates carry only the peer's fetch (TCP) address as their ID —
-// no boxed structs, so locating allocates nothing beyond the slice.
+// Candidates carry the peer's fetch (TCP) address as their ID, and a hash
+// candidate its ring as a pointer Ref — no boxed structs, so locating
+// allocates nothing beyond the slice.
 type nodeLocator struct{ n *Node }
 
 var _ resolve.Locator = nodeLocator{}
@@ -90,12 +121,8 @@ func (l nodeLocator) Locate(rctx any, url string, now time.Time) resolve.Located
 	case resolve.LocateDigest:
 		return n.digestLocate(traceOf(rctx), url)
 	case resolve.LocateHash:
-		h := n.hash.Load()
-		if h == nil {
-			// Unwired singleton: home for everything.
-			return resolve.Located{Placement: resolve.PlacementAlways}
-		}
-		return h.Locate(rctx, url, now)
+		// An unwired singleton has no ring and is home for everything.
+		return n.hash.Load().Locate(rctx, url, now)
 	default: // LocateICP
 		return n.icpLocate(traceOf(rctx), url)
 	}
@@ -212,8 +239,18 @@ func (n *Node) digestLocate(tr *obs.Trace, url string) resolve.Located {
 // locator is immutable once published and swapped atomically, like the
 // peer snapshot itself.
 func (n *Node) rebuildHashRing(peers []Peer, epoch int64) {
+	n.hash.Store(n.hashLocator(peers, true, epoch))
+}
+
+// hashLocator builds a locator over the peers' ring names, plus this
+// node's own when withSelf is set (nil when the ring cannot be built).
+// Without it, Self is not on the ring, so Locate never stops at this
+// node and the first live owner is always a remote candidate.
+func (n *Node) hashLocator(peers []Peer, withSelf bool, epoch int64) *resolve.HashLocator {
 	members := make([]string, 0, len(peers)+1)
-	members = append(members, n.hashName)
+	if withSelf {
+		members = append(members, n.hashName)
+	}
 	byName := make(map[string]Peer, len(peers))
 	for _, p := range peers {
 		name := ringName(p)
@@ -222,25 +259,22 @@ func (n *Node) rebuildHashRing(peers []Peer, epoch int64) {
 	}
 	ring, err := chash.New(0, members...)
 	if err != nil {
-		n.warn("hash ring rebuild failed", nil, "err", err)
-		n.hash.Store(nil)
-		return
+		n.warn("hash ring build failed", nil, "err", err)
+		return nil
 	}
-	n.hash.Store(&resolve.HashLocator{
-		Ring:        ring,
-		Self:        n.hashName,
-		Epoch:       epoch,
-		Fingerprint: ring.Fingerprint(),
-		Candidate: func(member string) (resolve.Candidate, bool) {
-			p, ok := byName[member]
-			if !ok || !n.health.Allow(p.HTTP) {
-				// Unknown name, or the breaker is open on the peer:
-				// the locator walks on to the next owner in the chain.
-				return resolve.Candidate{}, false
-			}
-			return resolve.Candidate{ID: p.HTTP}, true
-		},
-	})
+	h := &resolve.HashLocator{Ring: ring, Self: n.hashName, Epoch: epoch, Fingerprint: ring.Fingerprint()}
+	h.Candidate = func(member string) (resolve.Candidate, bool) {
+		p, ok := byName[member]
+		if !ok || !n.health.Allow(p.HTTP) {
+			// Unknown name, or the breaker is open on the peer:
+			// the locator walks on to the next owner in the chain.
+			return resolve.Candidate{}, false
+		}
+		// Ref is the ring the candidate was located on, whose
+		// fingerprint the resolve request carries.
+		return resolve.Candidate{ID: p.HTTP, Ref: h}, true
+	}
+	return h
 }
 
 // nodeTransport performs the engine's remote operations over hproto,
@@ -255,7 +289,14 @@ func (t nodeTransport) FetchRemote(rctx any, c resolve.Candidate, url string, si
 	tr := traceOf(rctx)
 	fetch := n.startStage(tr, stRemoteFetch)
 	tr.Annotate("responder", c.ID)
-	size, respAge, source, err := n.fetchFrom(tr, c.ID, url, sizeHint, reqAge, rslv)
+	// A hash candidate carries the ring it was located on. Its fingerprint,
+	// not that of a ring published since, tells the responder whether this
+	// requester routes as it does (see mayKeepResolved).
+	var ringFP uint64
+	if h, ok := c.Ref.(*resolve.HashLocator); ok && rslv {
+		ringFP = h.Fingerprint
+	}
+	size, respAge, source, err := n.fetchFrom(tr, c.ID, url, sizeHint, reqAge, rslv, ringFP)
 	tr.SpanErr(err)
 	n.endStage(tr, fetch)
 	switch {

@@ -200,12 +200,13 @@ func (n *Node) resolveAndServe(conn net.Conn, rec *connRec, req hproto.Request, 
 		}, nil)
 	}
 	keep := n.scheme.OnParentResolve(myAge, req.RequesterAge)
+	h := n.hash.Load()
 	if n.location == resolve.LocateHash {
 		// The (acting) home keeps every document it resolves — the
 		// group's only copy must land here — but only for requesters
 		// whose ring view matches this node's (see mayKeepResolved);
 		// a stale-view requester gets the body relayed without a store.
-		keep = n.mayKeepResolved(req.RingFP)
+		keep = n.mayKeepResolved(h, req.RingFP)
 	}
 	if n.draining.Load() {
 		keep = false
@@ -213,7 +214,7 @@ func (n *Node) resolveAndServe(conn net.Conn, rec *connRec, req hproto.Request, 
 	n.om.decisions[roleParent][decisionOf(keep)].Inc()
 	n.auditDecision(rtr, roleParent, req.URL, decisionNames[decisionOf(keep)], size, myAge, req.RequesterAge)
 	if keep {
-		n.putIfFits(cache.Document{URL: req.URL, Size: size})
+		n.keepOnRing(cache.Document{URL: req.URL, Size: size}, h, n.now())
 	}
 	if rtr != nil {
 		rtr.Outcome = outcomeServeResolve
@@ -227,11 +228,6 @@ func (n *Node) resolveAndServe(conn net.Conn, rec *connRec, req hproto.Request, 
 		Source:        source,
 		Trace:         rtr.Context(),
 	}, rec.zeros(size))
-}
-
-func (n *Node) putIfFits(doc cache.Document) bool {
-	_, err := n.store.Put(doc, n.now())
-	return err == nil
 }
 
 // handleICP answers neighbours' queries against the local cache without

@@ -79,7 +79,7 @@ func TestSimLiveParityDigestAdvertisement(t *testing.T) {
 		t.Fatalf("proxy.New: %v", err)
 	}
 	for i, r := range records {
-		if _, err := p.Request(r.URL, r.Size, r.Time); err != nil {
+		if _, err := p.Request(r.URL, r.Size, r.Time()); err != nil {
 			t.Fatalf("sim request %d (%s): %v", i, r.URL, err)
 		}
 	}
@@ -87,7 +87,7 @@ func TestSimLiveParityDigestAdvertisement(t *testing.T) {
 	// Live side: one digest-mode node replays the same trace on the
 	// trace-driven clock.
 	clk := &traceClock{}
-	clk.set(records[0].Time)
+	clk.set(records[0].Time())
 	origin, err := netnode.NewOriginServer("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatalf("origin: %v", err)
@@ -117,7 +117,7 @@ func TestSimLiveParityDigestAdvertisement(t *testing.T) {
 	}
 	defer node.Close()
 	for i, r := range records {
-		clk.set(r.Time)
+		clk.set(r.Time())
 		if _, err := node.Request(r.URL, r.Size); err != nil {
 			t.Fatalf("live request %d (%s): %v", i, r.URL, err)
 		}

@@ -122,7 +122,7 @@ func TestSimLiveParityICPEA(t *testing.T) {
 			t.Fatalf("client %q routed to unknown leaf", r.Client)
 		}
 		route[i] = idx
-		res, err := leaves[idx].Request(r.URL, r.Size, r.Time)
+		res, err := leaves[idx].Request(r.URL, r.Size, r.Time())
 		if err != nil {
 			t.Fatalf("sim request %d (%s): %v", i, r.URL, err)
 		}
@@ -132,7 +132,7 @@ func TestSimLiveParityICPEA(t *testing.T) {
 	// Live side: four real nodes over loopback, EA + ICP, sharing a
 	// trace-driven clock so cache-visible time matches the sim exactly.
 	clk := &traceClock{}
-	clk.set(records[0].Time)
+	clk.set(records[0].Time())
 
 	origin, err := netnode.NewOriginServer("127.0.0.1:0", nil)
 	if err != nil {
@@ -181,7 +181,7 @@ func TestSimLiveParityICPEA(t *testing.T) {
 
 	var liveT tally
 	for i, r := range records {
-		clk.set(r.Time)
+		clk.set(r.Time())
 		res, err := nodes[route[i]].Request(r.URL, r.Size)
 		if err != nil {
 			t.Fatalf("live request %d (%s): %v", i, r.URL, err)

@@ -127,7 +127,7 @@ func Run(g *group.Group, records []trace.Record, cfg Config) (*Report, error) {
 			size = cfg.DefaultDocSize
 		}
 		p := g.Route(rec.Client)
-		res, err := p.Request(rec.URL, size, rec.Time)
+		res, err := p.Request(rec.URL, size, rec.Time())
 		if err != nil {
 			return nil, fmt.Errorf("sim: record %d: %w", i, err)
 		}

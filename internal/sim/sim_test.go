@@ -32,7 +32,7 @@ func newGroup(t *testing.T, caches int, aggregate int64, scheme core.Scheme) *gr
 }
 
 func rec(sec int, client, url string, size int64) trace.Record {
-	return trace.Record{Time: at(sec), Client: client, URL: url, Size: size}
+	return trace.Record{UnixNano: at(sec).UnixNano(), Client: client, URL: url, Size: size}
 }
 
 func TestRunValidation(t *testing.T) {

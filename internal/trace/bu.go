@@ -60,10 +60,5 @@ func parseBULine(line string) (Record, bool) {
 	if err != nil || size < 0 {
 		return Record{}, false
 	}
-	return Record{
-		Time:   t,
-		Client: user + "@" + machine,
-		URL:    url,
-		Size:   size,
-	}, true
+	return Record{UnixNano: t.UnixNano(), Client: user + "@" + machine, URL: url, Size: size}, true
 }

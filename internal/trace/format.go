@@ -20,8 +20,8 @@ import (
 func Write(w io.Writer, records []Record) error {
 	bw := bufio.NewWriter(w)
 	for _, r := range records {
-		sec := r.Time.Unix()
-		micro := r.Time.Nanosecond() / 1000
+		t := r.Time()
+		sec, micro := t.Unix(), t.Nanosecond()/1000
 		var err error
 		if micro == 0 {
 			_, err = fmt.Fprintf(bw, "%d %s %s %d\n", sec, r.Client, r.URL, r.Size)
@@ -75,7 +75,7 @@ func parseCanonicalLine(line string) (Record, error) {
 	if size < 0 {
 		return Record{}, fmt.Errorf("negative size %d", size)
 	}
-	return Record{Time: t, Client: fields[1], URL: fields[2], Size: size}, nil
+	return Record{UnixNano: t.UnixNano(), Client: fields[1], URL: fields[2], Size: size}, nil
 }
 
 // ParseTimestamp parses a unix timestamp with optional fractional seconds.

@@ -13,9 +13,9 @@ func ts(sec int64, nsec int) time.Time { return time.Unix(sec, int64(nsec)).UTC(
 
 func TestWriteReadRoundTrip(t *testing.T) {
 	records := []Record{
-		{Time: ts(784900000, 0), Client: "u01@alpha", URL: "http://a.example.edu/", Size: 2048},
-		{Time: ts(784900001, 500000000), Client: "u02", URL: "http://b.example.edu/x.gif", Size: 0},
-		{Time: ts(784900002, 123456000), Client: "u01@alpha", URL: "http://a.example.edu/y.html", Size: 4096},
+		{UnixNano: ts(784900000, 0).UnixNano(), Client: "u01@alpha", URL: "http://a.example.edu/", Size: 2048},
+		{UnixNano: ts(784900001, 500000000).UnixNano(), Client: "u02", URL: "http://b.example.edu/x.gif", Size: 0},
+		{UnixNano: ts(784900002, 123456000).UnixNano(), Client: "u01@alpha", URL: "http://a.example.edu/y.html", Size: 4096},
 	}
 	var buf bytes.Buffer
 	if err := Write(&buf, records); err != nil {
@@ -87,10 +87,10 @@ func TestParseTimestamp(t *testing.T) {
 func TestQuickFormatRoundTrip(t *testing.T) {
 	f := func(sec uint32, micro uint32, client, urlSuffix uint16, size uint32) bool {
 		rec := Record{
-			Time:   time.Unix(int64(sec), int64(micro%1000000)*1000).UTC(),
-			Client: "c" + itoa(int(client)),
-			URL:    "http://h.example.edu/d" + itoa(int(urlSuffix)),
-			Size:   int64(size),
+			UnixNano: time.Unix(int64(sec), int64(micro%1000000)*1000).UnixNano(),
+			Client:   "c" + itoa(int(client)),
+			URL:      "http://h.example.edu/d" + itoa(int(urlSuffix)),
+			Size:     int64(size),
 		}
 		var buf bytes.Buffer
 		if err := Write(&buf, []Record{rec}); err != nil {
@@ -140,10 +140,10 @@ func TestReadBU(t *testing.T) {
 		t.Fatalf("records = %d, want 3", len(records))
 	}
 	want := Record{
-		Time:   ts(784900000, 0),
-		Client: "user3@beaker",
-		URL:    "http://cs-www.bu.edu/",
-		Size:   2009,
+		UnixNano: ts(784900000, 0).UnixNano(),
+		Client:   "user3@beaker",
+		URL:      "http://cs-www.bu.edu/",
+		Size:     2009,
 	}
 	if records[0] != want {
 		t.Fatalf("record[0] = %+v, want %+v", records[0], want)
@@ -167,10 +167,10 @@ func TestCleanZeroSizes(t *testing.T) {
 
 func TestSortAndSorted(t *testing.T) {
 	recs := []Record{
-		{Time: ts(30, 0), URL: "c"},
-		{Time: ts(10, 0), URL: "a"},
-		{Time: ts(20, 0), URL: "b"},
-		{Time: ts(10, 0), URL: "a2"}, // equal time: stable order preserved
+		{UnixNano: ts(30, 0).UnixNano(), URL: "c"},
+		{UnixNano: ts(10, 0).UnixNano(), URL: "a"},
+		{UnixNano: ts(20, 0).UnixNano(), URL: "b"},
+		{UnixNano: ts(10, 0).UnixNano(), URL: "a2"}, // equal time: stable order preserved
 	}
 	if Sorted(recs) {
 		t.Fatal("unsorted reported as sorted")
@@ -186,9 +186,9 @@ func TestSortAndSorted(t *testing.T) {
 
 func TestComputeStats(t *testing.T) {
 	recs := []Record{
-		{Time: ts(100, 0), Client: "u1", URL: "a", Size: 10},
-		{Time: ts(200, 0), Client: "u2", URL: "a", Size: 10},
-		{Time: ts(300, 0), Client: "u1", URL: "b", Size: 0},
+		{UnixNano: ts(100, 0).UnixNano(), Client: "u1", URL: "a", Size: 10},
+		{UnixNano: ts(200, 0).UnixNano(), Client: "u2", URL: "a", Size: 10},
+		{UnixNano: ts(300, 0).UnixNano(), Client: "u1", URL: "b", Size: 0},
 	}
 	s := ComputeStats(recs)
 	if s.Requests != 3 || s.UniqueDocs != 2 || s.UniqueClients != 2 {

@@ -425,7 +425,7 @@ func (g *generator) record(r *Record, e event) {
 	if g.urls[e.doc] == "" {
 		g.urls[e.doc] = docURL(int(e.doc))
 	}
-	*r = Record{Time: g.cfg.Start.Add(e.at), Client: g.clients[user], URL: g.urls[e.doc], Size: size}
+	*r = Record{UnixNano: g.cfg.Start.Add(e.at).UnixNano(), Client: g.clients[user], URL: g.urls[e.doc], Size: size}
 }
 
 // step is one position of a cohort's shared page stream.

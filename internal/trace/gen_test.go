@@ -118,7 +118,7 @@ func TestGenerateDiurnalConcentration(t *testing.T) {
 	}
 	day, night := 0, 0
 	for _, r := range records {
-		h := r.Time.Hour()
+		h := r.Time().Hour()
 		if h >= 9 && h < 21 {
 			day++
 		} else if h >= 0 && h < 8 {

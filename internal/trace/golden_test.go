@@ -50,12 +50,12 @@ func TestSortByTimeMatchesStableReference(t *testing.T) {
 	records := make([]Record, 5000)
 	for i := range records {
 		records[i] = Record{
-			Time: time.Unix(int64(rng.Intn(40)), int64(rng.Intn(3))).UTC(),
-			URL:  docURL(i),
+			UnixNano: int64(rng.Intn(40))*1e9 + int64(rng.Intn(3)),
+			URL:      docURL(i),
 		}
 	}
 	want := append([]Record(nil), records...)
-	sort.SliceStable(want, func(i, j int) bool { return want[i].Time.Before(want[j].Time) })
+	sort.SliceStable(want, func(i, j int) bool { return want[i].UnixNano < want[j].UnixNano })
 	SortByTime(records)
 	if !reflect.DeepEqual(records, want) {
 		t.Fatal("SortByTime order differs from the sort.SliceStable reference")
@@ -68,7 +68,7 @@ func TestSortByTimeMatchesStableReference(t *testing.T) {
 func TestSortByTimeSortedInput(t *testing.T) {
 	records := make([]Record, 1000)
 	for i := range records {
-		records[i] = Record{Time: time.Unix(int64(i/3), 0).UTC(), URL: docURL(i)}
+		records[i] = Record{UnixNano: int64(i/3) * 1e9, URL: docURL(i)}
 	}
 	want := append([]Record(nil), records...)
 	SortByTime(records)
@@ -76,9 +76,9 @@ func TestSortByTimeSortedInput(t *testing.T) {
 		t.Fatal("SortByTime reordered an already sorted trace")
 	}
 
-	records[len(records)-1].Time = time.Unix(100, 0).UTC()
+	records[len(records)-1].UnixNano = 100e9
 	want = append(want[:0], records...)
-	sort.SliceStable(want, func(i, j int) bool { return want[i].Time.Before(want[j].Time) })
+	sort.SliceStable(want, func(i, j int) bool { return want[i].UnixNano < want[j].UnixNano })
 	SortByTime(records)
 	if !reflect.DeepEqual(records, want) {
 		t.Fatal("SortByTime order differs from the sort.SliceStable reference on a trace unsorted only at its end")
@@ -110,10 +110,10 @@ func TestGenerateKeepsGenerationOrderOnTies(t *testing.T) {
 	for i, e := range g.events {
 		g.record(&want[i], e)
 	}
-	sort.SliceStable(want, func(i, j int) bool { return want[i].Time.Before(want[j].Time) })
+	sort.SliceStable(want, func(i, j int) bool { return want[i].UnixNano < want[j].UnixNano })
 	ties := 0
 	for i := 1; i < len(want); i++ {
-		if want[i].Time.Equal(want[i-1].Time) {
+		if want[i].UnixNano == want[i-1].UnixNano {
 			ties++
 		}
 	}

@@ -73,7 +73,7 @@ func parseSquidLine(line string) (Record, bool) {
 	if !strings.Contains(url, "://") {
 		return Record{}, false
 	}
-	return Record{Time: t, Client: client, URL: url, Size: size}, true
+	return Record{UnixNano: t.UnixNano(), Client: client, URL: url, Size: size}, true
 }
 
 // WriteSquid serialises records in Squid's native access.log format, so a
@@ -83,8 +83,9 @@ func parseSquidLine(line string) (Record, bool) {
 func WriteSquid(w io.Writer, records []Record) error {
 	bw := bufio.NewWriter(w)
 	for _, r := range records {
+		t := r.Time()
 		_, err := fmt.Fprintf(bw, "%d.%03d %6d %s TCP_MISS/200 %d GET %s - DIRECT/origin -\n",
-			r.Time.Unix(), r.Time.Nanosecond()/1e6, 0, r.Client, r.Size, r.URL)
+			t.Unix(), t.Nanosecond()/1e6, 0, r.Client, r.Size, r.URL)
 		if err != nil {
 			return fmt.Errorf("trace: write squid: %w", err)
 		}

@@ -39,8 +39,8 @@ func TestReadSquid(t *testing.T) {
 	if first.Client != "10.0.0.7" || first.URL != "http://cs-www.bu.edu/" || first.Size != 2314 {
 		t.Fatalf("record[0] = %+v", first)
 	}
-	if first.Time.UnixMilli() != 784900000123 {
-		t.Fatalf("timestamp = %v", first.Time)
+	if first.Time().UnixMilli() != 784900000123 {
+		t.Fatalf("timestamp = %v", first.Time())
 	}
 	if !Sorted(records) {
 		t.Fatal("squid records out of order")
@@ -56,8 +56,8 @@ func TestReadSquidEmpty(t *testing.T) {
 
 func TestWriteSquidRoundTrip(t *testing.T) {
 	records := []Record{
-		{Time: ts(784900000, 123000000), Client: "10.0.0.7", URL: "http://cs-www.bu.edu/", Size: 2314},
-		{Time: ts(784900002, 0), Client: "10.0.0.9", URL: "http://cs-www.bu.edu/logo.gif", Size: 1804},
+		{UnixNano: ts(784900000, 123000000).UnixNano(), Client: "10.0.0.7", URL: "http://cs-www.bu.edu/", Size: 2314},
+		{UnixNano: ts(784900002, 0).UnixNano(), Client: "10.0.0.9", URL: "http://cs-www.bu.edu/logo.gif", Size: 1804},
 	}
 	var buf bytes.Buffer
 	if err := WriteSquid(&buf, records); err != nil {

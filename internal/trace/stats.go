@@ -25,13 +25,12 @@ func ComputeStats(records []Record) Stats {
 	s.Requests = len(records)
 	docs := make(map[string]int64, len(records)/4)
 	clients := make(map[string]struct{})
+	var first, last int64
 	for i, r := range records {
-		if i == 0 || r.Time.Before(s.Start) {
-			s.Start = r.Time
+		if i == 0 {
+			first, last = r.UnixNano, r.UnixNano
 		}
-		if i == 0 || r.Time.After(s.End) {
-			s.End = r.Time
-		}
+		first, last = min(first, r.UnixNano), max(last, r.UnixNano)
 		s.TotalBytes += r.Size
 		if r.Size == 0 {
 			s.ZeroSize++
@@ -42,6 +41,7 @@ func ComputeStats(records []Record) Stats {
 		}
 		clients[r.Client] = struct{}{}
 	}
+	s.Start, s.End = time.Unix(0, first).UTC(), time.Unix(0, last).UTC()
 	s.UniqueDocs = len(docs)
 	s.UniqueClients = len(clients)
 	return s
