@@ -17,7 +17,8 @@ fmt:
 	fi
 
 # Size ratchet: non-test Go lines, the largest non-test file, proxyd's
-# flag count and the eac_* metric families may shrink freely but fail the
+# flag count, the eac_* metric families and the byte size of the five
+# long documents may shrink freely but fail the
 # gate when one grows past the ceiling written below. A change that needs
 # more room raises the number here, in its own diff, where a reviewer sees
 # it. Families are counted from METRICS.md's table rows, which
@@ -27,11 +28,16 @@ size:
 	set -- $$(find . -name '*.go' -not -name '*_test.go' | xargs wc -l | grep -v ' total$$' | sort -n | tail -n 1); \
 	flags=$$($(GO) run ./cmd/proxyd -h 2>&1 | grep -c '^  -'); \
 	families=$$(grep -c '^| `eac_' METRICS.md); \
-	echo "non-test Go lines:     $$lines (ceiling 23678)"; \
+	echo "non-test Go lines:     $$lines (ceiling 23444)"; \
 	echo "largest non-test file: $$1 $$2 (ceiling 855)"; \
 	echo "proxyd flags:          $$flags (ceiling 36)"; \
 	echo "eac_* families:        $$families (ceiling 40)"; \
-	[ $$lines -le 23678 ] && [ $$1 -le 855 ] && [ $$flags -le 36 ] && [ $$families -le 40 ]
+	docs=0; for d in README.md:33601 DESIGN.md:84794 EXPERIMENTS.md:56234 CHANGES.md:36044 bench/README.md:51956; do \
+		f=$${d%%:*}; max=$${d##*:}; bytes=$$(wc -c < $$f); \
+		printf '%-22s %s (ceiling %s)\n' "$$f bytes:" $$bytes $$max; \
+		[ $$bytes -le $$max ] || docs=1; \
+	done; \
+	[ $$lines -le 23444 ] && [ $$1 -le 855 ] && [ $$flags -le 36 ] && [ $$families -le 40 ] && [ $$docs -eq 0 ]
 
 build:
 	$(GO) build ./...

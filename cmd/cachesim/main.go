@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"eacache/internal/cache"
@@ -42,7 +40,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		schemeName = fs.String("scheme", "ea", `placement scheme: "adhoc", "ea" or "never"`)
 		caches     = fs.Int("caches", 4, "number of caches in the group")
 		aggregate  = fs.String("aggregate", "10MB", "aggregate group size (e.g. 100KB, 1MB, 1GB)")
-		policy     = fs.String("policy", "lru", `replacement policy: "lru", "lfu", "gds" or "size"`)
+		policy     = fs.String("policy", "lru", `replacement policy: "lru" or "lfu"`)
 		arch       = fs.String("arch", "distributed", `architecture: "distributed" or "hierarchical"`)
 		window     = fs.Int("window", cache.WindowAll, "expiration-age window in evictions (0 = cumulative)")
 		horizon    = fs.Duration("horizon", 0, "expiration-age time horizon (0 = group default)")
@@ -64,7 +62,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	records = trace.CleanZeroSizes(records, trace.DefaultDocSize)
 	trace.SortByTime(records)
 
-	aggBytes, err := ParseBytes(*aggregate)
+	aggBytes, err := cache.ParseBytes(*aggregate)
 	if err != nil {
 		return err
 	}
@@ -182,28 +180,4 @@ func loadTrace(path, format string, stdin io.Reader) ([]trace.Record, error) {
 	default:
 		return nil, fmt.Errorf("unknown trace format %q", format)
 	}
-}
-
-// ParseBytes parses sizes like "100KB", "1MB", "1GB", "4096".
-func ParseBytes(s string) (int64, error) {
-	s = strings.TrimSpace(strings.ToUpper(s))
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "GB"):
-		mult, s = 1<<30, strings.TrimSuffix(s, "GB")
-	case strings.HasSuffix(s, "MB"):
-		mult, s = 1<<20, strings.TrimSuffix(s, "MB")
-	case strings.HasSuffix(s, "KB"):
-		mult, s = 1<<10, strings.TrimSuffix(s, "KB")
-	case strings.HasSuffix(s, "B"):
-		s = strings.TrimSuffix(s, "B")
-	}
-	n, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad size %q: %w", s, err)
-	}
-	if n <= 0 {
-		return 0, fmt.Errorf("size must be positive, got %d", n)
-	}
-	return n * mult, nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,34 +10,6 @@ import (
 
 	"eacache/internal/trace"
 )
-
-func TestParseBytes(t *testing.T) {
-	tests := []struct {
-		in   string
-		want int64
-		ok   bool
-	}{
-		{"100KB", 100 << 10, true},
-		{"1MB", 1 << 20, true},
-		{"1GB", 1 << 30, true},
-		{"4096", 4096, true},
-		{"512B", 512, true},
-		{" 10 mb ", 10 << 20, true},
-		{"0", 0, false},
-		{"-5KB", 0, false},
-		{"abc", 0, false},
-		{"", 0, false},
-	}
-	for _, tt := range tests {
-		got, err := ParseBytes(tt.in)
-		if (err == nil) != tt.ok {
-			t.Fatalf("ParseBytes(%q) err = %v, want ok=%v", tt.in, err, tt.ok)
-		}
-		if tt.ok && got != tt.want {
-			t.Fatalf("ParseBytes(%q) = %d, want %d", tt.in, got, tt.want)
-		}
-	}
-}
 
 func writeTempTrace(t *testing.T) string {
 	t.Helper()
@@ -54,6 +27,42 @@ func writeTempTrace(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// TestParseBytes: -aggregate takes the shared size syntax; an accepted
+// size reaches the group (the run line prints it back), a rejected one
+// fails the run with an error that names it.
+func TestParseBytes(t *testing.T) {
+	path := writeTempTrace(t)
+	tests := []struct {
+		in  string
+		agg string // the run line's agg= field, for an accepted size
+		ok  bool
+	}{
+		{"100KB", "100KB", true},
+		{"1MB", "1MB", true},
+		{"1GB", "1GB", true},
+		{"4096", "4KB", true},
+		{"512B", "512B", true},
+		{" 10 mb ", "10MB", true},
+		{"0", "", false},
+		{"-5KB", "", false},
+		{"abc", "", false},
+		{"", "", false},
+	}
+	for _, tt := range tests {
+		var out, errOut bytes.Buffer
+		err := run([]string{"-trace", path, "-caches", "1", "-aggregate", tt.in}, nil, &out, &errOut)
+		if (err == nil) != tt.ok {
+			t.Fatalf("-aggregate %q: err = %v, want ok=%v", tt.in, err, tt.ok)
+		}
+		if !tt.ok && !strings.Contains(err.Error(), fmt.Sprintf("%q", tt.in)) {
+			t.Fatalf("-aggregate %q: error %q does not name the input", tt.in, err)
+		}
+		if tt.ok && !strings.Contains(out.String(), " agg="+tt.agg+":") {
+			t.Fatalf("-aggregate %q: output lacks agg=%s:\n%s", tt.in, tt.agg, out.String())
+		}
+	}
 }
 
 func TestRunEndToEnd(t *testing.T) {
@@ -132,11 +141,14 @@ func TestRunBUFormat(t *testing.T) {
 func TestRunRejectsBadFlags(t *testing.T) {
 	path := writeTempTrace(t)
 	for name, args := range map[string][]string{
-		"bad scheme": {"-trace", path, "-scheme", "bogus"},
-		"bad arch":   {"-trace", path, "-arch", "ring"},
-		"bad policy": {"-trace", path, "-policy", "fifo"},
-		"bad format": {"-trace", path, "-format", "xml"},
-		"bad size":   {"-trace", path, "-aggregate", "lots"},
+		"bad scheme":   {"-trace", path, "-scheme", "bogus"},
+		"bad arch":     {"-trace", path, "-arch", "ring"},
+		"bad policy":   {"-trace", path, "-policy", "fifo"},
+		"gds policy":   {"-trace", path, "-policy", "gds"},
+		"size policy":  {"-trace", path, "-policy", "size"},
+		"lfuda policy": {"-trace", path, "-policy", "lfuda"},
+		"bad format":   {"-trace", path, "-format", "xml"},
+		"bad size":     {"-trace", path, "-aggregate", "lots"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			var out, errOut bytes.Buffer
@@ -159,7 +171,7 @@ func TestRunDigestTTLWarmup(t *testing.T) {
 		"-ttl",
 		"-warmup", "0.25",
 		"-popularity",
-		"-policy", "lfuda",
+		"-policy", "lfu",
 		"-horizon", "2h",
 	}, nil, &out, &errOut)
 	if err != nil {

@@ -156,9 +156,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	capBytes, err := parseBytes(*capacity)
+	capBytes, err := cache.ParseBytes(*capacity)
 	if err != nil {
-		return err
+		return fmt.Errorf("-capacity: %w", err)
 	}
 	scheme, ok := core.New(*schemeName)
 	if !ok {
@@ -221,7 +221,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// netnode.New so the flag combinations fail loudly instead of being
 	// silently ignored.
 	if *diskCap != "" {
-		diskBytes, err := parseBytes(*diskCap)
+		diskBytes, err := cache.ParseBytes(*diskCap)
 		if err != nil {
 			return fmt.Errorf("-disk-capacity: %w", err)
 		}
@@ -530,24 +530,6 @@ func (p *peerList) Set(v string) error {
 	}
 	p.peers = append(p.peers, netnode.Peer{ICP: udp, HTTP: httpPart, Name: name, Admin: adminPart})
 	return nil
-}
-
-func parseBytes(s string) (int64, error) {
-	s = strings.TrimSpace(strings.ToUpper(s))
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "GB"):
-		mult, s = 1<<30, strings.TrimSuffix(s, "GB")
-	case strings.HasSuffix(s, "MB"):
-		mult, s = 1<<20, strings.TrimSuffix(s, "MB")
-	case strings.HasSuffix(s, "KB"):
-		mult, s = 1<<10, strings.TrimSuffix(s, "KB")
-	}
-	var n int64
-	if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &n); err != nil || n <= 0 {
-		return 0, fmt.Errorf("bad size %q", s)
-	}
-	return n * mult, nil
 }
 
 func waitForSignal() os.Signal {

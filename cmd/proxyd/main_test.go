@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"log/slog"
 	"strings"
@@ -10,26 +11,36 @@ import (
 	"eacache/internal/resolve"
 )
 
+// TestParseBytesLocal: -capacity and -disk-capacity take the shared size
+// syntax. A rejected size fails before any socket binds, naming its flag
+// and the input; an accepted one lets start-up reach the next check
+// (netnode's "DiskCapacity requires DiskDir"), which also binds nothing.
 func TestParseBytesLocal(t *testing.T) {
 	tests := []struct {
-		in   string
-		want int64
-		ok   bool
+		in string
+		ok bool
 	}{
-		{"10MB", 10 << 20, true},
-		{"64KB", 64 << 10, true},
-		{"1GB", 1 << 30, true},
-		{"2048", 2048, true},
-		{"zero", 0, false},
-		{"-1KB", 0, false},
+		{"10MB", true},
+		{"64KB", true},
+		{"1GB", true},
+		{"2048", true},
+		{"zero", false},
+		{"-1KB", false},
 	}
 	for _, tt := range tests {
-		got, err := parseBytes(tt.in)
-		if (err == nil) != tt.ok {
-			t.Fatalf("parseBytes(%q) err = %v", tt.in, err)
-		}
-		if tt.ok && got != tt.want {
-			t.Fatalf("parseBytes(%q) = %d, want %d", tt.in, got, tt.want)
+		for _, flagName := range []string{"-capacity", "-disk-capacity"} {
+			args := []string{flagName + "=" + tt.in}
+			if flagName == "-capacity" {
+				args = append(args, "-disk-capacity=1MB")
+			}
+			err := run(args, io.Discard, io.Discard)
+			want := "DiskCapacity requires DiskDir"
+			if !tt.ok {
+				want = fmt.Sprintf("%s: cache: bad size %q", flagName, tt.in)
+			}
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("run(%v) err = %v, want %q", args, err, want)
+			}
 		}
 	}
 }

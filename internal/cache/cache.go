@@ -1,12 +1,11 @@
 // Package cache implements the single-proxy caching substrate of the EA
-// reproduction: a byte-capacity document store with pluggable replacement
-// policies (LRU, LFU, SIZE, GreedyDual-Size) and the paper's expiration-age
-// bookkeeping.
+// reproduction: a byte-capacity document store with the paper's two
+// replacement policies (LRU and LFU) and its expiration-age bookkeeping.
 //
 // Every document carries the metadata the paper requires (entry time, last
 // hit time, hit counter). On eviction the store computes the victim's
-// document expiration age — (T1 - T0) since last hit for LRU-style policies
-// (paper eq. 2), lifetime/hits for LFU (paper eq. 3) — and folds it into the
+// document expiration age — (T1 - T0) since last hit for LRU (paper eq. 2),
+// lifetime/hits for LFU (paper eq. 3) — and folds it into the
 // cache expiration age (paper eq. 5), the contention signal the EA placement
 // scheme exchanges between proxies.
 package cache
@@ -62,9 +61,8 @@ type Entry struct {
 	Hits int64
 
 	// intrusive hooks owned by the policies
-	prev, next *Entry  // lru list
-	heapIndex  int     // lfu / size / gds heap position
-	priority   float64 // gds H-value
+	prev, next *Entry // lru list
+	heapIndex  int    // lfu heap position
 }
 
 // Eviction records one removed document and its expiration age, as fed to
@@ -82,8 +80,6 @@ type Eviction struct {
 // it: Add on insert, Touch on hit (or EA-scheme promotion), Remove on
 // eviction or explicit removal, and Victim to choose what to evict next.
 type Policy interface {
-	// Name identifies the policy ("lru", "lfu", ...).
-	Name() string
 	// Add registers a newly inserted entry.
 	Add(e *Entry)
 	// Touch records a hit on the entry (after the Store updated its
@@ -405,8 +401,8 @@ func (s *Store) insert(doc Document, enteredAt, lastHit time.Time, hits int64) {
 }
 
 // release takes back the entry of a document that left the store, zeroed
-// so that it pins no URL and carries no hit count, heap position, priority
-// or list link into its next life.
+// so that it pins no URL and carries no hit count, heap position or list
+// link into its next life.
 func (s *Store) release(e *Entry) {
 	if len(s.free) < maxFreeEntries {
 		*e = Entry{}
@@ -569,9 +565,9 @@ func (s *Store) URLs() []string {
 // makeRoomFor evicts victims until size more bytes fit, listing them in
 // s.evicted, whose previous contents are cleared so that no evicted
 // document stays pinned. The document named skip (the one being inserted
-// or refreshed) is never evicted: if the policy nominates it — a resized
-// document can be the SIZE policy's largest, for example — it is sidelined
-// from the policy for the duration and reinstated afterwards.
+// or refreshed) is never evicted: if the policy nominates it — LFU does
+// when a refreshed document's hit count is still the lowest — it is
+// sidelined from the policy for the duration and reinstated afterwards.
 func (s *Store) makeRoomFor(size int64, now time.Time, skip string) ([]Eviction, error) {
 	clear(s.evicted)
 	s.evicted = s.evicted[:0]

@@ -26,9 +26,6 @@ func NewLFU() *LFU {
 	})}
 }
 
-// Name implements Policy.
-func (l *LFU) Name() string { return "lfu" }
-
 // Add implements Policy.
 func (l *LFU) Add(e *Entry) { l.h.add(e) }
 

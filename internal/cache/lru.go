@@ -25,8 +25,18 @@ func NewLRU() *LRU {
 	return l
 }
 
-// Name implements Policy.
-func (l *LRU) Name() string { return "lru" }
+// NewPolicy builds one of the paper's two replacement policies by name:
+// "lru" or "lfu".
+func NewPolicy(name string) (Policy, bool) {
+	switch name {
+	case "lru":
+		return NewLRU(), true
+	case "lfu":
+		return NewLFU(), true
+	default:
+		return nil, false
+	}
+}
 
 // Add implements Policy: new entries are most recently used.
 func (l *LRU) Add(e *Entry) {

@@ -51,12 +51,6 @@ func TestLRUExpirationAge(t *testing.T) {
 	}
 }
 
-func TestLRUName(t *testing.T) {
-	if NewLRU().Name() != "lru" {
-		t.Fatal("name mismatch")
-	}
-}
-
 func TestLFUVictimIsLeastFrequent(t *testing.T) {
 	l := NewLFU()
 	a := &Entry{Doc: doc("a", 1), Hits: 5, LastHit: at(1)}
@@ -128,76 +122,18 @@ func TestLFUStoreIntegration(t *testing.T) {
 	}
 }
 
-func TestSIZEVictimIsLargest(t *testing.T) {
-	p := NewSIZE()
-	a := &Entry{Doc: doc("a", 10), LastHit: at(0)}
-	b := &Entry{Doc: doc("b", 99), LastHit: at(1)}
-	c := &Entry{Doc: doc("c", 50), LastHit: at(2)}
-	for _, e := range []*Entry{a, b, c} {
-		p.Add(e)
-	}
-	if v := p.Victim(); v != b {
-		t.Fatalf("Victim = %s, want b (largest)", v.Doc.URL)
-	}
-	p.Remove(b)
-	if v := p.Victim(); v != c {
-		t.Fatalf("Victim = %s, want c", v.Doc.URL)
-	}
-}
-
-func TestGDSInflation(t *testing.T) {
-	g := NewGDS()
-	// Small docs have higher priority (cost/size): victim is the largest.
-	a := &Entry{Doc: doc("a", 100), LastHit: at(0)}
-	b := &Entry{Doc: doc("b", 10), LastHit: at(1)}
-	g.Add(a)
-	g.Add(b)
-	if v := g.Victim(); v != a {
-		t.Fatalf("Victim = %s, want a (priority 1/100 < 1/10)", v.Doc.URL)
-	}
-	// Evicting a inflates L to 1/100; a new doc of size 100 now has
-	// priority L + 1/100 = 2/100, beating a hypothetical stale entry.
-	g.Remove(a)
-	c := &Entry{Doc: doc("c", 100), LastHit: at(2)}
-	g.Add(c)
-	if c.priority <= b.priority-1.0/10+1.0/100-1e-12 {
-		t.Fatalf("inflation not applied: c.priority = %v", c.priority)
-	}
-	// Touch restores full priority relative to current inflation.
-	g.Touch(b)
-	if v := g.Victim(); v != c {
-		t.Fatalf("Victim = %s, want c", v.Doc.URL)
-	}
-}
-
-func TestGDSFavoursSmallDocs(t *testing.T) {
-	s := mustStore(t, Config{Capacity: 100, Policy: NewGDS()})
-	if _, err := s.Put(doc("big", 90), at(0)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Put(doc("small", 5), at(1)); err != nil {
-		t.Fatal(err)
-	}
-	evicted, err := s.Put(doc("mid", 50), at(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evicted) != 1 || evicted[0].Doc.URL != "big" {
-		t.Fatalf("evicted %+v, want [big]", evicted)
-	}
-	if !s.Contains("small") {
-		t.Fatal("small doc evicted before big one")
-	}
-}
-
 func TestNewPolicy(t *testing.T) {
-	for _, name := range []string{"lru", "lfu", "gds", "size"} {
-		p, ok := NewPolicy(name)
-		if !ok || p.Name() != name {
-			t.Fatalf("NewPolicy(%q) = %v, %v", name, p, ok)
-		}
+	lru, _ := NewPolicy("lru")
+	if _, ok := lru.(*LRU); !ok {
+		t.Fatalf("NewPolicy(lru) = %T", lru)
 	}
-	if _, ok := NewPolicy("bogus"); ok {
-		t.Fatal("NewPolicy(bogus) succeeded")
+	lfu, _ := NewPolicy("lfu")
+	if _, ok := lfu.(*LFU); !ok {
+		t.Fatalf("NewPolicy(lfu) = %T", lfu)
+	}
+	for _, name := range []string{"bogus", "gds", "size", "lfuda"} {
+		if _, ok := NewPolicy(name); ok {
+			t.Fatalf("NewPolicy(%q) succeeded", name)
+		}
 	}
 }

@@ -45,7 +45,7 @@ func applyOps(t *testing.T, s *Store, ops []op) time.Time {
 }
 
 func TestQuickStoreInvariants(t *testing.T) {
-	for _, policy := range []string{"lru", "lfu", "lfuda", "gds", "size"} {
+	for _, policy := range []string{"lru", "lfu"} {
 		policy := policy
 		t.Run(policy, func(t *testing.T) {
 			f := func(ops []op, capSeed uint8) bool {

@@ -66,15 +66,12 @@ func storeTranscript(t *testing.T, policy string) string {
 
 // TestStoreTranscriptGolden holds every policy to the transcript captured
 // before the store recycled its entries: a recycled entry that carried a
-// stale hit count, heap position, priority or list link would evict a
+// stale hit count, heap position or list link would evict a
 // different victim somewhere in 20,000 operations.
 func TestStoreTranscriptGolden(t *testing.T) {
 	for policy, want := range map[string]string{
-		"lru":   "dc1a6c9f16ce73239e8392d7e2035c80af9dc77406291f64361fd3648f6f20d8",
-		"lfu":   "a01b9e10944f33cce4fc338e59428a86349f29989ad9e5e6beab8a9c15b5ecc1",
-		"lfuda": "5dc6a7746a920f9edf53c03fe8e670dd11d26b4a1e5aed186de490562e553743",
-		"gds":   "900948bee23377bf018d968e23e098475084d9bf2a467fa7d781b3e44183bc87",
-		"size":  "f33a589929d29b67800975cc8e31cd9b3b6453c7000a8add0724532ef7350301",
+		"lru": "dc1a6c9f16ce73239e8392d7e2035c80af9dc77406291f64361fd3648f6f20d8",
+		"lfu": "a01b9e10944f33cce4fc338e59428a86349f29989ad9e5e6beab8a9c15b5ecc1",
 	} {
 		if got := storeTranscript(t, policy); got != want {
 			t.Errorf("%s: transcript digest %s, want %s", policy, got, want)
@@ -110,11 +107,11 @@ func TestPutAllocBudget(t *testing.T) {
 }
 
 // TestRecycledEntriesAreClean: whatever a document's entry accumulated —
-// hits, a heap position, a priority, list links — is gone by the time the
+// hits, a heap position, list links — is gone by the time the
 // entry waits on the free stack, and the document inserted into it starts
 // as any new document does.
 func TestRecycledEntriesAreClean(t *testing.T) {
-	for _, policy := range []string{"lru", "lfu", "lfuda", "gds", "size"} {
+	for _, policy := range []string{"lru", "lfu"} {
 		p, _ := NewPolicy(policy)
 		s := mustStore(t, Config{Capacity: 10 << 10, Policy: p})
 		for i := 0; i < 10; i++ {

@@ -48,9 +48,6 @@ type ShardedConfig struct {
 	// oversized documents on a plain Store). Must be positive and at
 	// least Shards bytes.
 	Capacity int64
-	// NewPolicy builds one replacement policy per shard (policies are
-	// stateful, so shards cannot share an instance). Nil means LRU.
-	NewPolicy func() Policy
 	// ExpirationWindow / ExpirationHorizon configure the node's one
 	// expiration-age tracker, with Config's semantics. The window counts
 	// victims node-wide: Shards does not change it.
@@ -65,9 +62,9 @@ type shard struct {
 	store *Store
 }
 
-// ShardedStore is a concurrency-safe document cache: N independent Stores
-// behind per-shard locks, presenting the single-store API the live node
-// needs. All methods are safe for concurrent use.
+// ShardedStore is a concurrency-safe document cache: N independent LRU
+// Stores behind per-shard locks, presenting the single-store API the live
+// node needs. All methods are safe for concurrent use.
 type ShardedStore struct {
 	shards []*shard
 	mask   uint32
@@ -107,10 +104,6 @@ func NewSharded(cfg ShardedConfig) (*ShardedStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	newPolicy := cfg.NewPolicy
-	if newPolicy == nil {
-		newPolicy = func() Policy { return NewLRU() }
-	}
 	base, rem := cfg.Capacity/int64(n), cfg.Capacity%int64(n)
 	s := &ShardedStore{shards: make([]*shard, n), mask: uint32(n - 1), ages: ages}
 	for i := range s.shards {
@@ -118,8 +111,9 @@ func NewSharded(cfg ShardedConfig) (*ShardedStore, error) {
 		if int64(i) < rem {
 			capacity++
 		}
-		// A shard's own tracker is cumulative: it keeps no window.
-		st, err := New(Config{Capacity: capacity, Policy: newPolicy()})
+		// A shard is LRU, and its own tracker is cumulative: it keeps no
+		// window.
+		st, err := New(Config{Capacity: capacity})
 		if err != nil {
 			return nil, err
 		}

@@ -107,14 +107,6 @@ func TestShardedSingleShardMatchesStore(t *testing.T) {
 		sharded := mustSharded(t, ShardedConfig{Shards: 1, Capacity: capacity, ExpirationWindow: 8})
 		replayEquivalence(t, plain, sharded, 4000)
 	})
-	t.Run("LFU", func(t *testing.T) {
-		plain := mustStore(t, Config{Capacity: capacity, Policy: NewLFU(), ExpirationWindow: 8})
-		sharded := mustSharded(t, ShardedConfig{
-			Shards: 1, Capacity: capacity, ExpirationWindow: 8,
-			NewPolicy: func() Policy { return NewLFU() },
-		})
-		replayEquivalence(t, plain, sharded, 4000)
-	})
 }
 
 // Concurrent mixed traffic on a multi-shard store: the race detector

@@ -320,7 +320,7 @@ func TestURLs(t *testing.T) {
 }
 
 func TestCapacityNeverExceededAcrossPolicies(t *testing.T) {
-	for _, policy := range []string{"lru", "lfu", "lfuda", "gds", "size"} {
+	for _, policy := range []string{"lru", "lfu"} {
 		t.Run(policy, func(t *testing.T) {
 			p, ok := NewPolicy(policy)
 			if !ok {

@@ -36,6 +36,9 @@ package cache
 import (
 	"fmt"
 	"io"
+	"math"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -119,6 +122,34 @@ func ParseDemotePolicy(s string) (DemotePolicy, error) {
 	default:
 		return 0, fmt.Errorf("cache: unknown demote policy %q (want ea or always)", s)
 	}
+}
+
+// ParseBytes parses the -capacity, -disk-capacity and -aggregate flag
+// values: a positive whole number with an optional B, KB, MB or GB suffix
+// (binary multiples, any case), such as "4096", "512B", "64KB" or "1GB".
+// Anything else, trailing text and fractions included, is an error, as is
+// a size that overflows int64.
+func ParseBytes(s string) (int64, error) {
+	num := strings.TrimSpace(strings.ToUpper(s))
+	mult := int64(1)
+	switch {
+	case strings.HasSuffix(num, "GB"):
+		mult, num = 1<<30, strings.TrimSuffix(num, "GB")
+	case strings.HasSuffix(num, "MB"):
+		mult, num = 1<<20, strings.TrimSuffix(num, "MB")
+	case strings.HasSuffix(num, "KB"):
+		mult, num = 1<<10, strings.TrimSuffix(num, "KB")
+	case strings.HasSuffix(num, "B"):
+		num = strings.TrimSuffix(num, "B")
+	}
+	n, err := strconv.ParseInt(strings.TrimSpace(num), 10, 64)
+	if err != nil || n <= 0 {
+		return 0, fmt.Errorf("cache: bad size %q (want a positive whole number of B, KB, MB or GB)", s)
+	}
+	if n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("cache: size %q overflows int64", s)
+	}
+	return n * mult, nil
 }
 
 // String implements fmt.Stringer.

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -721,5 +722,45 @@ func TestRestoreDiskReconciles(t *testing.T) {
 	}
 	if rep := disk.VerifyAll(); rep.Failed != 0 || rep.Verified != 2 {
 		t.Fatalf("verify after reconcile = %+v", rep)
+	}
+}
+
+func TestParseBytes(t *testing.T) {
+	tests := []struct {
+		in   string
+		want int64
+		ok   bool
+	}{
+		{"100KB", 100 << 10, true},
+		{"64KB", 64 << 10, true},
+		{"1MB", 1 << 20, true},
+		{"10MB", 10 << 20, true},
+		{"1GB", 1 << 30, true},
+		{"4096", 4096, true},
+		{"512B", 512, true},
+		{" 10 mb ", 10 << 20, true},
+		{"8589934591GB", 8589934591 << 30, true},
+		{"0", 0, false},
+		{"-5KB", 0, false},
+		{"abc", 0, false},
+		{"zero", 0, false},
+		{"", 0, false},
+		{"100G", 0, false},
+		{"1.5GB", 0, false},
+		{"10XB", 0, false},
+		{"17179869185GB", 0, false},
+		{"9000000000GB", 0, false},
+	}
+	for _, tt := range tests {
+		got, err := cache.ParseBytes(tt.in)
+		if (err == nil) != tt.ok {
+			t.Fatalf("ParseBytes(%q) err = %v, want ok=%v", tt.in, err, tt.ok)
+		}
+		if !tt.ok && !strings.Contains(err.Error(), fmt.Sprintf("%q", tt.in)) {
+			t.Fatalf("ParseBytes(%q) error %q does not name the input", tt.in, err)
+		}
+		if tt.ok && got != tt.want {
+			t.Fatalf("ParseBytes(%q) = %d, want %d", tt.in, got, tt.want)
+		}
 	}
 }
