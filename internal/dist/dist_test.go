@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -121,6 +122,45 @@ func TestZipfValidation(t *testing.T) {
 	}
 	if _, err := NewZipf(10, math.NaN()); err == nil {
 		t.Fatal("NewZipf(_, NaN) accepted")
+	}
+	// The guide table holds ranks as int32.
+	if _, err := NewZipf(math.MaxInt32+1, 1); err == nil {
+		t.Fatal("NewZipf(MaxInt32+1, _) accepted")
+	}
+}
+
+// TestZipfRankMatchesInverseCDF holds the guide-table lookup to the plain
+// inverse CDF, a binary search over every rank, on random draws and on the
+// values where an off-by-one would show: the cell edges k/m, each CDF value,
+// the float just below it, and the largest float64 below 1.
+func TestZipfRankMatchesInverseCDF(t *testing.T) {
+	r := NewRNG(17)
+	for _, n := range []int{1, 2, 3, 7, 1000, 46830} {
+		for _, alpha := range []float64{0, 0.1, 0.75, 1, 3, 400} {
+			z, err := NewZipf(n, alpha)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(u float64) {
+				if got, want := z.rank(u), sort.SearchFloat64s(z.cdf, u); got != want {
+					t.Fatalf("n=%d alpha=%v u=%v: rank %d, inverse CDF %d", n, alpha, u, got, want)
+				}
+			}
+			for i := 0; i < 100000; i++ {
+				check(r.Float64())
+			}
+			m := len(z.guide) - 1
+			for k := 0; k < m; k++ {
+				check(float64(k) / float64(m))
+			}
+			for _, c := range z.cdf {
+				if c < 1 {
+					check(c)
+				}
+				check(math.Nextafter(c, 0))
+			}
+			check(math.Nextafter(1, 0))
+		}
 	}
 }
 

@@ -1,7 +1,14 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"runtime"
+	"slices"
+	"sort"
+	"strconv"
+	"sync"
 	"time"
 
 	"eacache/internal/dist"
@@ -167,8 +174,8 @@ func (c GenConfig) Validate() error {
 	switch {
 	case c.Requests <= 0:
 		return fmt.Errorf("trace: Requests must be positive, got %d", c.Requests)
-	case c.UniqueDocs <= 0:
-		return fmt.Errorf("trace: UniqueDocs must be positive, got %d", c.UniqueDocs)
+	case c.UniqueDocs <= 0 || c.UniqueDocs > math.MaxInt32:
+		return fmt.Errorf("trace: UniqueDocs must be in [1,%d], got %d", math.MaxInt32, c.UniqueDocs)
 	case c.ZipfAlpha < 0:
 		return fmt.Errorf("trace: ZipfAlpha must be >= 0, got %v", c.ZipfAlpha)
 	case c.HotDocs < 0 || c.HotDocs > c.UniqueDocs:
@@ -187,8 +194,8 @@ func (c GenConfig) Validate() error {
 		return fmt.Errorf("trace: SizeAlpha must be positive, got %v", c.SizeAlpha)
 	case c.ZeroSizeFraction < 0 || c.ZeroSizeFraction >= 1:
 		return fmt.Errorf("trace: ZeroSizeFraction must be in [0,1), got %v", c.ZeroSizeFraction)
-	case c.Users <= 0:
-		return fmt.Errorf("trace: Users must be positive, got %d", c.Users)
+	case c.Users <= 0 || c.Users > math.MaxInt32:
+		return fmt.Errorf("trace: Users must be in [1,%d], got %d", math.MaxInt32, c.Users)
 	case c.Sessions <= 0:
 		return fmt.Errorf("trace: Sessions must be positive, got %d", c.Sessions)
 	case c.SessionLength <= 0:
@@ -216,7 +223,9 @@ func (c GenConfig) Validate() error {
 // Generate produces a chronologically sorted synthetic reference stream.
 // Requests are drawn as 16-byte events, one time-ordered run per session,
 // and the runs are merged straight into the records: each Record is built
-// once, in its final place, and no 64-byte record is ever moved by a sort.
+// once, in its final place, and no 48-byte record is ever moved by a sort.
+// The merge runs on every core, and its output does not depend on how many
+// there are.
 func Generate(cfg GenConfig) ([]Record, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -228,7 +237,7 @@ func Generate(cfg GenConfig) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.merge(records)
+	g.merge(records, max(1, min(runtime.GOMAXPROCS(0), len(records)/minPieceRecords)))
 	return records, nil
 }
 
@@ -290,9 +299,10 @@ func draw(cfg GenConfig) (*generator, error) {
 		think:     think,
 		inlineGap: inlineGap,
 		events:    make([]event, 0, cfg.Requests),
-		runs:      make(runHeap, 0, cfg.Sessions),
+		runs:      make([]run, 0, cfg.Sessions),
 		clients:   make([]string, cfg.Users),
 		urls:      make([]string, len(catalog)),
+		start:     cfg.Start.UnixNano(),
 	}
 
 	// The first cohortSessions sessions are grouped into cohorts of
@@ -345,9 +355,10 @@ type generator struct {
 	think     *dist.Exponential
 	inlineGap *dist.Exponential
 	events    []event  // every request, in generation order
-	runs      runHeap  // one run of events per session
+	runs      []run    // one run of events per session
 	clients   []string // client name of each user, formatted on first reference
 	urls      []string // docURL of each catalog entry, formatted on first reference
+	start     int64    // cfg.Start in Unix nanoseconds
 }
 
 // event is one drawn request in 16 bytes: its offset from cfg.Start, its
@@ -392,14 +403,70 @@ func (h runHeap) down(i int) {
 	}
 }
 
+// A concurrent merge piece gets at least minPieceRecords records, below
+// which a goroutine and cutting every run cost more than they save, and its
+// cut point is chosen from pivotSamples sampled keys per piece.
+const minPieceRecords, pivotSamples = 1 << 14, 256
+
 // merge fills records with the events in time order, ties in generation
-// order, building each Record once in place.
-func (g *generator) merge(records []Record) {
-	h := g.runs
+// order, building each Record once in place. It cuts the (at, pos) order
+// into the given number of contiguous pieces at pivot keys sampled from the
+// events, and merges the pieces concurrently into disjoint ranges of
+// records. Every run is cut at the same keys, so the result is the same for
+// any number of pieces.
+func (g *generator) merge(records []Record, pieces int) {
+	// cuts[j][r] is where piece j starts in run r; cuts[pieces] holds the
+	// runs' ends.
+	cuts := make([][]int, pieces+1)
+	cuts[0], cuts[pieces] = make([]int, len(g.runs)), make([]int, len(g.runs))
+	for r, rn := range g.runs {
+		cuts[0][r], cuts[pieces][r] = rn.pos, rn.end
+	}
+	keys := g.sampleKeys(pieces * pivotSamples)
+	for j := 1; j < pieces; j++ {
+		p := keys[j*len(keys)/pieces]
+		cuts[j] = make([]int, len(g.runs))
+		for r, lo := range cuts[j-1] {
+			cuts[j][r] = lo + sort.Search(g.runs[r].end-lo, func(i int) bool {
+				return !(run{at: g.events[lo+i].at, pos: lo + i}).before(p)
+			})
+		}
+	}
+	var wg sync.WaitGroup
+	for j, off := 0, 0; j < pieces; j++ {
+		h, n := make(runHeap, 0, len(g.runs)), 0
+		for r, lo := range cuts[j] {
+			if hi := cuts[j+1][r]; lo < hi {
+				h, n = append(h, run{at: g.events[lo].at, pos: lo, end: hi}), n+hi-lo
+			}
+		}
+		wg.Add(1)
+		go func(out []Record) { defer wg.Done(); g.mergeRuns(h, out) }(records[off : off+n])
+		off += n
+	}
+	wg.Wait()
+}
+
+// sampleKeys returns the keys of n evenly spaced events, or of every event
+// if there are fewer, in ascending (at, pos) order.
+func (g *generator) sampleKeys(n int) []run {
+	keys := make([]run, min(n, len(g.events)))
+	for i := range keys {
+		pos := i * len(g.events) / len(keys)
+		keys[i] = run{at: g.events[pos].at, pos: pos}
+	}
+	slices.SortFunc(keys, func(a, b run) int { return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.pos, b.pos)) })
+	return keys
+}
+
+// mergeRuns is a k-way merge of the runs in h into out, which has room for
+// exactly their events. It only reads the generator, so pieces can run it
+// concurrently.
+func (g *generator) mergeRuns(h runHeap, out []Record) {
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}
-	for i := range records {
+	for i := range out {
 		e := g.events[h[0].pos]
 		if h[0].pos++; h[0].pos < h[0].end {
 			h[0].at = g.events[h[0].pos].at
@@ -408,24 +475,17 @@ func (g *generator) merge(records []Record) {
 			h = h[:len(h)-1]
 		}
 		h.down(0)
-		g.record(&records[i], e)
+		g.record(&out[i], e)
 	}
 }
 
-// record builds e's Record in *r. Client names are formatted once per user
-// and URLs once per document.
+// record builds e's Record in *r from the names the draw formatted.
 func (g *generator) record(r *Record, e event) {
 	user, size := int(e.user), g.catalog[e.doc]
 	if user < 0 {
 		user, size = ^user, 0
 	}
-	if g.clients[user] == "" {
-		g.clients[user] = fmt.Sprintf("u%04d", user)
-	}
-	if g.urls[e.doc] == "" {
-		g.urls[e.doc] = docURL(int(e.doc))
-	}
-	*r = Record{UnixNano: g.cfg.Start.Add(e.at).UnixNano(), Client: g.clients[user], URL: g.urls[e.doc], Size: size}
+	*r = Record{UnixNano: g.start + int64(e.at), Client: g.clients[user], URL: g.urls[e.doc], Size: size}
 }
 
 // step is one position of a cohort's shared page stream.
@@ -443,7 +503,7 @@ func (g *generator) masterStream(n int) []step {
 	for i := range master {
 		if inlineLeft > 0 {
 			inlineLeft--
-			master[i] = step{doc: pickInline(g.cfg, g.rng, g.zipf), inline: true}
+			master[i] = step{doc: g.pickInline(), inline: true}
 			continue
 		}
 		master[i] = step{doc: g.zipf.Rank(g.rng)}
@@ -469,9 +529,9 @@ func (g *generator) emitSession(user int, start time.Duration, n int, master []s
 			docID, inline = master[i].doc, master[i].inline
 		} else if inlineLeft > 0 {
 			inlineLeft--
-			docID, inline = pickInline(g.cfg, g.rng, g.zipf), true
+			docID, inline = g.pickInline(), true
 		} else {
-			docID = pickDoc(g.cfg, g.rng, g.zipf, h)
+			docID = g.pickDoc(h)
 			inlineLeft = sampleGeometric(g.rng, g.cfg.InlinePerView)
 		}
 		if inline {
@@ -480,6 +540,9 @@ func (g *generator) emitSession(user int, start time.Duration, n int, master []s
 			t += time.Duration(g.think.Sample(g.rng) * float64(time.Second))
 		}
 		h.add(docID)
+		if g.urls[docID] == "" {
+			g.urls[docID] = docURL(docID)
+		}
 		e := event{at: t, doc: int32(docID), user: int32(user)}
 		if g.cfg.ZeroSizeFraction > 0 && g.rng.Float64() < g.cfg.ZeroSizeFraction {
 			e.user = ^e.user
@@ -488,6 +551,9 @@ func (g *generator) emitSession(user int, start time.Duration, n int, master []s
 	}
 	if n > 0 {
 		g.runs = append(g.runs, run{at: g.events[pos].at, pos: pos, end: len(g.events)})
+		if g.clients[user] == "" {
+			g.clients[user] = string(appendPadded([]byte{'u'}, user, 4))
+		}
 	}
 }
 
@@ -554,21 +620,21 @@ func sessionIntensity(cfg GenConfig, t time.Time) float64 {
 // pickDoc selects a page document: a revisit of the user's recent history
 // with probability SelfAffinity, otherwise a draw from the global
 // popularity distribution.
-func pickDoc(cfg GenConfig, rng *dist.RNG, zipf *dist.Zipf, h *history) int {
-	if cfg.SelfAffinity > 0 && h.len() > 0 && rng.Float64() < cfg.SelfAffinity {
-		return h.pick(rng)
+func (g *generator) pickDoc(h *history) int {
+	if g.cfg.SelfAffinity > 0 && h.len() > 0 && g.rng.Float64() < g.cfg.SelfAffinity {
+		return h.pick(g.rng)
 	}
-	return zipf.Rank(rng)
+	return g.zipf.Rank(g.rng)
 }
 
 // pickInline selects an inline object of the current page view: one of the
 // ultra-hot site-wide images with probability HotWeight, otherwise an
 // ordinary document from the popularity distribution.
-func pickInline(cfg GenConfig, rng *dist.RNG, zipf *dist.Zipf) int {
-	if cfg.HotWeight > 0 && rng.Float64() < cfg.HotWeight {
-		return rng.Intn(cfg.HotDocs)
+func (g *generator) pickInline() int {
+	if g.cfg.HotWeight > 0 && g.rng.Float64() < g.cfg.HotWeight {
+		return g.rng.Intn(g.cfg.HotDocs)
 	}
-	return zipf.Rank(rng)
+	return g.zipf.Rank(g.rng)
 }
 
 // sampleGeometric draws a geometric count with the given mean, capped so a
@@ -585,9 +651,23 @@ func sampleGeometric(rng *dist.RNG, mean float64) int {
 	return n
 }
 
+// docURL names document id, spread over ~300 origin servers to match the
+// multi-server spread of real logs.
 func docURL(id int) string {
-	// ~300 origin servers, matching the multi-server spread of real logs.
-	return fmt.Sprintf("http://origin%03d.example.edu/doc%06d.html", id%311, id)
+	b := appendPadded(append(make([]byte, 0, 48), "http://origin"...), id%311, 3)
+	b = appendPadded(append(b, ".example.edu/doc"...), id, 6)
+	return string(append(b, ".html"...))
+}
+
+// appendPadded appends the non-negative v in decimal, zero-padded to width
+// digits, as fmt's %0*d does.
+func appendPadded(b []byte, v, width int) []byte {
+	n := len(b)
+	b = strconv.AppendInt(b, int64(v), 10)
+	for len(b)-n < width {
+		b = slices.Insert(b, n, '0')
+	}
+	return b
 }
 
 // history is a small ring of a user's recently referenced documents.

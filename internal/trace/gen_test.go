@@ -166,7 +166,9 @@ func TestGenerateValidation(t *testing.T) {
 		"maxsize":        func(c *GenConfig) { c.MaxDocSize = c.MeanDocSize },
 		"sizealpha":      func(c *GenConfig) { c.SizeAlpha = 0 },
 		"zerofrac":       func(c *GenConfig) { c.ZeroSizeFraction = 1 },
+		"docs>int32":     func(c *GenConfig) { c.UniqueDocs = math.MaxInt32 + 1 },
 		"users":          func(c *GenConfig) { c.Users = 0 },
+		"users>int32":    func(c *GenConfig) { c.Users = math.MaxInt32 + 1 },
 		"sessions":       func(c *GenConfig) { c.Sessions = 0 },
 		"sessionlength":  func(c *GenConfig) { c.SessionLength = 0 },
 		"selfaffinity":   func(c *GenConfig) { c.SelfAffinity = 1 },

@@ -17,27 +17,31 @@ import (
 // SHA-256 of the canonical text form of the scaled BU-like trace, captured
 // before client names and URLs were interned. A change that formats one
 // name differently, draws one more random number or reorders one record
-// changes the digest.
+// changes the digest. The digests hold whatever the number of cores.
 func TestGenerateGolden(t *testing.T) {
-	for _, tc := range []struct {
-		seed uint64
-		want string
-	}{
-		{1, "7a4324084419b7643c50b84cd6eb8fb29c318f55999cb21e68ec94cf84f5e980"},
-		{2, "953b5d4b91a998aaa5f652701ac4ed91a5dcf2105abd1b75a8edc5cfdcec1e1d"},
-	} {
-		cfg := BULike().Scaled(0.05)
-		cfg.Seed = tc.seed
-		records, err := Generate(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := sha256.New()
-		if err := Write(h, records); err != nil {
-			t.Fatal(err)
-		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
-			t.Errorf("seed %d: canonical trace digest %s, want %s", tc.seed, got, tc.want)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{runtime.GOMAXPROCS(0), 1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, tc := range []struct {
+			seed uint64
+			want string
+		}{
+			{1, "7a4324084419b7643c50b84cd6eb8fb29c318f55999cb21e68ec94cf84f5e980"},
+			{2, "953b5d4b91a998aaa5f652701ac4ed91a5dcf2105abd1b75a8edc5cfdcec1e1d"},
+		} {
+			cfg := BULike().Scaled(0.05)
+			cfg.Seed = tc.seed
+			records, err := Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			if err := Write(h, records); err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+				t.Errorf("GOMAXPROCS %d, seed %d: canonical trace digest %s, want %s", procs, tc.seed, got, tc.want)
+			}
 		}
 	}
 }
@@ -122,6 +126,35 @@ func TestGenerateKeepsGenerationOrderOnTies(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Generate differs from the stable reference on a trace with %d ties", ties)
+	}
+}
+
+// TestMergePiecesMatchSequential: the session runs merged in 1 to 8
+// concurrent pieces give the records of the one-piece merge, on the
+// tie-heavy trace of TestGenerateKeepsGenerationOrderOnTies, where many
+// sampled pivots share a timestamp with the events they cut, and on a
+// trace large enough that Generate cuts it on its own.
+func TestMergePiecesMatchSequential(t *testing.T) {
+	ties := BULike().Scaled(0.02)
+	ties.Span = time.Nanosecond
+	ties.SessionLength = 50 * time.Nanosecond
+	ties.CohortFraction = 0
+	ties.DiurnalStrength = 0
+	ties.WeekendFactor = 1
+	for name, cfg := range map[string]GenConfig{"ties": ties, "bu-0.1": BULike().Scaled(0.1)} {
+		g, err := draw(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]Record, cfg.Requests)
+		g.merge(want, 1)
+		for pieces := 1; pieces <= 8; pieces++ {
+			got := make([]Record, cfg.Requests)
+			g.merge(got, pieces)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: a merge in %d pieces differs from the one-piece merge", name, pieces)
+			}
+		}
 	}
 }
 
