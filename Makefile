@@ -16,8 +16,10 @@ fmt:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 
-# Size ratchet: non-test Go lines, the largest non-test file, proxyd's
-# flag count, the eac_* metric families and the byte size of the five
+# Size ratchet: non-test Go lines, the largest non-test file, the flag
+# counts of proxyd and of its demo and origin subcommands (each against its
+# own ceiling, so moving a flag behind a subcommand cannot hide growth),
+# the eac_* metric families and the byte size of the five
 # long documents may shrink freely but fail the
 # gate when one grows past the ceiling written below. A change that needs
 # more room raises the number here, in its own diff, where a reviewer sees
@@ -26,18 +28,24 @@ fmt:
 size:
 	@lines=$$(find . -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); \
 	set -- $$(find . -name '*.go' -not -name '*_test.go' | xargs wc -l | grep -v ' total$$' | sort -n | tail -n 1); \
-	flags=$$($(GO) run ./cmd/proxyd -h 2>&1 | grep -c '^  -'); \
+	mkdir -p artifacts && $(GO) build -o artifacts/proxyd ./cmd/proxyd || exit 1; \
+	flags=$$(artifacts/proxyd -h 2>&1 | grep -c '^  -'); \
+	demoflags=$$(artifacts/proxyd demo -h 2>&1 | grep -c '^  -'); \
+	originflags=$$(artifacts/proxyd origin -h 2>&1 | grep -c '^  -'); \
 	families=$$(grep -c '^| `eac_' METRICS.md); \
-	echo "non-test Go lines:     $$lines (ceiling 23443)"; \
+	echo "non-test Go lines:     $$lines (ceiling 23418)"; \
 	echo "largest non-test file: $$1 $$2 (ceiling 855)"; \
-	echo "proxyd flags:          $$flags (ceiling 36)"; \
+	echo "proxyd flags:          $$flags (ceiling 20)"; \
+	echo "proxyd demo flags:     $$demoflags (ceiling 5)"; \
+	echo "proxyd origin flags:   $$originflags (ceiling 1)"; \
 	echo "eac_* families:        $$families (ceiling 40)"; \
-	docs=0; for d in README.md:33601 DESIGN.md:84775 EXPERIMENTS.md:56132 CHANGES.md:35462 bench/README.md:51956; do \
+	docs=0; for d in README.md:32814 DESIGN.md:84736 EXPERIMENTS.md:56132 CHANGES.md:34262 bench/README.md:51956; do \
 		f=$${d%%:*}; max=$${d##*:}; bytes=$$(wc -c < $$f); \
 		printf '%-22s %s (ceiling %s)\n' "$$f bytes:" $$bytes $$max; \
 		[ $$bytes -le $$max ] || docs=1; \
 	done; \
-	[ $$lines -le 23443 ] && [ $$1 -le 855 ] && [ $$flags -le 36 ] && [ $$families -le 40 ] && [ $$docs -eq 0 ]
+	[ $$lines -le 23418 ] && [ $$1 -le 855 ] && [ $$flags -le 20 ] && [ $$demoflags -le 5 ] && \
+	[ $$originflags -le 1 ] && [ $$families -le 40 ] && [ $$docs -eq 0 ]
 
 build:
 	$(GO) build ./...

@@ -2,16 +2,17 @@
 // ICP (RFC 2186) over UDP for neighbour queries and the hproto fetch
 // protocol over TCP, with cache expiration ages piggybacked per the paper.
 //
-// A node can also run as the origin server for the group (-origin-mode),
-// and -demo spins up an entire cooperative group plus origin in one process
-// and replays a small synthetic workload through it.
+// Two subcommands serve the group rather than run a node: `proxyd origin`
+// is the group's origin server, and `proxyd demo` spins up an entire
+// cooperative group plus origin in one process and replays a small
+// synthetic workload through it.
 //
 // Usage:
 //
-//	proxyd -origin-mode -http 127.0.0.1:8000
+//	proxyd origin -http 127.0.0.1:8000
 //	proxyd -icp 127.0.0.1:3130 -http 127.0.0.1:8081 -origin 127.0.0.1:8000 \
 //	       -peer 127.0.0.1:3131/127.0.0.1:8082 -scheme ea -capacity 10MB
-//	proxyd -demo -nodes 3
+//	proxyd demo -nodes 3
 package main
 
 import (
@@ -24,7 +25,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"eacache/internal/cache"
 	"eacache/internal/core"
@@ -44,8 +44,20 @@ func main() {
 }
 
 func run(args []string, stdout, stderr io.Writer) error {
+	if len(args) > 0 {
+		switch args[0] {
+		case "demo":
+			return runDemo(args[1:], stdout, stderr)
+		case "origin":
+			return runOrigin(args[1:], stdout, stderr)
+		}
+	}
 	fs := flag.NewFlagSet("proxyd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "Usage: proxyd [flags] | proxyd demo [flags] | proxyd origin [flags]")
+		fs.PrintDefaults()
+	}
 	var (
 		icpAddr    = fs.String("icp", "127.0.0.1:3130", "ICP (UDP) listen address")
 		httpAddr   = fs.String("http", "127.0.0.1:8081", "fetch (TCP) listen address")
@@ -54,79 +66,35 @@ func run(args []string, stdout, stderr io.Writer) error {
 		schemeName = fs.String("scheme", "ea", `placement scheme: "adhoc", "ea" or "never"`)
 		locate     = fs.String("locate", "icp", `document location mechanism: "icp", "digest" or "hash"`)
 		hashName   = fs.String("hash-name", "", "this node's hash-ring member name under -locate=hash (default: the bound fetch address)")
-
-		digestRefresh = fs.Duration("digest-refresh", 0, "how long a fetched peer digest is trusted before background revalidation (needs -locate=digest; 0 uses the default)")
-		digestWindow  = fs.Int("digest-delta-window", 0, "generations of digest changes kept for delta sync; peers further behind get a full transfer (needs -locate=digest; 0 uses the default)")
-		capacity      = fs.String("capacity", "10MB", "cache capacity")
-		shards        = fs.Int("cache-shards", cache.DefaultShards,
-			"cache lock shards (rounded up to a power of two); 1 serialises the store. A lock count: the expiration-age window is node-wide either way")
+		capacity   = fs.String("capacity", "10MB", "cache capacity")
 		peers      peerList
-		originMode = fs.Bool("origin-mode", false, "run as the group's origin server instead of a proxy")
-		demo       = fs.Bool("demo", false, "run a self-contained demo group and exit")
-		demoNodes  = fs.Int("nodes", 3, "group size for -demo")
-		demoReqs   = fs.Int("requests", 600, "requests to replay in -demo")
 
-		dialTimeout   = fs.Duration("dial-timeout", netnode.DefaultDialTimeout, "TCP dial timeout for peer/parent/origin fetches")
-		fetchTimeout  = fs.Duration("fetch-timeout", netnode.DefaultFetchTimeout, "whole-exchange timeout for inter-proxy fetches")
-		fetchAttempts = fs.Int("fetch-attempts", netnode.DefaultFetchAttempts, "attempts per parent/origin fetch before the request fails")
-
-		originConc   = fs.Int("origin-concurrency", netnode.DefaultOriginConcurrency, "max simultaneous parent/origin fetches")
+		dialTimeout  = fs.Duration("dial-timeout", netnode.DefaultDialTimeout, "TCP dial timeout for peer/parent/origin fetches; readmission probes of an ejected peer run every quarter of it")
+		fetchTimeout = fs.Duration("fetch-timeout", netnode.DefaultFetchTimeout, "whole-exchange timeout for inter-proxy fetches; a peer dead for two of them is ejected, and a SIGTERM/SIGINT drain waits one for in-flight requests")
 		maxInflight  = fs.Int("max-inflight", 1024, "max concurrent requests before the front door sheds; 0 disables shedding")
-		shedQueueLag = fs.Duration("shed-queue-wait", netnode.DefaultShedQueueWait, "how long an over-limit request may queue before it is shed (needs -max-inflight > 0)")
 		chaosSpec    = fs.String("chaos", "", `inject deterministic faults into every socket, e.g. "seed=42,udp-drop=0.3,tcp-stall=0.05" (see internal/faults)`)
 
-		diskDir      = fs.String("disk-dir", "", "directory for the checksummed blob disk tier; empty runs memory-only")
-		diskCap      = fs.String("disk-capacity", "", `disk tier capacity, e.g. "100GB" (needs -disk-dir)`)
-		diskDemote   = fs.String("disk-demote", "", `tier demotion rule: "ea" (paper placement rule at the tier boundary, default) or "always" (needs -disk-dir)`)
-		dataDir      = fs.String("data-dir", "", "directory for crash-safe cache persistence (snapshot + journal); empty runs in-memory only")
-		snapInterval = fs.Duration("snapshot-interval", netnode.DefaultSnapshotInterval, "how often to checkpoint the cache (needs -data-dir)")
-		drainTimeout = fs.Duration("drain-timeout", 5*time.Second, "how long a SIGTERM/SIGINT drain waits for in-flight fetches before exiting")
-
-		ejectAfter   = fs.Duration("eject-after", 10*time.Second, "eject a peer whose breaker stays dead this long from the locator set until a probe readmits it; 0 disables ejection")
-		readmitProbe = fs.Duration("readmit-probe", netnode.DefaultReadmitProbe, "spacing of readmission probes to ejected peers (needs -eject-after > 0)")
-		joinWarmup   = fs.Duration("join-warmup", 0, "under -locate=hash, relay without storing for this long after boot so the group converges on this node's arrival; 0 disables")
+		diskDir    = fs.String("disk-dir", "", "directory for the checksummed blob disk tier; empty runs memory-only")
+		diskCap    = fs.String("disk-capacity", "", `disk tier capacity, e.g. "100GB" (needs -disk-dir)`)
+		diskDemote = fs.String("disk-demote", "", `tier demotion rule: "ea" (paper placement rule at the tier boundary, default) or "always" (needs -disk-dir)`)
+		dataDir    = fs.String("data-dir", "", "directory for crash-safe cache persistence (snapshot + journal); empty runs in-memory only")
 
 		nodeID      = fs.String("id", "proxyd", "node name in logs, traces and the decision audit (give each group member its own)")
 		adminAddr   = fs.String("admin-addr", "", "admin HTTP listen address serving /metrics, /healthz, /debug/trace, /debug/placement, pprof and the /admin/peers membership API; empty disables telemetry")
-		traceCap    = fs.Int("trace-capacity", obs.DefaultTraceCapacity, "how many recent request traces /debug/trace retains (needs -admin-addr)")
-		traceSample = fs.Int("trace-sample", obs.DefaultTraceSampling, "trace one request in N; 1 traces every request, metrics always cover all (needs -admin-addr)")
+		traceSample = fs.Int("trace-sample", obs.DefaultTraceSampling, "trace one request in N; 1 traces every request, metrics always cover all, and /debug/trace retains the last 64×N traces (needs -admin-addr)")
 	)
 	fs.Var(&peers, "peer", "neighbour as <icp-addr>/<http-addr>[/<hash-name>[/<admin-addr>]] (repeatable)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	// The overload bounds must be sane whatever mode runs; reject the
-	// nonsensical values up front with the flag name in the error.
-	if *originConc <= 0 {
-		return fmt.Errorf("-origin-concurrency must be positive, got %d", *originConc)
-	}
+	// Reject the nonsensical values up front with the flag name in the
+	// error.
 	if *maxInflight < 0 {
 		return fmt.Errorf("-max-inflight must be positive, or 0 to disable shedding, got %d", *maxInflight)
 	}
-	if *shedQueueLag <= 0 {
-		return fmt.Errorf("-shed-queue-wait must be positive, got %v", *shedQueueLag)
-	}
-	if *ejectAfter < 0 {
-		return fmt.Errorf("-eject-after must be positive, or 0 to disable ejection, got %v", *ejectAfter)
-	}
-	if *readmitProbe <= 0 {
-		return fmt.Errorf("-readmit-probe must be positive, got %v", *readmitProbe)
-	}
-	if *joinWarmup < 0 {
-		return fmt.Errorf("-join-warmup must be positive, or 0 to disable, got %v", *joinWarmup)
-	}
-	if *digestRefresh < 0 {
-		return fmt.Errorf("-digest-refresh must be positive, or 0 for the default, got %v", *digestRefresh)
-	}
-	if *digestWindow < 0 {
-		return fmt.Errorf("-digest-delta-window must be positive, or 0 for the default, got %d", *digestWindow)
-	}
 	if *traceSample < 1 {
 		return fmt.Errorf("-trace-sample must be at least 1 (trace every request), got %d", *traceSample)
-	}
-	if *traceCap < 1 {
-		return fmt.Errorf("-trace-capacity must be positive, got %d", *traceCap)
 	}
 
 	logger := slog.New(slog.NewTextHandler(stderr, nil))
@@ -136,24 +104,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	if *demo {
-		return runDemo(stdout, logger, *demoNodes, *demoReqs, *schemeName, loc, *chaosSpec)
-	}
-
 	injector, err := newInjector(*chaosSpec)
 	if err != nil {
 		return err
-	}
-
-	if *originMode {
-		origin, err := netnode.NewOriginServer(*httpAddr, logger)
-		if err != nil {
-			return err
-		}
-		defer origin.Close()
-		fmt.Fprintf(stdout, "origin server on %s\n", origin.Addr())
-		waitForSignal()
-		return nil
 	}
 
 	capBytes, err := cache.ParseBytes(*capacity)
@@ -165,7 +118,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unknown scheme %q", *schemeName)
 	}
 	store, err := cache.NewSharded(cache.ShardedConfig{
-		Shards:           *shards,
 		Capacity:         capBytes,
 		ExpirationWindow: cache.DefaultExpirationWindow,
 	})
@@ -174,47 +126,28 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	var tel *obs.Telemetry
 	if *adminAddr != "" {
-		tel = obs.New(*nodeID, *traceCap)
+		tel = obs.New(*nodeID, obs.TraceCapacity(*traceSample))
 		tel.SetTraceSampling(*traceSample)
 	}
+	// The timing knobs left zero are derived by netnode from the dial and
+	// fetch timeouts; the rest take their Default* constants.
 	nodeCfg := netnode.Config{
-		ID:            *nodeID,
-		ICPAddr:       *icpAddr,
-		HTTPAddr:      *httpAddr,
-		Store:         store,
-		Scheme:        scheme,
-		OriginAddr:    *originAddr,
-		ParentAddr:    *parentAddr,
-		Location:      loc,
-		HashName:      *hashName,
-		DigestRefresh: *digestRefresh,
-		DialTimeout:   *dialTimeout,
-		FetchTimeout:  *fetchTimeout,
-		FetchAttempts: *fetchAttempts,
-
-		OriginConcurrency: *originConc,
-		MaxInflight:       *maxInflight,
-
-		JoinWarmup: *joinWarmup,
-
-		Faults: injector,
-		Obs:    tel,
-		Logger: logger,
-	}
-	if *ejectAfter > 0 {
-		// netnode rejects a probe interval with ejection off; only pass it
-		// through when it applies.
-		nodeCfg.EjectAfter = *ejectAfter
-		nodeCfg.ReadmitProbe = *readmitProbe
-	}
-	if *maxInflight > 0 {
-		// netnode rejects a wait bound with shedding off; only pass it
-		// through when it applies.
-		nodeCfg.ShedQueueWait = *shedQueueLag
-	}
-	if *dataDir != "" {
-		nodeCfg.DataDir = *dataDir
-		nodeCfg.SnapshotInterval = *snapInterval
+		ID:           *nodeID,
+		ICPAddr:      *icpAddr,
+		HTTPAddr:     *httpAddr,
+		Store:        store,
+		Scheme:       scheme,
+		OriginAddr:   *originAddr,
+		ParentAddr:   *parentAddr,
+		Location:     loc,
+		HashName:     *hashName,
+		DialTimeout:  *dialTimeout,
+		FetchTimeout: *fetchTimeout,
+		MaxInflight:  *maxInflight,
+		DataDir:      *dataDir,
+		Faults:       injector,
+		Obs:          tel,
+		Logger:       logger,
 	}
 	// The disk tier: the capacity string is parsed here, everything else
 	// (dir-without-capacity, demote-without-dir, ...) is validated by
@@ -229,9 +162,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	nodeCfg.DiskDir = *diskDir
 	nodeCfg.DiskDemote = *diskDemote
-	// Passed through unconditionally so netnode rejects
-	// -digest-delta-window without -locate=digest instead of ignoring it.
-	nodeCfg.DigestDeltaWindow = *digestWindow
 	node, err := netnode.New(nodeCfg)
 	if err != nil {
 		return err
@@ -299,8 +229,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "chaos mode: %s\n", *chaosSpec)
 	}
 	sig := waitForSignal()
-	fmt.Fprintf(stdout, "%s: draining (in-flight deadline %v)...\n", sig, *drainTimeout)
-	if err := node.Drain(*drainTimeout); err != nil {
+	fmt.Fprintf(stdout, "%s: draining...\n", sig)
+	if err := node.Drain(); err != nil {
 		logger.Warn("drain failed", "err", err)
 	}
 	if *dataDir != "" {
@@ -328,19 +258,55 @@ func newInjector(spec string) (*faults.Injector, error) {
 	return faults.New(cfg)
 }
 
-// runDemo builds an origin plus an n-node cooperative group on loopback,
-// replays a Zipf workload through it, and prints what happened on the
-// wire. loc selects the document-location mechanism (under hash routing
-// the demo also reports the group-wide replication factor, which must
-// stay at one copy per document). A non-empty chaosSpec injects
-// deterministic faults into every node's sockets and reports how the
-// group degraded.
-func runDemo(stdout io.Writer, logger *slog.Logger, n, requests int, schemeName string, loc resolve.Location, chaosSpec string) error {
-	scheme, ok := core.New(schemeName)
-	if !ok {
-		return fmt.Errorf("unknown scheme %q", schemeName)
+// runOrigin is `proxyd origin`: it serves as the group's origin server
+// until a signal arrives.
+func runOrigin(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("proxyd origin", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	httpAddr := fs.String("http", "127.0.0.1:8000", "fetch (TCP) listen address")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	injector, err := newInjector(chaosSpec)
+	origin, err := netnode.NewOriginServer(*httpAddr, slog.New(slog.NewTextHandler(stderr, nil)))
+	if err != nil {
+		return err
+	}
+	defer origin.Close()
+	fmt.Fprintf(stdout, "origin server on %s\n", origin.Addr())
+	waitForSignal()
+	return nil
+}
+
+// runDemo is `proxyd demo`: it builds an origin plus an n-node cooperative
+// group on loopback, replays a Zipf workload through it, and prints what
+// happened on the wire. -locate selects the document-location mechanism
+// (under hash routing the demo also reports the group-wide replication
+// factor, which must stay at one copy per document). A -chaos spec
+// injects deterministic faults into every node's sockets and reports how
+// the group degraded.
+func runDemo(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("proxyd demo", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		n          = fs.Int("nodes", 3, "group size")
+		requests   = fs.Int("requests", 600, "requests to replay")
+		schemeName = fs.String("scheme", "ea", `placement scheme: "adhoc", "ea" or "never"`)
+		locate     = fs.String("locate", "icp", `document location mechanism: "icp", "digest" or "hash"`)
+		chaosSpec  = fs.String("chaos", "", `inject deterministic faults into every socket, e.g. "seed=42,udp-drop=0.3"`)
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	logger := slog.New(slog.NewTextHandler(stderr, nil))
+	loc, err := resolve.ParseLocation(*locate)
+	if err != nil {
+		return err
+	}
+	scheme, ok := core.New(*schemeName)
+	if !ok {
+		return fmt.Errorf("unknown scheme %q", *schemeName)
+	}
+	injector, err := newInjector(*chaosSpec)
 	if err != nil {
 		return err
 	}
@@ -351,13 +317,13 @@ func runDemo(stdout io.Writer, logger *slog.Logger, n, requests int, schemeName 
 	}
 	defer origin.Close()
 
-	nodes := make([]*netnode.Node, 0, n)
+	nodes := make([]*netnode.Node, 0, *n)
 	defer func() {
 		for _, nd := range nodes {
 			_ = nd.Close()
 		}
 	}()
-	for i := 0; i < n; i++ {
+	for i := 0; i < *n; i++ {
 		store, err := cache.NewSharded(cache.ShardedConfig{
 			Shards:           1,
 			Capacity:         256 << 10,
@@ -399,7 +365,7 @@ func runDemo(stdout io.Writer, logger *slog.Logger, n, requests int, schemeName 
 	}
 
 	fmt.Fprintf(stdout, "demo group: %d nodes, scheme=%s, locate=%s, origin=%s\n",
-		n, scheme.Name(), loc, origin.Addr())
+		*n, scheme.Name(), loc, origin.Addr())
 
 	rng := dist.NewRNG(42)
 	zipf, err := dist.NewZipf(200, 0.8)
@@ -409,7 +375,7 @@ func runDemo(stdout io.Writer, logger *slog.Logger, n, requests int, schemeName 
 	var counters metrics.Counters
 	var failed int
 	urls := make(map[string]bool)
-	for i := 0; i < requests; i++ {
+	for i := 0; i < *requests; i++ {
 		node := nodes[rng.Intn(len(nodes))]
 		url := fmt.Sprintf("http://demo.example.edu/doc%03d.html", zipf.Rank(rng))
 		urls[url] = true
@@ -435,7 +401,7 @@ func runDemo(stdout io.Writer, logger *slog.Logger, n, requests int, schemeName 
 		snap.Requests, 100*snap.LocalHitRate(), 100*snap.RemoteHitRate(),
 		100*snap.MissRate(), origin.Fetches())
 	if failed > 0 {
-		fmt.Fprintf(stdout, "failed requests: %d of %d (all retries and fallbacks exhausted)\n", failed, requests)
+		fmt.Fprintf(stdout, "failed requests: %d of %d (all retries and fallbacks exhausted)\n", failed, *requests)
 	}
 	fmt.Fprintf(stdout, "estimated mean latency (paper model): %s\n",
 		metrics.PaperLatencies.EstimatedAverageLatency(snap))

@@ -4,11 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"log/slog"
 	"strings"
 	"testing"
-
-	"eacache/internal/resolve"
 )
 
 // TestParseBytesLocal: -capacity and -disk-capacity take the shared size
@@ -72,8 +69,7 @@ func TestPeerListFlag(t *testing.T) {
 
 func TestDemoEndToEnd(t *testing.T) {
 	var out bytes.Buffer
-	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	if err := runDemo(&out, logger, 3, 200, "ea", resolve.LocateICP, ""); err != nil {
+	if err := run([]string{"demo", "-nodes=3", "-requests=200"}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -86,7 +82,7 @@ func TestDemoEndToEnd(t *testing.T) {
 
 func TestDemoRejectsBadScheme(t *testing.T) {
 	var out bytes.Buffer
-	if err := runDemo(&out, slog.New(slog.NewTextHandler(io.Discard, nil)), 2, 10, "bogus", resolve.LocateICP, ""); err == nil {
+	if err := run([]string{"demo", "-nodes=2", "-requests=10", "-scheme=bogus"}, &out, io.Discard); err == nil {
 		t.Fatal("bad scheme accepted")
 	}
 }
@@ -96,8 +92,7 @@ func TestDemoWithChaos(t *testing.T) {
 		t.Skip("chaos test")
 	}
 	var out bytes.Buffer
-	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	if err := runDemo(&out, logger, 3, 60, "ea", resolve.LocateICP, "seed=1,udp-drop=0.3"); err != nil {
+	if err := run([]string{"demo", "-nodes=3", "-requests=60", "-chaos=seed=1,udp-drop=0.3"}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -110,7 +105,7 @@ func TestDemoWithChaos(t *testing.T) {
 
 func TestDemoRejectsBadChaosSpec(t *testing.T) {
 	var out bytes.Buffer
-	if err := runDemo(&out, slog.New(slog.NewTextHandler(io.Discard, nil)), 2, 10, "ea", resolve.LocateICP, "udp-drop=2"); err == nil {
+	if err := run([]string{"demo", "-nodes=2", "-requests=10", "-chaos=udp-drop=2"}, &out, io.Discard); err == nil {
 		t.Fatal("bad chaos spec accepted")
 	}
 }
@@ -120,8 +115,7 @@ func TestDemoRejectsBadChaosSpec(t *testing.T) {
 // copy of each document (runDemo returns an error otherwise).
 func TestDemoHashMode(t *testing.T) {
 	var out bytes.Buffer
-	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	if err := runDemo(&out, logger, 4, 300, "ea", resolve.LocateHash, ""); err != nil {
+	if err := run([]string{"demo", "-nodes=4", "-requests=300", "-locate=hash"}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -132,24 +126,16 @@ func TestDemoHashMode(t *testing.T) {
 	}
 }
 
-// TestOverloadFlagValidation: the overload-bound flags reject zero and
-// negative values up front, naming the flag, before any socket binds.
+// TestOverloadFlagValidation: the overload and tracing flags reject
+// nonsense values up front, naming the flag, before any socket binds.
 func TestOverloadFlagValidation(t *testing.T) {
 	cases := []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-origin-concurrency=0"}, "-origin-concurrency must be positive"},
-		{[]string{"-origin-concurrency=-3"}, "-origin-concurrency must be positive"},
 		{[]string{"-max-inflight=-1"}, "-max-inflight must be positive"},
-		{[]string{"-shed-queue-wait=0s"}, "-shed-queue-wait must be positive"},
-		{[]string{"-shed-queue-wait=-50ms"}, "-shed-queue-wait must be positive"},
 		{[]string{"-trace-sample=0"}, "-trace-sample must be at least 1"},
 		{[]string{"-trace-sample=-5"}, "-trace-sample must be at least 1"},
-		{[]string{"-trace-capacity=0"}, "-trace-capacity must be positive"},
-		{[]string{"-digest-refresh=-1s"}, "-digest-refresh must be positive"},
-		{[]string{"-digest-delta-window=-4"}, "-digest-delta-window must be positive"},
-		{[]string{"-digest-delta-window=16"}, "DigestDeltaWindow requires digest location"},
 	}
 	for _, tc := range cases {
 		err := run(tc.args, io.Discard, io.Discard)
@@ -161,20 +147,23 @@ func TestOverloadFlagValidation(t *testing.T) {
 
 // TestLocationFromFlags: -locate is the one spelling of the location
 // mechanism; each valid value reaches the demo group, an unknown one is
-// rejected, and the retired -location/-digest aliases are unknown flags.
+// rejected by the node and the demo, and the retired -location/-digest
+// aliases are unknown flags.
 func TestLocationFromFlags(t *testing.T) {
 	for _, loc := range []string{"icp", "digest", "hash"} {
 		var out bytes.Buffer
-		err := run([]string{"-demo", "-nodes=2", "-requests=20", "-locate=" + loc}, &out, io.Discard)
+		err := run([]string{"demo", "-nodes=2", "-requests=20", "-locate=" + loc}, &out, io.Discard)
 		if err != nil || !strings.Contains(out.String(), "locate="+loc+",") {
 			t.Errorf("-locate=%s: err=%v output:\n%s", loc, err, out.String())
 		}
 	}
-	if err := run([]string{"-demo", "-locate=carp"}, io.Discard, io.Discard); err == nil {
-		t.Error("unknown mechanism accepted")
+	for _, args := range [][]string{{"-locate=carp"}, {"demo", "-locate=carp"}} {
+		if err := run(args, io.Discard, io.Discard); err == nil {
+			t.Errorf("run(%v): unknown mechanism accepted", args)
+		}
 	}
 	for _, arg := range []string{"-location=digest", "-digest"} {
-		err := run([]string{"-demo", arg}, io.Discard, io.Discard)
+		err := run([]string{"demo", arg}, io.Discard, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("%s: err = %v, want an unknown-flag error", arg, err)
 		}
@@ -206,22 +195,18 @@ func TestPeerListRejectsDuplicates(t *testing.T) {
 	}
 }
 
-// TestMembershipFlagValidation: the elastic-membership flags reject
-// nonsense values up front, naming the flag.
-func TestMembershipFlagValidation(t *testing.T) {
-	cases := []struct {
-		args []string
-		want string
-	}{
-		{[]string{"-eject-after=-1s"}, "-eject-after must be positive"},
-		{[]string{"-readmit-probe=0s"}, "-readmit-probe must be positive"},
-		{[]string{"-readmit-probe=-1s"}, "-readmit-probe must be positive"},
-		{[]string{"-join-warmup=-1s"}, "-join-warmup must be positive"},
-	}
-	for _, tc := range cases {
-		err := run(tc.args, io.Discard, io.Discard)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("run(%v) err = %v, want %q", tc.args, err, tc.want)
+// TestSubcommandsOwnTheirFlags: the demo's and the origin's flags live
+// behind their subcommands, off the node's surface, and `proxyd origin`
+// reaches the origin server (a bad address fails its listen).
+func TestSubcommandsOwnTheirFlags(t *testing.T) {
+	for _, args := range [][]string{{"-demo"}, {"-nodes=2"}, {"-requests=5"}, {"-origin-mode"}, {"origin", "-nodes=2"}, {"demo", "-capacity=1MB"}} {
+		err := run(args, io.Discard, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("run(%v) err = %v, want an unknown-flag error", args, err)
 		}
+	}
+	err := run([]string{"origin", "-http=256.0.0.1:0"}, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "origin listen") {
+		t.Errorf("origin on a bad address: err = %v, want an origin listen error", err)
 	}
 }

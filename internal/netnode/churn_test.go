@@ -240,10 +240,8 @@ func TestChaosChurnKillJoinRevive(t *testing.T) {
 	t.Logf("churn complete: %d requests, 0 errors", requests.Load())
 
 	// The revived node runs its own migration pass for the view it was
-	// given, and under a JoinWarmup it keeps nothing until the window
-	// closes; the final requests must not race either.
+	// given; the final requests must not race it.
 	waitSettled(t, revived, "revival of c1")
-	waitFor(t, 5*time.Second, "c1's join warm-up", func() bool { return !revived.warming() })
 
 	// No lost documents: every URL still resolves through an entry node.
 	for _, u := range urls {

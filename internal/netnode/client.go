@@ -2,6 +2,7 @@ package netnode
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -24,7 +25,16 @@ var errNotFound = errors.New("netnode: document not at responder")
 // literalDialer dials an ip:port under a connectDeadline: one address has
 // no Happy Eyeballs race, and with Done nil net's connect hands the deadline
 // to the poller as the socket's write deadline, with no timer or goroutine.
-var literalDialer = net.Dialer{FallbackDelay: -1}
+// A conn carries one exchange under its own deadlines, so TCP keep-alive
+// would only cost four setsockopt calls per dial; it stays off, as it does
+// on the conns listenTCP accepts.
+var literalDialer = net.Dialer{FallbackDelay: -1, KeepAlive: -1}
+
+// listenTCP opens the node's or the origin's fetch listener, whose accepted
+// conns skip keep-alive setup like literalDialer's.
+func listenTCP(addr string) (net.Listener, error) {
+	return (&net.ListenConfig{KeepAlive: -1}).Listen(context.Background(), "tcp", addr)
+}
 
 type connectDeadline time.Time
 

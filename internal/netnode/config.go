@@ -37,10 +37,6 @@ const (
 	DefaultShedQueueWait = 100 * time.Millisecond
 )
 
-// DefaultReadmitProbe spaces the out-of-band probes sent to ejected peers
-// (Config.ReadmitProbe).
-const DefaultReadmitProbe = 500 * time.Millisecond
-
 // DefaultSnapshotInterval is how often a persistent node checkpoints when
 // Config.SnapshotInterval is left zero.
 const DefaultSnapshotInterval = 30 * time.Second
@@ -149,23 +145,16 @@ type Config struct {
 	// Health tunes the per-peer circuit breaker (thresholds, probe
 	// backoff). The zero value uses the health package defaults.
 	Health health.Config
-	// EjectAfter, when positive, enables breaker-driven ejection: a peer
-	// whose breaker stays dead this long is removed from the locator set
-	// (ICP fan-out and hash homing) until an out-of-band probe succeeds,
-	// at which point it is readmitted automatically. Zero disables
-	// ejection; negative is rejected.
+	// EjectAfter is breaker-driven ejection's grace window: a peer whose
+	// breaker stays dead this long is removed from the locator set (ICP
+	// fan-out and hash homing) until an out-of-band probe succeeds, at
+	// which point it is readmitted automatically. Zero derives it as
+	// 2 × FetchTimeout (10s at the defaults). Negative is rejected.
 	EjectAfter time.Duration
 	// ReadmitProbe spaces the out-of-band probes sent to ejected peers.
-	// Defaults to DefaultReadmitProbe; requires EjectAfter when set;
-	// negative is rejected.
+	// Zero derives it as DialTimeout / 4 (500ms at the defaults). Negative
+	// is rejected.
 	ReadmitProbe time.Duration
-	// JoinWarmup, under LocateHash, makes a freshly started node relay
-	// without keeping copies for this long: it serves what it has and
-	// accepts migration pushes, but refuses resolve-keeps and front-door
-	// stores until the rest of the group has had time to converge on its
-	// arrival — storing earlier could duplicate a copy a stale-view peer
-	// still holds. Zero disables the warmup; negative is rejected.
-	JoinWarmup time.Duration
 	// DataDir, when set, makes the node crash-safe: cache contents,
 	// per-document metadata, and the expiration-age tracker are journaled
 	// to this directory and recovered on restart (see internal/persist).
@@ -248,17 +237,14 @@ func (cfg *Config) validate() (cache.DemotePolicy, error) {
 	if cfg.EjectAfter < 0 {
 		return 0, fmt.Errorf("netnode: negative EjectAfter %v", cfg.EjectAfter)
 	}
+	if cfg.EjectAfter == 0 {
+		cfg.EjectAfter = 2 * cfg.FetchTimeout
+	}
 	if cfg.ReadmitProbe < 0 {
 		return 0, fmt.Errorf("netnode: negative ReadmitProbe %v", cfg.ReadmitProbe)
 	}
-	if cfg.ReadmitProbe > 0 && cfg.EjectAfter == 0 {
-		return 0, errors.New("netnode: ReadmitProbe requires EjectAfter")
-	}
-	if cfg.EjectAfter > 0 && cfg.ReadmitProbe == 0 {
-		cfg.ReadmitProbe = DefaultReadmitProbe
-	}
-	if cfg.JoinWarmup < 0 {
-		return 0, fmt.Errorf("netnode: negative JoinWarmup %v", cfg.JoinWarmup)
+	if cfg.ReadmitProbe == 0 {
+		cfg.ReadmitProbe = cfg.DialTimeout / 4
 	}
 	if cfg.SnapshotInterval < 0 {
 		return 0, fmt.Errorf("netnode: negative SnapshotInterval %v", cfg.SnapshotInterval)

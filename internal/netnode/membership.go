@@ -151,14 +151,6 @@ func (n *Node) RingFingerprint() uint64 {
 // (configured members minus ejected ones).
 func (n *Node) ActivePeers() int { return len(n.peerList()) }
 
-// warming reports whether the node is inside its JoinWarmup window
-// (set only under hash location): it serves what it holds and relays,
-// but keeps no new copies, because peers with a pre-join view of the
-// ring may still hold the copies it would otherwise duplicate.
-func (n *Node) warming() bool {
-	return !n.warmUntil.IsZero() && time.Now().Before(n.warmUntil)
-}
-
 // mayKeepResolved decides whether this node, asked to resolve a URL it
 // does not hold, may keep the fetched copy as the group's only one. The
 // requester's topology fingerprint is the evidence: a match means the
@@ -169,9 +161,9 @@ func (n *Node) warming() bool {
 // fingerprint means the requester's view is stale; the URL's real owner
 // under the current ring may be alive and already holding the copy, so
 // this node relays the body without storing rather than mint a second
-// copy. Draining and warming nodes never keep. h is the node's ring.
+// copy. A draining node never keeps. h is the node's ring.
 func (n *Node) mayKeepResolved(h *resolve.HashLocator, reqFP uint64) bool {
-	if n.draining.Load() || n.warming() {
+	if n.draining.Load() {
 		return false
 	}
 	if h == nil {
@@ -234,14 +226,14 @@ func (n *Node) Members() []MemberStatus {
 	return out
 }
 
-// membershipLoop is the ejection/readmission sweeper, started when
-// Config.EjectAfter is set. It ticks a few times per grace window so an
-// ejection lands within ~EjectAfter*5/4 of the breaker opening, and at
-// least every half probe interval so recoveries are noticed promptly.
+// membershipLoop is the ejection/readmission sweeper. It ticks a few
+// times per grace window so an ejection lands within ~EjectAfter*5/4 of
+// the breaker opening, and at least every half probe interval so
+// recoveries are noticed promptly.
 func (n *Node) membershipLoop() {
 	defer n.wg.Done()
 	tick := n.ejectAfter / 4
-	if probe := n.readmitProbe / 2; probe > 0 && probe < tick {
+	if probe := n.readmitProbe / 2; probe < tick {
 		tick = probe
 	}
 	if tick < 5*time.Millisecond {

@@ -361,39 +361,6 @@ func TestPushAcceptance(t *testing.T) {
 	}
 }
 
-// TestJoinWarmupRelaysWithoutStoring: inside its warmup window a node
-// refuses resolve-keeps and front-door stores but accepts pushes; after
-// the window it stores normally.
-func TestJoinWarmupRelaysWithoutStoring(t *testing.T) {
-	checkGoroutines(t)
-	origin := startOrigin(t)
-	n := startChaosNode(t, Config{
-		ID: "w0", Scheme: core.EA{}, OriginAddr: origin.Addr(),
-		Location: resolve.LocateHash, HashName: "w0",
-		JoinWarmup: 300 * time.Millisecond,
-	})
-	url := "http://warm.example.edu/doc.html"
-	res, err := n.Request(url, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Outcome != metrics.Miss || res.Stored || n.Contains(url) {
-		t.Fatalf("warming request = %+v (contains=%v), want un-stored miss", res, n.Contains(url))
-	}
-	// Pushes land even while warming (senders removed their copy first).
-	helper := startChaosNode(t, Config{ID: "w1", Scheme: core.EA{}, Location: resolve.LocateHash, HashName: "w1"})
-	if stored, _, err := helper.pushCopy(n.HTTPAddr(), cache.Document{URL: "http://warm.example.edu/pushed.html", Size: 64}); err != nil || !stored {
-		t.Fatalf("warming node refused a push (stored=%v, err=%v)", stored, err)
-	}
-	waitFor(t, 2*time.Second, "warmup to end", func() bool { return !n.warming() })
-	if _, err := n.Request(url, 1024); err != nil {
-		t.Fatal(err)
-	}
-	if !n.Contains(url) {
-		t.Fatal("post-warmup request did not store")
-	}
-}
-
 // TestStaleRingRequesterDoesNotMintDuplicates: a responder asked to
 // resolve by a requester with a different ring view relays the body but
 // keeps nothing — the fingerprint mismatch is the evidence of staleness.

@@ -366,8 +366,7 @@ func (n *Node) servePush(conn io.Writer, rec *connRec, req hproto.Request) {
 // receiver's ring still lists the draining sender as owner one until
 // the leave is published. No health gating and no fingerprint check:
 // senders remove their copy before any byte travels, so accepting a
-// push can never mint a second copy — which is also why a warming node
-// accepts pushes while refusing resolve-keeps. h is the node's ring.
+// push can never mint a second copy. h is the node's ring.
 func (n *Node) mayAcceptPush(h *resolve.HashLocator, url string) bool {
 	if n.draining.Load() {
 		return false

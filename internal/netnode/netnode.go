@@ -79,7 +79,6 @@ type Node struct {
 	}
 	epoch        atomic.Int64
 	draining     atomic.Bool
-	warmUntil    time.Time // relay-only until then under LocateHash; zero when off
 	ejectAfter   time.Duration
 	readmitProbe time.Duration
 	migrateKick  chan struct{}
@@ -175,9 +174,6 @@ func New(cfg Config) (*Node, error) {
 		om:            new(nodeObs),
 	}
 	n.mem.ejected = make(map[string]*ejection)
-	if cfg.JoinWarmup > 0 && cfg.Location == resolve.LocateHash {
-		n.warmUntil = time.Now().Add(cfg.JoinWarmup)
-	}
 	if cfg.MaxInflight > 0 {
 		n.inflight = make(chan struct{}, cfg.MaxInflight)
 	}
@@ -306,7 +302,7 @@ func New(cfg Config) (*Node, error) {
 	}
 	n.icpServer = icpServer
 
-	ln, err := net.Listen("tcp", cfg.HTTPAddr)
+	ln, err := listenTCP(cfg.HTTPAddr)
 	if err != nil {
 		_ = icpServer.Close()
 		n.closePersister()
@@ -360,10 +356,8 @@ func New(cfg Config) (*Node, error) {
 		n.wg.Add(1)
 		go n.migratorLoop()
 	}
-	if n.ejectAfter > 0 {
-		n.wg.Add(1)
-		go n.membershipLoop()
-	}
+	n.wg.Add(1)
+	go n.membershipLoop()
 	if n.digests != nil {
 		// Background digest revalidation: known peer replicas are kept
 		// fresh off the request path (misses serve stale while a
@@ -500,11 +494,12 @@ func (n *Node) PeerHealth() []health.PeerStatus { return n.health.Snapshot() }
 func (n *Node) Close() error { return n.shutdown(0) }
 
 // Drain is the graceful variant of Close: stop accepting new work
-// immediately, give in-flight handlers up to timeout to finish (instead
-// of waiting indefinitely), write a final snapshot, then release
-// everything. Handlers still running at the deadline keep their journal
-// appends — recovery replays them on top of the final snapshot.
-func (n *Node) Drain(timeout time.Duration) error { return n.shutdown(timeout) }
+// immediately, give in-flight handlers up to FetchTimeout to finish (the
+// longest an exchange may run anyway, instead of waiting indefinitely),
+// write a final snapshot, then release everything. Handlers still running
+// at the deadline keep their journal appends — recovery replays them on
+// top of the final snapshot.
+func (n *Node) Drain() error { return n.shutdown(n.fetchTimeout) }
 
 // shutdown runs the close sequence exactly once; wait > 0 bounds the
 // in-flight handler wait.

@@ -26,7 +26,7 @@ type OriginServer struct {
 
 // NewOriginServer starts an origin on addr ("127.0.0.1:0" for tests).
 func NewOriginServer(addr string, logger *slog.Logger) (*OriginServer, error) {
-	ln, err := net.Listen("tcp", addr)
+	ln, err := listenTCP(addr)
 	if err != nil {
 		return nil, fmt.Errorf("netnode: origin listen %q: %w", addr, err)
 	}

@@ -79,7 +79,7 @@ func TestWarmRestartOverWire(t *testing.T) {
 		}
 	}
 	fetchesBefore := origin.Fetches()
-	if err := n1.Drain(2 * time.Second); err != nil {
+	if err := n1.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "snapshot.dat")); err != nil {
@@ -216,7 +216,7 @@ func TestDrainWaitsForInFlight(t *testing.T) {
 	}()
 	// Give the request a moment to enter the node, then drain.
 	time.Sleep(5 * time.Millisecond)
-	if err := n.Drain(2 * time.Second); err != nil {
+	if err := n.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	select {

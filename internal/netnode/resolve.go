@@ -65,12 +65,9 @@ func (s nodeStore) ExpirationAge(now time.Time) time.Duration {
 
 func (s nodeStore) StoreCopy(doc cache.Document, now time.Time) bool {
 	n := s.n
-	if n.draining.Load() || n.warming() {
-		// A draining node keeps no new copies (its store must only
-		// shrink while the handoff walks it), and a warming one relays
-		// without storing until the group has converged on its arrival
-		// — storing earlier could duplicate a copy a stale-view peer
-		// still holds. Migration pushes bypass this path.
+	if n.draining.Load() {
+		// A draining node keeps no new copies: its store must only shrink
+		// while the handoff walks it. Migration pushes bypass this path.
 		return false
 	}
 	// Under hash location the copy is the group's only one, so this node

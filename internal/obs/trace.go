@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -279,13 +280,25 @@ type TraceRing struct {
 	next  uint64  // records ever published; next%size is the slot to fill
 }
 
-// DefaultTraceCapacity is the ring size ServeAdmin and proxyd default to.
-const DefaultTraceCapacity = 512
-
 // DefaultTraceSampling is the trace sampling proxyd defaults to: one
 // traced request in eight. Metrics cover every request regardless; see
 // SetTraceSampling.
 const DefaultTraceSampling = 8
+
+// DefaultTraceCapacity is the ring size ServeAdmin and proxyd default to,
+// TraceCapacity(DefaultTraceSampling): 512.
+const DefaultTraceCapacity = tracesPerSample * DefaultTraceSampling
+
+// tracesPerSample is how many traces the ring keeps per unit of sampling.
+const tracesPerSample = 64
+
+// TraceCapacity is the ring size for a node that traces one request in
+// sampling: 64 traces per unit of sampling, so a sparser sampler keeps a
+// longer history of the rarer requests it traces. It saturates instead of
+// overflowing.
+func TraceCapacity(sampling int) int {
+	return tracesPerSample * min(max(sampling, 1), math.MaxInt/tracesPerSample)
+}
 
 // NewTraceRing returns a ring holding the last n traces (n < 1 selects
 // DefaultTraceCapacity).

@@ -24,6 +24,7 @@ import (
 // callers can report log quality without failing on the odd corrupt line,
 // which real 1994-era logs contain.
 func ReadBU(r io.Reader) (records []Record, skipped int, err error) {
+	ns := names{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
@@ -31,7 +32,7 @@ func ReadBU(r io.Reader) (records []Record, skipped int, err error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		rec, ok := parseBULine(line)
+		rec, ok := parseBULine(line, ns)
 		if !ok {
 			skipped++
 			continue
@@ -44,7 +45,7 @@ func ReadBU(r io.Reader) (records []Record, skipped int, err error) {
 	return records, skipped, nil
 }
 
-func parseBULine(line string) (Record, bool) {
+func parseBULine(line string, ns names) (Record, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 5 {
 		return Record{}, false
@@ -60,5 +61,5 @@ func parseBULine(line string) (Record, bool) {
 	if err != nil || size < 0 {
 		return Record{}, false
 	}
-	return Record{UnixNano: t.UnixNano(), Client: user + "@" + machine, URL: url, Size: size}, true
+	return Record{UnixNano: t.UnixNano(), Client: ns.intern(user + "@" + machine), URL: ns.intern(url), Size: size}, true
 }

@@ -38,6 +38,7 @@ func Write(w io.Writer, records []Record) error {
 // Read parses records in the canonical format.
 func Read(r io.Reader) ([]Record, error) {
 	var records []Record
+	ns := names{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	lineNo := 0
@@ -47,7 +48,7 @@ func Read(r io.Reader) ([]Record, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		rec, err := parseCanonicalLine(line)
+		rec, err := parseCanonicalLine(line, ns)
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
 		}
@@ -59,7 +60,21 @@ func Read(r io.Reader) ([]Record, error) {
 	return records, nil
 }
 
-func parseCanonicalLine(line string) (Record, error) {
+// names interns the client and URL strings a reader parses: records that
+// name one client or document share one string, and none keeps the rest
+// of its input line alive.
+type names map[string]string
+
+func (ns names) intern(s string) string {
+	if v, ok := ns[s]; ok {
+		return v
+	}
+	s = strings.Clone(s)
+	ns[s] = s
+	return s
+}
+
+func parseCanonicalLine(line string, ns names) (Record, error) {
 	fields := strings.Fields(line)
 	if len(fields) != 4 {
 		return Record{}, fmt.Errorf("expected 4 fields, got %d", len(fields))
@@ -75,7 +90,7 @@ func parseCanonicalLine(line string) (Record, error) {
 	if size < 0 {
 		return Record{}, fmt.Errorf("negative size %d", size)
 	}
-	return Record{UnixNano: t.UnixNano(), Client: fields[1], URL: fields[2], Size: size}, nil
+	return Record{UnixNano: t.UnixNano(), Client: ns.intern(fields[1]), URL: ns.intern(fields[2]), Size: size}, nil
 }
 
 // ParseTimestamp parses a unix timestamp with optional fractional seconds.

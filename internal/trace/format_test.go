@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func ts(sec int64, nsec int) time.Time { return time.Unix(sec, int64(nsec)).UTC() }
@@ -208,5 +209,43 @@ func TestComputeStats(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Fatal("empty String()")
+	}
+}
+
+// TestReadersInternNames: every reader hands records that name one client
+// or one document the same backing string, so a parsed trace holds each
+// name once and no record pins the input line it was cut from.
+func TestReadersInternNames(t *testing.T) {
+	read := map[string]func() ([]Record, error){
+		"canonical": func() ([]Record, error) {
+			return Read(strings.NewReader("1 u1 http://a/x 10\n2 u2 http://a/y 10\n3 u1 http://a/x 10\n"))
+		},
+		"squid": func() ([]Record, error) {
+			recs, _, err := ReadSquid(strings.NewReader(
+				"1.000 5 u1 TCP_MISS/200 10 GET http://a/x - DIRECT/a -\n" +
+					"2.000 5 u2 TCP_MISS/200 10 GET http://a/y - DIRECT/a -\n" +
+					"3.000 5 u1 TCP_MISS/200 10 GET http://a/x - DIRECT/a -\n"))
+			return recs, err
+		},
+		"bu": func() ([]Record, error) {
+			recs, _, err := ReadBU(strings.NewReader("m1 1 u1 http://a/x 10\nm1 2 u2 http://a/y 10\nm1 3 u1 http://a/x 10\n"))
+			return recs, err
+		},
+	}
+	for name, fn := range read {
+		recs, err := fn()
+		if err != nil || len(recs) != 3 {
+			t.Fatalf("%s: %d records, err %v", name, len(recs), err)
+		}
+		first, last := recs[0], recs[2]
+		if first.Client != last.Client || first.URL != last.URL {
+			t.Fatalf("%s: records 0 and 2 name %q %q and %q %q", name, first.Client, first.URL, last.Client, last.URL)
+		}
+		if unsafe.StringData(first.Client) != unsafe.StringData(last.Client) {
+			t.Errorf("%s: client %q is two strings", name, first.Client)
+		}
+		if unsafe.StringData(first.URL) != unsafe.StringData(last.URL) {
+			t.Errorf("%s: URL %q is two strings", name, first.URL)
+		}
 	}
 }

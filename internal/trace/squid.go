@@ -21,6 +21,7 @@ import (
 // available stand-in for document size — the same approximation proxy
 // studies make.
 func ReadSquid(r io.Reader) (records []Record, skipped int, err error) {
+	ns := names{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
@@ -28,7 +29,7 @@ func ReadSquid(r io.Reader) (records []Record, skipped int, err error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		rec, ok := parseSquidLine(line)
+		rec, ok := parseSquidLine(line, ns)
 		if !ok {
 			skipped++
 			continue
@@ -41,7 +42,7 @@ func ReadSquid(r io.Reader) (records []Record, skipped int, err error) {
 	return records, skipped, nil
 }
 
-func parseSquidLine(line string) (Record, bool) {
+func parseSquidLine(line string, ns names) (Record, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 7 {
 		return Record{}, false
@@ -73,7 +74,7 @@ func parseSquidLine(line string) (Record, bool) {
 	if !strings.Contains(url, "://") {
 		return Record{}, false
 	}
-	return Record{UnixNano: t.UnixNano(), Client: client, URL: url, Size: size}, true
+	return Record{UnixNano: t.UnixNano(), Client: ns.intern(client), URL: ns.intern(url), Size: size}, true
 }
 
 // WriteSquid serialises records in Squid's native access.log format, so a
