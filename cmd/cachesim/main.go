@@ -18,6 +18,7 @@ import (
 	"eacache/internal/cache"
 	"eacache/internal/core"
 	"eacache/internal/group"
+	"eacache/internal/obs"
 	"eacache/internal/proxy"
 	"eacache/internal/resolve"
 	"eacache/internal/sim"
@@ -42,20 +43,20 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		aggregate  = fs.String("aggregate", "10MB", "aggregate group size (e.g. 100KB, 1MB, 1GB)")
 		policy     = fs.String("policy", "lru", `replacement policy: "lru" or "lfu"`)
 		arch       = fs.String("arch", "distributed", `architecture: "distributed" or "hierarchical"`)
-		window     = fs.Int("window", cache.WindowAll, "expiration-age window in evictions (0 = cumulative)")
+		window     = fs.Int("window", 0, "expiration-age window in evictions (0 = the group's default horizon, -1 = cumulative)")
 		horizon    = fs.Duration("horizon", 0, "expiration-age time horizon (0 = group default)")
 		location   = fs.String("location", "icp", `document location: "icp", "digest" or "hash"`)
 		ttl        = fs.Bool("ttl", false, "stamp era-mix freshness lifetimes on documents (coherence)")
 		warmup     = fs.Float64("warmup", 0, "fraction of the trace replayed uncounted to warm the caches")
 		popularity = fs.Bool("popularity", false, "print the trace's popularity analysis")
-		decisions  = fs.Int("decisions", 0, "print the first N placement decisions (expiration ages and store/promote outcomes)")
+		decisions  = fs.Int("decisions", 0, "print the last N placement verdicts with their expiration ages, as JSON")
 		perCache   = fs.Bool("per-cache", false, "print per-cache breakdown")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	records, err := loadTrace(*tracePath, *format, stdin)
+	records, err := loadTrace(*tracePath, *format, stdin, stderr)
 	if err != nil {
 		return err
 	}
@@ -87,16 +88,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if _, ok := cache.NewPolicy(*policy); !ok {
 		return fmt.Errorf("unknown policy %q", *policy)
 	}
-	var tracer proxy.Tracer
+	var decisionLog *obs.DecisionLog
 	if *decisions > 0 {
-		limit := *decisions
-		lineTracer := proxy.WriteTracer(stdout)
-		tracer = proxy.TracerFunc(func(e proxy.Event) {
-			if limit > 0 {
-				limit--
-				lineTracer.Trace(e)
-			}
-		})
+		decisionLog = obs.NewDecisionLog(*decisions)
 	}
 
 	g, err := group.New(group.Config{
@@ -112,7 +106,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		Architecture:      architecture,
 		Location:          loc,
 		Origin:            origin,
-		Tracer:            tracer,
+		Decisions:         decisionLog,
 	})
 	if err != nil {
 		return err
@@ -143,10 +137,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 				p.Counters.Misses, p.Evictions, p.ResidentDocs, sim.FormatBytes(p.ResidentBytes), age)
 		}
 	}
+	if decisionLog != nil {
+		return decisionLog.WriteJSON(stdout, "", "")
+	}
 	return nil
 }
 
-func loadTrace(path, format string, stdin io.Reader) ([]trace.Record, error) {
+func loadTrace(path, format string, stdin io.Reader, stderr io.Writer) ([]trace.Record, error) {
 	var r io.Reader = stdin
 	if path != "" {
 		f, err := os.Open(path)
@@ -165,7 +162,7 @@ func loadTrace(path, format string, stdin io.Reader) ([]trace.Record, error) {
 			return nil, err
 		}
 		if skipped > 0 {
-			fmt.Fprintf(os.Stderr, "cachesim: skipped %d unparseable BU log lines\n", skipped)
+			fmt.Fprintf(stderr, "cachesim: skipped %d unparseable BU log lines\n", skipped)
 		}
 		return records, nil
 	case "squid":
@@ -174,7 +171,7 @@ func loadTrace(path, format string, stdin io.Reader) ([]trace.Record, error) {
 			return nil, err
 		}
 		if skipped > 0 {
-			fmt.Fprintf(os.Stderr, "cachesim: skipped %d non-GET or unparseable squid log lines\n", skipped)
+			fmt.Fprintf(stderr, "cachesim: skipped %d non-GET or unparseable squid log lines\n", skipped)
 		}
 		return records, nil
 	default:

@@ -2,18 +2,30 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"eacache/internal/core"
+	"eacache/internal/group"
+	"eacache/internal/obs"
+	"eacache/internal/sim"
 	"eacache/internal/trace"
 )
 
 func writeTempTrace(t *testing.T) string {
 	t.Helper()
-	records, err := trace.Generate(trace.BULike().Scaled(0.002))
+	return writeTrace(t, 0.002)
+}
+
+// writeTrace writes a generated BU-like trace at scale to a file.
+func writeTrace(t *testing.T, scale float64) string {
+	t.Helper()
+	records, err := trace.Generate(trace.BULike().Scaled(scale))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,6 +135,7 @@ func TestRunFromStdin(t *testing.T) {
 func TestRunBUFormat(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bu.log")
 	bu := "beaker 784900000 u3 http://cs-www.bu.edu/ 2009 0.5\n" +
+		"not a log line\n" +
 		"beaker 784900001 u3 http://cs-www.bu.edu/ 2009 0.1\n"
 	if err := os.WriteFile(path, []byte(bu), 0o644); err != nil {
 		t.Fatal(err)
@@ -135,6 +148,9 @@ func TestRunBUFormat(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "2 requests") {
 		t.Fatalf("unexpected stats:\n%s", out.String())
+	}
+	if !strings.Contains(errOut.String(), "skipped 1 unparseable BU log lines") {
+		t.Fatalf("skip note missing from stderr: %q", errOut.String())
 	}
 }
 
@@ -190,16 +206,84 @@ func TestRunRejectsBadLocation(t *testing.T) {
 	}
 }
 
-func TestRunDecisionTrace(t *testing.T) {
-	path := writeTempTrace(t)
+// decisionsOf runs cachesim with -decisions n and decodes the JSON array
+// that ends its output.
+func decisionsOf(t *testing.T, path string, n int) []obs.Decision {
+	t.Helper()
 	var out, errOut bytes.Buffer
 	err := run([]string{
-		"-trace", path, "-scheme", "ea", "-aggregate", "64KB", "-decisions", "5",
+		"-trace", path, "-scheme", "ea", "-aggregate", "1MB", "-decisions", fmt.Sprint(n),
 	}, nil, &out, &errOut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "origin-fetch") {
-		t.Fatalf("no decision lines in output:\n%s", out.String())
+	s := out.String()
+	i := strings.Index(s, "\n[")
+	if i < 0 {
+		t.Fatalf("no decision array in output:\n%s", s)
+	}
+	var ds []obs.Decision
+	if err := json.Unmarshal([]byte(s[i:]), &ds); err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// TestRunDecisionTrace: -decisions N prints the last N verdicts of the
+// replay, in the shape a live node serves on /debug/placement.
+func TestRunDecisionTrace(t *testing.T) {
+	path := writeTrace(t, 0.02)
+	all := decisionsOf(t, path, 1<<20)
+	last := decisionsOf(t, path, 5)
+	if len(all) < 5 || !reflect.DeepEqual(last, all[len(all)-5:]) {
+		t.Fatalf("-decisions 5 = %+v, want the last 5 of %d", last, len(all))
+	}
+	roles := map[string]bool{}
+	for _, d := range all {
+		roles[d.Role+" "+d.Verdict] = true
+	}
+	for _, want := range []string{"requester accept", "requester reject", "responder promote", "responder reject"} {
+		if !roles[want] {
+			t.Errorf("no %q verdict in %d decisions", want, len(all))
+		}
+	}
+}
+
+// TestRunWindowCumulative: -window -1 is the cumulative signal
+// (group.CumulativeAges), and 0 the group's default horizon.
+func TestRunWindowCumulative(t *testing.T) {
+	path := writeTrace(t, 0.02)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, err := trace.Read(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace.SortByTime(trace.CleanZeroSizes(records, trace.DefaultDocSize))
+	g, err := group.New(group.Config{
+		Caches: 4, AggregateBytes: 1 << 20, Scheme: core.EA{},
+		ExpirationWindow: group.CumulativeAges,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sim.Run(g, records, sim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		window string
+		same   bool
+	}{{"-1", true}, {"0", false}} {
+		var out, errOut bytes.Buffer
+		if err := run([]string{"-trace", path, "-aggregate", "1MB", "-window", tc.window}, nil, &out, &errOut); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(out.String(), rep.String()); got != tc.same {
+			t.Errorf("-window %s matches the cumulative run: %v, want %v\n%s\n%s", tc.window, got, tc.same, out.String(), rep)
+		}
 	}
 }

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"eacache/internal/cache"
 	"eacache/internal/group"
+	"eacache/internal/proxy"
 	"eacache/internal/trace"
 )
 
@@ -71,30 +73,51 @@ func TestSuiteCleansAndSorts(t *testing.T) {
 
 func TestRunMemoization(t *testing.T) {
 	s := testSuite(t)
-	a, err := s.Run("ea", 2, s.Config().Sizes[2], group.Distributed, "lru", 0, 0)
+	c := cell{scheme: "ea", caches: 2, aggregate: s.Config().Sizes[2], policy: "lru"}
+	a, err := s.run(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Run("ea", 2, s.Config().Sizes[2], group.Distributed, "lru", 0, 0)
+	// The same configuration spelled out: distributed, ICP, the default
+	// horizon.
+	same := c
+	same.arch, same.location, same.horizon = group.Distributed, proxy.LocateICP, cache.DefaultExpirationHorizon
+	b, err := s.run(same)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Fatal("identical runs not memoized")
 	}
-	c, err := s.Run("adhoc", 2, s.Config().Sizes[2], group.Distributed, "lru", 0, 0)
-	if err != nil {
+	c.scheme = "adhoc"
+	if d, err := s.run(c); err != nil || a == d {
+		t.Fatalf("different configs shared a memo entry (err %v)", err)
+	}
+}
+
+// TestAllReplaysEachConfigurationOnce: the quick pass's experiments share
+// their configurations, so every replay of the suite's trace is one memo
+// entry, and the entries are the 44 distinct configurations the tables
+// ask for.
+func TestAllReplaysEachConfigurationOnce(t *testing.T) {
+	s := testSuite(t)
+	if _, err := s.All(); err != nil {
 		t.Fatal(err)
 	}
-	if a == c {
-		t.Fatal("different configs shared a memo entry")
+	if len(s.runs) != 44 {
+		t.Fatalf("All() replayed %d configurations, want 44", len(s.runs))
 	}
 }
 
 func TestRunRejectsUnknownScheme(t *testing.T) {
 	s := testSuite(t)
-	if _, err := s.Run("bogus", 2, 1<<20, group.Distributed, "lru", 0, 0); err == nil {
-		t.Fatal("unknown scheme accepted")
+	for _, c := range []cell{
+		{scheme: "bogus", caches: 2, aggregate: 1 << 20, policy: "lru"},
+		{scheme: "ea", caches: 2, aggregate: 1 << 20, policy: "fifo"},
+	} {
+		if _, err := s.run(c); err == nil {
+			t.Fatalf("%+v accepted", c)
+		}
 	}
 }
 

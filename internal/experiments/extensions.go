@@ -36,7 +36,9 @@ func (s *Suite) Location() (*Table, error) {
 	sizes := middleSizes(s.cfg.Sizes, 2)
 	for _, size := range sizes {
 		for _, loc := range []proxy.Location{proxy.LocateICP, proxy.LocateDigest} {
-			rep, err := s.runWithLocation(size, loc)
+			c := s.cell(s.cfg.Caches, size)
+			c.scheme, c.location = "ea", loc
+			rep, err := s.run(c)
 			if err != nil {
 				return nil, err
 			}
@@ -56,38 +58,6 @@ func (s *Suite) Location() (*Table, error) {
 	return t, nil
 }
 
-func (s *Suite) runWithLocation(aggregate int64, loc proxy.Location) (*sim.Report, error) {
-	// Location runs are not shared with the main memo table (different
-	// key space), so memoize under a synthetic scheme name.
-	key := runKey{
-		scheme:    "ea/" + loc.String(),
-		caches:    s.cfg.Caches,
-		aggregate: aggregate,
-		arch:      group.Distributed,
-		policy:    "lru",
-	}
-	if rep, ok := s.runs[key]; ok {
-		return rep, nil
-	}
-	g, err := group.New(group.Config{
-		Caches:            s.cfg.Caches,
-		AggregateBytes:    aggregate,
-		Scheme:            core.EA{},
-		ExpirationWindow:  s.cfg.ExpirationWindow,
-		ExpirationHorizon: s.cfg.ExpirationHorizon,
-		Location:          loc,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep, err := sim.Run(g, s.records, sim.Config{Latency: s.cfg.Latency})
-	if err != nil {
-		return nil, err
-	}
-	s.runs[key] = rep
-	return rep, nil
-}
-
 // Partitioned adds the no-replication extreme from the related work:
 // consistent-hash partitioning (Karger et al.), where every URL has exactly
 // one home cache. Ad-hoc replicates everywhere, partitioning never
@@ -105,11 +75,18 @@ func (s *Suite) Partitioned() (*Table, error) {
 	}
 	sizes := middleSizes(s.cfg.Sizes, 3)
 	for _, size := range sizes {
-		adhoc, ea, err := s.runPair(s.cfg.Caches, size)
+		c := s.cell(s.cfg.Caches, size)
+		adhoc, ea, err := s.runPair(c)
 		if err != nil {
 			return nil, err
 		}
-		part, err := s.runPartitioned(size)
+		// Consistent-hash partitioning: each request goes to its client's
+		// edge cache, which routes it over the group's chash ring to the
+		// URL's home cache, the only one that keeps a copy. The ring
+		// members are the "cache-N" IDs a live group hashes by, so the
+		// simulator and the live node route URLs to the same homes.
+		c.scheme, c.location = "ea", proxy.LocateHash
+		part, err := s.run(c)
 		if err != nil {
 			return nil, err
 		}
@@ -118,43 +95,6 @@ func (s *Suite) Partitioned() (*Table, error) {
 			pct(adhoc.Group.LocalHitRate()), pct(ea.Group.LocalHitRate()), pct(part.Group.LocalHitRate()))
 	}
 	return t, nil
-}
-
-// runPartitioned replays the suite's trace through a consistent-hash
-// partitioned group built on the shared hash Locator (proxy.LocateHash):
-// each request goes to its client's edge cache first, which routes it to
-// the URL's home cache over the group's chash ring; only the home cache
-// ever stores a copy. Because the ring members are the same "cache-N"
-// proxy IDs a live netnode group would use as hash names, sim
-// experiments and the live node provably route URLs to the same homes.
-func (s *Suite) runPartitioned(aggregate int64) (*sim.Report, error) {
-	key := runKey{
-		scheme:    "ea/hash",
-		caches:    s.cfg.Caches,
-		aggregate: aggregate,
-		arch:      group.Distributed,
-		policy:    "lru",
-	}
-	if rep, ok := s.runs[key]; ok {
-		return rep, nil
-	}
-	g, err := group.New(group.Config{
-		Caches:            s.cfg.Caches,
-		AggregateBytes:    aggregate,
-		Scheme:            core.EA{},
-		ExpirationWindow:  s.cfg.ExpirationWindow,
-		ExpirationHorizon: s.cfg.ExpirationHorizon,
-		Location:          proxy.LocateHash,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep, err := sim.Run(g, s.records, sim.Config{Latency: s.cfg.Latency})
-	if err != nil {
-		return nil, err
-	}
-	s.runs[key] = rep
-	return rep, nil
 }
 
 // Coherence measures the freshness tax: the same workload replayed with an
@@ -176,16 +116,12 @@ func (s *Suite) Coherence() (*Table, error) {
 	for _, size := range sizes {
 		for _, mortal := range []bool{false, true} {
 			label := "immortal"
-			var origin proxy.Origin = proxy.SizeHintOrigin{}
 			if mortal {
 				label = "era mix"
-				origin = proxy.EraTTLOrigin()
 			}
-			adhoc, err := s.runWithOrigin(size, "adhoc", label, origin)
-			if err != nil {
-				return nil, err
-			}
-			ea, err := s.runWithOrigin(size, "ea", label, origin)
+			c := s.cell(s.cfg.Caches, size)
+			c.ttl = mortal
+			adhoc, ea, err := s.runPair(c)
 			if err != nil {
 				return nil, err
 			}
@@ -195,40 +131,6 @@ func (s *Suite) Coherence() (*Table, error) {
 		}
 	}
 	return t, nil
-}
-
-func (s *Suite) runWithOrigin(aggregate int64, schemeName, label string, origin proxy.Origin) (*sim.Report, error) {
-	key := runKey{
-		scheme:    schemeName + "/" + label,
-		caches:    s.cfg.Caches,
-		aggregate: aggregate,
-		arch:      group.Distributed,
-		policy:    "lru",
-	}
-	if rep, ok := s.runs[key]; ok {
-		return rep, nil
-	}
-	scheme, ok := core.New(schemeName)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown scheme %q", schemeName)
-	}
-	g, err := group.New(group.Config{
-		Caches:            s.cfg.Caches,
-		AggregateBytes:    aggregate,
-		Scheme:            scheme,
-		ExpirationWindow:  s.cfg.ExpirationWindow,
-		ExpirationHorizon: s.cfg.ExpirationHorizon,
-		Origin:            origin,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep, err := sim.Run(g, s.records, sim.Config{Latency: s.cfg.Latency})
-	if err != nil {
-		return nil, err
-	}
-	s.runs[key] = rep
-	return rep, nil
 }
 
 // WorstCase reproduces the §2 thought experiment: "The worst case of this

@@ -7,8 +7,8 @@ import (
 )
 
 // TestAllGolden pins every rendered table (and chart) of the suite at the
-// test scale to a digest captured before the replay paths were merged into
-// one: a changed row, note, column or chart point moves its table's digest.
+// test scale to a digest: a changed row, note, column or chart point moves
+// its table's digest.
 func TestAllGolden(t *testing.T) {
 	want := map[string]string{
 		"fig1":            "8e40fac6dd12450f",

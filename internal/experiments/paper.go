@@ -83,7 +83,7 @@ func (s *Suite) Fig1() (*Table, error) {
 	}
 	chart := newSchemeChart("Figure 1: document hit rate vs aggregate size", "hit rate (%)", s.cfg.Sizes)
 	for i, size := range s.cfg.Sizes {
-		adhoc, ea, err := s.runPair(s.cfg.Caches, size)
+		adhoc, ea, err := s.runPair(s.cell(s.cfg.Caches, size))
 		if err != nil {
 			return nil, err
 		}
@@ -134,7 +134,7 @@ func (s *Suite) Fig2() (*Table, error) {
 	}
 	chart := newSchemeChart("Figure 2: byte hit rate vs aggregate size", "byte hit rate (%)", s.cfg.Sizes)
 	for i, size := range s.cfg.Sizes {
-		adhoc, ea, err := s.runPair(s.cfg.Caches, size)
+		adhoc, ea, err := s.runPair(s.cell(s.cfg.Caches, size))
 		if err != nil {
 			return nil, err
 		}
@@ -162,7 +162,7 @@ func (s *Suite) Fig3() (*Table, error) {
 	chart := newSchemeChart("Figure 3: estimated average latency vs aggregate size", "latency (ms)", s.cfg.Sizes)
 	chart.YFormat = func(v float64) string { return fmt.Sprintf("%.0f", v) }
 	for i, size := range s.cfg.Sizes {
-		adhoc, ea, err := s.runPair(s.cfg.Caches, size)
+		adhoc, ea, err := s.runPair(s.cell(s.cfg.Caches, size))
 		if err != nil {
 			return nil, err
 		}
@@ -193,7 +193,7 @@ func (s *Suite) Table1() (*Table, error) {
 			// traffic is too thin for a stable average).
 			continue
 		}
-		adhoc, ea, err := s.runPair(s.cfg.Caches, size)
+		adhoc, ea, err := s.runPair(s.cell(s.cfg.Caches, size))
 		if err != nil {
 			return nil, err
 		}
@@ -221,7 +221,7 @@ func (s *Suite) Table2() (*Table, error) {
 		},
 	}
 	for _, size := range s.cfg.Sizes {
-		adhoc, ea, err := s.runPair(s.cfg.Caches, size)
+		adhoc, ea, err := s.runPair(s.cell(s.cfg.Caches, size))
 		if err != nil {
 			return nil, err
 		}
@@ -249,11 +249,11 @@ func (s *Suite) GroupSize() (*Table, error) {
 		},
 	}
 	for _, n := range s.cfg.GroupSizes {
-		adS, eaS, err := s.runPair(n, small)
+		adS, eaS, err := s.runPair(s.cell(n, small))
 		if err != nil {
 			return nil, err
 		}
-		adL, eaL, err := s.runPair(n, large)
+		adL, eaL, err := s.runPair(s.cell(n, large))
 		if err != nil {
 			return nil, err
 		}
@@ -280,7 +280,7 @@ func (s *Suite) ReplicationStudy() (*Table, error) {
 		},
 	}
 	for _, size := range s.cfg.Sizes {
-		adhoc, ea, err := s.runPair(s.cfg.Caches, size)
+		adhoc, ea, err := s.runPair(s.cell(s.cfg.Caches, size))
 		if err != nil {
 			return nil, err
 		}
@@ -303,13 +303,9 @@ func (s *Suite) AblationPolicy() (*Table, error) {
 	}
 	sizes := middleSizes(s.cfg.Sizes, 3)
 	for _, size := range sizes {
-		adhoc, err := s.Run("adhoc", s.cfg.Caches, size, group.Distributed, "lfu",
-			s.cfg.ExpirationWindow, s.cfg.ExpirationHorizon)
-		if err != nil {
-			return nil, err
-		}
-		ea, err := s.Run("ea", s.cfg.Caches, size, group.Distributed, "lfu",
-			s.cfg.ExpirationWindow, s.cfg.ExpirationHorizon)
+		c := s.cell(s.cfg.Caches, size)
+		c.policy = "lfu"
+		adhoc, ea, err := s.runPair(c)
 		if err != nil {
 			return nil, err
 		}
@@ -347,7 +343,9 @@ func (s *Suite) AblationWindow() (*Table, error) {
 		{"cumulative", group.CumulativeAges, 0},
 	}
 	for _, v := range variants {
-		rep, err := s.Run("ea", s.cfg.Caches, size, group.Distributed, "lru", v.window, v.horizon)
+		c := s.cell(s.cfg.Caches, size)
+		c.scheme, c.window, c.horizon = "ea", v.window, v.horizon
+		rep, err := s.run(c)
 		if err != nil {
 			return nil, err
 		}
@@ -367,13 +365,9 @@ func (s *Suite) Hierarchy() (*Table, error) {
 	}
 	sizes := middleSizes(s.cfg.Sizes, 3)
 	for _, size := range sizes {
-		adhoc, err := s.Run("adhoc", s.cfg.Caches, size, group.Hierarchical, "lru",
-			s.cfg.ExpirationWindow, s.cfg.ExpirationHorizon)
-		if err != nil {
-			return nil, err
-		}
-		ea, err := s.Run("ea", s.cfg.Caches, size, group.Hierarchical, "lru",
-			s.cfg.ExpirationWindow, s.cfg.ExpirationHorizon)
+		c := s.cell(s.cfg.Caches, size)
+		c.arch = group.Hierarchical
+		adhoc, ea, err := s.runPair(c)
 		if err != nil {
 			return nil, err
 		}

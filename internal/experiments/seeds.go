@@ -38,7 +38,7 @@ func MultiSeed(traces [][]trace.Record, cfg Config) (*Table, error) {
 	for _, records := range traces {
 		suite := NewSuite(records, cfg)
 		for _, size := range cfg.Sizes {
-			adhoc, ea, err := suite.runPair(cfg.Caches, size)
+			adhoc, ea, err := suite.runPair(suite.cell(cfg.Caches, size))
 			if err != nil {
 				return nil, err
 			}

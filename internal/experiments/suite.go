@@ -9,6 +9,7 @@ import (
 	"eacache/internal/core"
 	"eacache/internal/group"
 	"eacache/internal/metrics"
+	"eacache/internal/proxy"
 	"eacache/internal/sim"
 	"eacache/internal/trace"
 )
@@ -67,16 +68,20 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Suite runs experiments over one reference stream, memoizing simulation
-// runs so that figures sharing a sweep (fig1/fig2/fig3/table1/table2) cost
-// one pass each configuration.
+// Suite runs experiments over one reference stream, memoizing replays so
+// that experiments sharing a configuration (fig1/fig2/fig3/table1/table2,
+// the ICP row of location, the immortal rows of coherence) cost one pass.
 type Suite struct {
 	records []trace.Record
 	cfg     Config
-	runs    map[runKey]*sim.Report
+	runs    map[cell]*sim.Report
 }
 
-type runKey struct {
+// cell is one replay configuration of the suite's trace, and its memo key.
+// run normalises it, so a zero architecture is distributed, a zero
+// location is ICP, and a zero window and horizon are the group's default
+// horizon.
+type cell struct {
 	scheme    string
 	caches    int
 	aggregate int64
@@ -84,6 +89,10 @@ type runKey struct {
 	policy    string
 	window    int
 	horizon   time.Duration
+	location  proxy.Location
+	// ttl stamps era-mix freshness lifetimes on documents; the default
+	// origin's documents are immortal.
+	ttl bool
 }
 
 // NewSuite prepares a suite over a copy of records (cleaned of zero sizes,
@@ -94,7 +103,7 @@ func NewSuite(records []trace.Record, cfg Config) *Suite {
 	return &Suite{
 		records: cleaned,
 		cfg:     cfg.withDefaults(),
-		runs:    make(map[runKey]*sim.Report),
+		runs:    make(map[cell]*sim.Report),
 	}
 }
 
@@ -104,36 +113,55 @@ func (s *Suite) Records() []trace.Record { return s.records }
 // Config returns the suite configuration with defaults applied.
 func (s *Suite) Config() Config { return s.cfg }
 
-// Run simulates one configuration, memoized.
-func (s *Suite) Run(schemeName string, caches int, aggregate int64, arch group.Architecture, policyName string, window int, horizon time.Duration) (*sim.Report, error) {
-	key := runKey{
-		scheme:    schemeName,
-		caches:    caches,
-		aggregate: aggregate,
-		arch:      arch,
-		policy:    policyName,
-		window:    window,
-		horizon:   horizon,
+// cell returns the suite's configuration at one group size and aggregate,
+// scheme unset: distributed, LRU, ICP, immortal documents and the suite's
+// expiration-age window.
+func (s *Suite) cell(caches int, aggregate int64) cell {
+	return cell{
+		caches: caches, aggregate: aggregate, policy: "lru",
+		window: s.cfg.ExpirationWindow, horizon: s.cfg.ExpirationHorizon,
 	}
-	if rep, ok := s.runs[key]; ok {
+}
+
+// run replays the suite's trace through the group c describes, once per
+// configuration.
+func (s *Suite) run(c cell) (*sim.Report, error) {
+	if c.arch == 0 {
+		c.arch = group.Distributed
+	}
+	if c.location == 0 {
+		c.location = proxy.LocateICP
+	}
+	if c.window == 0 && c.horizon == 0 {
+		c.horizon = cache.DefaultExpirationHorizon
+	}
+	if rep, ok := s.runs[c]; ok {
 		return rep, nil
 	}
-
-	scheme, ok := core.New(schemeName)
+	scheme, ok := core.New(c.scheme)
 	if !ok {
-		return nil, fmt.Errorf("experiments: unknown scheme %q", schemeName)
+		return nil, fmt.Errorf("experiments: unknown scheme %q", c.scheme)
+	}
+	if _, ok := cache.NewPolicy(c.policy); !ok {
+		return nil, fmt.Errorf("experiments: unknown policy %q", c.policy)
+	}
+	var origin proxy.Origin // nil: the group's immortal default
+	if c.ttl {
+		origin = proxy.EraTTLOrigin()
 	}
 	g, err := group.New(group.Config{
-		Caches:         caches,
-		AggregateBytes: aggregate,
+		Caches:         c.caches,
+		AggregateBytes: c.aggregate,
 		Scheme:         scheme,
 		NewPolicy: func() cache.Policy {
-			p, _ := cache.NewPolicy(policyName)
+			p, _ := cache.NewPolicy(c.policy)
 			return p
 		},
-		ExpirationWindow:  window,
-		ExpirationHorizon: horizon,
-		Architecture:      arch,
+		ExpirationWindow:  c.window,
+		ExpirationHorizon: c.horizon,
+		Architecture:      c.arch,
+		Location:          c.location,
+		Origin:            origin,
 	})
 	if err != nil {
 		return nil, err
@@ -142,20 +170,19 @@ func (s *Suite) Run(schemeName string, caches int, aggregate int64, arch group.A
 	if err != nil {
 		return nil, err
 	}
-	s.runs[key] = rep
+	s.runs[c] = rep
 	return rep, nil
 }
 
-// runPair simulates the ad-hoc and EA schemes at one configuration.
-func (s *Suite) runPair(caches int, aggregate int64) (adhoc, ea *sim.Report, err error) {
-	adhoc, err = s.Run("adhoc", caches, aggregate, group.Distributed, "lru",
-		s.cfg.ExpirationWindow, s.cfg.ExpirationHorizon)
-	if err != nil {
+// runPair replays the ad-hoc and EA schemes at two configurations that
+// differ only in their scheme.
+func (s *Suite) runPair(c cell) (adhoc, ea *sim.Report, err error) {
+	c.scheme = "adhoc"
+	if adhoc, err = s.run(c); err != nil {
 		return nil, nil, err
 	}
-	ea, err = s.Run("ea", caches, aggregate, group.Distributed, "lru",
-		s.cfg.ExpirationWindow, s.cfg.ExpirationHorizon)
-	if err != nil {
+	c.scheme = "ea"
+	if ea, err = s.run(c); err != nil {
 		return nil, nil, err
 	}
 	return adhoc, ea, nil

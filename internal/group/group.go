@@ -14,6 +14,7 @@ import (
 	"eacache/internal/cache"
 	"eacache/internal/core"
 	"eacache/internal/digest"
+	"eacache/internal/obs"
 	"eacache/internal/proxy"
 )
 
@@ -85,8 +86,8 @@ type Config struct {
 	Location proxy.Location
 	// Digest tunes the summaries when Location is proxy.LocateDigest.
 	Digest digest.Config
-	// Tracer, when set, observes every proxy's placement decisions.
-	Tracer proxy.Tracer
+	// Decisions, when set, records every proxy's placement verdicts.
+	Decisions *obs.DecisionLog
 }
 
 // Group is a wired cooperative cache group.
@@ -153,13 +154,13 @@ func New(cfg Config) (*Group, error) {
 			return nil, fmt.Errorf("group: %s: %w", id, err)
 		}
 		return proxy.New(proxy.Config{
-			ID:       id,
-			Store:    store,
-			Scheme:   cfg.Scheme,
-			Origin:   cfg.Origin,
-			Location: cfg.Location,
-			Digest:   cfg.Digest,
-			Tracer:   cfg.Tracer,
+			ID:        id,
+			Store:     store,
+			Scheme:    cfg.Scheme,
+			Origin:    cfg.Origin,
+			Location:  cfg.Location,
+			Digest:    cfg.Digest,
+			Decisions: cfg.Decisions,
 		})
 	}
 

@@ -1,12 +1,15 @@
 package group
 
 import (
+	"fmt"
 	"hash/fnv"
+	"slices"
 	"testing"
 	"time"
 
 	"eacache/internal/cache"
 	"eacache/internal/core"
+	"eacache/internal/obs"
 	"eacache/internal/proxy"
 )
 
@@ -289,13 +292,15 @@ func TestGroupDigestLocation(t *testing.T) {
 	}
 }
 
+// TestGroupTracerPassThrough: the group hands its decision log to every
+// proxy, so one log holds the whole group's verdicts.
 func TestGroupTracerPassThrough(t *testing.T) {
-	var events proxy.CollectTracer
+	log := obs.NewDecisionLog(8)
 	g, err := New(Config{
 		Caches:         2,
 		AggregateBytes: 2 << 20,
 		Scheme:         core.EA{},
-		Tracer:         &events,
+		Decisions:      log,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -303,8 +308,40 @@ func TestGroupTracerPassThrough(t *testing.T) {
 	if _, err := g.Leaves()[0].Request("http://d/", 100, at(0)); err != nil {
 		t.Fatal(err)
 	}
-	if len(events.Events) == 0 {
-		t.Fatal("group tracer saw no events")
+	if _, err := g.Leaves()[1].Request("http://d/", 100, at(1)); err != nil {
+		t.Fatal(err)
+	}
+	var nodes []string
+	for _, d := range log.Snapshot() {
+		nodes = append(nodes, d.Node+" "+d.Role)
+	}
+	want := []string{"cache-0 requester", "cache-0 responder", "cache-1 requester"}
+	if !slices.Equal(nodes, want) {
+		t.Fatalf("group decision log = %q, want %q", nodes, want)
+	}
+
+	// Under hash location a URL's home records the keep verdict of the
+	// miss it resolves for another cache, as a live home does.
+	for i := 0; ; i++ {
+		log := obs.NewDecisionLog(8)
+		g, err := New(Config{Caches: 2, AggregateBytes: 2 << 20, Scheme: core.EA{}, Location: proxy.LocateHash, Decisions: log})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.Leaves()[0].Request(fmt.Sprintf("http://h/%d", i), 100, at(0)); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, d := range log.Snapshot() {
+			got = append(got, d.Node+" "+d.Role+" "+d.Verdict)
+		}
+		if slices.Equal(got, []string{"cache-0 requester accept"}) && i < 64 {
+			continue // cache-0 is the URL's home
+		}
+		if want := []string{"cache-1 parent accept", "cache-0 requester reject"}; !slices.Equal(got, want) {
+			t.Fatalf("hash-routed miss logged %q, want %q", got, want)
+		}
+		break
 	}
 }
 

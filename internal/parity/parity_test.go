@@ -3,8 +3,9 @@
 // (internal/proxy via internal/group) and through a live netnode group
 // (real ICP fan-out over UDP, real hproto fetches over TCP) and demands
 // that both stacks make byte-for-byte identical decisions — same hit
-// mix, same bytes served from the group, same placement (store) and
-// promotion decisions, and the same final resident set in every cache.
+// mix, same bytes served from the group, the same placement verdicts
+// (role, verdict, URL, size and both expiration ages) recorded in each
+// cache's decision log, and the same final resident set in every cache.
 //
 // Both stacks delegate the request lifecycle to internal/resolve, so a
 // divergence here means an adapter leaks policy: a locator that orders
@@ -12,8 +13,9 @@
 // semantics, or a transport that rounds an expiration age. Determinism
 // on the live side rests on three legs: requests are replayed
 // sequentially, the live node orders ICP hit responders by peer-list
-// position (not reply arrival), and the cache-visible clock is injected
-// (netnode.Config.Now) and driven by the trace timestamps.
+// position (not reply arrival) and waits for every reply, and the
+// cache-visible clock is injected (netnode.Config.Now) and driven by the
+// trace timestamps.
 package parity
 
 import (
@@ -27,6 +29,7 @@ import (
 	"eacache/internal/group"
 	"eacache/internal/metrics"
 	"eacache/internal/netnode"
+	"eacache/internal/obs"
 	"eacache/internal/trace"
 )
 
@@ -71,6 +74,17 @@ func (t *tally) add(outcome metrics.Outcome, size int64, stored, promoted bool) 
 	}
 }
 
+// decision is the part of an obs.Decision both stacks must agree on: the
+// clock and request identities are each stack's own.
+type decision struct {
+	Role, Verdict, URL               string
+	LocalAgeMS, PeerAgeMS, SizeBytes int64
+}
+
+func decisionOf(d obs.Decision) decision {
+	return decision{d.Role, d.Verdict, d.URL, d.LocalAgeMS, d.PeerAgeMS, d.SizeBytes}
+}
+
 // workload generates the shared deterministic trace: small enough that
 // the live replay (one real ICP fan-out per non-local request) stays
 // fast, contended enough (catalogue ≫ cache) that evictions happen and
@@ -100,10 +114,14 @@ func TestSimLiveParityICPEA(t *testing.T) {
 	// per-cache budget the live nodes get. group.New splits
 	// AggregateBytes evenly and defaults to LRU and the package
 	// expiration horizon — the live configs below mirror both.
+	// Every placement verdict of the replay is kept: each request makes
+	// at most two (the requester's and the responder's).
+	simLog := obs.NewDecisionLog(2 * len(records))
 	g, err := group.New(group.Config{
 		Caches:         caches,
 		AggregateBytes: perCache * caches,
 		Scheme:         core.EA{},
+		Decisions:      simLog,
 	})
 	if err != nil {
 		t.Fatalf("group.New: %v", err)
@@ -141,6 +159,7 @@ func TestSimLiveParityICPEA(t *testing.T) {
 	defer origin.Close()
 
 	nodes := make([]*netnode.Node, caches)
+	logs := make([]*obs.DecisionLog, caches)
 	for i := range nodes {
 		store, err := cache.NewSharded(cache.ShardedConfig{
 			Shards:            1,
@@ -150,6 +169,9 @@ func TestSimLiveParityICPEA(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cache %d: %v", i, err)
 		}
+		tel := obs.New(fmt.Sprintf("cache-%d", i), 0)
+		tel.Placement = obs.NewDecisionLog(2 * len(records))
+		logs[i] = tel.Placement
 		node, err := netnode.New(netnode.Config{
 			ID:         fmt.Sprintf("cache-%d", i),
 			ICPAddr:    "127.0.0.1:0",
@@ -158,6 +180,11 @@ func TestSimLiveParityICPEA(t *testing.T) {
 			Scheme:     core.EA{},
 			OriginAddr: origin.Addr(),
 			Now:        clk.now,
+			Obs:        tel,
+			// A query ends when every peer has answered, so a long
+			// timeout costs nothing, and a reply that a loaded machine
+			// delays past the default 150ms still counts.
+			ICPTimeout: 10 * time.Second,
 		})
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
@@ -207,6 +234,34 @@ func TestSimLiveParityICPEA(t *testing.T) {
 	}
 	if simT.Stored == 0 || simT.Promoted == 0 {
 		t.Errorf("workload exercised no placement decisions (stored=%d promoted=%d)", simT.Stored, simT.Promoted)
+	}
+
+	// Each node's verdicts must be the simulator's verdicts for that
+	// cache, one for one, with the same eq.-5 inputs.
+	simDecisions := simLog.Snapshot()
+	if len(simDecisions) < simT.Stored+simT.Promoted {
+		t.Errorf("sim recorded %d decisions for %d stores and %d promotions", len(simDecisions), simT.Stored, simT.Promoted)
+	}
+	simByNode := make(map[string][]decision)
+	for _, d := range simDecisions {
+		simByNode[d.Node] = append(simByNode[d.Node], decisionOf(d))
+	}
+	for i, lg := range logs {
+		id := fmt.Sprintf("cache-%d", i)
+		var live []decision
+		for _, d := range lg.Snapshot() {
+			live = append(live, decisionOf(d))
+		}
+		want := simByNode[id]
+		if len(live) != len(want) {
+			t.Errorf("%s: live recorded %d decisions, sim %d", id, len(live), len(want))
+		}
+		for j := range min(len(live), len(want)) {
+			if live[j] != want[j] {
+				t.Errorf("%s decision %d:\n  sim  %+v\n  live %+v", id, j, want[j], live[j])
+				break
+			}
+		}
 	}
 
 	// Final resident sets must match cache-for-cache: equal counts plus

@@ -3,7 +3,7 @@ package proxy
 // This file adapts the proxy to the shared resolution engine
 // (internal/resolve): the engine owns the request lifecycle and every
 // placement decision; the adapters below supply the simulator's store,
-// in-process transport, locator strategies, and trace/ICP-stat hooks.
+// in-process transport, locator strategies, and decision/ICP-stat hooks.
 // The live node (internal/netnode) wires the very same engine over real
 // sockets — keeping both request paths behaviourally identical is what
 // the sim↔live parity test checks.
@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"eacache/internal/cache"
+	"eacache/internal/obs"
 	"eacache/internal/resolve"
 )
 
@@ -27,11 +28,7 @@ var _ resolve.LocalStore = simStore{}
 func (s simStore) Lookup(_ any, url string, now time.Time) (cache.Document, bool) {
 	p := s.p
 	doc, ok := p.store.Peek(url)
-	if !ok {
-		return cache.Document{}, false
-	}
-	if !doc.FreshAt(now) {
-		p.trace(Event{Time: now, Kind: EventStaleLocal, Proxy: p.id, URL: url})
+	if !ok || !doc.FreshAt(now) {
 		return cache.Document{}, false
 	}
 	p.store.Get(url, now)
@@ -127,16 +124,14 @@ func (t simTransport) FetchOrigin(_ any, url string, sizeHint int64, _ time.Dura
 	return t.p.fetchOrigin(url, sizeHint, now)
 }
 
-// simHooks maps the engine's decision points to placement trace events
-// and ICP statistics. Traces record the actual stored/promoted effects
-// (not the scheme verdict), exactly as the pre-engine proxy did.
+// simHooks maps the engine's decision points to placement decision
+// records and ICP statistics. A requester records the scheme's store
+// verdict, not whether the copy fit, exactly as the live node's hooks do.
 type simHooks struct{ p *Proxy }
 
 var _ resolve.Hooks = simHooks{}
 
-func (h simHooks) OnLocalHit(_ any, url string, now time.Time) {
-	h.p.trace(Event{Time: now, Kind: EventLocalHit, Proxy: h.p.id, URL: url})
-}
+func (h simHooks) OnLocalHit(any, string, time.Time) {}
 
 func (h simHooks) OnRetry(any) {}
 
@@ -144,29 +139,18 @@ func (h simHooks) OnFalseHit(_ any, _ resolve.Candidate, _ string) {
 	h.p.icp.DigestFalseHits++
 }
 
-func (h simHooks) OnRemoteHit(_ any, c resolve.Candidate, url string, _ int64, reqAge, respAge time.Duration, _, stored, promoted bool, now time.Time) {
-	h.p.trace(Event{
-		Time: now, Kind: EventRemoteFetch, Proxy: h.p.id, URL: url,
-		Peer: c.ID, RequesterAge: reqAge, ResponderAge: respAge,
-		Stored: stored, Promoted: promoted,
-	})
+func (h simHooks) OnRemoteHit(_ any, _ resolve.Candidate, url string, size int64, reqAge, respAge time.Duration, store, _, _ bool, now time.Time) {
+	h.p.decide(obs.RoleRequester, verdictOf(store), url, size, reqAge, respAge, now)
 }
 
 func (h simHooks) OnFallback(any) {}
 
 func (h simHooks) OnParentDegrade(any, string, error) {}
 
-func (h simHooks) OnParentFetch(_ any, parentID, url string, _ int64, reqAge, parentAge time.Duration, _, _, stored bool, now time.Time) {
-	h.p.trace(Event{
-		Time: now, Kind: EventRemoteFetch, Proxy: h.p.id, URL: url,
-		Peer: parentID, RequesterAge: reqAge, ResponderAge: parentAge,
-		Stored: stored,
-	})
+func (h simHooks) OnParentFetch(_ any, _, url string, size int64, reqAge, parentAge time.Duration, _, store, _ bool, now time.Time) {
+	h.p.decide(obs.RoleRequester, verdictOf(store), url, size, reqAge, parentAge, now)
 }
 
-func (h simHooks) OnOriginFetch(_ any, url string, _ int64, reqAge time.Duration, _, stored bool, now time.Time) {
-	h.p.trace(Event{
-		Time: now, Kind: EventOriginFetch, Proxy: h.p.id, URL: url,
-		RequesterAge: reqAge, Stored: stored,
-	})
+func (h simHooks) OnOriginFetch(_ any, url string, size int64, reqAge time.Duration, store, _ bool, now time.Time) {
+	h.p.decide(obs.RoleRequester, verdictOf(store), url, size, reqAge, cache.NoContention, now)
 }

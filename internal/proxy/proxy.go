@@ -16,6 +16,7 @@ import (
 	"eacache/internal/chash"
 	"eacache/internal/core"
 	"eacache/internal/digest"
+	"eacache/internal/obs"
 	"eacache/internal/resolve"
 )
 
@@ -140,9 +141,9 @@ type Config struct {
 	// Digest tunes the Summary-Cache digests when Location is
 	// LocateDigest.
 	Digest digest.Config
-	// Tracer, when set, observes every placement-relevant step — the
-	// exchanged expiration ages and the store/promote decisions.
-	Tracer Tracer
+	// Decisions, when set, records every placement verdict with its two
+	// eq.-5 expiration ages, as a live node's /debug/placement log does.
+	Decisions *obs.DecisionLog
 }
 
 // Result describes how one client request was served. It is the
@@ -177,13 +178,13 @@ type ICPStats struct {
 // the simulator is single-threaded per group and the live node (netnode)
 // adds its own locking.
 type Proxy struct {
-	id       string
-	store    *cache.Store
-	scheme   core.Scheme
-	origin   Origin
-	location Location
-	summary  *digest.Incremental
-	tracer   Tracer
+	id        string
+	store     *cache.Store
+	scheme    core.Scheme
+	origin    Origin
+	location  Location
+	summary   *digest.Incremental
+	decisions *obs.DecisionLog
 
 	siblings []*Proxy
 	parent   *Proxy
@@ -215,12 +216,12 @@ func New(cfg Config) (*Proxy, error) {
 		cfg.Location = LocateICP
 	}
 	p := &Proxy{
-		id:       cfg.ID,
-		store:    cfg.Store,
-		scheme:   cfg.Scheme,
-		origin:   cfg.Origin,
-		location: cfg.Location,
-		tracer:   cfg.Tracer,
+		id:        cfg.ID,
+		store:     cfg.Store,
+		scheme:    cfg.Scheme,
+		origin:    cfg.Origin,
+		location:  cfg.Location,
+		decisions: cfg.Decisions,
 	}
 	p.self = []resolve.Candidate{{ID: p.id, Ref: p}}
 	if cfg.Location == LocateDigest {
@@ -450,11 +451,20 @@ func (p *Proxy) serveRemote(url string, requesterAge time.Duration, now time.Tim
 	if !ok || !doc.FreshAt(now) {
 		return cache.Document{}, responderAge, false
 	}
-	if p.scheme.OnRemoteHit(requesterAge, responderAge).PromoteAtResponder {
-		p.store.Touch(url, now)
-	}
+	p.promoteIf(url, doc.Size, responderAge, requesterAge, now)
 	p.icp.RemoteServed++
 	return doc, responderAge, true
+}
+
+// promoteIf applies the scheme's responder rule to the copy of url this
+// proxy is serving and records the verdict.
+func (p *Proxy) promoteIf(url string, size int64, myAge, requesterAge time.Duration, now time.Time) {
+	verdict := obs.DecisionReject
+	if p.scheme.OnRemoteHit(requesterAge, myAge).PromoteAtResponder {
+		p.store.Touch(url, now)
+		verdict = obs.DecisionPromote
+	}
+	p.decide(obs.RoleResponder, verdict, url, size, myAge, requesterAge, now)
 }
 
 // resolveAsHome is the responder side of hash routing: this proxy is
@@ -463,7 +473,7 @@ func (p *Proxy) serveRemote(url string, requesterAge time.Duration, now time.Tim
 // state, so the copy is refreshed — or resolves the miss from the
 // origin and keeps the fetched copy. fromCache distinguishes a group
 // hit from a miss served through the home.
-func (p *Proxy) resolveAsHome(url string, sizeHint int64, _ time.Duration, now time.Time) (cache.Document, time.Duration, bool, error) {
+func (p *Proxy) resolveAsHome(url string, sizeHint int64, requesterAge time.Duration, now time.Time) (cache.Document, time.Duration, bool, error) {
 	age := p.store.ExpirationAge(now)
 	if doc, ok := p.store.Peek(url); ok && doc.FreshAt(now) {
 		p.store.Get(url, now)
@@ -475,6 +485,7 @@ func (p *Proxy) resolveAsHome(url string, sizeHint int64, _ time.Duration, now t
 		return cache.Document{}, age, false, err
 	}
 	p.putIfFits(doc, now)
+	p.decide(obs.RoleParent, obs.DecisionAccept, url, doc.Size, age, requesterAge, now)
 	p.icp.RemoteServed++
 	return doc, age, false, nil
 }
@@ -497,9 +508,7 @@ func (p *Proxy) resolveMiss(url string, sizeHint int64, childAge time.Duration, 
 	// direct child's ICP query covered us, because deeper descendants
 	// reach us only through this path).
 	if doc, ok := p.store.Peek(url); ok && doc.FreshAt(now) {
-		if p.scheme.OnRemoteHit(childAge, myAge).PromoteAtResponder {
-			p.store.Touch(url, now)
-		}
+		p.promoteIf(url, doc.Size, myAge, childAge, now)
 		p.icp.RemoteServed++
 		return doc, myAge, true, nil
 	}
@@ -517,15 +526,12 @@ func (p *Proxy) resolveMiss(url string, sizeHint int64, childAge time.Duration, 
 	if err != nil {
 		return cache.Document{}, myAge, false, err
 	}
-	stored := false
-	if p.scheme.OnParentResolve(myAge, childAge) {
-		stored = p.putIfFits(doc, now)
+	keep := p.scheme.OnParentResolve(myAge, childAge)
+	if keep {
+		p.putIfFits(doc, now)
 	}
+	p.decide(obs.RoleParent, verdictOf(keep), url, doc.Size, myAge, childAge, now)
 	p.icp.RemoteServed++
-	p.trace(Event{
-		Time: now, Kind: EventParentResolve, Proxy: p.id, URL: url,
-		RequesterAge: childAge, ResponderAge: myAge, Stored: stored,
-	})
 	return doc, myAge, fromGroup, nil
 }
 
@@ -547,9 +553,24 @@ func (p *Proxy) putIfFits(doc cache.Document, now time.Time) bool {
 	return err == nil
 }
 
-// trace emits e to the configured tracer, if any.
-func (p *Proxy) trace(e Event) {
-	if p.tracer != nil {
-		p.tracer.Trace(e)
+// decide records one placement verdict — this proxy's own expiration age
+// and the one piggybacked from the other side — in the decision log, if
+// any.
+func (p *Proxy) decide(role, verdict, url string, size int64, myAge, peerAge time.Duration, now time.Time) {
+	if p.decisions == nil {
+		return
 	}
+	p.decisions.Record(obs.Decision{
+		Time: now, Node: p.id, URL: url, Role: role, Verdict: verdict,
+		LocalAgeMS: obs.AgeMS(myAge), PeerAgeMS: obs.AgeMS(peerAge),
+		SizeBytes: size,
+	}, nil)
+}
+
+// verdictOf names a store/keep verdict.
+func verdictOf(store bool) string {
+	if store {
+		return obs.DecisionAccept
+	}
+	return obs.DecisionReject
 }

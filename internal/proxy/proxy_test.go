@@ -2,12 +2,15 @@ package proxy
 
 import (
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"eacache/internal/cache"
 	"eacache/internal/core"
 	"eacache/internal/metrics"
+	"eacache/internal/obs"
 )
 
 var t0 = time.Date(1994, time.November, 15, 12, 0, 0, 0, time.UTC)
@@ -234,6 +237,86 @@ func TestRemoteHitEAPromotesAtLessContendedResponder(t *testing.T) {
 	after, _ := a.Store().Entry("http://d/")
 	if after.Hits != before.Hits+1 || !after.LastHit.Equal(at(100)) {
 		t.Fatalf("responder copy not promoted: before=%+v after=%+v", before, after)
+	}
+}
+
+// verdicts reduces a decision log to "node role verdict" lines.
+func verdicts(log *obs.DecisionLog) []string {
+	var out []string
+	for _, d := range log.Snapshot() {
+		out = append(out, d.Node+" "+d.Role+" "+d.Verdict)
+	}
+	return out
+}
+
+func TestDecisionLogSeesVerdictSequence(t *testing.T) {
+	log := obs.NewDecisionLog(16)
+	a := newProxy(t, "a", 10000, core.EA{})
+	b := newProxy(t, "b", 10000, core.EA{})
+	parent := newProxy(t, "parent", 10000, core.EA{})
+	c := newProxy(t, "c", 10000, core.EA{})
+	for _, p := range []*Proxy{a, b, parent, c} {
+		p.decisions = log
+	}
+	wire(t, a, b)
+	if err := c.SetParent(parent); err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		p   *Proxy
+		sec int
+	}{
+		{a, 0}, // origin fetch: a keeps its copy
+		{a, 1}, // local hit: no verdict
+		{b, 2}, // cold tie: a does not promote, b does not store
+		{c, 3}, // miss via the parent: the parent does not keep, c does
+		{c, 4}, // local hit at c
+	} {
+		if _, err := step.p.Request("http://d/", 100, at(step.sec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{
+		"a requester accept",
+		"a responder reject", "b requester reject",
+		"parent parent reject", "c requester accept",
+	}
+	if got := verdicts(log); !slices.Equal(got, want) {
+		t.Fatalf("verdicts = %q, want %q", got, want)
+	}
+	for _, d := range log.Snapshot() {
+		// Cold caches: both ages are the no-contention sentinel.
+		if d.URL != "http://d/" || d.SizeBytes != 100 || d.LocalAgeMS != -1 || d.PeerAgeMS != -1 {
+			t.Fatalf("decision %+v", d)
+		}
+	}
+}
+
+func TestDecisionLogCarriesAges(t *testing.T) {
+	log := obs.NewDecisionLog(64)
+	a := newProxy(t, "a", 1000, core.EA{})
+	b := newProxy(t, "b", 100000, core.EA{})
+	a.decisions, b.decisions = log, log
+	wire(t, a, b)
+	contendStore(t, a, 30, 0)
+	if _, err := a.Request("http://d/", 400, at(100)); err != nil {
+		t.Fatal(err)
+	}
+	aAge := obs.AgeMS(a.Store().ExpirationAge(at(101)))
+	if aAge < 0 {
+		t.Fatal("churned cache reports no contention")
+	}
+	if _, err := b.Request("http://d/", 400, at(101)); err != nil {
+		t.Fatal(err)
+	}
+	all := log.Snapshot()
+	got := all[len(all)-2:]
+	want := []obs.Decision{
+		{Time: at(101), Node: "a", URL: "http://d/", Role: obs.RoleResponder, Verdict: obs.DecisionReject, LocalAgeMS: aAge, PeerAgeMS: -1, SizeBytes: 400},
+		{Time: at(101), Node: "b", URL: "http://d/", Role: obs.RoleRequester, Verdict: obs.DecisionAccept, LocalAgeMS: -1, PeerAgeMS: aAge, SizeBytes: 400},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decisions = %+v\nwant %+v", got, want)
 	}
 }
 
