@@ -69,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		capacity   = fs.String("capacity", "10MB", "cache capacity")
 		peers      peerList
 
-		dialTimeout  = fs.Duration("dial-timeout", netnode.DefaultDialTimeout, "TCP dial timeout for peer/parent/origin fetches; readmission probes of an ejected peer run every quarter of it")
+		dialTimeout  = fs.Duration("dial-timeout", netnode.DefaultDialTimeout, "TCP dial timeout for peer/parent/origin fetches; probes of a dead peer run every quarter of it")
 		fetchTimeout = fs.Duration("fetch-timeout", netnode.DefaultFetchTimeout, "whole-exchange timeout for inter-proxy fetches; a peer dead for two of them is ejected, and a SIGTERM/SIGINT drain waits one for in-flight requests")
 		maxInflight  = fs.Int("max-inflight", 1024, "max concurrent requests before the front door sheds; 0 disables shedding")
 		chaosSpec    = fs.String("chaos", "", `inject deterministic faults into every socket, e.g. "seed=42,udp-drop=0.3,tcp-stall=0.05" (see internal/faults)`)

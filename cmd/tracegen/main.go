@@ -42,6 +42,25 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Every flag is checked before anything is generated or written, so a
+	// bad one leaves an existing -o file as it was.
+	var write func(io.Writer, []trace.Record) error
+	switch *format {
+	case "canonical":
+		write = trace.Write
+	case "squid":
+		write = trace.WriteSquid
+	default:
+		return fmt.Errorf("unknown output format %q", *format)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"requests", float64(*requests)}, {"docs", float64(*docs)}, {"users", float64(*users)}, {"zipf", *zipf}} {
+		if f.v < 0 {
+			return fmt.Errorf("-%s must not be negative, got %v", f.name, f.v)
+		}
+	}
 
 	cfg := trace.BULike().Scaled(*scale)
 	cfg.Seed = *seed
@@ -63,23 +82,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-
-	w := stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	switch *format {
-	case "canonical":
-		err = trace.Write(w, records)
-	case "squid":
-		err = trace.WriteSquid(w, records)
-	default:
-		err = fmt.Errorf("unknown output format %q", *format)
+	if *out == "" {
+		err = write(stdout, records)
+	} else {
+		err = writeFile(*out, records, write)
 	}
 	if err != nil {
 		return err
@@ -90,4 +96,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "popularity: %s\n", trace.ComputePopularity(records))
 	}
 	return nil
+}
+
+// writeFile writes records to path, reporting a failed Close — the last
+// chance to hear of a write that did not reach the file.
+func writeFile(path string, records []trace.Record, write func(io.Writer, []trace.Record) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f, records); err != nil {
+		_ = f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -119,3 +119,29 @@ func TestRunRejectsBadFormat(t *testing.T) {
 		t.Fatal("bad format accepted")
 	}
 }
+
+// TestRunBadFlagLeavesOutputFile: an unknown format or a negative
+// override fails before the output file is created or truncated.
+func TestRunBadFlagLeavesOutputFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.txt")
+	const kept = "an earlier trace\n"
+	for _, args := range [][]string{
+		{"-format", "bogus"},
+		{"-requests", "-1"},
+		{"-docs", "-1"},
+		{"-users", "-1"},
+		{"-zipf", "-0.5"},
+	} {
+		if err := os.WriteFile(path, []byte(kept), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out, errOut bytes.Buffer
+		err := run(append(args, "-scale", "0.001", "-o", path), &out, &errOut)
+		if err == nil || !strings.Contains(err.Error(), strings.TrimPrefix(args[0], "-")) {
+			t.Fatalf("%v: err = %v, want one naming the flag", args, err)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != kept {
+			t.Fatalf("%v: output file now %q (%v), want it untouched", args, got, err)
+		}
+	}
+}

@@ -15,7 +15,6 @@ import (
 
 	"eacache/internal/core"
 	"eacache/internal/faults"
-	"eacache/internal/health"
 	"eacache/internal/icp"
 	"eacache/internal/metrics"
 )
@@ -107,11 +106,7 @@ func TestBreakerAvoidsICPTimeoutOnceOpen(t *testing.T) {
 			Scheme:     core.EA{},
 			OriginAddr: origin.Addr(),
 			ICPTimeout: icpTimeout,
-			Health: health.Config{
-				SuspectAfter: 1,
-				DeadAfter:    2,
-				ProbeBase:    time.Minute, // no probes during the test
-			},
+			DeadAfter:  2,
 		})
 	}
 	nodes := []*Node{mk("n0"), mk("n1"), mk("n2"), mk("n3")}
@@ -131,13 +126,13 @@ func TestBreakerAvoidsICPTimeoutOnceOpen(t *testing.T) {
 		}
 	}
 	opened := false
-	for _, ps := range nodes[0].PeerHealth() {
-		if ps.Peer == deadHTTP && ps.State == health.Dead {
+	for _, m := range nodes[0].Members() {
+		if m.HTTP == deadHTTP && m.State == "dead" {
 			opened = true
 		}
 	}
 	if !opened {
-		t.Fatalf("breaker did not open for the dead peer; health = %+v", nodes[0].PeerHealth())
+		t.Fatalf("breaker did not open for the dead peer; members = %+v", nodes[0].Members())
 	}
 	if rb := nodes[0].Robustness(); rb.BreakerOpens == 0 || rb.PeerFailures == 0 {
 		t.Fatalf("robustness = %+v, want breaker open + peer failures recorded", rb)
@@ -168,6 +163,75 @@ func TestBreakerAvoidsICPTimeoutOnceOpen(t *testing.T) {
 	}
 }
 
+// TestDeadPeerIsProbedOutOfBand: once a peer's breaker opens, no client
+// request waits on it again — not even one that would double as a probe —
+// and the sweeper alone finds it back: revived on its old addresses, it
+// is healthy within a few ReadmitProbe periods with no request sent. The
+// grace window is long, so the peer is dead but never ejected.
+func TestDeadPeerIsProbedOutOfBand(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos test")
+	}
+	checkGoroutines(t)
+	origin := startOrigin(t)
+
+	const (
+		icpTimeout   = 800 * time.Millisecond
+		readmitProbe = 100 * time.Millisecond
+	)
+	mk := func(id, icpAddr, httpAddr string) *Node {
+		return startChaosNode(t, Config{
+			ID: id, ICPAddr: icpAddr, HTTPAddr: httpAddr,
+			Scheme: core.EA{}, OriginAddr: origin.Addr(),
+			ICPTimeout:   icpTimeout,
+			EjectAfter:   time.Minute,
+			ReadmitProbe: readmitProbe,
+		})
+	}
+	nodes := []*Node{mk("n0", "", ""), mk("n1", "", ""), mk("n2", "", "")}
+	mesh(nodes...)
+	deadICP, deadHTTP := nodes[2].ICPAddr().String(), nodes[2].HTTPAddr()
+	if err := nodes[2].Close(); err != nil {
+		t.Fatal(err)
+	}
+	state := func() string { return memberRow(t, nodes[0], deadHTTP).State }
+
+	// Each timed-out fan-out is one strike against the silent peer; three
+	// open its breaker.
+	for i := 0; state() != "dead"; i++ {
+		if i == 6 {
+			t.Fatalf("breaker still %s after %d timed-out fan-outs", state(), i)
+		}
+		if _, err := nodes[0].Request(fmt.Sprintf("http://warm/doc%d", i), 1000); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Several probe periods of traffic: every miss skips the dead peer.
+	for i, end := 0, time.Now().Add(10*readmitProbe); time.Now().Before(end); i++ {
+		start := time.Now()
+		if _, err := nodes[0].Request(fmt.Sprintf("http://steady/doc%d", i), 1000); err != nil {
+			t.Fatal(err)
+		}
+		if elapsed := time.Since(start); elapsed >= icpTimeout/2 {
+			t.Fatalf("request %d took %v with the breaker open: it waited on the dead peer", i, elapsed)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if m := memberRow(t, nodes[0], deadHTTP); m.State != "dead" || m.Ejected {
+		t.Fatalf("the closed peer is %+v, want dead and not ejected inside a one-minute grace window", m)
+	}
+
+	// Revived on its old addresses, the peer is found by the probe alone.
+	mk("n2", deadICP, deadHTTP)
+	waitFor(t, 10*readmitProbe, "the revived peer healthy with no request sent", func() bool {
+		return state() == "healthy"
+	})
+	if rb := nodes[0].Robustness(); rb.BreakerOpens != 1 || rb.BreakerCloses != 1 || rb.Ejections != 0 {
+		t.Fatalf("robustness = %+v, want one open, one close, no ejection", rb)
+	}
+}
+
 // TestRemoteHitFetchFailureFallsBackToOrigin: a neighbour answers HIT but
 // its fetch port refuses connections. The request must degrade to the
 // origin and still succeed, with the failure, fallback, and breaker
@@ -184,7 +248,7 @@ func TestRemoteHitFetchFailureFallsBackToOrigin(t *testing.T) {
 		Scheme:     core.AdHoc{},
 		OriginAddr: origin.Addr(),
 		ICPTimeout: 500 * time.Millisecond,
-		Health:     health.Config{DeadAfter: 1, ProbeBase: time.Minute},
+		DeadAfter:  1,
 	})
 	liar := fakeHitPeer(t, deadTCPAddr(t))
 	n.SetPeers([]Peer{liar})
@@ -305,7 +369,7 @@ func TestUDPLossGroupStillCompletes(t *testing.T) {
 			Faults:     inj,
 			// Peers will look flaky; probe quickly so nobody is
 			// excluded for long.
-			Health: health.Config{DeadAfter: 3, ProbeBase: 50 * time.Millisecond, ProbeMax: 200 * time.Millisecond},
+			ReadmitProbe: 50 * time.Millisecond,
 		})
 	}
 	mesh(nodes...)

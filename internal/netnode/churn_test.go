@@ -21,7 +21,6 @@ import (
 
 	"eacache/internal/chash"
 	"eacache/internal/core"
-	"eacache/internal/health"
 	"eacache/internal/hproto"
 	"eacache/internal/resolve"
 )
@@ -48,7 +47,7 @@ func startChurnNode(t *testing.T, originAddr, name, icpAddr, httpAddr string) *N
 		ID: name, ICPAddr: icpAddr, HTTPAddr: httpAddr,
 		Scheme: core.EA{}, OriginAddr: originAddr,
 		Location: resolve.LocateHash, HashName: name,
-		Health:       health.Config{DeadAfter: 1, ProbeBase: time.Minute},
+		DeadAfter:    1,
 		EjectAfter:   50 * time.Millisecond,
 		ReadmitProbe: 25 * time.Millisecond,
 	})

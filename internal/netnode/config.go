@@ -11,7 +11,6 @@ import (
 	"eacache/internal/core"
 	"eacache/internal/digest"
 	"eacache/internal/faults"
-	"eacache/internal/health"
 	"eacache/internal/obs"
 	"eacache/internal/resolve"
 )
@@ -36,6 +35,10 @@ const (
 	// the front door before it is shed (only when MaxInflight is set).
 	DefaultShedQueueWait = 100 * time.Millisecond
 )
+
+// DefaultDeadAfter is how many consecutive failed exchanges open a peer's
+// breaker when Config.DeadAfter is left zero.
+const DefaultDeadAfter = 3
 
 // DefaultSnapshotInterval is how often a persistent node checkpoints when
 // Config.SnapshotInterval is left zero.
@@ -142,18 +145,22 @@ type Config struct {
 	// a slot before being shed. Zero defaults to DefaultShedQueueWait;
 	// negative is rejected. Requires MaxInflight when set.
 	ShedQueueWait time.Duration
-	// Health tunes the per-peer circuit breaker (thresholds, probe
-	// backoff). The zero value uses the health package defaults.
-	Health health.Config
+	// DeadAfter is how many consecutive failed exchanges with a peer
+	// (ICP silence through a full timeout, an unsendable query, a failed
+	// dial or fetch) open its breaker: the peer is dead, left out of
+	// every locator and probed only out of band, until any success
+	// closes the breaker again. Zero defaults to DefaultDeadAfter;
+	// negative is rejected.
+	DeadAfter int
 	// EjectAfter is breaker-driven ejection's grace window: a peer whose
-	// breaker stays dead this long is removed from the locator set (ICP
-	// fan-out and hash homing) until an out-of-band probe succeeds, at
+	// breaker stays dead this long is also removed from the locator set
+	// (so the hash ring re-homes its URLs) until a probe succeeds, at
 	// which point it is readmitted automatically. Zero derives it as
 	// 2 × FetchTimeout (10s at the defaults). Negative is rejected.
 	EjectAfter time.Duration
-	// ReadmitProbe spaces the out-of-band probes sent to ejected peers.
-	// Zero derives it as DialTimeout / 4 (500ms at the defaults). Negative
-	// is rejected.
+	// ReadmitProbe spaces the out-of-band probes sent to each dead or
+	// ejected peer. Zero derives it as DialTimeout / 4 (500ms at the
+	// defaults). Negative is rejected.
 	ReadmitProbe time.Duration
 	// DataDir, when set, makes the node crash-safe: cache contents,
 	// per-document metadata, and the expiration-age tracker are journaled
@@ -233,6 +240,12 @@ func (cfg *Config) validate() (cache.DemotePolicy, error) {
 	}
 	if cfg.MaxInflight > 0 && cfg.ShedQueueWait == 0 {
 		cfg.ShedQueueWait = DefaultShedQueueWait
+	}
+	if cfg.DeadAfter < 0 {
+		return 0, fmt.Errorf("netnode: negative DeadAfter %d", cfg.DeadAfter)
+	}
+	if cfg.DeadAfter == 0 {
+		cfg.DeadAfter = DefaultDeadAfter
 	}
 	if cfg.EjectAfter < 0 {
 		return 0, fmt.Errorf("netnode: negative EjectAfter %v", cfg.EjectAfter)

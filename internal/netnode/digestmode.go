@@ -134,14 +134,14 @@ func (n *Node) maybeRebuildOwn() {
 	n.warn("digest rebuild escape hatch taken", nil, "urls", len(urls))
 }
 
-// digestCandidates returns the health-allowed peers whose (cached,
+// digestCandidates returns the peers not dead whose (cached,
 // possibly stale) digests advertise url. No network waits happen on this
 // path unless a peer's digest was never fetched at all — and then all
 // concurrent misses share one single-flight fetch.
 func (n *Node) digestCandidates(peers []Peer, url string) []Peer {
 	var candidates []Peer
 	for _, p := range peers {
-		if !n.health.Allow(p.HTTP) {
+		if n.liveness(p.HTTP).dead() {
 			continue
 		}
 		f := n.peerDigest(p)
@@ -238,16 +238,18 @@ func (n *Node) digestFlight(p Peer, pd *peerDigest) {
 	done := pd.inflight
 	pd.inflight = nil
 	n.digestMu.Unlock()
-	close(done)
 
+	// The outcome is on record before the waiters wake, so a lookup that
+	// joined this flight returns with its fetch counted.
 	if err != nil {
 		n.warn("digest fetch failed", nil, "peer", p.HTTP, "err", err)
-		n.health.ReportFailure(p.HTTP)
+		n.reportFailure(p.HTTP)
 		n.om.peerFailures[pfDigestFetch].Inc()
-		return
+	} else {
+		n.om.digestApplied[applied].Inc()
+		n.reportSuccess(p.HTTP)
 	}
-	n.om.digestApplied[applied].Inc()
-	n.health.ReportSuccess(p.HTTP)
+	close(done)
 }
 
 // digestSync kinds, shared by the serve and apply metrics paths.
@@ -297,7 +299,7 @@ func (n *Node) fetchDigestBody(addr, url string) ([]byte, error) {
 
 // digestLoop is the background revalidator: on every tick it refreshes
 // whichever known peer replicas have gone stale (single-flight per peer,
-// health-gated) and checks the own summary's escape hatch, so steady
+// dead peers skipped) and checks the own summary's escape hatch, so steady
 // state keeps every digest fresh without a single miss ever paying for
 // digest traffic. First-ever contact with a peer still happens lazily on
 // the first miss that consults it.
@@ -337,7 +339,7 @@ func (n *Node) digestLoop() {
 			if pd.filter == nil || now.Sub(pd.fetchedAt) < n.digests.refresh {
 				continue
 			}
-			if !n.health.Allow(addr) {
+			if n.liveness(addr).dead() {
 				continue
 			}
 			n.startDigestFlightLocked(p, pd)

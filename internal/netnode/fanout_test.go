@@ -1,13 +1,12 @@
 package netnode
 
 import (
+	"fmt"
 	"net"
 	"reflect"
 	"testing"
-	"time"
 
 	"eacache/internal/core"
-	"eacache/internal/health"
 	"eacache/internal/icp"
 	"eacache/internal/race"
 )
@@ -24,31 +23,42 @@ func (n *Node) legacyRecordFanout(active []Peer, res icp.Result) {
 	for _, a := range res.Answered {
 		if p, ok := byICP[a.String()]; ok {
 			heard[p.HTTP] = true
-			n.health.ReportSuccess(p.HTTP)
+			n.reportSuccess(p.HTTP)
 		}
 	}
 	for _, a := range res.SendFailed {
 		if p, ok := byICP[a.String()]; ok {
 			heard[p.HTTP] = true
-			n.health.ReportFailure(p.HTTP)
+			n.reportFailure(p.HTTP)
 			n.om.peerFailures[pfICPSend].Inc()
 		}
 	}
 	if res.TimedOut {
 		for _, p := range active {
 			if !heard[p.HTTP] {
-				n.health.ReportFailure(p.HTTP)
+				n.reportFailure(p.HTTP)
 				n.om.peerFailures[pfICPSilent].Inc()
 			}
 		}
 	}
 }
 
-// bareNode is a Node with just the state recordFanout touches. The frozen
-// clock keeps breaker timestamps comparable between two of them.
-func bareNode() *Node {
-	epoch := time.Unix(1_000_000, 0)
-	return &Node{om: new(nodeObs), health: health.NewTracker(health.Config{DeadAfter: 3, Now: func() time.Time { return epoch }})}
+// bareNode is a Node with just the state recordFanout touches: the
+// members' liveness records and the robustness counters.
+func bareNode(peers []Peer) *Node {
+	n := &Node{om: new(nodeObs), deadAfter: DefaultDeadAfter}
+	n.SetPeers(peers)
+	return n
+}
+
+// breakerRows lists each member's breaker state and consecutive failures,
+// the part of a liveness record two nodes fed the same evidence share
+// (their transition times differ by the clock).
+func breakerRows(n *Node) (rows []string) {
+	for _, m := range n.Members() {
+		rows = append(rows, fmt.Sprintf("%s %s %d", m.HTTP, m.State, m.Failures))
+	}
+	return rows
 }
 
 func udp(ip net.IP, port int) *net.UDPAddr { return &net.UDPAddr{IP: ip, Port: port} }
@@ -96,26 +106,26 @@ func TestRecordFanoutEquivalence(t *testing.T) {
 			wantFailures: [3]int{1, 2, 0}, wantPeerFail: 6},
 	}
 
-	got, want := bareNode(), bareNode()
+	got, want := bareNode(active), bareNode(active)
 	for _, st := range steps {
 		got.recordFanout(active, st.res)
 		want.legacyRecordFanout(active, st.res)
-		if g, w := got.health.Snapshot(), want.health.Snapshot(); !reflect.DeepEqual(g, w) {
+		if g, w := breakerRows(got), breakerRows(want); !reflect.DeepEqual(g, w) {
 			t.Fatalf("%s: breaker state %+v, map-based original %+v", st.name, g, w)
 		}
 		if g, w := got.Robustness(), want.Robustness(); g != w {
 			t.Fatalf("%s: robustness %+v, map-based original %+v", st.name, g, w)
 		}
-		for i, p := range active {
-			if f := got.health.Status(p.HTTP).Failures; f != st.wantFailures[i] {
-				t.Errorf("%s: peer %s has %d consecutive failures, want %d", st.name, p.HTTP, f, st.wantFailures[i])
+		for i, m := range got.Members() {
+			if m.Failures != st.wantFailures[i] {
+				t.Errorf("%s: peer %s has %d consecutive failures, want %d", st.name, m.HTTP, m.Failures, st.wantFailures[i])
 			}
 		}
 		if f := got.Robustness().PeerFailures; f != st.wantPeerFail {
 			t.Errorf("%s: PeerFailures = %d, want %d", st.name, f, st.wantPeerFail)
 		}
 	}
-	if s := got.health.Status("c:1").State; s != health.Healthy {
+	if s := got.Members()[2].State; s != "healthy" {
 		t.Fatalf("peer c ended %v", s)
 	}
 
@@ -125,11 +135,11 @@ func TestRecordFanoutEquivalence(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		many = append(many, Peer{ICP: v4(5000 + i), HTTP: v4(5000 + i).String()})
 	}
-	got, want = bareNode(), bareNode()
+	got, want = bareNode(many), bareNode(many)
 	res := icp.Result{TimedOut: true, Answered: []*net.UDPAddr{v4(5039), v4(5017)}, SendFailed: []*net.UDPAddr{v4(5000)}}
 	got.recordFanout(many, res)
 	want.legacyRecordFanout(many, res)
-	if g, w := got.health.Snapshot(), want.health.Snapshot(); !reflect.DeepEqual(g, w) {
+	if g, w := breakerRows(got), breakerRows(want); !reflect.DeepEqual(g, w) {
 		t.Fatalf("40 peers: breaker state diverged:\n%+v\n%+v", g, w)
 	}
 	if g := got.Robustness().PeerFailures; g != 38 {
@@ -141,14 +151,13 @@ func TestRecordFanoutAllocatesNothing(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	n := bareNode()
 	active := []Peer{
 		{ICP: udp(net.IP{127, 0, 0, 1}, 4001), HTTP: "a:1"},
 		{ICP: udp(net.IP{127, 0, 0, 1}, 4002), HTTP: "b:1"},
 		{ICP: udp(net.IP{127, 0, 0, 1}, 4003), HTTP: "c:1"},
 	}
+	n := bareNode(active)
 	res := icp.Result{Answered: []*net.UDPAddr{active[2].ICP, active[0].ICP, active[1].ICP}}
-	n.recordFanout(active, res) // first touch creates the breaker entries
 	if got := testing.AllocsPerRun(200, func() { n.recordFanout(active, res) }); got != 0 {
 		t.Fatalf("recordFanout on a 3-peer all-answered result: %.1f allocs per call", got)
 	}

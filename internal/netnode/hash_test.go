@@ -9,11 +9,9 @@ package netnode
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"eacache/internal/chash"
 	"eacache/internal/core"
-	"eacache/internal/health"
 	"eacache/internal/metrics"
 	"eacache/internal/resolve"
 )
@@ -145,10 +143,9 @@ func TestChaosHashHomeDeathFailsOver(t *testing.T) {
 			OriginAddr: origin.Addr(),
 			Location:   resolve.LocateHash,
 			HashName:   name,
-			// One failed fetch marks a peer dead, and probes stay out of
-			// the test's way: the second request must already route past
-			// the corpse.
-			Health: health.Config{DeadAfter: 1, ProbeBase: time.Minute},
+			// One failed fetch marks a peer dead: the second request
+			// must already route past the corpse.
+			DeadAfter: 1,
 		})
 	}
 	meshHash(nodes, names)

@@ -1,13 +1,14 @@
 package netnode
 
 // Elastic membership: the node's neighbour set is mutable at runtime.
-// Peers join and leave through the admin API (AddPeer/RemovePeer), and a
-// peer whose circuit breaker stays dead past the configured grace window
-// (Config.EjectAfter) is ejected from the locator set automatically —
-// ICP fan-outs stop paying its timeout and the hash ring stops routing
-// URLs to it — then readmitted when an out-of-band probe proves it back.
+// Peers join and leave through the admin API (AddPeer/RemovePeer), and
+// every configured member carries one liveness record (a breaker): a
+// dead member is left out of ICP, hash and digest location, probed out
+// of band every Config.ReadmitProbe, and ejected from the locator set
+// once it has stayed dead past Config.EjectAfter — so the hash ring
+// stops routing URLs to it too — until a probe proves it back.
 //
-// The configured member list and the ejected set live behind one small
+// The configured member list and the records live behind one small
 // mutex (n.mem); what the request path reads stays lock-free: every
 // change publishes a fresh immutable peer snapshot (n.peers) and, under
 // hash location, a fresh HashLocator (n.hash), both swapped atomically
@@ -19,19 +20,107 @@ package netnode
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"eacache/internal/cache"
-	"eacache/internal/health"
 	"eacache/internal/resolve"
 )
 
-// ejection is the bookkeeping for one peer removed from the locator set.
-type ejection struct {
-	// since is when the grace window expired and the peer was ejected.
-	since time.Time
-	// nextProbe is the earliest next out-of-band readmission probe.
-	nextProbe time.Time
+// Liveness states, as eac_peer_breaker_state reports them.
+const (
+	peerHealthy int32 = iota
+	peerSuspect
+	peerDead
+)
+
+var peerStateNames = [...]string{"healthy", "suspect", "dead"}
+
+// liveness is one configured member's breaker record. SetPeers and
+// AddPeer create it, it survives every publish, and RemovePeer drops it.
+// Reports serialise on the record's own mutex; the request path reads
+// state with one atomic load. A nil record (a peer that has left) reads
+// as healthy and ignores reports.
+type liveness struct {
+	state atomic.Int32
+
+	mu       sync.Mutex // serialises reports; guards failures and since
+	failures int        // consecutive
+	since    time.Time  // when state was entered; zero: healthy since joining
+
+	// The sweeper's bookkeeping, guarded by n.mem.
+	nextProbe time.Time // earliest next out-of-band probe while dead
+	ejectedAt time.Time // zero while the member is in the locator set
+}
+
+// dead reports whether l's breaker is open.
+func (l *liveness) dead() bool { return l != nil && l.state.Load() == peerDead }
+
+// status returns l's state, consecutive failures and state-entry time.
+func (l *liveness) status() (state int32, failures int, since time.Time) {
+	if l == nil {
+		return peerHealthy, 0, time.Time{}
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.state.Load(), l.failures, l.since
+}
+
+// report records one exchange's outcome and returns the transition it
+// made (from == to when none): a failure makes the member suspect, and
+// deadAfter in a row dead; a success makes it healthy. A success on a
+// healthy member has no failures to reset, so it takes no lock.
+func (l *liveness) report(ok bool, deadAfter int) (from, to int32) {
+	if l == nil || ok && l.state.Load() == peerHealthy {
+		return peerHealthy, peerHealthy
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.failures++
+	if ok {
+		l.failures = 0
+	}
+	from, to = l.state.Load(), peerHealthy
+	switch {
+	case l.failures >= deadAfter:
+		to = peerDead
+	case l.failures > 0:
+		to = peerSuspect
+	}
+	if from != to {
+		l.state.Store(to)
+		l.since = time.Now()
+	}
+	return from, to
+}
+
+// liveness returns addr's record in the published snapshot, which holds
+// every configured member's, ejected ones included (nil for a stranger).
+func (n *Node) liveness(addr string) *liveness {
+	if set := n.peers.Load(); set != nil {
+		return set.live[addr]
+	}
+	return nil
+}
+
+func (n *Node) reportSuccess(addr string) { n.report(addr, true) }
+func (n *Node) reportFailure(addr string) { n.report(addr, false) }
+
+// report feeds one exchange's outcome with addr to its breaker, counting
+// and logging the transition it makes.
+func (n *Node) report(addr string, ok bool) {
+	from, to := n.liveness(addr).report(ok, n.deadAfter)
+	if from == to {
+		return
+	}
+	switch {
+	case to == peerDead:
+		n.om.breaker[brOpen].Inc()
+	case from == peerDead:
+		n.om.breaker[brClose].Inc()
+	}
+	n.warn("peer breaker state change", nil, "peer", addr, "from", peerStateNames[from], "to", peerStateNames[to])
 }
 
 // ringName is a peer's hash-ring member name (Peer.Name, defaulting to
@@ -44,30 +133,18 @@ func ringName(p Peer) string {
 }
 
 // publishLocked pushes the current membership out to everything the
-// request path reads: breaker bookkeeping, the immutable peer snapshot,
-// and (under hash location) a rebuilt ring stamped with the bumped epoch,
-// which also kicks the migrator. Callers hold n.mem.
+// request path reads: the immutable peer snapshot of the members not
+// ejected, carrying every member's liveness record, and (under hash
+// location) a rebuilt ring stamped with the bumped epoch, which also
+// kicks the migrator. Callers hold n.mem.
 func (n *Node) publishLocked() {
-	members := n.mem.members
-	// The breaker keeps state for ejected members too — recovery is
-	// decided from it — and drops only peers that left the member list.
-	keep := make(map[string]bool, len(members))
-	for _, p := range members {
-		keep[p.HTTP] = true
-	}
-	n.health.Forget(keep)
-
-	active := members
-	if len(n.mem.ejected) > 0 {
-		active = make([]Peer, 0, len(members))
-		for _, p := range members {
-			if _, out := n.mem.ejected[p.HTTP]; !out {
-				active = append(active, p)
-			}
+	snapshot := make([]Peer, 0, len(n.mem.members))
+	for _, p := range n.mem.members {
+		if n.mem.live[p.HTTP].ejectedAt.IsZero() {
+			snapshot = append(snapshot, p)
 		}
 	}
-	snapshot := append([]Peer(nil), active...)
-	n.peers.Store(newPeerSet(snapshot))
+	n.peers.Store(newPeerSet(snapshot, n.mem.live))
 	epoch := n.epoch.Add(1)
 	if n.location == resolve.LocateHash {
 		n.rebuildHashRing(snapshot, epoch)
@@ -100,8 +177,7 @@ func (n *Node) AddPeer(p Peer) error {
 			return fmt.Errorf("netnode: ring name %q is already taken by %s", name, m.HTTP)
 		}
 	}
-	n.mem.members = append(append([]Peer(nil), n.mem.members...), p)
-	n.publishLocked()
+	n.setMembersLocked(append(append([]Peer(nil), n.mem.members...), p))
 	n.warn("peer joined", nil, "peer", p.HTTP, "name", name, "epoch", n.epoch.Load())
 	return nil
 }
@@ -126,11 +202,27 @@ func (n *Node) RemovePeer(key string) error {
 	members := make([]Peer, 0, len(n.mem.members)-1)
 	members = append(members, n.mem.members[:idx]...)
 	members = append(members, n.mem.members[idx+1:]...)
-	n.mem.members = members
-	delete(n.mem.ejected, removed.HTTP)
-	n.publishLocked()
+	n.setMembersLocked(members)
 	n.warn("peer left", nil, "peer", removed.HTTP, "epoch", n.epoch.Load())
 	return nil
+}
+
+// setMembersLocked makes members the configured set and publishes it. A
+// member keeps its liveness record, a new one starts healthy, and a
+// departed one's record is dropped. The record map is replaced, never
+// mutated, because published peer snapshots share it. Callers hold
+// n.mem.
+func (n *Node) setMembersLocked(members []Peer) {
+	live := make(map[string]*liveness, len(members))
+	for _, p := range members {
+		l := n.mem.live[p.HTTP]
+		if l == nil {
+			l = new(liveness)
+		}
+		live[p.HTTP] = l
+	}
+	n.mem.members, n.mem.live = members, live
+	n.publishLocked()
 }
 
 // Epoch returns the membership revision: 0 before the first SetPeers,
@@ -148,7 +240,7 @@ func (n *Node) RingFingerprint() uint64 {
 }
 
 // ActivePeers returns how many peers are currently in the locator set
-// (configured members minus ejected ones).
+// (configured members minus ejected ones; dead ones still count).
 func (n *Node) ActivePeers() int { return len(n.peerList()) }
 
 // mayKeepResolved decides whether this node, asked to resolve a URL it
@@ -192,44 +284,45 @@ type MemberStatus struct {
 	// (RFC 3339; empty for a peer that has never transitioned).
 	StateSince string `json:"state_since,omitempty"`
 	// Ejected marks a member currently outside the locator set; it
-	// rejoins automatically when a readmission probe succeeds.
+	// rejoins automatically when a probe succeeds.
 	Ejected    bool   `json:"ejected"`
 	EjectedFor string `json:"ejected_for,omitempty"`
 }
 
 // Members returns every configured member (including ejected ones) with
-// its breaker and ejection status.
+// its liveness record.
 func (n *Node) Members() []MemberStatus {
 	now := time.Now()
 	n.mem.Lock()
 	defer n.mem.Unlock()
 	out := make([]MemberStatus, 0, len(n.mem.members))
 	for _, p := range n.mem.members {
-		st := n.health.Status(p.HTTP)
+		l := n.mem.live[p.HTTP]
+		state, failures, since := l.status()
 		ms := MemberStatus{
 			Name:     ringName(p),
 			ICP:      p.ICP.String(),
 			HTTP:     p.HTTP,
 			Admin:    p.Admin,
-			State:    st.State.String(),
-			Failures: st.Failures,
+			State:    peerStateNames[state],
+			Failures: failures,
 		}
-		if !st.Since.IsZero() {
-			ms.StateSince = st.Since.UTC().Format(time.RFC3339Nano)
+		if !since.IsZero() {
+			ms.StateSince = since.UTC().Format(time.RFC3339Nano)
 		}
-		if ej, out := n.mem.ejected[p.HTTP]; out {
+		if !l.ejectedAt.IsZero() {
 			ms.Ejected = true
-			ms.EjectedFor = now.Sub(ej.since).Round(time.Millisecond).String()
+			ms.EjectedFor = now.Sub(l.ejectedAt).Round(time.Millisecond).String()
 		}
 		out = append(out, ms)
 	}
 	return out
 }
 
-// membershipLoop is the ejection/readmission sweeper. It ticks a few
-// times per grace window so an ejection lands within ~EjectAfter*5/4 of
-// the breaker opening, and at least every half probe interval so
-// recoveries are noticed promptly.
+// membershipLoop is the liveness sweeper. It ticks a few times per grace
+// window so an ejection lands within ~EjectAfter*5/4 of the breaker
+// opening, and at least every half probe interval so a dead member is
+// probed about every ReadmitProbe.
 func (n *Node) membershipLoop() {
 	defer n.wg.Done()
 	tick := n.ejectAfter / 4
@@ -254,34 +347,43 @@ func (n *Node) membershipLoop() {
 	}
 }
 
-// sweepMembership ejects members dead past the grace window and probes
-// ejected ones for readmission. Ejection is measured on the real clock
-// (breaker timestamps use it too, unless a test injects its own).
+// sweepMembership readmits ejected members an in-band exchange proved
+// back, ejects members dead past the grace window, and probes every dead
+// or ejected member whose probe is due. It runs on the real clock, which
+// also stamps the records.
 func (n *Node) sweepMembership(now time.Time) {
 	var toProbe []Peer
 	n.mem.Lock()
 	changed := false
 	for _, p := range n.mem.members {
-		if ej, out := n.mem.ejected[p.HTTP]; out {
-			if n.health.Status(p.HTTP).State == health.Healthy {
-				// An in-flight exchange already proved the peer back
-				// (e.g. it answered a stale requester); skip the probe.
-				delete(n.mem.ejected, p.HTTP)
-				n.noteReadmission(p, "in-band success")
-				changed = true
-			} else if !now.Before(ej.nextProbe) {
-				ej.nextProbe = now.Add(n.readmitProbe)
-				toProbe = append(toProbe, p)
-			}
+		l := n.mem.live[p.HTTP]
+		state, _, since := l.status()
+		ejected := !l.ejectedAt.IsZero()
+		switch {
+		case ejected && state == peerHealthy:
+			// An in-flight exchange already proved the peer back (e.g.
+			// it answered a stale requester); no probe needed.
+			l.ejectedAt = time.Time{}
+			n.noteReadmission(p, "in-band success")
+			changed = true
 			continue
-		}
-		st := n.health.Status(p.HTTP)
-		if st.State == health.Dead && !st.Since.IsZero() && now.Sub(st.Since) >= n.ejectAfter {
-			n.mem.ejected[p.HTTP] = &ejection{since: now, nextProbe: now.Add(n.readmitProbe)}
+		case !ejected && state == peerDead && now.Sub(since) >= n.ejectAfter:
+			l.ejectedAt = now
+			ejected = true
 			n.om.memEvents[memEjection].Inc()
 			n.warn("peer ejected after grace window", nil,
-				"peer", p.HTTP, "dead_for", now.Sub(st.Since), "grace", n.ejectAfter)
+				"peer", p.HTTP, "dead_for", now.Sub(since), "grace", n.ejectAfter)
 			changed = true
+		}
+		if state != peerDead && !ejected {
+			continue
+		}
+		if l.nextProbe.Before(since) {
+			l.nextProbe = since.Add(n.readmitProbe) // first probe of this outage
+		}
+		if !now.Before(l.nextProbe) {
+			l.nextProbe = now.Add(n.readmitProbe)
+			toProbe = append(toProbe, p)
 		}
 	}
 	if changed {
@@ -297,11 +399,10 @@ func (n *Node) sweepMembership(now time.Time) {
 	}
 }
 
-// probeURL is the synthetic document fetched by readmission probes. Any
+// probeURL is the synthetic document the sweeper's probes fetch. Any
 // answer — hit or application-level miss — proves the peer's fetch path
-// is back; only transport failures keep it ejected. The probe is
-// out-of-band because an ejected peer is outside the fan-out set, so the
-// breaker's own in-band probes stop reaching it.
+// is back; only transport failures keep it dead. Probes run out of band,
+// so no client request ever waits on a dead peer.
 const probeURL = "http://eacache.invalid/readmit-probe"
 
 func (n *Node) probePeer(addr string) bool {
@@ -309,16 +410,17 @@ func (n *Node) probePeer(addr string) bool {
 	return err == nil || errors.Is(err, errNotFound)
 }
 
-// readmit restores an ejected peer after a successful probe: breaker
-// snapped healthy first, so the republished locator set accepts it.
+// readmit closes a member's breaker after a successful probe and, if it
+// was ejected, republishes the locator set with it.
 func (n *Node) readmit(p Peer) {
-	n.health.ReportSuccess(p.HTTP)
+	n.reportSuccess(p.HTTP)
 	n.mem.Lock()
 	defer n.mem.Unlock()
-	if _, out := n.mem.ejected[p.HTTP]; !out {
+	l := n.mem.live[p.HTTP]
+	if l == nil || l.ejectedAt.IsZero() {
 		return
 	}
-	delete(n.mem.ejected, p.HTTP)
+	l.ejectedAt = time.Time{}
 	n.noteReadmission(p, "probe success")
 	n.publishLocked()
 }

@@ -18,7 +18,6 @@ import (
 	"eacache/internal/cache"
 	"eacache/internal/chash"
 	"eacache/internal/core"
-	"eacache/internal/health"
 	"eacache/internal/metrics"
 	"eacache/internal/resolve"
 )
@@ -112,7 +111,7 @@ func TestEjectionAndReadmission(t *testing.T) {
 	n := startChaosNode(t, Config{
 		ID: "e0", Scheme: core.EA{}, OriginAddr: origin.Addr(),
 		Location: resolve.LocateHash, HashName: "e0",
-		Health:       health.Config{DeadAfter: 1, ProbeBase: time.Minute},
+		DeadAfter:    1,
 		EjectAfter:   20 * time.Millisecond,
 		ReadmitProbe: 10 * time.Millisecond,
 	})
@@ -155,7 +154,7 @@ func TestEjectionAndReadmission(t *testing.T) {
 
 	// In-band recovery: the breaker learns the peer is back (here via a
 	// direct success report); the next sweep readmits without a probe.
-	n.health.ReportSuccess(dead)
+	n.reportSuccess(dead)
 	waitFor(t, 2*time.Second, "readmission", func() bool {
 		return len(n.peerList()) == 1
 	})

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"eacache/internal/cache"
-	"eacache/internal/health"
 	"eacache/internal/hproto"
 	"eacache/internal/resolve"
 )
@@ -172,7 +171,7 @@ func (n *Node) DrainHandoff() MigrationReport {
 	} else {
 		var alive []string
 		for _, p := range peers {
-			if n.health.State(p.HTTP) != health.Dead {
+			if !n.liveness(p.HTTP).dead() {
 				alive = append(alive, p.HTTP)
 			}
 		}
@@ -303,11 +302,11 @@ func (n *Node) migrateDoc(url string, dest func(string) (string, bool), ages *de
 	}
 	stored, destAge, err := n.pushCopy(addr, entry.Doc)
 	if err != nil {
-		n.health.ReportFailure(addr)
+		n.reportFailure(addr)
 		n.warn("migration push failed", nil, "url", url, "dest", addr, "err", err)
 		return mrFailed, 0
 	}
-	n.health.ReportSuccess(addr)
+	n.reportSuccess(addr)
 	ages.set(addr, destAge)
 	if !stored {
 		return mrRefused, 0

@@ -19,7 +19,6 @@ import (
 	"eacache/internal/cache"
 	"eacache/internal/core"
 	"eacache/internal/faults"
-	"eacache/internal/health"
 	"eacache/internal/icp"
 	"eacache/internal/metrics"
 	"eacache/internal/obs"
@@ -42,7 +41,6 @@ type Node struct {
 	nowFn         func() time.Time
 	engine        *resolve.Engine
 	digests       *digestState
-	health        *health.Tracker
 	faults        *faults.Injector
 	obs           *obs.Telemetry // nil without Config.Obs: no traces, no histograms, nothing scraped
 	om            *nodeObs       // never nil (see nodeObs)
@@ -70,15 +68,18 @@ type Node struct {
 	hash atomic.Pointer[resolve.HashLocator]
 
 	// Elastic membership (membership.go, migrate.go). mem guards the
-	// configured member list and the ejected set; epoch counts published
-	// topologies; draining is set for good by DrainHandoff.
+	// configured member list and its liveness records, keyed by fetch
+	// address (both replaced, never mutated, by every change); epoch
+	// counts published topologies; draining is set for good by
+	// DrainHandoff.
 	mem struct {
 		sync.Mutex
 		members []Peer
-		ejected map[string]*ejection
+		live    map[string]*liveness
 	}
 	epoch        atomic.Int64
 	draining     atomic.Bool
+	deadAfter    int
 	ejectAfter   time.Duration
 	readmitProbe time.Duration
 	migrateKick  chan struct{}
@@ -167,36 +168,18 @@ func New(cfg Config) (*Node, error) {
 		blobStore:     blobStore,
 		originSem:     make(chan struct{}, cfg.OriginConcurrency),
 		shedWait:      cfg.ShedQueueWait,
+		deadAfter:     cfg.DeadAfter,
 		ejectAfter:    cfg.EjectAfter,
 		readmitProbe:  cfg.ReadmitProbe,
 		icpClient:     icp.NewClient(),
 		closed:        make(chan struct{}),
 		om:            new(nodeObs),
 	}
-	n.mem.ejected = make(map[string]*ejection)
 	if cfg.MaxInflight > 0 {
 		n.inflight = make(chan struct{}, cfg.MaxInflight)
 	}
 	n.obs = cfg.Obs
 	n.om.register(n, cfg.Store, cfg.Obs)
-
-	// The breaker feeds the transition counters; a user callback (tests)
-	// is chained after them.
-	healthCfg := cfg.Health
-	userStateChange := healthCfg.OnStateChange
-	healthCfg.OnStateChange = func(peer string, from, to health.State) {
-		switch {
-		case to == health.Dead:
-			n.om.breaker[brOpen].Inc()
-		case from == health.Dead:
-			n.om.breaker[brClose].Inc()
-		}
-		n.warn("peer breaker state change", nil, "peer", peer, "from", from, "to", to)
-		if userStateChange != nil {
-			userStateChange(peer, from, to)
-		}
-	}
-	n.health = health.NewTracker(healthCfg)
 
 	if cfg.Faults != nil {
 		// Chaos mode: every socket the node opens goes through the
@@ -398,42 +381,32 @@ func (n *Node) ICPAddr() *net.UDPAddr { return n.icpServer.Addr() }
 func (n *Node) HTTPAddr() string { return n.httpLn.Addr().String() }
 
 // SetPeers replaces the whole configured member set (boot wiring; use
-// AddPeer/RemovePeer for incremental changes) and drops breaker and
-// ejection state for peers that left it. The active set is published as
-// an immutable snapshot behind an atomic pointer: the request path reads
-// it with one atomic load and no per-request copy, and never observes a
-// half-updated set.
+// AddPeer/RemovePeer for incremental changes): a member that stays keeps
+// its liveness record, ejection included, and one that left loses it.
+// The active set is published as an immutable snapshot behind an atomic
+// pointer: the request path reads it with one atomic load and no
+// per-request copy, and never observes a half-updated set.
 func (n *Node) SetPeers(peers []Peer) {
 	n.mem.Lock()
 	defer n.mem.Unlock()
-	n.mem.members = append([]Peer(nil), peers...)
-	if len(n.mem.ejected) > 0 {
-		present := make(map[string]bool, len(peers))
-		for _, p := range peers {
-			present[p.HTTP] = true
-		}
-		for addr := range n.mem.ejected {
-			if !present[addr] {
-				delete(n.mem.ejected, addr)
-			}
-		}
-	}
-	n.publishLocked()
+	n.setMembersLocked(append([]Peer(nil), peers...))
 }
 
 // peerSet is one published peer snapshot: the active peers and, index for
 // index, their ICP addresses — the slice a healthy group's fan-out hands
 // to the ICP client as-is — and their fetch addresses as candidates, which
-// a fan-out with one holder answers with a one-element view of. Immutable
-// once stored.
+// a fan-out with one holder answers with a one-element view of; plus the
+// liveness record of every configured member, ejected ones included.
+// Immutable once stored.
 type peerSet struct {
 	list  []Peer
 	icp   []*net.UDPAddr
 	cands []resolve.Candidate
+	live  map[string]*liveness
 }
 
-func newPeerSet(list []Peer) *peerSet {
-	set := &peerSet{list: list, icp: icpAddrs(list), cands: make([]resolve.Candidate, len(list))}
+func newPeerSet(list []Peer, live map[string]*liveness) *peerSet {
+	set := &peerSet{list: list, icp: icpAddrs(list), cands: make([]resolve.Candidate, len(list)), live: live}
 	for i, p := range list {
 		set.cands[i] = resolve.Candidate{ID: p.HTTP}
 	}
@@ -482,10 +455,6 @@ func (n *Node) Robustness() metrics.RobustnessSnapshot {
 		MigrationFailures: o.migrations[mrFailed].Value(),
 	}
 }
-
-// PeerHealth returns the breaker state of every tracked peer, keyed by the
-// peer's fetch (HTTP) address.
-func (n *Node) PeerHealth() []health.PeerStatus { return n.health.Snapshot() }
 
 // Close stops both servers, waits for in-flight handlers, checkpoints
 // persistent state, and releases the data directory. It is idempotent and

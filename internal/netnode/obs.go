@@ -270,7 +270,7 @@ func (o *nodeObs) families(n *Node, mem *cache.ShardedStore) []family {
 		{"eac_peer_failures_total", "Failed exchanges with a peer (each also a breaker failure report), by cause.", counters("cause", peerFailureNames[:], o.peerFailures[:]), nil},
 		{"eac_fetch_retries_total", "Extra attempts after a failure: the next hit responder, or a repeated upstream fetch.", counter(&o.retries), nil},
 		{"eac_fallbacks_total", "Requests that left the cooperative path for the parent/origin, or a broken parent for the origin.", counter(&o.fallbacks), nil},
-		{"eac_breaker_transitions_total", "Peer breakers opening (peer marked dead) and closing (a dead peer answered a probe).", counters("transition", breakerNames[:], o.breaker[:]), nil},
+		{"eac_breaker_transitions_total", "Peer breakers opening (peer marked dead) and closing (a dead peer answered again).", counters("transition", breakerNames[:], o.breaker[:]), nil},
 		{"eac_wire_clamps_total", "Malformed piggybacked headers clamped or dropped instead of trusted.", counters("header", clampNames[:], o.clamps[:]), nil},
 		{"eac_peer_breaker_state", "Breaker state of each current member: 0 healthy, 1 suspect, 2 dead.", nil, n.peerStates},
 
@@ -313,10 +313,10 @@ func (o *nodeObs) families(n *Node, mem *cache.ShardedStore) []family {
 // at the scrape, so a departed peer leaves /metrics with its membership.
 func (n *Node) peerStates(emit func(obs.Labels, float64)) {
 	n.mem.Lock()
-	members := n.mem.members // replaced, never mutated, by every change
+	members, live := n.mem.members, n.mem.live // replaced, never mutated, by every change
 	n.mem.Unlock()
 	for _, p := range members {
-		emit(obs.Labels{"peer": p.HTTP}, float64(n.health.State(p.HTTP)))
+		emit(obs.Labels{"peer": p.HTTP}, float64(live[p.HTTP].state.Load()))
 	}
 }
 

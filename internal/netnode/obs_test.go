@@ -17,7 +17,6 @@ import (
 
 	"eacache/internal/cache"
 	"eacache/internal/core"
-	"eacache/internal/health"
 	"eacache/internal/metrics"
 	"eacache/internal/obs"
 	"eacache/internal/race"
@@ -251,7 +250,7 @@ func TestRobustnessIsTheScrape(t *testing.T) {
 		ICPTimeout:    500 * time.Millisecond,
 		MaxInflight:   herd,
 		ShedQueueWait: 5 * time.Millisecond,
-		Health:        health.Config{DeadAfter: 1, ProbeBase: time.Minute},
+		DeadAfter:     1,
 		Obs:           tel,
 	})
 

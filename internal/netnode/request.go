@@ -159,20 +159,20 @@ func (n *Node) recordFanout(active []Peer, res icp.Result) {
 	for _, a := range res.Answered {
 		if i := peerByICP(active, a); i >= 0 {
 			heard[i] = true
-			n.health.ReportSuccess(active[i].HTTP)
+			n.reportSuccess(active[i].HTTP)
 		}
 	}
 	for _, a := range res.SendFailed {
 		if i := peerByICP(active, a); i >= 0 {
 			heard[i] = true
-			n.health.ReportFailure(active[i].HTTP)
+			n.reportFailure(active[i].HTTP)
 			n.om.peerFailures[pfICPSend].Inc()
 		}
 	}
 	if res.TimedOut {
 		for i, p := range active {
 			if !heard[i] {
-				n.health.ReportFailure(p.HTTP)
+				n.reportFailure(p.HTTP)
 				n.om.peerFailures[pfICPSilent].Inc()
 			}
 		}

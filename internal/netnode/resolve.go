@@ -125,7 +125,7 @@ func (l nodeLocator) Locate(rctx any, url string, now time.Time) resolve.Located
 	}
 }
 
-// icpLocate runs the health-gated ICP fan-out and returns the hit
+// icpLocate runs the ICP fan-out over the peers not dead and returns the hit
 // responders mapped to their fetch addresses, ordered by their position
 // in the peer list rather than by reply arrival. Peer-list order is a
 // stable preference: on a LAN group the latency spread between
@@ -134,21 +134,21 @@ func (l nodeLocator) Locate(rctx any, url string, now time.Time) resolve.Located
 // decisions from both stacks — the simulator's synchronous ICP picks
 // the first sibling in wiring order.
 func (n *Node) icpLocate(tr *obs.Trace, url string) resolve.Located {
-	// The peer snapshot is immutable, so when every breaker is closed
-	// (the steady state) it is fanned out as-is, ICP address slice and
-	// all, copy-free; only a degraded group pays for the filtered slices.
+	// The peer snapshot is immutable, so when no peer is dead (the
+	// steady state) it is fanned out as-is, ICP address slice and all,
+	// copy-free; only a degraded group pays for the filtered slices.
 	set := n.peers.Load()
 	if set == nil {
 		return resolve.Located{}
 	}
 	active, addrs, shared := set.list, set.icp, set.cands
 	for i, p := range set.list {
-		if !n.health.Allow(p.HTTP) {
+		if set.live[p.HTTP].dead() {
 			shared = nil
 			active = make([]Peer, i, len(set.list))
 			copy(active, set.list[:i])
 			for _, q := range set.list[i+1:] {
-				if n.health.Allow(q.HTTP) {
+				if !set.live[q.HTTP].dead() {
 					active = append(active, q)
 				}
 			}
@@ -217,7 +217,7 @@ func udpAddrEqual(a, b *net.UDPAddr) bool {
 	return a.Port == b.Port && a.Zone == b.Zone && a.IP.Equal(b.IP)
 }
 
-// digestLocate consults the (health-gated) fetched peer digests.
+// digestLocate consults the fetched digests of the peers not dead.
 func (n *Node) digestLocate(tr *obs.Trace, url string) resolve.Located {
 	scan := n.startStage(tr, stDigestScan)
 	candidates := n.digestCandidates(n.peerList(), url)
@@ -262,7 +262,7 @@ func (n *Node) hashLocator(peers []Peer, withSelf bool, epoch int64) *resolve.Ha
 	h := &resolve.HashLocator{Ring: ring, Self: n.hashName, Epoch: epoch, Fingerprint: ring.Fingerprint()}
 	h.Candidate = func(member string) (resolve.Candidate, bool) {
 		p, ok := byName[member]
-		if !ok || !n.health.Allow(p.HTTP) {
+		if !ok || n.liveness(p.HTTP).dead() {
 			// Unknown name, or the breaker is open on the peer:
 			// the locator walks on to the next owner in the chain.
 			return resolve.Candidate{}, false
@@ -301,15 +301,15 @@ func (t nodeTransport) FetchRemote(rctx any, c resolve.Candidate, url string, si
 		// The responder answered but no longer holds (and could not
 		// resolve) the document — an eviction race or a stale digest,
 		// never the peer's fault.
-		n.health.ReportSuccess(c.ID)
+		n.reportSuccess(c.ID)
 		return resolve.Remote{ResponderAge: respAge}, resolve.FetchNotFound
 	case err != nil:
 		n.warn("remote fetch failed", tr, "peer", c.ID, "err", err)
-		n.health.ReportFailure(c.ID)
+		n.reportFailure(c.ID)
 		n.om.peerFailures[pfFetch].Inc()
 		return resolve.Remote{}, resolve.FetchFailed
 	}
-	n.health.ReportSuccess(c.ID)
+	n.reportSuccess(c.ID)
 	return resolve.Remote{
 		Doc:          cache.Document{URL: url, Size: size},
 		ResponderAge: respAge,
