@@ -56,13 +56,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	records, err := loadTrace(*tracePath, *format, stdin, stderr)
-	if err != nil {
-		return err
-	}
-	records = trace.CleanZeroSizes(records, trace.DefaultDocSize)
-	trace.SortByTime(records)
-
+	// Every flag is checked, and the group built, before the trace is
+	// read (loadTrace checks -format first): on stdin, reading consumes it.
 	aggBytes, err := cache.ParseBytes(*aggregate)
 	if err != nil {
 		return err
@@ -88,6 +83,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if _, ok := cache.NewPolicy(*policy); !ok {
 		return fmt.Errorf("unknown policy %q", *policy)
 	}
+	if *warmup < 0 || *warmup >= 1 {
+		return fmt.Errorf("-warmup must be in [0,1), got %v", *warmup)
+	}
 	var decisionLog *obs.DecisionLog
 	if *decisions > 0 {
 		decisionLog = obs.NewDecisionLog(*decisions)
@@ -111,6 +109,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+
+	records, err := loadTrace(*tracePath, *format, stdin, stderr)
+	if err != nil {
+		return err
+	}
+	records = trace.CleanZeroSizes(records, trace.DefaultDocSize)
+	trace.SortByTime(records)
 
 	start := time.Now()
 	rep, err := sim.Run(g, records, sim.Config{Warmup: *warmup})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -154,21 +155,34 @@ func TestRunBUFormat(t *testing.T) {
 	}
 }
 
+// unreadable is a stdin that fails the test if anything reads it.
+type unreadable struct{ t *testing.T }
+
+func (r unreadable) Read([]byte) (int, error) {
+	r.t.Error("the trace was read before the flags were checked")
+	return 0, io.EOF
+}
+
+// TestRunRejectsBadFlags: a bad flag fails the run before the trace is
+// read — on stdin, reading would consume it.
 func TestRunRejectsBadFlags(t *testing.T) {
-	path := writeTempTrace(t)
 	for name, args := range map[string][]string{
-		"bad scheme":   {"-trace", path, "-scheme", "bogus"},
-		"bad arch":     {"-trace", path, "-arch", "ring"},
-		"bad policy":   {"-trace", path, "-policy", "fifo"},
-		"gds policy":   {"-trace", path, "-policy", "gds"},
-		"size policy":  {"-trace", path, "-policy", "size"},
-		"lfuda policy": {"-trace", path, "-policy", "lfuda"},
-		"bad format":   {"-trace", path, "-format", "xml"},
-		"bad size":     {"-trace", path, "-aggregate", "lots"},
+		"bad scheme":          {"-scheme", "bogus"},
+		"bad arch":            {"-arch", "ring"},
+		"bad policy":          {"-policy", "fifo"},
+		"gds policy":          {"-policy", "gds"},
+		"size policy":         {"-policy", "size"},
+		"lfuda policy":        {"-policy", "lfuda"},
+		"bad format":          {"-format", "xml"},
+		"bad size":            {"-aggregate", "lots"},
+		"bad location":        {"-location", "telepathy"},
+		"bad warmup":          {"-warmup", "1"},
+		"no caches":           {"-caches", "0"},
+		"cumulative, horizon": {"-window", "-1", "-horizon", "1h"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			var out, errOut bytes.Buffer
-			if err := run(args, nil, &out, &errOut); err == nil {
+			if err := run(args, unreadable{t}, &out, &errOut); err == nil {
 				t.Fatalf("%v accepted", args)
 			}
 		})

@@ -15,12 +15,16 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"eacache/internal/experiments"
 	"eacache/internal/trace"
 )
+
+// generate is trace.Generate; tests count its calls through it.
+var generate = trace.Generate
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
@@ -45,6 +49,26 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
+	// Every flag is checked before any trace is read or generated.
+	ids := experiments.IDs
+	if *runList != "all" {
+		ids = strings.Split(*runList, ",")
+		for i, id := range ids {
+			ids[i] = strings.TrimSpace(id)
+			if !slices.Contains(experiments.IDs, ids[i]) {
+				return fmt.Errorf("unknown experiment %q", ids[i])
+			}
+		}
+	}
+	switch {
+	case *seeds < 0:
+		return fmt.Errorf("-seeds must not be negative, got %d", *seeds)
+	case *seeds > 1 && *tracePath != "":
+		return fmt.Errorf("-seeds needs generated workloads, not -trace")
+	case *scale <= 0:
+		return fmt.Errorf("-scale must be positive, got %v", *scale)
+	}
+
 	if *list {
 		for _, id := range experiments.IDs {
 			fmt.Fprintln(stdout, id)
@@ -52,51 +76,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	var (
-		records []trace.Record
-		cfg     experiments.Config
-		err     error
-	)
-	switch {
-	case *tracePath != "":
-		f, err := os.Open(*tracePath)
-		if err != nil {
-			return err
-		}
-		records, err = trace.Read(f)
-		_ = f.Close()
-		if err != nil {
-			return err
-		}
-	case *full:
-		gen := trace.BULike()
-		gen.Seed = *seed
-		records, err = trace.Generate(gen)
-		if err != nil {
-			return err
-		}
-	default:
-		gen := trace.BULike().Scaled(*scale)
-		gen.Seed = *seed
-		records, err = trace.Generate(gen)
-		if err != nil {
-			return err
-		}
+	var cfg experiments.Config
+	gen := trace.BULike()
+	if !*full && *tracePath == "" {
+		gen = gen.Scaled(*scale)
 		cfg.Sizes = experiments.ScaledSizes(*scale)
 	}
-
 	if *seeds > 1 {
-		if *tracePath != "" {
-			return fmt.Errorf("-seeds needs generated workloads, not -trace")
-		}
-		gen := trace.BULike()
-		if !*full {
-			gen = gen.Scaled(*scale)
-		}
 		traces := make([][]trace.Record, 0, *seeds)
 		for i := 0; i < *seeds; i++ {
 			gen.Seed = *seed + uint64(i)
-			records, err := trace.Generate(gen)
+			records, err := generate(gen)
 			if err != nil {
 				return err
 			}
@@ -109,15 +99,24 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return table.Render(stdout)
 	}
 
+	var (
+		records []trace.Record
+		err     error
+	)
+	if *tracePath != "" {
+		records, err = readTrace(*tracePath)
+	} else {
+		gen.Seed = *seed
+		records, err = generate(gen)
+	}
+	if err != nil {
+		return err
+	}
+
 	fmt.Fprintf(stdout, "trace: %s\n\n", trace.ComputeStats(records))
 	suite := experiments.NewSuite(records, cfg)
 
-	ids := experiments.IDs
-	if *runList != "all" {
-		ids = strings.Split(*runList, ",")
-	}
 	for _, id := range ids {
-		id = strings.TrimSpace(id)
 		start := time.Now()
 		table, err := suite.Experiment(id)
 		if err != nil {
@@ -129,4 +128,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "(%s in %s)\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
 	return nil
+}
+
+// readTrace reads the canonical trace at path.
+func readTrace(path string) ([]trace.Record, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return trace.Read(f)
 }

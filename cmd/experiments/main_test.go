@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -90,5 +92,55 @@ func TestRunMultiSeedRejectsTraceFile(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if err := run([]string{"-seeds", "3", "-trace", "/tmp/whatever.txt"}, &out, &errOut); err == nil {
 		t.Fatal("-seeds with -trace accepted")
+	}
+}
+
+// stubGenerate replaces the trace generator for one test.
+func stubGenerate(t *testing.T, gen func(trace.GenConfig) ([]trace.Record, error)) {
+	t.Helper()
+	old := generate
+	generate = gen
+	t.Cleanup(func() { generate = old })
+}
+
+// TestRunChecksFlagsBeforeIO: a bad flag fails the run before any trace
+// is generated or read.
+func TestRunChecksFlagsBeforeIO(t *testing.T) {
+	stubGenerate(t, func(trace.GenConfig) ([]trace.Record, error) {
+		t.Error("a trace was generated before the flags were checked")
+		return nil, errors.New("stub")
+	})
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-seeds", "-1"}, "-seeds must not be negative"},
+		{[]string{"-scale", "0"}, "-scale must be positive"},
+		{[]string{"-scale", "-0.5", "-seeds", "3"}, "-scale must be positive"},
+		{[]string{"-seeds", "3", "-trace", "/nonexistent/t.txt"}, "-seeds needs generated workloads"},
+		{[]string{"-run", "fig1, nope"}, `unknown experiment "nope"`},
+	} {
+		var out, errOut bytes.Buffer
+		err := run(tc.args, &out, &errOut)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+// TestRunMultiSeedGeneratesEachSeedOnce: -seeds N draws seeds -seed ..
+// -seed+N-1, one trace each, and no base trace besides.
+func TestRunMultiSeedGeneratesEachSeedOnce(t *testing.T) {
+	var drawn []uint64
+	stubGenerate(t, func(cfg trace.GenConfig) ([]trace.Record, error) {
+		drawn = append(drawn, cfg.Seed)
+		return trace.Generate(cfg)
+	})
+	var out, errOut bytes.Buffer
+	if err := run([]string{"-scale", "0.002", "-seeds", "3", "-seed", "5"}, &out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(drawn, []uint64{5, 6, 7}) {
+		t.Fatalf("generated seeds %v, want [5 6 7]", drawn)
 	}
 }

@@ -217,8 +217,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 				rec.Restored.Entries, rec.Restored.Bytes, *dataDir, rec.SnapshotEntries, rec.JournalRecords)
 		}
 		if d := rec.Disk; *diskDir != "" {
-			fmt.Fprintf(stdout, "warm restart: disk tier kept %d documents, lost %d (%d trimmed for memory copies, %d orphan segments, %d legacy files, %d index bytes truncated)\n",
-				d.Entries-rec.DiskTrimmed, d.LostBlobs, rec.DiskTrimmed, d.Orphans, d.Legacy, d.TruncatedBytes)
+			fmt.Fprintf(stdout, "warm restart: disk tier kept %d documents, lost %d (%d trimmed for memory copies, %d orphan segments, %d index bytes truncated)\n",
+				d.Entries-rec.DiskTrimmed, d.LostBlobs, rec.DiskTrimmed, d.Orphans, d.TruncatedBytes)
 		}
 		if rec.Discarded != "" {
 			fmt.Fprintf(stdout, "warm restart: discarded %d corrupt journal bytes (%s)\n",

@@ -23,8 +23,10 @@
 // large tier take seconds. Full checksum verification is available
 // separately through VerifyAll (the disk-smoke gate) and happens
 // implicitly on every read: Verify(url) and Open(url)'s reader hash as they
-// stream and fail at EOF on a mismatch, dropping the corrupt entry. A
-// directory in the earlier file-per-blob layout opens as an empty tier.
+// stream and fail at EOF on a mismatch, dropping the corrupt entry. An
+// index written by the earlier file-per-blob layout (kind-1 put frames)
+// is undecodable from its first frame, so such a directory opens as an
+// empty tier; that layout's blobs/ and tmp/ trees are left as they are.
 package blob
 
 import (
@@ -83,8 +85,6 @@ type Report struct {
 	LostBlobs int
 	// Orphans counts segment files no index entry referenced (unlinked).
 	Orphans int
-	// Legacy counts the files of a file-per-blob layout swept from Dir.
-	Legacy int
 	// Compacted reports whether the index log was rewritten.
 	Compacted bool
 }
@@ -175,15 +175,6 @@ func (s *Store) indexPath() string { return filepath.Join(s.dir, "index.log") }
 // it torn, garbage-heavy or split over two copies of one body) and sweeps
 // the segments nothing references.
 func (s *Store) recover() error {
-	for _, sub := range []string{"blobs", "tmp"} { // the file-per-blob layout's
-		filepath.WalkDir(filepath.Join(s.dir, sub), func(_ string, d fs.DirEntry, err error) error {
-			if err == nil && !d.IsDir() {
-				s.report.Legacy++
-			}
-			return nil
-		})
-		os.RemoveAll(filepath.Join(s.dir, sub))
-	}
 	raw, err := os.ReadFile(s.indexPath())
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("blob: read index: %w", err)

@@ -356,32 +356,19 @@ func TestCloseWithReaderOpen(t *testing.T) {
 	}
 }
 
-// TestLegacyLayoutOpensCold: a directory written by the file-per-blob
-// layout is a cache nobody can read any more. It opens as an empty tier
-// with its blobs/, tmp/ and index swept and counted, and works from there.
+// TestLegacyLayoutOpensCold: an index written by the file-per-blob
+// layout (kind-1 put frames) is a cache nobody can read any more. It
+// opens as an empty tier, the index rewritten empty, and works from there.
 func TestLegacyLayoutOpensCold(t *testing.T) {
 	dir := t.TempDir()
-	for _, f := range []string{"blobs/ab/ab00", "blobs/ab/ab01", "blobs/cd/cd00", "tmp/admit-7"} {
-		if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, f)), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, f), []byte("old body"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	old := append(retiredPutFrame("http://old/a"), retiredPutFrame("http://old/b")...)
 	if err := os.WriteFile(filepath.Join(dir, "index.log"), old, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s := openStore(t, dir, 1<<20)
 	rep := s.Report()
-	if s.Len() != 0 || rep.Legacy != 4 || rep.TruncatedBytes != int64(len(old)) || rep.IndexRecords != 0 || !rep.Compacted {
+	if s.Len() != 0 || rep.TruncatedBytes != int64(len(old)) || rep.IndexRecords != 0 || !rep.Compacted {
 		t.Fatalf("len %d, report %+v", s.Len(), rep)
-	}
-	for _, gone := range []string{"blobs", "tmp"} {
-		if _, err := os.Stat(filepath.Join(dir, gone)); !os.IsNotExist(err) {
-			t.Fatalf("%s/ survived: %v", gone, err)
-		}
 	}
 	want := admit(t, s, "http://new/a", 500, 0)
 	if err := s.Close(); err != nil {
@@ -389,7 +376,7 @@ func TestLegacyLayoutOpensCold(t *testing.T) {
 	}
 	s = openStore(t, dir, 1<<20)
 	defer s.Close()
-	if rep := s.Report(); rep.Legacy != 0 || rep.TruncatedBytes != 0 || rep.Entries != 1 {
+	if rep := s.Report(); rep.TruncatedBytes != 0 || rep.Entries != 1 {
 		t.Fatalf("second open: %+v", rep)
 	}
 	sameResidency(t, "second open", s, map[string]cache.DiskEntry{want.Doc.URL: want})

@@ -64,7 +64,8 @@ type Config struct {
 	// Defaults to LRU, the paper's experimental policy.
 	NewPolicy func() cache.Policy
 	// ExpirationWindow selects an eviction-count window for the
-	// expiration-age signal, or CumulativeAges for an all-time average.
+	// expiration-age signal, or CumulativeAges for an all-time average
+	// (which takes no ExpirationHorizon).
 	ExpirationWindow int
 	// ExpirationHorizon selects a time window for the expiration-age
 	// signal. When both ExpirationWindow and ExpirationHorizon are zero,
@@ -126,6 +127,8 @@ func New(cfg Config) (*Group, error) {
 	}
 	window, horizon := cfg.ExpirationWindow, cfg.ExpirationHorizon
 	switch {
+	case window == CumulativeAges && horizon != 0:
+		return nil, fmt.Errorf("group: a cumulative expiration age takes no horizon, got %s", horizon)
 	case window == CumulativeAges:
 		window, horizon = cache.WindowAll, 0
 	case window == 0 && horizon == 0:

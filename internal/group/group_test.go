@@ -30,6 +30,7 @@ func TestNewValidation(t *testing.T) {
 		{"no bytes", func(c *Config) { c.AggregateBytes = 0 }},
 		{"nil scheme", func(c *Config) { c.Scheme = nil }},
 		{"space smaller than cache count", func(c *Config) { c.AggregateBytes = 3; c.Caches = 4 }},
+		{"cumulative ages with a horizon", func(c *Config) { c.ExpirationWindow = CumulativeAges; c.ExpirationHorizon = time.Hour }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -323,7 +323,7 @@ func New(cfg Config) (*Node, error) {
 		Transport:       nodeTransport{n},
 		Hooks:           nodeHooks{n},
 		Coalescer:       co,
-		DegradeToOrigin: true,
+		DegradeToOrigin: n.originAddr != "",
 	}
 
 	n.wg.Add(1)

@@ -2,6 +2,7 @@ package netnode
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -96,6 +97,34 @@ func TestMissThenLocalHitOverWire(t *testing.T) {
 	}
 }
 
+// TestMissWithoutOriginFails: a node with neither parent nor origin
+// fails a group-wide miss with its "no origin" error; one whose parent
+// fails and that knows no origin returns the parent's error and counts
+// no fallback, since there is nothing to degrade to.
+func TestMissWithoutOriginFails(t *testing.T) {
+	n := startNode(t, "n0", 1<<20, core.AdHoc{}, "")
+	_, err := n.Request("http://d.example.edu/a.html", 2048)
+	if err == nil || err.Error() != "netnode n0: miss for http://d.example.edu/a.html and no origin" {
+		t.Fatalf("err = %v", err)
+	}
+
+	orphan, err := New(Config{
+		ID: "c0", ICPAddr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0",
+		Store: newStore(t, 1<<20), Scheme: core.AdHoc{}, ParentAddr: deadTCPAddr(t),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = orphan.Close() })
+	_, err = orphan.Request("http://d.example.edu/a.html", 2048)
+	if err == nil || !strings.Contains(err.Error(), "netnode c0: parent resolve") {
+		t.Fatalf("err = %v, want the parent's", err)
+	}
+	if rb := orphan.Robustness(); rb.Fallbacks != 0 {
+		t.Fatalf("fallbacks = %d with no origin to fall back to", rb.Fallbacks)
+	}
+}
+
 func TestRemoteHitOverWire(t *testing.T) {
 	origin := startOrigin(t)
 	a := startNode(t, "a", 1<<20, core.AdHoc{}, origin.Addr())
@@ -142,13 +171,6 @@ func TestEATieNoReplicationOverWire(t *testing.T) {
 	}
 	if b.Contains("http://d.example.edu/x") {
 		t.Fatal("EA replicated on a cold tie")
-	}
-}
-
-func TestMissWithoutOriginFails(t *testing.T) {
-	n := startNode(t, "n", 1<<20, core.AdHoc{}, "")
-	if _, err := n.Request("http://nowhere/", 100); err == nil {
-		t.Fatal("miss without origin succeeded")
 	}
 }
 

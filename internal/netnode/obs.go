@@ -370,26 +370,6 @@ func (o *nodeObs) cacheEvent(ev cache.Event) {
 	}
 }
 
-// placementSpan stamps the EA decision onto the trace — a placement span
-// marking where in the timeline the rule ran, with both piggybacked
-// expiration ages and the verdict on the trace's top-level fields —
-// counts it, and appends it to the audit log. The span itself carries no
-// attributes: duplicating the ages there would cost three string
-// allocations on every non-local-hit request for data the trace already
-// has.
-func (n *Node) placementSpan(tr *obs.Trace, role int, url string, size int64, reqAge, respAge time.Duration, decision int) {
-	n.om.decisions[role][decision].Inc()
-	n.auditDecision(tr, role, url, decisionNames[decision], size, reqAge, respAge)
-	if tr == nil {
-		return
-	}
-	idx := tr.OpenSpan(obs.StagePlacement, time.Now())
-	tr.CloseSpan(idx, 0)
-	tr.RequesterAgeMS = obs.AgeMS(reqAge)
-	tr.ResponderAgeMS = obs.AgeMS(respAge)
-	tr.Decision = decisionNames[decision]
-}
-
 // auditDecision appends one placement verdict — with the two eq.-5
 // expiration-age inputs exactly as the rule saw them — to the node's
 // bounded decision log (served by /debug/placement). localAge is always

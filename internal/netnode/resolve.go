@@ -339,10 +339,11 @@ func (t nodeTransport) FetchParent(rctx any, url string, sizeHint int64, reqAge 
 	}, nil
 }
 
-func (t nodeTransport) HasOrigin() bool { return t.n.originAddr != "" }
-
 func (t nodeTransport) FetchOrigin(rctx any, url string, sizeHint int64, reqAge time.Duration, _ time.Time) (cache.Document, error) {
 	n := t.n
+	if n.originAddr == "" {
+		return cache.Document{}, fmt.Errorf("netnode %s: miss for %s and no origin", n.id, url)
+	}
 	tr := traceOf(rctx)
 	origin := n.startStage(tr, stOriginFetch)
 	size, _, _, err := n.fetchUpstream(tr, n.originAddr, url, sizeHint, reqAge, false)
@@ -354,19 +355,31 @@ func (t nodeTransport) FetchOrigin(rctx any, url string, sizeHint int64, reqAge 
 	return cache.Document{URL: url, Size: size}, nil
 }
 
-// nodeHooks maps the engine's decision points to telemetry spans and
-// robustness counters. Placement spans record the scheme's verdict (the
-// decision), not whether the copy physically fit — matching the
-// pre-engine node.
+// nodeHooks maps the engine's decision points to telemetry spans, the
+// placement-decision audit log and robustness counters.
 type nodeHooks struct{ n *Node }
 
 var _ resolve.Hooks = nodeHooks{}
 
-// OnLocalHit: the outcome counter is recorded by observeRequest; no
-// extra span.
-func (h nodeHooks) OnLocalHit(any, string, time.Time) {}
-
-func (h nodeHooks) OnRetry(any) { h.n.om.retries.Inc() }
+// OnPlacement counts the requester's verdict — the scheme's decision,
+// not whether the copy physically fit — appends it to the audit log and
+// stamps it onto the trace: a placement span marking where in the
+// timeline the rule ran, with both expiration ages and the verdict on
+// the trace's top-level fields. The span itself carries no attributes:
+// duplicating the ages there would cost three string allocations on
+// every non-local-hit request for data the trace already has.
+func (h nodeHooks) OnPlacement(rctx any, url string, size int64, reqAge, peerAge time.Duration, store bool, _ time.Time) {
+	n, tr, decision := h.n, traceOf(rctx), decisionOf(store)
+	n.om.decisions[roleRequester][decision].Inc()
+	n.auditDecision(tr, roleRequester, url, decisionNames[decision], size, reqAge, peerAge)
+	if tr == nil {
+		return
+	}
+	tr.CloseSpan(tr.OpenSpan(obs.StagePlacement, time.Now()), 0)
+	tr.RequesterAgeMS = obs.AgeMS(reqAge)
+	tr.ResponderAgeMS = obs.AgeMS(peerAge)
+	tr.Decision = decisionNames[decision]
+}
 
 func (h nodeHooks) OnFalseHit(rctx any, c resolve.Candidate, url string) {
 	if h.n.location == resolve.LocateDigest {
@@ -377,21 +390,11 @@ func (h nodeHooks) OnFalseHit(rctx any, c resolve.Candidate, url string) {
 	}
 }
 
-func (h nodeHooks) OnRemoteHit(rctx any, _ resolve.Candidate, url string, size int64, reqAge, respAge time.Duration, store, _, _ bool, _ time.Time) {
-	h.n.placementSpan(traceOf(rctx), roleRequester, url, size, reqAge, respAge, decisionOf(store))
-}
+func (h nodeHooks) OnRetry(any) { h.n.om.retries.Inc() }
 
-func (h nodeHooks) OnFallback(any) { h.n.om.fallbacks.Inc() }
-
-func (h nodeHooks) OnParentDegrade(rctx any, url string, err error) {
-	h.n.warn("parent resolve failed, degrading to origin", traceOf(rctx), "url", url, "err", err)
+func (h nodeHooks) OnFallback(rctx any, url string, err error) {
+	if err != nil {
+		h.n.warn("parent resolve failed, degrading to origin", traceOf(rctx), "url", url, "err", err)
+	}
 	h.n.om.fallbacks.Inc()
-}
-
-func (h nodeHooks) OnParentFetch(rctx any, _, url string, size int64, reqAge, parentAge time.Duration, _, store, _ bool, _ time.Time) {
-	h.n.placementSpan(traceOf(rctx), roleRequester, url, size, reqAge, parentAge, decisionOf(store))
-}
-
-func (h nodeHooks) OnOriginFetch(rctx any, url string, size int64, reqAge time.Duration, store, _ bool, _ time.Time) {
-	h.n.placementSpan(traceOf(rctx), roleRequester, url, size, reqAge, cache.NoContention, decisionOf(store))
 }

@@ -16,9 +16,6 @@ type AdminConfig struct {
 	Addr string
 	// Telemetry supplies /metrics and /debug/trace. Required.
 	Telemetry *Telemetry
-	// Healthz, when set, decides /healthz: nil error is 200 "ok", an error
-	// is 503 with the message. Unset always reports ok.
-	Healthz func() error
 	// HealthDetail, when set, turns the 200 /healthz body into JSON:
 	// {"status":"ok"} merged with the returned map (membership epoch, ring
 	// fingerprint, peer count, ...). Unset keeps the plain "ok" body.
@@ -63,12 +60,6 @@ func ServeAdmin(cfg AdminConfig) (*Admin, error) {
 		_ = cfg.Telemetry.Registry.WritePrometheus(w)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if cfg.Healthz != nil {
-			if err := cfg.Healthz(); err != nil {
-				http.Error(w, err.Error(), http.StatusServiceUnavailable)
-				return
-			}
-		}
 		if cfg.HealthDetail != nil {
 			body := map[string]any{"status": "ok"}
 			for k, v := range cfg.HealthDetail() {

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -10,12 +9,11 @@ import (
 	"time"
 )
 
-func startAdmin(t *testing.T, tel *Telemetry, healthz func() error) *Admin {
+func startAdmin(t *testing.T, tel *Telemetry) *Admin {
 	t.Helper()
 	a, err := ServeAdmin(AdminConfig{
 		Addr:      "127.0.0.1:0",
 		Telemetry: tel,
-		Healthz:   healthz,
 		Info:      map[string]string{"node": "t"},
 	})
 	if err != nil {
@@ -48,7 +46,7 @@ func TestAdminEndpoints(t *testing.T) {
 	tr.Outcome = "miss"
 	tel.Finish(tr)
 
-	a := startAdmin(t, tel, nil)
+	a := startAdmin(t, tel)
 	base := "http://" + a.Addr()
 
 	code, body := get(t, base+"/metrics")
@@ -94,15 +92,6 @@ func TestAdminEndpoints(t *testing.T) {
 	code, _ = get(t, base+"/nope")
 	if code != 404 {
 		t.Fatalf("unknown path = %d, want 404", code)
-	}
-}
-
-func TestAdminHealthzFailure(t *testing.T) {
-	tel := New("t", 8)
-	a := startAdmin(t, tel, func() error { return fmt.Errorf("draining") })
-	code, body := get(t, "http://"+a.Addr()+"/healthz")
-	if code != http.StatusServiceUnavailable || !strings.Contains(body, "draining") {
-		t.Fatalf("/healthz = %d %q", code, body)
 	}
 }
 

@@ -115,11 +115,6 @@ func (t simTransport) FetchParent(_ any, url string, sizeHint int64, reqAge time
 	return resolve.Remote{Doc: doc, ResponderAge: parentAge, FromGroup: fromGroup}, nil
 }
 
-// HasOrigin returns true unconditionally: a missing origin surfaces as
-// fetchOrigin's "no origin configured" error, whose string predates the
-// engine.
-func (t simTransport) HasOrigin() bool { return true }
-
 func (t simTransport) FetchOrigin(_ any, url string, sizeHint int64, _ time.Duration, now time.Time) (cache.Document, error) {
 	return t.p.fetchOrigin(url, sizeHint, now)
 }
@@ -131,26 +126,14 @@ type simHooks struct{ p *Proxy }
 
 var _ resolve.Hooks = simHooks{}
 
-func (h simHooks) OnLocalHit(any, string, time.Time) {}
-
-func (h simHooks) OnRetry(any) {}
+func (h simHooks) OnPlacement(_ any, url string, size int64, reqAge, peerAge time.Duration, store bool, now time.Time) {
+	h.p.decide(obs.RoleRequester, verdictOf(store), url, size, reqAge, peerAge, now)
+}
 
 func (h simHooks) OnFalseHit(_ any, _ resolve.Candidate, _ string) {
 	h.p.icp.DigestFalseHits++
 }
 
-func (h simHooks) OnRemoteHit(_ any, _ resolve.Candidate, url string, size int64, reqAge, respAge time.Duration, store, _, _ bool, now time.Time) {
-	h.p.decide(obs.RoleRequester, verdictOf(store), url, size, reqAge, respAge, now)
-}
+func (h simHooks) OnRetry(any) {}
 
-func (h simHooks) OnFallback(any) {}
-
-func (h simHooks) OnParentDegrade(any, string, error) {}
-
-func (h simHooks) OnParentFetch(_ any, _, url string, size int64, reqAge, parentAge time.Duration, _, store, _ bool, now time.Time) {
-	h.p.decide(obs.RoleRequester, verdictOf(store), url, size, reqAge, parentAge, now)
-}
-
-func (h simHooks) OnOriginFetch(_ any, url string, size int64, reqAge time.Duration, store, _ bool, now time.Time) {
-	h.p.decide(obs.RoleRequester, verdictOf(store), url, size, reqAge, cache.NoContention, now)
-}
+func (h simHooks) OnFallback(any, string, error) {}

@@ -131,7 +131,6 @@ func (e *Engine) resolveCoalesced(rctx any, hooks Hooks, url string, sizeHint in
 			// stored the document while this goroutine was waking up;
 			// serve it locally rather than electing yet another leader.
 			if doc, ok := e.Store.Lookup(rctx, url, now); ok {
-				hooks.OnLocalHit(rctx, url, now)
 				return Result{Outcome: metrics.LocalHit, Doc: doc, Coalesced: true}, nil
 			}
 		}

@@ -58,7 +58,6 @@ func (t *herdTransport) ParentID() (string, bool) { return "", false }
 func (t *herdTransport) FetchParent(any, string, int64, time.Duration, time.Time) (Remote, error) {
 	return Remote{}, errors.New("no parent")
 }
-func (t *herdTransport) HasOrigin() bool { return true }
 
 func (t *herdTransport) FetchOrigin(_ any, url string, sizeHint int64, _ time.Duration, _ time.Time) (cache.Document, error) {
 	n := t.calls.Add(1)

@@ -15,7 +15,6 @@
 package resolve
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -131,53 +130,42 @@ type Transport interface {
 	ParentID() (string, bool)
 	// FetchParent resolves a group-wide miss through the parent.
 	FetchParent(rctx any, url string, sizeHint int64, reqAge time.Duration, now time.Time) (Remote, error)
-	// HasOrigin reports whether an origin is reachable. Transports that
-	// surface "no origin" as a FetchOrigin error (the simulator, whose
-	// error strings predate the engine) just return true.
-	HasOrigin() bool
-	// FetchOrigin resolves a group-wide miss against the origin.
+	// FetchOrigin resolves a group-wide miss against the origin. A
+	// transport with no origin says so in its error.
 	FetchOrigin(rctx any, url string, sizeHint int64, reqAge time.Duration, now time.Time) (cache.Document, error)
 }
 
 // Hooks observes the lifecycle's decision points: the simulator maps
-// them to placement trace events and ICP statistics, the live node to
-// telemetry spans, the placement-decision audit log, and robustness
-// counters. store is the scheme's verdict, stored whether a copy was
-// actually kept (a too-large document is accepted by the scheme but not
-// stored); size is the transferred document's size — the feasibility
-// input of the placement decision, recorded in the audit log. A nil
-// Hooks is valid and observes nothing.
+// them to placement decision records and ICP statistics, the live node to
+// telemetry spans, the placement-decision audit log and robustness
+// counters. A nil Hooks is valid and observes nothing.
 type Hooks interface {
-	OnLocalHit(rctx any, url string, now time.Time)
-	// OnRetry fires before each candidate after the first.
-	OnRetry(rctx any)
+	// OnPlacement fires once per requester verdict — on a remote hit, a
+	// parent fetch and an origin fetch — with the two expiration ages the
+	// rule saw (peerAge is cache.NoContention on an origin fetch). store
+	// is the verdict, kept whether or not the copy fit (a too-large
+	// document is accepted by the scheme but not stored); size is the
+	// transferred document's size, the feasibility input of the decision.
+	OnPlacement(rctx any, url string, size int64, reqAge, peerAge time.Duration, store bool, now time.Time)
 	// OnFalseHit fires when a candidate answered not-found.
 	OnFalseHit(rctx any, c Candidate, url string)
-	OnRemoteHit(rctx any, c Candidate, url string, size int64, reqAge, respAge time.Duration, store, stored, promoted bool, now time.Time)
-	// OnFallback fires when every candidate fetch failed (transport
-	// errors, not not-founds) and the request degrades to the miss path.
-	OnFallback(rctx any)
-	// OnParentDegrade fires when the parent path failed and the engine
-	// is retrying against the origin (DegradeToOrigin).
-	OnParentDegrade(rctx any, url string, err error)
-	OnParentFetch(rctx any, parentID, url string, size int64, reqAge, parentAge time.Duration, fromGroup, store, stored bool, now time.Time)
-	OnOriginFetch(rctx any, url string, size int64, reqAge time.Duration, store, stored bool, now time.Time)
+	// OnRetry fires before each candidate after the first.
+	OnRetry(rctx any)
+	// OnFallback fires when the request degrades: with a nil err when
+	// every candidate fetch failed (transport errors, not not-founds) and
+	// the miss path takes over, with the parent's error when a failed
+	// parent resolution is retried against the origin (DegradeToOrigin).
+	OnFallback(rctx any, url string, err error)
 }
 
 // nopHooks is the nil-Hooks stand-in, so the engine body never
 // nil-checks at each call site.
 type nopHooks struct{}
 
-func (nopHooks) OnLocalHit(any, string, time.Time) {}
-func (nopHooks) OnRetry(any)                       {}
-func (nopHooks) OnFalseHit(any, Candidate, string) {}
-func (nopHooks) OnRemoteHit(any, Candidate, string, int64, time.Duration, time.Duration, bool, bool, bool, time.Time) {
-}
-func (nopHooks) OnFallback(any)                     {}
-func (nopHooks) OnParentDegrade(any, string, error) {}
-func (nopHooks) OnParentFetch(any, string, string, int64, time.Duration, time.Duration, bool, bool, bool, time.Time) {
-}
-func (nopHooks) OnOriginFetch(any, string, int64, time.Duration, bool, bool, time.Time) {}
+func (nopHooks) OnPlacement(any, string, int64, time.Duration, time.Duration, bool, time.Time) {}
+func (nopHooks) OnFalseHit(any, Candidate, string)                                             {}
+func (nopHooks) OnRetry(any)                                                                   {}
+func (nopHooks) OnFallback(any, string, error)                                                 {}
 
 // Result describes how one request was served.
 type Result struct {
@@ -203,7 +191,7 @@ type Result struct {
 // Engine runs the canonical request lifecycle. Configure one per node;
 // Resolve is safe for concurrent use iff the injected dependencies are.
 type Engine struct {
-	// ID prefixes engine-originated errors ("netnode n1", "proxy cache-0").
+	// ID prefixes the engine's own errors ("netnode n1", "proxy cache-0").
 	ID string
 	// Store is the requester's cache. Required.
 	Store LocalStore
@@ -221,9 +209,9 @@ type Engine struct {
 	// identically either way, which the sim↔live parity gate checks.
 	Coalescer *Coalescer
 	// DegradeToOrigin sends a failed parent resolution to the origin
-	// (when one is reachable) instead of failing the request — the live
-	// node's availability posture. The simulator keeps false: a parent
-	// failure there is a configuration bug that must surface.
+	// instead of failing the request — the live node's availability
+	// posture when it knows an origin. The simulator keeps false: a
+	// parent failure there is a configuration bug that must surface.
 	DegradeToOrigin bool
 }
 
@@ -232,7 +220,7 @@ type Engine struct {
 // store/promote decisions, then the parent/origin miss path.
 func (e *Engine) Resolve(rctx any, url string, sizeHint int64, now time.Time) (Result, error) {
 	if url == "" {
-		return Result{}, errors.New("resolve: empty URL")
+		return Result{}, fmt.Errorf("%s: empty URL", e.ID)
 	}
 	hooks := e.Hooks
 	if hooks == nil {
@@ -241,7 +229,6 @@ func (e *Engine) Resolve(rctx any, url string, sizeHint int64, now time.Time) (R
 
 	// 1. Local cache.
 	if doc, ok := e.Store.Lookup(rctx, url, now); ok {
-		hooks.OnLocalHit(rctx, url, now)
 		return Result{Outcome: metrics.LocalHit, Doc: doc}, nil
 	}
 
@@ -287,7 +274,7 @@ func (e *Engine) resolveMissPath(rctx any, hooks Hooks, url string, sizeHint int
 	if failed {
 		// Every copy holder broke mid-exchange: degrade to the miss
 		// path rather than failing the request.
-		hooks.OnFallback(rctx)
+		hooks.OnFallback(rctx, url, nil)
 	}
 
 	// 3. Group-wide miss.
@@ -305,7 +292,7 @@ func (e *Engine) remoteHit(rctx any, hooks Hooks, c Candidate, url string, place
 		if !rem.FromGroup {
 			res.Outcome = metrics.Miss
 		}
-		hooks.OnRemoteHit(rctx, c, url, rem.Doc.Size, reqAge, rem.ResponderAge, false, false, false, now)
+		hooks.OnPlacement(rctx, url, rem.Doc.Size, reqAge, rem.ResponderAge, false, now)
 		return res
 	}
 	decision := e.Scheme.OnRemoteHit(reqAge, rem.ResponderAge)
@@ -313,8 +300,7 @@ func (e *Engine) remoteHit(rctx any, hooks Hooks, c Candidate, url string, place
 		res.Stored = e.Store.StoreCopy(rem.Doc, now)
 	}
 	res.Promoted = decision.PromoteAtResponder
-	hooks.OnRemoteHit(rctx, c, url, rem.Doc.Size, reqAge, rem.ResponderAge,
-		decision.StoreAtRequester, res.Stored, res.Promoted, now)
+	hooks.OnPlacement(rctx, url, rem.Doc.Size, reqAge, rem.ResponderAge, decision.StoreAtRequester, now)
 	return res
 }
 
@@ -343,18 +329,15 @@ func (e *Engine) resolveMiss(rctx any, hooks Hooks, url string, sizeHint int64, 
 			if store {
 				res.Stored = e.Store.StoreCopy(rem.Doc, now)
 			}
-			hooks.OnParentFetch(rctx, pid, url, rem.Doc.Size, reqAge, rem.ResponderAge, rem.FromGroup, store, res.Stored, now)
+			hooks.OnPlacement(rctx, url, rem.Doc.Size, reqAge, rem.ResponderAge, store, now)
 			return res, nil
 		}
-		if !e.DegradeToOrigin || !e.Transport.HasOrigin() {
+		if !e.DegradeToOrigin {
 			return Result{}, err
 		}
-		hooks.OnParentDegrade(rctx, url, err)
+		hooks.OnFallback(rctx, url, err)
 	}
 
-	if !e.Transport.HasOrigin() {
-		return Result{}, fmt.Errorf("%s: miss for %s and no origin", e.ID, url)
-	}
 	doc, err := e.Transport.FetchOrigin(rctx, url, sizeHint, reqAge, now)
 	if err != nil {
 		return Result{}, err
@@ -364,7 +347,7 @@ func (e *Engine) resolveMiss(rctx any, hooks Hooks, url string, sizeHint int64, 
 	if store {
 		res.Stored = e.Store.StoreCopy(doc, now)
 	}
-	hooks.OnOriginFetch(rctx, url, doc.Size, reqAge, store, res.Stored, now)
+	hooks.OnPlacement(rctx, url, doc.Size, reqAge, cache.NoContention, store, now)
 	return res, nil
 }
 

@@ -2,7 +2,9 @@ package resolve
 
 import (
 	"errors"
-	"strings"
+	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -55,7 +57,6 @@ type fakeTransport struct {
 	parentID  string
 	parent    Remote
 	parentErr error
-	origin    bool
 	originErr error
 	fetched   []string // candidate IDs tried, in order
 	resolves  []bool   // the resolve flag of each FetchRemote
@@ -87,8 +88,6 @@ func (t *fakeTransport) FetchParent(_ any, url string, _ int64, _ time.Duration,
 	return rem, nil
 }
 
-func (t *fakeTransport) HasOrigin() bool { return t.origin }
-
 func (t *fakeTransport) FetchOrigin(_ any, url string, sizeHint int64, _ time.Duration, _ time.Time) (cache.Document, error) {
 	if t.originErr != nil {
 		return cache.Document{}, t.originErr
@@ -96,25 +95,32 @@ func (t *fakeTransport) FetchOrigin(_ any, url string, sizeHint int64, _ time.Du
 	return cache.Document{URL: url, Size: sizeHint}, nil
 }
 
-// spyHooks counts every hook invocation.
-type spyHooks struct {
-	localHits, retries, falseHits, remoteHits     int
-	fallbacks, degrades, parentFetches, originFns int
+// placed is one OnPlacement call.
+type placed struct {
+	url             string
+	size            int64
+	reqAge, peerAge time.Duration
+	store           bool
 }
 
-func (h *spyHooks) OnLocalHit(any, string, time.Time) { h.localHits++ }
-func (h *spyHooks) OnRetry(any)                       { h.retries++ }
+// spyHooks records every hook invocation.
+type spyHooks struct {
+	placements                   []placed
+	retries, falseHits, fallback int
+	degrades                     []error // the non-nil errs passed to OnFallback
+}
+
+func (h *spyHooks) OnPlacement(_ any, url string, size int64, reqAge, peerAge time.Duration, store bool, _ time.Time) {
+	h.placements = append(h.placements, placed{url, size, reqAge, peerAge, store})
+}
 func (h *spyHooks) OnFalseHit(any, Candidate, string) { h.falseHits++ }
-func (h *spyHooks) OnRemoteHit(any, Candidate, string, int64, time.Duration, time.Duration, bool, bool, bool, time.Time) {
-	h.remoteHits++
-}
-func (h *spyHooks) OnFallback(any)                     { h.fallbacks++ }
-func (h *spyHooks) OnParentDegrade(any, string, error) { h.degrades++ }
-func (h *spyHooks) OnParentFetch(any, string, string, int64, time.Duration, time.Duration, bool, bool, bool, time.Time) {
-	h.parentFetches++
-}
-func (h *spyHooks) OnOriginFetch(any, string, int64, time.Duration, bool, bool, time.Time) {
-	h.originFns++
+func (h *spyHooks) OnRetry(any)                       { h.retries++ }
+func (h *spyHooks) OnFallback(_ any, _ string, err error) {
+	if err != nil {
+		h.degrades = append(h.degrades, err)
+		return
+	}
+	h.fallback++
 }
 
 type fixedLocator struct{ loc Located }
@@ -133,7 +139,7 @@ func newEngine(store *fakeStore, tr *fakeTransport, loc Located, hooks Hooks) *E
 }
 
 func TestEmptyURL(t *testing.T) {
-	e := newEngine(newFakeStore(0), &fakeTransport{origin: true}, Located{}, nil)
+	e := newEngine(newFakeStore(0), &fakeTransport{}, Located{}, nil)
 	if _, err := e.Resolve(nil, "", 1, at(0)); err == nil {
 		t.Fatal("empty URL accepted")
 	}
@@ -143,20 +149,20 @@ func TestLocalHit(t *testing.T) {
 	store := newFakeStore(0)
 	store.docs["http://a/"] = cache.Document{URL: "http://a/", Size: 7}
 	hooks := &spyHooks{}
-	e := newEngine(store, &fakeTransport{origin: true}, Located{}, hooks)
+	e := newEngine(store, &fakeTransport{}, Located{}, hooks)
 	res, err := e.Resolve(nil, "http://a/", 7, at(0))
 	if err != nil || res.Outcome != metrics.LocalHit || res.Doc.Size != 7 {
 		t.Fatalf("res=%+v err=%v, want local hit", res, err)
 	}
-	if hooks.localHits != 1 {
-		t.Fatalf("localHits=%d", hooks.localHits)
+	if len(hooks.placements) != 0 {
+		t.Fatalf("a local hit placed: %+v", hooks.placements)
 	}
 }
 
 func TestRemoteHitStoresUnderEA(t *testing.T) {
 	// Requester age 60s > responder age 10s: EA stores at requester.
 	store := newFakeStore(time.Minute)
-	tr := &fakeTransport{origin: true, answers: map[string]answer{
+	tr := &fakeTransport{answers: map[string]answer{
 		"peer-1": {rem: Remote{Doc: cache.Document{Size: 5}, ResponderAge: 10 * time.Second, FromGroup: true}, status: FetchOK},
 	}}
 	hooks := &spyHooks{}
@@ -172,14 +178,14 @@ func TestRemoteHitStoresUnderEA(t *testing.T) {
 	if _, ok := store.docs["http://a/"]; !ok {
 		t.Fatal("copy not stored")
 	}
-	if hooks.remoteHits != 1 || hooks.retries != 0 {
+	if len(hooks.placements) != 1 || hooks.retries != 0 {
 		t.Fatalf("hooks=%+v", hooks)
 	}
 }
 
 func TestRetryAcrossCandidatesThenFallback(t *testing.T) {
 	store := newFakeStore(0)
-	tr := &fakeTransport{origin: true, answers: map[string]answer{
+	tr := &fakeTransport{answers: map[string]answer{
 		"dead-1": {status: FetchFailed},
 		"dead-2": {status: FetchFailed},
 	}}
@@ -189,7 +195,7 @@ func TestRetryAcrossCandidatesThenFallback(t *testing.T) {
 	if err != nil || res.Outcome != metrics.Miss {
 		t.Fatalf("res=%+v err=%v, want origin miss", res, err)
 	}
-	if hooks.retries != 1 || hooks.fallbacks != 1 || hooks.originFns != 1 {
+	if hooks.retries != 1 || hooks.fallback != 1 || len(hooks.placements) != 1 {
 		t.Fatalf("hooks=%+v", hooks)
 	}
 	if len(tr.fetched) != 2 {
@@ -199,7 +205,7 @@ func TestRetryAcrossCandidatesThenFallback(t *testing.T) {
 
 func TestFalseHitContinues(t *testing.T) {
 	store := newFakeStore(0)
-	tr := &fakeTransport{origin: true, answers: map[string]answer{
+	tr := &fakeTransport{answers: map[string]answer{
 		"liar": {status: FetchNotFound},
 		"real": {rem: Remote{Doc: cache.Document{Size: 3}, ResponderAge: time.Hour, FromGroup: true}, status: FetchOK},
 	}}
@@ -210,7 +216,7 @@ func TestFalseHitContinues(t *testing.T) {
 		t.Fatalf("res=%+v err=%v", res, err)
 	}
 	// A not-found answer is not a fault: no fallback.
-	if hooks.falseHits != 1 || hooks.fallbacks != 0 || hooks.retries != 1 {
+	if hooks.falseHits != 1 || hooks.fallback != 0 || hooks.retries != 1 {
 		t.Fatalf("hooks=%+v", hooks)
 	}
 }
@@ -227,14 +233,14 @@ func TestParentFromGroupIsRemoteHit(t *testing.T) {
 	if err != nil || res.Outcome != metrics.RemoteHit || res.Responder != "parent-0" || !res.Stored {
 		t.Fatalf("res=%+v err=%v", res, err)
 	}
-	if hooks.parentFetches != 1 {
+	if len(hooks.placements) != 1 {
 		t.Fatalf("hooks=%+v", hooks)
 	}
 }
 
 func TestParentErrorFailsWithoutDegrade(t *testing.T) {
 	wantErr := errors.New("parent broke")
-	tr := &fakeTransport{parentID: "parent-0", parentErr: wantErr, origin: true}
+	tr := &fakeTransport{parentID: "parent-0", parentErr: wantErr}
 	e := newEngine(newFakeStore(0), tr, Located{}, nil)
 	if _, err := e.Resolve(nil, "http://a/", 1, at(0)); !errors.Is(err, wantErr) {
 		t.Fatalf("err=%v, want the parent error", err)
@@ -242,7 +248,7 @@ func TestParentErrorFailsWithoutDegrade(t *testing.T) {
 }
 
 func TestParentErrorDegradesToOrigin(t *testing.T) {
-	tr := &fakeTransport{parentID: "parent-0", parentErr: errors.New("parent broke"), origin: true}
+	tr := &fakeTransport{parentID: "parent-0", parentErr: errors.New("parent broke")}
 	hooks := &spyHooks{}
 	e := newEngine(newFakeStore(0), tr, Located{}, hooks)
 	e.DegradeToOrigin = true
@@ -250,16 +256,23 @@ func TestParentErrorDegradesToOrigin(t *testing.T) {
 	if err != nil || res.Outcome != metrics.Miss {
 		t.Fatalf("res=%+v err=%v", res, err)
 	}
-	if hooks.degrades != 1 || hooks.originFns != 1 {
+	if len(hooks.degrades) != 1 || hooks.fallback != 0 || len(hooks.placements) != 1 {
 		t.Fatalf("hooks=%+v", hooks)
 	}
 }
 
+// TestNoOriginError: whether an origin exists is the transport's
+// business; the engine returns its FetchOrigin error verbatim and
+// records no verdict.
 func TestNoOriginError(t *testing.T) {
-	e := newEngine(newFakeStore(0), &fakeTransport{}, Located{}, nil)
-	_, err := e.Resolve(nil, "http://a/", 1, at(0))
-	if err == nil || !strings.Contains(err.Error(), "test n0: miss for http://a/ and no origin") {
-		t.Fatalf("err=%v", err)
+	wantErr := errors.New("test n0: miss for http://a/ and no origin")
+	hooks := &spyHooks{}
+	e := newEngine(newFakeStore(0), &fakeTransport{originErr: wantErr}, Located{}, hooks)
+	if _, err := e.Resolve(nil, "http://a/", 1, at(0)); !errors.Is(err, wantErr) {
+		t.Fatalf("err=%v, want the transport's", err)
+	}
+	if len(hooks.placements) != 0 {
+		t.Fatalf("a failed fetch placed: %+v", hooks.placements)
 	}
 }
 
@@ -267,7 +280,7 @@ func TestPlacementNeverSuppressesStores(t *testing.T) {
 	// A home-resolved body (FromGroup=false) counts as a miss and the
 	// requester keeps nothing, on either path.
 	store := newFakeStore(time.Hour) // huge age: EA would store everywhere
-	tr := &fakeTransport{origin: true, answers: map[string]answer{
+	tr := &fakeTransport{answers: map[string]answer{
 		"home": {rem: Remote{Doc: cache.Document{Size: 2}, FromGroup: false}, status: FetchOK},
 	}}
 	loc := Located{Candidates: []Candidate{{ID: "home"}}, Resolve: true, Placement: PlacementNever}
@@ -291,6 +304,112 @@ func TestPlacementNeverSuppressesStores(t *testing.T) {
 	}
 }
 
+// TestOnPlacementOncePerVerdict: every requester verdict leaves the
+// engine through exactly one OnPlacement, on every path, carrying the
+// peer age the rule saw (TestLocalHit holds a local hit to none). The
+// requester's age is 60s throughout, so a 60s parent age tells the remote-hit rule
+// (strict, reject) from the miss-via-parent rule (tie keeps, accept).
+func TestOnPlacementOncePerVerdict(t *testing.T) {
+	const reqAge = time.Minute
+	broke := errors.New("parent broke")
+	peer := func(age time.Duration, fromGroup bool) map[string]answer {
+		return map[string]answer{"p": {rem: Remote{Doc: cache.Document{Size: 5}, ResponderAge: age, FromGroup: fromGroup}, status: FetchOK}}
+	}
+	for _, tc := range []struct {
+		name    string
+		tr      *fakeTransport
+		loc     Located
+		degrade bool
+		want    []placed
+	}{
+		{
+			name: "remote hit",
+			tr:   &fakeTransport{answers: peer(10*time.Second, true)},
+			loc:  Located{Candidates: []Candidate{{ID: "p"}}},
+			want: []placed{{"http://a/", 5, reqAge, 10 * time.Second, true}},
+		},
+		{
+			name: "PlacementNever remote",
+			tr:   &fakeTransport{answers: peer(10*time.Second, false)},
+			loc:  Located{Candidates: []Candidate{{ID: "p"}}, Resolve: true, Placement: PlacementNever},
+			want: []placed{{"http://a/", 5, reqAge, 10 * time.Second, false}},
+		},
+		{
+			name: "parent from group",
+			tr:   &fakeTransport{parentID: "parent", parent: Remote{Doc: cache.Document{Size: 4}, ResponderAge: reqAge, FromGroup: true}},
+			want: []placed{{"http://a/", 4, reqAge, reqAge, false}},
+		},
+		{
+			name: "parent from origin",
+			tr:   &fakeTransport{parentID: "parent", parent: Remote{Doc: cache.Document{Size: 4}, ResponderAge: reqAge}},
+			want: []placed{{"http://a/", 4, reqAge, reqAge, true}},
+		},
+		{
+			name: "origin",
+			tr:   &fakeTransport{},
+			want: []placed{{"http://a/", 3, reqAge, cache.NoContention, true}},
+		},
+		{
+			name:    "failed parent degraded to origin",
+			tr:      &fakeTransport{parentID: "parent", parentErr: broke},
+			degrade: true,
+			want:    []placed{{"http://a/", 3, reqAge, cache.NoContention, true}},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hooks := &spyHooks{}
+			e := newEngine(newFakeStore(reqAge), tc.tr, tc.loc, hooks)
+			e.DegradeToOrigin = tc.degrade
+			if _, err := e.Resolve(nil, "http://a/", 3, at(0)); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(hooks.placements, tc.want) {
+				t.Fatalf("placements = %+v, want %+v", hooks.placements, tc.want)
+			}
+			if tc.degrade && (len(hooks.degrades) != 1 || !errors.Is(hooks.degrades[0], broke)) {
+				t.Fatalf("OnFallback errs = %v, want the parent's", hooks.degrades)
+			}
+		})
+	}
+}
+
+// placeCounter counts OnPlacement calls from many goroutines.
+type placeCounter struct {
+	nopHooks
+	n atomic.Int32
+}
+
+func (h *placeCounter) OnPlacement(any, string, int64, time.Duration, time.Duration, bool, time.Time) {
+	h.n.Add(1)
+}
+
+// TestCoalescedFollowersPlaceNothing: a herd of concurrent misses for one
+// URL makes one verdict, the leader's; the followers share it.
+func TestCoalescedFollowersPlaceNothing(t *testing.T) {
+	const herd = 16
+	gate := make(chan struct{})
+	tr := &herdTransport{gates: []chan struct{}{gate}}
+	e, followers, _, _ := herdEngine(tr)
+	hooks := &placeCounter{}
+	e.Hooks = hooks
+	var wg sync.WaitGroup
+	for i := 0; i < herd; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := e.Resolve(nil, "http://hot/doc", 4096, at(0)); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	waitFor(t, func() bool { return followers.Load() == herd-1 })
+	close(gate)
+	wg.Wait()
+	if got := hooks.n.Load(); got != 1 {
+		t.Fatalf("OnPlacement fired %d times for one coalesced miss, want 1", got)
+	}
+}
+
 // refuseAll is a Scheme that never stores anywhere, to prove
 // PlacementAlways overrides the scheme verdict.
 type refuseAll struct{}
@@ -306,7 +425,7 @@ func TestPlacementAlwaysStoresOnOriginMiss(t *testing.T) {
 	e := &Engine{
 		ID: "test n0", Store: store, Scheme: refuseAll{},
 		Locator:   fixedLocator{Located{Placement: PlacementAlways}},
-		Transport: &fakeTransport{origin: true},
+		Transport: &fakeTransport{},
 	}
 	res, err := e.Resolve(nil, "http://a/", 6, at(0))
 	if err != nil || res.Outcome != metrics.Miss || !res.Stored {
@@ -315,7 +434,7 @@ func TestPlacementAlwaysStoresOnOriginMiss(t *testing.T) {
 }
 
 func TestNilLocatorGoesStraightToOrigin(t *testing.T) {
-	e := &Engine{ID: "t", Store: newFakeStore(0), Scheme: core.EA{}, Transport: &fakeTransport{origin: true}}
+	e := &Engine{ID: "t", Store: newFakeStore(0), Scheme: core.EA{}, Transport: &fakeTransport{}}
 	res, err := e.Resolve(nil, "http://a/", 1, at(0))
 	if err != nil || res.Outcome != metrics.Miss {
 		t.Fatalf("res=%+v err=%v", res, err)

@@ -22,28 +22,16 @@ type Config struct {
 	// Latency is the service-latency model. Defaults to
 	// metrics.PaperLatencies (146/342/2784 ms).
 	Latency metrics.LatencyModel
-	// DefaultDocSize substitutes non-positive trace sizes, as the paper
-	// does with 4KB. Defaults to trace.DefaultDocSize; set to -1 to fail
-	// on zero-size records instead.
-	DefaultDocSize int64
 	// Warmup is the fraction of the trace (from the start) replayed to
 	// populate the caches without being counted in the metrics. The
 	// paper reports whole-run (cold-start-inclusive) numbers, so the
 	// default is 0; warmed measurements isolate steady-state behaviour.
 	Warmup float64
-	// ClassifyURL, when set, buckets every counted request into a named
-	// class (e.g. "hot" / "tail", or by content type) and the report
-	// carries per-class counters — the lens for questions like "where do
-	// the EA scheme's extra hits come from?".
-	ClassifyURL func(url string) string
 }
 
 func (c Config) withDefaults() Config {
 	if c.Latency == (metrics.LatencyModel{}) {
 		c.Latency = metrics.PaperLatencies
-	}
-	if c.DefaultDocSize == 0 {
-		c.DefaultDocSize = trace.DefaultDocSize
 	}
 	return c
 }
@@ -85,10 +73,6 @@ type Report struct {
 	// Replication summarises end-of-run document replication.
 	Replication group.ReplicationStats
 
-	// PerClass holds the per-URL-class counters when Config.ClassifyURL
-	// was set (nil otherwise).
-	PerClass map[string]*metrics.CountersSnapshot
-
 	// Latency echoes the model used.
 	Latency metrics.LatencyModel
 }
@@ -112,19 +96,13 @@ func Run(g *group.Group, records []trace.Record, cfg Config) (*Report, error) {
 	for _, p := range g.Leaves() {
 		perProxy[p.ID()] = &metrics.Counters{}
 	}
-	var perClass map[string]*metrics.Counters
-	if cfg.ClassifyURL != nil {
-		perClass = make(map[string]*metrics.Counters)
-	}
 
 	var total metrics.Counters
 	for i, rec := range records {
 		size := rec.Size
 		if size <= 0 {
-			if cfg.DefaultDocSize < 0 {
-				return nil, fmt.Errorf("sim: record %d (%s) has no size", i, rec.URL)
-			}
-			size = cfg.DefaultDocSize
+			// The paper substitutes 4KB for a record without a size.
+			size = trace.DefaultDocSize
 		}
 		p := g.Route(rec.Client)
 		res, err := p.Request(rec.URL, size, rec.Time())
@@ -140,27 +118,8 @@ func Run(g *group.Group, records []trace.Record, cfg Config) (*Report, error) {
 		pc := perProxy[p.ID()]
 		pc.Record(res.Outcome, size)
 		pc.AddSimLatency(lat)
-		if perClass != nil {
-			class := cfg.ClassifyURL(rec.URL)
-			cc := perClass[class]
-			if cc == nil {
-				cc = &metrics.Counters{}
-				perClass[class] = cc
-			}
-			cc.Record(res.Outcome, size)
-			cc.AddSimLatency(lat)
-		}
 	}
-
-	rep := buildReport(g, total.Snapshot(), perProxy, cfg)
-	if perClass != nil {
-		rep.PerClass = make(map[string]*metrics.CountersSnapshot, len(perClass))
-		for class, cc := range perClass {
-			s := cc.Snapshot()
-			rep.PerClass[class] = &s
-		}
-	}
-	return rep, nil
+	return buildReport(g, total.Snapshot(), perProxy, cfg), nil
 }
 
 func buildReport(g *group.Group, total metrics.CountersSnapshot, perProxy map[string]*metrics.Counters, cfg Config) *Report {

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -43,10 +42,6 @@ func TestRunValidation(t *testing.T) {
 	unsorted := []trace.Record{rec(10, "u", "a", 1), rec(5, "u", "b", 1)}
 	if _, err := Run(g, unsorted, Config{}); err == nil {
 		t.Fatal("unsorted trace accepted")
-	}
-	zero := []trace.Record{rec(0, "u", "a", 0)}
-	if _, err := Run(g, zero, Config{DefaultDocSize: -1}); err == nil {
-		t.Fatal("zero size accepted with DefaultDocSize=-1")
 	}
 }
 
@@ -367,53 +362,5 @@ func TestRunWarmedEASteadyState(t *testing.T) {
 	}
 	if ea, adhoc := hit(core.EA{}), hit(core.AdHoc{}); ea < adhoc-0.01 {
 		t.Fatalf("steady-state EA %.4f clearly below adhoc %.4f", ea, adhoc)
-	}
-}
-
-func TestRunPerClassCounters(t *testing.T) {
-	g := newGroup(t, 1, 1<<20, core.AdHoc{})
-	records := []trace.Record{
-		rec(0, "u", "http://hot/a", 100),
-		rec(1, "u", "http://hot/a", 100),
-		rec(2, "u", "http://tail/b", 200),
-	}
-	rep, err := Run(g, records, Config{
-		ClassifyURL: func(url string) string {
-			if strings.HasPrefix(url, "http://hot/") {
-				return "hot"
-			}
-			return "tail"
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.PerClass) != 2 {
-		t.Fatalf("classes = %v", rep.PerClass)
-	}
-	hot, tail := rep.PerClass["hot"], rep.PerClass["tail"]
-	if hot.Requests != 2 || hot.LocalHits != 1 {
-		t.Fatalf("hot = %+v", hot)
-	}
-	if tail.Requests != 1 || tail.Misses != 1 {
-		t.Fatalf("tail = %+v", tail)
-	}
-	// Class counters sum to the group counters.
-	var sum metrics.CountersSnapshot
-	sum.Add(*hot)
-	sum.Add(*tail)
-	if sum.Requests != rep.Group.Requests || sum.BytesRequested != rep.Group.BytesRequested {
-		t.Fatal("per-class counters do not sum to group")
-	}
-}
-
-func TestRunPerClassNilWhenUnset(t *testing.T) {
-	g := newGroup(t, 1, 1<<20, core.AdHoc{})
-	rep, err := Run(g, []trace.Record{rec(0, "u", "http://a/", 10)}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.PerClass != nil {
-		t.Fatal("PerClass set without a classifier")
 	}
 }
