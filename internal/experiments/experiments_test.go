@@ -8,7 +8,7 @@ import (
 
 	"eacache/internal/cache"
 	"eacache/internal/group"
-	"eacache/internal/proxy"
+	"eacache/internal/resolve"
 	"eacache/internal/trace"
 )
 
@@ -81,7 +81,7 @@ func TestRunMemoization(t *testing.T) {
 	// The same configuration spelled out: distributed, ICP, the default
 	// horizon.
 	same := c
-	same.arch, same.location, same.horizon = group.Distributed, proxy.LocateICP, cache.DefaultExpirationHorizon
+	same.arch, same.location, same.horizon = group.Distributed, resolve.LocateICP, cache.DefaultExpirationHorizon
 	b, err := s.run(same)
 	if err != nil {
 		t.Fatal(err)

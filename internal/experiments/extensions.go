@@ -10,7 +10,7 @@ import (
 	"eacache/internal/group"
 	"eacache/internal/metrics"
 	"eacache/internal/model"
-	"eacache/internal/proxy"
+	"eacache/internal/resolve"
 	"eacache/internal/sim"
 	"eacache/internal/trace"
 )
@@ -35,7 +35,7 @@ func (s *Suite) Location() (*Table, error) {
 	}
 	sizes := middleSizes(s.cfg.Sizes, 2)
 	for _, size := range sizes {
-		for _, loc := range []proxy.Location{proxy.LocateICP, proxy.LocateDigest} {
+		for _, loc := range []resolve.Location{resolve.LocateICP, resolve.LocateDigest} {
 			c := s.cell(s.cfg.Caches, size)
 			c.scheme, c.location = "ea", loc
 			rep, err := s.run(c)
@@ -85,7 +85,7 @@ func (s *Suite) Partitioned() (*Table, error) {
 		// URL's home cache, the only one that keeps a copy. The ring
 		// members are the "cache-N" IDs a live group hashes by, so the
 		// simulator and the live node route URLs to the same homes.
-		c.scheme, c.location = "ea", proxy.LocateHash
+		c.scheme, c.location = "ea", resolve.LocateHash
 		part, err := s.run(c)
 		if err != nil {
 			return nil, err

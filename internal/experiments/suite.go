@@ -10,6 +10,7 @@ import (
 	"eacache/internal/group"
 	"eacache/internal/metrics"
 	"eacache/internal/proxy"
+	"eacache/internal/resolve"
 	"eacache/internal/sim"
 	"eacache/internal/trace"
 )
@@ -89,7 +90,7 @@ type cell struct {
 	policy    string
 	window    int
 	horizon   time.Duration
-	location  proxy.Location
+	location  resolve.Location
 	// ttl stamps era-mix freshness lifetimes on documents; the default
 	// origin's documents are immortal.
 	ttl bool
@@ -130,7 +131,7 @@ func (s *Suite) run(c cell) (*sim.Report, error) {
 		c.arch = group.Distributed
 	}
 	if c.location == 0 {
-		c.location = proxy.LocateICP
+		c.location = resolve.LocateICP
 	}
 	if c.window == 0 && c.horizon == 0 {
 		c.horizon = cache.DefaultExpirationHorizon

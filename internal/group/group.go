@@ -16,6 +16,7 @@ import (
 	"eacache/internal/digest"
 	"eacache/internal/obs"
 	"eacache/internal/proxy"
+	"eacache/internal/resolve"
 )
 
 // Architecture selects the cooperation structure.
@@ -82,10 +83,10 @@ type Config struct {
 	Origin proxy.Origin
 	// Location selects the document-location mechanism (ICP queries,
 	// Summary-Cache digests, or consistent-hash home routing). Defaults
-	// to proxy.LocateICP, the paper's setting. LocateHash requires the
+	// to resolve.LocateICP, the paper's setting. LocateHash requires the
 	// Distributed architecture.
-	Location proxy.Location
-	// Digest tunes the summaries when Location is proxy.LocateDigest.
+	Location resolve.Location
+	// Digest tunes the summaries when Location is resolve.LocateDigest.
 	Digest digest.Config
 	// Decisions, when set, records every proxy's placement verdicts.
 	Decisions *obs.DecisionLog
@@ -117,7 +118,7 @@ func New(cfg Config) (*Group, error) {
 	if cfg.Architecture == 0 {
 		cfg.Architecture = Distributed
 	}
-	if cfg.Architecture == Hierarchical && cfg.Location == proxy.LocateHash {
+	if cfg.Architecture == Hierarchical && cfg.Location == resolve.LocateHash {
 		// Hash routing partitions the URL space across the leaves; a
 		// hierarchical parent would reintroduce a second copy holder.
 		return nil, fmt.Errorf("group: hash location is incompatible with the hierarchical architecture")

@@ -11,6 +11,7 @@ import (
 	"eacache/internal/core"
 	"eacache/internal/obs"
 	"eacache/internal/proxy"
+	"eacache/internal/resolve"
 )
 
 var t0 = time.Date(1994, time.November, 15, 12, 0, 0, 0, time.UTC)
@@ -273,7 +274,7 @@ func TestGroupDigestLocation(t *testing.T) {
 		Caches:         2,
 		AggregateBytes: 2 << 20,
 		Scheme:         core.AdHoc{},
-		Location:       proxy.LocateDigest,
+		Location:       resolve.LocateDigest,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +326,7 @@ func TestGroupTracerPassThrough(t *testing.T) {
 	// miss it resolves for another cache, as a live home does.
 	for i := 0; ; i++ {
 		log := obs.NewDecisionLog(8)
-		g, err := New(Config{Caches: 2, AggregateBytes: 2 << 20, Scheme: core.EA{}, Location: proxy.LocateHash, Decisions: log})
+		g, err := New(Config{Caches: 2, AggregateBytes: 2 << 20, Scheme: core.EA{}, Location: resolve.LocateHash, Decisions: log})
 		if err != nil {
 			t.Fatal(err)
 		}

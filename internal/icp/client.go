@@ -88,12 +88,15 @@ type reply struct {
 // are done querying should Close it to release the shared socket.
 func NewClient() *Client { return &Client{pending: make(map[uint32]*slot)} }
 
-// hitGraceMin/Max bound the post-first-hit drain window: long enough to
-// catch replies already in flight from equally-near neighbours, short
-// enough not to re-introduce the full-timeout wait the first hit avoided.
+// hitGraceFloor/Cap bound the post-first-hit drain window as fractions of
+// the query timeout (2.3 ms and 18.75 ms at the 150 ms default): long
+// enough to catch replies already in flight from equally-near neighbours,
+// short enough not to re-introduce the full-timeout wait the first hit
+// avoided. A caller that sets a long timeout to hear every holder gets a
+// drain as much longer.
 const (
-	hitGraceMin = 2 * time.Millisecond
-	hitGraceMax = 20 * time.Millisecond
+	hitGraceFloor = 64 // the window is at least timeout/64
+	hitGraceCap   = 8  // and at most timeout/8
 )
 
 // Result is the outcome of one fan-out query. Its slices hold the
@@ -320,7 +323,7 @@ func (c *Client) QueryInto(res *Result, neighbours []*net.UDPAddr, url string, t
 					// already in flight: they are the retry targets if
 					// this responder dies before the follow-up fetch.
 					elapsed := time.Since(start)
-					grace := min(max(elapsed, hitGraceMin), hitGraceMax, timeout-elapsed)
+					grace := min(max(elapsed, timeout/hitGraceFloor), timeout/hitGraceCap, timeout-elapsed)
 					s.stopTimer()
 					s.timer.Reset(grace)
 				}

@@ -183,6 +183,28 @@ func TestQueryCollectsEveryHitResponder(t *testing.T) {
 	}
 }
 
+func TestQueryGraceScalesWithTimeout(t *testing.T) {
+	// The first holder answers after 150ms and a second 60ms later. A
+	// 1s query drains for timeout/8 after the first hit, so the second
+	// holder is still heard; a fixed 20ms drain would miss it.
+	delayedHit := func(d time.Duration) *net.UDPAddr {
+		return rawResponder(t, func(q Message) []byte {
+			time.Sleep(d)
+			return mustMarshal(t, Reply(q, OpHit))
+		})
+	}
+	first, second := delayedHit(150*time.Millisecond), delayedHit(210*time.Millisecond)
+
+	c := NewClient()
+	res, err := c.Query([]*net.UDPAddr{first, second}, "http://x/", time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Responders) != 2 {
+		t.Fatalf("responders = %v, want both holders", res.Responders)
+	}
+}
+
 func TestQueryTimedOutFlag(t *testing.T) {
 	silent := rawResponder(t, func(q Message) []byte { return nil })
 	missSrv := startServer(t, "http://other/")

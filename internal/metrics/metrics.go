@@ -79,19 +79,6 @@ func (c *Counters) AddSimLatency(d time.Duration) {
 	c.simLatency.Add(int64(d))
 }
 
-// Add merges a snapshot into c.
-func (c *Counters) Add(s CountersSnapshot) {
-	c.requests.Add(s.Requests)
-	c.localHits.Add(s.LocalHits)
-	c.remoteHits.Add(s.RemoteHits)
-	c.misses.Add(s.Misses)
-	c.bytesRequested.Add(s.BytesRequested)
-	c.bytesLocal.Add(s.BytesLocal)
-	c.bytesRemote.Add(s.BytesRemote)
-	c.bytesMissed.Add(s.BytesMissed)
-	c.simLatency.Add(int64(s.SimLatency))
-}
-
 // Snapshot returns a plain-value copy of the counters. Each field is read
 // atomically; a snapshot taken mid-Record may be off by the in-flight
 // request, which is the usual (and harmless) scrape semantics. The split
@@ -114,27 +101,6 @@ func (c *Counters) Snapshot() CountersSnapshot {
 	return s
 }
 
-// Rate helpers delegating to a point-in-time snapshot, so existing callers
-// keep reading rates straight off the accumulator.
-
-// HitRate returns the cumulative document hit rate.
-func (c *Counters) HitRate() float64 { return c.Snapshot().HitRate() }
-
-// ByteHitRate returns the cumulative byte hit rate.
-func (c *Counters) ByteHitRate() float64 { return c.Snapshot().ByteHitRate() }
-
-// LocalHitRate returns local hits over requests.
-func (c *Counters) LocalHitRate() float64 { return c.Snapshot().LocalHitRate() }
-
-// RemoteHitRate returns remote hits over requests.
-func (c *Counters) RemoteHitRate() float64 { return c.Snapshot().RemoteHitRate() }
-
-// MissRate returns misses over requests.
-func (c *Counters) MissRate() float64 { return c.Snapshot().MissRate() }
-
-// MeanSimLatency returns the mean simulated per-request latency.
-func (c *Counters) MeanSimLatency() time.Duration { return c.Snapshot().MeanSimLatency() }
-
 // CountersSnapshot is a plain-value copy of Counters — the type reports
 // and tests consume, with the cumulative measures the paper evaluates.
 type CountersSnapshot struct {
@@ -151,19 +117,6 @@ type CountersSnapshot struct {
 	// SimLatency is the sum of per-request simulated latencies, if the
 	// caller applied a latency model per request.
 	SimLatency time.Duration
-}
-
-// Add merges other into s.
-func (s *CountersSnapshot) Add(other CountersSnapshot) {
-	s.Requests += other.Requests
-	s.LocalHits += other.LocalHits
-	s.RemoteHits += other.RemoteHits
-	s.Misses += other.Misses
-	s.BytesRequested += other.BytesRequested
-	s.BytesLocal += other.BytesLocal
-	s.BytesRemote += other.BytesRemote
-	s.BytesMissed += other.BytesMissed
-	s.SimLatency += other.SimLatency
 }
 
 // Hits returns local + remote hits.

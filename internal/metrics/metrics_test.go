@@ -42,51 +42,27 @@ func TestCountersRecord(t *testing.T) {
 	if s.BytesRequested != 1100 || s.BytesLocal != 200 || s.BytesRemote != 200 || s.BytesMissed != 700 {
 		t.Fatalf("bytes = %d/%d/%d/%d", s.BytesRequested, s.BytesLocal, s.BytesRemote, s.BytesMissed)
 	}
-	if got := c.HitRate(); got != 0.75 {
+	if got := s.HitRate(); got != 0.75 {
 		t.Fatalf("HitRate = %v", got)
 	}
-	if got := c.ByteHitRate(); math.Abs(got-400.0/1100) > 1e-12 {
+	if got := s.ByteHitRate(); math.Abs(got-400.0/1100) > 1e-12 {
 		t.Fatalf("ByteHitRate = %v", got)
 	}
-	if got := c.LocalHitRate(); got != 0.5 {
+	if got := s.LocalHitRate(); got != 0.5 {
 		t.Fatalf("LocalHitRate = %v", got)
 	}
-	if got := c.RemoteHitRate(); got != 0.25 {
+	if got := s.RemoteHitRate(); got != 0.25 {
 		t.Fatalf("RemoteHitRate = %v", got)
 	}
-	if got := c.MissRate(); got != 0.25 {
+	if got := s.MissRate(); got != 0.25 {
 		t.Fatalf("MissRate = %v", got)
 	}
 }
 
 func TestCountersZeroSafe(t *testing.T) {
 	var c Counters
-	if c.HitRate() != 0 || c.ByteHitRate() != 0 || c.MissRate() != 0 || c.MeanSimLatency() != 0 {
+	if s := c.Snapshot(); s.HitRate() != 0 || s.ByteHitRate() != 0 || s.MissRate() != 0 || s.MeanSimLatency() != 0 {
 		t.Fatal("zero counters must not divide by zero")
-	}
-}
-
-func TestCountersAdd(t *testing.T) {
-	var a, b Counters
-	a.Record(LocalHit, 10)
-	a.AddSimLatency(time.Second)
-	b.Record(Miss, 20)
-	b.AddSimLatency(2 * time.Second)
-	a.Add(b.Snapshot())
-	s := a.Snapshot()
-	if s.Requests != 2 || s.BytesRequested != 30 || s.SimLatency != 3*time.Second {
-		t.Fatalf("Add: %+v", s)
-	}
-}
-
-func TestSnapshotAdd(t *testing.T) {
-	var a, b Counters
-	a.Record(LocalHit, 10)
-	b.Record(Miss, 20)
-	sum := a.Snapshot()
-	sum.Add(b.Snapshot())
-	if sum.Requests != 2 || sum.BytesRequested != 30 || sum.Hits() != 1 {
-		t.Fatalf("snapshot Add: %+v", sum)
 	}
 }
 
@@ -130,7 +106,7 @@ func TestCountersConcurrentRecordScrape(t *testing.T) {
 					t.Error("snapshot outcome split exceeds requests")
 					return
 				}
-				_ = c.HitRate()
+				_ = snap.HitRate()
 			}
 		}()
 	}

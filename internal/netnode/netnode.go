@@ -17,7 +17,6 @@ import (
 
 	"eacache/internal/blob"
 	"eacache/internal/cache"
-	"eacache/internal/core"
 	"eacache/internal/faults"
 	"eacache/internal/icp"
 	"eacache/internal/metrics"
@@ -29,7 +28,6 @@ import (
 // Node is a live cooperative cache node.
 type Node struct {
 	id            string
-	scheme        core.Scheme
 	originAddr    string
 	parentAddr    string
 	icpTimeout    time.Duration
@@ -153,7 +151,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	n := &Node{
 		id:            cfg.ID,
-		scheme:        cfg.Scheme,
 		originAddr:    cfg.OriginAddr,
 		parentAddr:    cfg.ParentAddr,
 		icpTimeout:    cfg.ICPTimeout,
@@ -318,7 +315,7 @@ func New(cfg Config) (*Node, error) {
 	n.engine = &resolve.Engine{
 		ID:              "netnode " + n.id,
 		Store:           nodeStore{n},
-		Scheme:          n.scheme,
+		Scheme:          cfg.Scheme,
 		Locator:         nodeLocator{n},
 		Transport:       nodeTransport{n},
 		Hooks:           nodeHooks{n},

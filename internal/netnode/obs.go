@@ -8,6 +8,7 @@ import (
 	"eacache/internal/cache"
 	"eacache/internal/metrics"
 	"eacache/internal/obs"
+	"eacache/internal/resolve"
 )
 
 // Stage indexes for the request lifecycle. The hot path indexes plain
@@ -29,28 +30,14 @@ var stageNames = [stageCount]string{
 	obs.StageRemoteFetch, obs.StageParentFetch, obs.StageOriginFetch,
 }
 
-// Placement-decision roles on the eac_placement_decisions_total counter:
-// the requester-side store rule, the responder-side promote rule, and the
-// parent's §3.3 keep-a-copy rule.
-const (
-	roleRequester = iota
-	roleResponder
-	roleParent
-	roleCount
-)
-
-var roleNames = [roleCount]string{"requester", "responder", "parent"}
-
-// Decision indexes matching the obs.Decision* labels.
-const (
-	decisionAccept = iota
-	decisionReject
-	decisionPromote
-	decisionCount
-)
-
-var decisionNames = [decisionCount]string{
-	obs.DecisionAccept, obs.DecisionReject, obs.DecisionPromote,
+// verdictIndex indexes a placement verdict on the
+// eac_placement_decisions_total counter, per resolve.Role: 0 for a store,
+// promote or keep, 1 for a reject.
+func verdictIndex(yes bool) int {
+	if yes {
+		return 0
+	}
+	return 1
 }
 
 // Request-outcome indexes: the three metrics.Outcome values (shifted to
@@ -79,14 +66,6 @@ func outcomeIndex(res Result, err error) int {
 		return idx
 	}
 	return ocError
-}
-
-// decisionOf maps a placement scheme's store verdict to the decision index.
-func decisionOf(store bool) int {
-	if store {
-		return decisionAccept
-	}
-	return decisionReject
 }
 
 // Peer-failure causes on eac_peer_failures_total: an ICP query that
@@ -145,9 +124,8 @@ type nodeObs struct {
 	bytes    [outcomeCount]obs.Counter                   // eac_bytes_served_total{outcome}
 	events   [cache.EventPromoteFromDisk + 1]obs.Counter // by cache.EventKind
 
-	// decisions counts every (role, decision) pair; only the meaningful
-	// ones are exposed.
-	decisions    [roleCount][decisionCount]obs.Counter
+	// decisions counts every verdict by role and verdictIndex.
+	decisions    [resolve.RoleParent + 1][2]obs.Counter
 	icpReplies   obs.Counter
 	peerFailures [pfCount]obs.Counter
 	retries      obs.Counter // extra attempts: next hit responder, repeated upstream fetch
@@ -239,15 +217,13 @@ func (o *nodeObs) families(n *Node, mem *cache.ShardedStore) []family {
 		return gauge(func() int64 { return f(st.TierCounters()) })
 	}
 	var decisions, transfers []series
-	for _, rd := range [][2]int{
-		{roleRequester, decisionAccept}, {roleRequester, decisionReject},
-		{roleResponder, decisionPromote}, {roleResponder, decisionReject},
-		{roleParent, decisionAccept}, {roleParent, decisionReject},
-	} {
-		decisions = append(decisions, series{
-			labels: obs.Labels{"role": roleNames[rd[0]], "decision": decisionNames[rd[1]]},
-			c:      &o.decisions[rd[0]][rd[1]],
-		})
+	for role := resolve.RoleRequester; role <= resolve.RoleParent; role++ {
+		for _, yes := range []bool{true, false} {
+			decisions = append(decisions, series{
+				labels: obs.Labels{"role": role.String(), "decision": role.Verdict(yes)},
+				c:      &o.decisions[role][verdictIndex(yes)],
+			})
+		}
 	}
 	for kind, name := range digestKindNames {
 		transfers = append(transfers,
@@ -378,13 +354,13 @@ func (o *nodeObs) cacheEvent(ev cache.Event) {
 // the log is not sampled: every decision of every request is recorded
 // (copied into the ring by value, so the record below never leaves the
 // stack), because the audit's value is exactness.
-func (n *Node) auditDecision(tr *obs.Trace, role int, url, verdict string, size int64, localAge, peerAge time.Duration) {
+func (n *Node) auditDecision(tr *obs.Trace, role resolve.Role, url string, verdict bool, size int64, localAge, peerAge time.Duration) {
 	if n.obs == nil || n.obs.Placement == nil {
 		return
 	}
 	n.obs.Placement.Record(obs.Decision{
 		Time: n.now(), Node: n.id, URL: url,
-		Role: roleNames[role], Verdict: verdict,
+		Role: role.String(), Verdict: role.Verdict(verdict),
 		LocalAgeMS: obs.AgeMS(localAge), PeerAgeMS: obs.AgeMS(peerAge),
 		SizeBytes: size,
 	}, tr)

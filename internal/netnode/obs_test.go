@@ -493,11 +493,11 @@ func TestAuditDecisionAllocatesNothing(t *testing.T) {
 	tel.SetTraceSampling(1)
 	tr := tel.StartTrace("n", "http://x.example.edu/doc")
 	for i := 0; i < obs.DefaultDecisionCapacity; i++ { // the ring grows until full
-		n.auditDecision(nil, roleParent, "http://x.example.edu/fill", obs.DecisionReject, 1, 0, 0)
+		n.auditDecision(nil, resolve.RoleParent, "http://x.example.edu/fill", false, 1, 0, 0)
 	}
 	for _, tr := range []*obs.Trace{nil, tr} {
 		if got := testing.AllocsPerRun(200, func() {
-			n.auditDecision(tr, roleRequester, "http://x.example.edu/doc", obs.DecisionAccept, 4096, 3*time.Second, cache.NoContention)
+			n.auditDecision(tr, resolve.RoleRequester, "http://x.example.edu/doc", true, 4096, 3*time.Second, cache.NoContention)
 		}); got != 0 {
 			t.Errorf("auditDecision (traced: %v): %.1f allocs per verdict, want 0", tr != nil, got)
 		}

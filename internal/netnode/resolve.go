@@ -1,10 +1,11 @@
 package netnode
 
 // This file adapts the live node to the shared resolution engine
-// (internal/resolve): the engine owns the request lifecycle and every
-// placement decision; the adapters below supply the node's sharded
-// store, the hproto/ICP transport with its health bookkeeping, the
-// locator strategies, and the telemetry/robustness hooks. The node
+// (internal/resolve): the engine owns the request lifecycle, the
+// responder's half of every exchange and every placement decision; the
+// adapters below supply the node's sharded store, the hproto/ICP
+// transport with its health bookkeeping, the locator strategies, and the
+// telemetry/robustness hooks. The node
 // keeps ownership of sockets, persistence, observability, and health —
 // the engine never sees any of them directly. The request context
 // threaded through the engine (rctx) is the request's *obs.Trace; every
@@ -80,6 +81,30 @@ func (s nodeStore) StoreCopy(doc cache.Document, now time.Time) bool {
 		return false
 	}
 	return n.keepOnRing(doc, h, now)
+}
+
+// nodeStore is also the responder's Holder. Outside hash location a
+// resolved copy is kept with no ring to check.
+var _ resolve.Holder = nodeStore{}
+
+func (s nodeStore) Peek(url string, _ time.Time) (cache.Document, bool) { return s.n.store.Peek(url) }
+
+func (s nodeStore) Promote(url string, now time.Time) { s.n.store.Touch(url, now) }
+
+func (s nodeStore) Keep(doc cache.Document, now time.Time) bool {
+	return s.n.keepOnRing(doc, nil, now)
+}
+
+// homeStore is a hash home's Holder: it keeps a resolved copy on the ring
+// the keep verdict was reached on, not on the ring current at store time
+// (StoreCopy's re-check), so that an acting home keeps what it resolved.
+type homeStore struct {
+	nodeStore
+	ring *resolve.HashLocator
+}
+
+func (s homeStore) Keep(doc cache.Document, now time.Time) bool {
+	return s.n.keepOnRing(doc, s.ring, now)
 }
 
 // keepOnRing stores doc, decided on the hash ring h (nil outside hash
@@ -361,24 +386,26 @@ type nodeHooks struct{ n *Node }
 
 var _ resolve.Hooks = nodeHooks{}
 
-// OnPlacement counts the requester's verdict — the scheme's decision,
-// not whether the copy physically fit — appends it to the audit log and
-// stamps it onto the trace: a placement span marking where in the
-// timeline the rule ran, with both expiration ages and the verdict on
-// the trace's top-level fields. The span itself carries no attributes:
-// duplicating the ages there would cost three string allocations on
-// every non-local-hit request for data the trace already has.
-func (h nodeHooks) OnPlacement(rctx any, url string, size int64, reqAge, peerAge time.Duration, store bool, _ time.Time) {
-	n, tr, decision := h.n, traceOf(rctx), decisionOf(store)
-	n.om.decisions[roleRequester][decision].Inc()
-	n.auditDecision(tr, roleRequester, url, decisionNames[decision], size, reqAge, peerAge)
-	if tr == nil {
+// OnPlacement counts a verdict of any role — the scheme's decision, not
+// whether the copy physically fit — and appends it to the audit log, on
+// the request's trace when it is sampled. A requester's verdict is also
+// stamped onto its trace: a placement span marking where in the timeline
+// the rule ran, with both expiration ages and the verdict on the trace's
+// top-level fields. The span itself carries no attributes: duplicating
+// the ages there would cost three string allocations on every
+// non-local-hit request for data the trace already has. A responder's
+// trace gets its ages when the exchange ends.
+func (h nodeHooks) OnPlacement(rctx any, role resolve.Role, url string, size int64, localAge, peerAge time.Duration, verdict bool, _ time.Time) {
+	n, tr := h.n, traceOf(rctx)
+	n.om.decisions[role][verdictIndex(verdict)].Inc()
+	n.auditDecision(tr, role, url, verdict, size, localAge, peerAge)
+	if tr == nil || role != resolve.RoleRequester {
 		return
 	}
 	tr.CloseSpan(tr.OpenSpan(obs.StagePlacement, time.Now()), 0)
-	tr.RequesterAgeMS = obs.AgeMS(reqAge)
+	tr.RequesterAgeMS = obs.AgeMS(localAge)
 	tr.ResponderAgeMS = obs.AgeMS(peerAge)
-	tr.Decision = decisionNames[decision]
+	tr.Decision = role.Verdict(verdict)
 }
 
 func (h nodeHooks) OnFalseHit(rctx any, c resolve.Candidate, url string) {

@@ -1,10 +1,10 @@
 package netnode
 
 import (
+	"io"
 	"net"
 	"time"
 
-	"eacache/internal/cache"
 	"eacache/internal/hproto"
 	"eacache/internal/icp"
 	"eacache/internal/obs"
@@ -32,13 +32,14 @@ func (n *Node) acceptLoop() {
 	}
 }
 
-// serveConn is the responder side of the inter-proxy fetch: serve the
-// document with this node's expiration age piggybacked on the response,
-// applying the responder-side placement rule against the age piggybacked
-// on the request. A request flagged Resolve makes this node act as a
-// hierarchical parent: on a local miss it fetches the document from its
-// own upstream, keeps a copy only if the §3.3 parent rule says so, and
-// reports whether the body came from a cache or the origin.
+// serveConn is the responder side of the inter-proxy fetch. The engine's
+// responder half (resolve.Engine.Serve) decides everything: the
+// responder rule on a copy this node holds, and, for a request flagged
+// Resolve, the upstream fetch and the parent's (or hash home's) keep
+// rule. This adapter only frames the exchange: it reads the request,
+// continues the requester's trace, says what this node may keep, and
+// writes the answer with this node's expiration age piggybacked and the
+// body's source.
 func (n *Node) serveConn(conn net.Conn) {
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(n.fetchTimeout))
@@ -92,67 +93,56 @@ func (n *Node) serveConn(conn net.Conn) {
 	}
 	serveSpan := rtr.OpenSpan(obs.StageServe, time.Now())
 
-	respAge := n.store.ExpirationAge(n.now())
-	var (
-		doc cache.Document
-		ok  bool
-	)
-	if n.location == resolve.LocateHash {
-		// Hash routing: this node is the URL's home and owns the
-		// group's only copy — serving it is a real hit for the home's
-		// replacement state, not a negotiable promotion.
-		doc, ok = n.store.Get(req.URL, n.now())
-	} else {
-		doc, ok = n.store.Peek(req.URL)
-		if ok {
-			// The responder-side EA rule: refresh this copy's replacement
-			// state iff the requester's cache is under more pressure than
-			// ours (paper §3.4). Counted, audited, and stamped on the
-			// remote-parented trace like every placement decision.
-			if n.scheme.OnRemoteHit(req.RequesterAge, respAge).PromoteAtResponder {
-				n.store.Touch(req.URL, n.now())
-				n.om.decisions[roleResponder][decisionPromote].Inc()
-				n.auditDecision(rtr, roleResponder, req.URL, obs.DecisionPromote, doc.Size, respAge, req.RequesterAge)
-			} else {
-				n.om.decisions[roleResponder][decisionReject].Inc()
-				n.auditDecision(rtr, roleResponder, req.URL, obs.DecisionReject, doc.Size, respAge, req.RequesterAge)
-			}
+	ask := resolve.Ask{URL: req.URL, SizeHint: req.SizeHint, ReqAge: req.RequesterAge, Resolve: req.Resolve}
+	var holder resolve.Holder = nodeStore{n}
+	switch {
+	case n.location == resolve.LocateHash:
+		// The (acting) home keeps every document it resolves — the
+		// group's only copy must land here — but only for requesters
+		// whose ring view matches this node's (see mayKeepResolved); a
+		// stale-view requester gets the body relayed without a store.
+		// The copy is kept on the ring the verdict was reached on.
+		h := n.hash.Load()
+		ask.Home, ask.Keep = true, resolve.PlacementNever
+		if n.mayKeepResolved(h, req.RingFP) {
+			ask.Keep = resolve.PlacementAlways
 		}
+		holder = homeStore{nodeStore{n}, h}
+	case n.draining.Load():
+		// A draining node keeps no new copies.
+		ask.Keep = resolve.PlacementNever
+	}
+	s, err := n.engine.Serve(rtr, holder, ask, n.now())
+	if err != nil {
+		n.warn("parent resolve failed", rtr, "url", req.URL, "err", err)
 	}
 
-	switch {
-	case ok:
-		err = hproto.WriteResponse(conn, hproto.Response{
-			Status:        hproto.StatusOK,
-			ResponderAge:  respAge,
-			ContentLength: doc.Size,
-			Source:        hproto.SourceCache,
-			Trace:         rtr.Context(),
-		}, rec.zeros(doc.Size))
-		if rtr != nil {
-			rtr.Outcome = outcomeServeHit
-			rtr.SizeBytes = doc.Size
+	resp := hproto.Response{Status: hproto.StatusNotFound, ResponderAge: s.Age, Trace: rtr.Context()}
+	var body io.Reader
+	if s.Found {
+		resp.Status, resp.ContentLength, resp.Source = hproto.StatusOK, s.Doc.Size, hproto.SourceCache
+		if !s.FromGroup {
+			resp.Source = hproto.SourceOrigin
 		}
-	case req.Resolve:
-		err = n.resolveAndServe(conn, rec, req, respAge, rtr)
-	default:
-		err = hproto.WriteResponse(conn, hproto.Response{
-			Status:       hproto.StatusNotFound,
-			ResponderAge: respAge,
-			Trace:        rtr.Context(),
-		}, nil)
-		if rtr != nil {
-			rtr.Outcome = outcomeServeMiss
-		}
+		body = rec.zeros(s.Doc.Size)
 	}
-	if err != nil {
+	if err := hproto.WriteResponse(conn, resp, body); err != nil {
 		n.warn("write fetch response failed", rtr, "err", err)
 		rtr.SpanErr(err)
 	}
 	if rtr != nil {
+		switch {
+		case s.Resolved:
+			rtr.Outcome, rtr.Stored = outcomeServeResolve, s.Kept
+		case s.Found:
+			rtr.Outcome = outcomeServeHit
+		default:
+			rtr.Outcome = outcomeServeMiss
+		}
+		rtr.SizeBytes = s.Doc.Size
 		rtr.CloseSpan(serveSpan, time.Since(rtr.Start))
 		rtr.RequesterAgeMS = obs.AgeMS(req.RequesterAge)
-		rtr.ResponderAgeMS = obs.AgeMS(respAge)
+		rtr.ResponderAgeMS = obs.AgeMS(s.Age)
 		n.obs.Finish(rtr)
 	}
 }
@@ -164,71 +154,6 @@ const (
 	outcomeServeMiss    = "serve-miss"
 	outcomeServeResolve = "serve-resolve"
 )
-
-// resolveAndServe is the parent's miss path: fetch the document from this
-// node's own parent (recursively, preserving the source tag) or origin,
-// store a copy iff this node's expiration age strictly exceeds the child's
-// (core.Scheme.OnParentResolve), and relay the body. rtr is the
-// remote-parented trace continued from the requester's context (nil for
-// untraced exchanges); the upstream fetch rides on it, so a recursive
-// parent chain propagates the same trace ID all the way up.
-func (n *Node) resolveAndServe(conn net.Conn, rec *connRec, req hproto.Request, myAge time.Duration, rtr *obs.Trace) error {
-	var (
-		size   int64
-		source string
-		err    error
-	)
-	switch {
-	case n.parentAddr != "":
-		size, _, source, err = n.fetchUpstream(rtr, n.parentAddr, req.URL, req.SizeHint, myAge, true)
-	case n.originAddr != "":
-		size, _, _, err = n.fetchUpstream(rtr, n.originAddr, req.URL, req.SizeHint, myAge, false)
-		source = hproto.SourceOrigin
-	default:
-		return hproto.WriteResponse(conn, hproto.Response{
-			Status:       hproto.StatusNotFound,
-			ResponderAge: myAge,
-			Trace:        rtr.Context(),
-		}, nil)
-	}
-	if err != nil {
-		n.warn("parent resolve failed", rtr, "url", req.URL, "err", err)
-		return hproto.WriteResponse(conn, hproto.Response{
-			Status:       hproto.StatusNotFound,
-			ResponderAge: myAge,
-			Trace:        rtr.Context(),
-		}, nil)
-	}
-	keep := n.scheme.OnParentResolve(myAge, req.RequesterAge)
-	h := n.hash.Load()
-	if n.location == resolve.LocateHash {
-		// The (acting) home keeps every document it resolves — the
-		// group's only copy must land here — but only for requesters
-		// whose ring view matches this node's (see mayKeepResolved);
-		// a stale-view requester gets the body relayed without a store.
-		keep = n.mayKeepResolved(h, req.RingFP)
-	}
-	if n.draining.Load() {
-		keep = false
-	}
-	n.om.decisions[roleParent][decisionOf(keep)].Inc()
-	n.auditDecision(rtr, roleParent, req.URL, decisionNames[decisionOf(keep)], size, myAge, req.RequesterAge)
-	if keep {
-		n.keepOnRing(cache.Document{URL: req.URL, Size: size}, h, n.now())
-	}
-	if rtr != nil {
-		rtr.Outcome = outcomeServeResolve
-		rtr.SizeBytes = size
-		rtr.Stored = keep
-	}
-	return hproto.WriteResponse(conn, hproto.Response{
-		Status:        hproto.StatusOK,
-		ResponderAge:  myAge,
-		ContentLength: size,
-		Source:        source,
-		Trace:         rtr.Context(),
-	}, rec.zeros(size))
-}
 
 // handleICP answers neighbours' queries against the local cache without
 // touching replacement state.

@@ -22,6 +22,7 @@ import (
 	"eacache/internal/hproto"
 	"eacache/internal/netnode"
 	"eacache/internal/proxy"
+	"eacache/internal/resolve"
 )
 
 // fetchLiveDigest GETs addr's versioned digest envelope as a brand-new
@@ -72,7 +73,7 @@ func TestSimLiveParityDigestAdvertisement(t *testing.T) {
 		Store:    simStore,
 		Scheme:   core.EA{},
 		Origin:   proxy.SizeHintOrigin{},
-		Location: proxy.LocateDigest,
+		Location: resolve.LocateDigest,
 		Digest:   dcfg,
 	})
 	if err != nil {
@@ -108,7 +109,7 @@ func TestSimLiveParityDigestAdvertisement(t *testing.T) {
 		Store:      liveStore,
 		Scheme:     core.EA{},
 		OriginAddr: origin.Addr(),
-		Location:   proxy.LocateDigest,
+		Location:   resolve.LocateDigest,
 		Digest:     dcfg,
 		Now:        clk.now,
 	})

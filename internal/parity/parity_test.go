@@ -13,9 +13,10 @@
 // semantics, or a transport that rounds an expiration age. Determinism
 // on the live side rests on three legs: requests are replayed
 // sequentially, the live node orders ICP hit responders by peer-list
-// position (not reply arrival) and waits for every reply, and the
-// cache-visible clock is injected (netnode.Config.Now) and driven by the
-// trace timestamps.
+// position (not reply arrival) and, under the 10s ICP timeout set here,
+// keeps listening after the first hit long enough (at least timeout/64,
+// 156ms) to hear every holder, and the cache-visible clock is injected
+// (netnode.Config.Now) and driven by the trace timestamps.
 package parity
 
 import (

@@ -1,9 +1,10 @@
 package proxy
 
 // This file adapts the proxy to the shared resolution engine
-// (internal/resolve): the engine owns the request lifecycle and every
-// placement decision; the adapters below supply the simulator's store,
-// in-process transport, locator strategies, and decision/ICP-stat hooks.
+// (internal/resolve): the engine owns the request lifecycle, the
+// responder's half of every exchange and every placement decision; the
+// adapters below supply the simulator's store, in-process transport,
+// locator strategies, and decision/ICP-stat hooks.
 // The live node (internal/netnode) wires the very same engine over real
 // sockets — keeping both request paths behaviourally identical is what
 // the sim↔live parity test checks.
@@ -26,22 +27,40 @@ var _ resolve.LocalStore = simStore{}
 // re-fetch) but the request proceeds as a miss, without refreshing the
 // stale entry's replacement state.
 func (s simStore) Lookup(_ any, url string, now time.Time) (cache.Document, bool) {
-	p := s.p
-	doc, ok := p.store.Peek(url)
-	if !ok || !doc.FreshAt(now) {
-		return cache.Document{}, false
+	doc, ok := s.Peek(url, now)
+	if ok {
+		s.p.store.Get(url, now)
 	}
-	p.store.Get(url, now)
-	return doc, true
+	return doc, ok
 }
 
 func (s simStore) ExpirationAge(now time.Time) time.Duration {
 	return s.p.store.ExpirationAge(now)
 }
 
+// StoreCopy stores doc, treating over-capacity documents as uncacheable
+// (served but not stored), the standard proxy behaviour.
 func (s simStore) StoreCopy(doc cache.Document, now time.Time) bool {
-	return s.p.putIfFits(doc, now)
+	_, err := s.p.store.Put(doc, now)
+	return err == nil
 }
+
+// simStore is also the responder's Holder.
+var _ resolve.Holder = simStore{}
+
+// Peek serves a present-and-fresh copy without touching replacement
+// state.
+func (s simStore) Peek(url string, now time.Time) (cache.Document, bool) {
+	doc, ok := s.p.store.Peek(url)
+	if !ok || !doc.FreshAt(now) {
+		return cache.Document{}, false
+	}
+	return doc, true
+}
+
+func (s simStore) Promote(url string, now time.Time) { s.p.store.Touch(url, now) }
+
+func (s simStore) Keep(doc cache.Document, now time.Time) bool { return s.StoreCopy(doc, now) }
 
 // simLocator dispatches to the proxy's configured location mechanism.
 type simLocator struct{ p *Proxy }
@@ -53,13 +72,13 @@ var _ resolve.Locator = simLocator{}
 func (l simLocator) Locate(_ any, url string, now time.Time) resolve.Located {
 	p := l.p
 	switch p.location {
-	case LocateDigest:
+	case resolve.LocateDigest:
 		var cands []resolve.Candidate
 		for _, n := range p.digestLocate(url) {
 			cands = append(cands, resolve.Candidate{ID: n.id, Ref: n})
 		}
 		return resolve.Located{Candidates: cands}
-	case LocateHash:
+	case resolve.LocateHash:
 		if p.hash == nil {
 			// Unwired singleton: home for everything.
 			return resolve.Located{Placement: resolve.PlacementAlways}
@@ -79,25 +98,21 @@ type simTransport struct{ p *Proxy }
 
 var _ resolve.Transport = simTransport{}
 
-// FetchRemote implements resolve.Transport. With rslv set (hash
-// routing) the candidate is the document's home node and resolves the
-// miss itself; otherwise it serves from its cache or reports not-found
-// (only a stale or colliding digest advertises a document the responder
-// does not hold — ICP answers are exact in the synchronous simulator).
+// FetchRemote implements resolve.Transport: the candidate answers
+// through its own engine's responder half. With rslv set (hash routing)
+// it is the document's home and resolves a miss itself; otherwise it
+// serves from its cache or reports not-found (only a stale or colliding
+// digest advertises a document the responder does not hold — ICP
+// answers are exact in the synchronous simulator).
 func (t simTransport) FetchRemote(_ any, c resolve.Candidate, url string, sizeHint int64, reqAge time.Duration, rslv bool, now time.Time) (resolve.Remote, resolve.FetchStatus) {
-	responder := c.Ref.(*Proxy)
-	if rslv {
-		doc, age, fromCache, err := responder.resolveAsHome(url, sizeHint, reqAge, now)
-		if err != nil {
-			return resolve.Remote{}, resolve.FetchFailed
-		}
-		return resolve.Remote{Doc: doc, ResponderAge: age, FromGroup: fromCache}, resolve.FetchOK
+	s, err := c.Ref.(*Proxy).serve(url, sizeHint, reqAge, rslv, now)
+	switch {
+	case err != nil:
+		return resolve.Remote{}, resolve.FetchFailed
+	case !s.Found:
+		return resolve.Remote{ResponderAge: s.Age}, resolve.FetchNotFound
 	}
-	doc, respAge, ok := responder.serveRemote(url, reqAge, now)
-	if !ok {
-		return resolve.Remote{ResponderAge: respAge}, resolve.FetchNotFound
-	}
-	return resolve.Remote{Doc: doc, ResponderAge: respAge, FromGroup: true}, resolve.FetchOK
+	return resolve.Remote{Doc: s.Doc, ResponderAge: s.Age, FromGroup: s.FromGroup}, resolve.FetchOK
 }
 
 func (t simTransport) ParentID() (string, bool) {
@@ -108,11 +123,11 @@ func (t simTransport) ParentID() (string, bool) {
 }
 
 func (t simTransport) FetchParent(_ any, url string, sizeHint int64, reqAge time.Duration, now time.Time) (resolve.Remote, error) {
-	doc, parentAge, fromGroup, err := t.p.parent.resolveMiss(url, sizeHint, reqAge, now)
+	s, err := t.p.parent.serve(url, sizeHint, reqAge, true, now)
 	if err != nil {
 		return resolve.Remote{}, err
 	}
-	return resolve.Remote{Doc: doc, ResponderAge: parentAge, FromGroup: fromGroup}, nil
+	return resolve.Remote{Doc: s.Doc, ResponderAge: s.Age, FromGroup: s.FromGroup}, nil
 }
 
 func (t simTransport) FetchOrigin(_ any, url string, sizeHint int64, _ time.Duration, now time.Time) (cache.Document, error) {
@@ -120,14 +135,21 @@ func (t simTransport) FetchOrigin(_ any, url string, sizeHint int64, _ time.Dura
 }
 
 // simHooks maps the engine's decision points to placement decision
-// records and ICP statistics. A requester records the scheme's store
-// verdict, not whether the copy fit, exactly as the live node's hooks do.
+// records and ICP statistics. A verdict is the scheme's, not whether the
+// copy fit, exactly as the live node's hooks record it.
 type simHooks struct{ p *Proxy }
 
 var _ resolve.Hooks = simHooks{}
 
-func (h simHooks) OnPlacement(_ any, url string, size int64, reqAge, peerAge time.Duration, store bool, now time.Time) {
-	h.p.decide(obs.RoleRequester, verdictOf(store), url, size, reqAge, peerAge, now)
+func (h simHooks) OnPlacement(_ any, role resolve.Role, url string, size int64, localAge, peerAge time.Duration, verdict bool, now time.Time) {
+	if h.p.decisions == nil {
+		return
+	}
+	h.p.decisions.Record(obs.Decision{
+		Time: now, Node: h.p.id, URL: url, Role: role.String(), Verdict: role.Verdict(verdict),
+		LocalAgeMS: obs.AgeMS(localAge), PeerAgeMS: obs.AgeMS(peerAge),
+		SizeBytes: size,
+	}, nil)
 }
 
 func (h simHooks) OnFalseHit(_ any, _ resolve.Candidate, _ string) {

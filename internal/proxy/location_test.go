@@ -9,6 +9,7 @@ import (
 	"eacache/internal/core"
 	"eacache/internal/digest"
 	"eacache/internal/metrics"
+	"eacache/internal/resolve"
 )
 
 // newDigestProxy builds a proxy using Summary-Cache digests for location.
@@ -23,7 +24,7 @@ func newDigestProxy(t *testing.T, id string, capacity int64) *Proxy {
 		Store:    store,
 		Scheme:   core.AdHoc{},
 		Origin:   SizeHintOrigin{},
-		Location: LocateDigest,
+		Location: resolve.LocateDigest,
 		Digest:   digest.Config{Expected: 64, FPRate: 0.01},
 	})
 	if err != nil {
@@ -44,22 +45,13 @@ func newDigestProxyWithOrigin(t *testing.T, id string, capacity int64, origin Or
 		Store:    store,
 		Scheme:   core.AdHoc{},
 		Origin:   origin,
-		Location: LocateDigest,
+		Location: resolve.LocateDigest,
 		Digest:   digest.Config{Expected: 64, FPRate: 0.01},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p
-}
-
-func TestLocationString(t *testing.T) {
-	if LocateICP.String() != "icp" || LocateDigest.String() != "digest" {
-		t.Fatal("location names wrong")
-	}
-	if Location(9).String() != "location(9)" {
-		t.Fatal("unknown location string")
-	}
 }
 
 func TestDigestRemoteHit(t *testing.T) {

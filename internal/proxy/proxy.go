@@ -20,23 +20,6 @@ import (
 	"eacache/internal/resolve"
 )
 
-// Location is the shared document-location mechanism enum, aliased from
-// internal/resolve so sim configurations, live-node configurations, and
-// the proxyd -locate flag all speak one type.
-type Location = resolve.Location
-
-// Location mechanisms, re-exported for existing call sites.
-const (
-	// LocateICP queries every neighbour with an ICP message on each
-	// local miss (the paper's setting).
-	LocateICP = resolve.LocateICP
-	// LocateDigest consults the neighbours' advertised Bloom-filter
-	// summaries (Summary Cache).
-	LocateDigest = resolve.LocateDigest
-	// LocateHash routes every URL to its consistent-hash home node.
-	LocateHash = resolve.LocateHash
-)
-
 // Origin models the origin servers behind the cache group. Trace-driven
 // simulations know each document's size from the trace record, so the
 // default origin materialises a document from the URL and size hint.
@@ -137,7 +120,7 @@ type Config struct {
 	Origin Origin
 	// Location selects the document-location mechanism. Defaults to
 	// LocateICP, the paper's setting.
-	Location Location
+	Location resolve.Location
 	// Digest tunes the Summary-Cache digests when Location is
 	// LocateDigest.
 	Digest digest.Config
@@ -182,7 +165,7 @@ type Proxy struct {
 	store     *cache.Store
 	scheme    core.Scheme
 	origin    Origin
-	location  Location
+	location  resolve.Location
 	summary   *digest.Incremental
 	decisions *obs.DecisionLog
 
@@ -213,7 +196,7 @@ func New(cfg Config) (*Proxy, error) {
 		return nil, fmt.Errorf("proxy %s: nil scheme", cfg.ID)
 	}
 	if cfg.Location == 0 {
-		cfg.Location = LocateICP
+		cfg.Location = resolve.LocateICP
 	}
 	p := &Proxy{
 		id:        cfg.ID,
@@ -224,7 +207,7 @@ func New(cfg Config) (*Proxy, error) {
 		decisions: cfg.Decisions,
 	}
 	p.self = []resolve.Candidate{{ID: p.id, Ref: p}}
-	if cfg.Location == LocateDigest {
+	if cfg.Location == resolve.LocateDigest {
 		dc := cfg.Digest.WithDefaults(cfg.Store.Capacity())
 		summary, err := digest.NewIncremental(dc.Expected, dc.FPRate, 0)
 		if err != nil {
@@ -276,7 +259,7 @@ func (p *Proxy) SetSiblings(siblings ...*Proxy) error {
 		}
 	}
 	p.siblings = append([]*Proxy(nil), siblings...)
-	if p.location == LocateHash {
+	if p.location == resolve.LocateHash {
 		// Build the group's hash ring over proxy IDs. The live node
 		// builds its ring over the same member names (netnode HashName),
 		// so sim and live route URLs to identical homes.
@@ -314,7 +297,7 @@ func (p *Proxy) SetParent(parent *Proxy) error {
 	if parent == p {
 		return fmt.Errorf("proxy %s: cannot be its own parent", p.id)
 	}
-	if parent != nil && p.location == LocateHash {
+	if parent != nil && p.location == resolve.LocateHash {
 		// Hash routing partitions the URL space across the group; a
 		// hierarchical parent would reintroduce a second copy holder.
 		return fmt.Errorf("proxy %s: hash location is incompatible with a hierarchical parent", p.id)
@@ -440,99 +423,23 @@ func (p *Proxy) handleICPQuery(url string, now time.Time) bool {
 	return false
 }
 
-// serveRemote is the responder side of a remote hit: serve the document
-// without implicitly refreshing it, then apply the scheme's responder rule —
-// under ad-hoc the transfer counts as a hit (fresh lease of life), under EA
-// the copy is promoted only if the responder's expiration age exceeds the
-// requester's.
-func (p *Proxy) serveRemote(url string, requesterAge time.Duration, now time.Time) (cache.Document, time.Duration, bool) {
-	responderAge := p.store.ExpirationAge(now)
-	doc, ok := p.store.Peek(url)
-	if !ok || !doc.FreshAt(now) {
-		return cache.Document{}, responderAge, false
+// serve answers a neighbour's fetch through the engine's responder half
+// (resolve.Engine.Serve): a remote hit, a parent resolution for a child
+// (§3.3), or a hash home's resolution. The paper defines the parent
+// exchange for one child-parent pair; in deeper hierarchies each hop
+// applies the same pairwise rule against its immediate child.
+func (p *Proxy) serve(url string, sizeHint int64, reqAge time.Duration, rslv bool, now time.Time) (resolve.Served, error) {
+	ask := resolve.Ask{URL: url, SizeHint: sizeHint, ReqAge: reqAge, Resolve: rslv}
+	if p.location == resolve.LocateHash {
+		// The home owns the group's only copy and keeps every document
+		// it resolves.
+		ask.Home, ask.Keep = true, resolve.PlacementAlways
 	}
-	p.promoteIf(url, doc.Size, responderAge, requesterAge, now)
-	p.icp.RemoteServed++
-	return doc, responderAge, true
-}
-
-// promoteIf applies the scheme's responder rule to the copy of url this
-// proxy is serving and records the verdict.
-func (p *Proxy) promoteIf(url string, size int64, myAge, requesterAge time.Duration, now time.Time) {
-	verdict := obs.DecisionReject
-	if p.scheme.OnRemoteHit(requesterAge, myAge).PromoteAtResponder {
-		p.store.Touch(url, now)
-		verdict = obs.DecisionPromote
-	}
-	p.decide(obs.RoleResponder, verdict, url, size, myAge, requesterAge, now)
-}
-
-// resolveAsHome is the responder side of hash routing: this proxy is
-// the URL's home node (or acting home) and owns the group's only copy.
-// It serves from its cache — a real hit for the home's replacement
-// state, so the copy is refreshed — or resolves the miss from the
-// origin and keeps the fetched copy. fromCache distinguishes a group
-// hit from a miss served through the home.
-func (p *Proxy) resolveAsHome(url string, sizeHint int64, requesterAge time.Duration, now time.Time) (cache.Document, time.Duration, bool, error) {
-	age := p.store.ExpirationAge(now)
-	if doc, ok := p.store.Peek(url); ok && doc.FreshAt(now) {
-		p.store.Get(url, now)
+	s, err := p.engine.Serve(nil, simStore{p}, ask, now)
+	if s.Found {
 		p.icp.RemoteServed++
-		return doc, age, true, nil
 	}
-	doc, err := p.fetchOrigin(url, sizeHint, now)
-	if err != nil {
-		return cache.Document{}, age, false, err
-	}
-	p.putIfFits(doc, now)
-	p.decide(obs.RoleParent, obs.DecisionAccept, url, doc.Size, age, requesterAge, now)
-	p.icp.RemoteServed++
-	return doc, age, false, nil
-}
-
-// resolveMiss is the hierarchical parent's miss path (§3.3): obtain the
-// document — from its own cache, its own parent, or the origin — store a
-// copy iff the scheme's parent rule says the parent's copy would outlive
-// the child's, and return the document with the parent's expiration age
-// piggybacked. fromGroup reports whether some cache in the hierarchy
-// already held the document (the child then counts a remote hit, not a
-// miss).
-//
-// The paper defines the exchange for one child-parent pair; in deeper
-// hierarchies each hop applies the same pairwise rule against its immediate
-// child, keeping every decision local.
-func (p *Proxy) resolveMiss(url string, sizeHint int64, childAge time.Duration, now time.Time) (cache.Document, time.Duration, bool, error) {
-	myAge := p.store.ExpirationAge(now)
-
-	// The parent may hold the document (always checked even though a
-	// direct child's ICP query covered us, because deeper descendants
-	// reach us only through this path).
-	if doc, ok := p.store.Peek(url); ok && doc.FreshAt(now) {
-		p.promoteIf(url, doc.Size, myAge, childAge, now)
-		p.icp.RemoteServed++
-		return doc, myAge, true, nil
-	}
-
-	var (
-		doc       cache.Document
-		fromGroup bool
-		err       error
-	)
-	if p.parent != nil {
-		doc, _, fromGroup, err = p.parent.resolveMiss(url, sizeHint, myAge, now)
-	} else {
-		doc, err = p.fetchOrigin(url, sizeHint, now)
-	}
-	if err != nil {
-		return cache.Document{}, myAge, false, err
-	}
-	keep := p.scheme.OnParentResolve(myAge, childAge)
-	if keep {
-		p.putIfFits(doc, now)
-	}
-	p.decide(obs.RoleParent, verdictOf(keep), url, doc.Size, myAge, childAge, now)
-	p.icp.RemoteServed++
-	return doc, myAge, fromGroup, nil
+	return s, err
 }
 
 func (p *Proxy) fetchOrigin(url string, sizeHint int64, now time.Time) (cache.Document, error) {
@@ -544,33 +451,4 @@ func (p *Proxy) fetchOrigin(url string, sizeHint int64, now time.Time) (cache.Do
 		return cache.Document{}, fmt.Errorf("proxy %s: origin fetch %s: %w", p.id, url, err)
 	}
 	return doc, nil
-}
-
-// putIfFits stores doc, treating over-capacity documents as uncacheable
-// (served but not stored), the standard proxy behaviour.
-func (p *Proxy) putIfFits(doc cache.Document, now time.Time) bool {
-	_, err := p.store.Put(doc, now)
-	return err == nil
-}
-
-// decide records one placement verdict — this proxy's own expiration age
-// and the one piggybacked from the other side — in the decision log, if
-// any.
-func (p *Proxy) decide(role, verdict, url string, size int64, myAge, peerAge time.Duration, now time.Time) {
-	if p.decisions == nil {
-		return
-	}
-	p.decisions.Record(obs.Decision{
-		Time: now, Node: p.id, URL: url, Role: role, Verdict: verdict,
-		LocalAgeMS: obs.AgeMS(myAge), PeerAgeMS: obs.AgeMS(peerAge),
-		SizeBytes: size,
-	}, nil)
-}
-
-// verdictOf names a store/keep verdict.
-func verdictOf(store bool) string {
-	if store {
-		return obs.DecisionAccept
-	}
-	return obs.DecisionReject
 }

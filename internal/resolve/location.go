@@ -4,9 +4,8 @@ import "fmt"
 
 // Location selects the document-location mechanism a node uses to find
 // a document in its neighbours' caches. It is the one shared enum for
-// both stacks — the simulator (internal/proxy aliases it as
-// proxy.Location) and the live node (internal/netnode) — and for the
-// proxyd -locate flag.
+// both stacks — the simulator (internal/proxy, internal/group) and the
+// live node (internal/netnode) — and for the proxyd -locate flag.
 type Location int
 
 // Location mechanisms.

@@ -1,9 +1,14 @@
 // Package resolve is the transport-agnostic request engine of the
-// cooperative cache: it owns the canonical request lifecycle — local
+// cooperative cache. It owns both halves of every exchange. The
+// requester's half (Resolve) is the canonical request lifecycle: local
 // lookup, group location through a pluggable Locator, remote-hit fetch
-// with the requester/responder placement decision, retry across
-// responders, and the parent/origin miss paths — parameterized over
-// narrow LocalStore and Transport interfaces.
+// with the requester's store rule, retry across responders, and the
+// parent/origin miss paths. The responder's half (Serve) answers a
+// neighbour's fetch: the responder's promote rule on a copy it holds,
+// the hash home's real hit, and, when asked to resolve a miss, the
+// upstream fetch and the parent's (or the home's) keep rule. Both are
+// parameterized over narrow LocalStore, Holder and Transport interfaces,
+// and every verdict of every role leaves through one Hooks.OnPlacement.
 //
 // Both execution stacks drive this one engine: the deterministic
 // in-process simulator (internal/proxy, simulated clock and latency
@@ -21,6 +26,7 @@ import (
 	"eacache/internal/cache"
 	"eacache/internal/core"
 	"eacache/internal/metrics"
+	"eacache/internal/obs"
 )
 
 // Candidate is one group member believed to hold (or to be responsible
@@ -135,18 +141,62 @@ type Transport interface {
 	FetchOrigin(rctx any, url string, sizeHint int64, reqAge time.Duration, now time.Time) (cache.Document, error)
 }
 
+// Role is the side of an exchange a placement verdict belongs to
+// (paper §3.3): the requester decides whether to store the copy it
+// fetched, the responder whether to promote the copy it served, and a
+// parent (or hash home) whether to keep a copy it resolved upstream.
+type Role int
+
+// Roles, in the order decision records and metric labels list them.
+const (
+	RoleRequester Role = iota
+	RoleResponder
+	RoleParent
+)
+
+// String names the role as decision records and metric labels do.
+func (r Role) String() string {
+	switch r {
+	case RoleRequester:
+		return obs.RoleRequester
+	case RoleResponder:
+		return obs.RoleResponder
+	case RoleParent:
+		return obs.RoleParent
+	default:
+		return fmt.Sprintf("role(%d)", int(r))
+	}
+}
+
+// Verdict names a verdict of this role: yes is a responder's promote and
+// any other role's accept, no is reject.
+func (r Role) Verdict(yes bool) string {
+	switch {
+	case !yes:
+		return obs.DecisionReject
+	case r == RoleResponder:
+		return obs.DecisionPromote
+	default:
+		return obs.DecisionAccept
+	}
+}
+
 // Hooks observes the lifecycle's decision points: the simulator maps
 // them to placement decision records and ICP statistics, the live node to
 // telemetry spans, the placement-decision audit log and robustness
 // counters. A nil Hooks is valid and observes nothing.
 type Hooks interface {
-	// OnPlacement fires once per requester verdict — on a remote hit, a
-	// parent fetch and an origin fetch — with the two expiration ages the
-	// rule saw (peerAge is cache.NoContention on an origin fetch). store
-	// is the verdict, kept whether or not the copy fit (a too-large
-	// document is accepted by the scheme but not stored); size is the
-	// transferred document's size, the feasibility input of the decision.
-	OnPlacement(rctx any, url string, size int64, reqAge, peerAge time.Duration, store bool, now time.Time)
+	// OnPlacement fires once per placement verdict of any role: the
+	// requester's on a remote hit, a parent fetch and an origin fetch,
+	// the responder's on each copy it serves from its cache, the
+	// parent's (or home's) on each copy it resolves upstream. localAge
+	// is the deciding node's own expiration age, peerAge the one the
+	// other side piggybacked (cache.NoContention on an origin fetch).
+	// verdict is true for a store, promote or keep, whether or not the
+	// copy fit (a too-large document is accepted by the scheme but not
+	// stored); size is the document's size, the feasibility input of
+	// the decision.
+	OnPlacement(rctx any, role Role, url string, size int64, localAge, peerAge time.Duration, verdict bool, now time.Time)
 	// OnFalseHit fires when a candidate answered not-found.
 	OnFalseHit(rctx any, c Candidate, url string)
 	// OnRetry fires before each candidate after the first.
@@ -162,10 +212,11 @@ type Hooks interface {
 // nil-checks at each call site.
 type nopHooks struct{}
 
-func (nopHooks) OnPlacement(any, string, int64, time.Duration, time.Duration, bool, time.Time) {}
-func (nopHooks) OnFalseHit(any, Candidate, string)                                             {}
-func (nopHooks) OnRetry(any)                                                                   {}
-func (nopHooks) OnFallback(any, string, error)                                                 {}
+func (nopHooks) OnPlacement(any, Role, string, int64, time.Duration, time.Duration, bool, time.Time) {
+}
+func (nopHooks) OnFalseHit(any, Candidate, string) {}
+func (nopHooks) OnRetry(any)                       {}
+func (nopHooks) OnFallback(any, string, error)     {}
 
 // Result describes how one request was served.
 type Result struct {
@@ -222,10 +273,7 @@ func (e *Engine) Resolve(rctx any, url string, sizeHint int64, now time.Time) (R
 	if url == "" {
 		return Result{}, fmt.Errorf("%s: empty URL", e.ID)
 	}
-	hooks := e.Hooks
-	if hooks == nil {
-		hooks = nopHooks{}
-	}
+	hooks := e.hooks()
 
 	// 1. Local cache.
 	if doc, ok := e.Store.Lookup(rctx, url, now); ok {
@@ -292,7 +340,7 @@ func (e *Engine) remoteHit(rctx any, hooks Hooks, c Candidate, url string, place
 		if !rem.FromGroup {
 			res.Outcome = metrics.Miss
 		}
-		hooks.OnPlacement(rctx, url, rem.Doc.Size, reqAge, rem.ResponderAge, false, now)
+		hooks.OnPlacement(rctx, RoleRequester, url, rem.Doc.Size, reqAge, rem.ResponderAge, false, now)
 		return res
 	}
 	decision := e.Scheme.OnRemoteHit(reqAge, rem.ResponderAge)
@@ -300,7 +348,7 @@ func (e *Engine) remoteHit(rctx any, hooks Hooks, c Candidate, url string, place
 		res.Stored = e.Store.StoreCopy(rem.Doc, now)
 	}
 	res.Promoted = decision.PromoteAtResponder
-	hooks.OnPlacement(rctx, url, rem.Doc.Size, reqAge, rem.ResponderAge, decision.StoreAtRequester, now)
+	hooks.OnPlacement(rctx, RoleRequester, url, rem.Doc.Size, reqAge, rem.ResponderAge, decision.StoreAtRequester, now)
 	return res
 }
 
@@ -329,7 +377,7 @@ func (e *Engine) resolveMiss(rctx any, hooks Hooks, url string, sizeHint int64, 
 			if store {
 				res.Stored = e.Store.StoreCopy(rem.Doc, now)
 			}
-			hooks.OnPlacement(rctx, url, rem.Doc.Size, reqAge, rem.ResponderAge, store, now)
+			hooks.OnPlacement(rctx, RoleRequester, url, rem.Doc.Size, reqAge, rem.ResponderAge, store, now)
 			return res, nil
 		}
 		if !e.DegradeToOrigin {
@@ -347,8 +395,123 @@ func (e *Engine) resolveMiss(rctx any, hooks Hooks, url string, sizeHint int64, 
 	if store {
 		res.Stored = e.Store.StoreCopy(doc, now)
 	}
-	hooks.OnPlacement(rctx, url, doc.Size, reqAge, cache.NoContention, store, now)
+	hooks.OnPlacement(rctx, RoleRequester, url, doc.Size, reqAge, cache.NoContention, store, now)
 	return res, nil
+}
+
+// hooks returns the engine's Hooks, or the no-op stand-in.
+func (e *Engine) hooks() Hooks {
+	if e.Hooks == nil {
+		return nopHooks{}
+	}
+	return e.Hooks
+}
+
+// Holder is a responder's view of its own cache: the store operations
+// only the serving side of an exchange makes. It is kept apart from
+// LocalStore so that a store which only ever requests need not implement
+// it; a responder passes its Holder to each Serve.
+type Holder interface {
+	// Peek returns a servable copy of url without touching replacement
+	// state: a copy served to a neighbour is refreshed only if the
+	// responder rule promotes it.
+	Peek(url string, now time.Time) (cache.Document, bool)
+	// Promote refreshes url's replacement state, the responder rule's
+	// promote verdict.
+	Promote(url string, now time.Time)
+	// Keep stores a copy the responder resolved upstream, reporting
+	// whether it stayed.
+	Keep(doc cache.Document, now time.Time) bool
+}
+
+// Ask is one exchange as its responder received it.
+type Ask struct {
+	URL      string
+	SizeHint int64
+	// ReqAge is the expiration age the requester piggybacked.
+	ReqAge time.Duration
+	// Resolve is the requester's Located.Resolve: on a miss, fetch the
+	// document upstream (through this node's parent, else from the
+	// origin) and serve it, instead of answering not-found.
+	Resolve bool
+	// Home marks this node as the URL's hash home (or acting home): its
+	// copy is the group's only one, so serving it is a real hit, not a
+	// negotiable promotion.
+	Home bool
+	// Keep decides whether a copy resolved upstream stays here:
+	// PlacementScheme applies Scheme.OnParentResolve (paper §3.3);
+	// PlacementAlways and PlacementNever are structural, as for a hash
+	// home, which keeps what it resolves, or a node that must not grow.
+	Keep Placement
+}
+
+// Served is a responder's answer to one exchange.
+type Served struct {
+	// Doc is the document served when Found.
+	Doc   cache.Document
+	Found bool
+	// Age is the responder's expiration age, piggybacked on every
+	// answer, a not-found one included.
+	Age time.Duration
+	// Resolved reports that the body was fetched upstream rather than
+	// served from this node's cache.
+	Resolved bool
+	// FromGroup reports that the body came from a cache, this node's or
+	// one above it, rather than from the origin.
+	FromGroup bool
+	// Kept is the keep verdict on a resolved copy.
+	Kept bool
+}
+
+// Serve is the responder's half of one exchange. It reads the node's
+// expiration age once. A copy the node holds is served: under hash
+// routing as a real hit, otherwise peeked and promoted iff the scheme's
+// responder rule says so. A miss with ask.Resolve set is fetched through
+// the Transport's parent, else its origin, and kept by ask.Keep. An
+// upstream error is returned verbatim with no body: a responder never
+// degrades from a failed parent to the origin, the requester decides
+// where to go next.
+func (e *Engine) Serve(rctx any, h Holder, ask Ask, now time.Time) (Served, error) {
+	hooks := e.hooks()
+	out := Served{Age: e.Store.ExpirationAge(now)}
+	if ask.Home {
+		out.Doc, out.Found = e.Store.Lookup(rctx, ask.URL, now)
+	} else if out.Doc, out.Found = h.Peek(ask.URL, now); out.Found {
+		// Paper §3.4: refresh this copy iff the requester's cache is
+		// under more pressure than ours.
+		promote := e.Scheme.OnRemoteHit(ask.ReqAge, out.Age).PromoteAtResponder
+		if promote {
+			h.Promote(ask.URL, now)
+		}
+		hooks.OnPlacement(rctx, RoleResponder, ask.URL, out.Doc.Size, out.Age, ask.ReqAge, promote, now)
+	}
+	if out.Found || !ask.Resolve {
+		out.FromGroup = out.Found
+		return out, nil
+	}
+
+	// The node's own age rides upstream: each hop of a deeper hierarchy
+	// applies the same pairwise rule against its immediate child.
+	if _, ok := e.Transport.ParentID(); ok {
+		rem, err := e.Transport.FetchParent(rctx, ask.URL, ask.SizeHint, out.Age, now)
+		if err != nil {
+			return out, err
+		}
+		out.Doc, out.FromGroup = rem.Doc, rem.FromGroup
+	} else {
+		doc, err := e.Transport.FetchOrigin(rctx, ask.URL, ask.SizeHint, out.Age, now)
+		if err != nil {
+			return out, err
+		}
+		out.Doc = doc
+	}
+	out.Found, out.Resolved = true, true
+	out.Kept = ask.Keep.apply(e.Scheme.OnParentResolve(out.Age, ask.ReqAge))
+	if out.Kept {
+		h.Keep(out.Doc, now)
+	}
+	hooks.OnPlacement(rctx, RoleParent, ask.URL, out.Doc.Size, out.Age, ask.ReqAge, out.Kept, now)
+	return out, nil
 }
 
 // apply overrides the scheme verdict where placement is structural.

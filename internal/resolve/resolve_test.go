@@ -24,6 +24,8 @@ type fakeStore struct {
 	age     time.Duration
 	tooBig  int64 // docs at least this large are rejected by StoreCopy
 	lookups int
+	// promotes counts Holder.Promote calls.
+	promotes int
 }
 
 func newFakeStore(age time.Duration) *fakeStore {
@@ -46,6 +48,16 @@ func (s *fakeStore) StoreCopy(doc cache.Document, _ time.Time) bool {
 	return true
 }
 
+// fakeStore is also a responder's Holder.
+func (s *fakeStore) Peek(url string, _ time.Time) (cache.Document, bool) {
+	doc, ok := s.docs[url]
+	return doc, ok
+}
+
+func (s *fakeStore) Promote(string, time.Time) { s.promotes++ }
+
+func (s *fakeStore) Keep(doc cache.Document, now time.Time) bool { return s.StoreCopy(doc, now) }
+
 // scripted answers for one candidate ID.
 type answer struct {
 	rem    Remote
@@ -60,6 +72,10 @@ type fakeTransport struct {
 	originErr error
 	fetched   []string // candidate IDs tried, in order
 	resolves  []bool   // the resolve flag of each FetchRemote
+	// upstream lists "parent" or "origin" for each upstream fetch, and
+	// upAges the requester age each one carried.
+	upstream []string
+	upAges   []time.Duration
 }
 
 func (t *fakeTransport) FetchRemote(_ any, c Candidate, url string, _ int64, _ time.Duration, resolve bool, _ time.Time) (Remote, FetchStatus) {
@@ -77,7 +93,8 @@ func (t *fakeTransport) FetchRemote(_ any, c Candidate, url string, _ int64, _ t
 
 func (t *fakeTransport) ParentID() (string, bool) { return t.parentID, t.parentID != "" }
 
-func (t *fakeTransport) FetchParent(_ any, url string, _ int64, _ time.Duration, _ time.Time) (Remote, error) {
+func (t *fakeTransport) FetchParent(_ any, url string, _ int64, reqAge time.Duration, _ time.Time) (Remote, error) {
+	t.upstream, t.upAges = append(t.upstream, "parent"), append(t.upAges, reqAge)
 	if t.parentErr != nil {
 		return Remote{}, t.parentErr
 	}
@@ -88,7 +105,8 @@ func (t *fakeTransport) FetchParent(_ any, url string, _ int64, _ time.Duration,
 	return rem, nil
 }
 
-func (t *fakeTransport) FetchOrigin(_ any, url string, sizeHint int64, _ time.Duration, _ time.Time) (cache.Document, error) {
+func (t *fakeTransport) FetchOrigin(_ any, url string, sizeHint int64, reqAge time.Duration, _ time.Time) (cache.Document, error) {
+	t.upstream, t.upAges = append(t.upstream, "origin"), append(t.upAges, reqAge)
 	if t.originErr != nil {
 		return cache.Document{}, t.originErr
 	}
@@ -97,10 +115,11 @@ func (t *fakeTransport) FetchOrigin(_ any, url string, sizeHint int64, _ time.Du
 
 // placed is one OnPlacement call.
 type placed struct {
-	url             string
-	size            int64
-	reqAge, peerAge time.Duration
-	store           bool
+	role              Role
+	url               string
+	size              int64
+	localAge, peerAge time.Duration
+	verdict           bool
 }
 
 // spyHooks records every hook invocation.
@@ -110,8 +129,8 @@ type spyHooks struct {
 	degrades                     []error // the non-nil errs passed to OnFallback
 }
 
-func (h *spyHooks) OnPlacement(_ any, url string, size int64, reqAge, peerAge time.Duration, store bool, _ time.Time) {
-	h.placements = append(h.placements, placed{url, size, reqAge, peerAge, store})
+func (h *spyHooks) OnPlacement(_ any, role Role, url string, size int64, localAge, peerAge time.Duration, verdict bool, _ time.Time) {
+	h.placements = append(h.placements, placed{role, url, size, localAge, peerAge, verdict})
 }
 func (h *spyHooks) OnFalseHit(any, Candidate, string) { h.falseHits++ }
 func (h *spyHooks) OnRetry(any)                       { h.retries++ }
@@ -304,11 +323,13 @@ func TestPlacementNeverSuppressesStores(t *testing.T) {
 	}
 }
 
-// TestOnPlacementOncePerVerdict: every requester verdict leaves the
-// engine through exactly one OnPlacement, on every path, carrying the
-// peer age the rule saw (TestLocalHit holds a local hit to none). The
-// requester's age is 60s throughout, so a 60s parent age tells the remote-hit rule
-// (strict, reject) from the miss-via-parent rule (tie keeps, accept).
+// TestOnPlacementOncePerVerdict: every verdict of every role leaves the
+// engine through exactly one OnPlacement, on every path, with its role,
+// the deciding node's own age and the peer age the rule saw (TestLocalHit
+// holds a local hit to none). The node's age is 60s throughout, so a 60s
+// parent age tells the remote-hit rule (strict, reject) from the
+// miss-via-parent rule (tie keeps, accept). A case with serve set runs
+// the responder's half instead, for a requester aged serve.ReqAge.
 func TestOnPlacementOncePerVerdict(t *testing.T) {
 	const reqAge = time.Minute
 	broke := errors.New("parent broke")
@@ -320,47 +341,91 @@ func TestOnPlacementOncePerVerdict(t *testing.T) {
 		tr      *fakeTransport
 		loc     Located
 		degrade bool
+		serve   *Ask
+		held    bool // the node holds http://a/ (6 bytes)
 		want    []placed
 	}{
+		{
+			name:  "responder promotes",
+			tr:    &fakeTransport{},
+			serve: &Ask{URL: "http://a/", ReqAge: 10 * time.Second},
+			held:  true,
+			want:  []placed{{RoleResponder, "http://a/", 6, reqAge, 10 * time.Second, true}},
+		},
+		{
+			name:  "responder rejects",
+			tr:    &fakeTransport{},
+			serve: &Ask{URL: "http://a/", ReqAge: 2 * time.Minute},
+			held:  true,
+			want:  []placed{{RoleResponder, "http://a/", 6, reqAge, 2 * time.Minute, false}},
+		},
+		{
+			name:  "parent keeps",
+			tr:    &fakeTransport{parentID: "up", parent: Remote{Doc: cache.Document{Size: 4}}},
+			serve: &Ask{URL: "http://a/", SizeHint: 4, ReqAge: 10 * time.Second, Resolve: true},
+			want:  []placed{{RoleParent, "http://a/", 4, reqAge, 10 * time.Second, true}},
+		},
+		{
+			name:  "parent rejects",
+			tr:    &fakeTransport{},
+			serve: &Ask{URL: "http://a/", SizeHint: 4, ReqAge: reqAge, Resolve: true},
+			want:  []placed{{RoleParent, "http://a/", 4, reqAge, reqAge, false}},
+		},
+		{
+			name:  "home hit places nothing",
+			tr:    &fakeTransport{},
+			serve: &Ask{URL: "http://a/", ReqAge: 10 * time.Second, Resolve: true, Home: true, Keep: PlacementAlways},
+			held:  true,
+		},
 		{
 			name: "remote hit",
 			tr:   &fakeTransport{answers: peer(10*time.Second, true)},
 			loc:  Located{Candidates: []Candidate{{ID: "p"}}},
-			want: []placed{{"http://a/", 5, reqAge, 10 * time.Second, true}},
+			want: []placed{{RoleRequester, "http://a/", 5, reqAge, 10 * time.Second, true}},
 		},
 		{
 			name: "PlacementNever remote",
 			tr:   &fakeTransport{answers: peer(10*time.Second, false)},
 			loc:  Located{Candidates: []Candidate{{ID: "p"}}, Resolve: true, Placement: PlacementNever},
-			want: []placed{{"http://a/", 5, reqAge, 10 * time.Second, false}},
+			want: []placed{{RoleRequester, "http://a/", 5, reqAge, 10 * time.Second, false}},
 		},
 		{
 			name: "parent from group",
 			tr:   &fakeTransport{parentID: "parent", parent: Remote{Doc: cache.Document{Size: 4}, ResponderAge: reqAge, FromGroup: true}},
-			want: []placed{{"http://a/", 4, reqAge, reqAge, false}},
+			want: []placed{{RoleRequester, "http://a/", 4, reqAge, reqAge, false}},
 		},
 		{
 			name: "parent from origin",
 			tr:   &fakeTransport{parentID: "parent", parent: Remote{Doc: cache.Document{Size: 4}, ResponderAge: reqAge}},
-			want: []placed{{"http://a/", 4, reqAge, reqAge, true}},
+			want: []placed{{RoleRequester, "http://a/", 4, reqAge, reqAge, true}},
 		},
 		{
 			name: "origin",
 			tr:   &fakeTransport{},
-			want: []placed{{"http://a/", 3, reqAge, cache.NoContention, true}},
+			want: []placed{{RoleRequester, "http://a/", 3, reqAge, cache.NoContention, true}},
 		},
 		{
 			name:    "failed parent degraded to origin",
 			tr:      &fakeTransport{parentID: "parent", parentErr: broke},
 			degrade: true,
-			want:    []placed{{"http://a/", 3, reqAge, cache.NoContention, true}},
+			want:    []placed{{RoleRequester, "http://a/", 3, reqAge, cache.NoContention, true}},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			hooks := &spyHooks{}
-			e := newEngine(newFakeStore(reqAge), tc.tr, tc.loc, hooks)
+			store := newFakeStore(reqAge)
+			if tc.held {
+				store.docs["http://a/"] = cache.Document{URL: "http://a/", Size: 6}
+			}
+			e := newEngine(store, tc.tr, tc.loc, hooks)
 			e.DegradeToOrigin = tc.degrade
-			if _, err := e.Resolve(nil, "http://a/", 3, at(0)); err != nil {
+			var err error
+			if tc.serve != nil {
+				_, err = e.Serve(nil, store, *tc.serve, at(0))
+			} else {
+				_, err = e.Resolve(nil, "http://a/", 3, at(0))
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(hooks.placements, tc.want) {
@@ -379,7 +444,7 @@ type placeCounter struct {
 	n atomic.Int32
 }
 
-func (h *placeCounter) OnPlacement(any, string, int64, time.Duration, time.Duration, bool, time.Time) {
+func (h *placeCounter) OnPlacement(any, Role, string, int64, time.Duration, time.Duration, bool, time.Time) {
 	h.n.Add(1)
 }
 

@@ -169,7 +169,10 @@ func TestRunConservation(t *testing.T) {
 		// Per-proxy counters sum to the group counters.
 		var sum metrics.CountersSnapshot
 		for _, pr := range rep.PerProxy {
-			sum.Add(pr.Counters)
+			sum.Requests += pr.Counters.Requests
+			sum.LocalHits += pr.Counters.LocalHits
+			sum.RemoteHits += pr.Counters.RemoteHits
+			sum.Misses += pr.Counters.Misses
 		}
 		if sum.Requests != c.Requests || sum.LocalHits != c.LocalHits ||
 			sum.RemoteHits != c.RemoteHits || sum.Misses != c.Misses {
