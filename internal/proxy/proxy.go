@@ -163,7 +163,6 @@ type ICPStats struct {
 type Proxy struct {
 	id        string
 	store     *cache.Store
-	scheme    core.Scheme
 	origin    Origin
 	location  resolve.Location
 	summary   *digest.Incremental
@@ -201,7 +200,6 @@ func New(cfg Config) (*Proxy, error) {
 	p := &Proxy{
 		id:        cfg.ID,
 		store:     cfg.Store,
-		scheme:    cfg.Scheme,
 		origin:    cfg.Origin,
 		location:  cfg.Location,
 		decisions: cfg.Decisions,
