@@ -119,31 +119,6 @@ func (r *Ring) Fingerprint() uint64 {
 	return mix64(h.Sum64())
 }
 
-// OwnerChange records one key whose primary owner differs between two
-// rings — the unit of work a rebalance must move.
-type OwnerChange struct {
-	Key  string
-	From string // owner under the old ring ("" when it was empty)
-	To   string // owner under the new ring ("" when it is empty)
-}
-
-// OwnerChanges returns, for the given keys, every ownership transfer
-// implied by moving from the old ring to the new one, in input order.
-// Keys whose owner is unchanged are omitted. Consistent hashing promises
-// the returned set is small: adding or removing one of N nodes moves only
-// ~1/N of the key space, and never reassigns a key between two surviving
-// nodes — the property the rebalance tests pin down.
-func OwnerChanges(old, new *Ring, keys []string) []OwnerChange {
-	var out []OwnerChange
-	for _, k := range keys {
-		from, to := old.Owner(k), new.Owner(k)
-		if from != to {
-			out = append(out, OwnerChange{Key: k, From: from, To: to})
-		}
-	}
-	return out
-}
-
 // Owner returns the node responsible for key ("" when the ring is empty).
 func (r *Ring) Owner(key string) string {
 	if len(r.points) == 0 {

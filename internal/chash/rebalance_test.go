@@ -2,7 +2,6 @@ package chash
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -129,45 +128,6 @@ func TestRebalancePreservesSurvivorOrder(t *testing.T) {
 				if survivors[i] != after[i] {
 					t.Fatalf("remove %s: chain for %q reordered: %v -> %v", gone, k, before, after)
 				}
-			}
-		}
-	}
-}
-
-// TestOwnerChangesMatchesOwners cross-checks the OwnerChanges report
-// against direct Owner lookups under random membership changes.
-func TestOwnerChangesMatchesOwners(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	keys := testKeys(3000)
-	for trial := 0; trial < 10; trial++ {
-		n := 2 + rng.Intn(6)
-		nodes := make([]string, n)
-		for i := range nodes {
-			nodes[i] = fmt.Sprintf("node-%d-%d", trial, i)
-		}
-		old := ringOf(t, nodes...)
-		mutated := ringOf(t, nodes...)
-		if rng.Intn(2) == 0 {
-			if err := mutated.Add(fmt.Sprintf("node-%d-new", trial)); err != nil {
-				t.Fatal(err)
-			}
-		} else if err := mutated.Remove(nodes[rng.Intn(n)]); err != nil {
-			t.Fatal(err)
-		}
-
-		changes := OwnerChanges(old, mutated, keys)
-		byKey := make(map[string]OwnerChange, len(changes))
-		for _, c := range changes {
-			byKey[c.Key] = c
-		}
-		for _, k := range keys {
-			from, to := old.Owner(k), mutated.Owner(k)
-			c, reported := byKey[k]
-			if (from != to) != reported {
-				t.Fatalf("trial %d: key %q: moved=%v reported=%v", trial, k, from != to, reported)
-			}
-			if reported && (c.From != from || c.To != to) {
-				t.Fatalf("trial %d: key %q: change %+v, want %s -> %s", trial, k, c, from, to)
 			}
 		}
 	}

@@ -141,14 +141,6 @@ func (s CountersSnapshot) RemoteHitRate() float64 { return ratio(s.RemoteHits, s
 // MissRate returns misses over requests.
 func (s CountersSnapshot) MissRate() float64 { return ratio(s.Misses, s.Requests) }
 
-// MeanSimLatency returns the mean simulated per-request latency.
-func (s CountersSnapshot) MeanSimLatency() time.Duration {
-	if s.Requests == 0 {
-		return 0
-	}
-	return s.SimLatency / time.Duration(s.Requests)
-}
-
 func ratio(num, den int64) float64 {
 	if den == 0 {
 		return 0

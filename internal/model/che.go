@@ -100,30 +100,3 @@ func ZipfPopularities(n int, alpha float64) ([]float64, error) {
 	}
 	return probs, nil
 }
-
-// MixPopularities overlays a hot head on a body distribution the way the
-// workload generator does: with probability hotWeight a request draws
-// uniformly from the first hotDocs documents, otherwise from the body.
-func MixPopularities(body []float64, hotDocs int, hotWeight float64) ([]float64, error) {
-	if hotDocs < 0 || hotDocs > len(body) {
-		return nil, fmt.Errorf("model: hotDocs %d out of range", hotDocs)
-	}
-	if hotWeight < 0 || hotWeight >= 1 {
-		return nil, fmt.Errorf("model: hotWeight %v out of [0,1)", hotWeight)
-	}
-	var total float64
-	for _, p := range body {
-		total += p
-	}
-	if total <= 0 {
-		return nil, fmt.Errorf("model: zero body mass")
-	}
-	out := make([]float64, len(body))
-	for i, p := range body {
-		out[i] = (1 - hotWeight) * p / total
-		if i < hotDocs {
-			out[i] += hotWeight / float64(hotDocs)
-		}
-	}
-	return out, nil
-}

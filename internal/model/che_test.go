@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -126,6 +127,79 @@ func TestCheLRUMatchesSimulation(t *testing.T) {
 	}
 }
 
+// TestExpirationAgeIsCharacteristicTime pins eq. 5's contention signal to
+// Che's characteristic time. Under IRM an LRU cache evicts each document
+// about Tc after its last reference, so the expiration age of one LRU
+// cache.Store over a 512-eviction window, averaged over a long run, must
+// match characteristicTime within 1 %. One request a second makes
+// seconds and requests the same unit. -short runs the two cheapest rows.
+func TestExpirationAgeIsCharacteristicTime(t *testing.T) {
+	const requests = 200000
+	for _, row := range []struct {
+		docs, capacity int
+		alpha          float64
+		short          bool
+	}{
+		{10000, 100, 0.8, true},
+		{10000, 1000, 0.8, true},
+		{10000, 1000, 1.0, false},
+		{50000, 5000, 0.75, false},
+	} {
+		t.Run(fmt.Sprintf("docs=%d/capacity=%d/alpha=%.2f", row.docs, row.capacity, row.alpha), func(t *testing.T) {
+			if testing.Short() && !row.short {
+				t.Skip("long row")
+			}
+			probs, err := ZipfPopularities(row.docs, row.alpha)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var total float64
+			for _, p := range probs {
+				total += p
+			}
+			for i := range probs {
+				probs[i] /= total
+			}
+			tc, err := characteristicTime(probs, float64(row.capacity))
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			zipf, err := dist.NewZipf(row.docs, row.alpha)
+			if err != nil {
+				t.Fatal(err)
+			}
+			store, err := cache.New(cache.Config{Capacity: int64(row.capacity), ExpirationWindow: cache.DefaultExpirationWindow})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := dist.NewRNG(11)
+			now := time.Unix(784900000, 0)
+			warm := 10 * int(tc)
+			var sum float64
+			var samples int
+			for i := 0; i < warm+requests; i++ {
+				url := "doc-" + itoa(zipf.Rank(rng))
+				if _, ok := store.Get(url, now); !ok {
+					if _, err := store.Put(cache.Document{URL: url, Size: 1}, now); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if i >= warm && i%100 == 0 {
+					sum += store.ExpirationAge(now).Seconds()
+					samples++
+				}
+				now = now.Add(time.Second)
+			}
+			mean := sum / float64(samples)
+			t.Logf("Tc %.1f s, windowed expiration age %.1f s", tc, mean)
+			if math.Abs(mean-tc) > 0.01*tc {
+				t.Fatalf("windowed expiration age %.1f s is more than 1 %% from Tc %.1f s", mean, tc)
+			}
+		})
+	}
+}
+
 func TestZipfPopularities(t *testing.T) {
 	if _, err := ZipfPopularities(0, 1); err == nil {
 		t.Fatal("n=0 accepted")
@@ -142,31 +216,6 @@ func TestZipfPopularities(t *testing.T) {
 		if math.Abs(probs[i]-want[i]) > 1e-12 {
 			t.Fatalf("probs[%d] = %v, want %v", i, probs[i], want[i])
 		}
-	}
-}
-
-func TestMixPopularities(t *testing.T) {
-	body := []float64{1, 1, 1, 1}
-	mixed, err := MixPopularities(body, 2, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Head docs: 0.5*0.25 + 0.5/2 = 0.375 each; tail: 0.125 each.
-	if math.Abs(mixed[0]-0.375) > 1e-12 || math.Abs(mixed[3]-0.125) > 1e-12 {
-		t.Fatalf("mixed = %v", mixed)
-	}
-	var sum float64
-	for _, p := range mixed {
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Fatalf("mixed sums to %v", sum)
-	}
-	if _, err := MixPopularities(body, 5, 0.5); err == nil {
-		t.Fatal("hotDocs > len accepted")
-	}
-	if _, err := MixPopularities(body, 2, 1); err == nil {
-		t.Fatal("hotWeight 1 accepted")
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"eacache/internal/chash"
 	"eacache/internal/core"
 	"eacache/internal/hproto"
+	"eacache/internal/obs"
 	"eacache/internal/resolve"
 )
 
@@ -255,9 +256,10 @@ func TestChaosChurnKillJoinRevive(t *testing.T) {
 // gate's "has 2 copies". A requester locates a URL as its own home; before
 // the origin answers, a join moves the URL to the new member, and the
 // requester's migration pass for that epoch walks a store that does not
-// hold the URL yet. The requester then stores the copy it located under
-// the old ring, where no later pass moves it, and the new owner keeps a
-// second copy on the next request.
+// hold the URL yet. The requester must not store the copy it located
+// under the old ring, where no later pass would move it and the new owner
+// would keep a second copy on the next request: its placement record is
+// an accept that the store refused as off-ring.
 func TestHomeStoreAfterEpochChange(t *testing.T) {
 	checkGoroutines(t)
 	origin := startOrigin(t)
@@ -294,7 +296,11 @@ func TestHomeStoreAfterEpochChange(t *testing.T) {
 		}
 	}()
 
-	a := startChurnNode(t, gated.Addr().String(), "a", "", "")
+	tel := obs.New("a", 8)
+	a := startChaosNode(t, Config{
+		ID: "a", Scheme: core.EA{}, OriginAddr: gated.Addr().String(),
+		Location: resolve.LocateHash, HashName: "a", Obs: tel,
+	})
 	b := startChurnNode(t, origin.Addr(), "b", "", "")
 	meshHash([]*Node{a, b}, []string{"a", "b"})
 	before, err := chash.New(0, "a", "b")
@@ -314,7 +320,13 @@ func TestHomeStoreAfterEpochChange(t *testing.T) {
 	}
 
 	done := make(chan error, 1)
-	go func() { _, err := a.Request(u, 2048); done <- err }()
+	go func() {
+		res, err := a.Request(u, 2048)
+		if err == nil && res.Stored {
+			err = fmt.Errorf("the stale home stored %s", u)
+		}
+		done <- err
+	}()
 	<-parked
 
 	c := startChurnNode(t, origin.Addr(), "c", "", "")
@@ -333,6 +345,10 @@ func TestHomeStoreAfterEpochChange(t *testing.T) {
 	close(gate)
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+	ds := tel.Placement.Snapshot()
+	if d := ds[len(ds)-1]; d.Verdict != obs.DecisionAccept || d.Outcome != obs.OutcomeRefused || d.Reason != obs.ReasonOffRing {
+		t.Fatalf("stale home store recorded %+v, want an accept refused off-ring", d)
 	}
 	if _, err := b.Request(u, 2048); err != nil {
 		t.Fatal(err)

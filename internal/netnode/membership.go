@@ -253,11 +253,8 @@ func (n *Node) ActivePeers() int { return len(n.peerList()) }
 // fingerprint means the requester's view is stale; the URL's real owner
 // under the current ring may be alive and already holding the copy, so
 // this node relays the body without storing rather than mint a second
-// copy. A draining node never keeps. h is the node's ring.
+// copy. h is the node's ring.
 func (n *Node) mayKeepResolved(h *resolve.HashLocator, reqFP uint64) bool {
-	if n.draining.Load() {
-		return false
-	}
 	if h == nil {
 		return true
 	}

@@ -343,7 +343,7 @@ func (n *Node) servePush(conn io.Writer, rec *connRec, req hproto.Request) {
 		}
 	}
 	h := n.hash.Load()
-	stored := n.mayAcceptPush(h, req.URL) && n.keepOnRing(cache.Document{URL: req.URL, Size: req.SizeHint}, h, n.now())
+	stored := n.mayAcceptPush(h, req.URL) && n.keepOnRing(cache.Document{URL: req.URL, Size: req.SizeHint}, h, n.now()) == resolve.Stored
 	status := hproto.StatusNotFound
 	if stored {
 		status = hproto.StatusOK
@@ -357,19 +357,17 @@ func (n *Node) servePush(conn io.Writer, rec *connRec, req hproto.Request) {
 }
 
 // mayAcceptPush reports whether this node may store a pushed copy of
-// url: never while draining; always under ICP/digest location (pushes
-// only arrive from an explicit drain spreading sole copies); under hash
-// location iff this node sits within the first TWO raw ring owners.
-// Position one is the plain case — the sender rebalanced the document
-// to its new home. Position two covers a drain handoff, where the
-// receiver's ring still lists the draining sender as owner one until
-// the leave is published. No health gating and no fingerprint check:
-// senders remove their copy before any byte travels, so accepting a
-// push can never mint a second copy. h is the node's ring.
+// url, which keepOnRing still refuses while the node drains: always
+// under ICP/digest location (pushes only arrive from an explicit drain
+// spreading sole copies); under hash location iff this node sits within
+// the first TWO raw ring owners. Position one is the plain case — the
+// sender rebalanced the document to its new home. Position two covers a
+// drain handoff, where the receiver's ring still lists the draining
+// sender as owner one until the leave is published. No health gating and
+// no fingerprint check: senders remove their copy before any byte
+// travels, so accepting a push can never mint a second copy. h is the
+// node's ring.
 func (n *Node) mayAcceptPush(h *resolve.HashLocator, url string) bool {
-	if n.draining.Load() {
-		return false
-	}
 	if n.location != resolve.LocateHash || h == nil || h.Ring == nil {
 		return true
 	}

@@ -354,15 +354,16 @@ func (o *nodeObs) cacheEvent(ev cache.Event) {
 // the log is not sampled: every decision of every request is recorded
 // (copied into the ring by value, so the record below never leaves the
 // stack), because the audit's value is exactness.
-func (n *Node) auditDecision(tr *obs.Trace, role resolve.Role, url string, verdict bool, size int64, localAge, peerAge time.Duration) {
+func (n *Node) auditDecision(tr *obs.Trace, role resolve.Role, url string, verdict bool, d resolve.Disposition, size int64, localAge, peerAge time.Duration) {
 	if n.obs == nil || n.obs.Placement == nil {
 		return
 	}
+	outcome, reason := d.Outcome()
 	n.obs.Placement.Record(obs.Decision{
 		Time: n.now(), Node: n.id, URL: url,
 		Role: role.String(), Verdict: role.Verdict(verdict),
 		LocalAgeMS: obs.AgeMS(localAge), PeerAgeMS: obs.AgeMS(peerAge),
-		SizeBytes: size,
+		SizeBytes: size, Outcome: outcome, Reason: reason,
 	}, tr)
 }
 

@@ -211,6 +211,56 @@ func TestNodeWithoutTelemetryStaysInert(t *testing.T) {
 	}
 }
 
+// TestPlacementRecordsWhatTheStoreDid: a placement record carries the
+// scheme's verdict and what the store did with the copy. A copy the
+// scheme accepts but the store refuses, too large for the node or offered
+// to a draining node, as requester or as parent, is recorded as an accept
+// with its refusal and counted as a reject. TestHomeStoreAfterEpochChange
+// forces the off-ring refusal.
+func TestPlacementRecordsWhatTheStoreDid(t *testing.T) {
+	origin := startOrigin(t)
+	a, tel := startObservedNode(t, "a", core.AdHoc{}, origin.Addr())
+	child := startChaosNode(t, Config{ID: "child", ParentAddr: a.HTTPAddr()})
+	expect := func(what, role, outcome, reason string) {
+		t.Helper()
+		ds := tel.Placement.Snapshot()
+		d := ds[len(ds)-1]
+		if d.Role != role || d.Verdict != obs.DecisionAccept || d.Outcome != outcome || d.Reason != reason {
+			t.Fatalf("%s: record %+v, want %s accept, outcome %q, reason %q", what, d, role, outcome, reason)
+		}
+	}
+	request := func(n *Node, url string, size int64, stored bool) {
+		t.Helper()
+		if res, err := n.Request(url, size); err != nil || res.Outcome != metrics.Miss || res.Stored != stored {
+			t.Fatalf("%s: res=%+v err=%v, want a miss with stored=%v", url, res, err, stored)
+		}
+	}
+
+	request(a, "http://obs.example.edu/fits", 4096, true)
+	expect("fits", obs.RoleRequester, obs.OutcomeStored, "")
+	request(a, "http://obs.example.edu/huge", 2<<20, false)
+	expect("too large", obs.RoleRequester, obs.OutcomeRefused, obs.ReasonTooLarge)
+	a.DrainHandoff()
+	request(a, "http://obs.example.edu/drained", 4096, false)
+	expect("draining requester", obs.RoleRequester, obs.OutcomeRefused, obs.ReasonDraining)
+	request(child, "http://obs.example.edu/relayed", 4096, true)
+	expect("draining parent", obs.RoleParent, obs.OutcomeRefused, obs.ReasonDraining)
+	if a.Contains("http://obs.example.edu/relayed") {
+		t.Fatal("the draining parent kept a copy")
+	}
+
+	_, samples := scrape(t, tel)
+	for series, want := range map[string]float64{
+		`eac_placement_decisions_total{decision="accept",role="requester"}`: 1,
+		`eac_placement_decisions_total{decision="reject",role="requester"}`: 2,
+		`eac_placement_decisions_total{decision="reject",role="parent"}`:    1,
+	} {
+		if samples[series] != want {
+			t.Errorf("%s = %v, want %v", series, samples[series], want)
+		}
+	}
+}
+
 // scrape renders tel's registry the way /metrics serves it and returns
 // the text plus every sample keyed by its series text.
 func scrape(t *testing.T, tel *obs.Telemetry) (string, map[string]float64) {
@@ -493,11 +543,11 @@ func TestAuditDecisionAllocatesNothing(t *testing.T) {
 	tel.SetTraceSampling(1)
 	tr := tel.StartTrace("n", "http://x.example.edu/doc")
 	for i := 0; i < obs.DefaultDecisionCapacity; i++ { // the ring grows until full
-		n.auditDecision(nil, resolve.RoleParent, "http://x.example.edu/fill", false, 1, 0, 0)
+		n.auditDecision(nil, resolve.RoleParent, "http://x.example.edu/fill", false, resolve.NotOffered, 1, 0, 0)
 	}
 	for _, tr := range []*obs.Trace{nil, tr} {
 		if got := testing.AllocsPerRun(200, func() {
-			n.auditDecision(tr, resolve.RoleRequester, "http://x.example.edu/doc", true, 4096, 3*time.Second, cache.NoContention)
+			n.auditDecision(tr, resolve.RoleRequester, "http://x.example.edu/doc", true, resolve.RefusedTooLarge, 4096, 3*time.Second, cache.NoContention)
 		}); got != 0 {
 			t.Errorf("auditDecision (traced: %v): %.1f allocs per verdict, want 0", tr != nil, got)
 		}

@@ -65,34 +65,29 @@ func (s nodeStore) ExpirationAge(now time.Time) time.Duration {
 }
 
 func (s nodeStore) StoreCopy(doc cache.Document, now time.Time) bool {
-	n := s.n
-	if n.draining.Load() {
-		// A draining node keeps no new copies: its store must only shrink
-		// while the handoff walks it. Migration pushes bypass this path.
-		return false
-	}
-	// Under hash location the copy is the group's only one, so this node
-	// must be its home on the ring current at store time, not on the one
-	// the request located under: a join published while the origin
-	// answered has moved the URL, and that epoch's migration pass walked a
-	// store that did not hold it yet.
-	h := n.hash.Load()
-	if n.location == resolve.LocateHash && !homes(h, doc.URL) {
-		return false
-	}
-	return n.keepOnRing(doc, h, now)
+	return s.Keep(doc, now) == resolve.Stored
 }
 
-// nodeStore is also the responder's Holder. Outside hash location a
-// resolved copy is kept with no ring to check.
+// nodeStore is also the responder's Holder.
 var _ resolve.Holder = nodeStore{}
 
 func (s nodeStore) Peek(url string, _ time.Time) (cache.Document, bool) { return s.n.store.Peek(url) }
 
 func (s nodeStore) Promote(url string, now time.Time) { s.n.store.Touch(url, now) }
 
-func (s nodeStore) Keep(doc cache.Document, now time.Time) bool {
-	return s.n.keepOnRing(doc, nil, now)
+// Keep stores a requester's copy, or a copy resolved upstream outside
+// hash location, and says what the store did. Under hash location the
+// copy is the group's only one, so this node must be its home on the ring
+// current at store time, not on the one the request located under: a
+// join published while the origin answered has moved the URL, and that
+// epoch's migration pass walked a store that did not hold it yet.
+func (s nodeStore) Keep(doc cache.Document, now time.Time) resolve.Disposition {
+	n := s.n
+	h := n.hash.Load()
+	if n.location == resolve.LocateHash && !homes(h, doc.URL) {
+		return resolve.RefusedOffRing
+	}
+	return n.keepOnRing(doc, h, now)
 }
 
 // homeStore is a hash home's Holder: it keeps a resolved copy on the ring
@@ -103,24 +98,29 @@ type homeStore struct {
 	ring *resolve.HashLocator
 }
 
-func (s homeStore) Keep(doc cache.Document, now time.Time) bool {
+func (s homeStore) Keep(doc cache.Document, now time.Time) resolve.Disposition {
 	return s.n.keepOnRing(doc, s.ring, now)
 }
 
 // keepOnRing stores doc, decided on the hash ring h (nil outside hash
-// location), and reports whether the copy stayed. A publish that replaces
-// h during the Put may have run its migration pass before the copy
-// arrived, and no later pass would move it; so when the new ring homes
-// the URL elsewhere, the copy is dropped again.
-func (n *Node) keepOnRing(doc cache.Document, h *resolve.HashLocator, now time.Time) bool {
+// location), and says what the store did. A draining node keeps no new
+// copies: its store must only shrink while the handoff walks it. A
+// publish that replaces h during the Put may have run its migration pass
+// before the copy arrived, and no later pass would move it; so when the
+// new ring homes the URL elsewhere, the copy is dropped again. The store
+// fails a Put only for a document it cannot fit.
+func (n *Node) keepOnRing(doc cache.Document, h *resolve.HashLocator, now time.Time) resolve.Disposition {
+	if n.draining.Load() {
+		return resolve.RefusedDraining
+	}
 	if _, err := n.store.Put(doc, now); err != nil {
-		return false
+		return resolve.RefusedTooLarge
 	}
 	if h2 := n.hash.Load(); h2 != h && !homes(h2, doc.URL) {
 		n.store.Remove(doc.URL)
-		return false
+		return resolve.RefusedOffRing
 	}
-	return true
+	return resolve.Stored
 }
 
 // homes reports whether h places url on this node.
@@ -386,19 +386,20 @@ type nodeHooks struct{ n *Node }
 
 var _ resolve.Hooks = nodeHooks{}
 
-// OnPlacement counts a verdict of any role — the scheme's decision, not
-// whether the copy physically fit — and appends it to the audit log, on
-// the request's trace when it is sampled. A requester's verdict is also
-// stamped onto its trace: a placement span marking where in the timeline
-// the rule ran, with both expiration ages and the verdict on the trace's
-// top-level fields. The span itself carries no attributes: duplicating
+// OnPlacement counts a verdict of any role and appends it to the audit
+// log, on the request's trace when it is sampled. The counter counts what
+// was placed: a copy the store refused counts as a reject, while the
+// audit record keeps the scheme's verdict beside the store's refusal. A
+// requester's verdict is also stamped onto its trace: a placement span
+// marking where in the timeline the rule ran, with both expiration ages
+// and the verdict on the trace's top-level fields. The span itself carries no attributes: duplicating
 // the ages there would cost three string allocations on every
 // non-local-hit request for data the trace already has. A responder's
 // trace gets its ages when the exchange ends.
-func (h nodeHooks) OnPlacement(rctx any, role resolve.Role, url string, size int64, localAge, peerAge time.Duration, verdict bool, _ time.Time) {
+func (h nodeHooks) OnPlacement(rctx any, role resolve.Role, url string, size int64, localAge, peerAge time.Duration, verdict bool, d resolve.Disposition, _ time.Time) {
 	n, tr := h.n, traceOf(rctx)
-	n.om.decisions[role][verdictIndex(verdict)].Inc()
-	n.auditDecision(tr, role, url, verdict, size, localAge, peerAge)
+	n.om.decisions[role][verdictIndex(verdict && !d.Refused())].Inc()
+	n.auditDecision(tr, role, url, verdict, d, size, localAge, peerAge)
 	if tr == nil || role != resolve.RoleRequester {
 		return
 	}

@@ -108,9 +108,6 @@ func (n *Node) serveConn(conn net.Conn) {
 			ask.Keep = resolve.PlacementAlways
 		}
 		holder = homeStore{nodeStore{n}, h}
-	case n.draining.Load():
-		// A draining node keeps no new copies.
-		ask.Keep = resolve.PlacementNever
 	}
 	s, err := n.engine.Serve(rtr, holder, ask, n.now())
 	if err != nil {

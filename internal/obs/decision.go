@@ -17,6 +17,13 @@ const (
 	RoleParent    = "parent"
 )
 
+// What the store did with a copy a verdict offered it (Decision.Outcome),
+// and why it refused one (Decision.Reason).
+const (
+	OutcomeStored, OutcomeRefused                 = "stored", "refused"
+	ReasonDraining, ReasonOffRing, ReasonTooLarge = "draining", "off-ring", "too-large"
+)
+
 // Decision is one EA placement verdict with the inputs the paper's eq. 5
 // comparison used. LocalAgeMS/PeerAgeMS are the two piggybacked cache
 // expiration ages in milliseconds with the no-contention (+inf) sentinel
@@ -40,6 +47,11 @@ type Decision struct {
 	PeerAgeMS int64 `json:"peer_age_ms"`
 	// SizeBytes is the document size the feasibility check saw.
 	SizeBytes int64 `json:"size_bytes,omitempty"`
+	// Outcome is what the store did with the copy the verdict offered
+	// it (Outcome* constants), empty when the verdict offered none.
+	Outcome string `json:"outcome,omitempty"`
+	// Reason says why the store refused the copy (Reason* constants).
+	Reason string `json:"reason,omitempty"`
 	// TraceID links the decision to its group-wide trace when the request
 	// was sampled.
 	TraceID string `json:"trace_id,omitempty"`

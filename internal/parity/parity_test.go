@@ -77,15 +77,16 @@ func (t *tally) add(outcome metrics.Outcome, size int64, stored, promoted bool) 
 	}
 }
 
-// decision is the part of an obs.Decision both stacks must agree on: the
-// clock and request identities are each stack's own.
+// decision is the part of an obs.Decision both stacks must agree on, the
+// store's outcome included: the clock and request identities are each
+// stack's own.
 type decision struct {
-	Role, Verdict, URL               string
-	LocalAgeMS, PeerAgeMS, SizeBytes int64
+	Role, Verdict, URL, Outcome, Reason string
+	LocalAgeMS, PeerAgeMS, SizeBytes    int64
 }
 
 func decisionOf(d obs.Decision) decision {
-	return decision{d.Role, d.Verdict, d.URL, d.LocalAgeMS, d.PeerAgeMS, d.SizeBytes}
+	return decision{d.Role, d.Verdict, d.URL, d.Outcome, d.Reason, d.LocalAgeMS, d.PeerAgeMS, d.SizeBytes}
 }
 
 // workload generates the shared deterministic trace: small enough that

@@ -38,11 +38,8 @@ func (s simStore) ExpirationAge(now time.Time) time.Duration {
 	return s.p.store.ExpirationAge(now)
 }
 
-// StoreCopy stores doc, treating over-capacity documents as uncacheable
-// (served but not stored), the standard proxy behaviour.
 func (s simStore) StoreCopy(doc cache.Document, now time.Time) bool {
-	_, err := s.p.store.Put(doc, now)
-	return err == nil
+	return s.Keep(doc, now) == resolve.Stored
 }
 
 // simStore is also the responder's Holder.
@@ -60,7 +57,15 @@ func (s simStore) Peek(url string, now time.Time) (cache.Document, bool) {
 
 func (s simStore) Promote(url string, now time.Time) { s.p.store.Touch(url, now) }
 
-func (s simStore) Keep(doc cache.Document, now time.Time) bool { return s.StoreCopy(doc, now) }
+// Keep stores doc, for the requester and the responder alike, treating
+// over-capacity documents as uncacheable (served but not stored), the
+// standard proxy behaviour.
+func (s simStore) Keep(doc cache.Document, now time.Time) resolve.Disposition {
+	if _, err := s.p.store.Put(doc, now); err != nil {
+		return resolve.RefusedTooLarge
+	}
+	return resolve.Stored
+}
 
 // simLocator dispatches to the proxy's configured location mechanism.
 type simLocator struct{ p *Proxy }
@@ -135,20 +140,22 @@ func (t simTransport) FetchOrigin(_ any, url string, sizeHint int64, _ time.Dura
 }
 
 // simHooks maps the engine's decision points to placement decision
-// records and ICP statistics. A verdict is the scheme's, not whether the
-// copy fit, exactly as the live node's hooks record it.
+// records and ICP statistics. A record carries the scheme's verdict and
+// what the store did with the copy, exactly as the live node's hooks
+// record it.
 type simHooks struct{ p *Proxy }
 
 var _ resolve.Hooks = simHooks{}
 
-func (h simHooks) OnPlacement(_ any, role resolve.Role, url string, size int64, localAge, peerAge time.Duration, verdict bool, now time.Time) {
+func (h simHooks) OnPlacement(_ any, role resolve.Role, url string, size int64, localAge, peerAge time.Duration, verdict bool, d resolve.Disposition, now time.Time) {
 	if h.p.decisions == nil {
 		return
 	}
+	outcome, reason := d.Outcome()
 	h.p.decisions.Record(obs.Decision{
 		Time: now, Node: h.p.id, URL: url, Role: role.String(), Verdict: role.Verdict(verdict),
 		LocalAgeMS: obs.AgeMS(localAge), PeerAgeMS: obs.AgeMS(peerAge),
-		SizeBytes: size,
+		SizeBytes: size, Outcome: outcome, Reason: reason,
 	}, nil)
 }
 

@@ -313,10 +313,26 @@ func TestDecisionLogCarriesAges(t *testing.T) {
 	got := all[len(all)-2:]
 	want := []obs.Decision{
 		{Time: at(101), Node: "a", URL: "http://d/", Role: obs.RoleResponder, Verdict: obs.DecisionReject, LocalAgeMS: aAge, PeerAgeMS: -1, SizeBytes: 400},
-		{Time: at(101), Node: "b", URL: "http://d/", Role: obs.RoleRequester, Verdict: obs.DecisionAccept, LocalAgeMS: -1, PeerAgeMS: aAge, SizeBytes: 400},
+		{Time: at(101), Node: "b", URL: "http://d/", Role: obs.RoleRequester, Verdict: obs.DecisionAccept, LocalAgeMS: -1, PeerAgeMS: aAge, SizeBytes: 400, Outcome: obs.OutcomeStored},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("decisions = %+v\nwant %+v", got, want)
+	}
+}
+
+// TestDecisionLogRecordsTooLarge: a document larger than the cache is
+// accepted by the scheme and refused by the store, and its record says so.
+func TestDecisionLogRecordsTooLarge(t *testing.T) {
+	log := obs.NewDecisionLog(4)
+	a := newProxy(t, "a", 1000, core.EA{})
+	a.decisions = log
+	res, err := a.Request("http://big/", 5000, at(1))
+	if err != nil || res.Stored {
+		t.Fatalf("res=%+v err=%v, want an unstored miss", res, err)
+	}
+	d := log.Snapshot()[0]
+	if d.Verdict != obs.DecisionAccept || d.Outcome != obs.OutcomeRefused || d.Reason != obs.ReasonTooLarge {
+		t.Fatalf("decision %+v, want an accept refused as too large", d)
 	}
 }
 

@@ -181,6 +181,35 @@ func (r Role) Verdict(yes bool) string {
 	}
 }
 
+// Disposition is what a store did with a copy a placement verdict
+// offered it.
+type Disposition uint8
+
+// Dispositions. Off-ring is hash location's: the ring current at store
+// time homes the URL on another node.
+const (
+	NotOffered      Disposition = iota // a reject, or a responder's verdict on a copy it holds
+	Stored                             // the copy is in the store
+	RefusedDraining                    // the node drains and stores nothing new
+	RefusedOffRing
+	RefusedTooLarge // the document does not fit in the store
+)
+
+// Refused reports whether the store turned down a copy it was offered.
+func (d Disposition) Refused() bool { return d > Stored }
+
+// Outcome names d as decision records do: the outcome is "" when no copy
+// was offered, and the reason is set only on a refusal.
+func (d Disposition) Outcome() (outcome, reason string) {
+	switch d {
+	case NotOffered:
+		return "", ""
+	case Stored:
+		return obs.OutcomeStored, ""
+	}
+	return obs.OutcomeRefused, [...]string{obs.ReasonDraining, obs.ReasonOffRing, obs.ReasonTooLarge}[d-RefusedDraining]
+}
+
 // Hooks observes the lifecycle's decision points: the simulator maps
 // them to placement decision records and ICP statistics, the live node to
 // telemetry spans, the placement-decision audit log and robustness
@@ -192,11 +221,11 @@ type Hooks interface {
 	// parent's (or home's) on each copy it resolves upstream. localAge
 	// is the deciding node's own expiration age, peerAge the one the
 	// other side piggybacked (cache.NoContention on an origin fetch).
-	// verdict is true for a store, promote or keep, whether or not the
-	// copy fit (a too-large document is accepted by the scheme but not
-	// stored); size is the document's size, the feasibility input of
-	// the decision.
-	OnPlacement(rctx any, role Role, url string, size int64, localAge, peerAge time.Duration, verdict bool, now time.Time)
+	// verdict is the scheme's: true for a store, promote or keep. d is
+	// what the store then did with the copy, so an accepted copy the
+	// store refused arrives as verdict true with a refusal. size is the
+	// document's size, the feasibility input of the decision.
+	OnPlacement(rctx any, role Role, url string, size int64, localAge, peerAge time.Duration, verdict bool, d Disposition, now time.Time)
 	// OnFalseHit fires when a candidate answered not-found.
 	OnFalseHit(rctx any, c Candidate, url string)
 	// OnRetry fires before each candidate after the first.
@@ -212,7 +241,7 @@ type Hooks interface {
 // nil-checks at each call site.
 type nopHooks struct{}
 
-func (nopHooks) OnPlacement(any, Role, string, int64, time.Duration, time.Duration, bool, time.Time) {
+func (nopHooks) OnPlacement(any, Role, string, int64, time.Duration, time.Duration, bool, Disposition, time.Time) {
 }
 func (nopHooks) OnFalseHit(any, Candidate, string) {}
 func (nopHooks) OnRetry(any)                       {}
@@ -340,15 +369,13 @@ func (e *Engine) remoteHit(rctx any, hooks Hooks, c Candidate, url string, place
 		if !rem.FromGroup {
 			res.Outcome = metrics.Miss
 		}
-		hooks.OnPlacement(rctx, RoleRequester, url, rem.Doc.Size, reqAge, rem.ResponderAge, false, now)
+		hooks.OnPlacement(rctx, RoleRequester, url, rem.Doc.Size, reqAge, rem.ResponderAge, false, NotOffered, now)
 		return res
 	}
 	decision := e.Scheme.OnRemoteHit(reqAge, rem.ResponderAge)
-	if decision.StoreAtRequester {
-		res.Stored = e.Store.StoreCopy(rem.Doc, now)
-	}
-	res.Promoted = decision.PromoteAtResponder
-	hooks.OnPlacement(rctx, RoleRequester, url, rem.Doc.Size, reqAge, rem.ResponderAge, decision.StoreAtRequester, now)
+	d := e.storeIf(decision.StoreAtRequester, rem.Doc, now)
+	res.Stored, res.Promoted = d == Stored, decision.PromoteAtResponder
+	hooks.OnPlacement(rctx, RoleRequester, url, rem.Doc.Size, reqAge, rem.ResponderAge, decision.StoreAtRequester, d, now)
 	return res
 }
 
@@ -374,10 +401,9 @@ func (e *Engine) resolveMiss(rctx any, hooks Hooks, url string, sizeHint int64, 
 				store = e.Scheme.OnMissViaParent(reqAge, rem.ResponderAge)
 			}
 			store = placement.apply(store)
-			if store {
-				res.Stored = e.Store.StoreCopy(rem.Doc, now)
-			}
-			hooks.OnPlacement(rctx, RoleRequester, url, rem.Doc.Size, reqAge, rem.ResponderAge, store, now)
+			d := e.storeIf(store, rem.Doc, now)
+			res.Stored = d == Stored
+			hooks.OnPlacement(rctx, RoleRequester, url, rem.Doc.Size, reqAge, rem.ResponderAge, store, d, now)
 			return res, nil
 		}
 		if !e.DegradeToOrigin {
@@ -392,11 +418,27 @@ func (e *Engine) resolveMiss(rctx any, hooks Hooks, url string, sizeHint int64, 
 	}
 	res := Result{Outcome: metrics.Miss, Doc: doc}
 	store := placement.apply(e.Scheme.OnOriginFetch(reqAge))
-	if store {
-		res.Stored = e.Store.StoreCopy(doc, now)
-	}
-	hooks.OnPlacement(rctx, RoleRequester, url, doc.Size, reqAge, cache.NoContention, store, now)
+	d := e.storeIf(store, doc, now)
+	res.Stored = d == Stored
+	hooks.OnPlacement(rctx, RoleRequester, url, doc.Size, reqAge, cache.NoContention, store, d, now)
 	return res, nil
+}
+
+// storeIf offers doc to the requester's store when the verdict says so,
+// and says what the store did. A store that is also a Holder says why it
+// refused through Keep; a bare LocalStore refuses, by its contract, only
+// a document too large to fit.
+func (e *Engine) storeIf(verdict bool, doc cache.Document, now time.Time) Disposition {
+	if !verdict {
+		return NotOffered
+	}
+	if h, ok := e.Store.(Holder); ok {
+		return h.Keep(doc, now)
+	}
+	if e.Store.StoreCopy(doc, now) {
+		return Stored
+	}
+	return RefusedTooLarge
 }
 
 // hooks returns the engine's Hooks, or the no-op stand-in.
@@ -419,9 +461,10 @@ type Holder interface {
 	// Promote refreshes url's replacement state, the responder rule's
 	// promote verdict.
 	Promote(url string, now time.Time)
-	// Keep stores a copy the responder resolved upstream, reporting
-	// whether it stayed.
-	Keep(doc cache.Document, now time.Time) bool
+	// Keep stores a copy the responder resolved upstream and says what
+	// the store did. A LocalStore that is also a Holder stores the
+	// requester's copies through Keep too.
+	Keep(doc cache.Document, now time.Time) Disposition
 }
 
 // Ask is one exchange as its responder received it.
@@ -459,7 +502,7 @@ type Served struct {
 	// FromGroup reports that the body came from a cache, this node's or
 	// one above it, rather than from the origin.
 	FromGroup bool
-	// Kept is the keep verdict on a resolved copy.
+	// Kept reports that the store took a resolved copy.
 	Kept bool
 }
 
@@ -483,7 +526,7 @@ func (e *Engine) Serve(rctx any, h Holder, ask Ask, now time.Time) (Served, erro
 		if promote {
 			h.Promote(ask.URL, now)
 		}
-		hooks.OnPlacement(rctx, RoleResponder, ask.URL, out.Doc.Size, out.Age, ask.ReqAge, promote, now)
+		hooks.OnPlacement(rctx, RoleResponder, ask.URL, out.Doc.Size, out.Age, ask.ReqAge, promote, NotOffered, now)
 	}
 	if out.Found || !ask.Resolve {
 		out.FromGroup = out.Found
@@ -506,11 +549,13 @@ func (e *Engine) Serve(rctx any, h Holder, ask Ask, now time.Time) (Served, erro
 		out.Doc = doc
 	}
 	out.Found, out.Resolved = true, true
-	out.Kept = ask.Keep.apply(e.Scheme.OnParentResolve(out.Age, ask.ReqAge))
-	if out.Kept {
-		h.Keep(out.Doc, now)
+	keep := ask.Keep.apply(e.Scheme.OnParentResolve(out.Age, ask.ReqAge))
+	d := NotOffered
+	if keep {
+		d = h.Keep(out.Doc, now)
 	}
-	hooks.OnPlacement(rctx, RoleParent, ask.URL, out.Doc.Size, out.Age, ask.ReqAge, out.Kept, now)
+	out.Kept = d == Stored
+	hooks.OnPlacement(rctx, RoleParent, ask.URL, out.Doc.Size, out.Age, ask.ReqAge, keep, d, now)
 	return out, nil
 }
 

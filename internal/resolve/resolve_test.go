@@ -26,6 +26,8 @@ type fakeStore struct {
 	lookups int
 	// promotes counts Holder.Promote calls.
 	promotes int
+	// refusal, when set, is Keep's answer to every copy.
+	refusal Disposition
 }
 
 func newFakeStore(age time.Duration) *fakeStore {
@@ -56,7 +58,15 @@ func (s *fakeStore) Peek(url string, _ time.Time) (cache.Document, bool) {
 
 func (s *fakeStore) Promote(string, time.Time) { s.promotes++ }
 
-func (s *fakeStore) Keep(doc cache.Document, now time.Time) bool { return s.StoreCopy(doc, now) }
+func (s *fakeStore) Keep(doc cache.Document, now time.Time) Disposition {
+	switch {
+	case s.refusal != NotOffered:
+		return s.refusal
+	case !s.StoreCopy(doc, now):
+		return RefusedTooLarge
+	}
+	return Stored
+}
 
 // scripted answers for one candidate ID.
 type answer struct {
@@ -120,6 +130,7 @@ type placed struct {
 	size              int64
 	localAge, peerAge time.Duration
 	verdict           bool
+	d                 Disposition
 }
 
 // spyHooks records every hook invocation.
@@ -129,8 +140,8 @@ type spyHooks struct {
 	degrades                     []error // the non-nil errs passed to OnFallback
 }
 
-func (h *spyHooks) OnPlacement(_ any, role Role, url string, size int64, localAge, peerAge time.Duration, verdict bool, _ time.Time) {
-	h.placements = append(h.placements, placed{role, url, size, localAge, peerAge, verdict})
+func (h *spyHooks) OnPlacement(_ any, role Role, url string, size int64, localAge, peerAge time.Duration, verdict bool, d Disposition, _ time.Time) {
+	h.placements = append(h.placements, placed{role, url, size, localAge, peerAge, verdict, d})
 }
 func (h *spyHooks) OnFalseHit(any, Candidate, string) { h.falseHits++ }
 func (h *spyHooks) OnRetry(any)                       { h.retries++ }
@@ -350,26 +361,26 @@ func TestOnPlacementOncePerVerdict(t *testing.T) {
 			tr:    &fakeTransport{},
 			serve: &Ask{URL: "http://a/", ReqAge: 10 * time.Second},
 			held:  true,
-			want:  []placed{{RoleResponder, "http://a/", 6, reqAge, 10 * time.Second, true}},
+			want:  []placed{{RoleResponder, "http://a/", 6, reqAge, 10 * time.Second, true, NotOffered}},
 		},
 		{
 			name:  "responder rejects",
 			tr:    &fakeTransport{},
 			serve: &Ask{URL: "http://a/", ReqAge: 2 * time.Minute},
 			held:  true,
-			want:  []placed{{RoleResponder, "http://a/", 6, reqAge, 2 * time.Minute, false}},
+			want:  []placed{{RoleResponder, "http://a/", 6, reqAge, 2 * time.Minute, false, NotOffered}},
 		},
 		{
 			name:  "parent keeps",
 			tr:    &fakeTransport{parentID: "up", parent: Remote{Doc: cache.Document{Size: 4}}},
 			serve: &Ask{URL: "http://a/", SizeHint: 4, ReqAge: 10 * time.Second, Resolve: true},
-			want:  []placed{{RoleParent, "http://a/", 4, reqAge, 10 * time.Second, true}},
+			want:  []placed{{RoleParent, "http://a/", 4, reqAge, 10 * time.Second, true, Stored}},
 		},
 		{
 			name:  "parent rejects",
 			tr:    &fakeTransport{},
 			serve: &Ask{URL: "http://a/", SizeHint: 4, ReqAge: reqAge, Resolve: true},
-			want:  []placed{{RoleParent, "http://a/", 4, reqAge, reqAge, false}},
+			want:  []placed{{RoleParent, "http://a/", 4, reqAge, reqAge, false, NotOffered}},
 		},
 		{
 			name:  "home hit places nothing",
@@ -381,34 +392,34 @@ func TestOnPlacementOncePerVerdict(t *testing.T) {
 			name: "remote hit",
 			tr:   &fakeTransport{answers: peer(10*time.Second, true)},
 			loc:  Located{Candidates: []Candidate{{ID: "p"}}},
-			want: []placed{{RoleRequester, "http://a/", 5, reqAge, 10 * time.Second, true}},
+			want: []placed{{RoleRequester, "http://a/", 5, reqAge, 10 * time.Second, true, Stored}},
 		},
 		{
 			name: "PlacementNever remote",
 			tr:   &fakeTransport{answers: peer(10*time.Second, false)},
 			loc:  Located{Candidates: []Candidate{{ID: "p"}}, Resolve: true, Placement: PlacementNever},
-			want: []placed{{RoleRequester, "http://a/", 5, reqAge, 10 * time.Second, false}},
+			want: []placed{{RoleRequester, "http://a/", 5, reqAge, 10 * time.Second, false, NotOffered}},
 		},
 		{
 			name: "parent from group",
 			tr:   &fakeTransport{parentID: "parent", parent: Remote{Doc: cache.Document{Size: 4}, ResponderAge: reqAge, FromGroup: true}},
-			want: []placed{{RoleRequester, "http://a/", 4, reqAge, reqAge, false}},
+			want: []placed{{RoleRequester, "http://a/", 4, reqAge, reqAge, false, NotOffered}},
 		},
 		{
 			name: "parent from origin",
 			tr:   &fakeTransport{parentID: "parent", parent: Remote{Doc: cache.Document{Size: 4}, ResponderAge: reqAge}},
-			want: []placed{{RoleRequester, "http://a/", 4, reqAge, reqAge, true}},
+			want: []placed{{RoleRequester, "http://a/", 4, reqAge, reqAge, true, Stored}},
 		},
 		{
 			name: "origin",
 			tr:   &fakeTransport{},
-			want: []placed{{RoleRequester, "http://a/", 3, reqAge, cache.NoContention, true}},
+			want: []placed{{RoleRequester, "http://a/", 3, reqAge, cache.NoContention, true, Stored}},
 		},
 		{
 			name:    "failed parent degraded to origin",
 			tr:      &fakeTransport{parentID: "parent", parentErr: broke},
 			degrade: true,
-			want:    []placed{{RoleRequester, "http://a/", 3, reqAge, cache.NoContention, true}},
+			want:    []placed{{RoleRequester, "http://a/", 3, reqAge, cache.NoContention, true, Stored}},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -438,13 +449,65 @@ func TestOnPlacementOncePerVerdict(t *testing.T) {
 	}
 }
 
+// TestRefusalReachesTheRecord: a copy the scheme accepts but the store
+// refuses reaches OnPlacement as an accept with the store's refusal, on
+// the requester's and the parent's side, and neither side reports it
+// kept. A bare LocalStore's false is, by its contract, too large.
+func TestRefusalReachesTheRecord(t *testing.T) {
+	type bare struct{ LocalStore } // a LocalStore that is not a Holder
+	for _, tc := range []struct {
+		name    string
+		refusal Disposition
+		bare    bool
+	}{
+		{"draining", RefusedDraining, false},
+		{"off-ring", RefusedOffRing, false},
+		{"too large", RefusedTooLarge, false},
+		{"bare store too large", RefusedTooLarge, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := newFakeStore(time.Minute)
+			store.refusal = tc.refusal
+			hooks := &spyHooks{}
+			e := newEngine(store, &fakeTransport{}, Located{}, hooks)
+			if tc.bare {
+				store.tooBig = 1
+				e.Store = bare{store}
+			}
+			res, err := e.Resolve(nil, "http://a/", 3, at(0))
+			if err != nil || res.Outcome != metrics.Miss || res.Stored {
+				t.Fatalf("res=%+v err=%v, want an unstored miss", res, err)
+			}
+			if len(store.docs) != 0 {
+				t.Fatalf("refused copy is resident: %v", store.docs)
+			}
+			want := []placed{{RoleRequester, "http://a/", 3, time.Minute, cache.NoContention, true, tc.refusal}}
+			if !reflect.DeepEqual(hooks.placements, want) {
+				t.Fatalf("placements = %+v, want %+v", hooks.placements, want)
+			}
+			if tc.bare {
+				return
+			}
+			hooks.placements = nil
+			s, err := e.Serve(nil, store, Ask{URL: "http://a/", SizeHint: 3, Resolve: true, Keep: PlacementAlways}, at(0))
+			if err != nil || !s.Found || s.Kept {
+				t.Fatalf("served=%+v err=%v, want a resolved copy not kept", s, err)
+			}
+			want[0].role, want[0].peerAge = RoleParent, 0
+			if !reflect.DeepEqual(hooks.placements, want) {
+				t.Fatalf("parent placements = %+v, want %+v", hooks.placements, want)
+			}
+		})
+	}
+}
+
 // placeCounter counts OnPlacement calls from many goroutines.
 type placeCounter struct {
 	nopHooks
 	n atomic.Int32
 }
 
-func (h *placeCounter) OnPlacement(any, Role, string, int64, time.Duration, time.Duration, bool, time.Time) {
+func (h *placeCounter) OnPlacement(any, Role, string, int64, time.Duration, time.Duration, bool, Disposition, time.Time) {
 	h.n.Add(1)
 }
 
