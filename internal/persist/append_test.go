@@ -17,7 +17,7 @@ import (
 func demoteEvent() cache.Event {
 	at := t0()
 	return cache.Event{
-		Kind: cache.EventDemote, Doc: cache.Document{URL: "http://spill.example.edu/documents/4711", Size: 8192, Expires: at.Add(time.Hour)},
+		Kind: cache.EventDemote, Doc: cache.Document{URL: "http://spill.example.edu/documents/4711", Size: 8192},
 		At: at.Add(5 * time.Second), Age: 30 * time.Second,
 		EnteredAt: at, LastHit: at.Add(2 * time.Second), Hits: 4,
 	}
@@ -33,7 +33,7 @@ func demoteEvent() cache.Event {
 func TestJournalGolden(t *testing.T) {
 	const (
 		goldenLen = 10370
-		goldenSum = "f424c859bf69a2fc85ab09fc5ffa944c0281a9abbd0bf260cfebc532952af03b"
+		goldenSum = "492328c5e411f9b69bdf31720b33c9a72f7a236475137e1a5f476af4b335ff12"
 	)
 	dir := t.TempDir()
 	p, err := Open(Config{Dir: dir, BatchFrames: 3})

@@ -39,9 +39,8 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 			defer wg.Done()
 			for d := 0; d < docs; d++ {
 				doc := cache.Document{
-					URL:     fmt.Sprintf("http://w%d.example.edu/d%d", w, d),
-					Size:    int64(100 + d),
-					Expires: groupEventTime(10_000),
+					URL:  fmt.Sprintf("http://w%d.example.edu/d%d", w, d),
+					Size: int64(100 + d),
 				}
 				p.Append(cache.Event{Kind: cache.EventInsert, Doc: doc, At: groupEventTime(d)})
 				for h := 0; h < hitsPerDoc; h++ {
@@ -134,9 +133,8 @@ func TestGroupCommitRotateBarrier(t *testing.T) {
 				p.Append(cache.Event{
 					Kind: cache.EventInsert,
 					Doc: cache.Document{
-						URL:     fmt.Sprintf("http://w%d.example.edu/d%d", w, d),
-						Size:    64,
-						Expires: groupEventTime(10_000),
+						URL:  fmt.Sprintf("http://w%d.example.edu/d%d", w, d),
+						Size: 64,
 					},
 					At: groupEventTime(d),
 				})
@@ -179,7 +177,7 @@ func TestGroupCommitCloseDrains(t *testing.T) {
 	for d := 0; d < docs; d++ {
 		p.Append(cache.Event{
 			Kind: cache.EventInsert,
-			Doc:  cache.Document{URL: fmt.Sprintf("http://h/d%d", d), Size: 1, Expires: groupEventTime(10_000)},
+			Doc:  cache.Document{URL: fmt.Sprintf("http://h/d%d", d), Size: 1},
 			At:   groupEventTime(d),
 		})
 	}
@@ -191,7 +189,7 @@ func TestGroupCommitCloseDrains(t *testing.T) {
 	}
 	p.Append(cache.Event{ // append after close is a silent no-op
 		Kind: cache.EventInsert,
-		Doc:  cache.Document{URL: "http://h/late", Size: 1, Expires: groupEventTime(10_000)},
+		Doc:  cache.Document{URL: "http://h/late", Size: 1},
 		At:   groupEventTime(0),
 	})
 

@@ -16,15 +16,15 @@ func sampleEvents() []cache.Event {
 	at := t0()
 	return []cache.Event{
 		{Kind: cache.EventInsert, Doc: cache.Document{URL: "http://a/1", Size: 100}, At: at},
-		{Kind: cache.EventInsert, Doc: cache.Document{URL: "http://a/2", Size: 2048, Expires: at.Add(time.Hour)}, At: at.Add(time.Second)},
+		{Kind: cache.EventInsert, Doc: cache.Document{URL: "http://a/2", Size: 2048}, At: at.Add(time.Second)},
 		{Kind: cache.EventHit, Doc: cache.Document{URL: "http://a/1", Size: 100}, At: at.Add(2 * time.Second)},
 		{Kind: cache.EventPromote, Doc: cache.Document{URL: "http://a/2", Size: 2048}, At: at.Add(3 * time.Second)},
 		{Kind: cache.EventEvict, Doc: cache.Document{URL: "http://a/1", Size: 100}, At: at.Add(4 * time.Second), Age: 90 * time.Second},
 		{Kind: cache.EventRemove, Doc: cache.Document{URL: "http://a/2", Size: 2048}},
-		{Kind: cache.EventDemote, Doc: cache.Document{URL: "http://a/3", Size: 512, Expires: at.Add(time.Hour)},
+		{Kind: cache.EventDemote, Doc: cache.Document{URL: "http://a/3", Size: 512},
 			At: at.Add(5 * time.Second), Age: 30 * time.Second,
 			EnteredAt: at, LastHit: at.Add(2 * time.Second), Hits: 4},
-		{Kind: cache.EventPromoteFromDisk, Doc: cache.Document{URL: "http://a/3", Size: 512, Expires: at.Add(time.Hour)},
+		{Kind: cache.EventPromoteFromDisk, Doc: cache.Document{URL: "http://a/3", Size: 512},
 			At: at.Add(6 * time.Second), EnteredAt: at, LastHit: at.Add(6 * time.Second), Hits: 5},
 		{Kind: cache.EventEvict, Tier: cache.TierDisk, Doc: cache.Document{URL: "http://a/4", Size: 64},
 			At: at.Add(7 * time.Second), Age: 45 * time.Second},
@@ -177,7 +177,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		Gen: 7,
 		Entries: []EntryState{
 			{URL: "http://a/1", Size: 100, EnteredAt: at, LastHit: at.Add(time.Minute), Hits: 3},
-			{URL: "http://a/2", Size: 2048, Expires: at.Add(time.Hour), EnteredAt: at.Add(time.Second), LastHit: at.Add(time.Second), Hits: 1},
+			{URL: "http://a/2", Size: 2048, EnteredAt: at.Add(time.Second), LastHit: at.Add(time.Second), Hits: 1},
 		},
 		Tracker: cache.TrackerState{
 			Window:          8,

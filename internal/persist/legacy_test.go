@@ -100,7 +100,7 @@ func TestAppendEventMatchesLegacy(t *testing.T) {
 			for _, tier := range []cache.Tier{cache.TierMemory, cache.TierDisk} {
 				evs = append(evs, cache.Event{
 					Kind: kind, Tier: tier,
-					Doc: cache.Document{URL: url, Size: 1 << 33, Expires: at.Add(time.Hour)},
+					Doc: cache.Document{URL: url, Size: 1 << 33},
 					At:  at.Add(time.Minute), Age: 90 * time.Second,
 					EnteredAt: at.Add(-time.Hour), LastHit: at, Hits: 1<<40 + 3,
 				})

@@ -26,7 +26,7 @@ import (
 func TestJournalTierRoundTrip(t *testing.T) {
 	at := t0()
 	demote := cache.Event{Kind: cache.EventDemote,
-		Doc:       cache.Document{URL: "http://t/1", Size: 4096, Expires: at.Add(2 * time.Hour)},
+		Doc:       cache.Document{URL: "http://t/1", Size: 4096},
 		At:        at.Add(10 * time.Second),
 		Age:       25 * time.Second,
 		EnteredAt: at,
@@ -36,7 +36,7 @@ func TestJournalTierRoundTrip(t *testing.T) {
 	evs := []cache.Event{
 		demote,
 		{Kind: cache.EventPromoteFromDisk,
-			Doc:       cache.Document{URL: "http://t/1", Size: 4096, Expires: at.Add(2 * time.Hour)},
+			Doc:       cache.Document{URL: "http://t/1", Size: 4096},
 			At:        at.Add(20 * time.Second),
 			EnteredAt: at,
 			Hits:      8},
@@ -59,8 +59,7 @@ func TestJournalTierRoundTrip(t *testing.T) {
 	}
 
 	p := got[1]
-	if p.Kind != cache.EventPromoteFromDisk || p.Doc.Size != 4096 || p.Hits != 8 || !p.EnteredAt.Equal(at) ||
-		!p.Doc.Expires.Equal(at.Add(2*time.Hour)) {
+	if p.Kind != cache.EventPromoteFromDisk || p.Doc.Size != 4096 || p.Hits != 8 || !p.EnteredAt.Equal(at) {
 		t.Fatalf("promote-disk = %+v", p)
 	}
 	if !p.LastHit.Equal(p.At) {
