@@ -19,7 +19,6 @@ import (
 	"eacache/internal/core"
 	"eacache/internal/group"
 	"eacache/internal/obs"
-	"eacache/internal/proxy"
 	"eacache/internal/resolve"
 	"eacache/internal/sim"
 	"eacache/internal/trace"
@@ -46,7 +45,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		window     = fs.Int("window", 0, "expiration-age window in evictions (0 = the group's default horizon, -1 = cumulative)")
 		horizon    = fs.Duration("horizon", 0, "expiration-age time horizon (0 = group default)")
 		location   = fs.String("location", "icp", `document location: "icp", "digest" or "hash"`)
-		ttl        = fs.Bool("ttl", false, "stamp era-mix freshness lifetimes on documents (coherence)")
 		warmup     = fs.Float64("warmup", 0, "fraction of the trace replayed uncounted to warm the caches")
 		popularity = fs.Bool("popularity", false, "print the trace's popularity analysis")
 		decisions  = fs.Int("decisions", 0, "print the last N placement verdicts with their expiration ages, as JSON")
@@ -76,10 +74,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var origin proxy.Origin = proxy.SizeHintOrigin{}
-	if *ttl {
-		origin = proxy.EraTTLOrigin()
-	}
 	if _, ok := cache.NewPolicy(*policy); !ok {
 		return fmt.Errorf("unknown policy %q", *policy)
 	}
@@ -103,7 +97,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		ExpirationHorizon: *horizon,
 		Architecture:      architecture,
 		Location:          loc,
-		Origin:            origin,
 		Decisions:         decisionLog,
 	})
 	if err != nil {

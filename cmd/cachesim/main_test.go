@@ -189,7 +189,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-func TestRunDigestTTLWarmup(t *testing.T) {
+func TestRunDigestWarmup(t *testing.T) {
 	path := writeTempTrace(t)
 	var out, errOut bytes.Buffer
 	err := run([]string{
@@ -198,7 +198,6 @@ func TestRunDigestTTLWarmup(t *testing.T) {
 		"-caches", "3",
 		"-aggregate", "96KB",
 		"-location", "digest",
-		"-ttl",
 		"-warmup", "0.25",
 		"-popularity",
 		"-policy", "lfu",

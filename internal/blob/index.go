@@ -31,8 +31,8 @@ const (
 	maxIndexPayload = 64 << 10
 	// indexOverhead is the framing cost: length, kind, CRC.
 	indexOverhead = 4 + 1 + 4
-	// putFixed is what a put payload carries after the URL: size, three
-	// times, hits, sum, segment, offset.
+	// putFixed is what a put payload carries after the URL: size, a
+	// reserved zero slot, two times, hits, sum, segment, offset.
 	putFixed = 5*8 + 32 + 4 + 8
 )
 
@@ -87,7 +87,7 @@ func appendIndexRecord(dst []byte, r IndexRecord) []byte {
 	dst = append(dst, url...)
 	if !r.Del {
 		dst = le.AppendUint64(dst, uint64(r.Entry.Doc.Size))
-		dst = le.AppendUint64(dst, uint64(timeToNano(r.Entry.Doc.Expires)))
+		dst = le.AppendUint64(dst, 0) // reserved: the retired expiry
 		dst = le.AppendUint64(dst, uint64(timeToNano(r.Entry.EnteredAt)))
 		dst = le.AppendUint64(dst, uint64(timeToNano(r.Entry.LastHit)))
 		dst = le.AppendUint64(dst, uint64(r.Entry.Hits))
@@ -117,7 +117,6 @@ func decodeIndexPayload(kind byte, p []byte) (r IndexRecord, err error) {
 		p = p[4+n:]
 		i64 := func(i int) int64 { return int64(le.Uint64(p[8*i:])) }
 		r.Entry.Doc.Size = i64(0)
-		r.Entry.Doc.Expires = nanoToTime(i64(1))
 		r.Entry.EnteredAt = nanoToTime(i64(2))
 		r.Entry.LastHit = nanoToTime(i64(3))
 		r.Entry.Hits = i64(4)

@@ -81,6 +81,36 @@ func TestIndexLogGolden(t *testing.T) {
 	}
 }
 
+// TestIndexExpirySlotIsSkipped: a put frame keeps the 8-byte slot after
+// the size where a document expiry used to be. A log written while the
+// slot still held a deadline replays exactly as the golden, which wrote
+// it zero.
+func TestIndexExpirySlotIsSkipped(t *testing.T) {
+	golden, err := hex.DecodeString(goldenLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	old := bytes.Clone(golden)
+	slot := 4 + 1 + 4 + len("http://golden/a") + 8 // length, kind, url, size
+	if le.Uint64(old[slot:]) != 0 {
+		t.Fatal("golden put frame has a non-zero expiry slot")
+	}
+	le.PutUint64(old[slot:], 1_700_003_600_000_000_000)
+	end := 4 + 1 + int(le.Uint32(old))
+	le.PutUint32(old[end:], crc32.Checksum(old[4:end], crcTable))
+	got, valid, damage := ReplayIndex(old)
+	want, _, _ := ReplayIndex(golden)
+	if damage != nil || valid != len(old) || len(got) != len(want) {
+		t.Fatalf("old log replays to %d records over %d of %d bytes: %v", len(got), valid, len(old), damage)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("record %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
 // FuzzReplayIndex: the index decoder never panics, never claims more than
 // it was given, accepts only what the encoder produces byte for byte, and
 // stops at a frame of the retired put kind as it stops at any damage.

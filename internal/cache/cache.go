@@ -33,17 +33,6 @@ type Document struct {
 	// records with the 4KB average document size before simulation, so
 	// sizes here are always positive.
 	Size int64
-	// Expires is the document's freshness deadline (cache coherence).
-	// The zero value means the document never goes stale — the paper's
-	// setting, which studies placement in isolation. A stale copy still
-	// occupies space until replaced, but must not be served or
-	// advertised.
-	Expires time.Time
-}
-
-// FreshAt reports whether the document may be served at time t.
-func (d Document) FreshAt(t time.Time) bool {
-	return d.Expires.IsZero() || !d.Expires.Before(t)
 }
 
 // Entry is a cached document plus the replacement/expiration metadata the

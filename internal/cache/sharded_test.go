@@ -49,7 +49,7 @@ func replayEquivalence(t *testing.T, plain *Store, sharded *ShardedStore, steps 
 		url := fmt.Sprintf("http://host%d.example.edu/d%d", next(7), next(40))
 		switch next(10) {
 		case 0, 1, 2, 3: // Put
-			d := Document{URL: url, Size: int64(100 + next(900)), Expires: now.Add(time.Duration(1+next(3600)) * time.Second)}
+			d := Document{URL: url, Size: int64(100 + next(900))}
 			evP, errP := plain.Put(d, now)
 			evS, errS := sharded.Put(d, now)
 			if (errP == nil) != (errS == nil) || len(evP) != len(evS) {
@@ -129,7 +129,7 @@ func TestShardedConcurrentHammer(t *testing.T) {
 				url := fmt.Sprintf("http://h%d/d%d", next(5), next(200))
 				switch next(6) {
 				case 0, 1:
-					_, _ = s.Put(Document{URL: url, Size: int64(64 + next(2048)), Expires: now.Add(time.Hour)}, now)
+					_, _ = s.Put(Document{URL: url, Size: int64(64 + next(2048))}, now)
 				case 2, 3:
 					_, _ = s.Get(url, now)
 				case 4:
@@ -158,7 +158,7 @@ func TestShardedTrackerRestoreRoundTrip(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		now = now.Add(time.Second)
 		url := fmt.Sprintf("http://h/d%d", i%60)
-		_, _ = src.Put(Document{URL: url, Size: 100, Expires: now.Add(time.Duration(i%50+1) * time.Minute)}, now)
+		_, _ = src.Put(Document{URL: url, Size: 100}, now)
 	}
 	if src.Evictions() == 0 {
 		t.Fatal("workload produced no evictions; tracker round trip untested")
@@ -204,7 +204,7 @@ func TestShardedCheckpointView(t *testing.T) {
 	want := map[string]bool{}
 	for i := 0; i < 50; i++ {
 		url := fmt.Sprintf("http://h/d%d", i)
-		if _, err := s.Put(Document{URL: url, Size: 128, Expires: now.Add(time.Hour)}, now); err != nil {
+		if _, err := s.Put(Document{URL: url, Size: 128}, now); err != nil {
 			t.Fatal(err)
 		}
 		want[url] = true
@@ -227,7 +227,7 @@ func TestShardedCheckpointView(t *testing.T) {
 		}
 	}
 	// Locks must be released: a Put after Checkpoint completes.
-	if _, err := s.Put(Document{URL: "http://h/after", Size: 1, Expires: now.Add(time.Hour)}, now); err != nil {
+	if _, err := s.Put(Document{URL: "http://h/after", Size: 1}, now); err != nil {
 		t.Fatalf("Put after checkpoint: %v", err)
 	}
 }
@@ -243,7 +243,7 @@ func TestShardedExpirationAgeInvalidatedOnEviction(t *testing.T) {
 	// Fill past capacity so Puts evict.
 	for i := 0; i < 20; i++ {
 		now = now.Add(time.Second)
-		_, _ = s.Put(Document{URL: fmt.Sprintf("http://h/d%d", i), Size: 150, Expires: now.Add(time.Minute)}, now)
+		_, _ = s.Put(Document{URL: fmt.Sprintf("http://h/d%d", i), Size: 150}, now)
 	}
 	if s.Evictions() == 0 {
 		t.Fatal("no evictions; the signal untested")

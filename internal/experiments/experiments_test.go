@@ -97,15 +97,15 @@ func TestRunMemoization(t *testing.T) {
 
 // TestAllReplaysEachConfigurationOnce: the quick pass's experiments share
 // their configurations, so every replay of the suite's trace is one memo
-// entry, and the entries are the 44 distinct configurations the tables
+// entry, and the entries are the 40 distinct configurations the tables
 // ask for.
 func TestAllReplaysEachConfigurationOnce(t *testing.T) {
 	s := testSuite(t)
 	if _, err := s.All(); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.runs) != 44 {
-		t.Fatalf("All() replayed %d configurations, want 44", len(s.runs))
+	if len(s.runs) != 40 {
+		t.Fatalf("All() replayed %d configurations, want 40", len(s.runs))
 	}
 }
 
@@ -269,33 +269,6 @@ func TestModelCheckAgreement(t *testing.T) {
 		}
 		if diff < -3 || diff > 3 {
 			t.Fatalf("model and simulator disagree by %vpp at capacity %s", diff, row[0])
-		}
-	}
-}
-
-func TestCoherenceTableShape(t *testing.T) {
-	s := testSuite(t)
-	table, err := s.Coherence()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rows alternate immortal / era mix per size; the era-mix hit rate
-	// must not exceed the immortal one for the same scheme and size.
-	for i := 0; i+1 < len(table.Rows); i += 2 {
-		immortal, mortal := table.Rows[i], table.Rows[i+1]
-		if immortal[1] != "immortal" || mortal[1] != "era mix" {
-			t.Fatalf("row order unexpected: %v / %v", immortal, mortal)
-		}
-		ih, err := strconv.ParseFloat(strings.TrimSuffix(immortal[2], "%"), 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mh, err := strconv.ParseFloat(strings.TrimSuffix(mortal[2], "%"), 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mh > ih+0.5 {
-			t.Fatalf("expiry raised the hit rate: %v vs %v", immortal, mortal)
 		}
 	}
 }

@@ -97,42 +97,6 @@ func (s *Suite) Partitioned() (*Table, error) {
 	return t, nil
 }
 
-// Coherence measures the freshness tax: the same workload replayed with an
-// origin that stamps era-shaped lifetimes on documents (10% expire in 5min,
-// 30% in 1h, the rest never) versus the paper's coherence-free setting.
-// Stale copies are neither served locally, advertised over ICP, nor served
-// remotely; the placement schemes run unchanged on top.
-func (s *Suite) Coherence() (*Table, error) {
-	t := &Table{
-		ID:    "coherence",
-		Title: "Freshness (TTL) tax on both placement schemes (coherence substrate)",
-		Columns: []string{"aggregate", "ttl mix",
-			"adhoc hit", "ea hit", "ea-adhoc (pp)"},
-		Notes: []string{
-			"the EA advantage survives coherence: expiry hurts both schemes alike",
-		},
-	}
-	sizes := middleSizes(s.cfg.Sizes, 2)
-	for _, size := range sizes {
-		for _, mortal := range []bool{false, true} {
-			label := "immortal"
-			if mortal {
-				label = "era mix"
-			}
-			c := s.cell(s.cfg.Caches, size)
-			c.ttl = mortal
-			adhoc, ea, err := s.runPair(c)
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow(sim.FormatBytes(size), label,
-				pct(adhoc.Group.HitRate()), pct(ea.Group.HitRate()),
-				fmt.Sprintf("%+.2f", 100*(ea.Group.HitRate()-adhoc.Group.HitRate())))
-		}
-	}
-	return t, nil
-}
-
 // WorstCase reproduces the §2 thought experiment: "The worst case of this
 // limitation, though hypothetical, would be all the documents being
 // replicated on all the caches. In this case, the effective disk space in

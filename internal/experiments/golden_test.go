@@ -23,7 +23,6 @@ func TestAllGolden(t *testing.T) {
 		"hierarchy":       "915c20274aa02121",
 		"location":        "66898820afd38974",
 		"partitioned":     "14314de9a33c461d",
-		"coherence":       "c053f4f7d1ea3897",
 		"worstcase":       "ee99adcabcbb8222",
 		"model-check":     "a002a2690cafc833",
 	}

@@ -16,7 +16,7 @@ import (
 var IDs = []string{
 	"fig1", "fig2", "fig3", "table1", "table2",
 	"groupsize", "replication", "ablation-policy", "ablation-window", "hierarchy",
-	"location", "partitioned", "coherence", "worstcase", "model-check",
+	"location", "partitioned", "worstcase", "model-check",
 }
 
 // Experiment runs one experiment by ID.
@@ -46,8 +46,6 @@ func (s *Suite) Experiment(id string) (*Table, error) {
 		return s.Location()
 	case "partitioned":
 		return s.Partitioned()
-	case "coherence":
-		return s.Coherence()
 	case "worstcase":
 		return s.WorstCase()
 	case "model-check":

@@ -29,12 +29,38 @@ func MultiSeed(traces [][]trace.Record, cfg Config) (*Table, error) {
 		},
 	}
 
-	type deltas struct{ hit, byteHit, latency []float64 }
+	perSize, err := seedDeltas(traces, cfg)
+	if err != nil {
+		return nil, err
+	}
+
+	for _, size := range cfg.Sizes {
+		d := perSize[size]
+		label := sim.FormatBytes(size)
+		if d.saturated == len(traces) {
+			label += " (saturated)"
+		}
+		t.AddRow(label, meanSD(d.hit), meanSD(d.byteHit), meanSD(d.latency))
+	}
+	return t, nil
+}
+
+// deltas are one size's EA-minus-ad-hoc differences, one per workload:
+// hit and byte hit rates in percentage points, estimated latency in ms.
+// saturated counts the workloads whose ad-hoc group evicted nothing at
+// that size, so both schemes sit at the trace's hit-rate ceiling.
+type deltas struct {
+	hit, byteHit, latency []float64
+	saturated             int
+}
+
+// seedDeltas replays every workload at each of cfg's sizes under both
+// schemes (cfg must have its defaults applied).
+func seedDeltas(traces [][]trace.Record, cfg Config) (map[int64]*deltas, error) {
 	perSize := make(map[int64]*deltas, len(cfg.Sizes))
 	for _, size := range cfg.Sizes {
 		perSize[size] = &deltas{}
 	}
-
 	for _, records := range traces {
 		suite := NewSuite(records, cfg)
 		for _, size := range cfg.Sizes {
@@ -47,15 +73,16 @@ func MultiSeed(traces [][]trace.Record, cfg Config) (*Table, error) {
 			d.byteHit = append(d.byteHit, 100*(ea.Group.ByteHitRate()-adhoc.Group.ByteHitRate()))
 			d.latency = append(d.latency,
 				float64((ea.EstimatedLatency-adhoc.EstimatedLatency)/time.Millisecond))
+			var evictions int64
+			for _, p := range adhoc.PerProxy {
+				evictions += p.Evictions
+			}
+			if evictions == 0 {
+				d.saturated++
+			}
 		}
 	}
-
-	for _, size := range cfg.Sizes {
-		d := perSize[size]
-		t.AddRow(sim.FormatBytes(size),
-			meanSD(d.hit), meanSD(d.byteHit), meanSD(d.latency))
-	}
-	return t, nil
+	return perSize, nil
 }
 
 // meanSD formats mean ± sample standard deviation.

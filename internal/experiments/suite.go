@@ -9,7 +9,6 @@ import (
 	"eacache/internal/core"
 	"eacache/internal/group"
 	"eacache/internal/metrics"
-	"eacache/internal/proxy"
 	"eacache/internal/resolve"
 	"eacache/internal/sim"
 	"eacache/internal/trace"
@@ -71,7 +70,7 @@ func (c Config) withDefaults() Config {
 
 // Suite runs experiments over one reference stream, memoizing replays so
 // that experiments sharing a configuration (fig1/fig2/fig3/table1/table2,
-// the ICP row of location, the immortal rows of coherence) cost one pass.
+// the ICP row of location) cost one pass.
 type Suite struct {
 	records []trace.Record
 	cfg     Config
@@ -91,9 +90,6 @@ type cell struct {
 	window    int
 	horizon   time.Duration
 	location  resolve.Location
-	// ttl stamps era-mix freshness lifetimes on documents; the default
-	// origin's documents are immortal.
-	ttl bool
 }
 
 // NewSuite prepares a suite over a copy of records (cleaned of zero sizes,
@@ -115,8 +111,8 @@ func (s *Suite) Records() []trace.Record { return s.records }
 func (s *Suite) Config() Config { return s.cfg }
 
 // cell returns the suite's configuration at one group size and aggregate,
-// scheme unset: distributed, LRU, ICP, immortal documents and the suite's
-// expiration-age window.
+// scheme unset: distributed, LRU, ICP and the suite's expiration-age
+// window.
 func (s *Suite) cell(caches int, aggregate int64) cell {
 	return cell{
 		caches: caches, aggregate: aggregate, policy: "lru",
@@ -146,10 +142,6 @@ func (s *Suite) run(c cell) (*sim.Report, error) {
 	if _, ok := cache.NewPolicy(c.policy); !ok {
 		return nil, fmt.Errorf("experiments: unknown policy %q", c.policy)
 	}
-	var origin proxy.Origin // nil: the group's immortal default
-	if c.ttl {
-		origin = proxy.EraTTLOrigin()
-	}
 	g, err := group.New(group.Config{
 		Caches:         c.caches,
 		AggregateBytes: c.aggregate,
@@ -162,7 +154,6 @@ func (s *Suite) run(c cell) (*sim.Report, error) {
 		ExpirationHorizon: c.horizon,
 		Architecture:      c.arch,
 		Location:          c.location,
-		Origin:            origin,
 	})
 	if err != nil {
 		return nil, err

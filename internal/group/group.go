@@ -78,9 +78,6 @@ type Config struct {
 	// Architecture selects distributed or hierarchical cooperation.
 	// Defaults to Distributed.
 	Architecture Architecture
-	// Origin resolves group-wide misses. Defaults to
-	// proxy.SizeHintOrigin.
-	Origin proxy.Origin
 	// Location selects the document-location mechanism (ICP queries,
 	// Summary-Cache digests, or consistent-hash home routing). Defaults
 	// to resolve.LocateICP, the paper's setting. LocateHash requires the
@@ -123,9 +120,6 @@ func New(cfg Config) (*Group, error) {
 		// hierarchical parent would reintroduce a second copy holder.
 		return nil, fmt.Errorf("group: hash location is incompatible with the hierarchical architecture")
 	}
-	if cfg.Origin == nil {
-		cfg.Origin = proxy.SizeHintOrigin{}
-	}
 	window, horizon := cfg.ExpirationWindow, cfg.ExpirationHorizon
 	switch {
 	case window == CumulativeAges && horizon != 0:
@@ -161,7 +155,7 @@ func New(cfg Config) (*Group, error) {
 			ID:        id,
 			Store:     store,
 			Scheme:    cfg.Scheme,
-			Origin:    cfg.Origin,
+			Origin:    proxy.SizeHintOrigin{},
 			Location:  cfg.Location,
 			Digest:    cfg.Digest,
 			Decisions: cfg.Decisions,

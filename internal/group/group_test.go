@@ -10,7 +10,6 @@ import (
 	"eacache/internal/cache"
 	"eacache/internal/core"
 	"eacache/internal/obs"
-	"eacache/internal/proxy"
 	"eacache/internal/resolve"
 )
 
@@ -344,25 +343,5 @@ func TestGroupTracerPassThrough(t *testing.T) {
 			t.Fatalf("hash-routed miss logged %q, want %q", got, want)
 		}
 		break
-	}
-}
-
-func TestGroupTTLOriginPassThrough(t *testing.T) {
-	g, err := New(Config{
-		Caches:         1,
-		AggregateBytes: 1 << 20,
-		Scheme:         core.AdHoc{},
-		Origin:         proxy.TTLOrigin{Classes: []proxy.TTLClass{{Fraction: 1, TTL: time.Minute}}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := g.Leaves()[0]
-	if _, err := p.Request("http://d/", 100, at(0)); err != nil {
-		t.Fatal(err)
-	}
-	doc, ok := p.Store().Peek("http://d/")
-	if !ok || doc.Expires.IsZero() {
-		t.Fatalf("origin TTL not applied: %+v, %v", doc, ok)
 	}
 }

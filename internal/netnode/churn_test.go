@@ -27,17 +27,21 @@ import (
 )
 
 // churnConfig sizes the scenario: -short (the CI smoke) runs the same
-// transitions over a smaller catalogue instead of skipping.
+// transitions over a smaller catalogue instead of skipping. Either
+// catalogue is larger than the group's memory (three 1 MB stores), so
+// every node evicts before the first epoch change and each join or
+// readmission hands the entering node a share of full stores.
 type churnConfig struct {
 	docs     int
+	size     int64 // each document's size hint
 	interval time.Duration
 }
 
 func churnSize() churnConfig {
 	if testing.Short() {
-		return churnConfig{docs: 30, interval: 2 * time.Millisecond}
+		return churnConfig{docs: 30, size: 256 << 10, interval: 2 * time.Millisecond}
 	}
-	return churnConfig{docs: 80, interval: time.Millisecond}
+	return churnConfig{docs: 80, size: 128 << 10, interval: time.Millisecond}
 }
 
 // startChurnNode starts one hash node with the fast ejection/readmission
@@ -130,7 +134,7 @@ func TestChaosChurnKillJoinRevive(t *testing.T) {
 			default:
 			}
 			url := urls[i%len(urls)]
-			if _, err := entries[i%len(entries)].Request(url, 2048); err != nil {
+			if _, err := entries[i%len(entries)].Request(url, size.size); err != nil {
 				errCount.Add(1)
 				errOnce.Do(func() { firstErr = fmt.Errorf("request %s: %w", url, err) })
 			}
@@ -149,9 +153,18 @@ func TestChaosChurnKillJoinRevive(t *testing.T) {
 		}
 	}()
 
-	// Warm the group so the kill has resident state to orphan.
+	// Warm the group so the kill has resident state to orphan, and until
+	// every node has evicted: the stores the passes below walk are full.
 	waitFor(t, 10*time.Second, "warmup traffic", func() bool {
-		return requests.Load() > int64(2*size.docs)
+		if requests.Load() <= int64(2*size.docs) {
+			return false
+		}
+		for _, n := range nodes {
+			if n.store.Evictions() == 0 {
+				return false
+			}
+		}
+		return true
 	})
 
 	// Step 1 — kill c1. The survivors' breakers see the corpse, the
@@ -245,7 +258,7 @@ func TestChaosChurnKillJoinRevive(t *testing.T) {
 
 	// No lost documents: every URL still resolves through an entry node.
 	for _, u := range urls {
-		if _, err := nodes[0].Request(u, 2048); err != nil {
+		if _, err := nodes[0].Request(u, size.size); err != nil {
 			t.Fatalf("document lost after churn: %s: %v", u, err)
 		}
 	}

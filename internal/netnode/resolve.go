@@ -71,7 +71,7 @@ func (s nodeStore) StoreCopy(doc cache.Document, now time.Time) bool {
 // nodeStore is also the responder's Holder.
 var _ resolve.Holder = nodeStore{}
 
-func (s nodeStore) Peek(url string, _ time.Time) (cache.Document, bool) { return s.n.store.Peek(url) }
+func (s nodeStore) Peek(url string) (cache.Document, bool) { return s.n.store.Peek(url) }
 
 func (s nodeStore) Promote(url string, now time.Time) { s.n.store.Touch(url, now) }
 

@@ -9,8 +9,8 @@
 //
 // Both stacks delegate the request lifecycle to internal/resolve, so a
 // divergence here means an adapter leaks policy: a locator that orders
-// candidates differently, a store adapter with different freshness
-// semantics, or a transport that rounds an expiration age. Determinism
+// candidates differently, a store adapter that serves a copy the other
+// would not, or a transport that rounds an expiration age. Determinism
 // on the live side rests on three legs: requests are replayed
 // sequentially, the live node orders ICP hit responders by peer-list
 // position (not reply arrival) and, under the 10s ICP timeout set here,

@@ -14,13 +14,13 @@
 //
 // Payloads per kind (url = u16 length + bytes, times are unix nanos):
 //
-//	insert:       url, i64 size, i64 expires, i64 at
+//	insert:       url, i64 size, i64 0, i64 at
 //	hit:          url, i64 at
 //	promote:      url, i64 at
 //	evict:        url, i64 at, i64 age
 //	remove:       url
 //	demote:       url
-//	promote-disk: url, i64 at, i64 size, i64 expires, i64 enteredAt,
+//	promote-disk: url, i64 at, i64 size, i64 0, i64 enteredAt,
 //	              i64 hits
 //	disk-evict:   url, i64 at, i64 age
 //
@@ -31,7 +31,10 @@
 // events use their cache.EventKind value (1-7) as the kind byte and the
 // disk-tier evict gets the dedicated code 8. Kind 9 (disk-remove) and the
 // demote frame that carried the entry's metadata and checksum are retired:
-// a journal that holds one is damaged from there.
+// a journal that holds one is damaged from there. The i64 0 of insert and
+// promote-disk is a reserved slot where a document expiry used to be: it
+// is written as zero and skipped on replay, so older journals replay
+// unchanged.
 package persist
 
 import (
@@ -85,7 +88,7 @@ func appendEvent(dst []byte, ev cache.Event) ([]byte, error) {
 	switch ev.Kind {
 	case cache.EventInsert:
 		p.i64(ev.Doc.Size)
-		p.i64(timeToNano(ev.Doc.Expires))
+		p.i64(0) // reserved
 		p.i64(timeToNano(ev.At))
 	case cache.EventHit, cache.EventPromote:
 		p.i64(timeToNano(ev.At))
@@ -97,7 +100,7 @@ func appendEvent(dst []byte, ev cache.Event) ([]byte, error) {
 	case cache.EventPromoteFromDisk:
 		p.i64(timeToNano(ev.At))
 		p.i64(ev.Doc.Size)
-		p.i64(timeToNano(ev.Doc.Expires))
+		p.i64(0) // reserved
 		p.i64(timeToNano(ev.EnteredAt))
 		p.i64(ev.Hits)
 	default:
@@ -123,7 +126,7 @@ func decodeEventPayload(kind byte, payload []byte) (cache.Event, error) {
 	switch {
 	case ev.Kind == cache.EventInsert:
 		ev.Doc.Size = d.i64()
-		ev.Doc.Expires = nanoToTime(d.i64())
+		d.take(8) // reserved
 		ev.At = nanoToTime(d.i64())
 		if d.err == nil && ev.Doc.Size <= 0 {
 			d.fail("non-positive size %d", ev.Doc.Size)
@@ -138,7 +141,7 @@ func decodeEventPayload(kind byte, payload []byte) (cache.Event, error) {
 	case ev.Kind == cache.EventPromoteFromDisk:
 		ev.At = nanoToTime(d.i64())
 		ev.Doc.Size = d.i64()
-		ev.Doc.Expires = nanoToTime(d.i64())
+		d.take(8) // reserved
 		ev.EnteredAt = nanoToTime(d.i64())
 		ev.Hits = d.i64()
 		ev.LastHit = ev.At

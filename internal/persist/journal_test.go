@@ -70,7 +70,7 @@ func TestJournalRoundTrip(t *testing.T) {
 			t.Fatalf("event %d At = %v, want %v", i, g.At, w.At)
 		}
 		if w.Kind == cache.EventInsert {
-			if g.Doc.Size != w.Doc.Size || !g.Doc.Expires.Equal(w.Doc.Expires) {
+			if g.Doc.Size != w.Doc.Size {
 				t.Fatalf("event %d doc = %+v, want %+v", i, g.Doc, w.Doc)
 			}
 		}
@@ -199,7 +199,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	for i := range st.Entries {
 		w, g := st.Entries[i], got.Entries[i]
 		if g.URL != w.URL || g.Size != w.Size || g.Hits != w.Hits ||
-			!g.Expires.Equal(w.Expires) || !g.EnteredAt.Equal(w.EnteredAt) || !g.LastHit.Equal(w.LastHit) {
+			!g.EnteredAt.Equal(w.EnteredAt) || !g.LastHit.Equal(w.LastHit) {
 			t.Fatalf("entry %d = %+v, want %+v", i, g, w)
 		}
 	}

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"testing"
@@ -30,7 +31,7 @@ func legacyMarshalEvent(ev cache.Event) ([]byte, error) {
 	switch ev.Kind {
 	case cache.EventInsert:
 		p.i64(ev.Doc.Size)
-		p.i64(timeToNano(ev.Doc.Expires))
+		p.i64(0) // the expiry slot, now reserved
 		p.i64(timeToNano(ev.At))
 	case cache.EventHit, cache.EventPromote:
 		p.i64(timeToNano(ev.At))
@@ -42,7 +43,7 @@ func legacyMarshalEvent(ev cache.Event) ([]byte, error) {
 	case cache.EventPromoteFromDisk:
 		p.i64(timeToNano(ev.At))
 		p.i64(ev.Doc.Size)
-		p.i64(timeToNano(ev.Doc.Expires))
+		p.i64(0) // the expiry slot, now reserved
 		p.i64(timeToNano(ev.EnteredAt))
 		p.i64(ev.Hits)
 	default:
@@ -72,7 +73,7 @@ func parentDemoteFrame(ev cache.Event) []byte {
 	p.i64(timeToNano(ev.At))
 	p.i64(int64(ev.Age))
 	p.i64(ev.Doc.Size)
-	p.i64(timeToNano(ev.Doc.Expires))
+	p.i64(0) // the expiry slot, now reserved
 	p.i64(timeToNano(ev.EnteredAt))
 	p.i64(timeToNano(ev.LastHit))
 	p.i64(ev.Hits)
@@ -133,5 +134,52 @@ func TestAppendEventMatchesLegacy(t *testing.T) {
 	// the hand-written ones.
 	if want := 3*8 + len(sampleEvents()) + 1; accepted != want {
 		t.Fatalf("%d events were encodable, expected %d", accepted, want)
+	}
+}
+
+// TestExpirySlotIsSkipped: the insert and promote-disk frames and the
+// EACSNAP3 entry keep the 8-byte slot where a document expiry used to be.
+// A journal or snapshot written while the slot still held a deadline
+// reads back exactly as one written with the slot zero.
+func TestExpirySlotIsSkipped(t *testing.T) {
+	const deadline = 1_700_003_600_000_000_000
+	at := t0()
+	url := "http://a/old"
+	var ins, pd encoder
+	ins.str(url)
+	ins.i64(2048)
+	ins.i64(deadline)
+	ins.i64(timeToNano(at))
+	pd.str(url)
+	pd.i64(timeToNano(at))
+	pd.i64(2048)
+	pd.i64(deadline)
+	pd.i64(timeToNano(at))
+	pd.i64(3)
+	old := append(rawFrame(byte(cache.EventInsert), ins.b), rawFrame(byte(cache.EventPromoteFromDisk), pd.b)...)
+	now := encodeAll(t, []cache.Event{
+		{Kind: cache.EventInsert, Doc: cache.Document{URL: url, Size: 2048}, At: at},
+		{Kind: cache.EventPromoteFromDisk, Doc: cache.Document{URL: url, Size: 2048}, At: at, EnteredAt: at, Hits: 3},
+	})
+	if len(old) != len(now) {
+		t.Fatalf("old frames are %d bytes, new %d", len(old), len(now))
+	}
+	got, good, damage := ReplayJournal(old)
+	want, _, _ := ReplayJournal(now)
+	if damage != nil || good != len(old) || len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("old frames replay as %+v (%d of %d bytes, %v), want %+v", got, good, len(old), damage, want)
+	}
+
+	entry := EntryState{URL: url, Size: 2048, EnteredAt: at, LastHit: at, Hits: 3}
+	snap := EncodeSnapshot(State{Gen: 1, Entries: []EntryState{entry}})
+	slot := len(snapMagic) + 8 + 4 + 2 + len(url) + 8 // magic, gen, count, url, size
+	if binary.LittleEndian.Uint64(snap[slot:]) != 0 {
+		t.Fatal("snapshot wrote a non-zero expiry slot")
+	}
+	binary.LittleEndian.PutUint64(snap[slot:], deadline)
+	binary.LittleEndian.PutUint32(snap[len(snap)-4:], crc32.Checksum(snap[len(snapMagic):len(snap)-4], crcTable))
+	st, err := DecodeSnapshot(snap)
+	if err != nil || len(st.Entries) != 1 || st.Entries[0] != entry {
+		t.Fatalf("old snapshot decodes as %+v, %v; want %+v", st.Entries, err, entry)
 	}
 }

@@ -581,7 +581,6 @@ func (r *replayState) apply(ev cache.Event) {
 	case cache.EventInsert:
 		if e, ok := r.entries[ev.Doc.URL]; ok {
 			e.Size = ev.Doc.Size
-			e.Expires = ev.Doc.Expires
 			e.Hits++
 			e.LastHit = ev.At
 			return
@@ -589,7 +588,6 @@ func (r *replayState) apply(ev cache.Event) {
 		r.entries[ev.Doc.URL] = &EntryState{
 			URL:       ev.Doc.URL,
 			Size:      ev.Doc.Size,
-			Expires:   ev.Doc.Expires,
 			EnteredAt: ev.At,
 			LastHit:   ev.At,
 			Hits:      1,
@@ -610,7 +608,6 @@ func (r *replayState) apply(ev cache.Event) {
 		r.entries[ev.Doc.URL] = &EntryState{
 			URL:       ev.Doc.URL,
 			Size:      ev.Doc.Size,
-			Expires:   ev.Doc.Expires,
 			EnteredAt: ev.EnteredAt,
 			LastHit:   ev.At,
 			Hits:      ev.Hits,

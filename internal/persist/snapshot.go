@@ -10,12 +10,15 @@
 //	[8]b  magic "EACSNAP3" (any other magic is a rejected snapshot)
 //	u64   journal generation
 //	u32   entry count
-//	per entry: url (u16 len + bytes), i64 size, i64 expires,
+//	per entry: url (u16 len + bytes), i64 size, i64 0,
 //	           i64 enteredAt, i64 lastHit, i64 hits
 //	i64   tracker window, i64 tracker horizon
 //	f64   tracker cumulative sum (seconds), i64 tracker cumulative count
 //	u32   tracker sample count, per sample: i64 at, i64 age
 //	u32   CRC32C over everything after the magic
+//
+// The i64 0 is a reserved slot where a document expiry used to be: written
+// as zero and skipped on decode, so older EACSNAP3 files read unchanged.
 //
 // Under a tiered store the entries are the memory tier's and the tracker
 // is the advertised exit tracker; blob-tier residency is not imaged (the
@@ -38,7 +41,6 @@ var snapMagic = []byte("EACSNAP3")
 type EntryState struct {
 	URL       string
 	Size      int64
-	Expires   time.Time
 	EnteredAt time.Time
 	LastHit   time.Time
 	Hits      int64
@@ -76,7 +78,7 @@ func EncodeSnapshot(st State) []byte {
 	for _, en := range st.Entries {
 		e.str(en.URL)
 		e.i64(en.Size)
-		e.i64(timeToNano(en.Expires))
+		e.i64(0) // reserved
 		e.i64(timeToNano(en.EnteredAt))
 		e.i64(timeToNano(en.LastHit))
 		e.i64(en.Hits)
@@ -130,7 +132,7 @@ func DecodeSnapshot(data []byte) (State, error) {
 	for i := 0; i < n; i++ {
 		en := EntryState{URL: d.str(maxJournalURL)}
 		en.Size = d.i64()
-		en.Expires = nanoToTime(d.i64())
+		d.take(8) // reserved
 		en.EnteredAt = nanoToTime(d.i64())
 		en.LastHit = nanoToTime(d.i64())
 		en.Hits = d.i64()
@@ -183,7 +185,6 @@ func CaptureState(store cache.StoreView) State {
 		st.Entries = append(st.Entries, EntryState{
 			URL:       e.Doc.URL,
 			Size:      e.Doc.Size,
-			Expires:   e.Doc.Expires,
 			EnteredAt: e.EnteredAt,
 			LastHit:   e.LastHit,
 			Hits:      e.Hits,
@@ -223,7 +224,7 @@ func Restore(store RestoreTarget, st State) RestoreStats {
 	})
 	var stats RestoreStats
 	for _, e := range entries {
-		doc := cache.Document{URL: e.URL, Size: e.Size, Expires: e.Expires}
+		doc := cache.Document{URL: e.URL, Size: e.Size}
 		if err := store.RestoreEntry(doc, e.EnteredAt, e.LastHit, e.Hits); err != nil {
 			stats.Skipped++
 			continue

@@ -22,16 +22,9 @@ type simStore struct{ p *Proxy }
 
 var _ resolve.LocalStore = simStore{}
 
-// Lookup serves a present-and-fresh copy, refreshing recency. A stale
-// copy must not be served: it stays resident (to be overwritten by the
-// re-fetch) but the request proceeds as a miss, without refreshing the
-// stale entry's replacement state.
+// Lookup serves a present copy, refreshing recency.
 func (s simStore) Lookup(_ any, url string, now time.Time) (cache.Document, bool) {
-	doc, ok := s.Peek(url, now)
-	if ok {
-		s.p.store.Get(url, now)
-	}
-	return doc, ok
+	return s.p.store.Get(url, now)
 }
 
 func (s simStore) ExpirationAge(now time.Time) time.Duration {
@@ -45,14 +38,9 @@ func (s simStore) StoreCopy(doc cache.Document, now time.Time) bool {
 // simStore is also the responder's Holder.
 var _ resolve.Holder = simStore{}
 
-// Peek serves a present-and-fresh copy without touching replacement
-// state.
-func (s simStore) Peek(url string, now time.Time) (cache.Document, bool) {
-	doc, ok := s.p.store.Peek(url)
-	if !ok || !doc.FreshAt(now) {
-		return cache.Document{}, false
-	}
-	return doc, true
+// Peek serves a present copy without touching replacement state.
+func (s simStore) Peek(url string) (cache.Document, bool) {
+	return s.p.store.Peek(url)
 }
 
 func (s simStore) Promote(url string, now time.Time) { s.p.store.Touch(url, now) }
@@ -90,7 +78,7 @@ func (l simLocator) Locate(_ any, url string, now time.Time) resolve.Located {
 		}
 		return p.hash.Locate(nil, url, now)
 	default: // LocateICP
-		if hit := p.icpLocate(url, now); hit != nil {
+		if hit := p.icpLocate(url); hit != nil {
 			return resolve.Located{Candidates: hit.self}
 		}
 		return resolve.Located{}
@@ -135,8 +123,8 @@ func (t simTransport) FetchParent(_ any, url string, sizeHint int64, reqAge time
 	return resolve.Remote{Doc: s.Doc, ResponderAge: s.Age, FromGroup: s.FromGroup}, nil
 }
 
-func (t simTransport) FetchOrigin(_ any, url string, sizeHint int64, _ time.Duration, now time.Time) (cache.Document, error) {
-	return t.p.fetchOrigin(url, sizeHint, now)
+func (t simTransport) FetchOrigin(_ any, url string, sizeHint int64, _ time.Duration, _ time.Time) (cache.Document, error) {
+	return t.p.fetchOrigin(url, sizeHint)
 }
 
 // simHooks maps the engine's decision points to placement decision

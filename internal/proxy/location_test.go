@@ -3,7 +3,6 @@ package proxy
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"eacache/internal/cache"
 	"eacache/internal/core"
@@ -24,27 +23,6 @@ func newDigestProxy(t *testing.T, id string, capacity int64) *Proxy {
 		Store:    store,
 		Scheme:   core.AdHoc{},
 		Origin:   SizeHintOrigin{},
-		Location: resolve.LocateDigest,
-		Digest:   digest.Config{Expected: 64, FPRate: 0.01},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-// newDigestProxyWithOrigin is newDigestProxy with a custom origin.
-func newDigestProxyWithOrigin(t *testing.T, id string, capacity int64, origin Origin) *Proxy {
-	t.Helper()
-	store, err := cache.New(cache.Config{Capacity: capacity})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := New(Config{
-		ID:       id,
-		Store:    store,
-		Scheme:   core.AdHoc{},
-		Origin:   origin,
 		Location: resolve.LocateDigest,
 		Digest:   digest.Config{Expected: 64, FPRate: 0.01},
 	})
@@ -123,34 +101,26 @@ func TestDigestAdvertisesNewContentImmediately(t *testing.T) {
 	}
 }
 
-// expiringOrigin hands out documents that expire ttl after the fetch.
-type expiringOrigin struct{ ttl time.Duration }
-
-func (o expiringOrigin) Fetch(url string, sizeHint int64, now time.Time) (cache.Document, error) {
-	if sizeHint <= 0 {
-		sizeHint = 4096
-	}
-	return cache.Document{URL: url, Size: sizeHint, Expires: now.Add(o.ttl)}, nil
-}
-
 func TestDigestFalseHitFallsThrough(t *testing.T) {
-	// The summary advertises membership, not freshness: a's copy of X
-	// expires while still resident, b's fetch attempt fails the
-	// freshness check (false hit), and the request falls through to the
-	// origin rather than erroring.
-	a := newDigestProxyWithOrigin(t, "a", 1<<20, expiringOrigin{ttl: 2 * time.Second})
-	b := newDigestProxyWithOrigin(t, "b", 1<<20, expiringOrigin{ttl: 2 * time.Second})
+	// The summary advertises what the store held when it last heard from
+	// it: a's summary stops following its store, X leaves a's cache but
+	// not the summary, b's fetch attempt finds nothing (false hit), and
+	// the request falls through to the origin rather than erroring.
+	a := newDigestProxy(t, "a", 1<<20)
+	b := newDigestProxy(t, "b", 1<<20)
 	wire(t, a, b)
 
 	if _, err := a.Request("http://x/", 200, at(0)); err != nil {
 		t.Fatal(err)
 	}
-	if !a.Store().Contains("http://x/") {
+	a.Store().SetEventSink(nil)
+	if !a.Store().Remove("http://x/") {
 		t.Fatal("test setup: x not resident at a")
 	}
+	if !a.advertisedMayContain("http://x/") {
+		t.Fatal("test setup: removed x no longer advertised")
+	}
 
-	// At at(3) a's copy has expired but is still resident — and still
-	// advertised, because the digest tracks membership only.
 	res, err := b.Request("http://x/", 200, at(3))
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ package proxy
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"time"
 
 	"eacache/internal/cache"
@@ -24,87 +23,25 @@ import (
 // simulations know each document's size from the trace record, so the
 // default origin materialises a document from the URL and size hint.
 type Origin interface {
-	// Fetch retrieves url from its origin server at time now. sizeHint
-	// is the size recorded in the trace, or 0 when unknown.
-	Fetch(url string, sizeHint int64, now time.Time) (cache.Document, error)
+	// Fetch retrieves url from its origin server. sizeHint is the size
+	// recorded in the trace, or 0 when unknown.
+	Fetch(url string, sizeHint int64) (cache.Document, error)
 }
 
-// SizeHintOrigin is an Origin that fabricates immortal documents of the
-// hinted size (or the paper's 4KB average when the hint is missing). It
-// never fails, matching the paper's assumption that any miss can be served
-// by the origin, and never expires anything — the paper studies placement
-// with coherence out of scope.
+// SizeHintOrigin is an Origin that fabricates documents of the hinted
+// size (or the paper's 4KB average when the hint is missing). It never
+// fails, matching the paper's assumption that any miss can be served by
+// the origin.
 type SizeHintOrigin struct{}
 
 var _ Origin = SizeHintOrigin{}
 
 // Fetch implements Origin.
-func (SizeHintOrigin) Fetch(url string, sizeHint int64, _ time.Time) (cache.Document, error) {
+func (SizeHintOrigin) Fetch(url string, sizeHint int64) (cache.Document, error) {
 	if sizeHint <= 0 {
 		sizeHint = 4096
 	}
 	return cache.Document{URL: url, Size: sizeHint}, nil
-}
-
-// TTLClass is one freshness class of a TTLOrigin.
-type TTLClass struct {
-	// Fraction of URLs (by hash) in this class.
-	Fraction float64
-	// TTL is the freshness lifetime assigned at fetch time; 0 means the
-	// document never expires.
-	TTL time.Duration
-}
-
-// TTLOrigin is an Origin that assigns each URL a deterministic freshness
-// lifetime, modelling the coherence side of web caching: some content is
-// dynamic and expires in minutes, some is stable for hours, most mid-90s
-// content carried no expiry at all. Stale copies stop being served or
-// advertised and are re-fetched on the next request.
-type TTLOrigin struct {
-	// Classes partition the URL space; fractions should sum to <= 1,
-	// with the remainder immortal.
-	Classes []TTLClass
-}
-
-var _ Origin = TTLOrigin{}
-
-// EraTTLOrigin returns a TTLOrigin with a mid-90s-shaped freshness mix:
-// 10% of URLs expire in 5 minutes (dynamic pages), 30% in 1 hour (news,
-// listings), and the rest never.
-func EraTTLOrigin() TTLOrigin {
-	return TTLOrigin{Classes: []TTLClass{
-		{Fraction: 0.10, TTL: 5 * time.Minute},
-		{Fraction: 0.30, TTL: time.Hour},
-	}}
-}
-
-// Fetch implements Origin.
-func (o TTLOrigin) Fetch(url string, sizeHint int64, now time.Time) (cache.Document, error) {
-	if sizeHint <= 0 {
-		sizeHint = 4096
-	}
-	doc := cache.Document{URL: url, Size: sizeHint}
-	if ttl := o.ttlFor(url); ttl > 0 {
-		doc.Expires = now.Add(ttl)
-	}
-	return doc, nil
-}
-
-// TTLFor exposes the class lifetime assigned to url (0 = immortal).
-func (o TTLOrigin) TTLFor(url string) time.Duration { return o.ttlFor(url) }
-
-func (o TTLOrigin) ttlFor(url string) time.Duration {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(url))
-	u := float64(h.Sum32()) / float64(1<<32)
-	acc := 0.0
-	for _, c := range o.Classes {
-		acc += c.Fraction
-		if u < acc {
-			return c.TTL
-		}
-	}
-	return 0
 }
 
 // Config configures a Proxy.
@@ -327,11 +264,11 @@ func (p *Proxy) Request(url string, sizeHint int64, now time.Time) (Result, erro
 // icpLocate runs the ICP exchange: one query per neighbour, first positive
 // replier wins. Neighbour order is deterministic (siblings in wiring order,
 // then the parent), standing in for "first reply to arrive".
-func (p *Proxy) icpLocate(url string, now time.Time) *Proxy {
+func (p *Proxy) icpLocate(url string) *Proxy {
 	var hit *Proxy
 	for _, n := range p.neighbours() {
 		p.icp.QueriesSent++
-		if n.handleICPQuery(url, now) {
+		if n.handleICPQuery(url) {
 			if hit == nil {
 				hit = n
 			}
@@ -371,8 +308,6 @@ func (p *Proxy) digestEvent(ev cache.Event) {
 // advertisedMayContain consults this proxy's published summary. The
 // summary tracks the cache incrementally, so it is always current;
 // the only remaining rebuild is the counter-saturation escape hatch.
-// Note the summary advertises membership, not freshness — an expired
-// resident copy is still advertised and surfaces as a false hit.
 func (p *Proxy) advertisedMayContain(url string) bool {
 	if p.summary == nil {
 		// Neighbour not running digests: fall back to an exact answer
@@ -409,11 +344,9 @@ func (p *Proxy) neighbours() []*Proxy {
 }
 
 // handleICPQuery answers a neighbour's ICP query without touching
-// replacement state (an ICP lookup is not a hit). Stale copies are not
-// advertised, per RFC 2186's guidance that a HIT promises a servable
-// object.
-func (p *Proxy) handleICPQuery(url string, now time.Time) bool {
-	if doc, ok := p.store.Peek(url); ok && doc.FreshAt(now) {
+// replacement state (an ICP lookup is not a hit).
+func (p *Proxy) handleICPQuery(url string) bool {
+	if p.store.Contains(url) {
 		p.icp.RepliesHit++
 		return true
 	}
@@ -440,11 +373,11 @@ func (p *Proxy) serve(url string, sizeHint int64, reqAge time.Duration, rslv boo
 	return s, err
 }
 
-func (p *Proxy) fetchOrigin(url string, sizeHint int64, now time.Time) (cache.Document, error) {
+func (p *Proxy) fetchOrigin(url string, sizeHint int64) (cache.Document, error) {
 	if p.origin == nil {
 		return cache.Document{}, fmt.Errorf("proxy %s: no origin configured", p.id)
 	}
-	doc, err := p.origin.Fetch(url, sizeHint, now)
+	doc, err := p.origin.Fetch(url, sizeHint)
 	if err != nil {
 		return cache.Document{}, fmt.Errorf("proxy %s: origin fetch %s: %w", p.id, url, err)
 	}

@@ -510,7 +510,7 @@ func TestThreeLevelHierarchyResolution(t *testing.T) {
 
 type failingOrigin struct{}
 
-func (failingOrigin) Fetch(string, int64, time.Time) (cache.Document, error) {
+func (failingOrigin) Fetch(string, int64) (cache.Document, error) {
 	return cache.Document{}, errors.New("origin down")
 }
 
@@ -525,5 +525,15 @@ func TestOriginErrorPropagates(t *testing.T) {
 	}
 	if _, err := p.Request("http://d/", 10, at(0)); err == nil {
 		t.Fatal("origin error swallowed")
+	}
+}
+
+func TestSizeHintOriginDefaultSize(t *testing.T) {
+	doc, err := SizeHintOrigin{}.Fetch("http://d/", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc.Size != 4096 {
+		t.Fatalf("default size = %d", doc.Size)
 	}
 }

@@ -82,8 +82,8 @@ type Locator interface {
 
 // LocalStore is the engine's view of the requester's own cache.
 type LocalStore interface {
-	// Lookup returns a servable (present and fresh) copy of url,
-	// updating recency state on a hit.
+	// Lookup returns the cached copy of url, updating recency state on
+	// a hit.
 	Lookup(rctx any, url string, now time.Time) (cache.Document, bool)
 	// ExpirationAge is the cache's contention signal — the expiration
 	// age piggybacked on every exchange (cache.NoContention when the
@@ -457,7 +457,7 @@ type Holder interface {
 	// Peek returns a servable copy of url without touching replacement
 	// state: a copy served to a neighbour is refreshed only if the
 	// responder rule promotes it.
-	Peek(url string, now time.Time) (cache.Document, bool)
+	Peek(url string) (cache.Document, bool)
 	// Promote refreshes url's replacement state, the responder rule's
 	// promote verdict.
 	Promote(url string, now time.Time)
@@ -519,7 +519,7 @@ func (e *Engine) Serve(rctx any, h Holder, ask Ask, now time.Time) (Served, erro
 	out := Served{Age: e.Store.ExpirationAge(now)}
 	if ask.Home {
 		out.Doc, out.Found = e.Store.Lookup(rctx, ask.URL, now)
-	} else if out.Doc, out.Found = h.Peek(ask.URL, now); out.Found {
+	} else if out.Doc, out.Found = h.Peek(ask.URL); out.Found {
 		// Paper §3.4: refresh this copy iff the requester's cache is
 		// under more pressure than ours.
 		promote := e.Scheme.OnRemoteHit(ask.ReqAge, out.Age).PromoteAtResponder

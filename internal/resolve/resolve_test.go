@@ -51,7 +51,7 @@ func (s *fakeStore) StoreCopy(doc cache.Document, _ time.Time) bool {
 }
 
 // fakeStore is also a responder's Holder.
-func (s *fakeStore) Peek(url string, _ time.Time) (cache.Document, bool) {
+func (s *fakeStore) Peek(url string) (cache.Document, bool) {
 	doc, ok := s.docs[url]
 	return doc, ok
 }
