@@ -11,7 +11,6 @@ import (
 
 	"eacache/internal/cache"
 	"eacache/internal/core"
-	"eacache/internal/digest"
 	"eacache/internal/metrics"
 	"eacache/internal/netnode"
 	"eacache/internal/obs"
@@ -85,7 +84,6 @@ func startGroupMemberLoc(t *testing.T, id, origin string, loc resolve.Location) 
 	if loc == resolve.LocateDigest {
 		// Fast revalidation so digest e2e tests see background delta
 		// refreshes within their polling window.
-		cfg.Digest = digest.Config{Expected: 64, FPRate: 0.01}
 		cfg.DigestRefresh = 40 * time.Millisecond
 	}
 	n, err := netnode.New(cfg)

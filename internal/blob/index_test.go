@@ -4,20 +4,20 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"eacache/internal/cache"
+	"eacache/internal/frame"
 )
 
-// frame builds an index frame of any kind around payload, CRC and all.
-func frame(kind byte, payload []byte) []byte {
+// rawFrame builds an index frame of any kind around payload, CRC and all.
+func rawFrame(kind byte, payload []byte) []byte {
 	le := binary.LittleEndian
 	out := append(le.AppendUint32(nil, uint32(len(payload))), kind)
 	out = append(out, payload...)
-	return le.AppendUint32(out, crc32.Checksum(out[4:], crcTable))
+	return le.AppendUint32(out, frame.Checksum(out[4:]))
 }
 
 // retiredPutFrame is a put frame as the file-per-blob layout wrote it:
@@ -28,7 +28,7 @@ func retiredPutFrame(url string) []byte {
 	for _, v := range []uint64{512, 0, 1, 2, 3} { // size, expires, entered, last hit, hits
 		p = le.AppendUint64(p, v)
 	}
-	return frame(1, append(p, make([]byte, 32)...))
+	return rawFrame(1, append(p, make([]byte, 32)...))
 }
 
 // goldenLog is the index log of Admit a (300 bytes), Remove a, Admit a
@@ -98,7 +98,7 @@ func TestIndexExpirySlotIsSkipped(t *testing.T) {
 	}
 	le.PutUint64(old[slot:], 1_700_003_600_000_000_000)
 	end := 4 + 1 + int(le.Uint32(old))
-	le.PutUint32(old[end:], crc32.Checksum(old[4:end], crcTable))
+	le.PutUint32(old[end:], frame.Checksum(old[4:end]))
 	got, valid, damage := ReplayIndex(old)
 	want, _, _ := ReplayIndex(golden)
 	if damage != nil || valid != len(old) || len(got) != len(want) {
@@ -122,8 +122,8 @@ func FuzzReplayIndex(f *testing.F) {
 	f.Add(golden)
 	f.Add(golden[:len(golden)-5]) // torn tail
 	f.Add(append(golden[:112:112], retiredPutFrame("http://old/a")...))
-	f.Add(frame(iPut, []byte{1, 0, 0, 0, 'u'}))
-	f.Add(frame(iDel, nil))
+	f.Add(rawFrame(iPut, []byte{1, 0, 0, 0, 'u'}))
+	f.Add(rawFrame(iDel, nil))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		recs, valid, damage := ReplayIndex(raw)
 		if valid < 0 || valid > len(raw) || (damage == nil) != (valid == len(raw)) {
@@ -139,7 +139,7 @@ func FuzzReplayIndex(f *testing.F) {
 		// Whatever followed the accepted prefix, a well-formed frame of
 		// the retired kind in its place stops replay there, good frames
 		// behind it or not.
-		old := append(append(raw[:valid:valid], frame(1, raw[valid:min(len(raw), valid+200)])...), golden...)
+		old := append(append(raw[:valid:valid], rawFrame(1, raw[valid:min(len(raw), valid+200)])...), golden...)
 		recs2, valid2, damage2 := ReplayIndex(old)
 		if len(recs2) != len(recs) || valid2 != valid || damage2 == nil {
 			t.Fatalf("retired-kind frame: %d records over %d bytes (%v), want %d over %d and damage", len(recs2), valid2, damage2, len(recs), valid)

@@ -23,19 +23,19 @@ func TestNewFilterValidation(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
-		in       Config
 		capacity int64
-		want     Config
+		want     int
 	}{
-		{"1MB at 4KB per document", Config{}, 1 << 20, Config{Expected: 256, FPRate: 0.01}},
-		{"floor of 16 below 64KB", Config{}, 1024, Config{Expected: 16, FPRate: 0.01}},
-		{"floor of 16 below one document", Config{}, 100, Config{Expected: 16, FPRate: 0.01}},
-		{"set fields kept", Config{Expected: 64, FPRate: 0.05}, 1 << 20, Config{Expected: 64, FPRate: 0.05}},
-		{"each field defaults alone", Config{Expected: 64}, 1 << 20, Config{Expected: 64, FPRate: 0.01}},
+		{"1MB at 4KB per document", 1 << 20, 256},
+		{"floor of 16 below 64KB", 1024, 16},
+		{"floor of 16 below one document", 100, 16},
 	} {
-		if got := tc.in.WithDefaults(tc.capacity); got != tc.want {
-			t.Errorf("%s: WithDefaults(%d) = %+v, want %+v", tc.name, tc.capacity, got, tc.want)
+		if got := ExpectedEntries(tc.capacity); got != tc.want {
+			t.Errorf("%s: ExpectedEntries(%d) = %d, want %d", tc.name, tc.capacity, got, tc.want)
 		}
+	}
+	if FPRate != 0.01 {
+		t.Errorf("FPRate = %v, want the 1%% every filter is sized for", FPRate)
 	}
 }
 

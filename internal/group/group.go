@@ -13,7 +13,6 @@ import (
 
 	"eacache/internal/cache"
 	"eacache/internal/core"
-	"eacache/internal/digest"
 	"eacache/internal/obs"
 	"eacache/internal/proxy"
 	"eacache/internal/resolve"
@@ -83,8 +82,6 @@ type Config struct {
 	// to resolve.LocateICP, the paper's setting. LocateHash requires the
 	// Distributed architecture.
 	Location resolve.Location
-	// Digest tunes the summaries when Location is resolve.LocateDigest.
-	Digest digest.Config
 	// Decisions, when set, records every proxy's placement verdicts.
 	Decisions *obs.DecisionLog
 }
@@ -155,9 +152,7 @@ func New(cfg Config) (*Group, error) {
 			ID:        id,
 			Store:     store,
 			Scheme:    cfg.Scheme,
-			Origin:    proxy.SizeHintOrigin{},
 			Location:  cfg.Location,
-			Digest:    cfg.Digest,
 			Decisions: cfg.Decisions,
 		})
 	}

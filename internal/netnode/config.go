@@ -9,7 +9,6 @@ import (
 
 	"eacache/internal/cache"
 	"eacache/internal/core"
-	"eacache/internal/digest"
 	"eacache/internal/faults"
 	"eacache/internal/obs"
 	"eacache/internal/resolve"
@@ -110,8 +109,6 @@ type Config struct {
 	// empty defaults to the bound HTTP address. Must match what peers
 	// put in Peer.Name for this node.
 	HashName string
-	// Digest tunes the summaries when Location is resolve.LocateDigest.
-	Digest digest.Config
 	// DigestRefresh bounds how long a fetched peer digest is trusted.
 	// Defaults to DefaultDigestRefresh.
 	DigestRefresh time.Duration

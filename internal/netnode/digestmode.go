@@ -11,7 +11,6 @@ import (
 	"eacache/internal/cache"
 	"eacache/internal/digest"
 	"eacache/internal/hproto"
-	"eacache/internal/metrics"
 )
 
 // DigestURL is the reserved URL under which a node serves its own cache
@@ -67,9 +66,8 @@ type peerDigest struct {
 	deltas, fulls int64
 }
 
-func newDigestState(cfg digest.Config, capacity int64, refresh time.Duration, window int) (*digestState, error) {
-	dc := cfg.WithDefaults(capacity)
-	own, err := digest.NewIncremental(dc.Expected, dc.FPRate, window)
+func newDigestState(capacity int64, refresh time.Duration, window int) (*digestState, error) {
+	own, err := digest.NewIncremental(digest.ExpectedEntries(capacity), digest.FPRate, window)
 	if err != nil {
 		return nil, err
 	}
@@ -467,24 +465,4 @@ func (n *Node) DigestReport() DigestReport {
 		rep.Peers[addr] = st
 	}
 	return rep
-}
-
-// DigestStats returns the digest traffic counters, likewise straight from
-// the /metrics storage. Every dialled fetch ends applied or failed, so
-// Fetches counts completed flights.
-func (n *Node) DigestStats() metrics.DigestSnapshot {
-	o := n.om
-	s := metrics.DigestSnapshot{
-		DeltasServed:     o.digestServed[digestSyncDelta].Value(),
-		FullsServed:      o.digestServed[digestSyncFull].Value(),
-		DeltasApplied:    o.digestApplied[digestSyncDelta].Value(),
-		FullsApplied:     o.digestApplied[digestSyncFull].Value(),
-		DeltaBytesServed: o.digestBytes[digestSyncDelta].Value(),
-		FullBytesServed:  o.digestBytes[digestSyncFull].Value(),
-		RebuildEscapes:   o.digestRebuilds.Value(),
-		StaleServed:      o.digestStale.Value(),
-		FetchFailures:    o.peerFailures[pfDigestFetch].Value(),
-	}
-	s.Fetches = s.DeltasApplied + s.FullsApplied + s.FetchFailures
-	return s
 }

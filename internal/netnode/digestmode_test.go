@@ -23,7 +23,6 @@ func startDigestNode(t *testing.T, id string, capacity int64, origin string) *No
 		Scheme:        core.EA{},
 		OriginAddr:    origin,
 		Location:      resolve.LocateDigest,
-		Digest:        digest.Config{Expected: 64, FPRate: 0.01},
 		DigestRefresh: 50 * time.Millisecond,
 	})
 	if err != nil {
@@ -208,15 +207,15 @@ func TestDigestNodeID(t *testing.T) {
 }
 
 func TestNewDigestStateDefaultsRefresh(t *testing.T) {
-	ds, err := newDigestState(digest.Config{}, 1<<20, 0, 0)
+	ds, err := newDigestState(1<<20, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ds.refresh != DefaultDigestRefresh {
 		t.Fatalf("refresh = %v", ds.refresh)
 	}
-	if _, err := newDigestState(digest.Config{Expected: 10, FPRate: 2}, 0, 0, 0); err == nil {
-		t.Fatal("invalid digest config accepted")
+	if _, err := newDigestState(0, 0, -1); err == nil {
+		t.Fatal("negative delta window accepted")
 	}
 }
 

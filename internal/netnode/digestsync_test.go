@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"eacache/internal/core"
-	"eacache/internal/digest"
 	"eacache/internal/metrics"
 	"eacache/internal/resolve"
 )
@@ -40,7 +39,6 @@ func startDigestNodeWith(t *testing.T, id, origin string, refresh time.Duration,
 		Scheme:            core.EA{},
 		OriginAddr:        origin,
 		Location:          resolve.LocateDigest,
-		Digest:            digest.Config{Expected: 64, FPRate: 0.01},
 		DigestRefresh:     refresh,
 		DigestDeltaWindow: window,
 		Now:               now,
@@ -50,6 +48,14 @@ func startDigestNodeWith(t *testing.T, id, origin string, refresh time.Duration,
 	}
 	t.Cleanup(func() { _ = n.Close() })
 	return n
+}
+
+// digestFetches is how many digest flights n completed: every dialled
+// fetch ends applied or failed.
+func digestFetches(n *Node) int64 {
+	o := n.om
+	return o.digestApplied[digestSyncDelta].Value() + o.digestApplied[digestSyncFull].Value() +
+		o.peerFailures[pfDigestFetch].Value()
 }
 
 // A 32-way herd of concurrent misses on distinct URLs (distinct so the
@@ -81,12 +87,12 @@ func TestDigestMissHerdSharesOneFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := b.DigestStats().Fetches; got != 1 {
+	if got := digestFetches(b); got != 1 {
 		t.Fatalf("digest fetches = %d, want 1 (single flight)", got)
 	}
-	as := a.DigestStats()
-	if as.FullsServed != 1 || as.DeltasServed != 0 {
-		t.Fatalf("peer served fulls=%d deltas=%d, want exactly one full", as.FullsServed, as.DeltasServed)
+	fulls, deltas := a.om.digestServed[digestSyncFull].Value(), a.om.digestServed[digestSyncDelta].Value()
+	if fulls != 1 || deltas != 0 {
+		t.Fatalf("peer served fulls=%d deltas=%d, want exactly one full", fulls, deltas)
 	}
 }
 
@@ -105,7 +111,7 @@ func TestDigestRefreshUsesInjectedClockAndDeltas(t *testing.T) {
 	if _, err := b.Request("http://w/seed", 400); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.DigestStats().Fetches; got != 1 {
+	if got := digestFetches(b); got != 1 {
 		t.Fatalf("fetches after first contact = %d", got)
 	}
 
@@ -117,7 +123,7 @@ func TestDigestRefreshUsesInjectedClockAndDeltas(t *testing.T) {
 	// Real time passes (several revalidator ticks) but the injected
 	// clock is frozen, so the replica must still count as fresh.
 	time.Sleep(150 * time.Millisecond)
-	if got := b.DigestStats().Fetches; got != 1 {
+	if got := digestFetches(b); got != 1 {
 		t.Fatalf("fetches with frozen clock = %d, want 1 (freshness must use Config.Now)", got)
 	}
 
@@ -126,10 +132,10 @@ func TestDigestRefreshUsesInjectedClockAndDeltas(t *testing.T) {
 	// the peer answers with a delta, not a full filter.
 	clk.Advance(time.Second)
 	waitFor(t, 2*time.Second, "background delta refresh", func() bool {
-		return b.DigestStats().DeltasApplied >= 1
+		return b.om.digestApplied[digestSyncDelta].Value() >= 1
 	})
-	if as := a.DigestStats(); as.DeltasServed < 1 {
-		t.Fatalf("peer stats = %+v, want at least one delta served", as)
+	if got := a.om.digestServed[digestSyncDelta].Value(); got < 1 {
+		t.Fatalf("peer served %d deltas, want at least one", got)
 	}
 
 	// The refreshed replica now advertises the new document.
@@ -158,7 +164,7 @@ func TestDigestServeStaleKeepsMissOffTheWire(t *testing.T) {
 	if _, err := b.Request("http://w/prime", 400); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.DigestStats().Fetches; got != 1 {
+	if got := digestFetches(b); got != 1 {
 		t.Fatalf("fetches after prime = %d", got)
 	}
 
@@ -172,12 +178,12 @@ func TestDigestServeStaleKeepsMissOffTheWire(t *testing.T) {
 	if res.Outcome != metrics.Miss {
 		t.Fatalf("res = %+v, want plain miss", res)
 	}
-	if got := b.DigestStats().StaleServed; got < 1 {
+	if got := b.om.digestStale.Value(); got < 1 {
 		t.Fatalf("stale served = %d, want >= 1", got)
 	}
 	// The background flight lands without any further requests.
 	waitFor(t, 2*time.Second, "background revalidation", func() bool {
-		return b.DigestStats().Fetches >= 2
+		return digestFetches(b) >= 2
 	})
 }
 
@@ -197,7 +203,7 @@ func TestDigestSteadyStateNeverRebuilds(t *testing.T) {
 	if !rep.Enabled {
 		t.Fatal("digest report disabled on a digest node")
 	}
-	if got := a.DigestStats().RebuildEscapes; got != 0 {
+	if got := a.om.digestRebuilds.Value(); got != 0 {
 		t.Fatalf("rebuild escapes = %d, want 0 in steady state", got)
 	}
 	if rep.OwnGeneration < 200 {

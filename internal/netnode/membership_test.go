@@ -325,6 +325,64 @@ func TestDrainHandoff(t *testing.T) {
 	}
 }
 
+// TestDrainHandoffToLoadedPeers reaches the two migration results a
+// handoff to an empty joiner never produces. Three hash-mode nodes on one
+// injected clock fill and evict, so each advertises a finite expiration
+// age; then the clock moves ten minutes, so every resident copy is idle
+// far longer than any destination would keep it. A drain pushes to each
+// destination until its piggybacked age is known and skips the rest on
+// EA grounds; a second drain meets the first drainer as a destination,
+// which refuses the push. Every pass balances its accounting.
+func TestDrainHandoffToLoadedPeers(t *testing.T) {
+	checkGoroutines(t)
+	origin := startOrigin(t)
+	clk := newFakeClock()
+	names := []string{"e0", "e1", "e2"}
+	nodes := make([]*Node, len(names))
+	for i, name := range names {
+		nodes[i] = startChaosNode(t, Config{
+			ID: name, Scheme: core.EA{}, OriginAddr: origin.Addr(),
+			Location: resolve.LocateHash, HashName: name,
+			Store: newStore(t, 16<<10), Now: clk.Now,
+		})
+	}
+	meshHash(nodes, names)
+	for _, n := range nodes {
+		waitSettled(t, n, "startup")
+	}
+	for i := 0; i < 120; i++ { // each home receives about 40 1KB documents into 16 slots
+		clk.Advance(time.Second)
+		if _, err := nodes[i%3].Request(fmt.Sprintf("http://loaded.example.edu/doc-%d.html", i), 1024); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range nodes {
+		if n.Len() == 0 || n.ExpirationAge() == cache.NoContention {
+			t.Fatalf("%s is not loaded: %d documents, age %v", n.ID(), n.Len(), n.ExpirationAge())
+		}
+	}
+	clk.Advance(10 * time.Minute)
+
+	check := func(n *Node, resident int, rep MigrationReport) {
+		t.Helper()
+		t.Logf("%s drain: %+v", n.ID(), rep)
+		if got := rep.Kept + rep.Transferred + rep.SkippedEA + rep.Refused + rep.Failed; got != rep.Scanned || rep.Scanned != resident {
+			t.Fatalf("%s drain accounting: %+v (resident %d)", n.ID(), rep, resident)
+		}
+		if rep.SkippedEA == 0 || rep.Failed != 0 {
+			t.Fatalf("%s drain: %+v, want EA skips and no failures", n.ID(), rep)
+		}
+	}
+	resident := nodes[2].Len()
+	check(nodes[2], resident, nodes[2].DrainHandoff())
+	resident = nodes[0].Len()
+	rep := nodes[0].DrainHandoff()
+	check(nodes[0], resident, rep)
+	if rep.Refused == 0 {
+		t.Fatalf("e0 drain: %+v, want the draining e2 to refuse a push", rep)
+	}
+}
+
 // TestPushAcceptance pins mayAcceptPush's ring rule: the receiver stores
 // a pushed copy iff it sits within the first two raw ring owners.
 func TestPushAcceptance(t *testing.T) {

@@ -196,7 +196,7 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Location == resolve.LocateDigest {
 		// The digest advertises both tiers (disk-resident documents are
 		// servable), so the filter is sized for the whole logical store.
-		ds, err := newDigestState(cfg.Digest, cfg.Store.Capacity()+cfg.DiskCapacity, cfg.DigestRefresh, cfg.DigestDeltaWindow)
+		ds, err := newDigestState(cfg.Store.Capacity()+cfg.DiskCapacity, cfg.DigestRefresh, cfg.DigestDeltaWindow)
 		if err != nil {
 			return nil, fmt.Errorf("netnode: %w", err)
 		}

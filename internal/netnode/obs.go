@@ -106,7 +106,7 @@ const (
 // nodeObs is the node's one set of event counters. Each fact has one
 // counter here and each event site makes one call on it; the counters are
 // plain values, so they count whether or not Config.Obs is set —
-// Robustness and DigestStats read them directly — and with a registry
+// Robustness reads them directly — and with a registry
 // the same storage is exposed by pointer on /metrics (families, below).
 // Layout is measured, not incidental: embedded in Node the per-request
 // counter writes shared cache lines with fields every request reads, and

@@ -3,7 +3,6 @@ package netnode
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,6 +11,7 @@ import (
 
 	"eacache/internal/cache"
 	"eacache/internal/core"
+	"eacache/internal/frame"
 	"eacache/internal/metrics"
 	"eacache/internal/persist"
 )
@@ -255,7 +255,7 @@ func TestTierKill9Recovery(t *testing.T) {
 // replay keeps the frames before the old demote and stops there as damage,
 // and the node serves what that left it.
 func TestTierParentFormatDataDir(t *testing.T) {
-	le, castagnoli := binary.LittleEndian, crc32.MakeTable(crc32.Castagnoli)
+	le := binary.LittleEndian
 	at := time.Unix(1_700_000_000, 0)
 	kept, past := "http://parent.example.edu/kept", "http://parent.example.edu/past"
 
@@ -263,14 +263,14 @@ func TestTierParentFormatDataDir(t *testing.T) {
 	v3 := persist.EncodeSnapshot(persist.State{Gen: 0, Entries: []persist.EntryState{
 		{URL: "http://parent.example.edu/snap", Size: 500, EnteredAt: at, LastHit: at, Hits: 1}}})
 	body := le.AppendUint32(v3[8:len(v3)-4:len(v3)-4], 0)
-	snap := le.AppendUint32(append([]byte("EACSNAP2"), body...), crc32.Checksum(body, castagnoli))
+	snap := le.AppendUint32(append([]byte("EACSNAP2"), body...), frame.Checksum(body))
 
 	// The parent's demote frame: kind 6 over url, at, age, size, expires,
 	// enteredAt, lastHit, hits and the 32-byte checksum, CRC intact.
 	body = le.AppendUint16([]byte{6}, uint16(len(kept))) // what the CRC covers: kind, then the payload
 	body = append(append(body, kept...), make([]byte, 7*8+32)...)
 	demote := append(le.AppendUint32(nil, uint32(len(body)-1)), body...)
-	demote = le.AppendUint32(demote, crc32.Checksum(body, castagnoli))
+	demote = le.AppendUint32(demote, frame.Checksum(body))
 
 	var journal []byte
 	for _, part := range []any{

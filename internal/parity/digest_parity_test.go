@@ -13,14 +13,15 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"eacache/internal/cache"
 	"eacache/internal/core"
-	"eacache/internal/digest"
 	"eacache/internal/hproto"
 	"eacache/internal/netnode"
+	"eacache/internal/obs"
 	"eacache/internal/proxy"
 	"eacache/internal/resolve"
 )
@@ -57,7 +58,6 @@ func TestSimLiveParityDigestAdvertisement(t *testing.T) {
 	// Small enough that the trace forces evictions, so the advertised
 	// summary's history includes removals, not just inserts.
 	const capacity = int64(24 << 10)
-	dcfg := digest.Config{Expected: 64, FPRate: 0.01}
 	records := workload(t)
 
 	// Sim side: one digest-mode proxy replays the whole trace.
@@ -72,9 +72,7 @@ func TestSimLiveParityDigestAdvertisement(t *testing.T) {
 		ID:       "cache-0",
 		Store:    simStore,
 		Scheme:   core.EA{},
-		Origin:   proxy.SizeHintOrigin{},
 		Location: resolve.LocateDigest,
-		Digest:   dcfg,
 	})
 	if err != nil {
 		t.Fatalf("proxy.New: %v", err)
@@ -102,6 +100,7 @@ func TestSimLiveParityDigestAdvertisement(t *testing.T) {
 	if err != nil {
 		t.Fatalf("live cache: %v", err)
 	}
+	tel := obs.New("cache-0", 8)
 	node, err := netnode.New(netnode.Config{
 		ID:         "cache-0",
 		ICPAddr:    "127.0.0.1:0",
@@ -110,8 +109,8 @@ func TestSimLiveParityDigestAdvertisement(t *testing.T) {
 		Scheme:     core.EA{},
 		OriginAddr: origin.Addr(),
 		Location:   resolve.LocateDigest,
-		Digest:     dcfg,
 		Now:        clk.now,
+		Obs:        tel,
 	})
 	if err != nil {
 		t.Fatalf("netnode.New: %v", err)
@@ -141,8 +140,12 @@ func TestSimLiveParityDigestAdvertisement(t *testing.T) {
 	if got := p.ICP().DigestRebuilds; got != 0 {
 		t.Errorf("sim rebuild escapes = %d, want 0", got)
 	}
-	if got := node.DigestStats().RebuildEscapes; got != 0 {
-		t.Errorf("live rebuild escapes = %d, want 0", got)
+	var scrape strings.Builder
+	if err := tel.Registry.WritePrometheus(&scrape); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(scrape.String(), "\neac_digest_rebuild_escapes_total 0\n") {
+		t.Error("live rebuild escapes != 0 on /metrics")
 	}
 	rep := node.DigestReport()
 	if rep.OwnGeneration < uint64(len(records)/4) {

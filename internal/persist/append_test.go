@@ -24,10 +24,9 @@ func demoteEvent() cache.Event {
 }
 
 // TestJournalGolden pins a whole journal generation byte for byte: every
-// record kind once through a lone appender (one frame per batch), then 200
-// copies of one demote frame from four appenders against a batch bound of
-// three, so that batches of several frames and back-pressure are in the
-// file too — the frames being equal, their order does not show. Every
+// record kind once through a lone appender, then 200 copies of one demote
+// frame from four concurrent appenders — the frames being equal, their
+// order does not show. Every
 // frame but the demote (now its URL alone) is what commit b9c72ce wrote
 // for the same event; events with no frame leave no bytes.
 func TestJournalGolden(t *testing.T) {
@@ -36,7 +35,7 @@ func TestJournalGolden(t *testing.T) {
 		goldenSum = "492328c5e411f9b69bdf31720b33c9a72f7a236475137e1a5f476af4b335ff12"
 	)
 	dir := t.TempDir()
-	p, err := Open(Config{Dir: dir, BatchFrames: 3})
+	p, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,10 +74,9 @@ func TestJournalGolden(t *testing.T) {
 	}
 }
 
-// TestJournalAppendAllocs: in steady state Append encodes into the batch
-// buffer it finds and the flusher writes that buffer as it stands, so a
-// journalled demotion allocates nothing (6 on the parent: three growth
-// steps for the payload, three for the frame). The detector's
+// TestJournalAppendAllocs: in steady state Append encodes into the
+// scratch buffer it finds and writes that buffer as it stands, so a
+// journalled demotion allocates nothing. The detector's
 // instrumentation allocates on its own, so the count is for plain builds;
 // -short does not skip it.
 func TestJournalAppendAllocs(t *testing.T) {

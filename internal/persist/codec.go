@@ -8,9 +8,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
-	"time"
 )
 
 // ErrCorrupt reports input that failed structural validation or a
@@ -18,13 +16,8 @@ import (
 // reason to panic or refuse to start.
 var ErrCorrupt = errors.New("persist: corrupt data")
 
-// crcTable is the Castagnoli (CRC32C) polynomial table, the checksum used
-// by every journal frame and the snapshot trailer.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
 type encoder struct{ b []byte }
 
-func (e *encoder) u8(v byte)     { e.b = append(e.b, v) }
 func (e *encoder) u16(v uint16)  { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
 func (e *encoder) u32(v uint32)  { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
 func (e *encoder) u64(v uint64)  { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
@@ -111,21 +104,4 @@ func (d *decoder) done() error {
 		d.fail("%d trailing bytes", len(d.b)-d.off)
 	}
 	return d.err
-}
-
-// timeToNano flattens a time for the wire: zero time encodes as 0 so a
-// never-set timestamp survives the round trip (the 1970 epoch instant is
-// indistinguishable, which no caller produces).
-func timeToNano(t time.Time) int64 {
-	if t.IsZero() {
-		return 0
-	}
-	return t.UnixNano()
-}
-
-func nanoToTime(n int64) time.Time {
-	if n == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, n)
 }

@@ -9,21 +9,21 @@ import (
 	"eacache/internal/cache"
 )
 
-// Group-commit tests: many goroutines appending at once (as the sharded
-// store's per-shard event sinks do), with the write-through guarantee and
-// the rotate/close drain barriers under load.
+// Group-commit tests: a group of goroutines committing to one journal at
+// once, as the sharded store's per-shard event sinks do. Every
+// acknowledged append is in the file, no frame lands in the wrong
+// generation across a rotation, and Close keeps them all.
 
 func groupEventTime(i int) time.Time {
 	return time.Date(2001, time.March, 1, 0, 0, 0, 0, time.UTC).Add(time.Duration(i) * time.Second)
 }
 
-// TestGroupCommitConcurrentAppends drives concurrent appenders through a
-// small batch bound (forcing backpressure and multi-frame batches), then
+// TestGroupCommitConcurrentAppends drives concurrent appenders, then
 // recovers WITHOUT closing the first persister: Append's write-through
 // contract means every returned append must already be in the file.
 func TestGroupCommitConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
-	p, err := Open(Config{Dir: dir, BatchFrames: 4})
+	p, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +96,10 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 // TestGroupCommitRotateBarrier rotates the journal repeatedly while
 // appenders run. Every acknowledged append must survive recovery across
 // the whole generation chain, and every generation must replay cleanly —
-// the drain barrier means no frame can straddle or trail into the wrong
-// generation.
+// no frame can straddle or trail into the wrong generation.
 func TestGroupCommitRotateBarrier(t *testing.T) {
 	dir := t.TempDir()
-	p, err := Open(Config{Dir: dir, BatchFrames: 4})
+	p, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +164,12 @@ func TestGroupCommitRotateBarrier(t *testing.T) {
 	}
 }
 
-// TestGroupCommitCloseDrains closes the persister with appends in flight:
-// every Append that returned before Close must be recovered.
+// TestGroupCommitCloseDrains: every Append that returned before Close must
+// be recovered, Close is idempotent, and an Append after it writes
+// nothing.
 func TestGroupCommitCloseDrains(t *testing.T) {
 	dir := t.TempDir()
-	p, err := Open(Config{Dir: dir, BatchFrames: 2})
+	p, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,10 @@
-// The write-ahead journal: an append-only file of CRC32C-framed records,
+// The write-ahead journal: an append-only file of frames (internal/frame),
 // one per mutation of the memory tier or of the advertised exit tracker.
 // Each record is appended with a single write() so a crash leaves at worst
 // one torn frame at the tail; replay verifies every frame checksum and
 // stops at the first bad one, keeping every fully-committed record and
-// discarding the tear.
-//
-// Frame layout (little-endian):
-//
-//	u32  payload length
-//	u8   record kind (cache.EventKind)
-//	[]b  payload
-//	u32  CRC32C over kind byte + payload
+// discarding the tear. The frame's kind byte is the record kind
+// (cache.EventKind).
 //
 // Payloads per kind (url = u16 length + bytes, times are unix nanos):
 //
@@ -38,25 +32,16 @@
 package persist
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"time"
 
 	"eacache/internal/cache"
+	"eacache/internal/frame"
 )
 
-const (
-	// maxJournalURL mirrors hproto's URL bound; nothing longer can enter
-	// a cache through the protocol.
-	maxJournalURL = 8 * 1024
-	// maxFramePayload bounds one frame's payload so a corrupted length
-	// field cannot demand an absurd allocation during replay.
-	maxFramePayload = 64 * 1024
-	// frameOverhead is the non-payload bytes of a frame: length(4) +
-	// kind(1) + crc(4).
-	frameOverhead = 9
-)
+// maxJournalURL mirrors hproto's URL bound; nothing longer can enter a
+// cache through the protocol.
+const maxJournalURL = 8 * 1024
 
 // kindDiskEvict is the journal kind byte of a disk-tier eviction: the
 // payload of its memory twin under a distinct code, so replay can restore
@@ -80,36 +65,31 @@ func appendEvent(dst []byte, ev cache.Event) ([]byte, error) {
 		}
 		kind = kindDiskEvict
 	}
-	start := len(dst)
-	p := encoder{b: dst}
-	p.u32(0) // payload length, set once the payload is in
-	p.u8(kind)
+	b, start := frame.Begin(dst, kind)
+	p := encoder{b: b}
 	p.str(ev.Doc.URL)
 	switch ev.Kind {
 	case cache.EventInsert:
 		p.i64(ev.Doc.Size)
 		p.i64(0) // reserved
-		p.i64(timeToNano(ev.At))
+		p.i64(frame.TimeToNano(ev.At))
 	case cache.EventHit, cache.EventPromote:
-		p.i64(timeToNano(ev.At))
+		p.i64(frame.TimeToNano(ev.At))
 	case cache.EventEvict:
-		p.i64(timeToNano(ev.At))
+		p.i64(frame.TimeToNano(ev.At))
 		p.i64(int64(ev.Age))
 	case cache.EventRemove, cache.EventDemote:
 		// URL only.
 	case cache.EventPromoteFromDisk:
-		p.i64(timeToNano(ev.At))
+		p.i64(frame.TimeToNano(ev.At))
 		p.i64(ev.Doc.Size)
 		p.i64(0) // reserved
-		p.i64(timeToNano(ev.EnteredAt))
+		p.i64(frame.TimeToNano(ev.EnteredAt))
 		p.i64(ev.Hits)
 	default:
 		return dst, fmt.Errorf("persist: unknown event kind %v", ev.Kind)
 	}
-	body := p.b[start+4:] // kind + payload: what the CRC covers
-	binary.LittleEndian.PutUint32(p.b[start:], uint32(len(body)-1))
-	p.u32(crc32.Checksum(body, crcTable))
-	return p.b, nil
+	return frame.End(p.b, start), nil
 }
 
 // decodeEventPayload rebuilds the event from one verified frame payload.
@@ -127,22 +107,22 @@ func decodeEventPayload(kind byte, payload []byte) (cache.Event, error) {
 	case ev.Kind == cache.EventInsert:
 		ev.Doc.Size = d.i64()
 		d.take(8) // reserved
-		ev.At = nanoToTime(d.i64())
+		ev.At = frame.NanoToTime(d.i64())
 		if d.err == nil && ev.Doc.Size <= 0 {
 			d.fail("non-positive size %d", ev.Doc.Size)
 		}
 	case ev.Kind == cache.EventHit, ev.Kind == cache.EventPromote:
-		ev.At = nanoToTime(d.i64())
+		ev.At = frame.NanoToTime(d.i64())
 	case ev.Kind == cache.EventEvict:
-		ev.At = nanoToTime(d.i64())
+		ev.At = frame.NanoToTime(d.i64())
 		ev.Age = clampDuration(d.i64())
 	case ev.Kind == cache.EventRemove, ev.Kind == cache.EventDemote:
 		// URL only.
 	case ev.Kind == cache.EventPromoteFromDisk:
-		ev.At = nanoToTime(d.i64())
+		ev.At = frame.NanoToTime(d.i64())
 		ev.Doc.Size = d.i64()
 		d.take(8) // reserved
-		ev.EnteredAt = nanoToTime(d.i64())
+		ev.EnteredAt = frame.NanoToTime(d.i64())
 		ev.Hits = d.i64()
 		ev.LastHit = ev.At
 		if d.err == nil && ev.Doc.Size <= 0 {
@@ -171,36 +151,17 @@ func clampDuration(n int64) time.Duration {
 // frame, returning the decoded events and how many bytes of data they
 // span. A nil damage means the journal ended exactly on a frame boundary;
 // otherwise damage says why replay stopped (torn tail, checksum mismatch,
-// malformed payload) and everything past the reported offset must be
-// discarded — the caller truncates the file there. Replay never fails
-// outright: a corrupt journal yields the longest verifiable prefix.
+// malformed payload), wraps ErrCorrupt, and everything past the reported
+// offset must be discarded — the caller truncates the file there. Replay
+// never fails outright: a corrupt journal yields the longest verifiable
+// prefix.
 func ReplayJournal(data []byte) (events []cache.Event, goodBytes int, damage error) {
-	off := 0
-	for off < len(data) {
-		rest := data[off:]
-		if len(rest) < 4 {
-			return events, off, fmt.Errorf("%w: torn frame header (%d bytes) at offset %d", ErrCorrupt, len(rest), off)
-		}
-		plen := int(binary.LittleEndian.Uint32(rest))
-		if plen > maxFramePayload {
-			return events, off, fmt.Errorf("%w: frame payload length %d exceeds limit at offset %d", ErrCorrupt, plen, off)
-		}
-		total := frameOverhead + plen
-		if len(rest) < total {
-			return events, off, fmt.Errorf("%w: torn frame (%d of %d bytes) at offset %d", ErrCorrupt, len(rest), total, off)
-		}
-		kind := rest[4]
-		payload := rest[5 : 5+plen]
-		want := binary.LittleEndian.Uint32(rest[5+plen : total])
-		if got := crc32.Checksum(rest[4:5+plen], crcTable); got != want {
-			return events, off, fmt.Errorf("%w: frame checksum mismatch at offset %d", ErrCorrupt, off)
-		}
+	goodBytes, damage = frame.Replay(data, ErrCorrupt, func(kind byte, payload []byte) error {
 		ev, err := decodeEventPayload(kind, payload)
-		if err != nil {
-			return events, off, fmt.Errorf("frame at offset %d: %w", off, err)
+		if err == nil {
+			events = append(events, ev)
 		}
-		events = append(events, ev)
-		off += total
-	}
-	return events, off, nil
+		return err
+	})
+	return events, goodBytes, damage
 }

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"testing"
 	"time"
 
 	"eacache/internal/cache"
+	"eacache/internal/frame"
 )
 
 // legacyMarshalEvent is MarshalEvent as it stood before appendEvent
@@ -32,19 +32,19 @@ func legacyMarshalEvent(ev cache.Event) ([]byte, error) {
 	case cache.EventInsert:
 		p.i64(ev.Doc.Size)
 		p.i64(0) // the expiry slot, now reserved
-		p.i64(timeToNano(ev.At))
+		p.i64(frame.TimeToNano(ev.At))
 	case cache.EventHit, cache.EventPromote:
-		p.i64(timeToNano(ev.At))
+		p.i64(frame.TimeToNano(ev.At))
 	case cache.EventEvict:
-		p.i64(timeToNano(ev.At))
+		p.i64(frame.TimeToNano(ev.At))
 		p.i64(int64(ev.Age))
 	case cache.EventRemove, cache.EventDemote:
 		// URL only.
 	case cache.EventPromoteFromDisk:
-		p.i64(timeToNano(ev.At))
+		p.i64(frame.TimeToNano(ev.At))
 		p.i64(ev.Doc.Size)
 		p.i64(0) // the expiry slot, now reserved
-		p.i64(timeToNano(ev.EnteredAt))
+		p.i64(frame.TimeToNano(ev.EnteredAt))
 		p.i64(ev.Hits)
 	default:
 		return nil, fmt.Errorf("persist: unknown event kind %v", ev.Kind)
@@ -55,12 +55,10 @@ func legacyMarshalEvent(ev cache.Event) ([]byte, error) {
 
 // rawFrame frames payload under kind with a valid CRC, whatever they are.
 func rawFrame(kind byte, payload []byte) []byte {
-	var f encoder
-	f.u32(uint32(len(payload)))
-	f.u8(kind)
-	f.b = append(f.b, payload...)
-	f.u32(crc32.Checksum(f.b[4:], crcTable))
-	return f.b
+	le := binary.LittleEndian
+	out := append(le.AppendUint32(nil, uint32(len(payload))), kind)
+	out = append(out, payload...)
+	return le.AppendUint32(out, frame.Checksum(out[4:]))
 }
 
 // parentDemoteFrame and parentDiskRemoveFrame are the two frames of the
@@ -70,12 +68,12 @@ func rawFrame(kind byte, payload []byte) []byte {
 func parentDemoteFrame(ev cache.Event) []byte {
 	var p encoder
 	p.str(ev.Doc.URL)
-	p.i64(timeToNano(ev.At))
+	p.i64(frame.TimeToNano(ev.At))
 	p.i64(int64(ev.Age))
 	p.i64(ev.Doc.Size)
 	p.i64(0) // the expiry slot, now reserved
-	p.i64(timeToNano(ev.EnteredAt))
-	p.i64(timeToNano(ev.LastHit))
+	p.i64(frame.TimeToNano(ev.EnteredAt))
+	p.i64(frame.TimeToNano(ev.LastHit))
 	p.i64(ev.Hits)
 	p.b = append(p.b, make([]byte, 32)...) // the checksum
 	return rawFrame(byte(cache.EventDemote), p.b)
@@ -149,12 +147,12 @@ func TestExpirySlotIsSkipped(t *testing.T) {
 	ins.str(url)
 	ins.i64(2048)
 	ins.i64(deadline)
-	ins.i64(timeToNano(at))
+	ins.i64(frame.TimeToNano(at))
 	pd.str(url)
-	pd.i64(timeToNano(at))
+	pd.i64(frame.TimeToNano(at))
 	pd.i64(2048)
 	pd.i64(deadline)
-	pd.i64(timeToNano(at))
+	pd.i64(frame.TimeToNano(at))
 	pd.i64(3)
 	old := append(rawFrame(byte(cache.EventInsert), ins.b), rawFrame(byte(cache.EventPromoteFromDisk), pd.b)...)
 	now := encodeAll(t, []cache.Event{
@@ -177,7 +175,7 @@ func TestExpirySlotIsSkipped(t *testing.T) {
 		t.Fatal("snapshot wrote a non-zero expiry slot")
 	}
 	binary.LittleEndian.PutUint64(snap[slot:], deadline)
-	binary.LittleEndian.PutUint32(snap[len(snap)-4:], crc32.Checksum(snap[len(snapMagic):len(snap)-4], crcTable))
+	binary.LittleEndian.PutUint32(snap[len(snap)-4:], frame.Checksum(snap[len(snapMagic):len(snap)-4]))
 	st, err := DecodeSnapshot(snap)
 	if err != nil || len(st.Entries) != 1 || st.Entries[0] != entry {
 		t.Fatalf("old snapshot decodes as %+v, %v; want %+v", st.Entries, err, entry)

@@ -50,17 +50,7 @@ type Config struct {
 	Dir string
 	// Logger receives recovery and degradation notices; nil discards.
 	Logger *log.Logger
-	// BatchFrames bounds the group-commit queue: at most this many frames
-	// wait for the flusher before further appenders block (backpressure).
-	// 0 means DefaultBatchFrames; 1 effectively disables coalescing.
-	BatchFrames int
 }
-
-// DefaultBatchFrames is the group-commit queue bound when
-// Config.BatchFrames is 0. It caps the frames coalesced into one write()
-// and therefore the memory parked in the queue (frames are at most
-// maxFramePayload+frameOverhead bytes, cache events far smaller).
-const DefaultBatchFrames = 256
 
 // Report describes what one Open recovered, for warm-restart logging and
 // tests.
@@ -90,36 +80,18 @@ type Report struct {
 // each other, but the caller must serialise Rotate against the capture of
 // the state it snapshots (see Checkpoint contract in internal/netnode).
 //
-// Appends are group-committed: an appender encodes its frame onto the
-// end of a bounded batch and blocks until the background flusher has
-// written it, so concurrent appenders coalesce into one write() syscall
-// per batch while the durability contract is unchanged — when Append
-// returns, the frame is physically in the journal file (a recovery that
-// reads the file at that instant replays it). A lone appender degenerates
-// to exactly the old one-write-per-event behaviour. Sync policy is also
-// unchanged: fsync happens at Rotate/Close, not per batch, so crash
-// semantics (torn-tail truncation, replay-on-snapshot) are identical.
+// Append writes its frame with one write() under mu before it returns, so
+// an acknowledged event is in the journal file (a recovery that reads the
+// file at that instant replays it) and no frame can straddle a rotation.
+// fsync happens only at Rotate and Close.
 type Persister struct {
 	dir    string
 	logger *log.Logger
 
 	mu      sync.Mutex
-	journal *os.File
+	journal *os.File // nil once closed
 	gen     uint64
-	closed  bool
-
-	// Group commit (all guarded by mu; the conds share it).
-	batchCap      int
-	pending       []byte // the batch being formed: whole frames, back to back
-	pendingFrames int    // how many frames pending holds
-	seqIn         uint64 // frames enqueued so far
-	seqDone       uint64 // frames physically written so far
-	// flushCond wakes the flusher when frames arrive or the persister
-	// closes; doneCond wakes appenders (and drain barriers) when seqDone
-	// advances or the queue drains.
-	flushCond     *sync.Cond
-	doneCond      *sync.Cond
-	flusherExited chan struct{}
+	scratch []byte // the frame being written, reused by every Append
 
 	recovered State
 	report    Report
@@ -137,21 +109,7 @@ func Open(cfg Config) (*Persister, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	if cfg.BatchFrames < 0 {
-		return nil, fmt.Errorf("persist: negative batch bound %d", cfg.BatchFrames)
-	}
-	batchCap := cfg.BatchFrames
-	if batchCap == 0 {
-		batchCap = DefaultBatchFrames
-	}
-	p := &Persister{
-		dir:           cfg.Dir,
-		logger:        cfg.Logger,
-		batchCap:      batchCap,
-		flusherExited: make(chan struct{}),
-	}
-	p.flushCond = sync.NewCond(&p.mu)
-	p.doneCond = sync.NewCond(&p.mu)
+	p := &Persister{dir: cfg.Dir, logger: cfg.Logger}
 
 	// 1. Snapshot, if any.
 	var base State
@@ -248,7 +206,6 @@ func Open(cfg Config) (*Persister, error) {
 			}
 		}
 	}
-	go p.flusher()
 	return p, nil
 }
 
@@ -259,112 +216,42 @@ func (p *Persister) RecoveredState() State { return p.recovered }
 // Report returns what Open recovered and discarded.
 func (p *Persister) Report() Report { return p.report }
 
-// Append journals one cache event via group commit: the frame joins the
-// pending batch and Append blocks until the flusher has written it, so
-// the frame is in the journal file when Append returns (recovery-visible
-// immediately, exactly like the old direct write). It never fails the
-// caller's request path: an I/O error degrades durability and is logged,
-// the cache keeps serving. A disk-tier remove is not the journal's to
-// record (the blob index's del frame is that mutation) and is skipped.
+// Append journals one cache event: its frame is encoded into the scratch
+// buffer and written with one write() under the lock, so it is in the
+// journal file when Append returns. It never fails the caller's request
+// path: an I/O error degrades durability and is logged, the cache keeps
+// serving. A disk-tier remove is not the journal's to record (the blob
+// index's del frame is that mutation) and is skipped, and so is any event
+// after Close.
 func (p *Persister) Append(ev cache.Event) {
 	if ev.Tier == cache.TierDisk && ev.Kind == cache.EventRemove {
 		return
 	}
-	if err := p.enqueue(ev); err != nil {
-		p.logf("persist: drop event: %v", err)
-	}
-}
-
-// enqueue encodes ev straight into the pending batch under the lock and
-// waits for the flusher to cover it. The error is the encoder's; an event
-// it refuses never touches the batch.
-func (p *Persister) enqueue(ev cache.Event) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	// Backpressure: a full queue means the flusher is behind; wait for it
-	// to drain rather than growing the batch without bound.
-	for p.pendingFrames >= p.batchCap && !p.closed {
-		p.doneCond.Wait()
+	if p.journal == nil {
+		return
 	}
-	if p.closed || p.journal == nil {
-		return nil
-	}
-	batch, err := appendEvent(p.pending, ev)
+	buf, err := appendEvent(p.scratch[:0], ev)
 	if err != nil {
-		return err
+		p.logf("persist: drop event: %v", err)
+		return
 	}
-	p.pending = batch
-	p.pendingFrames++
-	p.seqIn++
-	seq := p.seqIn
-	p.flushCond.Signal()
-	// Wait for the flusher to cover our frame. While it writes batch k,
-	// later appenders park here forming batch k+1 — the coalescing.
-	for p.seqDone < seq && !p.closed {
-		p.doneCond.Wait()
-	}
-	return nil
-}
-
-// flusher is the single background goroutine that drains the pending
-// batch: it swaps the buffer out under the lock and issues ONE write()
-// for it as it stands. Two buffers alternate: the one appenders encode
-// into belongs to whoever holds p.mu, the other is the flusher's alone
-// from the swap until its write returns. It exits when the persister
-// closes with the queue empty (Close drains first).
-func (p *Persister) flusher() {
-	defer close(p.flusherExited)
-	var spare []byte
-	p.mu.Lock()
-	for {
-		for p.pendingFrames == 0 && !p.closed {
-			p.flushCond.Wait()
-		}
-		if p.pendingFrames == 0 {
-			p.mu.Unlock()
-			return
-		}
-		batch, frames := p.pending, p.pendingFrames
-		p.pending, p.pendingFrames = spare[:0], 0
-		target := p.journal
-		p.mu.Unlock()
-
-		if target != nil {
-			if _, err := target.Write(batch); err != nil {
-				p.logf("persist: journal append (%d frames): %v", frames, err)
-			}
-		}
-		spare = batch
-
-		p.mu.Lock()
-		// Frames are on disk (or dropped with a logged error — durability
-		// degraded, same contract as before): release the appenders.
-		p.seqDone += uint64(frames)
-		p.doneCond.Broadcast()
-	}
-}
-
-// drainLocked blocks until every enqueued frame has been written (or the
-// persister closes). Caller holds p.mu. This is the group-commit barrier:
-// after it returns, the journal file contains a consistent prefix ending
-// at the current rotation/close point.
-func (p *Persister) drainLocked() {
-	for p.seqDone < p.seqIn && !p.closed {
-		p.doneCond.Wait()
+	p.scratch = buf
+	if _, err := p.journal.Write(buf); err != nil {
+		p.logf("persist: journal append: %v", err)
 	}
 }
 
 // Rotate switches appends to the next journal generation. The caller must
 // hold the lock that serialises cache mutations while calling it, so the
-// state it is about to snapshot aligns exactly with the rotation point.
-// Rotate first drains the group-commit queue, so every event appended
-// before the capture lands in the old generation and the new journal
-// starts empty at exactly the snapshot's state.
+// state it is about to snapshot aligns exactly with the rotation point:
+// every event appended before the capture is in the old generation and
+// the new journal starts empty at exactly the snapshot's state.
 func (p *Persister) Rotate() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.drainLocked()
-	if p.closed {
+	if p.journal == nil {
 		return errors.New("persist: closed")
 	}
 	next := p.gen + 1
@@ -375,10 +262,8 @@ func (p *Persister) Rotate() error {
 	old := p.journal
 	p.journal = f
 	p.gen = next
-	if old != nil {
-		_ = old.Sync()
-		_ = old.Close()
-	}
+	_ = old.Sync()
+	_ = old.Close()
 	return nil
 }
 
@@ -423,25 +308,14 @@ func (p *Persister) WriteSnapshot(st State) error {
 	return nil
 }
 
-// Close drains the group-commit queue, then syncs and closes the
-// journal. It does not snapshot; callers that want a final checkpoint
-// (graceful drain) do Rotate + WriteSnapshot first. Close is idempotent.
+// Close syncs and closes the journal. It does not snapshot; callers that
+// want a final checkpoint (graceful drain) do Rotate + WriteSnapshot
+// first. Close is idempotent.
 func (p *Persister) Close() error {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil
-	}
-	p.drainLocked()
-	p.closed = true
 	journal := p.journal
 	p.journal = nil
-	// Wake everyone: the flusher exits (queue is empty and closed is
-	// set), blocked appenders give up.
-	p.flushCond.Signal()
-	p.doneCond.Broadcast()
 	p.mu.Unlock()
-	<-p.flusherExited
 	if journal == nil {
 		return nil
 	}

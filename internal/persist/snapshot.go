@@ -28,11 +28,11 @@ package persist
 import (
 	"bytes"
 	"fmt"
-	"hash/crc32"
 	"sort"
 	"time"
 
 	"eacache/internal/cache"
+	"eacache/internal/frame"
 )
 
 var snapMagic = []byte("EACSNAP3")
@@ -79,8 +79,8 @@ func EncodeSnapshot(st State) []byte {
 		e.str(en.URL)
 		e.i64(en.Size)
 		e.i64(0) // reserved
-		e.i64(timeToNano(en.EnteredAt))
-		e.i64(timeToNano(en.LastHit))
+		e.i64(frame.TimeToNano(en.EnteredAt))
+		e.i64(frame.TimeToNano(en.LastHit))
 		e.i64(en.Hits)
 	}
 	e.i64(int64(st.Tracker.Window))
@@ -89,7 +89,7 @@ func EncodeSnapshot(st State) []byte {
 	e.i64(st.Tracker.TotalCount)
 	e.u32(uint32(len(st.Tracker.Samples)))
 	for _, s := range st.Tracker.Samples {
-		e.i64(timeToNano(s.At))
+		e.i64(frame.TimeToNano(s.At))
 		e.i64(int64(s.Age))
 	}
 
@@ -97,7 +97,7 @@ func EncodeSnapshot(st State) []byte {
 	out = append(out, snapMagic...)
 	out = append(out, e.b...)
 	var tr encoder
-	tr.u32(crc32.Checksum(e.b, crcTable))
+	tr.u32(frame.Checksum(e.b))
 	return append(out, tr.b...)
 }
 
@@ -117,7 +117,7 @@ func DecodeSnapshot(data []byte) (State, error) {
 	}
 	body := data[len(snapMagic) : len(data)-4]
 	want := (&decoder{b: data[len(data)-4:]}).u32()
-	if got := crc32.Checksum(body, crcTable); got != want {
+	if got := frame.Checksum(body); got != want {
 		return State{}, fmt.Errorf("%w: snapshot checksum mismatch", ErrCorrupt)
 	}
 
@@ -133,8 +133,8 @@ func DecodeSnapshot(data []byte) (State, error) {
 		en := EntryState{URL: d.str(maxJournalURL)}
 		en.Size = d.i64()
 		d.take(8) // reserved
-		en.EnteredAt = nanoToTime(d.i64())
-		en.LastHit = nanoToTime(d.i64())
+		en.EnteredAt = frame.NanoToTime(d.i64())
+		en.LastHit = frame.NanoToTime(d.i64())
 		en.Hits = d.i64()
 		if d.err != nil {
 			return State{}, d.err
@@ -155,7 +155,7 @@ func DecodeSnapshot(data []byte) (State, error) {
 	}
 	st.Tracker.Samples = make([]cache.TrackerSample, 0, sn)
 	for i := 0; i < sn; i++ {
-		at := nanoToTime(d.i64())
+		at := frame.NanoToTime(d.i64())
 		age := clampDuration(d.i64())
 		st.Tracker.Samples = append(st.Tracker.Samples, cache.TrackerSample{At: at, Age: age})
 	}

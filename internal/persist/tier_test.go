@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"log"
 	"os"
 	"path/filepath"
@@ -15,6 +14,7 @@ import (
 
 	"eacache/internal/blob"
 	"eacache/internal/cache"
+	"eacache/internal/frame"
 )
 
 // TestJournalTierRoundTrip checks what each tier record kind carries
@@ -54,8 +54,8 @@ func TestJournalTierRoundTrip(t *testing.T) {
 	if want := (cache.Event{Kind: cache.EventDemote, Doc: cache.Document{URL: "http://t/1"}}); got[0] != want {
 		t.Fatalf("demote decoded as %+v, want the URL alone", got[0])
 	}
-	if frame, _ := MarshalEvent(demote); len(frame) != frameOverhead+2+len(demote.Doc.URL) {
-		t.Fatalf("demote frame is %d bytes, want framing + URL", len(frame))
+	if f, _ := MarshalEvent(demote); len(f) != frame.Overhead+2+len(demote.Doc.URL) {
+		t.Fatalf("demote frame is %d bytes, want framing + URL", len(f))
 	}
 
 	p := got[1]
@@ -137,7 +137,7 @@ func TestSnapshotRejectsV1(t *testing.T) {
 		"EACSNAP2": binary.LittleEndian.AppendUint32(body, 0),
 	} {
 		old := append([]byte(magic), body...)
-		old = binary.LittleEndian.AppendUint32(old, crc32.Checksum(body, crcTable))
+		old = binary.LittleEndian.AppendUint32(old, frame.Checksum(body))
 
 		if _, err := DecodeSnapshot(old); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "bad snapshot magic") {
 			t.Fatalf("%s snapshot: err = %v, want a bad-magic ErrCorrupt", magic, err)

@@ -124,7 +124,7 @@ func (t simTransport) FetchParent(_ any, url string, sizeHint int64, reqAge time
 }
 
 func (t simTransport) FetchOrigin(_ any, url string, sizeHint int64, _ time.Duration, _ time.Time) (cache.Document, error) {
-	return t.p.fetchOrigin(url, sizeHint)
+	return t.p.fetchOrigin(url, sizeHint), nil
 }
 
 // simHooks maps the engine's decision points to placement decision

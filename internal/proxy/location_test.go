@@ -6,7 +6,6 @@ import (
 
 	"eacache/internal/cache"
 	"eacache/internal/core"
-	"eacache/internal/digest"
 	"eacache/internal/metrics"
 	"eacache/internal/resolve"
 )
@@ -22,9 +21,7 @@ func newDigestProxy(t *testing.T, id string, capacity int64) *Proxy {
 		ID:       id,
 		Store:    store,
 		Scheme:   core.AdHoc{},
-		Origin:   SizeHintOrigin{},
 		Location: resolve.LocateDigest,
-		Digest:   digest.Config{Expected: 64, FPRate: 0.01},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -19,31 +19,6 @@ import (
 	"eacache/internal/resolve"
 )
 
-// Origin models the origin servers behind the cache group. Trace-driven
-// simulations know each document's size from the trace record, so the
-// default origin materialises a document from the URL and size hint.
-type Origin interface {
-	// Fetch retrieves url from its origin server. sizeHint is the size
-	// recorded in the trace, or 0 when unknown.
-	Fetch(url string, sizeHint int64) (cache.Document, error)
-}
-
-// SizeHintOrigin is an Origin that fabricates documents of the hinted
-// size (or the paper's 4KB average when the hint is missing). It never
-// fails, matching the paper's assumption that any miss can be served by
-// the origin.
-type SizeHintOrigin struct{}
-
-var _ Origin = SizeHintOrigin{}
-
-// Fetch implements Origin.
-func (SizeHintOrigin) Fetch(url string, sizeHint int64) (cache.Document, error) {
-	if sizeHint <= 0 {
-		sizeHint = 4096
-	}
-	return cache.Document{URL: url, Size: sizeHint}, nil
-}
-
 // Config configures a Proxy.
 type Config struct {
 	// ID names the proxy ("cache-0", ...). Must be unique in a group.
@@ -52,15 +27,9 @@ type Config struct {
 	Store *cache.Store
 	// Scheme is the placement scheme. Required.
 	Scheme core.Scheme
-	// Origin serves group-wide misses. Required for proxies that resolve
-	// misses (all distributed proxies and hierarchy roots).
-	Origin Origin
 	// Location selects the document-location mechanism. Defaults to
 	// LocateICP, the paper's setting.
 	Location resolve.Location
-	// Digest tunes the Summary-Cache digests when Location is
-	// LocateDigest.
-	Digest digest.Config
 	// Decisions, when set, records every placement verdict with its two
 	// eq.-5 expiration ages, as a live node's /debug/placement log does.
 	Decisions *obs.DecisionLog
@@ -100,7 +69,6 @@ type ICPStats struct {
 type Proxy struct {
 	id        string
 	store     *cache.Store
-	origin    Origin
 	location  resolve.Location
 	summary   *digest.Incremental
 	decisions *obs.DecisionLog
@@ -137,14 +105,12 @@ func New(cfg Config) (*Proxy, error) {
 	p := &Proxy{
 		id:        cfg.ID,
 		store:     cfg.Store,
-		origin:    cfg.Origin,
 		location:  cfg.Location,
 		decisions: cfg.Decisions,
 	}
 	p.self = []resolve.Candidate{{ID: p.id, Ref: p}}
 	if cfg.Location == resolve.LocateDigest {
-		dc := cfg.Digest.WithDefaults(cfg.Store.Capacity())
-		summary, err := digest.NewIncremental(dc.Expected, dc.FPRate, 0)
+		summary, err := digest.NewIncremental(digest.ExpectedEntries(cfg.Store.Capacity()), digest.FPRate, 0)
 		if err != nil {
 			return nil, fmt.Errorf("proxy %s: %w", cfg.ID, err)
 		}
@@ -373,13 +339,12 @@ func (p *Proxy) serve(url string, sizeHint int64, reqAge time.Duration, rslv boo
 	return s, err
 }
 
-func (p *Proxy) fetchOrigin(url string, sizeHint int64) (cache.Document, error) {
-	if p.origin == nil {
-		return cache.Document{}, fmt.Errorf("proxy %s: no origin configured", p.id)
+// fetchOrigin serves a group-wide miss from the simulated origin: a
+// document of the size the trace recorded, or the paper's 4KB mean when
+// the record has none. Like the paper's origin, it never fails.
+func (p *Proxy) fetchOrigin(url string, sizeHint int64) cache.Document {
+	if sizeHint <= 0 {
+		sizeHint = 4096
 	}
-	doc, err := p.origin.Fetch(url, sizeHint)
-	if err != nil {
-		return cache.Document{}, fmt.Errorf("proxy %s: origin fetch %s: %w", p.id, url, err)
-	}
-	return doc, nil
+	return cache.Document{URL: url, Size: sizeHint}
 }

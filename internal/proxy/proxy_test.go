@@ -1,7 +1,6 @@
 package proxy
 
 import (
-	"errors"
 	"reflect"
 	"slices"
 	"testing"
@@ -24,7 +23,7 @@ func newProxy(t *testing.T, id string, capacity int64, scheme core.Scheme) *Prox
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(Config{ID: id, Store: store, Scheme: scheme, Origin: SizeHintOrigin{}})
+	p, err := New(Config{ID: id, Store: store, Scheme: scheme})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,20 +97,6 @@ func TestEmptyURLRejected(t *testing.T) {
 	p := newProxy(t, "a", 1000, core.AdHoc{})
 	if _, err := p.Request("", 10, at(0)); err == nil {
 		t.Fatal("empty URL accepted")
-	}
-}
-
-func TestNoOriginFails(t *testing.T) {
-	store, err := cache.New(cache.Config{Capacity: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := New(Config{ID: "a", Store: store, Scheme: core.AdHoc{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Request("http://d/", 10, at(0)); err == nil {
-		t.Fatal("miss without origin succeeded")
 	}
 }
 
@@ -508,32 +493,23 @@ func TestThreeLevelHierarchyResolution(t *testing.T) {
 	}
 }
 
-type failingOrigin struct{}
-
-func (failingOrigin) Fetch(string, int64) (cache.Document, error) {
-	return cache.Document{}, errors.New("origin down")
-}
-
-func TestOriginErrorPropagates(t *testing.T) {
-	store, err := cache.New(cache.Config{Capacity: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := New(Config{ID: "a", Store: store, Scheme: core.AdHoc{}, Origin: failingOrigin{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Request("http://d/", 10, at(0)); err == nil {
-		t.Fatal("origin error swallowed")
-	}
-}
-
+// TestSizeHintOriginDefaultSize: a miss with no size in its trace record
+// is served, and cached, at the paper's 4KB mean; one with a size keeps it.
 func TestSizeHintOriginDefaultSize(t *testing.T) {
-	doc, err := SizeHintOrigin{}.Fetch("http://d/", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc.Size != 4096 {
-		t.Fatalf("default size = %d", doc.Size)
+	p := newProxy(t, "a", 1<<20, core.AdHoc{})
+	for _, tc := range []struct {
+		url        string
+		hint, want int64
+	}{{"http://d/none", 0, 4096}, {"http://d/sized", 100, 100}} {
+		res, err := p.Request(tc.url, tc.hint, at(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Outcome != metrics.Miss || res.Doc.Size != tc.want {
+			t.Fatalf("%s: %v of %d bytes, want a miss of %d", tc.url, res.Outcome, res.Doc.Size, tc.want)
+		}
+		if doc, ok := p.Store().Peek(tc.url); !ok || doc.Size != tc.want {
+			t.Fatalf("%s: cached %+v (%v), want %d bytes", tc.url, doc, ok, tc.want)
+		}
 	}
 }
