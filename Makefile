@@ -33,18 +33,18 @@ size:
 	demoflags=$$(artifacts/proxyd demo -h 2>&1 | grep -c '^  -'); \
 	originflags=$$(artifacts/proxyd origin -h 2>&1 | grep -c '^  -'); \
 	families=$$(grep -c '^| `eac_' METRICS.md); \
-	echo "non-test Go lines:     $$lines (ceiling 22565)"; \
+	echo "non-test Go lines:     $$lines (ceiling 22532)"; \
 	echo "largest non-test file: $$1 $$2 (ceiling 855)"; \
 	echo "proxyd flags:          $$flags (ceiling 20)"; \
 	echo "proxyd demo flags:     $$demoflags (ceiling 5)"; \
 	echo "proxyd origin flags:   $$originflags (ceiling 1)"; \
 	echo "eac_* families:        $$families (ceiling 40)"; \
-	docs=0; for d in README.md:32679 DESIGN.md:82943 EXPERIMENTS.md:55252 CHANGES.md:26888 bench/README.md:51956; do \
+	docs=0; for d in README.md:32672 DESIGN.md:82873 EXPERIMENTS.md:55001 CHANGES.md:26630 bench/README.md:51956; do \
 		f=$${d%%:*}; max=$${d##*:}; bytes=$$(wc -c < $$f); \
 		printf '%-22s %s (ceiling %s)\n' "$$f bytes:" $$bytes $$max; \
 		[ $$bytes -le $$max ] || docs=1; \
 	done; \
-	[ $$lines -le 22565 ] && [ $$1 -le 855 ] && [ $$flags -le 20 ] && [ $$demoflags -le 5 ] && \
+	[ $$lines -le 22532 ] && [ $$1 -le 855 ] && [ $$flags -le 20 ] && [ $$demoflags -le 5 ] && \
 	[ $$originflags -le 1 ] && [ $$families -le 40 ] && [ $$docs -eq 0 ]
 
 build:

@@ -1,20 +1,18 @@
-// Package blob is the content-addressed disk tier beneath the sharded
-// memory cache: checksummed bodies in a few append-only segment files,
-// indexed by an append-only CRC32C-framed log, with its own byte budget,
-// LRU replacement and expiration-age tracker (the admission price the
-// tier controller charges demotions — see internal/cache's TieredStore).
+// Package blob is the disk tier beneath the sharded memory cache: each
+// resident URL owns one checksummed extent in a few append-only segment
+// files, indexed by an append-only CRC32C-framed log, with its own byte
+// budget, LRU replacement and expiration-age tracker (the admission price
+// the tier controller charges demotions — see internal/cache's
+// TieredStore).
 //
 // Layout under Config.Dir:
 //
 //	index.log  append-only index (put/del frames; a put names its extent)
 //	seg/<n>    body segments, appended to only, descriptors kept open
 //
-// segment.go has an extent's life cycle. Addressing by content hash means
-// identical bodies share one extent: the refcounted index tracks how many
-// URLs reference each sum and the bytes die only when the last reference
-// goes. (The node's synthetic zero-filled bodies make this the common
-// case — every same-sized body dedupes — so Used() accounts logical
-// bytes, the sum of entry sizes, against Capacity.)
+// segment.go has an extent's life cycle. An extent belongs to one entry
+// (two URLs with equal bodies hold two copies), so Used(), the sum of entry
+// sizes, is also the live bytes in the segments.
 //
 // Recovery mirrors internal/persist's posture: Open replays the longest
 // verifiable index prefix (truncating a torn tail), then cross-checks
@@ -22,11 +20,13 @@
 // segment, no bodies re-read, which is what makes a warm restart over a
 // large tier take seconds. Full checksum verification is available
 // separately through VerifyAll (the disk-smoke gate) and happens
-// implicitly on every read: Verify(url) and Open(url)'s reader hash as they
-// stream and fail at EOF on a mismatch, dropping the corrupt entry. An
-// index written by the earlier file-per-blob layout (kind-1 put frames)
-// is undecodable from its first frame, so such a directory opens as an
-// empty tier; that layout's blobs/ and tmp/ trees are left as they are.
+// implicitly on every read: Verify(url) and Open(url)'s reader compute the
+// body's CRC32C as they stream and fail at EOF on a mismatch, dropping the
+// corrupt entry. An index written by an earlier layout (kind-1 put frames
+// of the file-per-blob layout, kind-3 ones carrying a SHA-256) is
+// undecodable from its first frame, so such a directory opens as an empty
+// tier and its segments are swept; the file-per-blob layout's blobs/ and
+// tmp/ trees are left as they are.
 package blob
 
 import (
@@ -43,11 +43,13 @@ import (
 	"time"
 
 	"eacache/internal/cache"
+	"eacache/internal/frame"
 )
 
 var (
-	// ErrChecksum reports a blob whose stored bytes no longer match its
-	// content hash. The entry is dropped and the failure counted.
+	// ErrChecksum reports a blob whose stored bytes no longer match the
+	// CRC32C taken when it was admitted. The entry is dropped and the
+	// failure counted.
 	ErrChecksum = errors.New("blob: checksum mismatch")
 	// ErrClosed reports an operation on a closed store.
 	ErrClosed = errors.New("blob: store closed")
@@ -59,8 +61,8 @@ var (
 type Config struct {
 	// Dir is the tier's root directory; created if absent. Required.
 	Dir string
-	// Capacity is the byte budget (logical bytes: the sum of entry
-	// sizes). Must be positive.
+	// Capacity is the byte budget, against the sum of entry sizes. Must
+	// be positive.
 	Capacity int64
 	// ExpirationWindow / ExpirationHorizon configure the tier's
 	// expiration-age tracker, with cache.Config's semantics. The tracker
@@ -115,8 +117,7 @@ type Store struct {
 	mu      sync.Mutex
 	entries map[string]*dentry
 	free    []*dentry // zeroed dentries of dropped entries, for the next insert
-	blobs   map[[32]byte]blobRef
-	lru     dentry // ring sentinel: next = most recent, prev = victim
+	lru     dentry    // ring sentinel: next = most recent, prev = victim
 	used    int64
 	ages    *cache.ExpAgeTracker
 	index   *os.File
@@ -152,7 +153,6 @@ func Open(cfg Config) (*Store, error) {
 		capacity: cfg.Capacity,
 		segSize:  max(cfg.Capacity/32, 64<<10),
 		entries:  make(map[string]*dentry),
-		blobs:    make(map[[32]byte]blobRef),
 		segs:     make(map[uint32]*segment),
 		ages:     cache.NewExpAgeTracker(cfg.ExpirationWindow),
 	}
@@ -172,8 +172,7 @@ func (s *Store) indexPath() string { return filepath.Join(s.dir, "index.log") }
 
 // recover replays the index log, reconciles it against the segments,
 // reopens the log for appending (compacting it first when replay found
-// it torn, garbage-heavy or split over two copies of one body) and sweeps
-// the segments nothing references.
+// it torn or garbage-heavy) and sweeps the segments nothing references.
 func (s *Store) recover() error {
 	raw, err := os.ReadFile(s.indexPath())
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -203,31 +202,24 @@ func (s *Store) recover() error {
 		a, b := puts[i].Entry, puts[j].Entry
 		return a.LastHit.Before(b.LastHit) || a.LastHit.Equal(b.LastHit) && a.Doc.URL < b.Doc.URL
 	})
-	split := false
 	for _, r := range puts {
 		// Cross-check the extent against its segment's length (bodies
 		// are not read).
-		if seg := s.segs[r.at.seg]; seg == nil || r.at.off > seg.size-r.Entry.Doc.Size {
+		seg := s.segs[r.at.seg]
+		if seg == nil || r.at.off > seg.size-r.Entry.Doc.Size {
 			s.report.LostBlobs++
 			continue
 		}
-		// A crash part-way through a segment compaction leaves a body's
-		// entries split between its old extent and its new one; both hold
-		// the same bytes, so all adopt the first and the index is
-		// rewritten to say so before either segment can go.
-		at, first := s.insertLocked(r.Entry, r.at)
-		if first {
-			s.segs[at.seg].live += r.Entry.Doc.Size
-		}
-		split = split || at != r.at
+		s.insertLocked(r.Entry, r.at)
+		seg.live += r.Entry.Doc.Size
 	}
 	s.report.Entries = len(s.entries)
 	s.report.Bytes = s.used
 
 	// Reopen the log for appending; rewrite it first if replay carried a
-	// torn tail, heavy garbage or a split body.
+	// torn tail or heavy garbage.
 	garbage := s.report.IndexRecords - len(s.entries)
-	if s.report.Compacted = s.report.TruncatedBytes > 0 || split || garbage > len(s.entries)+128; s.report.Compacted {
+	if s.report.Compacted = s.report.TruncatedBytes > 0 || garbage > len(s.entries)+128; s.report.Compacted {
 		err = s.compactLocked()
 	} else {
 		s.frames = s.report.IndexRecords
@@ -297,47 +289,32 @@ func (s *Store) appendLocked(r IndexRecord) error {
 	return nil
 }
 
-// insertLocked makes e resident as the most recently used entry. The
-// first reference to a body takes at for its extent; later ones share
-// the first's, which is returned.
-func (s *Store) insertLocked(e cache.DiskEntry, at extent) (extent, bool) {
-	b := s.blobs[e.Sum]
-	first := b.refs == 0
-	if first {
-		b.at = at
-	}
-	b.refs++
-	s.blobs[e.Sum] = b
+// insertLocked makes e, with its body at at, resident as the most recently
+// used entry.
+func (s *Store) insertLocked(e cache.DiskEntry, at extent) {
 	var d *dentry
 	if n := len(s.free); n > 0 {
 		d, s.free[n-1], s.free = s.free[n-1], nil, s.free[:n-1]
 	} else {
 		d = new(dentry)
 	}
-	*d = dentry{e: e, at: b.at, prev: &s.lru, next: s.lru.next}
+	*d = dentry{e: e, at: at, prev: &s.lru, next: s.lru.next}
 	d.prev.next, d.next.prev = d, d
 	s.entries[e.Doc.URL] = d
 	s.used += e.Doc.Size
-	return b.at, first
 }
 
-// dropLocked removes d's entry: index del frame, refcount decrement and
-// the extent turning dead on last reference. d is zeroed and kept for the
-// next insert while the free stack holds fewer than 64.
+// dropLocked removes d's entry: index del frame and its extent turning
+// dead. d is zeroed and kept for the next insert while the free stack
+// holds fewer than 64.
 func (s *Store) dropLocked(d *dentry) error {
 	delete(s.entries, d.e.Doc.URL)
 	d.prev.next, d.next.prev = d.next, d.prev
 	s.used -= d.e.Doc.Size
-	if b := s.blobs[d.e.Sum]; b.refs > 1 {
-		b.refs--
-		s.blobs[d.e.Sum] = b
-	} else { // last reference: the extent is dead space now
-		delete(s.blobs, d.e.Sum)
-		seg := s.segs[b.at.seg]
-		seg.live -= d.e.Doc.Size
-		s.dead += d.e.Doc.Size
-		s.retireLocked(seg)
-	}
+	seg := s.segs[d.at.seg]
+	seg.live -= d.e.Doc.Size
+	s.dead += d.e.Doc.Size
+	s.retireLocked(seg)
 	err := s.appendLocked(IndexRecord{Del: true, Entry: cache.DiskEntry{Doc: cache.Document{URL: d.e.Doc.URL}}})
 	if *d = (dentry{}); len(s.free) < 64 {
 		s.free = append(s.free, d)
@@ -355,13 +332,12 @@ func (s *Store) Admit(e cache.DiskEntry, body io.Reader, now time.Time) (cache.D
 	if e.Doc.Size > s.capacity {
 		return e, nil, ErrTooLarge
 	}
-	// Hash and write the body before any consideration of residency: the
-	// sum decides whether the bytes stay live.
-	sum, seg, off, err := s.stageBody(body, e.Doc.Size)
+	// Write the body before taking the lock for residency.
+	crc, seg, off, err := s.stageBody(body, e.Doc.Size)
 	if err != nil {
 		return e, nil, err
 	}
-	e.Sum = sum
+	e.Sum = crc
 	if e.LastHit.IsZero() {
 		e.LastHit = now
 	}
@@ -372,8 +348,8 @@ func (s *Store) Admit(e cache.DiskEntry, body io.Reader, now time.Time) (cache.D
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Unpinned only after the commit, or the extent could go with its
-	// segment first; left uncommitted — refused, or the body is already
-	// there — the extent is dead space, which may be due for reclaiming.
+	// segment first; an admission refused here leaves the extent dead
+	// space, which may be due for reclaiming.
 	defer s.reclaimLocked()
 	defer s.unpinLocked(seg)
 	if s.closed {
@@ -399,10 +375,9 @@ func (s *Store) Admit(e cache.DiskEntry, body io.Reader, now time.Time) (cache.D
 		s.ages.Record(age, now)
 		evicted = append(evicted, ev)
 	}
-	at, first := s.insertLocked(e, extent{seg: seg.id, off: off})
-	if first { // the extent just written is the body
-		s.commitLocked(seg, e.Doc.Size)
-	}
+	at := extent{seg: seg.id, off: off}
+	s.insertLocked(e, at)
+	s.commitLocked(seg, e.Doc.Size)
 	return e, evicted, s.appendLocked(IndexRecord{Entry: e, at: at})
 }
 
@@ -418,16 +393,18 @@ func (s *Store) Open(url string) (cache.DiskEntry, io.ReadCloser, bool) {
 }
 
 // Verify implements cache.DiskTier: Open, drain and Close with the reader
-// on this frame and the bytes discarded in its stager's buffer.
+// on this frame and the bytes discarded in a pooled stager's buffer.
 func (s *Store) Verify(url string) (cache.DiskEntry, bool, error) {
 	var r verifyReader
 	if !s.open(url, &r) {
 		return cache.DiskEntry{}, false, nil
 	}
+	st := stagers.Get().(*stager)
 	var err error
 	for err == nil {
-		_, err = r.Read(r.st.buf[:])
+		_, err = r.Read(st.buf[:])
 	}
+	stagers.Put(st)
 	if cerr := r.Close(); err == io.EOF {
 		err = cerr
 	}
@@ -444,35 +421,34 @@ func (s *Store) open(url string, r *verifyReader) bool {
 		s.mu.Unlock()
 		return false
 	}
-	*r = verifyReader{s: s, seg: s.segs[d.at.seg], off: d.at.off, e: d.e, remain: d.e.Doc.Size}
+	*r = verifyReader{s: s, seg: s.segs[d.at.seg], at: d.at, e: d.e}
 	r.seg.pins++
 	s.mu.Unlock()
-	r.st = stagers.Get().(*stager)
-	r.st.h.Reset()
 	return true
 }
 
-// dropCorrupt removes a failed entry and counts the checksum failure.
-func (s *Store) dropCorrupt(url string, sum [32]byte) {
+// dropCorrupt removes url's entry if its body still lies at the extent
+// that failed (two admissions of one URL can carry equal checksums, never
+// one extent), and counts the checksum failure.
+func (s *Store) dropCorrupt(url string, at extent) {
 	s.checksumFailures.Add(1)
 	s.mu.Lock()
-	if d, ok := s.entries[url]; ok && d.e.Sum == sum && !s.closed {
+	if d, ok := s.entries[url]; ok && d.at == at && !s.closed {
 		s.dropLocked(d)
 		s.reclaimLocked()
 	}
 	s.mu.Unlock()
 }
 
-// verifyReader streams an extent while hashing it; EOF fails with
-// ErrChecksum unless exactly the indexed bytes with the indexed sum were
-// read. It owns its stager (Open's uses only the hash, Verify's the buffer
-// too) and its pin on the segment from open to Close.
+// verifyReader streams an extent while checksumming it; EOF fails with
+// ErrChecksum unless exactly the indexed bytes with the indexed CRC32C
+// were read. It holds its pin on the segment from open to Close.
 type verifyReader struct {
 	s      *Store
-	seg    *segment
-	off    int64   // next byte to read
-	remain int64   // bytes of the extent left
-	st     *stager // nil once closed
+	seg    *segment // nil once closed
+	at     extent
+	read   int64  // bytes of the extent read so far
+	crc    uint32 // CRC32C of those bytes
 	e      cache.DiskEntry
 	failed bool
 	done   bool
@@ -480,28 +456,30 @@ type verifyReader struct {
 
 // Read implements io.Reader.
 func (r *verifyReader) Read(p []byte) (int, error) {
-	if r.st == nil {
+	if r.seg == nil {
 		return 0, fs.ErrClosed
 	}
-	if int64(len(p)) > r.remain {
-		p = p[:r.remain]
+	remain := r.e.Doc.Size - r.read
+	if int64(len(p)) > remain {
+		p = p[:remain]
 	}
-	n, err := r.seg.f.ReadAt(p, r.off)
-	r.st.h.Write(p[:n])
-	r.off += int64(n)
-	r.remain -= int64(n)
+	n, err := r.seg.f.ReadAt(p, r.at.off+r.read)
+	r.crc = frame.Update(r.crc, p[:n])
+	r.read += int64(n)
+	remain -= int64(n)
 	if err == io.EOF {
 		err = nil
 	}
-	if err != nil || r.remain > 0 && n == len(p) {
+	if err != nil || remain > 0 && n == len(p) {
 		return n, err
 	}
 	// The extent is drained, or its segment ended first: either the
-	// indexed bytes with the indexed sum were read, or the blob is corrupt.
+	// indexed bytes with the indexed checksum were read, or the blob is
+	// corrupt.
 	if !r.done {
 		r.done = true
-		if r.failed = r.remain > 0 || r.st.sum() != r.e.Sum; r.failed {
-			r.s.dropCorrupt(r.e.Doc.URL, r.e.Sum)
+		if r.failed = remain > 0 || r.crc != r.e.Sum; r.failed {
+			r.s.dropCorrupt(r.e.Doc.URL, r.at)
 		}
 	}
 	if r.failed {
@@ -516,12 +494,11 @@ func (r *verifyReader) Read(p []byte) (int, error) {
 // Close implements io.Closer; a close before the verified EOF returns
 // nil (partial reads cannot verify), after a failure it reports it.
 func (r *verifyReader) Close() error {
-	if r.st != nil {
-		stagers.Put(r.st)
-		r.st = nil
+	if r.seg != nil {
 		r.s.mu.Lock()
 		r.s.unpinLocked(r.seg)
 		r.s.mu.Unlock()
+		r.seg = nil
 	}
 	if r.failed {
 		return ErrChecksum
@@ -574,8 +551,8 @@ func (s *Store) Len() int {
 	return len(s.entries)
 }
 
-// Used implements cache.DiskTier (logical bytes; a shared extent counts
-// once per referencing URL).
+// Used implements cache.DiskTier: the sum of entry sizes, which is the
+// live bytes in the segments.
 func (s *Store) Used() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

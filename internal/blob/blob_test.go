@@ -2,8 +2,8 @@ package blob
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,6 +12,7 @@ import (
 
 	"eacache/internal/cache"
 	"eacache/internal/dist"
+	"eacache/internal/frame"
 )
 
 // t0 is the workload epoch (wall-clock-free tests).
@@ -27,12 +28,15 @@ func openStore(t *testing.T, dir string, capacity int64) *Store {
 	return s
 }
 
-// body returns a deterministic pseudorandom body for url.
+// body returns a deterministic body for url: its 8-byte FNV-1a hash,
+// repeated.
 func body(url string, size int64) []byte {
-	h := sha256.Sum256([]byte(url))
+	h := fnv.New64a()
+	h.Write([]byte(url))
+	seed := h.Sum64()
 	out := make([]byte, size)
 	for i := range out {
-		out[i] = h[i%len(h)]
+		out[i] = byte(seed >> (8 * (i % 8)))
 	}
 	return out
 }
@@ -106,9 +110,8 @@ func TestAdmitOpenRoundTrip(t *testing.T) {
 		if e != want {
 			t.Fatalf("%s: entry %+v, want %+v", url, e, want)
 		}
-		wantSum := sha256.Sum256(body(url, size))
-		if e.Sum != wantSum {
-			t.Fatalf("%s: sum mismatch", url)
+		if e.Sum != frame.Checksum(body(url, size)) {
+			t.Fatalf("%s: checksum %08x is not the body's CRC32C", url, e.Sum)
 		}
 	}
 	if s.Len() != 8 {
@@ -116,46 +119,32 @@ func TestAdmitOpenRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDedupeRefcount: identical bodies share one extent; it stays live
-// until the last referencing URL goes.
-func TestDedupeRefcount(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, dir, 1<<20)
+// TestEqualBodiesOwnTheirExtents: two URLs with the same bytes hold two
+// extents, so Used() is the live bytes in the segments and a removal
+// frees exactly its own copy.
+func TestEqualBodiesOwnTheirExtents(t *testing.T) {
+	s := openStore(t, t.TempDir(), 1<<20)
 	defer s.Close()
-	mk := func(url string, seq int) cache.DiskEntry {
-		now := t0().Add(time.Duration(seq) * time.Minute)
-		e, _, err := s.Admit(cache.DiskEntry{Doc: cache.Document{URL: url, Size: 512}, LastHit: now},
-			bytes.NewReader(make([]byte, 512)), now)
-		if err != nil {
+	for i, url := range []string{"http://dup/a", "http://dup/b"} {
+		now := t0().Add(time.Duration(i) * time.Minute)
+		if _, _, err := s.Admit(cache.DiskEntry{Doc: cache.Document{URL: url, Size: 512}, LastHit: now},
+			bytes.NewReader(make([]byte, 512)), now); err != nil {
 			t.Fatal(err)
 		}
-		return e
-	}
-	a := mk("http://dup/a", 0)
-	b := mk("http://dup/b", 1)
-	if a.Sum != b.Sum {
-		t.Fatalf("equal bodies, different sums")
 	}
 	pa, oa := where(t, s, "http://dup/a")
-	if pb, ob := where(t, s, "http://dup/b"); pa != pb || oa != ob {
-		t.Fatalf("equal bodies in two extents: %s@%d and %s@%d", pa, oa, pb, ob)
+	if pb, ob := where(t, s, "http://dup/b"); pa == pb && oa == ob {
+		t.Fatalf("equal bodies share the extent %s@%d", pa, oa)
 	}
-	if live, dead := liveBytes(s); live != 512 || dead != 512 {
-		t.Fatalf("live %d, dead %d: want the first copy live and the second dead", live, dead)
-	}
-	if s.Used() != 1024 {
-		t.Fatalf("logical used = %d, want 1024", s.Used())
+	if live, dead := liveBytes(s); live != 1024 || dead != 0 || s.Used() != live {
+		t.Fatalf("live %d, dead %d, used %d: want both copies live and counted", live, dead, s.Used())
 	}
 	s.Remove("http://dup/a")
-	if live, _ := liveBytes(s); live != 512 {
-		t.Fatalf("shared extent dead while referenced: %d live bytes", live)
+	if live, dead := liveBytes(s); live != 512 || dead != 512 || s.Used() != live {
+		t.Fatalf("after one removal: live %d, dead %d, used %d", live, dead, s.Used())
 	}
 	if _, _, err := readAll(t, s, "http://dup/b"); err != nil {
-		t.Fatalf("surviving reference unreadable: %v", err)
-	}
-	s.Remove("http://dup/b")
-	if live, dead := liveBytes(s); live != 0 || dead != 1024 {
-		t.Fatalf("extent survived last dereference: live %d, dead %d", live, dead)
+		t.Fatalf("the other copy is unreadable: %v", err)
 	}
 }
 

@@ -8,7 +8,7 @@
 //
 //	del: url
 //	put: url, i64 size, i64 0, i64 enteredAt, i64 lastHit, i64 hits,
-//	     [32]b sum, u32 segment, i64 offset
+//	     u32 body CRC32C, u32 segment, i64 offset
 //
 // The i64 0 is a reserved slot where a document expiry used to be.
 package blob
@@ -21,17 +21,18 @@ import (
 	"eacache/internal/frame"
 )
 
-// Index record kinds. Kind 1 was the put frame of the file-per-blob
-// layout; it is retired, so a log that carries one is damaged from there.
+// Index record kinds. Kinds 1 and 3 were the put frames of earlier layouts
+// (file-per-blob; extents checked by SHA-256); they are retired, so a log
+// that carries one is damaged from there.
 const (
 	iDel byte = 2 // the URL left the tier
-	iPut byte = 3 // the URL became disk-resident: entry metadata and extent
+	iPut byte = 4 // the URL became disk-resident: entry metadata and extent
 
 	// maxIndexURL bounds URL length, mirroring the journal's bound.
 	maxIndexURL = 8192
 	// putFixed is what a put payload carries after the URL: size, a
-	// reserved zero slot, two times, hits, sum, segment, offset.
-	putFixed = 5*8 + 32 + 4 + 8
+	// reserved zero slot, two times, hits, CRC, segment, offset.
+	putFixed = 5*8 + 4 + 4 + 8
 )
 
 // ErrCorrupt reports an index frame that failed structural validation.
@@ -70,7 +71,7 @@ func appendIndexRecord(dst []byte, r IndexRecord) []byte {
 		dst = le.AppendUint64(dst, uint64(frame.TimeToNano(r.Entry.EnteredAt)))
 		dst = le.AppendUint64(dst, uint64(frame.TimeToNano(r.Entry.LastHit)))
 		dst = le.AppendUint64(dst, uint64(r.Entry.Hits))
-		dst = append(dst, r.Entry.Sum[:]...)
+		dst = le.AppendUint32(dst, r.Entry.Sum)
 		dst = le.AppendUint32(dst, r.at.seg)
 		dst = le.AppendUint64(dst, uint64(r.at.off))
 	}
@@ -97,8 +98,8 @@ func decodeIndexPayload(kind byte, p []byte) (r IndexRecord, err error) {
 		r.Entry.EnteredAt = frame.NanoToTime(i64(2))
 		r.Entry.LastHit = frame.NanoToTime(i64(3))
 		r.Entry.Hits = i64(4)
-		copy(r.Entry.Sum[:], p[40:72])
-		r.at = extent{seg: le.Uint32(p[72:]), off: int64(le.Uint64(p[76:]))}
+		r.Entry.Sum = le.Uint32(p[40:])
+		r.at = extent{seg: le.Uint32(p[44:]), off: int64(le.Uint64(p[48:]))}
 		if r.Entry.Doc.Size < 0 || r.at.off < 0 {
 			return r, ErrCorrupt
 		}

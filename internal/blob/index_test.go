@@ -20,30 +20,35 @@ func rawFrame(kind byte, payload []byte) []byte {
 	return le.AppendUint32(out, frame.Checksum(out[4:]))
 }
 
-// retiredPutFrame is a put frame as the file-per-blob layout wrote it:
-// kind 1, no extent.
-func retiredPutFrame(url string) []byte {
+// retiredPutFrame is a put frame of a retired kind for a 512-byte body:
+// kind 1 as the file-per-blob layout wrote it (a SHA-256, no extent), or
+// kind 3 as the SHA-256-checked segments did (the sum, then the head of
+// segment 0).
+func retiredPutFrame(kind byte, url string) []byte {
 	le := binary.LittleEndian
 	p := append(le.AppendUint32(nil, uint32(len(url))), url...)
 	for _, v := range []uint64{512, 0, 1, 2, 3} { // size, expires, entered, last hit, hits
 		p = le.AppendUint64(p, v)
 	}
-	return rawFrame(1, append(p, make([]byte, 32)...))
+	p = append(p, make([]byte, 32)...)
+	if kind == 3 {
+		p = le.AppendUint64(le.AppendUint32(p, 0), 0)
+	}
+	return rawFrame(kind, p)
 }
 
 // goldenLog is the index log of Admit a (300 bytes), Remove a, Admit a
-// (500 bytes) on a fresh store, byte for byte: a put frame (kind 3) ending
-// in segment u32 and offset i64, a del frame (kind 2), a put frame whose
-// extent starts where the first body ended.
+// (500 bytes) on a fresh store, byte for byte: a put frame (kind 4) ending
+// in the body's CRC32C u32, segment u32 and offset i64, a del frame (kind
+// 2), a put frame whose extent starts where the first body ended.
 const goldenLog = "" +
-	"67000000030f000000687474703a2f2f676f6c64656e2f612c01000000000000" +
+	"4b000000040f000000687474703a2f2f676f6c64656e2f612c01000000000000" +
 	"000000000000000000b8b8fdc59997170058712e0c9d97170200000000000000" +
-	"2bc3a2508737f823712efe12e3b58006038ab4d606e409952f43ad90a2ccaafa" +
-	"0000000000000000000000007c0ef78713000000020f000000687474703a2f2f" +
-	"676f6c64656e2f611c3ac58a67000000030f000000687474703a2f2f676f6c64" +
-	"656e2f61f4010000000000000000000000000000001000f6d399971700b0b826" +
-	"1a9d97170300000000000000254763f9fefa622bb58b4c702884f177b83fc10b" +
-	"448fe1bcc12d800795b76b9f000000002c01000000000000195e35a9"
+	"019eac3f000000000000000000000000bde69d9f13000000020f000000687474" +
+	"703a2f2f676f6c64656e2f611c3ac58a4b000000040f000000687474703a2f2f" +
+	"676f6c64656e2f61f4010000000000000000000000000000001000f6d3999717" +
+	"00b0b8261a9d97170300000000000000cf893a4f000000002c01000000000000" +
+	"407e4149"
 
 func TestIndexLogGolden(t *testing.T) {
 	want, err := hex.DecodeString(goldenLog)
@@ -82,9 +87,9 @@ func TestIndexLogGolden(t *testing.T) {
 }
 
 // TestIndexExpirySlotIsSkipped: a put frame keeps the 8-byte slot after
-// the size where a document expiry used to be. A log written while the
-// slot still held a deadline replays exactly as the golden, which wrote
-// it zero.
+// the size where a document expiry used to be. The store writes it zero
+// and never reads it: a put frame holding a deadline there replays
+// exactly as the golden's.
 func TestIndexExpirySlotIsSkipped(t *testing.T) {
 	golden, err := hex.DecodeString(goldenLog)
 	if err != nil {
@@ -113,15 +118,18 @@ func TestIndexExpirySlotIsSkipped(t *testing.T) {
 
 // FuzzReplayIndex: the index decoder never panics, never claims more than
 // it was given, accepts only what the encoder produces byte for byte, and
-// stops at a frame of the retired put kind as it stops at any damage.
+// stops at a frame of either retired put kind as it stops at any damage.
 func FuzzReplayIndex(f *testing.F) {
 	golden, err := hex.DecodeString(goldenLog)
 	if err != nil {
 		f.Fatal(err)
 	}
+	put := golden[:frame.Overhead+binary.LittleEndian.Uint32(golden)] // the first put frame
 	f.Add(golden)
 	f.Add(golden[:len(golden)-5]) // torn tail
-	f.Add(append(golden[:112:112], retiredPutFrame("http://old/a")...))
+	f.Add(bytes.Clone(put))
+	f.Add(append(bytes.Clone(put), retiredPutFrame(1, "http://old/a")...))
+	f.Add(append(bytes.Clone(put), retiredPutFrame(3, "http://old/a")...))
 	f.Add(rawFrame(iPut, []byte{1, 0, 0, 0, 'u'}))
 	f.Add(rawFrame(iDel, nil))
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -137,12 +145,14 @@ func FuzzReplayIndex(f *testing.F) {
 			t.Fatalf("accepted records re-encode to\n%x\nnot the accepted prefix\n%x", again, raw[:valid])
 		}
 		// Whatever followed the accepted prefix, a well-formed frame of
-		// the retired kind in its place stops replay there, good frames
+		// a retired kind in its place stops replay there, good frames
 		// behind it or not.
-		old := append(append(raw[:valid:valid], rawFrame(1, raw[valid:min(len(raw), valid+200)])...), golden...)
-		recs2, valid2, damage2 := ReplayIndex(old)
-		if len(recs2) != len(recs) || valid2 != valid || damage2 == nil {
-			t.Fatalf("retired-kind frame: %d records over %d bytes (%v), want %d over %d and damage", len(recs2), valid2, damage2, len(recs), valid)
+		for _, kind := range []byte{1, 3} {
+			old := append(append(raw[:valid:valid], rawFrame(kind, raw[valid:min(len(raw), valid+200)])...), golden...)
+			recs2, valid2, damage2 := ReplayIndex(old)
+			if len(recs2) != len(recs) || valid2 != valid || damage2 == nil {
+				t.Fatalf("kind-%d frame: %d records over %d bytes (%v), want %d over %d and damage", kind, len(recs2), valid2, damage2, len(recs), valid)
+			}
 		}
 	})
 }

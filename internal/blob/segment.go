@@ -24,12 +24,6 @@ type extent struct {
 	off int64
 }
 
-// blobRef is one distinct body: where it lies and how many URLs share it.
-type blobRef struct {
-	at   extent
-	refs int
-}
-
 // segment is one body file. Everything but f is guarded by Store.mu; f is
 // read and written at explicit offsets, with the lock released.
 type segment struct {
@@ -114,9 +108,9 @@ func (s *Store) reclaimLocked() {
 
 // compactSegmentLocked re-appends v's live extents to the active segment
 // and unlinks v. Each body is verified as it is copied; a corrupt one is
-// dropped and counted. Every entry of a moved body gets a put frame with
-// the new extent before v goes, so a crash in between leaves each entry
-// pointing at bytes that exist: the old copy or the new one.
+// dropped and counted. Every moved entry gets a put frame with its new
+// extent before v goes, so a crash in between leaves each entry pointing
+// at bytes that exist: the old copy or the new one.
 func (s *Store) compactSegmentLocked(v *segment) error {
 	st := stagers.Get().(*stager)
 	defer stagers.Put(st)
@@ -126,28 +120,24 @@ func (s *Store) compactSegmentLocked(v *segment) error {
 		if cur.at.seg != v.id {
 			continue
 		}
-		b, size := s.blobs[cur.e.Sum], cur.e.Doc.Size
-		if b.at.seg == v.id { // first entry met for this body: move it
-			seg, off, err := s.reserveLocked(size)
-			if err != nil {
-				return err
-			}
-			sum, err := st.copy(seg.f, off, io.NewSectionReader(v.f, b.at.off, size), size)
-			if errors.Is(err, io.ErrUnexpectedEOF) || err == nil && sum != cur.e.Sum {
-				s.checksumFailures.Add(1)
-				s.dropLocked(cur)
-				continue
-			}
-			if err != nil {
-				return err
-			}
-			s.commitLocked(seg, size)
-			v.live -= size
-			s.dead += size
-			b.at = extent{seg: seg.id, off: off}
-			s.blobs[cur.e.Sum] = b
+		size := cur.e.Doc.Size
+		seg, off, err := s.reserveLocked(size)
+		if err != nil {
+			return err
 		}
-		cur.at = b.at
+		crc, err := st.copy(seg.f, off, io.NewSectionReader(v.f, cur.at.off, size), size)
+		if errors.Is(err, io.ErrUnexpectedEOF) || err == nil && crc != cur.e.Sum {
+			s.checksumFailures.Add(1)
+			s.dropLocked(cur)
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		s.commitLocked(seg, size)
+		v.live -= size
+		s.dead += size
+		cur.at = extent{seg: seg.id, off: off}
 		if err := s.appendLocked(IndexRecord{Entry: cur.e, at: cur.at}); err != nil {
 			return err
 		}

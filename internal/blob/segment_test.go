@@ -158,15 +158,15 @@ func churnUntil(t *testing.T, s *Store, before func(), done func() bool) {
 // by re-appending the live extents of the cheapest sealed segment. Then
 // the crash matrix: the node is killed after every index frame the
 // compacting operation wrote, with the victim segment still on disk as
-// the kill would leave it. No entry may be lost or duplicated, shared
-// bodies stay shared, and a segment recovery no longer references is
+// the kill would leave it. No entry may be lost or duplicated, each keeps
+// an extent of its own, and a segment recovery no longer references is
 // swept.
 func TestSegmentCompaction(t *testing.T) {
 	const capacity = 256 << 10 // 64 KB segments, reclaim past 128 KB dead
 	dir := t.TempDir()
 	s := openStore(t, dir, capacity)
-	// Segment 0 gets two survivors that share one body and one with its
-	// own; the churn buries them in dead filler.
+	// Segment 0 gets two survivors with equal bodies and one with another;
+	// the churn buries them in dead filler.
 	now := t0()
 	for _, url := range []string{"http://cmp/twin1", "http://cmp/twin2"} {
 		if _, _, err := s.Admit(cache.DiskEntry{Doc: cache.Document{URL: url, Size: 3000}, LastHit: now},
@@ -199,8 +199,8 @@ func TestSegmentCompaction(t *testing.T) {
 	}
 	if p1, o1 := where(t, s, "http://cmp/twin1"); p1 == victim {
 		t.Fatal("survivor still in the unlinked segment")
-	} else if p2, o2 := where(t, s, "http://cmp/twin2"); p1 != p2 || o1 != o2 {
-		t.Fatal("shared body copied twice")
+	} else if p2, o2 := where(t, s, "http://cmp/twin2"); p1 == p2 && o1 == o2 {
+		t.Fatal("equal bodies moved into one extent")
 	}
 	linkSegments(t, dir, snapshot)
 	after, err := os.ReadFile(filepath.Join(dir, "index.log"))
@@ -225,7 +225,7 @@ func TestSegmentCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 		// What the committed prefix says is resident, and how many bytes
-		// its distinct bodies take.
+		// it takes.
 		prefix, _, _ := ReplayIndex(after[:cut])
 		want := make(map[string]cache.DiskEntry)
 		for _, r := range prefix {
@@ -233,13 +233,9 @@ func TestSegmentCompaction(t *testing.T) {
 				want[r.Entry.Doc.URL] = r.Entry
 			}
 		}
-		bodies := make(map[[32]byte]int64)
-		for _, e := range want {
-			bodies[e.Sum] = e.Doc.Size
-		}
 		var wantLive int64
-		for _, n := range bodies {
-			wantLive += n
+		for _, e := range want {
+			wantLive += e.Doc.Size
 		}
 
 		s2 := openStore(t, sub, capacity)
@@ -258,12 +254,8 @@ func TestSegmentCompaction(t *testing.T) {
 		if v := s2.VerifyAll(); v.Failed != 0 {
 			t.Fatalf("%s: %+v", what, v)
 		}
-		p1, o1 := where(t, s2, "http://cmp/twin1")
-		if p2, o2 := where(t, s2, "http://cmp/twin2"); p1 != p2 || o1 != o2 {
-			t.Fatalf("%s: shared body split over %s@%d and %s@%d", what, p1, o1, p2, o2)
-		}
-		if live, _ := liveBytes(s2); live != wantLive {
-			t.Fatalf("%s: %d live bytes, want %d", what, live, wantLive)
+		if live, _ := liveBytes(s2); live != wantLive || s2.Used() != wantLive {
+			t.Fatalf("%s: %d live bytes, %d used, want %d", what, live, s2.Used(), wantLive)
 		}
 		// Every segment kept holds something live, the directory holds
 		// nothing else, and a second restart agrees with the first.
@@ -291,7 +283,7 @@ func TestSegmentCompaction(t *testing.T) {
 }
 
 // TestCorruptExtentDroppedByCompaction: a body that no longer matches its
-// sum is not carried forward: compaction drops and counts it.
+// checksum is not carried forward: compaction drops and counts it.
 func TestCorruptExtentDroppedByCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, 256<<10)
@@ -356,30 +348,51 @@ func TestCloseWithReaderOpen(t *testing.T) {
 	}
 }
 
-// TestLegacyLayoutOpensCold: an index written by the file-per-blob
-// layout (kind-1 put frames) is a cache nobody can read any more. It
-// opens as an empty tier, the index rewritten empty, and works from there.
+// TestLegacyLayoutOpensCold: an index written by an earlier layout — the
+// file-per-blob one (kind-1 put frames), or segments checked by SHA-256
+// (kind-3 put frames) — is a cache nobody can read any more. It opens as
+// an empty tier, the index rewritten empty and every segment swept as an
+// orphan, with no checksum failure counted, and works from there.
 func TestLegacyLayoutOpensCold(t *testing.T) {
-	dir := t.TempDir()
-	old := append(retiredPutFrame("http://old/a"), retiredPutFrame("http://old/b")...)
-	if err := os.WriteFile(filepath.Join(dir, "index.log"), old, 0o644); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		kind byte
+		segs int // segment files the layout left under seg/
+	}{{1, 0}, {3, 2}} {
+		t.Run(fmt.Sprintf("kind_%d", tc.kind), func(t *testing.T) {
+			dir := t.TempDir()
+			old := append(retiredPutFrame(tc.kind, "http://old/a"), retiredPutFrame(tc.kind, "http://old/b")...)
+			if err := os.WriteFile(filepath.Join(dir, "index.log"), old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.MkdirAll(filepath.Join(dir, "seg"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			for id := 0; id < tc.segs; id++ {
+				if err := os.WriteFile(segPath(dir, uint32(id)), make([]byte, 512), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s := openStore(t, dir, 1<<20)
+			rep := s.Report()
+			if s.Len() != 0 || rep.TruncatedBytes != int64(len(old)) || rep.IndexRecords != 0 || !rep.Compacted ||
+				rep.Orphans != tc.segs || s.ChecksumFailures() != 0 {
+				t.Fatalf("len %d, report %+v, %d checksum failures", s.Len(), rep, s.ChecksumFailures())
+			}
+			if left, _ := os.ReadDir(filepath.Join(dir, "seg")); len(left) != 0 {
+				t.Fatalf("seg/ holds %d files after opening", len(left))
+			}
+			want := admit(t, s, "http://new/a", 500, 0)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s = openStore(t, dir, 1<<20)
+			defer s.Close()
+			if rep := s.Report(); rep.TruncatedBytes != 0 || rep.Entries != 1 {
+				t.Fatalf("second open: %+v", rep)
+			}
+			sameResidency(t, "second open", s, map[string]cache.DiskEntry{want.Doc.URL: want})
+		})
 	}
-	s := openStore(t, dir, 1<<20)
-	rep := s.Report()
-	if s.Len() != 0 || rep.TruncatedBytes != int64(len(old)) || rep.IndexRecords != 0 || !rep.Compacted {
-		t.Fatalf("len %d, report %+v", s.Len(), rep)
-	}
-	want := admit(t, s, "http://new/a", 500, 0)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s = openStore(t, dir, 1<<20)
-	defer s.Close()
-	if rep := s.Report(); rep.TruncatedBytes != 0 || rep.Entries != 1 {
-		t.Fatalf("second open: %+v", rep)
-	}
-	sameResidency(t, "second open", s, map[string]cache.DiskEntry{want.Doc.URL: want})
 }
 
 // dirState maps every name under dir to its file info.
@@ -468,7 +481,7 @@ func TestSegmentSpaceBound(t *testing.T) {
 			s.Remove(url)
 		} else {
 			size := int64(sizes.Sample(rng))
-			for i := 0; i < 8; i++ { // distinct bodies: nothing dedupes
+			for i := 0; i < 8; i++ { // distinct bodies
 				buf[i] = byte(step >> (8 * i))
 			}
 			src.Reset(buf[:size])

@@ -2,8 +2,6 @@ package blob
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -14,6 +12,7 @@ import (
 	"time"
 
 	"eacache/internal/cache"
+	"eacache/internal/frame"
 	"eacache/internal/race"
 )
 
@@ -28,8 +27,8 @@ func pinned(s *Store) (n int) {
 }
 
 // TestStageBodyChecksLength: a body must be exactly as long as the entry
-// says. A longer one used to be cut at size and indexed under the hash of
-// its prefix; a shorter one and a failing source were already refused. No
+// says. A longer one used to be cut at size and indexed under the checksum
+// of its prefix; a shorter one and a failing source were already refused. No
 // failure may leave its segment pinned or its extent anything but dead.
 func TestStageBodyChecksLength(t *testing.T) {
 	const size = 70_000 // three trips through the stager's buffer
@@ -54,15 +53,15 @@ func TestStageBodyChecksLength(t *testing.T) {
 			dir := t.TempDir()
 			s := openStore(t, dir, 1<<20)
 			defer s.Close()
-			sum, seg, off, err := s.stageBody(tc.src, size)
+			crc, seg, off, err := s.stageBody(tc.src, size)
 			if tc.want == "" {
 				if err != nil {
 					t.Fatal(err)
 				}
 				got := make([]byte, size)
 				_, rerr := seg.f.ReadAt(got, off)
-				if rerr != nil || !bytes.Equal(got, data[:size]) || sum != sha256.Sum256(data[:size]) {
-					t.Fatalf("staged extent or sum differs from the body (%v)", rerr)
+				if rerr != nil || !bytes.Equal(got, data[:size]) || crc != frame.Checksum(data[:size]) {
+					t.Fatalf("staged extent or checksum differs from the body (%v)", rerr)
 				}
 				if pinned(s) != 1 {
 					t.Fatalf("%d pins on a staged extent, want 1", pinned(s))
@@ -81,7 +80,8 @@ func TestStageBodyChecksLength(t *testing.T) {
 		})
 	}
 
-	// Through Admit a refused body changes nothing.
+	// Through Admit a refused body changes nothing: in particular the
+	// prefix of an over-long one is not indexed.
 	dir := t.TempDir()
 	s := openStore(t, dir, 1<<20)
 	defer s.Close()
@@ -91,19 +91,13 @@ func TestStageBodyChecksLength(t *testing.T) {
 	if err == nil || len(evicted) != 0 || s.Contains("http://stage/long") || s.Used() != 100 || live != 100 || pinned(s) != 0 {
 		t.Fatalf("over-long admit: err %v, evicted %d, used %d, live %d, pins %d", err, len(evicted), s.Used(), live, pinned(s))
 	}
-	s.mu.Lock()
-	_, indexed := s.blobs[sha256.Sum256(data[:size])]
-	s.mu.Unlock()
-	if indexed {
-		t.Fatal("the prefix of an over-long body was indexed")
-	}
 }
 
-// TestStagerNotSharedAcrossReaders: readers verifying resident blobs
-// while admissions stage new ones all draw on one pool of hashers. A
-// hasher handed to two owners at once mixes two bodies into one digest
-// and shows up as ErrChecksum. Readers close twice, which must not return
-// the same stager twice.
+// TestStagerNotSharedAcrossReaders: Verify passes resident blobs through
+// the same pool of buffers that admissions stage new ones through. A
+// buffer handed to two owners at once mixes two bodies and shows up as
+// ErrChecksum, on a read or in VerifyAll. Readers close twice, which must
+// not unpin their segment twice.
 func TestStagerNotSharedAcrossReaders(t *testing.T) {
 	s := openStore(t, t.TempDir(), 8<<20)
 	defer s.Close()
@@ -137,16 +131,19 @@ func TestStagerNotSharedAcrossReaders(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 150; i++ {
 				url := fmt.Sprintf("http://pool/r%d", (r+i)%resident)
-				_, rc, ok := s.Open(url)
-				if !ok {
+				var err error
+				if r%2 == 0 {
+					_, _, err = s.Verify(url)
+				} else if _, rc, ok := s.Open(url); !ok {
 					t.Errorf("%s not resident", url)
 					return
+				} else {
+					_, err = io.Copy(io.Discard, rc)
+					if cerr := rc.Close(); err == nil {
+						err = cerr
+					}
+					rc.Close()
 				}
-				_, err := io.Copy(io.Discard, rc)
-				if cerr := rc.Close(); err == nil {
-					err = cerr
-				}
-				rc.Close()
 				if err != nil {
 					t.Errorf("%s: %v", url, err)
 					return
@@ -159,6 +156,9 @@ func TestStagerNotSharedAcrossReaders(t *testing.T) {
 	admitter.Wait()
 	if n := s.ChecksumFailures(); n != 0 {
 		t.Fatalf("%d checksum failures", n)
+	}
+	if n := pinned(s); n != 0 {
+		t.Fatalf("%d pins left with every reader closed", n)
 	}
 	if v := s.VerifyAll(); v.Failed != 0 {
 		t.Fatalf("admissions staged beside the readers do not verify: %+v", v)
@@ -180,8 +180,8 @@ func allocBudget(t *testing.T, what string, limit float64, runs int, f func()) {
 	}
 }
 
-// budgetStore is a warm store holding n 8 KB documents with distinct
-// bodies, plus the means to admit more without the test allocating.
+// budgetStore is a warm store holding n 8 KB documents, plus the means to
+// admit more without the test allocating.
 type budgetStore struct {
 	*Store
 	urls []string
@@ -203,17 +203,15 @@ func newBudgetStore(t *testing.T, n, spare int) *budgetStore {
 	return b
 }
 
-// admit stores document i under a body no other document has, so the
-// extent is committed and not left dead as a duplicate.
+// admit stores document i.
 func (b *budgetStore) admit(t *testing.T, i int) {
-	binary.LittleEndian.PutUint64(b.data, uint64(i))
 	b.src.Reset(b.data)
 	if _, _, err := b.Admit(cache.DiskEntry{Doc: cache.Document{URL: b.urls[i], Size: int64(len(b.data))}, LastHit: b.now}, b.src, b.now); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestAdmitAllocBudget: reserving, writing, hashing, committing and
+// TestAdmitAllocBudget: reserving, writing, checksumming, committing and
 // indexing an 8 KB body into a store whose population holds steady, so
 // each admit takes the dentry the removal before it gave back: nothing
 // here, 11 with a file per blob. (Making room by eviction instead would
@@ -264,7 +262,7 @@ func TestOpenVerifyAllocBudget(t *testing.T) {
 	})
 }
 
-// TestRemoveAllocBudget: del frame, refcount, the extent turning dead:
+// TestRemoveAllocBudget: del frame, the extent turning dead:
 // nothing here, 2 with a file per blob.
 func TestRemoveAllocBudget(t *testing.T) {
 	const runs = 200

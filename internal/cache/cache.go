@@ -122,7 +122,7 @@ type Tier int8
 const (
 	// TierMemory is the in-memory tier (the classic Store).
 	TierMemory Tier = iota
-	// TierDisk is the content-addressed blob tier beneath it.
+	// TierDisk is the blob tier beneath it.
 	TierDisk
 )
 

@@ -17,7 +17,7 @@ func TestDocumentLayout(t *testing.T) {
 		{"Document", unsafe.Sizeof(Document{}), 24},
 		{"Entry", unsafe.Sizeof(Entry{}), 104},
 		{"Event", unsafe.Sizeof(Event{}), 128},
-		{"DiskEntry", unsafe.Sizeof(DiskEntry{}), 112},
+		{"DiskEntry", unsafe.Sizeof(DiskEntry{}), 88},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("unsafe.Sizeof(%s{}) = %d, want %d", tc.name, tc.got, tc.want)

@@ -1,6 +1,6 @@
 // Tiered storage: the EA-aware controller that joins the sharded memory
-// tier to a content-addressed disk tier (internal/blob) and presents the
-// two as one logical store to the node.
+// tier to a disk tier (internal/blob) and presents the two as one logical
+// store to the node.
 //
 // The controller applies the paper's placement logic to the tier boundary
 // exactly as the EA scheme applies it to the cache group: a memory
@@ -55,9 +55,9 @@ type DiskEntry struct {
 	LastHit time.Time
 	// Hits is the hit counter as of demotion.
 	Hits int64
-	// Sum is the SHA-256 of the stored body, assigned by the disk tier at
+	// Sum is the CRC32C of the stored body, assigned by the disk tier at
 	// admission and verified on every read.
-	Sum [32]byte
+	Sum uint32
 }
 
 // DiskEviction records one document the disk tier evicted to make room,

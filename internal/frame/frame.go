@@ -10,8 +10,9 @@
 // A frame is written with a single write(), so a crash leaves at worst one
 // torn frame at the tail; Replay keeps the longest verifiable prefix and
 // reports where the damage starts. Each log owns its kinds and payloads.
-// The package also holds the CRC32C checksum the snapshot trailer uses and
-// the time encoding both payload codecs share.
+// The package also holds the one CRC32C table, which the snapshot trailer
+// and the blob tier's body checksums use too, and the time encoding both
+// payload codecs share.
 package frame
 
 import (
@@ -33,6 +34,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Checksum is the CRC32C of b.
 func Checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
+
+// Update extends crc, the CRC32C of the bytes before b, over b: a checksum
+// streamed in pieces. Update(0, b) == Checksum(b).
+func Update(crc uint32, b []byte) uint32 { return crc32.Update(crc, castagnoli, b) }
 
 // Begin appends the head of a kind frame to dst, with its length left for
 // End to fill in, and returns the extended slice and where the frame

@@ -72,9 +72,9 @@ type Config struct {
 	// Store is the node's cache; Shards: 1 gives the single-threaded
 	// cache.Store's behaviour bit for bit. Required.
 	Store *cache.ShardedStore
-	// DiskDir, when set, adds a content-addressed blob tier below the
-	// memory store (internal/blob): memory victims whose expiration age
-	// says they still have life ahead demote to checksummed files under
+	// DiskDir, when set, adds a blob tier below the memory store
+	// (internal/blob): memory victims whose expiration age says they
+	// still have life ahead demote to checksummed segment files under
 	// this directory instead of exiting, and disk hits re-promote on
 	// access — one logical store holding far more than memory allows.
 	// Requires DiskCapacity.
