@@ -63,7 +63,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	switch {
 	case *seeds < 0:
 		return fmt.Errorf("-seeds must not be negative, got %d", *seeds)
-	case *seeds > 1 && *tracePath != "":
+	case *seeds == 1:
+		return fmt.Errorf("-seeds needs at least 2 workloads to compare, got 1")
+	case *seeds > 0 && *tracePath != "":
 		return fmt.Errorf("-seeds needs generated workloads, not -trace")
 	case *scale <= 0:
 		return fmt.Errorf("-scale must be positive, got %v", *scale)
@@ -82,17 +84,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		gen = gen.Scaled(*scale)
 		cfg.Sizes = experiments.ScaledSizes(*scale)
 	}
-	if *seeds > 1 {
-		traces := make([][]trace.Record, 0, *seeds)
-		for i := 0; i < *seeds; i++ {
+	if *seeds > 0 {
+		table, err := experiments.MultiSeed(*seeds, func(i int) ([]trace.Record, error) {
+			gen := gen
 			gen.Seed = *seed + uint64(i)
-			records, err := generate(gen)
-			if err != nil {
-				return err
-			}
-			traces = append(traces, records)
-		}
-		table, err := experiments.MultiSeed(traces, cfg)
+			return generate(gen)
+		}, cfg)
 		if err != nil {
 			return err
 		}
@@ -116,18 +113,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "trace: %s\n\n", trace.ComputeStats(records))
 	suite := experiments.NewSuite(records, cfg)
 
-	for _, id := range ids {
-		start := time.Now()
-		table, err := suite.Experiment(id)
-		if err != nil {
-			return err
-		}
+	// The experiments run concurrently; each timing line is how long the
+	// output waited for its table after the one before.
+	start := time.Now()
+	return suite.Run(ids, func(table *experiments.Table) error {
 		if err := table.Render(stdout); err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "(%s in %s)\n\n", id, time.Since(start).Round(time.Millisecond))
-	}
-	return nil
+		fmt.Fprintf(stdout, "(%s in %s)\n\n", table.ID, time.Since(start).Round(time.Millisecond))
+		start = time.Now()
+		return nil
+	})
 }
 
 // readTrace reads the canonical trace at path.

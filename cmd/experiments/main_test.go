@@ -6,7 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"eacache/internal/experiments"
@@ -115,6 +117,7 @@ func TestRunChecksFlagsBeforeIO(t *testing.T) {
 		want string
 	}{
 		{[]string{"-seeds", "-1"}, "-seeds must not be negative"},
+		{[]string{"-seeds", "1"}, "-seeds needs at least 2 workloads"},
 		{[]string{"-scale", "0"}, "-scale must be positive"},
 		{[]string{"-scale", "-0.5", "-seeds", "3"}, "-scale must be positive"},
 		{[]string{"-seeds", "3", "-trace", "/nonexistent/t.txt"}, "-seeds needs generated workloads"},
@@ -129,17 +132,24 @@ func TestRunChecksFlagsBeforeIO(t *testing.T) {
 }
 
 // TestRunMultiSeedGeneratesEachSeedOnce: -seeds N draws seeds -seed ..
-// -seed+N-1, one trace each, and no base trace besides.
+// -seed+N-1, one trace each, and no base trace besides. The seeds generate
+// concurrently, in no fixed order.
 func TestRunMultiSeedGeneratesEachSeedOnce(t *testing.T) {
-	var drawn []uint64
+	var (
+		mu    sync.Mutex
+		drawn []uint64
+	)
 	stubGenerate(t, func(cfg trace.GenConfig) ([]trace.Record, error) {
+		mu.Lock()
 		drawn = append(drawn, cfg.Seed)
+		mu.Unlock()
 		return trace.Generate(cfg)
 	})
 	var out, errOut bytes.Buffer
 	if err := run([]string{"-scale", "0.002", "-seeds", "3", "-seed", "5"}, &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
+	slices.Sort(drawn)
 	if !reflect.DeepEqual(drawn, []uint64{5, 6, 7}) {
 		t.Fatalf("generated seeds %v, want [5 6 7]", drawn)
 	}

@@ -317,4 +317,12 @@ func TestExponential(t *testing.T) {
 	if got := sum / n; math.Abs(got-25)/25 > 0.03 {
 		t.Fatalf("empirical mean %v, want ~25", got)
 	}
+	// Of of the PositiveFloat64 draw is, bit for bit, what Sample returns
+	// from the same stream.
+	a, b := NewRNG(7), NewRNG(7)
+	for i := 0; i < 10000; i++ {
+		if want, got := e.Sample(a), e.Of(b.PositiveFloat64()); got != want {
+			t.Fatalf("draw %d: Of = %v, Sample = %v", i, got, want)
+		}
+	}
 }

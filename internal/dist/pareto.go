@@ -94,5 +94,12 @@ func (e *Exponential) Sample(r *RNG) float64 {
 	return e.mean * r.ExpFloat64()
 }
 
+// Of returns the value Sample returns when its uniform draw, the
+// PositiveFloat64 behind r.ExpFloat64, is u: a caller can draw u in one
+// place and pay for the logarithm in another.
+func (e *Exponential) Of(u float64) float64 {
+	return e.mean * -math.Log(u)
+}
+
 // Mean returns the configured mean.
 func (e *Exponential) Mean() float64 { return e.mean }

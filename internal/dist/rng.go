@@ -59,12 +59,18 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// ExpFloat64 returns an exponentially distributed float64 with mean 1.
+// ExpFloat64 returns an exponentially distributed float64 with mean 1: the
+// negative logarithm of a PositiveFloat64 draw.
 func (r *RNG) ExpFloat64() float64 {
+	return -math.Log(r.PositiveFloat64())
+}
+
+// PositiveFloat64 returns a uniformly distributed float64 in (0, 1),
+// drawing again on the zero Float64 can return.
+func (r *RNG) PositiveFloat64() float64 {
 	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
+		if u := r.Float64(); u > 0 {
+			return u
 		}
 	}
 }

@@ -88,17 +88,12 @@ func TestFiguresCarryCharts(t *testing.T) {
 
 func TestMultiSeed(t *testing.T) {
 	const scale = 0.005
-	traces := make([][]trace.Record, 0, 3)
-	for seed := uint64(1); seed <= 3; seed++ {
+	generate := func(i int) ([]trace.Record, error) {
 		gen := trace.BULike().Scaled(scale)
-		gen.Seed = seed
-		records, err := trace.Generate(gen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		traces = append(traces, records)
+		gen.Seed = uint64(1 + i)
+		return trace.Generate(gen)
 	}
-	table, err := MultiSeed(traces, Config{Sizes: ScaledSizes(scale)})
+	table, err := MultiSeed(3, generate, Config{Sizes: ScaledSizes(scale)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,10 +108,14 @@ func TestMultiSeed(t *testing.T) {
 }
 
 func TestMultiSeedValidation(t *testing.T) {
-	if _, err := MultiSeed(nil, Config{}); err == nil {
+	generate := func(int) ([]trace.Record, error) {
+		t.Error("a workload was generated for an invalid seed count")
+		return nil, nil
+	}
+	if _, err := MultiSeed(0, generate, Config{}); err == nil {
 		t.Fatal("empty trace set accepted")
 	}
-	if _, err := MultiSeed([][]trace.Record{{}}, Config{}); err == nil {
+	if _, err := MultiSeed(1, generate, Config{}); err == nil {
 		t.Fatal("single trace accepted")
 	}
 }

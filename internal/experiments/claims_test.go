@@ -2,32 +2,92 @@ package experiments
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"eacache/internal/trace"
 )
 
-// claimSeeds generates the seeded workloads a claim is checked over: 5
-// under -short, 10 otherwise, at 5 % of the BU trace, seeds 1 to n.
-func claimSeeds(t *testing.T) ([][]trace.Record, Config) {
-	t.Helper()
-	const scale = 0.05
-	n := 10
-	if testing.Short() {
-		n = 5
-	}
-	gen := trace.BULike().Scaled(scale)
-	traces := make([][]trace.Record, n)
-	for i := range traces {
-		gen.Seed = uint64(1 + i)
-		records, err := trace.Generate(gen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		traces[i] = records
-	}
-	return traces, Config{Sizes: ScaledSizes(scale)}.withDefaults()
+// claimRun is the seeded replay set every claim is checked over: 5
+// workloads under -short, 10 otherwise, at 5 % of the BU trace, seeds 1 to
+// n, each replayed at every scaled paper size under both schemes. It is
+// generated and replayed once, through MultiSeed's parallel path, for all
+// the claim tests.
+var claimRun struct {
+	once    sync.Once
+	seeds   int
+	cfg     Config
+	perSize map[int64]*deltas
+	err     error
 }
+
+// claimDeltas returns the seeded EA-minus-ad-hoc deltas per size, the
+// number of workloads and the configuration they were replayed under.
+func claimDeltas(t *testing.T) (map[int64]*deltas, int, Config) {
+	t.Helper()
+	claimRun.once.Do(func() {
+		const scale = 0.05
+		claimRun.seeds = 10
+		if testing.Short() {
+			claimRun.seeds = 5
+		}
+		claimRun.cfg = Config{Sizes: ScaledSizes(scale)}.withDefaults()
+		claimRun.perSize, claimRun.err = seedDeltas(claimRun.seeds, func(i int) ([]trace.Record, error) {
+			gen := trace.BULike().Scaled(scale)
+			gen.Seed = uint64(1 + i)
+			return trace.Generate(gen)
+		}, claimRun.cfg)
+	})
+	if claimRun.err != nil {
+		t.Fatal(claimRun.err)
+	}
+	return claimRun.perSize, claimRun.seeds, claimRun.cfg
+}
+
+// claim is one paper claim as a two-standard-error bound on the mean of a
+// per-workload series, at the sizes it covers.
+type claim struct {
+	name   string
+	series func(size int64) []float64
+	at     func(size int64) bool
+	holds  func(mean, se float64) bool
+	bound  string
+}
+
+// checkClaims fails t for every claim whose bound does not hold at a size
+// it covers, and for every claim that covers no size at all.
+func checkClaims(t *testing.T, perSize map[int64]*deltas, seeds int, sizes []int64, claims []claim) {
+	t.Helper()
+	for _, c := range claims {
+		checked := 0
+		for _, size := range sizes {
+			if !c.at(size) {
+				continue
+			}
+			checked++
+			xs := c.series(size)
+			mean, sd := meanStddev(xs)
+			se := sd / math.Sqrt(float64(len(xs)))
+			t.Logf("%s at %d bytes: delta %+.3f, se %.3f, saturated on %d of %d seeds",
+				c.name, size, mean, se, perSize[size].saturated, seeds)
+			if !c.holds(mean, se) {
+				t.Errorf("%s at %d bytes: %s fails: mean delta %+.3f, 2 se %.3f over %d seeds",
+					c.name, size, c.bound, mean, 2*se, seeds)
+			}
+		}
+		if checked == 0 {
+			t.Errorf("%s: no size qualifies, the claim was not tested", c.name)
+		}
+	}
+}
+
+// atLeastZero, belowZero and aboveZero are the two-standard-error bounds.
+var (
+	atLeastZero = func(m, se float64) bool { return m-2*se >= 0 }
+	belowZero   = func(m, se float64) bool { return m+2*se < 0 }
+	aboveZero   = func(m, se float64) bool { return m-2*se > 0 }
+)
 
 // TestClaimEAHitRateAtLeastAdHoc checks the claims of Fig. 1, 2 and 3 over
 // seeded workloads, each as a two-standard-error bound on the mean
@@ -40,49 +100,48 @@ func claimSeeds(t *testing.T) ([][]trace.Record, Config) {
 //     extra hits pay for its remote fetches, and mean - 2 se > 0 at the
 //     saturated size, where they cannot.
 func TestClaimEAHitRateAtLeastAdHoc(t *testing.T) {
-	traces, cfg := claimSeeds(t)
-	perSize, err := seedDeltas(traces, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	saturated := func(size int64) bool { return perSize[size].saturated == len(traces) }
-	hit := func(d *deltas) []float64 { return d.hit }
-	byteHit := func(d *deltas) []float64 { return d.byteHit }
-	latency := func(d *deltas) []float64 { return d.latency }
-	for _, claim := range []struct {
-		name   string
-		series func(*deltas) []float64
-		at     func(size int64) bool
-		holds  func(mean, se float64) bool
-		bound  string
-	}{
-		{"hit rate (pp)", hit, func(s int64) bool { return !saturated(s) },
-			func(m, se float64) bool { return m-2*se >= 0 }, "mean - 2 se >= 0"},
-		{"byte hit rate (pp)", byteHit, func(s int64) bool { return !saturated(s) },
-			func(m, se float64) bool { return m-2*se >= 0 }, "mean - 2 se >= 0"},
-		{"latency at the smallest size (ms)", latency, func(s int64) bool { return s == cfg.Sizes[0] },
-			func(m, se float64) bool { return m+2*se < 0 }, "mean + 2 se < 0"},
-		{"latency when saturated (ms)", latency, saturated,
-			func(m, se float64) bool { return m-2*se > 0 }, "mean - 2 se > 0"},
-	} {
-		checked := 0
-		for _, size := range cfg.Sizes {
-			if !claim.at(size) {
-				continue
-			}
-			checked++
-			xs := claim.series(perSize[size])
-			mean, sd := meanStddev(xs)
-			se := sd / math.Sqrt(float64(len(xs)))
-			t.Logf("%s at %d bytes: delta %+.3f, se %.3f, saturated on %d of %d seeds",
-				claim.name, size, mean, se, perSize[size].saturated, len(traces))
-			if !claim.holds(mean, se) {
-				t.Errorf("%s at %d bytes: %s fails: mean delta %+.3f, 2 se %.3f over %d seeds",
-					claim.name, size, claim.bound, mean, 2*se, len(traces))
-			}
+	perSize, seeds, cfg := claimDeltas(t)
+	saturated := func(size int64) bool { return perSize[size].saturated == seeds }
+	unsaturated := func(size int64) bool { return !saturated(size) }
+	checkClaims(t, perSize, seeds, cfg.Sizes, []claim{
+		{"hit rate (pp)", func(s int64) []float64 { return perSize[s].hit }, unsaturated,
+			atLeastZero, "mean - 2 se >= 0"},
+		{"byte hit rate (pp)", func(s int64) []float64 { return perSize[s].byteHit }, unsaturated,
+			atLeastZero, "mean - 2 se >= 0"},
+		{"latency at the smallest size (ms)", func(s int64) []float64 { return perSize[s].latency },
+			func(s int64) bool { return s == cfg.Sizes[0] }, belowZero, "mean + 2 se < 0"},
+		{"latency when saturated (ms)", func(s int64) []float64 { return perSize[s].latency }, saturated,
+			aboveZero, "mean - 2 se > 0"},
+	})
+}
+
+// TestClaimTables1And2 checks the claims of Tables 1 and 2 over the same
+// seeded workloads and with the same two-standard-error rule:
+//   - expiration age (Table 1): EA's average cumulative expiration age
+//     exceeds ad-hoc's, mean - 2 se > 0 at every unsaturated size;
+//   - remote-hit share (Table 2): EA's exceeds ad-hoc's, mean - 2 se > 0
+//     at every unsaturated size, and the gap widens with size: the
+//     per-workload growth of the gap from each size to the next,
+//     mean - 2 se > 0.
+func TestClaimTables1And2(t *testing.T) {
+	perSize, seeds, cfg := claimDeltas(t)
+	unsaturated := func(size int64) bool { return perSize[size].saturated < seeds }
+	// growth is the per-workload widening of the remote-share gap from the
+	// size before size to size.
+	growth := func(size int64) []float64 {
+		prev := perSize[cfg.Sizes[slices.Index(cfg.Sizes, size)-1]].remote
+		out := make([]float64, seeds)
+		for i, r := range perSize[size].remote {
+			out[i] = r - prev[i]
 		}
-		if checked == 0 {
-			t.Errorf("%s: no size qualifies, the claim was not tested", claim.name)
-		}
+		return out
 	}
+	checkClaims(t, perSize, seeds, cfg.Sizes, []claim{
+		{"expiration age (s)", func(s int64) []float64 { return perSize[s].expAge }, unsaturated,
+			aboveZero, "mean - 2 se > 0"},
+		{"remote-hit share (pp)", func(s int64) []float64 { return perSize[s].remote }, unsaturated,
+			aboveZero, "mean - 2 se > 0"},
+		{"remote-hit share growth from the size before (pp)", growth,
+			func(s int64) bool { return s != cfg.Sizes[0] }, aboveZero, "mean - 2 se > 0"},
+	})
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -74,7 +75,7 @@ func TestSuiteCleansAndSorts(t *testing.T) {
 func TestRunMemoization(t *testing.T) {
 	s := testSuite(t)
 	c := cell{scheme: "ea", caches: 2, aggregate: s.Config().Sizes[2], policy: "lru"}
-	a, err := s.run(c)
+	a, err := s.runAll(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,15 +83,15 @@ func TestRunMemoization(t *testing.T) {
 	// horizon.
 	same := c
 	same.arch, same.location, same.horizon = group.Distributed, resolve.LocateICP, cache.DefaultExpirationHorizon
-	b, err := s.run(same)
+	b, err := s.runAll(same)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
+	if a[0] != b[0] {
 		t.Fatal("identical runs not memoized")
 	}
 	c.scheme = "adhoc"
-	if d, err := s.run(c); err != nil || a == d {
+	if d, err := s.runAll(c); err != nil || a[0] == d[0] {
 		t.Fatalf("different configs shared a memo entry (err %v)", err)
 	}
 }
@@ -115,7 +116,7 @@ func TestRunRejectsUnknownScheme(t *testing.T) {
 		{scheme: "bogus", caches: 2, aggregate: 1 << 20, policy: "lru"},
 		{scheme: "ea", caches: 2, aggregate: 1 << 20, policy: "fifo"},
 	} {
-		if _, err := s.run(c); err == nil {
+		if _, err := s.runAll(c); err == nil {
 			t.Fatalf("%+v accepted", c)
 		}
 	}
@@ -153,6 +154,15 @@ func TestExperimentUnknownID(t *testing.T) {
 	s := testSuite(t)
 	if _, err := s.Experiment("nope"); err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+	// Run emits the tables before the failing experiment, and none after.
+	var emitted []string
+	err := s.Run([]string{"fig1", "nope", "fig2"}, func(t *Table) error {
+		emitted = append(emitted, t.ID)
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "nope") || !slices.Equal(emitted, []string{"fig1"}) {
+		t.Fatalf("Run: emitted %v, err %v; want [fig1] and an error naming nope", emitted, err)
 	}
 }
 

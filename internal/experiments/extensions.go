@@ -34,21 +34,29 @@ func (s *Suite) Location() (*Table, error) {
 		},
 	}
 	sizes := middleSizes(s.cfg.Sizes, 2)
+	locations := []resolve.Location{resolve.LocateICP, resolve.LocateDigest}
+	var cells []cell
 	for _, size := range sizes {
-		for _, loc := range []resolve.Location{resolve.LocateICP, resolve.LocateDigest} {
+		for _, loc := range locations {
 			c := s.cell(s.cfg.Caches, size)
 			c.scheme, c.location = "ea", loc
-			rep, err := s.run(c)
-			if err != nil {
-				return nil, err
-			}
+			cells = append(cells, c)
+		}
+	}
+	reps, err := s.runAll(cells...)
+	if err != nil {
+		return nil, err
+	}
+	for i, size := range sizes {
+		for j, loc := range locations {
+			rep := reps[i*len(locations)+j]
 			var queries, rebuilds, falseHits int64
 			for _, pr := range rep.PerProxy {
 				queries += pr.ICP.QueriesSent
 				rebuilds += pr.ICP.DigestRebuilds
 				falseHits += pr.ICP.DigestFalseHits
 			}
-			t.AddRow(sim.FormatBytes(size), loc.String(),
+			t.AddRow(s.cfg.label(size), loc.String(),
 				pct(rep.Group.HitRate()), pct(rep.Group.RemoteHitRate()),
 				fmt.Sprintf("%d", queries),
 				fmt.Sprintf("%d", rebuilds),
@@ -74,23 +82,27 @@ func (s *Suite) Partitioned() (*Table, error) {
 		},
 	}
 	sizes := middleSizes(s.cfg.Sizes, 3)
-	for _, size := range sizes {
-		c := s.cell(s.cfg.Caches, size)
-		adhoc, ea, err := s.runPair(c)
-		if err != nil {
-			return nil, err
-		}
+	var cells []cell
+	for _, c := range s.cells(s.cfg.Caches, sizes) {
+		c.scheme = "adhoc"
+		cells = append(cells, c)
+		c.scheme = "ea"
+		cells = append(cells, c)
 		// Consistent-hash partitioning: each request goes to its client's
 		// edge cache, which routes it over the group's chash ring to the
 		// URL's home cache, the only one that keeps a copy. The ring
 		// members are the "cache-N" IDs a live group hashes by, so the
 		// simulator and the live node route URLs to the same homes.
-		c.scheme, c.location = "ea", resolve.LocateHash
-		part, err := s.run(c)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(sim.FormatBytes(size),
+		c.location = resolve.LocateHash
+		cells = append(cells, c)
+	}
+	reps, err := s.runAll(cells...)
+	if err != nil {
+		return nil, err
+	}
+	for i, size := range sizes {
+		adhoc, ea, part := reps[3*i], reps[3*i+1], reps[3*i+2]
+		t.AddRow(s.cfg.label(size),
 			pct(adhoc.Group.HitRate()), pct(ea.Group.HitRate()), pct(part.Group.HitRate()),
 			pct(adhoc.Group.LocalHitRate()), pct(ea.Group.LocalHitRate()), pct(part.Group.LocalHitRate()))
 	}
@@ -115,15 +127,25 @@ func (s *Suite) WorstCase() (*Table, error) {
 			"paper §2: under full replication the effective disk space is aggregate/N",
 		},
 	}
-	for _, caches := range s.cfg.GroupSizes {
+	// One job per group size replays both schemes over that size's
+	// broadcast stream.
+	adhocs := make([]*sim.Report, len(s.cfg.GroupSizes))
+	eas := make([]*sim.Report, len(s.cfg.GroupSizes))
+	err := s.pool.each(len(s.cfg.GroupSizes), func(i int) error {
 		// Size the group so each cache holds ~40 of the 100 documents:
 		// too small for everything, big enough that replication policy
 		// decides what survives.
+		caches := s.cfg.GroupSizes[i]
 		aggregate := int64(caches) * 40 * trace.DefaultDocSize
-		adhocRep, eaRep, err := runBroadcastPair(caches, aggregate, s.cfg.Latency)
-		if err != nil {
-			return nil, err
-		}
+		var err error
+		adhocs[i], eas[i], err = runBroadcastPair(caches, aggregate, s.cfg.Latency)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, caches := range s.cfg.GroupSizes {
+		adhocRep, eaRep := adhocs[i], eas[i]
 		t.AddRow(fmt.Sprintf("%d", caches),
 			fmt.Sprintf("%.2f", adhocRep.Replication.MeanCopies()),
 			fmt.Sprintf("%.2f", eaRep.Replication.MeanCopies()),
@@ -239,14 +261,16 @@ func (s *Suite) ModelCheck() (*Table, error) {
 		return nil, err
 	}
 
-	for _, capacity := range []int{50, 200, 800, 3200} {
-		analytic, err := model.CheLRU(probs, capacity)
-		if err != nil {
-			return nil, err
+	capacities := []int{50, 200, 800, 3200}
+	analytic, simulated := make([]float64, len(capacities)), make([]float64, len(capacities))
+	err = s.pool.each(len(capacities), func(c int) error {
+		var err error
+		if analytic[c], err = model.CheLRU(probs, capacities[c]); err != nil {
+			return err
 		}
-		st, err := cache.New(cache.Config{Capacity: int64(capacity)})
+		st, err := cache.New(cache.Config{Capacity: int64(capacities[c])})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		rng := dist.NewRNG(99)
 		now := time.Unix(784900000, 0)
@@ -256,14 +280,20 @@ func (s *Suite) ModelCheck() (*Table, error) {
 			if _, ok := st.Get(url, now); ok {
 				hits++
 			} else if _, err := st.Put(cache.Document{URL: url, Size: 1}, now); err != nil {
-				return nil, err
+				return err
 			}
 			now = now.Add(time.Second)
 		}
-		simulated := float64(hits) / requests
+		simulated[c] = float64(hits) / requests
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for c, capacity := range capacities {
 		t.AddRow(fmt.Sprintf("%d", capacity),
-			pct(analytic), pct(simulated),
-			fmt.Sprintf("%+.2f", 100*(simulated-analytic)))
+			pct(analytic[c]), pct(simulated[c]),
+			fmt.Sprintf("%+.2f", 100*(simulated[c]-analytic[c])))
 	}
 	return t, nil
 }

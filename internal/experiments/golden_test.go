@@ -8,21 +8,21 @@ import (
 
 // TestAllGolden pins every rendered table (and chart) of the suite at the
 // test scale to a digest: a changed row, note, column or chart point moves
-// its table's digest.
+// its table's digest. Sizes are labelled by the paper sizes they scale.
 func TestAllGolden(t *testing.T) {
 	want := map[string]string{
-		"fig1":            "8e40fac6dd12450f",
-		"fig2":            "2b56244b17dec12e",
-		"fig3":            "9737d6428e7ab593",
-		"table1":          "99b73bec4b1bf571",
-		"table2":          "29c43ab534337d67",
-		"groupsize":       "ad84874580b89974",
-		"replication":     "b3d8b35589f3fc0c",
-		"ablation-policy": "4092dcbf5958c9c2",
-		"ablation-window": "9aee75ce7e54c268",
-		"hierarchy":       "915c20274aa02121",
-		"location":        "66898820afd38974",
-		"partitioned":     "14314de9a33c461d",
+		"fig1":            "9222203435f99b8c",
+		"fig2":            "6ff4d7e5c027f420",
+		"fig3":            "f6ed214a71d3bc74",
+		"table1":          "a69bb0ed53e30b3e",
+		"table2":          "4bf1d52ace9a596a",
+		"groupsize":       "8b214b3e114a2e5c",
+		"replication":     "cbf7f351718e0999",
+		"ablation-policy": "8209c3bffbd47a6c",
+		"ablation-window": "2e325f9a9a8ae1ea",
+		"hierarchy":       "8150b580107fdf4a",
+		"location":        "e748ddf23de339f2",
+		"partitioned":     "85fc1fbe8cd57399",
 		"worstcase":       "ee99adcabcbb8222",
 		"model-check":     "a002a2690cafc833",
 	}

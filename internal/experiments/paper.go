@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"eacache/internal/group"
-	"eacache/internal/sim"
 )
 
 // IDs lists every experiment, in report order: the paper's five artifacts,
@@ -55,17 +54,47 @@ func (s *Suite) Experiment(id string) (*Table, error) {
 	}
 }
 
-// All runs every experiment in order.
+// All runs every experiment and returns the tables in report order.
 func (s *Suite) All() ([]*Table, error) {
 	tables := make([]*Table, 0, len(IDs))
-	for _, id := range IDs {
-		t, err := s.Experiment(id)
-		if err != nil {
-			return tables, fmt.Errorf("experiments: %s: %w", id, err)
-		}
+	err := s.Run(IDs, func(t *Table) error {
 		tables = append(tables, t)
+		return nil
+	})
+	return tables, err
+}
+
+// Run runs the experiments ids concurrently, their replays sharing the
+// suite's workers, and hands the tables to emit in the order of ids, each
+// as soon as it and every table before it are done. After the first error
+// in that order it emits nothing more, and it returns that error once
+// every experiment has finished.
+func (s *Suite) Run(ids []string, emit func(*Table) error) error {
+	type result struct {
+		table *Table
+		err   error
 	}
-	return tables, nil
+	results := make([]chan result, len(ids))
+	for i, id := range ids {
+		results[i] = make(chan result, 1)
+		go func() {
+			t, err := s.Experiment(id)
+			if err != nil {
+				err = fmt.Errorf("experiments: %s: %w", id, err)
+			}
+			results[i] <- result{t, err}
+		}()
+	}
+	var err error
+	for _, ch := range results {
+		r := <-ch
+		if err == nil {
+			if err = r.err; err == nil {
+				err = emit(r.table)
+			}
+		}
+	}
+	return err
 }
 
 // Fig1 regenerates Figure 1: cumulative document hit rate of the ad-hoc and
@@ -79,13 +108,14 @@ func (s *Suite) Fig1() (*Table, error) {
 			"paper: EA above ad-hoc everywhere, gap widest at the smallest sizes",
 		},
 	}
-	chart := newSchemeChart("Figure 1: document hit rate vs aggregate size", "hit rate (%)", s.cfg.Sizes)
+	chart := s.newSchemeChart("Figure 1: document hit rate vs aggregate size", "hit rate (%)")
+	adhocs, eas, err := s.runPairs(s.cells(s.cfg.Caches, s.cfg.Sizes))
+	if err != nil {
+		return nil, err
+	}
 	for i, size := range s.cfg.Sizes {
-		adhoc, ea, err := s.runPair(s.cell(s.cfg.Caches, size))
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(sim.FormatBytes(size),
+		adhoc, ea := adhocs[i], eas[i]
+		t.AddRow(s.cfg.label(size),
 			pct(adhoc.Group.HitRate()), pct(ea.Group.HitRate()),
 			fmt.Sprintf("%+.2f", 100*(ea.Group.HitRate()-adhoc.Group.HitRate())))
 		chart.Series[0].Values[i] = 100 * adhoc.Group.HitRate()
@@ -96,14 +126,14 @@ func (s *Suite) Fig1() (*Table, error) {
 }
 
 // newSchemeChart prepares the two-series (ad-hoc vs EA) figure scaffold the
-// paper's plots use.
-func newSchemeChart(title, ylabel string, sizes []int64) *Chart {
-	labels := make([]string, len(sizes))
-	for i, s := range sizes {
-		labels[i] = sim.FormatBytes(s)
+// paper's plots use, over the suite's sizes.
+func (s *Suite) newSchemeChart(title, ylabel string) *Chart {
+	labels := make([]string, len(s.cfg.Sizes))
+	for i, size := range s.cfg.Sizes {
+		labels[i] = s.cfg.label(size)
 	}
 	nan := func() []float64 {
-		vs := make([]float64, len(sizes))
+		vs := make([]float64, len(labels))
 		for i := range vs {
 			vs[i] = math.NaN()
 		}
@@ -130,13 +160,14 @@ func (s *Suite) Fig2() (*Table, error) {
 			"paper: byte hit rate patterns mirror the document hit rates",
 		},
 	}
-	chart := newSchemeChart("Figure 2: byte hit rate vs aggregate size", "byte hit rate (%)", s.cfg.Sizes)
+	chart := s.newSchemeChart("Figure 2: byte hit rate vs aggregate size", "byte hit rate (%)")
+	adhocs, eas, err := s.runPairs(s.cells(s.cfg.Caches, s.cfg.Sizes))
+	if err != nil {
+		return nil, err
+	}
 	for i, size := range s.cfg.Sizes {
-		adhoc, ea, err := s.runPair(s.cell(s.cfg.Caches, size))
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(sim.FormatBytes(size),
+		adhoc, ea := adhocs[i], eas[i]
+		t.AddRow(s.cfg.label(size),
 			pct(adhoc.Group.ByteHitRate()), pct(ea.Group.ByteHitRate()),
 			fmt.Sprintf("%+.2f", 100*(ea.Group.ByteHitRate()-adhoc.Group.ByteHitRate())))
 		chart.Series[0].Values[i] = 100 * adhoc.Group.ByteHitRate()
@@ -157,14 +188,15 @@ func (s *Suite) Fig3() (*Table, error) {
 			"paper: EA clearly lower at 100KB-10MB, converging at 100MB, ad-hoc slightly ahead at 1GB",
 		},
 	}
-	chart := newSchemeChart("Figure 3: estimated average latency vs aggregate size", "latency (ms)", s.cfg.Sizes)
+	chart := s.newSchemeChart("Figure 3: estimated average latency vs aggregate size", "latency (ms)")
 	chart.YFormat = func(v float64) string { return fmt.Sprintf("%.0f", v) }
+	adhocs, eas, err := s.runPairs(s.cells(s.cfg.Caches, s.cfg.Sizes))
+	if err != nil {
+		return nil, err
+	}
 	for i, size := range s.cfg.Sizes {
-		adhoc, ea, err := s.runPair(s.cell(s.cfg.Caches, size))
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(sim.FormatBytes(size),
+		adhoc, ea := adhocs[i], eas[i]
+		t.AddRow(s.cfg.label(size),
 			ms(adhoc.EstimatedLatency), ms(ea.EstimatedLatency),
 			fmt.Sprintf("%+dms", (ea.EstimatedLatency-adhoc.EstimatedLatency).Milliseconds()))
 		chart.Series[0].Values[i] = float64(adhoc.EstimatedLatency.Milliseconds())
@@ -185,21 +217,23 @@ func (s *Suite) Table1() (*Table, error) {
 			"paper measures 100KB-100MB; expiration ages under EA are consistently higher",
 		},
 	}
-	for _, size := range s.cfg.Sizes {
-		if size == s.cfg.Sizes[len(s.cfg.Sizes)-1] && len(s.cfg.Sizes) == len(PaperSizes) {
-			// The paper's Table 1 stops at 100MB (at 1GB eviction
-			// traffic is too thin for a stable average).
-			continue
-		}
-		adhoc, ea, err := s.runPair(s.cell(s.cfg.Caches, size))
-		if err != nil {
-			return nil, err
-		}
+	sizes := s.cfg.Sizes
+	if len(sizes) == len(PaperSizes) {
+		// The paper's Table 1 stops at 100MB (at 1GB eviction traffic is
+		// too thin for a stable average).
+		sizes = sizes[:len(sizes)-1]
+	}
+	adhocs, eas, err := s.runPairs(s.cells(s.cfg.Caches, sizes))
+	if err != nil {
+		return nil, err
+	}
+	for i, size := range sizes {
+		adhoc, ea := adhocs[i], eas[i]
 		ratio := "n/a"
 		if adhoc.AvgCacheExpirationAge > 0 {
 			ratio = fmt.Sprintf("%.2fx", ea.AvgCacheExpirationAge.Seconds()/adhoc.AvgCacheExpirationAge.Seconds())
 		}
-		t.AddRow(sim.FormatBytes(size),
+		t.AddRow(s.cfg.label(size),
 			secs(adhoc.AvgCacheExpirationAge), secs(ea.AvgCacheExpirationAge), ratio)
 	}
 	return t, nil
@@ -218,12 +252,13 @@ func (s *Suite) Table2() (*Table, error) {
 			"paper: EA trades local for remote hits; remote share grows with cache size (paper at 1GB: EA 32.02% vs ad-hoc 11.06% remote)",
 		},
 	}
-	for _, size := range s.cfg.Sizes {
-		adhoc, ea, err := s.runPair(s.cell(s.cfg.Caches, size))
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(sim.FormatBytes(size),
+	adhocs, eas, err := s.runPairs(s.cells(s.cfg.Caches, s.cfg.Sizes))
+	if err != nil {
+		return nil, err
+	}
+	for i, size := range s.cfg.Sizes {
+		adhoc, ea := adhocs[i], eas[i]
+		t.AddRow(s.cfg.label(size),
 			pct(adhoc.Group.LocalHitRate()), pct(adhoc.Group.RemoteHitRate()), ms(adhoc.EstimatedLatency),
 			pct(ea.Group.LocalHitRate()), pct(ea.Group.RemoteHitRate()), ms(ea.EstimatedLatency))
 	}
@@ -240,21 +275,22 @@ func (s *Suite) GroupSize() (*Table, error) {
 		ID:    "groupsize",
 		Title: "Hit-rate gain (EA - adhoc) vs group size (paper §4.2 text)",
 		Columns: []string{"caches",
-			"hit gain @" + sim.FormatBytes(small), "hit gain @" + sim.FormatBytes(large),
-			"byte gain @" + sim.FormatBytes(small), "byte gain @" + sim.FormatBytes(large)},
+			"hit gain @" + s.cfg.label(small), "hit gain @" + s.cfg.label(large),
+			"byte gain @" + s.cfg.label(small), "byte gain @" + s.cfg.label(large)},
 		Notes: []string{
 			"paper (8 caches): +6.5pp hits at 100KB, +2.5pp at 100MB; +4pp bytes at 100KB, +1.5pp at 100MB",
 		},
 	}
+	var cells []cell
 	for _, n := range s.cfg.GroupSizes {
-		adS, eaS, err := s.runPair(s.cell(n, small))
-		if err != nil {
-			return nil, err
-		}
-		adL, eaL, err := s.runPair(s.cell(n, large))
-		if err != nil {
-			return nil, err
-		}
+		cells = append(cells, s.cells(n, []int64{small, large})...)
+	}
+	adhocs, eas, err := s.runPairs(cells)
+	if err != nil {
+		return nil, err
+	}
+	for i, n := range s.cfg.GroupSizes {
+		adS, eaS, adL, eaL := adhocs[2*i], eas[2*i], adhocs[2*i+1], eas[2*i+1]
 		t.AddRow(fmt.Sprintf("%d", n),
 			fmt.Sprintf("%+.2fpp", 100*(eaS.Group.HitRate()-adS.Group.HitRate())),
 			fmt.Sprintf("%+.2fpp", 100*(eaL.Group.HitRate()-adL.Group.HitRate())),
@@ -277,12 +313,13 @@ func (s *Suite) ReplicationStudy() (*Table, error) {
 			"the EA scheme exists to push copies/doc toward 1 and unique documents up",
 		},
 	}
-	for _, size := range s.cfg.Sizes {
-		adhoc, ea, err := s.runPair(s.cell(s.cfg.Caches, size))
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(sim.FormatBytes(size),
+	adhocs, eas, err := s.runPairs(s.cells(s.cfg.Caches, s.cfg.Sizes))
+	if err != nil {
+		return nil, err
+	}
+	for i, size := range s.cfg.Sizes {
+		adhoc, ea := adhocs[i], eas[i]
+		t.AddRow(s.cfg.label(size),
 			fmt.Sprintf("%.3f", adhoc.Replication.MeanCopies()),
 			fmt.Sprintf("%.3f", ea.Replication.MeanCopies()),
 			fmt.Sprintf("%d", adhoc.Replication.UniqueDocs),
@@ -300,14 +337,17 @@ func (s *Suite) AblationPolicy() (*Table, error) {
 		Columns: []string{"aggregate", "adhoc hit-rate", "ea hit-rate", "delta (pp)"},
 	}
 	sizes := middleSizes(s.cfg.Sizes, 3)
-	for _, size := range sizes {
-		c := s.cell(s.cfg.Caches, size)
-		c.policy = "lfu"
-		adhoc, ea, err := s.runPair(c)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(sim.FormatBytes(size),
+	cells := s.cells(s.cfg.Caches, sizes)
+	for i := range cells {
+		cells[i].policy = "lfu"
+	}
+	adhocs, eas, err := s.runPairs(cells)
+	if err != nil {
+		return nil, err
+	}
+	for i, size := range sizes {
+		adhoc, ea := adhocs[i], eas[i]
+		t.AddRow(s.cfg.label(size),
 			pct(adhoc.Group.HitRate()), pct(ea.Group.HitRate()),
 			fmt.Sprintf("%+.2f", 100*(ea.Group.HitRate()-adhoc.Group.HitRate())))
 	}
@@ -340,16 +380,20 @@ func (s *Suite) AblationWindow() (*Table, error) {
 		{"count 512", 512, 0},
 		{"cumulative", group.CumulativeAges, 0},
 	}
-	for _, v := range variants {
-		c := s.cell(s.cfg.Caches, size)
-		c.scheme, c.window, c.horizon = "ea", v.window, v.horizon
-		rep, err := s.run(c)
-		if err != nil {
-			return nil, err
-		}
+	cells := make([]cell, len(variants))
+	for i, v := range variants {
+		cells[i] = s.cell(s.cfg.Caches, size)
+		cells[i].scheme, cells[i].window, cells[i].horizon = "ea", v.window, v.horizon
+	}
+	reps, err := s.runAll(cells...)
+	if err != nil {
+		return nil, err
+	}
+	for i, v := range variants {
+		rep := reps[i]
 		t.AddRow(v.label, pct(rep.Group.HitRate()), pct(rep.Group.ByteHitRate()), ms(rep.EstimatedLatency))
 	}
-	t.Notes = append(t.Notes, fmt.Sprintf("aggregate size %s", sim.FormatBytes(size)))
+	t.Notes = append(t.Notes, fmt.Sprintf("aggregate size %s", s.cfg.label(size)))
 	return t, nil
 }
 
@@ -362,14 +406,17 @@ func (s *Suite) Hierarchy() (*Table, error) {
 		Columns: []string{"aggregate", "adhoc hit-rate", "ea hit-rate", "adhoc latency", "ea latency"},
 	}
 	sizes := middleSizes(s.cfg.Sizes, 3)
-	for _, size := range sizes {
-		c := s.cell(s.cfg.Caches, size)
-		c.arch = group.Hierarchical
-		adhoc, ea, err := s.runPair(c)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(sim.FormatBytes(size),
+	cells := s.cells(s.cfg.Caches, sizes)
+	for i := range cells {
+		cells[i].arch = group.Hierarchical
+	}
+	adhocs, eas, err := s.runPairs(cells)
+	if err != nil {
+		return nil, err
+	}
+	for i, size := range sizes {
+		adhoc, ea := adhocs[i], eas[i]
+		t.AddRow(s.cfg.label(size),
 			pct(adhoc.Group.HitRate()), pct(ea.Group.HitRate()),
 			ms(adhoc.EstimatedLatency), ms(ea.EstimatedLatency))
 	}

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
 	"time"
 
 	"eacache/internal/cache"
@@ -34,7 +36,10 @@ func ScaledSizes(f float64) []int64 {
 
 // Config parameterises a Suite.
 type Config struct {
-	// Sizes are the aggregate sizes to sweep. Defaults to PaperSizes.
+	// Sizes are the aggregate sizes to sweep. Defaults to PaperSizes. A
+	// sweep of as many sizes as PaperSizes, such as ScaledSizes', stands
+	// for the paper's: each size is labelled with the paper size it
+	// scales.
 	Sizes []int64
 	// Caches is the group size for the per-figure sweeps (paper: the
 	// published graphs use the 4-cache group). Defaults to 4.
@@ -68,17 +73,73 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// label names size in a table: by the paper size it stands for when the
+// sweep is the paper's, scaled (see Sizes), and by its bytes otherwise.
+func (c Config) label(size int64) string {
+	if i := slices.Index(c.Sizes, size); i >= 0 && len(c.Sizes) == len(PaperSizes) {
+		size = PaperSizes[i]
+	}
+	return sim.FormatBytes(size)
+}
+
 // Suite runs experiments over one reference stream, memoizing replays so
 // that experiments sharing a configuration (fig1/fig2/fig3/table1/table2,
-// the ICP row of location) cost one pass.
+// the ICP row of location) cost one pass. The replays run on a pool of one
+// worker per core; each table is built from its replays' reports in a fixed
+// order, so the output does not depend on how many cores there are.
 type Suite struct {
 	records []trace.Record
 	cfg     Config
-	runs    map[cell]*sim.Report
+	pool    pool
+	mu      sync.Mutex
+	runs    map[cell]*flight // guarded by mu
+}
+
+// pool bounds the work that runs at once, replays and MultiSeed's trace
+// generations, to one job per core. A job must not wait for another job of
+// the same pool, or a full pool deadlocks.
+type pool chan struct{}
+
+func newPool() pool { return make(pool, runtime.GOMAXPROCS(0)) }
+
+// do runs f as one job, once a worker is free.
+func (p pool) do(f func()) {
+	p <- struct{}{}
+	defer func() { <-p }()
+	f()
+}
+
+// each runs f(0) to f(n-1) as n concurrent jobs and returns the error of the
+// lowest index that failed.
+func (p pool) each(n int, f func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range n {
+		go func() {
+			defer wg.Done()
+			p.do(func() { errs[i] = f(i) })
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// flight is one cell's replay, started once and waited for by every
+// experiment that asks for the cell.
+type flight struct {
+	done chan struct{}
+	rep  *sim.Report
+	err  error
 }
 
 // cell is one replay configuration of the suite's trace, and its memo key.
-// run normalises it, so a zero architecture is distributed, a zero
+// start normalises it, so a zero architecture is distributed, a zero
 // location is ICP, and a zero window and horizon are the group's default
 // horizon.
 type cell struct {
@@ -95,12 +156,19 @@ type cell struct {
 // NewSuite prepares a suite over a copy of records (cleaned of zero sizes,
 // as the paper does, and sorted); the caller's slice is left as it is.
 func NewSuite(records []trace.Record, cfg Config) *Suite {
-	cleaned := trace.CleanZeroSizes(slices.Clone(records), trace.DefaultDocSize)
-	trace.SortByTime(cleaned)
+	return newSuite(slices.Clone(records), cfg, newPool())
+}
+
+// newSuite prepares a suite that replays on p over records, which it
+// cleans and sorts in place.
+func newSuite(records []trace.Record, cfg Config, p pool) *Suite {
+	records = trace.CleanZeroSizes(records, trace.DefaultDocSize)
+	trace.SortByTime(records)
 	return &Suite{
-		records: cleaned,
+		records: records,
 		cfg:     cfg.withDefaults(),
-		runs:    make(map[cell]*sim.Report),
+		pool:    p,
+		runs:    make(map[cell]*flight),
 	}
 }
 
@@ -120,9 +188,36 @@ func (s *Suite) cell(caches int, aggregate int64) cell {
 	}
 }
 
-// run replays the suite's trace through the group c describes, once per
-// configuration.
-func (s *Suite) run(c cell) (*sim.Report, error) {
+// cells returns the suite's cell at caches and each of sizes.
+func (s *Suite) cells(caches int, sizes []int64) []cell {
+	cs := make([]cell, len(sizes))
+	for i, size := range sizes {
+		cs[i] = s.cell(caches, size)
+	}
+	return cs
+}
+
+// runAll replays the cells concurrently, each once per configuration, and
+// returns their reports in the order of cells, or the error of the first
+// cell in that order that failed.
+func (s *Suite) runAll(cells ...cell) ([]*sim.Report, error) {
+	flights := make([]*flight, len(cells))
+	for i, c := range cells {
+		flights[i] = s.start(c)
+	}
+	reps := make([]*sim.Report, len(cells))
+	for i, f := range flights {
+		if <-f.done; f.err != nil {
+			return nil, f.err
+		}
+		reps[i] = f.rep
+	}
+	return reps, nil
+}
+
+// start returns c's flight, first starting its replay on the pool unless an
+// earlier call did.
+func (s *Suite) start(c cell) *flight {
 	if c.arch == 0 {
 		c.arch = group.Distributed
 	}
@@ -132,9 +227,22 @@ func (s *Suite) run(c cell) (*sim.Report, error) {
 	if c.window == 0 && c.horizon == 0 {
 		c.horizon = cache.DefaultExpirationHorizon
 	}
-	if rep, ok := s.runs[c]; ok {
-		return rep, nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if f, ok := s.runs[c]; ok {
+		return f
 	}
+	f := &flight{done: make(chan struct{})}
+	s.runs[c] = f
+	go func() {
+		defer close(f.done)
+		s.pool.do(func() { f.rep, f.err = s.replay(c) })
+	}()
+	return f
+}
+
+// replay replays the suite's trace through the group c describes.
+func (s *Suite) replay(c cell) (*sim.Report, error) {
 	scheme, ok := core.New(c.scheme)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown scheme %q", c.scheme)
@@ -158,24 +266,26 @@ func (s *Suite) run(c cell) (*sim.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err := sim.Run(g, s.records, sim.Config{Latency: s.cfg.Latency})
-	if err != nil {
-		return nil, err
-	}
-	s.runs[c] = rep
-	return rep, nil
+	return sim.Run(g, s.records, sim.Config{Latency: s.cfg.Latency})
 }
 
-// runPair replays the ad-hoc and EA schemes at two configurations that
-// differ only in their scheme.
-func (s *Suite) runPair(c cell) (adhoc, ea *sim.Report, err error) {
-	c.scheme = "adhoc"
-	if adhoc, err = s.run(c); err != nil {
+// runPairs replays the ad-hoc and EA schemes at each of cells, all
+// concurrently, and returns the reports of each scheme in the order of
+// cells.
+func (s *Suite) runPairs(cells []cell) (adhoc, ea []*sim.Report, err error) {
+	both := make([]cell, 0, 2*len(cells))
+	for _, c := range cells {
+		c.scheme = "adhoc"
+		both = append(both, c)
+		c.scheme = "ea"
+		both = append(both, c)
+	}
+	reps, err := s.runAll(both...)
+	if err != nil {
 		return nil, nil, err
 	}
-	c.scheme = "ea"
-	if ea, err = s.run(c); err != nil {
-		return nil, nil, err
+	for i := 0; i < len(reps); i += 2 {
+		adhoc, ea = append(adhoc, reps[i]), append(ea, reps[i+1])
 	}
 	return adhoc, ea, nil
 }

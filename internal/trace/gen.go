@@ -224,14 +224,18 @@ func (c GenConfig) Validate() error {
 // Requests are drawn as 16-byte events, one time-ordered run per session,
 // and the runs are merged straight into the records: each Record is built
 // once, in its final place, and no 48-byte record is ever moved by a sort.
-// The merge runs on every core, and its output does not depend on how many
-// there are.
+// Only the walk of the random-number stream is sequential: the catalogue is
+// drawn and each session's times computed beside it, and the merge runs on
+// every core. The output does not depend on how many cores there are.
 func Generate(cfg GenConfig) ([]Record, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	// The records come before the events, so that the collection that sets
-	// the heap goal for the rest of the trace's life sees only them.
+	// the heap goal for the rest of the trace's life sees only them, and the
+	// events cannot take the pages an earlier trace's records freed. Zeroed
+	// beside the walk instead, after the events, they raised the peak memory
+	// of drawing one trace after another by about a fifth.
 	records := make([]Record, cfg.Requests)
 	g, err := draw(cfg)
 	if err != nil {
@@ -242,11 +246,11 @@ func Generate(cfg GenConfig) ([]Record, error) {
 }
 
 // draw builds the generator and draws every request of the trace as an
-// event, in generation order.
+// event, in generation order. Only the walk of the random-number stream
+// runs on the calling goroutine; a helper beside it draws the catalogue and
+// turns the sessions into times and names (see help).
 func draw(cfg GenConfig) (*generator, error) {
-	rng := dist.NewRNG(cfg.Seed)
-
-	catalog, err := buildCatalog(cfg, rng.Split())
+	sizes, err := dist.ParetoWithMean(float64(cfg.MeanDocSize), float64(cfg.MaxDocSize), cfg.SizeAlpha)
 	if err != nil {
 		return nil, err
 	}
@@ -258,19 +262,6 @@ func draw(cfg GenConfig) (*generator, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Decouple a user's id from their activity rank so heavy users spread
-	// across proxies rather than clustering on low ids.
-	userPerm := make([]int, cfg.Users)
-	for i := range userPerm {
-		userPerm[i] = i
-	}
-	rng.Shuffle(cfg.Users, func(i, j int) { userPerm[i], userPerm[j] = userPerm[j], userPerm[i] })
-
-	histories := make([]*history, cfg.Users)
-	for i := range histories {
-		histories[i] = newHistory(cfg.HistoryDepth)
-	}
-
 	// Each session is a sequence of page views: a page request followed
 	// by a short burst of inline-object requests, then a think pause
 	// before the next page. Think times are sized so a session's views
@@ -290,19 +281,34 @@ func draw(cfg GenConfig) (*generator, error) {
 		return nil, err
 	}
 
+	rng := dist.NewRNG(cfg.Seed)
 	gen := &generator{
 		cfg:       cfg,
 		rng:       rng,
 		zipf:      zipf,
-		catalog:   catalog,
-		histories: histories,
+		catalog:   make([]int64, cfg.UniqueDocs),
 		think:     think,
 		inlineGap: inlineGap,
 		events:    make([]event, 0, cfg.Requests),
 		runs:      make([]run, 0, cfg.Sessions),
+		sessions:  make(chan run, cfg.Sessions),
 		clients:   make([]string, cfg.Users),
-		urls:      make([]string, len(catalog)),
+		urls:      make([]string, cfg.UniqueDocs),
 		start:     cfg.Start.UnixNano(),
+	}
+	helped := make(chan struct{})
+	go gen.help(gen.events[:cfg.Requests], sizes, rng.Split(), helped)
+
+	// Decouple a user's id from their activity rank so heavy users spread
+	// across proxies rather than clustering on low ids.
+	userPerm := make([]int, cfg.Users)
+	for i := range userPerm {
+		userPerm[i] = i
+	}
+	rng.Shuffle(cfg.Users, func(i, j int) { userPerm[i], userPerm[j] = userPerm[j], userPerm[i] })
+	gen.histories = make([]*history, cfg.Users)
+	for i := range gen.histories {
+		gen.histories[i] = newHistory(cfg.HistoryDepth)
 	}
 
 	// The first cohortSessions sessions are grouped into cohorts of
@@ -342,7 +348,22 @@ func draw(cfg GenConfig) (*generator, error) {
 		user := userPerm[userZipf.Rank(rng)]
 		gen.emitSession(user, sampleSessionStart(cfg, rng), n, nil)
 	}
+	close(gen.sessions)
+	<-helped
 	return gen, nil
+}
+
+// help is draw's helper goroutine. It draws the catalogue's sizes from
+// rng, then transforms each session the walk hands it over events, in the
+// order the walk finished them, and closes done once the walk is over and
+// every session is transformed. The walk never waits for it: sessions
+// holds every run.
+func (g *generator) help(events []event, sizes *dist.Pareto, rng *dist.RNG, done chan<- struct{}) {
+	defer close(done)
+	drawCatalog(g.catalog, g.cfg, sizes, rng)
+	for r := range g.sessions {
+		g.transform(events[r.pos:r.end], r.at)
+	}
 }
 
 // generator carries the shared sampling state of one Generate call.
@@ -356,6 +377,7 @@ type generator struct {
 	inlineGap *dist.Exponential
 	events    []event  // every request, in generation order
 	runs      []run    // one run of events per session
+	sessions  chan run // each finished session, at its start, to the transform
 	clients   []string // client name of each user, formatted on first reference
 	urls      []string // docURL of each catalog entry, formatted on first reference
 	start     int64    // cfg.Start in Unix nanoseconds
@@ -363,6 +385,9 @@ type generator struct {
 
 // event is one drawn request in 16 bytes: its offset from cfg.Start, its
 // document, and its user, stored inverted when the log recorded no size.
+// Until the transform turns it into the offset, at holds the bits of the
+// uniform draw behind the gap before the request, negated for an inline
+// gap.
 type event struct {
 	at   time.Duration
 	doc  int32
@@ -512,13 +537,13 @@ func (g *generator) masterStream(n int) []step {
 	return master
 }
 
-// emitSession appends one session's events and its run: either a solo
-// browse (master nil — pages drawn per user with self-affinity) or a cohort
-// member's walk of the shared master stream with individual timing. start
-// and the event times are offsets from cfg.Start.
+// emitSession appends one session's events and its run, and hands the run
+// to the transform: either a solo browse (master nil — pages drawn per user
+// with self-affinity) or a cohort member's walk of the shared master stream
+// with individual timing. start is an offset from cfg.Start.
 func (g *generator) emitSession(user int, start time.Duration, n int, master []step) {
-	h := g.histories[user]
-	t, pos := start, len(g.events)
+	h, events := g.histories[user], g.events
+	pos := len(events)
 	inlineLeft := 0
 	for i := 0; i < n; i++ {
 		var (
@@ -534,38 +559,57 @@ func (g *generator) emitSession(user int, start time.Duration, n int, master []s
 			docID = g.pickDoc(h)
 			inlineLeft = sampleGeometric(g.rng, g.cfg.InlinePerView)
 		}
+		gap := g.rng.PositiveFloat64()
 		if inline {
-			t += time.Duration((0.2 + g.inlineGap.Sample(g.rng)) * float64(time.Second))
-		} else {
-			t += time.Duration(g.think.Sample(g.rng) * float64(time.Second))
+			gap = -gap
 		}
 		h.add(docID)
-		if g.urls[docID] == "" {
-			g.urls[docID] = docURL(docID)
-		}
-		e := event{at: t, doc: int32(docID), user: int32(user)}
+		e := event{at: time.Duration(math.Float64bits(gap)), doc: int32(docID), user: int32(user)}
 		if g.cfg.ZeroSizeFraction > 0 && g.rng.Float64() < g.cfg.ZeroSizeFraction {
 			e.user = ^e.user
 		}
-		g.events = append(g.events, e)
+		events = append(events, e)
 	}
+	g.events = events
 	if n > 0 {
-		g.runs = append(g.runs, run{at: g.events[pos].at, pos: pos, end: len(g.events)})
-		if g.clients[user] == "" {
-			g.clients[user] = string(appendPadded([]byte{'u'}, user, 4))
-		}
+		r := run{at: start, pos: pos, end: len(events)}
+		g.runs = append(g.runs, r)
+		g.sessions <- r
 	}
 }
 
-// buildCatalog draws a size for every document. Document IDs are already in
+// transform turns one session's gap draws, starting at the offset start,
+// into the offsets of its events, with the same float expressions as
+// Exponential.Sample, and names the session's user and documents. It runs
+// beside the walk, on the session's own events, and only it writes the
+// names until the walk is over.
+func (g *generator) transform(session []event, start time.Duration) {
+	t := start
+	for i := range session {
+		e := &session[i]
+		if gap := math.Float64frombits(uint64(e.at)); gap < 0 {
+			t += time.Duration((0.2 + g.inlineGap.Of(-gap)) * float64(time.Second))
+		} else {
+			t += time.Duration(g.think.Of(gap) * float64(time.Second))
+		}
+		e.at = t
+		if g.urls[e.doc] == "" {
+			g.urls[e.doc] = docURL(int(e.doc))
+		}
+	}
+	user := int(session[0].user)
+	if user < 0 {
+		user = ^user
+	}
+	if g.clients[user] == "" {
+		g.clients[user] = string(appendPadded([]byte{'u'}, user, 4))
+	}
+}
+
+// drawCatalog draws a size for every document. Document IDs are already in
 // popularity-rank order (0 = most popular); URL naming decouples rank from
 // name via a deterministic shuffle so URL order carries no information.
-func buildCatalog(cfg GenConfig, rng *dist.RNG) ([]int64, error) {
-	sizes, err := dist.ParetoWithMean(float64(cfg.MeanDocSize), float64(cfg.MaxDocSize), cfg.SizeAlpha)
-	if err != nil {
-		return nil, err
-	}
-	catalog := make([]int64, cfg.UniqueDocs)
+func drawCatalog(catalog []int64, cfg GenConfig, sizes *dist.Pareto, rng *dist.RNG) {
 	for i := range catalog {
 		catalog[i] = int64(sizes.Sample(rng))
 		if catalog[i] < 1 {
@@ -578,7 +622,6 @@ func buildCatalog(cfg GenConfig, rng *dist.RNG) ([]int64, error) {
 			catalog[i] = cfg.MeanDocSize
 		}
 	}
-	return catalog, nil
 }
 
 // sampleSessionStart draws a session start as an offset from cfg.Start,
@@ -683,7 +726,9 @@ func newHistory(depth int) *history {
 
 func (h *history) add(id int) {
 	h.ids[h.pos] = id
-	h.pos = (h.pos + 1) % len(h.ids)
+	if h.pos++; h.pos == len(h.ids) {
+		h.pos = 0
+	}
 	if h.n < len(h.ids) {
 		h.n++
 	}

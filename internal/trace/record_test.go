@@ -2,6 +2,7 @@ package trace
 
 import (
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -65,5 +66,37 @@ func TestRecordTimeRoundTrip(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestScansSeeEveryPiece: CleanZeroSizes and Sorted split a long trace into
+// one piece per core, and an inversion or a zero size next to any cut
+// between pieces is still found, at every core count.
+func TestScansSeeEveryPiece(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	n := 4*minPieceRecords + 3
+	for procs := 1; procs <= 4; procs++ {
+		runtime.GOMAXPROCS(procs)
+		for _, cut := range []int{1, n / 4, n / 3, n / 2, 2 * n / 3, 3 * n / 4, n - 1} {
+			for _, at := range []int{cut - 1, cut, cut + 1} {
+				if at < 1 || at >= n {
+					continue
+				}
+				records := make([]Record, n)
+				for i := range records {
+					records[i] = Record{UnixNano: int64(i), Size: 1}
+				}
+				if !Sorted(records) {
+					t.Fatalf("GOMAXPROCS %d: a sorted trace reads as unsorted", procs)
+				}
+				records[at].UnixNano, records[at].Size = records[at-1].UnixNano-1, 0
+				if Sorted(records) {
+					t.Errorf("GOMAXPROCS %d: the inversion at %d of %d was missed", procs, at, n)
+				}
+				if CleanZeroSizes(records, 7); records[at].Size != 7 {
+					t.Errorf("GOMAXPROCS %d: the zero size at %d of %d was not cleaned", procs, at, n)
+				}
+			}
+		}
 	}
 }
