@@ -3,6 +3,7 @@ package dist
 import (
 	"math"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -113,6 +114,10 @@ func TestRNGExpFloat64Mean(t *testing.T) {
 	}
 }
 
+// overInt32 is one past math.MaxInt32. A variable, so that converting it to
+// an int compiles on a 32-bit platform.
+var overInt32 int64 = math.MaxInt32 + 1
+
 func TestZipfValidation(t *testing.T) {
 	if _, err := NewZipf(0, 1); err == nil {
 		t.Fatal("NewZipf(0, _) accepted")
@@ -123,9 +128,12 @@ func TestZipfValidation(t *testing.T) {
 	if _, err := NewZipf(10, math.NaN()); err == nil {
 		t.Fatal("NewZipf(_, NaN) accepted")
 	}
-	// The guide table holds ranks as int32.
-	if _, err := NewZipf(math.MaxInt32+1, 1); err == nil {
-		t.Fatal("NewZipf(MaxInt32+1, _) accepted")
+	// The guide table holds ranks as int32. No int exceeds MaxInt32 on a
+	// 32-bit platform.
+	if strconv.IntSize == 64 {
+		if _, err := NewZipf(int(overInt32), 1); err == nil {
+			t.Fatal("NewZipf(MaxInt32+1, _) accepted")
+		}
 	}
 }
 

@@ -145,3 +145,17 @@ func TestClaimTables1And2(t *testing.T) {
 			func(s int64) bool { return s != cfg.Sizes[0] }, aboveZero, "mean - 2 se > 0"},
 	})
 }
+
+// TestClaimReplicationControl checks the paper's motivating claim (§2–3)
+// over the same seeded workloads: EA keeps fewer copies per resident
+// document than ad-hoc at the end of the run, mean + 2 se < 0, at every
+// size from the third up, saturated or not. At the two smallest the bound
+// fails at this scale: the groups end holding 4 and about 20 copies, and
+// EXPERIMENTS.md (Statistical confidence) records the numbers.
+func TestClaimReplicationControl(t *testing.T) {
+	perSize, seeds, cfg := claimDeltas(t)
+	checkClaims(t, perSize, seeds, cfg.Sizes, []claim{
+		{"copies per resident document", func(s int64) []float64 { return perSize[s].copies },
+			func(s int64) bool { return s >= cfg.Sizes[2] }, belowZero, "mean + 2 se < 0"},
+	})
+}

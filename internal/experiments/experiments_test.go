@@ -53,8 +53,8 @@ func TestSuiteDefaults(t *testing.T) {
 
 func TestSuiteCleansAndSorts(t *testing.T) {
 	records := []trace.Record{
-		{UnixNano: time.Unix(200, 0).UnixNano(), Client: "u", URL: "b", Size: 0},
-		{UnixNano: time.Unix(100, 0).UnixNano(), Client: "u", URL: "a", Size: 10},
+		{UnixNano: time.Unix(200, 0).UnixNano(), Client: trace.MakeClient("u"), URL: "b", Size: 0},
+		{UnixNano: time.Unix(100, 0).UnixNano(), Client: trace.MakeClient("u"), URL: "a", Size: 10},
 	}
 	s := NewSuite(records, Config{})
 	got := s.Records()

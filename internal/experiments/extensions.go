@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"eacache/internal/cache"
@@ -159,7 +160,7 @@ func (s *Suite) WorstCase() (*Table, error) {
 // broadcastWorkload builds the §2 adversarial stream: one client behind
 // every cache, all cycling through the same 100 documents in near-lockstep,
 // so every cache is asked for every document within one residency window.
-func broadcastWorkload(clients []string) []trace.Record {
+func broadcastWorkload(clients []trace.Client) []trace.Record {
 	const (
 		docs   = 100
 		rounds = 60
@@ -184,23 +185,16 @@ func broadcastWorkload(clients []string) []trace.Record {
 }
 
 // clientsCoveringAllCaches probes the group's hash routing for one client
-// name per leaf, so the broadcast stream really reaches every cache.
-func clientsCoveringAllCaches(g *group.Group) []string {
-	byLeaf := make(map[string]string, len(g.Leaves()))
-	for i := 0; len(byLeaf) < len(g.Leaves()) && i < 100000; i++ {
+// per leaf, so the broadcast stream really reaches every cache.
+func clientsCoveringAllCaches(g *group.Group) []trace.Client {
+	byLeaf := make([]trace.Client, len(g.Leaves()))
+	for i, found := 0, 0; found < len(byLeaf) && i < 100000; i++ {
 		name := fmt.Sprintf("bcast-client-%d", i)
-		id := g.Route(name).ID()
-		if _, ok := byLeaf[id]; !ok {
-			byLeaf[id] = name
+		if leaf := g.Route(name); byLeaf[leaf] == (trace.Client{}) {
+			byLeaf[leaf], found = trace.MakeClient(name), found+1
 		}
 	}
-	clients := make([]string, 0, len(byLeaf))
-	for _, leaf := range g.Leaves() {
-		if name, ok := byLeaf[leaf.ID()]; ok {
-			clients = append(clients, name)
-		}
-	}
-	return clients
+	return slices.DeleteFunc(byLeaf, func(c trace.Client) bool { return c == (trace.Client{}) })
 }
 
 func runBroadcastPair(caches int, aggregate int64, latency metrics.LatencyModel) (adhocRep, eaRep *sim.Report, err error) {

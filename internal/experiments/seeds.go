@@ -48,13 +48,13 @@ func MultiSeed(seeds int, generate func(i int) ([]trace.Record, error), cfg Conf
 
 // deltas are one size's EA-minus-ad-hoc differences, one per workload in
 // seed order: hit and byte hit rates and the remote-hit share in percentage
-// points, estimated latency in ms, and the average cumulative expiration
-// age (Table 1) in seconds. saturated counts the workloads whose ad-hoc
-// group evicted nothing at that size, so both schemes sit at the trace's
-// hit-rate ceiling.
+// points, estimated latency in ms, the average cumulative expiration age
+// (Table 1) in seconds, and the end-of-run copies per resident document.
+// saturated counts the workloads whose ad-hoc group evicted nothing at that
+// size, so both schemes sit at the trace's hit-rate ceiling.
 type deltas struct {
-	hit, byteHit, latency, remote, expAge []float64
-	saturated                             int
+	hit, byteHit, latency, remote, expAge, copies []float64
+	saturated                                     int
 }
 
 // add appends one workload's differences at the size.
@@ -65,6 +65,7 @@ func (d *deltas) add(adhoc, ea *sim.Report) {
 		float64((ea.EstimatedLatency-adhoc.EstimatedLatency)/time.Millisecond))
 	d.remote = append(d.remote, 100*(ea.Group.RemoteHitRate()-adhoc.Group.RemoteHitRate()))
 	d.expAge = append(d.expAge, (ea.AvgCacheExpirationAge - adhoc.AvgCacheExpirationAge).Seconds())
+	d.copies = append(d.copies, ea.Replication.MeanCopies()-adhoc.Replication.MeanCopies())
 	var evictions int64
 	for _, p := range adhoc.PerProxy {
 		evictions += p.Evictions

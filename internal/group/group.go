@@ -213,15 +213,16 @@ func (g *Group) All() []*proxy.Proxy {
 	return all
 }
 
-// Route returns the proxy serving the given client. Each client is pinned
-// to one cache by hash, modelling the static browser-to-proxy assignment of
-// the paper's setup (each simulated proxy replayed its own clients).
-func (g *Group) Route(client string) *proxy.Proxy {
+// Route returns the position in Leaves of the proxy serving the given
+// client. Each client is pinned to one cache by hash, modelling the static
+// browser-to-proxy assignment of the paper's setup (each simulated proxy
+// replayed its own clients).
+func (g *Group) Route(client string) int {
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(client))
 	// The modulus is taken unsigned: converted to a 32-bit int, a sum with
 	// the top bit set is negative.
-	return g.leaves[h.Sum32()%uint32(len(g.leaves))]
+	return int(h.Sum32() % uint32(len(g.leaves)))
 }
 
 // AvgCumulativeExpirationAge returns the mean of the caches' cumulative

@@ -116,7 +116,7 @@ func TestRouteStableAndCovering(t *testing.T) {
 	// Coverage: many clients spread over all caches.
 	seen := make(map[string]bool)
 	for i := 0; i < 500; i++ {
-		seen[g.Route("client"+string(rune('0'+i%10))+string(rune('a'+(i/10)%26))+string(rune('a'+i/260))).ID()] = true
+		seen[g.Leaves()[g.Route("client"+string(rune('0'+i%10))+string(rune('a'+(i/10)%26))+string(rune('a'+i/260)))].ID()] = true
 	}
 	if len(seen) != 4 {
 		t.Fatalf("routing covered %d caches, want 4", len(seen))
@@ -150,7 +150,7 @@ func TestRouteTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := g.Route(tc.client).ID(); got != want {
+			if got := g.Leaves()[g.Route(tc.client)].ID(); got != want {
 				t.Errorf("Route(%q) over %d caches = %s, want %s", tc.client, caches, got, want)
 			}
 		}

@@ -46,10 +46,12 @@ type Client struct {
 // send → wait → unregister → drain → return to slotPool; the reader
 // delivers under Client.mu, so once a slot is unregistered nothing can
 // reach its channel, and draining it then leaves the next query that
-// draws the slot nothing of this one's.
+// draws the slot nothing of this one's. Since go 1.23 (go.mod) a timer
+// channel is unbuffered: no receive after Stop or Reset returns sees a time
+// from before it, so the timer needs no drain.
 type slot struct {
 	ch    chan reply
-	timer *time.Timer // stopped and drained whenever the slot is pooled
+	timer *time.Timer // stopped whenever the slot is pooled
 	url   string
 	query []byte
 	heard []bool
@@ -59,21 +61,9 @@ type slot struct {
 // the slot it drew makes them anew at its width, which the slot keeps.
 var slotPool = sync.Pool{New: func() any {
 	s := &slot{timer: time.NewTimer(time.Hour)}
-	s.stopTimer()
+	s.timer.Stop()
 	return s
 }}
-
-// stopTimer leaves the timer stopped with an empty channel, whether or
-// not it fired: go.mod's language version keeps timer channels buffered,
-// so a Reset is only safe after Stop and a non-blocking drain.
-func (s *slot) stopTimer() {
-	if !s.timer.Stop() {
-		select {
-		case <-s.timer.C:
-		default:
-		}
-	}
-}
 
 // reply is one parsed, demultiplexed answer delivered to its query. The
 // source travels as a netip value and the query maps it back to the
@@ -164,7 +154,7 @@ func (c *Client) release(reqNum uint32, s *slot) {
 	c.mu.Lock()
 	delete(c.pending, reqNum)
 	c.mu.Unlock()
-	s.stopTimer()
+	s.timer.Stop()
 	for len(s.ch) > 0 {
 		<-s.ch
 	}
@@ -324,7 +314,6 @@ func (c *Client) QueryInto(res *Result, neighbours []*net.UDPAddr, url string, t
 					// this responder dies before the follow-up fetch.
 					elapsed := time.Since(start)
 					grace := min(max(elapsed, timeout/hitGraceFloor), timeout/hitGraceCap, timeout-elapsed)
-					s.stopTimer()
 					s.timer.Reset(grace)
 				}
 			}

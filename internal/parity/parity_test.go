@@ -144,17 +144,10 @@ func liveNode(t *testing.T, cfg netnode.Config, capacity int64, clk *traceClock,
 func replaySim(t *testing.T, g *group.Group, records []trace.Record) (tally, []int) {
 	t.Helper()
 	leaves := g.Leaves()
-	leafIndex := make(map[string]int, len(leaves))
-	for i, leaf := range leaves {
-		leafIndex[leaf.ID()] = i
-	}
 	var simT tally
 	route := make([]int, len(records))
 	for i, r := range records {
-		idx, ok := leafIndex[g.Route(r.Client).ID()]
-		if !ok {
-			t.Fatalf("client %q routed to unknown leaf", r.Client)
-		}
+		idx := g.Route(r.Client.String())
 		route[i] = idx
 		res, err := leaves[idx].Request(r.URL, r.Size, r.Time())
 		if err != nil {

@@ -92,11 +92,10 @@ func Run(g *group.Group, records []trace.Record, cfg Config) (*Report, error) {
 	}
 	warm := int(cfg.Warmup * float64(len(records)))
 
-	perProxy := make(map[string]*metrics.Counters, len(g.Leaves()))
-	for _, p := range g.Leaves() {
-		perProxy[p.ID()] = &metrics.Counters{}
-	}
-
+	// Leaves come first in g.All(), so perProxy[i] counts the requests
+	// of leaf i and the parent, which serves no clients, has no slot.
+	leaves := g.Leaves()
+	perProxy := make([]metrics.Counters, len(leaves))
 	var total metrics.Counters
 	for i, rec := range records {
 		size := rec.Size
@@ -104,8 +103,8 @@ func Run(g *group.Group, records []trace.Record, cfg Config) (*Report, error) {
 			// The paper substitutes 4KB for a record without a size.
 			size = trace.DefaultDocSize
 		}
-		p := g.Route(rec.Client)
-		res, err := p.Request(rec.URL, size, rec.Time())
+		leaf := g.Route(rec.Client.String())
+		res, err := leaves[leaf].Request(rec.URL, size, rec.Time())
 		if err != nil {
 			return nil, fmt.Errorf("sim: record %d: %w", i, err)
 		}
@@ -115,14 +114,14 @@ func Run(g *group.Group, records []trace.Record, cfg Config) (*Report, error) {
 		lat := cfg.Latency.Of(res.Outcome)
 		total.Record(res.Outcome, size)
 		total.AddSimLatency(lat)
-		pc := perProxy[p.ID()]
+		pc := &perProxy[leaf]
 		pc.Record(res.Outcome, size)
 		pc.AddSimLatency(lat)
 	}
 	return buildReport(g, total.Snapshot(), perProxy, cfg), nil
 }
 
-func buildReport(g *group.Group, total metrics.CountersSnapshot, perProxy map[string]*metrics.Counters, cfg Config) *Report {
+func buildReport(g *group.Group, total metrics.CountersSnapshot, perProxy []metrics.Counters, cfg Config) *Report {
 	gc := g.Config()
 	rep := &Report{
 		Scheme:                gc.Scheme.Name(),
@@ -135,7 +134,7 @@ func buildReport(g *group.Group, total metrics.CountersSnapshot, perProxy map[st
 		Replication:           g.Replication(),
 		Latency:               cfg.Latency,
 	}
-	for _, p := range g.All() {
+	for i, p := range g.All() {
 		pr := ProxyReport{
 			ID:            p.ID(),
 			Evictions:     p.Store().Evictions(),
@@ -144,8 +143,8 @@ func buildReport(g *group.Group, total metrics.CountersSnapshot, perProxy map[st
 			ResidentBytes: p.Store().Used(),
 			ICP:           p.ICP(),
 		}
-		if c, ok := perProxy[p.ID()]; ok {
-			pr.Counters = c.Snapshot()
+		if i < len(perProxy) {
+			pr.Counters = perProxy[i].Snapshot()
 		}
 		rep.PerProxy = append(rep.PerProxy, pr)
 	}

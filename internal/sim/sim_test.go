@@ -31,7 +31,7 @@ func newGroup(t *testing.T, caches int, aggregate int64, scheme core.Scheme) *gr
 }
 
 func rec(sec int, client, url string, size int64) trace.Record {
-	return trace.Record{UnixNano: at(sec).UnixNano(), Client: client, URL: url, Size: size}
+	return trace.Record{UnixNano: at(sec).UnixNano(), Client: trace.MakeClient(client), URL: url, Size: size}
 }
 
 func TestRunValidation(t *testing.T) {
@@ -80,7 +80,7 @@ func TestRunRemoteHitAcrossCaches(t *testing.T) {
 	leaves := g.Leaves()
 	for i := 0; (c0 == "" || c1 == "") && i < 1000; i++ {
 		client := fmt.Sprintf("user-%d", i)
-		switch g.Route(client).ID() {
+		switch leaves[g.Route(client)].ID() {
 		case leaves[0].ID():
 			if c0 == "" {
 				c0 = client
@@ -104,6 +104,30 @@ func TestRunRemoteHitAcrossCaches(t *testing.T) {
 	}
 	if rep.Group.RemoteHits != 1 || rep.Group.Misses != 1 {
 		t.Fatalf("counters = %+v", rep.Group)
+	}
+}
+
+// TestRunCountsEachRequestAtItsLeaf: a request is counted at the proxy
+// its client routes to, the zero Client's like the empty name's, and the
+// report's per-proxy rows follow the group's order.
+func TestRunCountsEachRequestAtItsLeaf(t *testing.T) {
+	g := newGroup(t, 4, 1<<22, core.AdHoc{})
+	leaves, want := g.Leaves(), map[string]int64{}
+	records := []trace.Record{{UnixNano: at(0).UnixNano(), URL: "http://z/", Size: 10}}
+	want[leaves[g.Route("")].ID()]++
+	for i := range 40 {
+		client := fmt.Sprintf("user-%d", i)
+		records = append(records, rec(i+1, client, fmt.Sprintf("http://d%d/", i), 10))
+		want[leaves[g.Route(client)].ID()]++
+	}
+	rep, err := Run(g, records, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range g.All() {
+		if pr := rep.PerProxy[i]; pr.ID != p.ID() || pr.Counters.Requests != want[p.ID()] {
+			t.Errorf("PerProxy[%d] = %s with %d requests, want %s with %d", i, pr.ID, pr.Counters.Requests, p.ID(), want[p.ID()])
+		}
 	}
 }
 

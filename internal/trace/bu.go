@@ -61,5 +61,5 @@ func parseBULine(line string, ns names) (Record, bool) {
 	if err != nil || size < 0 {
 		return Record{}, false
 	}
-	return Record{UnixNano: t.UnixNano(), Client: ns.intern(user + "@" + machine), URL: ns.intern(url), Size: size}, true
+	return Record{UnixNano: t.UnixNano(), Client: MakeClient(user + "@" + machine), URL: ns.intern(url), Size: size}, true
 }

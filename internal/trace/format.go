@@ -60,9 +60,9 @@ func Read(r io.Reader) ([]Record, error) {
 	return records, nil
 }
 
-// names interns the client and URL strings a reader parses: records that
-// name one client or document share one string, and none keeps the rest
-// of its input line alive.
+// names interns the URL strings a reader parses: records that name one
+// document share one string, and none keeps the rest of its input line
+// alive. Clients are interned as handles, by MakeClient.
 type names map[string]string
 
 func (ns names) intern(s string) string {
@@ -90,7 +90,7 @@ func parseCanonicalLine(line string, ns names) (Record, error) {
 	if size < 0 {
 		return Record{}, fmt.Errorf("negative size %d", size)
 	}
-	return Record{UnixNano: t.UnixNano(), Client: ns.intern(fields[1]), URL: ns.intern(fields[2]), Size: size}, nil
+	return Record{UnixNano: t.UnixNano(), Client: MakeClient(fields[1]), URL: ns.intern(fields[2]), Size: size}, nil
 }
 
 // ParseTimestamp parses a unix timestamp with optional fractional seconds.

@@ -14,9 +14,9 @@ func ts(sec int64, nsec int) time.Time { return time.Unix(sec, int64(nsec)).UTC(
 
 func TestWriteReadRoundTrip(t *testing.T) {
 	records := []Record{
-		{UnixNano: ts(784900000, 0).UnixNano(), Client: "u01@alpha", URL: "http://a.example.edu/", Size: 2048},
-		{UnixNano: ts(784900001, 500000000).UnixNano(), Client: "u02", URL: "http://b.example.edu/x.gif", Size: 0},
-		{UnixNano: ts(784900002, 123456000).UnixNano(), Client: "u01@alpha", URL: "http://a.example.edu/y.html", Size: 4096},
+		{UnixNano: ts(784900000, 0).UnixNano(), Client: MakeClient("u01@alpha"), URL: "http://a.example.edu/", Size: 2048},
+		{UnixNano: ts(784900001, 500000000).UnixNano(), Client: MakeClient("u02"), URL: "http://b.example.edu/x.gif", Size: 0},
+		{UnixNano: ts(784900002, 123456000).UnixNano(), Client: MakeClient("u01@alpha"), URL: "http://a.example.edu/y.html", Size: 4096},
 	}
 	var buf bytes.Buffer
 	if err := Write(&buf, records); err != nil {
@@ -89,7 +89,7 @@ func TestQuickFormatRoundTrip(t *testing.T) {
 	f := func(sec uint32, micro uint32, client, urlSuffix uint16, size uint32) bool {
 		rec := Record{
 			UnixNano: time.Unix(int64(sec), int64(micro%1000000)*1000).UnixNano(),
-			Client:   "c" + itoa(int(client)),
+			Client:   MakeClient("c" + itoa(int(client))),
 			URL:      "http://h.example.edu/d" + itoa(int(urlSuffix)),
 			Size:     int64(size),
 		}
@@ -142,7 +142,7 @@ func TestReadBU(t *testing.T) {
 	}
 	want := Record{
 		UnixNano: ts(784900000, 0).UnixNano(),
-		Client:   "user3@beaker",
+		Client:   MakeClient("user3@beaker"),
 		URL:      "http://cs-www.bu.edu/",
 		Size:     2009,
 	}
@@ -187,9 +187,9 @@ func TestSortAndSorted(t *testing.T) {
 
 func TestComputeStats(t *testing.T) {
 	recs := []Record{
-		{UnixNano: ts(100, 0).UnixNano(), Client: "u1", URL: "a", Size: 10},
-		{UnixNano: ts(200, 0).UnixNano(), Client: "u2", URL: "a", Size: 10},
-		{UnixNano: ts(300, 0).UnixNano(), Client: "u1", URL: "b", Size: 0},
+		{UnixNano: ts(100, 0).UnixNano(), Client: MakeClient("u1"), URL: "a", Size: 10},
+		{UnixNano: ts(200, 0).UnixNano(), Client: MakeClient("u2"), URL: "a", Size: 10},
+		{UnixNano: ts(300, 0).UnixNano(), Client: MakeClient("u1"), URL: "b", Size: 0},
 	}
 	s := ComputeStats(recs)
 	if s.Requests != 3 || s.UniqueDocs != 2 || s.UniqueClients != 2 {
@@ -213,8 +213,9 @@ func TestComputeStats(t *testing.T) {
 }
 
 // TestReadersInternNames: every reader hands records that name one client
-// or one document the same backing string, so a parsed trace holds each
-// name once and no record pins the input line it was cut from.
+// the same handle, and records that name one document the same backing
+// string, so a parsed trace holds each name once and no record pins the
+// input line it was cut from.
 func TestReadersInternNames(t *testing.T) {
 	read := map[string]func() ([]Record, error){
 		"canonical": func() ([]Record, error) {
@@ -238,11 +239,11 @@ func TestReadersInternNames(t *testing.T) {
 			t.Fatalf("%s: %d records, err %v", name, len(recs), err)
 		}
 		first, last := recs[0], recs[2]
-		if first.Client != last.Client || first.URL != last.URL {
+		if first.Client.String() != last.Client.String() || first.URL != last.URL {
 			t.Fatalf("%s: records 0 and 2 name %q %q and %q %q", name, first.Client, first.URL, last.Client, last.URL)
 		}
-		if unsafe.StringData(first.Client) != unsafe.StringData(last.Client) {
-			t.Errorf("%s: client %q is two strings", name, first.Client)
+		if first.Client != last.Client || first.Client == recs[1].Client {
+			t.Errorf("%s: clients %q, %q, %q are not one handle per name", name, first.Client, recs[1].Client, last.Client)
 		}
 		if unsafe.StringData(first.URL) != unsafe.StringData(last.URL) {
 			t.Errorf("%s: URL %q is two strings", name, first.URL)

@@ -223,7 +223,7 @@ func (c GenConfig) Validate() error {
 // Generate produces a chronologically sorted synthetic reference stream.
 // Requests are drawn as 16-byte events, one time-ordered run per session,
 // and the runs are merged straight into the records: each Record is built
-// once, in its final place, and no 48-byte record is ever moved by a sort.
+// once, in its final place, and no 40-byte record is ever moved by a sort.
 // Only the walk of the random-number stream is sequential: the catalogue is
 // drawn and each session's times computed beside it, and the merge runs on
 // every core. The output does not depend on how many cores there are.
@@ -292,7 +292,7 @@ func draw(cfg GenConfig) (*generator, error) {
 		events:    make([]event, 0, cfg.Requests),
 		runs:      make([]run, 0, cfg.Sessions),
 		sessions:  make(chan run, cfg.Sessions),
-		clients:   make([]string, cfg.Users),
+		clients:   make([]Client, cfg.Users),
 		urls:      make([]string, cfg.UniqueDocs),
 		start:     cfg.Start.UnixNano(),
 	}
@@ -378,7 +378,7 @@ type generator struct {
 	events    []event  // every request, in generation order
 	runs      []run    // one run of events per session
 	sessions  chan run // each finished session, at its start, to the transform
-	clients   []string // client name of each user, formatted on first reference
+	clients   []Client // client of each user, made on first reference
 	urls      []string // docURL of each catalog entry, formatted on first reference
 	start     int64    // cfg.Start in Unix nanoseconds
 }
@@ -580,7 +580,8 @@ func (g *generator) emitSession(user int, start time.Duration, n int, master []s
 
 // transform turns one session's gap draws, starting at the offset start,
 // into the offsets of its events, with the same float expressions as
-// Exponential.Sample, and names the session's user and documents. It runs
+// Exponential.Sample, and names the session's user and documents: a user's
+// Client is made once, so every record of the user carries one handle. It runs
 // beside the walk, on the session's own events, and only it writes the
 // names until the walk is over.
 func (g *generator) transform(session []event, start time.Duration) {
@@ -601,8 +602,8 @@ func (g *generator) transform(session []event, start time.Duration) {
 	if user < 0 {
 		user = ^user
 	}
-	if g.clients[user] == "" {
-		g.clients[user] = string(appendPadded([]byte{'u'}, user, 4))
+	if g.clients[user] == (Client{}) {
+		g.clients[user] = MakeClient(string(appendPadded([]byte{'u'}, user, 4)))
 	}
 }
 

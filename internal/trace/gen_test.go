@@ -3,6 +3,7 @@ package trace
 import (
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -35,6 +36,32 @@ func TestGenerateDeterminism(t *testing.T) {
 	}
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced identical traces")
+	}
+}
+
+// TestGenerateOneHandlePerUser: every record of one user carries the same
+// Client, and no two users share one.
+func TestGenerateOneHandlePerUser(t *testing.T) {
+	records, err := Generate(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName, names := map[string]Client{}, map[Client]string{}
+	for i, r := range records {
+		name := r.Client.String()
+		if !strings.HasPrefix(name, "u") {
+			t.Fatalf("record %d: client %q", i, name)
+		}
+		if c, ok := byName[name]; ok && c != r.Client {
+			t.Fatalf("record %d: user %q carries a second handle", i, name)
+		}
+		if n, ok := names[r.Client]; ok && n != name {
+			t.Fatalf("record %d: users %q and %q share a handle", i, n, name)
+		}
+		byName[name], names[r.Client] = r.Client, name
+	}
+	if len(byName) < 2 {
+		t.Fatalf("%d users in the trace", len(byName))
 	}
 }
 
@@ -152,6 +179,10 @@ func TestGenerateCohortSharing(t *testing.T) {
 	}
 }
 
+// overInt32 is one past math.MaxInt32. A variable, so that converting it to
+// an int compiles on a 32-bit platform, where the rows that need it skip.
+var overInt32 int64 = math.MaxInt32 + 1
+
 func TestGenerateValidation(t *testing.T) {
 	mods := map[string]func(*GenConfig){
 		"requests":       func(c *GenConfig) { c.Requests = 0 },
@@ -166,9 +197,9 @@ func TestGenerateValidation(t *testing.T) {
 		"maxsize":        func(c *GenConfig) { c.MaxDocSize = c.MeanDocSize },
 		"sizealpha":      func(c *GenConfig) { c.SizeAlpha = 0 },
 		"zerofrac":       func(c *GenConfig) { c.ZeroSizeFraction = 1 },
-		"docs>int32":     func(c *GenConfig) { c.UniqueDocs = math.MaxInt32 + 1 },
+		"docs>int32":     func(c *GenConfig) { c.UniqueDocs = int(overInt32) },
 		"users":          func(c *GenConfig) { c.Users = 0 },
-		"users>int32":    func(c *GenConfig) { c.Users = math.MaxInt32 + 1 },
+		"users>int32":    func(c *GenConfig) { c.Users = int(overInt32) },
 		"sessions":       func(c *GenConfig) { c.Sessions = 0 },
 		"sessionlength":  func(c *GenConfig) { c.SessionLength = 0 },
 		"selfaffinity":   func(c *GenConfig) { c.SelfAffinity = 1 },
@@ -182,6 +213,9 @@ func TestGenerateValidation(t *testing.T) {
 	}
 	for name, mod := range mods {
 		t.Run(name, func(t *testing.T) {
+			if strings.HasSuffix(name, ">int32") && strconv.IntSize == 32 {
+				t.Skip("no int exceeds MaxInt32 on a 32-bit platform")
+			}
 			cfg := BULike()
 			mod(&cfg)
 			if err := cfg.Validate(); err == nil {

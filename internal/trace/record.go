@@ -12,24 +12,47 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unique"
 )
 
-// Record is one client request in a reference stream.
+// Record is one client request in a reference stream, 40 bytes on a 64-bit
+// platform.
 type Record struct {
 	// UnixNano is when the request was issued, in nanoseconds since the
-	// Unix epoch. An int64 rather than a time.Time keeps a record at 48
-	// bytes: a time.Time is 24, and its *Location is the same in every
+	// Unix epoch. An int64 rather than a time.Time saves 16 bytes a
+	// record: a time.Time is 24, and its *Location is the same in every
 	// record of a trace.
 	UnixNano int64
 	// Client identifies the requesting user or user@machine; the
 	// simulator routes each client to a fixed proxy in the group.
-	Client string
+	Client Client
 	// URL identifies the requested document.
 	URL string
 	// Size is the document size in bytes. Zero means the original log
 	// did not record a size; the paper (and CleanZeroSizes) substitutes
 	// the 4KB average document size.
 	Size int64
+}
+
+// Client is the name of a requesting user as an interned handle: one
+// pointer, where a string is two words, and every record of one client
+// holds the same one. The zero Client is the empty name.
+type Client unique.Handle[string]
+
+// MakeClient returns the client called name.
+func MakeClient(name string) Client {
+	if name == "" {
+		return Client{}
+	}
+	return Client(unique.Make(name))
+}
+
+// String returns the client's name.
+func (c Client) String() string {
+	if c == (Client{}) {
+		return ""
+	}
+	return unique.Handle[string](c).Value()
 }
 
 // Time returns when the request was issued, in UTC.

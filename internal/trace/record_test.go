@@ -1,21 +1,56 @@
 package trace
 
 import (
+	"fmt"
 	"io"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 	"unsafe"
 )
 
-// TestRecordLayout pins a record at 48 bytes. sim_bu's set-up holds two
-// generated BU traces live at once (575,775 records each), so every byte
-// of a record counts twice in the bench's peak RSS. A time.Time field
-// would make it 64: 24 bytes, and the same *Location in every record.
+// TestRecordLayout pins a record at 40 bytes on a 64-bit platform: the
+// time and the size as int64s, the URL as a string and the client as one
+// interned handle. sim_bu's set-up holds two generated BU traces live at
+// once (575,775 records each), so every byte of a record counts twice in
+// the bench's peak RSS. A time.Time field would add 16 bytes, a client
+// string one word.
 func TestRecordLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Record{}); got != 48 {
-		t.Fatalf("unsafe.Sizeof(Record{}) = %d, want 48", got)
+	const word = strconv.IntSize / 8
+	if got, want := unsafe.Sizeof(Record{}), uintptr(8+word+2*word+8); got != want {
+		t.Fatalf("unsafe.Sizeof(Record{}) = %d, want %d", got, want)
+	}
+}
+
+// TestZeroClientIsTheEmptyName: the zero Client is the client called "",
+// and a record that carries it writes and prints exactly as one whose
+// client is the empty string.
+func TestZeroClientIsTheEmptyName(t *testing.T) {
+	var zero Client
+	if zero.String() != "" || MakeClient("") != zero || MakeClient("u1") == zero {
+		t.Fatalf("zero Client %q, MakeClient(\"\") %q, MakeClient(\"u1\") %q", zero, MakeClient(""), MakeClient("u1"))
+	}
+	if got := fmt.Sprintf("%q %s %v", zero, zero, zero); got != `""  ` {
+		t.Errorf("the zero Client prints as %q, want the empty name's %q", got, `""  `)
+	}
+	rec := Record{UnixNano: 784900000e9, URL: "http://x.example.edu/", Size: 10}
+	for _, tc := range []struct {
+		name  string
+		write func(io.Writer, []Record) error
+		want  string
+	}{
+		{"canonical", Write, "784900000  http://x.example.edu/ 10\n"},
+		{"squid", WriteSquid, "784900000.000      0  TCP_MISS/200 10 GET http://x.example.edu/ - DIRECT/origin -\n"},
+	} {
+		var buf strings.Builder
+		if err := tc.write(&buf, []Record{rec}); err != nil {
+			t.Fatal(err)
+		}
+		if buf.String() != tc.want {
+			t.Errorf("%s: a zero-Client record writes %q, want %q", tc.name, buf.String(), tc.want)
+		}
 	}
 }
 

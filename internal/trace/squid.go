@@ -74,7 +74,7 @@ func parseSquidLine(line string, ns names) (Record, bool) {
 	if !strings.Contains(url, "://") {
 		return Record{}, false
 	}
-	return Record{UnixNano: t.UnixNano(), Client: ns.intern(client), URL: ns.intern(url), Size: size}, true
+	return Record{UnixNano: t.UnixNano(), Client: MakeClient(client), URL: ns.intern(url), Size: size}, true
 }
 
 // WriteSquid serialises records in Squid's native access.log format, so a

@@ -36,7 +36,7 @@ func TestReadSquid(t *testing.T) {
 		t.Fatalf("skipped = %d, want 7", skipped)
 	}
 	first := records[0]
-	if first.Client != "10.0.0.7" || first.URL != "http://cs-www.bu.edu/" || first.Size != 2314 {
+	if first.Client.String() != "10.0.0.7" || first.URL != "http://cs-www.bu.edu/" || first.Size != 2314 {
 		t.Fatalf("record[0] = %+v", first)
 	}
 	if first.Time().UnixMilli() != 784900000123 {
@@ -56,8 +56,8 @@ func TestReadSquidEmpty(t *testing.T) {
 
 func TestWriteSquidRoundTrip(t *testing.T) {
 	records := []Record{
-		{UnixNano: ts(784900000, 123000000).UnixNano(), Client: "10.0.0.7", URL: "http://cs-www.bu.edu/", Size: 2314},
-		{UnixNano: ts(784900002, 0).UnixNano(), Client: "10.0.0.9", URL: "http://cs-www.bu.edu/logo.gif", Size: 1804},
+		{UnixNano: ts(784900000, 123000000).UnixNano(), Client: MakeClient("10.0.0.7"), URL: "http://cs-www.bu.edu/", Size: 2314},
+		{UnixNano: ts(784900002, 0).UnixNano(), Client: MakeClient("10.0.0.9"), URL: "http://cs-www.bu.edu/logo.gif", Size: 1804},
 	}
 	var buf bytes.Buffer
 	if err := WriteSquid(&buf, records); err != nil {

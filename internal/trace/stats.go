@@ -24,7 +24,7 @@ func ComputeStats(records []Record) Stats {
 	var s Stats
 	s.Requests = len(records)
 	docs := make(map[string]int64, len(records)/4)
-	clients := make(map[string]struct{})
+	clients := make(map[Client]struct{})
 	var first, last int64
 	for i, r := range records {
 		if i == 0 {
