@@ -33,18 +33,18 @@ size:
 	demoflags=$$(artifacts/proxyd demo -h 2>&1 | grep -c '^  -'); \
 	originflags=$$(artifacts/proxyd origin -h 2>&1 | grep -c '^  -'); \
 	families=$$(grep -c '^| `eac_' METRICS.md); \
-	echo "non-test Go lines:     $$lines (ceiling 22829)"; \
-	echo "largest non-test file: $$1 $$2 (ceiling 855)"; \
+	echo "non-test Go lines:     $$lines (ceiling 22748)"; \
+	echo "largest non-test file: $$1 $$2 (ceiling 742)"; \
 	echo "proxyd flags:          $$flags (ceiling 20)"; \
 	echo "proxyd demo flags:     $$demoflags (ceiling 5)"; \
 	echo "proxyd origin flags:   $$originflags (ceiling 1)"; \
 	echo "eac_* families:        $$families (ceiling 40)"; \
-	docs=0; for d in README.md:32672 DESIGN.md:84527 EXPERIMENTS.md:61587 CHANGES.md:32633 bench/README.md:51956; do \
+	docs=0; for d in README.md:32667 DESIGN.md:84486 EXPERIMENTS.md:61587 CHANGES.md:33707 bench/README.md:51956; do \
 		f=$${d%%:*}; max=$${d##*:}; bytes=$$(wc -c < $$f); \
 		printf '%-22s %s (ceiling %s)\n' "$$f bytes:" $$bytes $$max; \
 		[ $$bytes -le $$max ] || docs=1; \
 	done; \
-	[ $$lines -le 22829 ] && [ $$1 -le 855 ] && [ $$flags -le 20 ] && [ $$demoflags -le 5 ] && \
+	[ $$lines -le 22748 ] && [ $$1 -le 742 ] && [ $$flags -le 20 ] && [ $$demoflags -le 5 ] && \
 	[ $$originflags -le 1 ] && [ $$families -le 40 ] && [ $$docs -eq 0 ]
 
 build:

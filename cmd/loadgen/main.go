@@ -55,24 +55,23 @@ func main() {
 }
 
 type config struct {
-	nodes      int
-	rps        float64
-	duration   time.Duration
-	docs       int
-	zipfAlpha  float64
-	meanSize   int64
-	seed       uint64
-	scheme     core.Scheme
-	location   resolve.Location
-	capacity   int64
-	originConc int
-	inflight   int
-	saturate   bool
-	maxSteps   int
-	check      bool
-	churn      bool
-	obs        bool
-	out        string
+	nodes     int
+	rps       float64
+	duration  time.Duration
+	docs      int
+	zipfAlpha float64
+	meanSize  int64
+	seed      uint64
+	scheme    core.Scheme
+	location  resolve.Location
+	capacity  int64
+	inflight  int
+	saturate  bool
+	maxSteps  int
+	check     bool
+	churn     bool
+	obs       bool
+	out       string
 }
 
 func run(args []string, stdout io.Writer) error {
@@ -89,7 +88,6 @@ func run(args []string, stdout io.Writer) error {
 		schemeName = fs.String("scheme", "ea", `placement scheme: "adhoc", "ea" or "never"`)
 		locate     = fs.String("locate", "icp", `document location mechanism: "icp", "digest" or "hash"`)
 		capacity   = fs.Int64("capacity", 4<<20, "per-node cache capacity in bytes")
-		originConc = fs.Int("origin-concurrency", netnode.DefaultOriginConcurrency, "per-node bound on simultaneous origin fetches")
 		inflight   = fs.Int("max-inflight", 1024, "per-node in-flight bound before the front door sheds; 0 disables shedding")
 		saturate   = fs.Bool("saturate", false, "ramp RPS (doubling per step) until the group stops keeping up")
 		maxSteps   = fs.Int("max-steps", 6, "step cap for -saturate")
@@ -124,8 +122,7 @@ func run(args []string, stdout io.Writer) error {
 	cfg := config{
 		nodes: *nodes, rps: *rps, duration: *duration,
 		docs: *docs, zipfAlpha: *zipfAlpha, meanSize: *meanSize, seed: *seed,
-		scheme: scheme, location: loc, capacity: *capacity,
-		originConc: *originConc, inflight: *inflight,
+		scheme: scheme, location: loc, capacity: *capacity, inflight: *inflight,
 		saturate: *saturate, maxSteps: *maxSteps, check: *check, churn: *churn,
 		obs: *obsFlag, out: *out,
 	}
@@ -159,17 +156,16 @@ func startNode(cfg config, id string, originAddr string) (*netnode.Node, error) 
 		tel.SetTraceSampling(1)
 	}
 	return netnode.New(netnode.Config{
-		ID:                id,
-		ICPAddr:           "127.0.0.1:0",
-		HTTPAddr:          "127.0.0.1:0",
-		Store:             store,
-		Scheme:            cfg.scheme,
-		OriginAddr:        originAddr,
-		Location:          cfg.location,
-		HashName:          id,
-		OriginConcurrency: cfg.originConc,
-		MaxInflight:       cfg.inflight,
-		Obs:               tel,
+		ID:          id,
+		ICPAddr:     "127.0.0.1:0",
+		HTTPAddr:    "127.0.0.1:0",
+		Store:       store,
+		Scheme:      cfg.scheme,
+		OriginAddr:  originAddr,
+		Location:    cfg.location,
+		HashName:    id,
+		MaxInflight: cfg.inflight,
+		Obs:         tel,
 	})
 }
 

@@ -453,8 +453,8 @@ func TestConfigTimeoutValidation(t *testing.T) {
 	}
 
 	n := startChaosNode(t, Config{ID: "n"})
-	if n.dialTimeout != DefaultDialTimeout || n.fetchTimeout != DefaultFetchTimeout || n.fetchAttempts != DefaultFetchAttempts {
-		t.Fatalf("defaults = %v/%v/%d", n.dialTimeout, n.fetchTimeout, n.fetchAttempts)
+	if n.cfg.DialTimeout != DefaultDialTimeout || n.cfg.FetchTimeout != DefaultFetchTimeout || n.cfg.FetchAttempts != DefaultFetchAttempts {
+		t.Fatalf("defaults = %v/%v/%d", n.cfg.DialTimeout, n.cfg.FetchTimeout, n.cfg.FetchAttempts)
 	}
 }
 

@@ -47,16 +47,16 @@ func (connectDeadline) Value(any) any                 { return nil }
 // keeps net.DialTimeout, whose cancellable deadline also bounds the lookup.
 // A fault injector may refuse the dial, and wraps the conn of one it lets by.
 func (n *Node) dial(addr string) (conn net.Conn, err error) {
-	if n.faults != nil && n.faults.FailDial() {
+	if n.cfg.Faults != nil && n.cfg.Faults.FailDial() {
 		return nil, faults.ErrDialRefused
 	}
 	if _, perr := netip.ParseAddrPort(addr); perr == nil {
-		conn, err = literalDialer.DialContext(connectDeadline(time.Now().Add(n.dialTimeout)), "tcp", addr)
+		conn, err = literalDialer.DialContext(connectDeadline(time.Now().Add(n.cfg.DialTimeout)), "tcp", addr)
 	} else {
-		conn, err = net.DialTimeout("tcp", addr, n.dialTimeout)
+		conn, err = net.DialTimeout("tcp", addr, n.cfg.DialTimeout)
 	}
-	if err == nil && n.faults != nil {
-		conn = n.faults.WrapConn(conn)
+	if err == nil && n.cfg.Faults != nil {
+		conn = n.cfg.Faults.WrapConn(conn)
 	}
 	return conn, err
 }
@@ -78,7 +78,7 @@ func (n *Node) exchange(addr string, req hproto.Request, bodySize int64, sink io
 		return hproto.Response{}, fmt.Errorf("dial %s: %w", addr, err)
 	}
 	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(n.fetchTimeout))
+	_ = conn.SetDeadline(time.Now().Add(n.cfg.FetchTimeout))
 
 	rec := getRec(conn)
 	defer putRec(rec)

@@ -26,9 +26,10 @@ const (
 	DefaultFetchAttempts = 2
 )
 
-// Overload-protection defaults (Config fields of the same names).
+// Overload-protection bounds.
 const (
-	// DefaultOriginConcurrency bounds simultaneous parent/origin fetches.
+	// DefaultOriginConcurrency bounds simultaneous parent/origin fetches
+	// when Config.OriginConcurrency is left zero.
 	DefaultOriginConcurrency = 64
 	// DefaultShedQueueWait is how long an over-limit request may queue at
 	// the front door before it is shed (only when MaxInflight is set).
@@ -39,8 +40,8 @@ const (
 // breaker when Config.DeadAfter is left zero.
 const DefaultDeadAfter = 3
 
-// DefaultSnapshotInterval is how often a persistent node checkpoints when
-// Config.SnapshotInterval is left zero.
+// DefaultSnapshotInterval is how often a persistent node (Config.DataDir
+// set) checkpoints.
 const DefaultSnapshotInterval = 30 * time.Second
 
 // Peer is a neighbour node's pair of service addresses.
@@ -112,11 +113,6 @@ type Config struct {
 	// DigestRefresh bounds how long a fetched peer digest is trusted.
 	// Defaults to DefaultDigestRefresh.
 	DigestRefresh time.Duration
-	// DigestDeltaWindow is how many mutations the own digest's change
-	// log retains: peers whose replica is at most this many generations
-	// behind refresh with a compact delta instead of a full filter
-	// transfer. 0 means digest.DefaultDeltaWindow; negative is rejected.
-	DigestDeltaWindow int
 	// DialTimeout bounds TCP connection establishment for every outbound
 	// fetch (peers, parent, origin). Defaults to DefaultDialTimeout;
 	// negative is rejected.
@@ -135,13 +131,9 @@ type Config struct {
 	// DefaultOriginConcurrency; negative is rejected.
 	OriginConcurrency int
 	// MaxInflight bounds concurrent Request calls; beyond it the front
-	// door sheds (ErrOverloaded) after at most ShedQueueWait. Zero
+	// door sheds (ErrOverloaded) after at most DefaultShedQueueWait. Zero
 	// disables shedding; negative is rejected.
 	MaxInflight int
-	// ShedQueueWait is how long an over-MaxInflight request may wait for
-	// a slot before being shed. Zero defaults to DefaultShedQueueWait;
-	// negative is rejected. Requires MaxInflight when set.
-	ShedQueueWait time.Duration
 	// DeadAfter is how many consecutive failed exchanges with a peer
 	// (ICP silence through a full timeout, an unsendable query, a failed
 	// dial or fetch) open its breaker: the peer is dead, left out of
@@ -163,12 +155,10 @@ type Config struct {
 	// per-document metadata, and the expiration-age tracker are journaled
 	// to this directory and recovered on restart (see internal/persist).
 	// The Store must be freshly built — recovered state is loaded into it
-	// before the servers start. Empty disables persistence.
+	// before the servers start. The node checkpoints (snapshot + journal
+	// rotation) every DefaultSnapshotInterval and on Close. Empty disables
+	// persistence.
 	DataDir string
-	// SnapshotInterval is how often the node checkpoints (snapshot +
-	// journal rotation). Zero defaults to DefaultSnapshotInterval;
-	// negative is rejected. Requires DataDir.
-	SnapshotInterval time.Duration
 	// Faults, when set, injects deterministic faults into every socket
 	// the node opens — the ICP query socket, outbound fetch dials, and
 	// accepted fetch conns — for chaos tests and manual chaos runs.
@@ -229,15 +219,6 @@ func (cfg *Config) validate() (cache.DemotePolicy, error) {
 	if cfg.MaxInflight < 0 {
 		return 0, fmt.Errorf("netnode: negative MaxInflight %d", cfg.MaxInflight)
 	}
-	if cfg.ShedQueueWait < 0 {
-		return 0, fmt.Errorf("netnode: negative ShedQueueWait %v", cfg.ShedQueueWait)
-	}
-	if cfg.ShedQueueWait > 0 && cfg.MaxInflight == 0 {
-		return 0, errors.New("netnode: ShedQueueWait requires MaxInflight")
-	}
-	if cfg.MaxInflight > 0 && cfg.ShedQueueWait == 0 {
-		cfg.ShedQueueWait = DefaultShedQueueWait
-	}
 	if cfg.DeadAfter < 0 {
 		return 0, fmt.Errorf("netnode: negative DeadAfter %d", cfg.DeadAfter)
 	}
@@ -255,15 +236,6 @@ func (cfg *Config) validate() (cache.DemotePolicy, error) {
 	}
 	if cfg.ReadmitProbe == 0 {
 		cfg.ReadmitProbe = cfg.DialTimeout / 4
-	}
-	if cfg.SnapshotInterval < 0 {
-		return 0, fmt.Errorf("netnode: negative SnapshotInterval %v", cfg.SnapshotInterval)
-	}
-	if cfg.SnapshotInterval > 0 && cfg.DataDir == "" {
-		return 0, errors.New("netnode: SnapshotInterval requires DataDir")
-	}
-	if cfg.DataDir != "" && cfg.SnapshotInterval == 0 {
-		cfg.SnapshotInterval = DefaultSnapshotInterval
 	}
 	if cfg.DiskCapacity < 0 {
 		return 0, fmt.Errorf("netnode: negative DiskCapacity %d", cfg.DiskCapacity)
@@ -288,12 +260,6 @@ func (cfg *Config) validate() (cache.DemotePolicy, error) {
 		// Hash routing partitions the URL space across the group; a
 		// hierarchical parent would reintroduce a second copy holder.
 		return 0, errors.New("netnode: hash location is incompatible with a parent")
-	}
-	if cfg.DigestDeltaWindow < 0 {
-		return 0, fmt.Errorf("netnode: negative DigestDeltaWindow %d", cfg.DigestDeltaWindow)
-	}
-	if cfg.DigestDeltaWindow > 0 && cfg.Location != resolve.LocateDigest {
-		return 0, errors.New("netnode: DigestDeltaWindow requires digest location")
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now

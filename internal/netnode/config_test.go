@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"eacache/internal/digest"
 	"eacache/internal/obs"
+	"eacache/internal/resolve"
 )
 
 // TestDerivedTimings pins each rule that derives a timing knob instead of
@@ -12,7 +14,9 @@ import (
 // DialTimeout / 4, Drain's in-flight deadline = FetchTimeout, and the
 // trace ring = 64 × the trace sampling. The defaults reproduce proxyd's
 // former flag defaults (10s, 500ms, 5s, 512); test-sized timeouts scale
-// the derived values down with them.
+// the derived values down with them. The knobs that are constants now
+// keep those defaults too: a digest node's change log of DefaultDeltaWindow,
+// the 100ms shed wait and the 30s checkpoint period.
 func TestDerivedTimings(t *testing.T) {
 	cases := []struct {
 		name               string
@@ -27,17 +31,25 @@ func TestDerivedTimings(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			n := startChaosNode(t, Config{ID: "d", DialTimeout: tc.dial, FetchTimeout: tc.fetch})
-			// Drain passes n.fetchTimeout as its in-flight deadline.
-			if n.ejectAfter != tc.eject || n.readmitProbe != tc.probe || n.fetchTimeout != tc.wait {
+			// Drain passes cfg.FetchTimeout as its in-flight deadline.
+			if n.cfg.EjectAfter != tc.eject || n.cfg.ReadmitProbe != tc.probe || n.cfg.FetchTimeout != tc.wait {
 				t.Errorf("eject/probe/drain = %v/%v/%v, want %v/%v/%v",
-					n.ejectAfter, n.readmitProbe, n.fetchTimeout, tc.eject, tc.probe, tc.wait)
+					n.cfg.EjectAfter, n.cfg.ReadmitProbe, n.cfg.FetchTimeout, tc.eject, tc.probe, tc.wait)
 			}
 		})
 	}
 	// An explicit value wins over its rule.
 	n := startChaosNode(t, Config{ID: "e", EjectAfter: time.Minute, ReadmitProbe: time.Second})
-	if n.ejectAfter != time.Minute || n.readmitProbe != time.Second {
-		t.Errorf("explicit eject/probe = %v/%v, want 1m0s/1s", n.ejectAfter, n.readmitProbe)
+	if n.cfg.EjectAfter != time.Minute || n.cfg.ReadmitProbe != time.Second {
+		t.Errorf("explicit eject/probe = %v/%v, want 1m0s/1s", n.cfg.EjectAfter, n.cfg.ReadmitProbe)
+	}
+
+	dn := startChaosNode(t, Config{ID: "g", Location: resolve.LocateDigest})
+	if got := dn.DigestReport().Window; got != digest.DefaultDeltaWindow {
+		t.Errorf("own digest window = %d, want digest.DefaultDeltaWindow (%d)", got, digest.DefaultDeltaWindow)
+	}
+	if DefaultShedQueueWait != 100*time.Millisecond || DefaultSnapshotInterval != 30*time.Second {
+		t.Errorf("shed wait/snapshot period = %v/%v, want 100ms/30s", DefaultShedQueueWait, DefaultSnapshotInterval)
 	}
 
 	if 64*obs.DefaultTraceSampling != obs.DefaultTraceCapacity || obs.DefaultTraceCapacity != 512 {

@@ -66,8 +66,8 @@ type peerDigest struct {
 	deltas, fulls int64
 }
 
-func newDigestState(capacity int64, refresh time.Duration, window int) (*digestState, error) {
-	own, err := digest.NewIncremental(digest.ExpectedEntries(capacity), digest.FPRate, window)
+func newDigestState(capacity int64, refresh time.Duration) (*digestState, error) {
+	own, err := digest.NewIncremental(digest.ExpectedEntries(capacity), digest.FPRate, digest.DefaultDeltaWindow)
 	if err != nil {
 		return nil, err
 	}
@@ -295,55 +295,41 @@ func (n *Node) fetchDigestBody(addr, url string) ([]byte, error) {
 	return body.Bytes(), nil
 }
 
-// digestLoop is the background revalidator: on every tick it refreshes
+// refreshDigests is the background revalidator: on every tick it refreshes
 // whichever known peer replicas have gone stale (single-flight per peer,
 // dead peers skipped) and checks the own summary's escape hatch, so steady
 // state keeps every digest fresh without a single miss ever paying for
 // digest traffic. First-ever contact with a peer still happens lazily on
 // the first miss that consults it.
-func (n *Node) digestLoop() {
-	defer n.wg.Done()
-	period := n.digests.refresh / 2
-	if period < 5*time.Millisecond {
-		period = 5 * time.Millisecond
-	}
-	t := time.NewTicker(period)
-	defer t.Stop()
-	for {
-		select {
-		case <-n.closed:
-			return
-		case <-t.C:
-		}
-		n.maybeRebuildOwn()
+func (n *Node) refreshDigests() {
+	n.maybeRebuildOwn()
 
-		peers := n.peerList()
-		live := make(map[string]Peer, len(peers))
-		for _, p := range peers {
-			live[p.HTTP] = p
-		}
-		now := n.now()
-		n.digestMu.Lock()
-		for addr, pd := range n.digests.peers {
-			p, ok := live[addr]
-			if !ok {
-				// The peer left the membership; drop its replica unless
-				// a flight still owns it.
-				if pd.inflight == nil {
-					delete(n.digests.peers, addr)
-				}
-				continue
-			}
-			if pd.filter == nil || now.Sub(pd.fetchedAt) < n.digests.refresh {
-				continue
-			}
-			if n.liveness(addr).dead() {
-				continue
-			}
-			n.startDigestFlightLocked(p, pd)
-		}
-		n.digestMu.Unlock()
+	peers := n.peerList()
+	live := make(map[string]Peer, len(peers))
+	for _, p := range peers {
+		live[p.HTTP] = p
 	}
+	now := n.now()
+	n.digestMu.Lock()
+	for addr, pd := range n.digests.peers {
+		p, ok := live[addr]
+		if !ok {
+			// The peer left the membership; drop its replica unless
+			// a flight still owns it.
+			if pd.inflight == nil {
+				delete(n.digests.peers, addr)
+			}
+			continue
+		}
+		if pd.filter == nil || now.Sub(pd.fetchedAt) < n.digests.refresh {
+			continue
+		}
+		if n.liveness(addr).dead() {
+			continue
+		}
+		n.startDigestFlightLocked(p, pd)
+	}
+	n.digestMu.Unlock()
 }
 
 // serveDigestRequest answers a digest fetch, "eac:digest?since=G", with

@@ -207,15 +207,12 @@ func TestDigestNodeID(t *testing.T) {
 }
 
 func TestNewDigestStateDefaultsRefresh(t *testing.T) {
-	ds, err := newDigestState(1<<20, 0, 0)
+	ds, err := newDigestState(1<<20, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ds.refresh != DefaultDigestRefresh {
 		t.Fatalf("refresh = %v", ds.refresh)
-	}
-	if _, err := newDigestState(0, 0, -1); err == nil {
-		t.Fatal("negative delta window accepted")
 	}
 }
 

@@ -27,21 +27,20 @@ func newFakeClock() *fakeClock { return &fakeClock{base: time.Unix(1_700_000_000
 func (c *fakeClock) Now() time.Time          { return c.base.Add(time.Duration(c.offset.Load())) }
 func (c *fakeClock) Advance(d time.Duration) { c.offset.Add(int64(d)) }
 
-// startDigestNodeWith builds a digest-locating node with explicit clock
-// and refresh/window knobs.
-func startDigestNodeWith(t *testing.T, id, origin string, refresh time.Duration, now func() time.Time, window int) *Node {
+// startDigestNodeWith builds a digest-locating node with an explicit clock
+// and refresh knob.
+func startDigestNodeWith(t *testing.T, id, origin string, refresh time.Duration, now func() time.Time) *Node {
 	t.Helper()
 	n, err := New(Config{
-		ID:                id,
-		ICPAddr:           "127.0.0.1:0",
-		HTTPAddr:          "127.0.0.1:0",
-		Store:             newStore(t, 1<<20),
-		Scheme:            core.EA{},
-		OriginAddr:        origin,
-		Location:          resolve.LocateDigest,
-		DigestRefresh:     refresh,
-		DigestDeltaWindow: window,
-		Now:               now,
+		ID:            id,
+		ICPAddr:       "127.0.0.1:0",
+		HTTPAddr:      "127.0.0.1:0",
+		Store:         newStore(t, 1<<20),
+		Scheme:        core.EA{},
+		OriginAddr:    origin,
+		Location:      resolve.LocateDigest,
+		DigestRefresh: refresh,
+		Now:           now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -65,8 +64,8 @@ func digestFetches(n *Node) int64 {
 func TestDigestMissHerdSharesOneFetch(t *testing.T) {
 	origin := startOrigin(t)
 	// Hour-long refresh: no background revalidation can race the herd.
-	a := startDigestNodeWith(t, "a", origin.Addr(), time.Hour, nil, 0)
-	b := startDigestNodeWith(t, "b", origin.Addr(), time.Hour, nil, 0)
+	a := startDigestNodeWith(t, "a", origin.Addr(), time.Hour, nil)
+	b := startDigestNodeWith(t, "b", origin.Addr(), time.Hour, nil)
 	mesh(a, b)
 
 	const herd = 32
@@ -103,8 +102,8 @@ func TestDigestMissHerdSharesOneFetch(t *testing.T) {
 func TestDigestRefreshUsesInjectedClockAndDeltas(t *testing.T) {
 	origin := startOrigin(t)
 	clk := newFakeClock()
-	a := startDigestNodeWith(t, "a", origin.Addr(), 50*time.Millisecond, clk.Now, 0)
-	b := startDigestNodeWith(t, "b", origin.Addr(), 50*time.Millisecond, clk.Now, 0)
+	a := startDigestNodeWith(t, "a", origin.Addr(), 50*time.Millisecond, clk.Now)
+	b := startDigestNodeWith(t, "b", origin.Addr(), 50*time.Millisecond, clk.Now)
 	mesh(a, b)
 
 	// First contact: b fetches a's (empty) digest in full.
@@ -157,8 +156,8 @@ func TestDigestServeStaleKeepsMissOffTheWire(t *testing.T) {
 	// Hour-long refresh: the background loop (period refresh/2) never
 	// ticks during the test, so the *only* way the replica can be
 	// refreshed is the flight kicked by the serve-stale path.
-	a := startDigestNodeWith(t, "a", origin.Addr(), time.Hour, clk.Now, 0)
-	b := startDigestNodeWith(t, "b", origin.Addr(), time.Hour, clk.Now, 0)
+	a := startDigestNodeWith(t, "a", origin.Addr(), time.Hour, clk.Now)
+	b := startDigestNodeWith(t, "b", origin.Addr(), time.Hour, clk.Now)
 	mesh(a, b)
 
 	if _, err := b.Request("http://w/prime", 400); err != nil {
@@ -192,7 +191,7 @@ func TestDigestServeStaleKeepsMissOffTheWire(t *testing.T) {
 // never taken while the advertised digest stayed live.
 func TestDigestSteadyStateNeverRebuilds(t *testing.T) {
 	origin := startOrigin(t)
-	a := startDigestNodeWith(t, "a", origin.Addr(), time.Hour, nil, 0)
+	a := startDigestNodeWith(t, "a", origin.Addr(), time.Hour, nil)
 
 	for i := 0; i < 200; i++ {
 		if _, err := a.Request(fmt.Sprintf("http://w/churn%d", i), 400); err != nil {
@@ -208,43 +207,5 @@ func TestDigestSteadyStateNeverRebuilds(t *testing.T) {
 	}
 	if rep.OwnGeneration < 200 {
 		t.Fatalf("own generation = %d, want one advance per mutation", rep.OwnGeneration)
-	}
-}
-
-func TestDigestDeltaWindowValidation(t *testing.T) {
-	base := func() Config {
-		return Config{
-			ID:         "w",
-			ICPAddr:    "127.0.0.1:0",
-			HTTPAddr:   "127.0.0.1:0",
-			Store:      newStore(t, 1<<20),
-			Scheme:     core.EA{},
-			OriginAddr: "127.0.0.1:1",
-		}
-	}
-
-	cfg := base()
-	cfg.Location = resolve.LocateDigest
-	cfg.DigestDeltaWindow = -1
-	if _, err := New(cfg); err == nil {
-		t.Fatal("negative delta window accepted")
-	}
-
-	cfg = base()
-	cfg.DigestDeltaWindow = 8 // without LocateDigest
-	if _, err := New(cfg); err == nil {
-		t.Fatal("delta window without digest location accepted")
-	}
-
-	cfg = base()
-	cfg.Location = resolve.LocateDigest
-	cfg.DigestDeltaWindow = 8
-	n, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	if got := n.DigestReport().Window; got != 8 {
-		t.Fatalf("window = %d, want 8", got)
 	}
 }

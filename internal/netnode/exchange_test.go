@@ -212,7 +212,7 @@ func TestExchangeAddsNothingToNet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = conn.SetDeadline(time.Now().Add(n.fetchTimeout))
+		_ = conn.SetDeadline(time.Now().Add(n.cfg.FetchTimeout))
 		_ = conn.Close()
 		<-handled
 	}

@@ -46,7 +46,7 @@ func (n *Node) legacyRecordFanout(active []Peer, res icp.Result) {
 // bareNode is a Node with just the state recordFanout touches: the
 // members' liveness records and the robustness counters.
 func bareNode(peers []Peer) *Node {
-	n := &Node{om: new(nodeObs), deadAfter: DefaultDeadAfter}
+	n := &Node{om: new(nodeObs), cfg: Config{DeadAfter: DefaultDeadAfter}}
 	n.SetPeers(peers)
 	return n
 }

@@ -157,10 +157,9 @@ func TestFrontDoorShedsOverInflightBound(t *testing.T) {
 	checkGoroutines(t)
 	origin := startGatedOrigin(t)
 	n := startChaosNode(t, Config{
-		ID:            "shedder",
-		OriginAddr:    origin.ln.Addr().String(),
-		MaxInflight:   1,
-		ShedQueueWait: 5 * time.Millisecond,
+		ID:          "shedder",
+		OriginAddr:  origin.ln.Addr().String(),
+		MaxInflight: 1,
 	})
 
 	done := make(chan error, 1)
@@ -356,8 +355,6 @@ func TestOverloadConfigValidation(t *testing.T) {
 	}{
 		{"negative OriginConcurrency", func(c *Config) { c.OriginConcurrency = -1 }},
 		{"negative MaxInflight", func(c *Config) { c.MaxInflight = -1 }},
-		{"negative ShedQueueWait", func(c *Config) { c.ShedQueueWait = -time.Second }},
-		{"ShedQueueWait without MaxInflight", func(c *Config) { c.ShedQueueWait = time.Second }},
 	}
 	for _, tc := range cases {
 		cfg := base()

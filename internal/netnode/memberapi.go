@@ -41,7 +41,7 @@ type membershipView struct {
 
 func (n *Node) currentView() membershipView {
 	return membershipView{
-		Self:     n.hashName,
+		Self:     n.cfg.HashName,
 		Epoch:    n.Epoch(),
 		Draining: n.Draining(),
 		Members:  n.Members(),
@@ -137,7 +137,7 @@ func (n *Node) handleResident(w http.ResponseWriter, r *http.Request) {
 		Node      string   `json:"node"`
 		Documents int      `json:"documents"`
 		URLs      []string `json:"urls"`
-	}{Node: n.id, Documents: len(urls), URLs: urls})
+	}{Node: n.cfg.ID, Documents: len(urls), URLs: urls})
 }
 
 func (n *Node) handleDrain(w http.ResponseWriter, r *http.Request) {

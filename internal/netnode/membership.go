@@ -110,7 +110,7 @@ func (n *Node) reportFailure(addr string) { n.report(addr, false) }
 // report feeds one exchange's outcome with addr to its breaker, counting
 // and logging the transition it makes.
 func (n *Node) report(addr string, ok bool) {
-	from, to := n.liveness(addr).report(ok, n.deadAfter)
+	from, to := n.liveness(addr).report(ok, n.cfg.DeadAfter)
 	if from == to {
 		return
 	}
@@ -146,7 +146,7 @@ func (n *Node) publishLocked() {
 	}
 	n.peers.Store(newPeerSet(snapshot, n.mem.live))
 	epoch := n.epoch.Add(1)
-	if n.location == resolve.LocateHash {
+	if n.cfg.Location == resolve.LocateHash {
 		n.rebuildHashRing(snapshot, epoch)
 		n.kickMigration()
 	}
@@ -166,7 +166,7 @@ func (n *Node) AddPeer(p Peer) error {
 	name := ringName(p)
 	n.mem.Lock()
 	defer n.mem.Unlock()
-	if n.location == resolve.LocateHash && name == n.hashName {
+	if n.cfg.Location == resolve.LocateHash && name == n.cfg.HashName {
 		return fmt.Errorf("netnode: peer ring name %q collides with this node's own", name)
 	}
 	for _, m := range n.mem.members {
@@ -316,32 +316,13 @@ func (n *Node) Members() []MemberStatus {
 	return out
 }
 
-// membershipLoop is the liveness sweeper. It ticks a few times per grace
-// window so an ejection lands within ~EjectAfter*5/4 of the breaker
+// sweepPeriod is how often the liveness sweeper runs: a few times per
+// grace window so an ejection lands within ~EjectAfter*5/4 of the breaker
 // opening, and at least every half probe interval so a dead member is
-// probed about every ReadmitProbe.
-func (n *Node) membershipLoop() {
-	defer n.wg.Done()
-	tick := n.ejectAfter / 4
-	if probe := n.readmitProbe / 2; probe < tick {
-		tick = probe
-	}
-	if tick < 5*time.Millisecond {
-		tick = 5 * time.Millisecond
-	}
-	if tick > time.Second {
-		tick = time.Second
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-n.closed:
-			return
-		case <-t.C:
-			n.sweepMembership(time.Now())
-		}
-	}
+// probed about every ReadmitProbe; clamped to [5ms, 1s].
+func (n *Node) sweepPeriod() time.Duration {
+	tick := min(n.cfg.EjectAfter/4, n.cfg.ReadmitProbe/2)
+	return min(max(tick, 5*time.Millisecond), time.Second)
 }
 
 // sweepMembership readmits ejected members an in-band exchange proved
@@ -364,22 +345,22 @@ func (n *Node) sweepMembership(now time.Time) {
 			n.noteReadmission(p, "in-band success")
 			changed = true
 			continue
-		case !ejected && state == peerDead && now.Sub(since) >= n.ejectAfter:
+		case !ejected && state == peerDead && now.Sub(since) >= n.cfg.EjectAfter:
 			l.ejectedAt = now
 			ejected = true
 			n.om.memEvents[memEjection].Inc()
 			n.warn("peer ejected after grace window", nil,
-				"peer", p.HTTP, "dead_for", now.Sub(since), "grace", n.ejectAfter)
+				"peer", p.HTTP, "dead_for", now.Sub(since), "grace", n.cfg.EjectAfter)
 			changed = true
 		}
 		if state != peerDead && !ejected {
 			continue
 		}
 		if l.nextProbe.Before(since) {
-			l.nextProbe = since.Add(n.readmitProbe) // first probe of this outage
+			l.nextProbe = since.Add(n.cfg.ReadmitProbe) // first probe of this outage
 		}
 		if !now.Before(l.nextProbe) {
-			l.nextProbe = now.Add(n.readmitProbe)
+			l.nextProbe = now.Add(n.cfg.ReadmitProbe)
 			toProbe = append(toProbe, p)
 		}
 	}

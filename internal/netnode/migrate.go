@@ -157,7 +157,7 @@ func (n *Node) DrainHandoff() MigrationReport {
 
 	peers := n.peerList()
 	var dest func(string) (string, bool)
-	if n.location == resolve.LocateHash {
+	if n.cfg.Location == resolve.LocateHash {
 		// The ring without this node: where every document lives once
 		// the node departs.
 		loc := n.hashLocator(peers, false, n.epoch.Load())
@@ -368,7 +368,7 @@ func (n *Node) servePush(conn io.Writer, rec *connRec, req hproto.Request) {
 // travels, so accepting a push can never mint a second copy. h is the
 // node's ring.
 func (n *Node) mayAcceptPush(h *resolve.HashLocator, url string) bool {
-	if n.location != resolve.LocateHash || h == nil || h.Ring == nil {
+	if n.cfg.Location != resolve.LocateHash || h == nil || h.Ring == nil {
 		return true
 	}
 	for _, owner := range h.Ring.Owners(url, 2) {

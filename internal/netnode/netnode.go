@@ -17,7 +17,6 @@ import (
 
 	"eacache/internal/blob"
 	"eacache/internal/cache"
-	"eacache/internal/faults"
 	"eacache/internal/icp"
 	"eacache/internal/metrics"
 	"eacache/internal/obs"
@@ -27,30 +26,19 @@ import (
 
 // Node is a live cooperative cache node.
 type Node struct {
-	id            string
-	originAddr    string
-	parentAddr    string
-	icpTimeout    time.Duration
-	dialTimeout   time.Duration
-	fetchTimeout  time.Duration
-	fetchAttempts int
-	location      resolve.Location
-	hashName      string
-	nowFn         func() time.Time
-	engine        *resolve.Engine
-	digests       *digestState
-	faults        *faults.Injector
-	obs           *obs.Telemetry // nil without Config.Obs: no traces, no histograms, nothing scraped
-	om            *nodeObs       // never nil (see nodeObs)
-	logger        *slog.Logger
+	// cfg is the validated Config, defaults filled in and HashName set
+	// to the bound fetch address when it was left empty; read in place.
+	cfg     Config
+	engine  *resolve.Engine
+	digests *digestState
+	om      *nodeObs // never nil (see nodeObs)
 
 	// Overload protection: originSem bounds concurrent parent/origin
 	// fetches; inflight (nil when shedding is off) bounds concurrent
-	// Request calls, shedding after shedWait. Both are plain buffered
-	// channels used as counting semaphores.
+	// Request calls, shedding after DefaultShedQueueWait. Both are plain
+	// buffered channels used as counting semaphores.
 	originSem chan struct{}
 	inflight  chan struct{}
-	shedWait  time.Duration
 
 	// The request path has no global lock: the sharded store serialises
 	// per shard, the peer set is an immutable snapshot swapped atomically
@@ -75,19 +63,15 @@ type Node struct {
 		members []Peer
 		live    map[string]*liveness
 	}
-	epoch        atomic.Int64
-	draining     atomic.Bool
-	deadAfter    int
-	ejectAfter   time.Duration
-	readmitProbe time.Duration
-	migrateKick  chan struct{}
-	lastMig      atomic.Pointer[MigrationReport]
-	drainMu      sync.Mutex
+	epoch       atomic.Int64
+	draining    atomic.Bool
+	migrateKick chan struct{}
+	lastMig     atomic.Pointer[MigrationReport]
+	drainMu     sync.Mutex
 
 	digestMu sync.Mutex // guards digests (own summary + fetched filters)
 
 	persister *persist.Persister
-	snapEvery time.Duration
 	recovery  RecoveryReport
 
 	icpServer *icp.Server
@@ -150,32 +134,17 @@ func New(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("netnode: %w", err)
 	}
 	n := &Node{
-		id:            cfg.ID,
-		originAddr:    cfg.OriginAddr,
-		parentAddr:    cfg.ParentAddr,
-		icpTimeout:    cfg.ICPTimeout,
-		dialTimeout:   cfg.DialTimeout,
-		fetchTimeout:  cfg.FetchTimeout,
-		fetchAttempts: cfg.FetchAttempts,
-		location:      cfg.Location,
-		nowFn:         cfg.Now,
-		faults:        cfg.Faults,
-		logger:        cfg.Logger,
-		store:         tiered,
-		blobStore:     blobStore,
-		originSem:     make(chan struct{}, cfg.OriginConcurrency),
-		shedWait:      cfg.ShedQueueWait,
-		deadAfter:     cfg.DeadAfter,
-		ejectAfter:    cfg.EjectAfter,
-		readmitProbe:  cfg.ReadmitProbe,
-		icpClient:     icp.NewClient(),
-		closed:        make(chan struct{}),
-		om:            new(nodeObs),
+		cfg:       cfg,
+		store:     tiered,
+		blobStore: blobStore,
+		originSem: make(chan struct{}, cfg.OriginConcurrency),
+		icpClient: icp.NewClient(),
+		closed:    make(chan struct{}),
+		om:        new(nodeObs),
 	}
 	if cfg.MaxInflight > 0 {
 		n.inflight = make(chan struct{}, cfg.MaxInflight)
 	}
-	n.obs = cfg.Obs
 	n.om.register(n, cfg.Store, cfg.Obs)
 
 	if cfg.Faults != nil {
@@ -196,7 +165,7 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Location == resolve.LocateDigest {
 		// The digest advertises both tiers (disk-resident documents are
 		// servable), so the filter is sized for the whole logical store.
-		ds, err := newDigestState(cfg.Store.Capacity()+cfg.DiskCapacity, cfg.DigestRefresh, cfg.DigestDeltaWindow)
+		ds, err := newDigestState(cfg.Store.Capacity()+cfg.DiskCapacity, cfg.DigestRefresh)
 		if err != nil {
 			return nil, fmt.Errorf("netnode: %w", err)
 		}
@@ -238,7 +207,6 @@ func New(cfg Config) (*Node, error) {
 			n.recovery.DiskTrimmed = n.recovery.Disk.Entries - blobStore.Len()
 		}
 		n.persister = p
-		n.snapEvery = cfg.SnapshotInterval
 	}
 
 	// The own digest is seeded from the (possibly just recovered) store
@@ -255,7 +223,7 @@ func New(cfg Config) (*Node, error) {
 	if n.persister != nil {
 		sinks = append(sinks, n.persister.Append)
 	}
-	if n.obs != nil {
+	if cfg.Obs != nil {
 		sinks = append(sinks, n.om.cacheEvent)
 	}
 	if n.digests != nil {
@@ -294,9 +262,8 @@ func New(cfg Config) (*Node, error) {
 	}
 	n.httpLn = ln
 
-	n.hashName = cfg.HashName
-	if n.hashName == "" {
-		n.hashName = ln.Addr().String()
+	if n.cfg.HashName == "" {
+		n.cfg.HashName = ln.Addr().String()
 	}
 	// The engine owns the request lifecycle; the node supplies its
 	// store, transport, locators, and telemetry through the adapters in
@@ -313,37 +280,38 @@ func New(cfg Config) (*Node, error) {
 		}
 	}
 	n.engine = &resolve.Engine{
-		ID:              "netnode " + n.id,
+		ID:              "netnode " + cfg.ID,
 		Store:           nodeStore{n},
 		Scheme:          cfg.Scheme,
 		Locator:         nodeLocator{n},
 		Transport:       nodeTransport{n},
 		Hooks:           nodeHooks{n},
 		Coalescer:       co,
-		DegradeToOrigin: n.originAddr != "",
+		DegradeToOrigin: cfg.OriginAddr != "",
 	}
 
 	n.wg.Add(1)
 	go n.acceptLoop()
-	if n.persister != nil && n.snapEvery > 0 {
-		n.wg.Add(1)
-		go n.snapshotLoop()
+	if n.persister != nil {
+		n.every(DefaultSnapshotInterval, func() {
+			if err := n.checkpoint(); err != nil {
+				n.warn("snapshot failed", nil, "err", err)
+			}
+		})
 	}
-	if n.location == resolve.LocateHash {
+	if cfg.Location == resolve.LocateHash {
 		// Only hash placement is structural enough that a membership
 		// change moves document ownership; the migrator follows it.
 		n.migrateKick = make(chan struct{}, 1)
 		n.wg.Add(1)
 		go n.migratorLoop()
 	}
-	n.wg.Add(1)
-	go n.membershipLoop()
+	n.every(n.sweepPeriod(), func() { n.sweepMembership(time.Now()) })
 	if n.digests != nil {
-		// Background digest revalidation: known peer replicas are kept
-		// fresh off the request path (misses serve stale while a
-		// single-flight refresh runs).
-		n.wg.Add(1)
-		go n.digestLoop()
+		// Background digest revalidation, twice per trust window: known
+		// peer replicas are kept fresh off the request path (misses serve
+		// stale while a single-flight refresh runs).
+		n.every(max(n.digests.refresh/2, 5*time.Millisecond), n.refreshDigests)
 	}
 	return n, nil
 }
@@ -369,7 +337,7 @@ func (n *Node) closeDiskTier() {
 }
 
 // ID returns the node name.
-func (n *Node) ID() string { return n.id }
+func (n *Node) ID() string { return n.cfg.ID }
 
 // ICPAddr returns the bound UDP address.
 func (n *Node) ICPAddr() *net.UDPAddr { return n.icpServer.Addr() }
@@ -465,7 +433,7 @@ func (n *Node) Close() error { return n.shutdown(0) }
 // write a final snapshot, then release everything. Handlers still running
 // at the deadline keep their journal appends — recovery replays them on
 // top of the final snapshot.
-func (n *Node) Drain() error { return n.shutdown(n.fetchTimeout) }
+func (n *Node) Drain() error { return n.shutdown(n.cfg.FetchTimeout) }
 
 // shutdown runs the close sequence exactly once; wait > 0 bounds the
 // in-flight handler wait.
@@ -528,21 +496,23 @@ func (n *Node) Recovery() (RecoveryReport, bool) {
 	return n.recovery, n.persister != nil || n.blobStore != nil
 }
 
-// snapshotLoop checkpoints every snapEvery until the node closes.
-func (n *Node) snapshotLoop() {
-	defer n.wg.Done()
-	t := time.NewTicker(n.snapEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-n.closed:
-			return
-		case <-t.C:
-			if err := n.checkpoint(); err != nil {
-				n.warn("snapshot failed", nil, "err", err)
+// every runs f every period on a goroutine of its own until the node
+// closes; shutdown waits for a run in progress.
+func (n *Node) every(period time.Duration, f func()) {
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		t := time.NewTicker(period)
+		defer t.Stop()
+		for {
+			select {
+			case <-n.closed:
+				return
+			case <-t.C:
+				f()
 			}
 		}
-	}
+	}()
 }
 
 // checkpoint captures the store and rotates the journal at one consistent
@@ -569,7 +539,7 @@ func (n *Node) checkpoint() error {
 // now is the node's cache-visible clock (Config.Now; time.Now unless a
 // parity harness injected one). Socket deadlines and latency metrics
 // read time.Now directly.
-func (n *Node) now() time.Time { return n.nowFn() }
+func (n *Node) now() time.Time { return n.cfg.Now() }
 
 // ExpirationAge returns the node's current contention signal.
 func (n *Node) ExpirationAge() time.Duration {
@@ -590,12 +560,12 @@ func (n *Node) Len() int { return n.store.Len() }
 // log lines join up with /debug/trace entries (rendered here, off the
 // request path, as the parent the trace's onward context names).
 func (n *Node) warn(msg string, tr *obs.Trace, attrs ...any) {
-	if n.logger == nil {
+	if n.cfg.Logger == nil {
 		return
 	}
-	attrs = append(attrs, "node", n.id)
+	attrs = append(attrs, "node", n.cfg.ID)
 	if tc, err := obs.ParseTraceContext(tr.Context()); err == nil {
 		attrs = append(attrs, "request_id", tc.ParentID)
 	}
-	n.logger.Warn(msg, attrs...)
+	n.cfg.Logger.Warn(msg, attrs...)
 }

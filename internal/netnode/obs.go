@@ -114,7 +114,7 @@ const (
 // held by pointer with the histogram pointers beside the hot counters,
 // 4.4 % fewer (8 of 10); as below, 0.4 % (7 of 10, inside the spread).
 // Only what costs the request path more than it pays today waits for
-// telemetry (n.obs): the per-request outcome counters, every histogram (a
+// telemetry (Config.Obs): the per-request outcome counters, every histogram (a
 // clock read each) and the cache-event counters (a store event sink).
 type nodeObs struct {
 	// Written on every request, by every core that serves one: these
@@ -329,7 +329,7 @@ func (o *nodeObs) register(n *Node, mem *cache.ShardedStore, tel *obs.Telemetry)
 
 // observeRequest records the end-to-end outcome of one Request call.
 func (n *Node) observeRequest(res Result, err error, dur time.Duration) {
-	if n.obs == nil {
+	if n.cfg.Obs == nil {
 		return
 	}
 	idx := outcomeIndex(res, err)
@@ -355,12 +355,12 @@ func (o *nodeObs) cacheEvent(ev cache.Event) {
 // (copied into the ring by value, so the record below never leaves the
 // stack), because the audit's value is exactness.
 func (n *Node) auditDecision(tr *obs.Trace, role resolve.Role, url string, verdict bool, d resolve.Disposition, size int64, localAge, peerAge time.Duration) {
-	if n.obs == nil || n.obs.Placement == nil {
+	if n.cfg.Obs == nil || n.cfg.Obs.Placement == nil {
 		return
 	}
 	outcome, reason := d.Outcome()
-	n.obs.Placement.Record(obs.Decision{
-		Time: n.now(), Node: n.id, URL: url,
+	n.cfg.Obs.Placement.Record(obs.Decision{
+		Time: n.now(), Node: n.cfg.ID, URL: url,
 		Role: role.String(), Verdict: role.Verdict(verdict),
 		LocalAgeMS: obs.AgeMS(localAge), PeerAgeMS: obs.AgeMS(peerAge),
 		SizeBytes: size, Outcome: outcome, Reason: reason,
@@ -380,7 +380,7 @@ type stageTimer struct {
 // stage histogram; close it with endStage. One clock read covers both
 // sinks.
 func (n *Node) startStage(tr *obs.Trace, stage int) stageTimer {
-	if tr == nil && n.obs == nil {
+	if tr == nil && n.cfg.Obs == nil {
 		return stageTimer{}
 	}
 	st := stageTimer{start: time.Now(), stage: int8(stage), live: true}
@@ -395,7 +395,7 @@ func (n *Node) endStage(tr *obs.Trace, st stageTimer) {
 	}
 	dur := time.Since(st.start)
 	tr.CloseSpan(st.span, dur)
-	if n.obs != nil {
+	if n.cfg.Obs != nil {
 		n.om.stageDur[st.stage].ObserveDuration(dur)
 	}
 }

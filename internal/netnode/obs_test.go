@@ -206,7 +206,7 @@ func TestNodeWithoutTelemetryStaysInert(t *testing.T) {
 	if _, err := n.Request("http://obs.example.edu/inert", 512); err != nil {
 		t.Fatal(err)
 	}
-	if n.obs != nil || n.om.reqDur[ocMiss] != nil || n.om.requests[ocMiss].Value() != 0 {
+	if n.cfg.Obs != nil || n.om.reqDur[ocMiss] != nil || n.om.requests[ocMiss].Value() != 0 {
 		t.Fatal("telemetry should be absent")
 	}
 }
@@ -295,13 +295,12 @@ func TestRobustnessIsTheScrape(t *testing.T) {
 	origin := startGatedOrigin(t)
 	tel := obs.New("rb", 8)
 	n := startChaosNode(t, Config{
-		ID:            "rb",
-		OriginAddr:    origin.ln.Addr().String(),
-		ICPTimeout:    500 * time.Millisecond,
-		MaxInflight:   herd,
-		ShedQueueWait: 5 * time.Millisecond,
-		DeadAfter:     1,
-		Obs:           tel,
+		ID:          "rb",
+		OriginAddr:  origin.ln.Addr().String(),
+		ICPTimeout:  500 * time.Millisecond,
+		MaxInflight: herd,
+		DeadAfter:   1,
+		Obs:         tel,
 	})
 
 	var wg sync.WaitGroup

@@ -17,39 +17,19 @@ import (
 func startPersistentNode(t *testing.T, id, dir, origin string) *Node {
 	t.Helper()
 	n, err := New(Config{
-		ID:               id,
-		ICPAddr:          "127.0.0.1:0",
-		HTTPAddr:         "127.0.0.1:0",
-		Store:            newStore(t, 1<<20),
-		Scheme:           core.AdHoc{},
-		OriginAddr:       origin,
-		ICPTimeout:       500 * time.Millisecond,
-		DataDir:          dir,
-		SnapshotInterval: time.Hour, // checkpoints come from Drain, not the ticker
+		ID:         id,
+		ICPAddr:    "127.0.0.1:0",
+		HTTPAddr:   "127.0.0.1:0",
+		Store:      newStore(t, 1<<20),
+		Scheme:     core.AdHoc{},
+		OriginAddr: origin,
+		ICPTimeout: 500 * time.Millisecond,
+		DataDir:    dir,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return n
-}
-
-func TestPersistenceConfigValidation(t *testing.T) {
-	base := Config{
-		ICPAddr:  "127.0.0.1:0",
-		HTTPAddr: "127.0.0.1:0",
-		Store:    newStore(t, 100),
-		Scheme:   core.AdHoc{},
-	}
-	bad := base
-	bad.SnapshotInterval = -time.Second
-	if _, err := New(bad); err == nil {
-		t.Fatal("negative SnapshotInterval accepted")
-	}
-	bad = base
-	bad.SnapshotInterval = time.Second
-	if _, err := New(bad); err == nil {
-		t.Fatal("SnapshotInterval without DataDir accepted")
-	}
 }
 
 // TestWarmRestartOverWire is the tentpole end-to-end check: a node serves

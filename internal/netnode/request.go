@@ -12,7 +12,7 @@ import (
 )
 
 // ErrOverloaded is returned by Request when the node is over its
-// MaxInflight bound and the ShedQueueWait budget elapsed without a slot
+// MaxInflight bound and DefaultShedQueueWait elapsed without a slot
 // freeing up — a fast refusal instead of a collapse. Callers should test
 // with errors.Is.
 var ErrOverloaded = errors.New("netnode: overloaded, request shed")
@@ -54,7 +54,7 @@ func (n *Node) Request(url string, sizeHint int64) (Result, error) {
 		defer func() { <-n.inflight }()
 	}
 	start := time.Now()
-	tr := n.obs.StartTrace(n.id, url)
+	tr := n.cfg.Obs.StartTrace(n.cfg.ID, url)
 	res, err := n.serveRequest(tr, url, sizeHint)
 	n.observeRequest(res, err, time.Since(start))
 	if tr != nil {
@@ -67,7 +67,7 @@ func (n *Node) Request(url string, sizeHint int64) (Result, error) {
 			tr.Responder = res.Responder
 			tr.Stored = res.Stored
 		}
-		res.TraceID = n.obs.Finish(tr)
+		res.TraceID = n.cfg.Obs.Finish(tr)
 	}
 	return res, err
 }
@@ -94,22 +94,23 @@ func (n *Node) serveRequest(tr *obs.Trace, url string, sizeHint int64) (Result, 
 	}, nil
 }
 
-// admit takes an in-flight slot, waiting at most shedWait for one before
-// shedding the request. Only called when MaxInflight is configured.
+// admit takes an in-flight slot, waiting at most DefaultShedQueueWait for
+// one before shedding the request. Only called when MaxInflight is
+// configured.
 func (n *Node) admit() error {
 	select {
 	case n.inflight <- struct{}{}:
 		return nil
 	default:
 	}
-	timer := time.NewTimer(n.shedWait)
+	timer := time.NewTimer(DefaultShedQueueWait)
 	defer timer.Stop()
 	select {
 	case n.inflight <- struct{}{}:
 		return nil
 	case <-timer.C:
 		n.om.sheds.Inc()
-		return fmt.Errorf("%w (%d in flight, waited %v)", ErrOverloaded, cap(n.inflight), n.shedWait)
+		return fmt.Errorf("%w (%d in flight, waited %v)", ErrOverloaded, cap(n.inflight), DefaultShedQueueWait)
 	}
 }
 
@@ -126,16 +127,16 @@ func (n *Node) acquireUpstream(tr *obs.Trace) error {
 	}
 	n.om.upstreamWaits.Inc()
 	start := time.Now()
-	timer := time.NewTimer(n.fetchTimeout)
+	timer := time.NewTimer(n.cfg.FetchTimeout)
 	defer timer.Stop()
 	var err error
 	select {
 	case n.originSem <- struct{}{}:
 	case <-timer.C:
-		err = fmt.Errorf("netnode %s: upstream concurrency limit %d saturated for %v", n.id, cap(n.originSem), n.fetchTimeout)
-		n.warn("upstream semaphore saturated", tr, "limit", cap(n.originSem), "waited", n.fetchTimeout)
+		err = fmt.Errorf("netnode %s: upstream concurrency limit %d saturated for %v", n.cfg.ID, cap(n.originSem), n.cfg.FetchTimeout)
+		n.warn("upstream semaphore saturated", tr, "limit", cap(n.originSem), "waited", n.cfg.FetchTimeout)
 	}
-	if n.obs != nil {
+	if n.cfg.Obs != nil {
 		n.om.upstreamWaitDur.ObserveDuration(time.Since(start))
 	}
 	return err
@@ -200,7 +201,7 @@ func (n *Node) fetchUpstream(tr *obs.Trace, addr, url string, sizeHint int64, re
 	}
 	defer n.releaseUpstream()
 	var lastErr error
-	for attempt := 0; attempt < n.fetchAttempts; attempt++ {
+	for attempt := 0; attempt < n.cfg.FetchAttempts; attempt++ {
 		if attempt > 0 {
 			n.om.retries.Inc()
 		}
@@ -214,7 +215,7 @@ func (n *Node) fetchUpstream(tr *obs.Trace, addr, url string, sizeHint int64, re
 		}
 		n.warn("upstream fetch attempt failed", tr,
 			"url", url, "upstream", addr,
-			"attempt", attempt+1, "attempts", n.fetchAttempts, "err", err)
+			"attempt", attempt+1, "attempts", n.cfg.FetchAttempts, "err", err)
 	}
 	return 0, 0, "", lastErr
 }

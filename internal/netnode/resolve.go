@@ -84,7 +84,7 @@ func (s nodeStore) Promote(url string, now time.Time) { s.n.store.Touch(url, now
 func (s nodeStore) Keep(doc cache.Document, now time.Time) resolve.Disposition {
 	n := s.n
 	h := n.hash.Load()
-	if n.location == resolve.LocateHash && !homes(h, doc.URL) {
+	if n.cfg.Location == resolve.LocateHash && !homes(h, doc.URL) {
 		return resolve.RefusedOffRing
 	}
 	return n.keepOnRing(doc, h, now)
@@ -139,7 +139,7 @@ var _ resolve.Locator = nodeLocator{}
 // Locate implements resolve.Locator.
 func (l nodeLocator) Locate(rctx any, url string, now time.Time) resolve.Located {
 	n := l.n
-	switch n.location {
+	switch n.cfg.Location {
 	case resolve.LocateDigest:
 		return n.digestLocate(traceOf(rctx), url)
 	case resolve.LocateHash:
@@ -190,7 +190,7 @@ func (n *Node) icpLocate(tr *obs.Trace, url string) resolve.Located {
 	// peers' own fetch addresses.
 	res := fanoutPool.Get().(*icp.Result)
 	defer fanoutPool.Put(res)
-	if err := n.icpClient.QueryInto(res, addrs, url, n.icpTimeout, hopOf(tr)); err != nil {
+	if err := n.icpClient.QueryInto(res, addrs, url, n.cfg.ICPTimeout, hopOf(tr)); err != nil {
 		tr.SpanErr(err)
 		n.endStage(tr, fanout)
 		n.warn("icp query failed", tr, "err", err)
@@ -271,7 +271,7 @@ func (n *Node) rebuildHashRing(peers []Peer, epoch int64) {
 func (n *Node) hashLocator(peers []Peer, withSelf bool, epoch int64) *resolve.HashLocator {
 	members := make([]string, 0, len(peers)+1)
 	if withSelf {
-		members = append(members, n.hashName)
+		members = append(members, n.cfg.HashName)
 	}
 	byName := make(map[string]Peer, len(peers))
 	for _, p := range peers {
@@ -284,7 +284,7 @@ func (n *Node) hashLocator(peers []Peer, withSelf bool, epoch int64) *resolve.Ha
 		n.warn("hash ring build failed", nil, "err", err)
 		return nil
 	}
-	h := &resolve.HashLocator{Ring: ring, Self: n.hashName, Epoch: epoch, Fingerprint: ring.Fingerprint()}
+	h := &resolve.HashLocator{Ring: ring, Self: n.cfg.HashName, Epoch: epoch, Fingerprint: ring.Fingerprint()}
 	h.Candidate = func(member string) (resolve.Candidate, bool) {
 		p, ok := byName[member]
 		if !ok || n.liveness(p.HTTP).dead() {
@@ -343,19 +343,19 @@ func (t nodeTransport) FetchRemote(rctx any, c resolve.Candidate, url string, si
 }
 
 func (t nodeTransport) ParentID() (string, bool) {
-	return t.n.parentAddr, t.n.parentAddr != ""
+	return t.n.cfg.ParentAddr, t.n.cfg.ParentAddr != ""
 }
 
 func (t nodeTransport) FetchParent(rctx any, url string, sizeHint int64, reqAge time.Duration, _ time.Time) (resolve.Remote, error) {
 	n := t.n
 	tr := traceOf(rctx)
 	parent := n.startStage(tr, stParentFetch)
-	tr.Annotate("parent", n.parentAddr)
-	size, parentAge, source, err := n.fetchUpstream(tr, n.parentAddr, url, sizeHint, reqAge, true)
+	tr.Annotate("parent", n.cfg.ParentAddr)
+	size, parentAge, source, err := n.fetchUpstream(tr, n.cfg.ParentAddr, url, sizeHint, reqAge, true)
 	tr.SpanErr(err)
 	n.endStage(tr, parent)
 	if err != nil {
-		return resolve.Remote{}, fmt.Errorf("netnode %s: parent resolve: %w", n.id, err)
+		return resolve.Remote{}, fmt.Errorf("netnode %s: parent resolve: %w", n.cfg.ID, err)
 	}
 	return resolve.Remote{
 		Doc:          cache.Document{URL: url, Size: size},
@@ -366,16 +366,16 @@ func (t nodeTransport) FetchParent(rctx any, url string, sizeHint int64, reqAge 
 
 func (t nodeTransport) FetchOrigin(rctx any, url string, sizeHint int64, reqAge time.Duration, _ time.Time) (cache.Document, error) {
 	n := t.n
-	if n.originAddr == "" {
-		return cache.Document{}, fmt.Errorf("netnode %s: miss for %s and no origin", n.id, url)
+	if n.cfg.OriginAddr == "" {
+		return cache.Document{}, fmt.Errorf("netnode %s: miss for %s and no origin", n.cfg.ID, url)
 	}
 	tr := traceOf(rctx)
 	origin := n.startStage(tr, stOriginFetch)
-	size, _, _, err := n.fetchUpstream(tr, n.originAddr, url, sizeHint, reqAge, false)
+	size, _, _, err := n.fetchUpstream(tr, n.cfg.OriginAddr, url, sizeHint, reqAge, false)
 	tr.SpanErr(err)
 	n.endStage(tr, origin)
 	if err != nil {
-		return cache.Document{}, fmt.Errorf("netnode %s: origin fetch: %w", n.id, err)
+		return cache.Document{}, fmt.Errorf("netnode %s: origin fetch: %w", n.cfg.ID, err)
 	}
 	return cache.Document{URL: url, Size: size}, nil
 }
@@ -410,7 +410,7 @@ func (h nodeHooks) OnPlacement(rctx any, role resolve.Role, url string, size int
 }
 
 func (h nodeHooks) OnFalseHit(rctx any, c resolve.Candidate, url string) {
-	if h.n.location == resolve.LocateDigest {
+	if h.n.cfg.Location == resolve.LocateDigest {
 		// Only a stale or colliding digest advertises a document the
 		// peer does not have; under ICP a not-found is an eviction race
 		// and not worth a log line.

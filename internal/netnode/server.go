@@ -42,7 +42,7 @@ func (n *Node) acceptLoop() {
 // body's source.
 func (n *Node) serveConn(conn net.Conn) {
 	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(n.fetchTimeout))
+	_ = conn.SetDeadline(time.Now().Add(n.cfg.FetchTimeout))
 
 	// The record is held to the end: its reader for the request (and a
 	// pushed body), its synthetic body for the response.
@@ -88,7 +88,7 @@ func (n *Node) serveConn(conn net.Conn) {
 			n.om.clamps[clampTrace].Inc()
 			n.warn("dropped trace context at hop limit", nil, "trace", tc.TraceID)
 		default:
-			rtr = n.obs.StartRemoteTrace(n.id, req.URL, tc)
+			rtr = n.cfg.Obs.StartRemoteTrace(n.cfg.ID, req.URL, tc)
 		}
 	}
 	serveSpan := rtr.OpenSpan(obs.StageServe, time.Now())
@@ -96,7 +96,7 @@ func (n *Node) serveConn(conn net.Conn) {
 	ask := resolve.Ask{URL: req.URL, SizeHint: req.SizeHint, ReqAge: req.RequesterAge, Resolve: req.Resolve}
 	var holder resolve.Holder = nodeStore{n}
 	switch {
-	case n.location == resolve.LocateHash:
+	case n.cfg.Location == resolve.LocateHash:
 		// The (acting) home keeps every document it resolves — the
 		// group's only copy must land here — but only for requesters
 		// whose ring view matches this node's (see mayKeepResolved); a
@@ -140,7 +140,7 @@ func (n *Node) serveConn(conn net.Conn) {
 		rtr.CloseSpan(serveSpan, time.Since(rtr.Start))
 		rtr.RequesterAgeMS = obs.AgeMS(req.RequesterAge)
 		rtr.ResponderAgeMS = obs.AgeMS(s.Age)
-		n.obs.Finish(rtr)
+		n.cfg.Obs.Finish(rtr)
 	}
 }
 

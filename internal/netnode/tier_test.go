@@ -23,18 +23,17 @@ import (
 func startTieredNode(t *testing.T, id, dataDir, diskDir, origin string, memCap, diskCap int64) *Node {
 	t.Helper()
 	n, err := New(Config{
-		ID:               id,
-		ICPAddr:          "127.0.0.1:0",
-		HTTPAddr:         "127.0.0.1:0",
-		Store:            newStore(t, memCap),
-		Scheme:           core.AdHoc{},
-		OriginAddr:       origin,
-		ICPTimeout:       500 * time.Millisecond,
-		DataDir:          dataDir,
-		SnapshotInterval: time.Hour,
-		DiskDir:          diskDir,
-		DiskCapacity:     diskCap,
-		DiskDemote:       "always",
+		ID:           id,
+		ICPAddr:      "127.0.0.1:0",
+		HTTPAddr:     "127.0.0.1:0",
+		Store:        newStore(t, memCap),
+		Scheme:       core.AdHoc{},
+		OriginAddr:   origin,
+		ICPTimeout:   500 * time.Millisecond,
+		DataDir:      dataDir,
+		DiskDir:      diskDir,
+		DiskCapacity: diskCap,
+		DiskDemote:   "always",
 	})
 	if err != nil {
 		t.Fatal(err)
