@@ -128,3 +128,59 @@ func TestDebugDumpsGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsGolden pins the bytes /metrics serves for a fresh two-node
+// group: every family, its HELP and TYPE lines, its series in order and
+// their values. Ports are normalised. No gauge of a fresh group moves with
+// time: the expiration age reads the no-contention +Inf until the first
+// eviction, and every count is 0.
+func TestMetricsGolden(t *testing.T) {
+	origin, err := netnode.NewOriginServer("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = origin.Close() })
+	start := func(id string) (*netnode.Node, *obs.Telemetry) {
+		tel := obs.New(id, 8)
+		store, err := cache.NewSharded(cache.ShardedConfig{Shards: 1, Capacity: 1 << 20, ExpirationHorizon: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := netnode.New(netnode.Config{
+			ID: id, ICPAddr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0", Store: store,
+			Scheme: core.EA{}, OriginAddr: origin.Addr(), ICPTimeout: 2 * time.Second, Obs: tel,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = n.Close() })
+		return n, tel
+	}
+	a, telA := start("a")
+	b, _ := start("b")
+	a.SetPeers([]netnode.Peer{{ICP: b.ICPAddr(), HTTP: b.HTTPAddr()}})
+	b.SetPeers([]netnode.Peer{{ICP: a.ICPAddr(), HTTP: a.HTTPAddr()}})
+
+	admin, err := obs.ServeAdmin(obs.AdminConfig{Addr: "127.0.0.1:0", Telemetry: telA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer admin.Close()
+	resp, err := http.Get("http://" + admin.Addr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := strings.NewReplacer(a.HTTPAddr(), "<a>", b.HTTPAddr(), "<b>").Replace(string(body))
+	want, err := os.ReadFile("testdata/metrics.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("metrics.golden differs from the scrape:\n%s", got)
+	}
+}
