@@ -56,6 +56,29 @@ eac_weird{label="va\"lue",other="a,b"} 1.5
 	}
 }
 
+// TestLabelValuesRoundTrip: a label value holding a newline, a quote, a
+// backslash and a tab comes back from a node's exposition through
+// parseLabels as it went in, and the exposition uses no escape but the
+// three the text format defines.
+func TestLabelValuesRoundTrip(t *testing.T) {
+	const odd = "a\nb\"c\\d\te"
+	r := new(obs.Registry)
+	r.Register(obs.Family{Name: "eac_odd", Help: "odd labels", Collect: func(emit func(obs.Labels, float64)) {
+		emit(obs.Labels{"peer": odd, "zone": "plain"}, 2)
+	}})
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if want := `eac_odd{peer="a\nb\"c\\d` + "\t" + `e",zone="plain"} 2` + "\n"; !strings.HasSuffix(sb.String(), want) {
+		t.Fatalf("exposition:\n%s\nwant the sample %q", sb.String(), want)
+	}
+	samples := parseMetrics([]byte(sb.String()))
+	if len(samples) != 1 || samples[0].labels["peer"] != odd || samples[0].labels["zone"] != "plain" || samples[0].value != 2 {
+		t.Fatalf("parsed %+v, want peer=%q zone=plain value 2", samples, odd)
+	}
+}
+
 // startGroupMember boots one observed node plus its admin surface, the
 // same wiring proxyd does, and returns the node and its admin address.
 func startGroupMember(t *testing.T, id, origin string) (*netnode.Node, string) {

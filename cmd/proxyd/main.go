@@ -483,6 +483,9 @@ func (p *peerList) Set(v string) error {
 	if err != nil {
 		return fmt.Errorf("peer %q: %w", v, err)
 	}
+	if _, err := net.ResolveTCPAddr("tcp", httpPart); err != nil {
+		return fmt.Errorf("peer %q: fetch address: %w", v, err)
+	}
 	// A doubled neighbour would be fanned out to twice and counted as two
 	// ring members; catch the operator typo at flag parse, by name.
 	for _, prev := range p.peers {

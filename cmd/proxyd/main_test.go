@@ -65,6 +65,16 @@ func TestPeerListFlag(t *testing.T) {
 	if err := p.Set("not-an-addr/x"); err == nil {
 		t.Fatal("unresolvable peer accepted")
 	}
+	// The fetch address is dialled and labels the peer's metrics: one
+	// that does not resolve, a newline in it among others, is refused.
+	for _, bad := range []string{"127.0.0.1:3132/no-port", "127.0.0.1:3132/127.0.0.1:80\n81"} {
+		if err := p.Set(bad); err == nil || !strings.Contains(err.Error(), "fetch address") {
+			t.Fatalf("-peer %q: err = %v, want a fetch address error", bad, err)
+		}
+	}
+	if len(p.peers) != 2 {
+		t.Fatalf("peers = %d after the refusals", len(p.peers))
+	}
 }
 
 func TestDemoEndToEnd(t *testing.T) {

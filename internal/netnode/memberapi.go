@@ -96,6 +96,11 @@ func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 		writeAdminErr(w, http.StatusBadRequest, err)
 		return
 	}
+	// The fetch address is dialled and becomes the peer's metric label.
+	if _, err := net.ResolveTCPAddr("tcp", body.HTTP); err != nil {
+		writeAdminErr(w, http.StatusBadRequest, err)
+		return
+	}
 	if err := n.AddPeer(Peer{ICP: udp, HTTP: body.HTTP, Name: body.Name, Admin: body.Admin}); err != nil {
 		writeAdminErr(w, http.StatusBadRequest, err)
 		return

@@ -516,6 +516,14 @@ func TestAdminMembershipAPI(t *testing.T) {
 	if resp, body = post("/admin/peers/join", `{"icp":"127.0.0.1:19042","http":"127.0.0.1:19142","name":"a1"}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("duplicate join: %d %s", resp.StatusCode, body)
 	}
+	// Rejected join: a fetch address that does not resolve, here one with
+	// a newline, which would otherwise become a dial target and a label.
+	if resp, body = post("/admin/peers/join", `{"icp":"127.0.0.1:19043","http":"127.0.0.1:191\n43","name":"a2"}`); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("join with a newline in its fetch address: %d %s", resp.StatusCode, body)
+	}
+	if v := n.currentView(); v.Epoch != 1 || len(v.Members) != 1 {
+		t.Fatalf("a refused join changed the view: %+v", v)
+	}
 	// GET table.
 	getResp, err := http.Get(srv.URL + "/admin/peers")
 	if err != nil {

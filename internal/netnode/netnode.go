@@ -145,7 +145,9 @@ func New(cfg Config) (*Node, error) {
 	if cfg.MaxInflight > 0 {
 		n.inflight = make(chan struct{}, cfg.MaxInflight)
 	}
-	n.om.register(n, cfg.Store, cfg.Obs)
+	if cfg.Obs != nil { // without telemetry the counters count unexposed
+		cfg.Obs.Registry.Register(n.om.families(n, cfg.Store)...)
+	}
 
 	if cfg.Faults != nil {
 		// Chaos mode: every socket the node opens goes through the

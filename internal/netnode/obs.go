@@ -157,131 +157,124 @@ type nodeObs struct {
 	upstreamWaitDur *obs.Histogram               // eac_origin_sem_wait_seconds
 }
 
-// series is one exposed time series: a label set and exactly one source.
-type series struct {
-	labels obs.Labels
-	c      *obs.Counter    // counted by the node, exposed by pointer
-	g      func() float64  // read at scrape time
-	h      **obs.Histogram // created by the registry, cached for the recorder
+func counter(c *obs.Counter) []obs.Series { return []obs.Series{{Counter: c}} }
+
+func gauge[T int | int64 | float64](f func() T) []obs.Series {
+	return []obs.Series{{Gauge: func() float64 { return float64(f()) }}}
 }
 
-// family is one row of the registration table. collect, when set, emits
-// the family's series at scrape time instead.
-type family struct {
-	name, help string
-	series     []series
-	collect    func(emit func(obs.Labels, float64))
-}
-
-func counter(c *obs.Counter) []series { return []series{{c: c}} }
-
-func gauge[T int | int64 | float64](f func() T) []series {
-	return []series{{g: func() float64 { return float64(f()) }}}
+// histogram creates *h and exposes it.
+func histogram(h **obs.Histogram) []obs.Series {
+	*h = obs.NewHistogram(nil)
+	return []obs.Series{{Histogram: *h}}
 }
 
 // counters exposes cs[i] under {key: names[i]}.
-func counters(key string, names []string, cs []obs.Counter) []series {
-	out := make([]series, len(names))
+func counters(key string, names []string, cs []obs.Counter) []obs.Series {
+	out := make([]obs.Series, len(names))
 	for i, name := range names {
-		out[i] = series{labels: obs.Labels{key: name}, c: &cs[i]}
+		out[i] = obs.Series{Labels: obs.Labels{key: name}, Counter: &cs[i]}
 	}
 	return out
 }
 
-func histograms(key string, names []string, hs []*obs.Histogram) []series {
-	out := make([]series, len(names))
+// histograms creates hs[i] and exposes it under {key: names[i]}.
+func histograms(key string, names []string, hs []*obs.Histogram) []obs.Series {
+	out := make([]obs.Series, len(names))
 	for i, name := range names {
-		out[i] = series{labels: obs.Labels{key: name}, h: &hs[i]}
+		out[i] = histogram(&hs[i])[0]
+		out[i].Labels = obs.Labels{key: name}
 	}
 	return out
 }
 
 // tiers is a per-tier gauge pair. An untiered node (b nil) scrapes zeros
 // for the disk series, so dashboards stay stable across configurations.
-func tiers[T int | int64](mem func() T, b *blob.Store, disk func(*blob.Store) T) []series {
+func tiers[T int | int64](mem func() T, b *blob.Store, disk func(*blob.Store) T) []obs.Series {
 	m, d := gauge(mem), gauge(func() T {
 		if b == nil {
 			return 0
 		}
 		return disk(b)
 	})
-	m[0].labels, d[0].labels = obs.Labels{"tier": "memory"}, obs.Labels{"tier": "disk"}
+	m[0].Labels, d[0].Labels = obs.Labels{"tier": "memory"}, obs.Labels{"tier": "disk"}
 	return append(m, d...)
 }
 
 // families is the node's whole /metrics catalogue (METRICS.md tabulates
-// the same rows; TestMetricsCatalogue holds the two equal).
-func (o *nodeObs) families(n *Node, mem *cache.ShardedStore) []family {
+// the same rows; TestMetricsCatalogue holds the two equal). Building it
+// creates the node's histograms, so only a node with telemetry has them.
+func (o *nodeObs) families(n *Node, mem *cache.ShardedStore) []obs.Family {
 	st, disk := n.store, n.blobStore
-	tier := func(f func(cache.TierCounters) int64) []series {
+	tier := func(f func(cache.TierCounters) int64) []obs.Series {
 		return gauge(func() int64 { return f(st.TierCounters()) })
 	}
-	var decisions, transfers []series
+	var decisions, transfers []obs.Series
 	for role := resolve.RoleRequester; role <= resolve.RoleParent; role++ {
 		for _, yes := range []bool{true, false} {
-			decisions = append(decisions, series{
-				labels: obs.Labels{"role": role.String(), "decision": role.Verdict(yes)},
-				c:      &o.decisions[role][verdictIndex(yes)],
+			decisions = append(decisions, obs.Series{
+				Labels:  obs.Labels{"role": role.String(), "decision": role.Verdict(yes)},
+				Counter: &o.decisions[role][verdictIndex(yes)],
 			})
 		}
 	}
 	for kind, name := range digestKindNames {
 		transfers = append(transfers,
-			series{labels: obs.Labels{"kind": name, "dir": "served"}, c: &o.digestServed[kind]},
-			series{labels: obs.Labels{"kind": name, "dir": "applied"}, c: &o.digestApplied[kind]})
+			obs.Series{Labels: obs.Labels{"kind": name, "dir": "served"}, Counter: &o.digestServed[kind]},
+			obs.Series{Labels: obs.Labels{"kind": name, "dir": "applied"}, Counter: &o.digestApplied[kind]})
 	}
 	var kinds []string
 	for k := cache.EventInsert; k <= cache.EventPromoteFromDisk; k++ {
 		kinds = append(kinds, k.String())
 	}
-	return []family{
-		{"eac_requests_total", "Requests served, by final outcome.", counters("outcome", outcomeNames[:], o.requests[:]), nil},
-		{"eac_bytes_served_total", "Body bytes served to clients, by final outcome.", counters("outcome", outcomeNames[:], o.bytes[:]), nil},
-		{"eac_request_duration_seconds", "End-to-end request latency, by final outcome.", histograms("outcome", outcomeNames[:], o.reqDur[:]), nil},
-		{"eac_stage_duration_seconds", "Per-stage latency of the request lifecycle.", histograms("stage", stageNames[:], o.stageDur[:]), nil},
-		{"eac_inflight_requests", "Requests inside the front door (0 when shedding is disabled).", gauge(func() int { return len(n.inflight) }), nil},
-		{"eac_placement_decisions_total", "EA placement decisions, by deciding role and outcome.", decisions, nil},
+	return []obs.Family{
+		{Name: "eac_requests_total", Help: "Requests served, by final outcome.", Series: counters("outcome", outcomeNames[:], o.requests[:])},
+		{Name: "eac_bytes_served_total", Help: "Body bytes served to clients, by final outcome.", Series: counters("outcome", outcomeNames[:], o.bytes[:])},
+		{Name: "eac_request_duration_seconds", Help: "End-to-end request latency, by final outcome.", Series: histograms("outcome", outcomeNames[:], o.reqDur[:])},
+		{Name: "eac_stage_duration_seconds", Help: "Per-stage latency of the request lifecycle.", Series: histograms("stage", stageNames[:], o.stageDur[:])},
+		{Name: "eac_inflight_requests", Help: "Requests inside the front door (0 when shedding is disabled).", Series: gauge(func() int { return len(n.inflight) })},
+		{Name: "eac_placement_decisions_total", Help: "EA placement decisions, by deciding role and outcome.", Series: decisions},
 
-		{"eac_icp_replies_total", "ICP replies heard across all fan-outs.", counter(&o.icpReplies), nil},
-		{"eac_peer_failures_total", "Failed exchanges with a peer (each also a breaker failure report), by cause.", counters("cause", peerFailureNames[:], o.peerFailures[:]), nil},
-		{"eac_fetch_retries_total", "Extra attempts after a failure: the next hit responder, or a repeated upstream fetch.", counter(&o.retries), nil},
-		{"eac_fallbacks_total", "Requests that left the cooperative path for the parent/origin, or a broken parent for the origin.", counter(&o.fallbacks), nil},
-		{"eac_breaker_transitions_total", "Peer breakers opening (peer marked dead) and closing (a dead peer answered again).", counters("transition", breakerNames[:], o.breaker[:]), nil},
-		{"eac_wire_clamps_total", "Malformed piggybacked headers clamped or dropped instead of trusted.", counters("header", clampNames[:], o.clamps[:]), nil},
-		{"eac_peer_breaker_state", "Breaker state of each current member: 0 healthy, 1 suspect, 2 dead.", nil, n.peerStates},
+		{Name: "eac_icp_replies_total", Help: "ICP replies heard across all fan-outs.", Series: counter(&o.icpReplies)},
+		{Name: "eac_peer_failures_total", Help: "Failed exchanges with a peer (each also a breaker failure report), by cause.", Series: counters("cause", peerFailureNames[:], o.peerFailures[:])},
+		{Name: "eac_fetch_retries_total", Help: "Extra attempts after a failure: the next hit responder, or a repeated upstream fetch.", Series: counter(&o.retries)},
+		{Name: "eac_fallbacks_total", Help: "Requests that left the cooperative path for the parent/origin, or a broken parent for the origin.", Series: counter(&o.fallbacks)},
+		{Name: "eac_breaker_transitions_total", Help: "Peer breakers opening (peer marked dead) and closing (a dead peer answered again).", Series: counters("transition", breakerNames[:], o.breaker[:])},
+		{Name: "eac_wire_clamps_total", Help: "Malformed piggybacked headers clamped or dropped instead of trusted.", Series: counters("header", clampNames[:], o.clamps[:])},
+		{Name: "eac_peer_breaker_state", Help: "Breaker state of each current member: 0 healthy, 1 suspect, 2 dead.", Collect: n.peerStates},
 
-		{"eac_digest_transfers_total", "Digest transfers, by kind (full filter vs generation delta) and direction.", transfers, nil},
-		{"eac_digest_bytes_total", "Digest body bytes served, by transfer kind.", counters("kind", digestKindNames[:], o.digestBytes[:]), nil},
-		{"eac_digest_rebuild_escapes_total", "Full-scan digest rebuilds via the counter-saturation escape hatch (steady state: 0).", counter(&o.digestRebuilds), nil},
-		{"eac_digest_stale_served_total", "Lookups answered from a stale peer digest while its refresh was in flight.", counter(&o.digestStale), nil},
+		{Name: "eac_digest_transfers_total", Help: "Digest transfers, by kind (full filter vs generation delta) and direction.", Series: transfers},
+		{Name: "eac_digest_bytes_total", Help: "Digest body bytes served, by transfer kind.", Series: counters("kind", digestKindNames[:], o.digestBytes[:])},
+		{Name: "eac_digest_rebuild_escapes_total", Help: "Full-scan digest rebuilds via the counter-saturation escape hatch (steady state: 0).", Series: counter(&o.digestRebuilds)},
+		{Name: "eac_digest_stale_served_total", Help: "Lookups answered from a stale peer digest while its refresh was in flight.", Series: counter(&o.digestStale)},
 
-		{"eac_cache_events_total", "Cache mutations by kind, across both tiers (a disk-tier exit counts under evict or remove).", counters("kind", kinds, o.events[cache.EventInsert:]), nil},
-		{"eac_cache_expiration_age_seconds", "Cache expiration age, the EA contention signal (+Inf = no contention yet).", gauge(n.expirationAgeSeconds), nil},
-		{"eac_cache_documents", "Resident documents.", gauge(st.Len), nil},
-		{"eac_cache_bytes", "Resident bytes.", gauge(st.Used), nil},
-		{"eac_cache_evictions", "Documents evicted by the replacement policy.", gauge(st.Evictions), nil},
+		{Name: "eac_cache_events_total", Help: "Cache mutations by kind, across both tiers (a disk-tier exit counts under evict or remove).", Series: counters("kind", kinds, o.events[cache.EventInsert:])},
+		{Name: "eac_cache_expiration_age_seconds", Help: "Cache expiration age, the EA contention signal (+Inf = no contention yet).", Series: gauge(n.expirationAgeSeconds)},
+		{Name: "eac_cache_documents", Help: "Resident documents.", Series: gauge(st.Len)},
+		{Name: "eac_cache_bytes", Help: "Resident bytes.", Series: gauge(st.Used)},
+		{Name: "eac_cache_evictions", Help: "Documents evicted by the replacement policy.", Series: gauge(st.Evictions)},
 
-		{"eac_tier_documents", "Resident documents, by storage tier.", tiers(mem.Len, disk, (*blob.Store).Len), nil},
-		{"eac_tier_bytes", "Resident bytes, by storage tier.", tiers(mem.Used, disk, (*blob.Store).Used), nil},
-		{"eac_tier_capacity_bytes", "Byte budget, by storage tier.", tiers(mem.Capacity, disk, (*blob.Store).Capacity), nil},
-		{"eac_tier_demotions", "Memory victims moved to the disk tier instead of exiting.", tier(func(c cache.TierCounters) int64 { return c.Demotions }), nil},
-		{"eac_tier_demotion_drops", "Memory victims the demotion rule (or a refusing disk tier) dropped.", tier(func(c cache.TierCounters) int64 { return c.DemotionDrops }), nil},
-		{"eac_tier_promotions", "Disk hits re-promoted into the memory tier.", tier(func(c cache.TierCounters) int64 { return c.Promotions }), nil},
-		{"eac_tier_disk_evictions", "Documents the disk tier evicted (true exits from the node).", tier(func(c cache.TierCounters) int64 { return c.DiskEvictions }), nil},
-		{"eac_tier_checksum_failures", "Blobs that failed verification (dropped, the document refetched).", tier(func(c cache.TierCounters) int64 { return c.ChecksumFailures }), nil},
+		{Name: "eac_tier_documents", Help: "Resident documents, by storage tier.", Series: tiers(mem.Len, disk, (*blob.Store).Len)},
+		{Name: "eac_tier_bytes", Help: "Resident bytes, by storage tier.", Series: tiers(mem.Used, disk, (*blob.Store).Used)},
+		{Name: "eac_tier_capacity_bytes", Help: "Byte budget, by storage tier.", Series: tiers(mem.Capacity, disk, (*blob.Store).Capacity)},
+		{Name: "eac_tier_demotions", Help: "Memory victims moved to the disk tier instead of exiting.", Series: tier(func(c cache.TierCounters) int64 { return c.Demotions })},
+		{Name: "eac_tier_demotion_drops", Help: "Memory victims the demotion rule (or a refusing disk tier) dropped.", Series: tier(func(c cache.TierCounters) int64 { return c.DemotionDrops })},
+		{Name: "eac_tier_promotions", Help: "Disk hits re-promoted into the memory tier.", Series: tier(func(c cache.TierCounters) int64 { return c.Promotions })},
+		{Name: "eac_tier_disk_evictions", Help: "Documents the disk tier evicted (true exits from the node).", Series: tier(func(c cache.TierCounters) int64 { return c.DiskEvictions })},
+		{Name: "eac_tier_checksum_failures", Help: "Blobs that failed verification (dropped, the document refetched).", Series: tier(func(c cache.TierCounters) int64 { return c.ChecksumFailures })},
 
-		{"eac_requests_shed_total", "Requests refused at the front door: in-flight bound and queue-wait budget exceeded.", counter(&o.sheds), nil},
-		{"eac_coalesced_followers_total", "Requests served as single-flight followers of a concurrent miss for the same URL.", counter(&o.coalesced), nil},
-		{"eac_coalesce_leader_elections_total", "Single-flight leader elections (initial epoch vs post-failure retry).", counters("kind", electionNames[:], o.elections[:]), nil},
-		{"eac_origin_sem_waits_total", "Upstream fetches that found the origin-concurrency semaphore full and queued.", counter(&o.upstreamWaits), nil},
-		{"eac_origin_sem_wait_seconds", "Time contended upstream fetches queued for a slot, won or timed out.", []series{{h: &o.upstreamWaitDur}}, nil},
+		{Name: "eac_requests_shed_total", Help: "Requests refused at the front door: in-flight bound and queue-wait budget exceeded.", Series: counter(&o.sheds)},
+		{Name: "eac_coalesced_followers_total", Help: "Requests served as single-flight followers of a concurrent miss for the same URL.", Series: counter(&o.coalesced)},
+		{Name: "eac_coalesce_leader_elections_total", Help: "Single-flight leader elections (initial epoch vs post-failure retry).", Series: counters("kind", electionNames[:], o.elections[:])},
+		{Name: "eac_origin_sem_waits_total", Help: "Upstream fetches that found the origin-concurrency semaphore full and queued.", Series: counter(&o.upstreamWaits)},
+		{Name: "eac_origin_sem_wait_seconds", Help: "Time contended upstream fetches queued for a slot, won or timed out.", Series: histogram(&o.upstreamWaitDur)},
 
-		{"eac_membership_events_total", "Breaker-driven membership changes (ejections and readmissions).", counters("event", memEventNames[:], o.memEvents[:]), nil},
-		{"eac_migration_docs_total", "Documents processed by migration passes, by per-document result.", counters("result", migrateResultNames[:], o.migrations[:]), nil},
-		{"eac_migration_bytes_total", "Body bytes transferred by migration handoffs.", counter(&o.migrBytes), nil},
+		{Name: "eac_membership_events_total", Help: "Breaker-driven membership changes (ejections and readmissions).", Series: counters("event", memEventNames[:], o.memEvents[:])},
+		{Name: "eac_migration_docs_total", Help: "Documents processed by migration passes, by per-document result.", Series: counters("result", migrateResultNames[:], o.migrations[:])},
+		{Name: "eac_migration_bytes_total", Help: "Body bytes transferred by migration handoffs.", Series: counter(&o.migrBytes)},
 
-		{"eac_checkpoints_total", "Completed snapshot+journal-rotation checkpoints.", counter(&o.checkpoints), nil},
-		{"eac_checkpoint_failures_total", "Checkpoints that failed.", counter(&o.checkpointErr), nil},
+		{Name: "eac_checkpoints_total", Help: "Completed snapshot+journal-rotation checkpoints.", Series: counter(&o.checkpoints)},
+		{Name: "eac_checkpoint_failures_total", Help: "Checkpoints that failed.", Series: counter(&o.checkpointErr)},
 	}
 }
 
@@ -301,30 +294,6 @@ func (n *Node) expirationAgeSeconds() float64 {
 		return age.Seconds()
 	}
 	return math.Inf(1)
-}
-
-// register exposes the catalogue on tel's registry; without telemetry the
-// counters count unexposed and the histograms stay nil.
-func (o *nodeObs) register(n *Node, mem *cache.ShardedStore, tel *obs.Telemetry) {
-	if tel == nil {
-		return
-	}
-	r := tel.Registry
-	for _, f := range o.families(n, mem) {
-		if f.collect != nil {
-			r.GaugeSet(f.name, f.help, f.collect)
-		}
-		for _, s := range f.series {
-			switch {
-			case s.c != nil:
-				r.RegisterCounter(f.name, f.help, s.labels, s.c)
-			case s.g != nil:
-				r.GaugeFunc(f.name, f.help, s.labels, s.g)
-			default:
-				*s.h = r.Histogram(f.name, f.help, s.labels, nil)
-			}
-		}
-	}
 }
 
 // observeRequest records the end-to-end outcome of one Request call.

@@ -40,7 +40,9 @@ func get(t *testing.T, url string) (int, string) {
 
 func TestAdminEndpoints(t *testing.T) {
 	tel := New("t", 8)
-	tel.Registry.Counter("eac_requests_total", "reqs", Labels{"outcome": "miss"}).Add(7)
+	var misses Counter
+	misses.Add(7)
+	tel.Registry.Register(Family{Name: "eac_requests_total", Help: "reqs", Series: []Series{{Labels: Labels{"outcome": "miss"}, Counter: &misses}}})
 	tr := tel.StartTrace("t", "http://w/doc")
 	tr.CloseSpan(tr.OpenSpan(StageLocalLookup, time.Now()), 0)
 	tr.Outcome = "miss"

@@ -133,7 +133,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 }
 
 // writePrometheus renders the cumulative _bucket/_sum/_count series,
-// splicing le into the instrument's label set.
+// splicing le into the series' label set.
 func (h *Histogram) writePrometheus(w io.Writer, name, key string) error {
 	counts := h.snapshot()
 	var cum int64

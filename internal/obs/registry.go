@@ -1,5 +1,5 @@
-// Package obs is the runtime telemetry layer of the live node: a typed
-// counter/gauge/histogram registry with Prometheus text exposition, HDR-style
+// Package obs is the runtime telemetry layer of the live node: a metric
+// table rendered in the Prometheus text exposition format, HDR-style
 // log-bucketed latency histograms, per-request trace records copied by value
 // into a bounded ring, and an opt-in admin HTTP surface (/metrics, /healthz,
 // /debug/trace, pprof). It is stdlib-only and designed so that
@@ -7,10 +7,14 @@
 // is nil-safe and the hot-path cost with telemetry on is a handful of
 // atomic adds per request.
 //
-// The registry is the measurement substrate the paper's argument needs at
-// runtime — cumulative hit and byte-hit rates, the per-cache expiration age,
-// the EA placement-decision mix, and the latency split behind equation 6 —
-// exposed from a running group instead of recompiled experiments.
+// A Registry is a list of Families, each a name, a help text and its series
+// in order; every Series points at the one source its owner records into —
+// a *Counter, a gauge function or a *Histogram — and /metrics reads those
+// sources as they are at the scrape. The node's table is the measurement
+// substrate the paper's argument needs at runtime — cumulative hit and
+// byte-hit rates, the per-cache expiration age, the EA placement-decision
+// mix, and the latency split behind equation 6 — exposed from a running
+// group instead of recompiled experiments.
 package obs
 
 import (
@@ -23,13 +27,14 @@ import (
 	"sync/atomic"
 )
 
-// Labels attach dimension values to an instrument, e.g.
-// {"outcome": "local-hit"}. Instruments with the same name but different
-// label sets form one exposition family and must share a value type.
+// Labels attach dimension values to a series, e.g. {"outcome": "local-hit"}.
 type Labels map[string]string
 
-// canonical renders labels in sorted {k="v",...} form, the identity key of
-// an instrument within its family ("" for no labels).
+// labelEscaper applies the three escapes the text format defines for a
+// label value: backslash, double quote and line feed.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// canonical renders labels in sorted {k="v",...} form ("" for no labels).
 func (l Labels) canonical() string {
 	if len(l) == 0 {
 		return ""
@@ -45,20 +50,18 @@ func (l Labels) canonical() string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", k, escapeLabelValue(l[k]))
+		b.WriteString(k)
+		b.WriteString(`="`)
+		b.WriteString(labelEscaper.Replace(l[k]))
+		b.WriteByte('"')
 	}
 	b.WriteByte('}')
 	return b.String()
 }
 
-// escapeLabelValue applies the Prometheus text-format escapes; %q above
-// already escapes quotes and backslashes, so only raw newlines remain.
-func escapeLabelValue(v string) string {
-	return strings.ReplaceAll(v, "\n", `\n`)
-}
-
-// Counter is a monotonically increasing value. The zero value is usable but
-// counters normally come from Registry.Counter so they are scraped.
+// Counter is a monotonically increasing value. Its owner holds it and
+// counts into it whether or not anything scrapes it; a Series exposes it
+// by pointer. The zero value is ready to use.
 type Counter struct {
 	v atomic.Int64
 }
@@ -76,157 +79,73 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// instrumentKind discriminates a family's value type for exposition.
-type instrumentKind int
+// Series is one exposed time series: its labels and exactly one source.
+type Series struct {
+	Labels    Labels
+	Counter   *Counter
+	Gauge     func() float64 // read at scrape time
+	Histogram *Histogram
+}
 
-const (
-	kindCounter instrumentKind = iota + 1
-	kindGaugeFunc
-	kindGaugeSet
-	kindHistogram
-)
+// Family is one metric name: its help text and its series in exposition
+// order. Collect, when set, emits further gauge series at scrape time, so
+// a family keyed by a changing population — the current member table —
+// never serves a series for something that has gone.
+type Family struct {
+	Name, Help string
+	Series     []Series
+	Collect    func(emit func(Labels, float64))
+}
 
-func (k instrumentKind) promType() string {
-	switch k {
-	case kindCounter:
-		return "counter"
-	case kindGaugeFunc, kindGaugeSet:
+// promType is the family's exposition type, taken from its first series'
+// source; a family of scrape-time series only is a gauge.
+func (f *Family) promType() string {
+	switch {
+	case len(f.Series) == 0 || f.Series[0].Gauge != nil:
 		return "gauge"
-	case kindHistogram:
-		return "histogram"
+	case f.Series[0].Counter != nil:
+		return "counter"
 	default:
-		return "untyped"
+		return "histogram"
 	}
 }
 
-// family groups every instrument sharing one metric name.
-type family struct {
-	name string
-	help string
-	kind instrumentKind
-
-	// instruments by canonical label string. Values are *Counter,
-	// func() float64, or *Histogram depending on kind.
-	instruments map[string]any
-	// order is the label-registration order of the series.
-	order []string
-	// collect produces a kindGaugeSet family's series at scrape time.
-	collect func(emit func(Labels, float64))
-}
-
-// Registry holds named instruments and renders them in Prometheus text
-// exposition format. All methods are safe for concurrent use; recording on
-// the returned instruments is lock-free.
+// Registry is the ordered metric table /metrics renders; the zero value
+// is empty. Register and WritePrometheus are safe for concurrent use;
+// recording on the sources never touches the registry.
 type Registry struct {
 	mu       sync.RWMutex
-	families map[string]*family
-	names    []string // registration order for stable exposition
+	families []Family
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]*family)}
-}
-
-// lookup returns the family for name, creating it with kind/help on first
-// use. It panics on a kind clash: two instruments sharing a name but not a
-// type is a programming error worth failing loudly on.
-func (r *Registry) lookup(name, help string, kind instrumentKind) *family {
-	f, ok := r.families[name]
-	if !ok {
-		f = &family{name: name, help: help, kind: kind, instruments: make(map[string]any)}
-		r.families[name] = f
-		r.names = append(r.names, name)
-		return f
-	}
-	if f.kind != kind {
-		panic(fmt.Sprintf("obs: metric %q registered as %s and %s", name, f.kind.promType(), kind.promType()))
-	}
-	return f
-}
-
-// add registers inst under labels, returning the existing instrument when
-// the same (name, labels) pair was registered before.
-func (f *family) add(labels Labels, inst any, replace bool) any {
-	key := labels.canonical()
-	if cur, ok := f.instruments[key]; ok {
-		if !replace {
-			return cur
-		}
-		f.instruments[key] = inst
-		return inst
-	}
-	f.instruments[key] = inst
-	f.order = append(f.order, key)
-	return inst
-}
-
-// Counter returns the counter for (name, labels), creating it on first use.
-func (r *Registry) Counter(name, help string, labels Labels) *Counter {
-	return r.RegisterCounter(name, help, labels, &Counter{})
-}
-
-// RegisterCounter exposes c, a counter its owner holds and increments
-// whether or not anything scrapes it, as (name, labels). When the pair is
-// already registered the existing counter is returned and c is ignored.
-func (r *Registry) RegisterCounter(name, help string, labels Labels, c *Counter) *Counter {
+// Register appends fs to the table, in order.
+func (r *Registry) Register(fs ...Family) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.lookup(name, help, kindCounter)
-	return f.add(labels, c, false).(*Counter)
+	r.families = append(r.families, fs...)
 }
 
-// GaugeFunc registers fn as the value source for (name, labels); fn is
-// called at scrape time, so dynamic values (expiration age, breaker states)
-// are always current. Re-registering the same (name, labels) replaces fn.
-func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.lookup(name, help, kindGaugeFunc)
-	f.add(labels, fn, true)
-}
-
-// GaugeSet registers a gauge family whose series are produced at scrape
-// time: every exposition calls collect, which emits one (labels, value)
-// pair per series. A family keyed by a changing population — the current
-// member table — therefore never serves a series for something that has
-// gone. Re-registering the name replaces collect.
-func (r *Registry) GaugeSet(name, help string, collect func(emit func(Labels, float64))) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.lookup(name, help, kindGaugeSet).collect = collect
-}
-
-// Histogram returns the log-bucketed histogram for (name, labels), creating
-// it with bounds on first use (nil bounds selects DefaultLatencyBuckets).
-func (r *Registry) Histogram(name, help string, labels Labels, bounds []float64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.lookup(name, help, kindHistogram)
-	return f.add(labels, NewHistogram(bounds), false).(*Histogram)
-}
-
-// WritePrometheus renders every registered instrument in the Prometheus
-// text exposition format (version 0.0.4), families in registration order
-// and series in label-registration order.
+// WritePrometheus renders the table in the Prometheus text exposition
+// format (version 0.0.4): families in registration order, each family's
+// series in table order, then what its Collect emits.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for _, name := range r.names {
-		f := r.families[name]
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, f.help, name, f.kind.promType()); err != nil {
+	for i := range r.families {
+		f := &r.families[i]
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.Name, f.Help, f.Name, f.promType()); err != nil {
 			return err
 		}
-		for _, key := range f.order {
-			if err := writeSeries(w, f, key); err != nil {
+		for _, s := range f.Series {
+			if err := writeSeries(w, f.Name, s); err != nil {
 				return err
 			}
 		}
-		if f.collect != nil {
+		if f.Collect != nil {
 			var err error
-			f.collect(func(l Labels, v float64) {
+			f.Collect(func(l Labels, v float64) {
 				if err == nil {
-					_, err = fmt.Fprintf(w, "%s%s %s\n", name, l.canonical(), formatFloat(v))
+					_, err = fmt.Fprintf(w, "%s%s %s\n", f.Name, l.canonical(), formatFloat(v))
 				}
 			})
 			if err != nil {
@@ -237,18 +156,17 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-func writeSeries(w io.Writer, f *family, key string) error {
-	switch inst := f.instruments[key].(type) {
-	case *Counter:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, key, inst.Value())
+func writeSeries(w io.Writer, name string, s Series) error {
+	key := s.Labels.canonical()
+	switch {
+	case s.Counter != nil:
+		_, err := fmt.Fprintf(w, "%s%s %d\n", name, key, s.Counter.Value())
 		return err
-	case func() float64:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, key, formatFloat(inst()))
+	case s.Gauge != nil:
+		_, err := fmt.Fprintf(w, "%s%s %s\n", name, key, formatFloat(s.Gauge()))
 		return err
-	case *Histogram:
-		return inst.writePrometheus(w, f.name, key)
 	default:
-		return fmt.Errorf("obs: unknown instrument type %T", inst)
+		return s.Histogram.writePrometheus(w, name, key)
 	}
 }
 

@@ -9,37 +9,32 @@ import (
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("eac_requests_total", "requests", Labels{"outcome": "miss"})
+	var c Counter
 	c.Inc()
 	c.Add(4)
 	c.Add(-10) // ignored: counters only go up
 	if c.Value() != 5 {
 		t.Fatalf("counter = %d", c.Value())
 	}
-	// Same (name, labels) returns the same instrument.
-	if again := r.Counter("eac_requests_total", "requests", Labels{"outcome": "miss"}); again != c {
-		t.Fatal("re-registration returned a different counter")
-	}
 
 	// A counter its owner holds is exposed by pointer: the scrape reads
 	// the owner's storage.
 	var owned Counter
 	owned.Add(7)
-	if got := r.RegisterCounter("eac_owned_total", "owned", nil, &owned); got != &owned {
-		t.Fatal("RegisterCounter did not adopt the caller's counter")
-	}
-
 	called := false
-	r.GaugeFunc("eac_age_seconds", "age", nil, func() float64 { called = true; return 3 })
-	// A gauge set is re-collected on every scrape, so a series whose
+	// A Collect family is re-collected on every scrape, so a series whose
 	// subject is gone leaves the exposition.
 	peers := []string{"a", "b"}
-	r.GaugeSet("eac_peer_state", "per peer", func(emit func(Labels, float64)) {
-		for i, p := range peers {
-			emit(Labels{"peer": p}, float64(i))
-		}
-	})
+	r := new(Registry)
+	r.Register(
+		Family{Name: "eac_owned_total", Help: "owned", Series: []Series{{Counter: &owned}}},
+		Family{Name: "eac_age_seconds", Help: "age", Series: []Series{{Gauge: func() float64 { called = true; return 3 }}}},
+		Family{Name: "eac_peer_state", Help: "per peer", Collect: func(emit func(Labels, float64)) {
+			for i, p := range peers {
+				emit(Labels{"peer": p}, float64(i))
+			}
+		}},
+	)
 	scrape := func() string {
 		var sb strings.Builder
 		if err := r.WritePrometheus(&sb); err != nil {
@@ -47,11 +42,13 @@ func TestCounterGaugeBasics(t *testing.T) {
 		}
 		return sb.String()
 	}
+	owned.Inc()
 	text := scrape()
 	if !called {
 		t.Fatal("gauge func not called at scrape")
 	}
-	for _, want := range []string{"eac_owned_total 7\n", "# TYPE eac_peer_state gauge\n", `eac_peer_state{peer="a"} 0` + "\n", `eac_peer_state{peer="b"} 1` + "\n"} {
+	for _, want := range []string{"# TYPE eac_owned_total counter\neac_owned_total 8\n", "# TYPE eac_age_seconds gauge\neac_age_seconds 3\n",
+		"# TYPE eac_peer_state gauge\n", `eac_peer_state{peer="a"} 0` + "\n", `eac_peer_state{peer="b"} 1` + "\n"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("scrape missing %q:\n%s", want, text)
 		}
@@ -62,28 +59,25 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
-func TestKindClashPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x", "", nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("gauge under a counter name accepted")
-		}
-	}()
-	r.GaugeFunc("x", "", nil, func() float64 { return 0 })
-}
-
 // TestPrometheusExpositionParses is the golden test: every line of the
 // exposition must be a comment or a `name{labels} value` sample, families
 // must carry HELP/TYPE headers, and histogram series must be cumulative
 // and internally consistent.
 func TestPrometheusExpositionParses(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("eac_requests_total", "requests by outcome", Labels{"outcome": "local-hit"}).Add(3)
-	r.Counter("eac_requests_total", "requests by outcome", Labels{"outcome": "miss"}).Add(2)
-	r.GaugeFunc("eac_resident_bytes", "bytes resident", nil, func() float64 { return 4096 })
-	r.GaugeFunc("eac_expiration_age_seconds", "EA signal", nil, func() float64 { return 12.25 })
-	h := r.Histogram("eac_stage_seconds", "stage latency", Labels{"stage": "local"}, []float64{0.001, 0.01, 0.1})
+	var hits, misses Counter
+	hits.Add(3)
+	misses.Add(2)
+	h := NewHistogram([]float64{0.001, 0.01, 0.1})
+	r := new(Registry)
+	r.Register(
+		Family{Name: "eac_requests_total", Help: "requests by outcome", Series: []Series{
+			{Labels: Labels{"outcome": "local-hit"}, Counter: &hits},
+			{Labels: Labels{"outcome": "miss"}, Counter: &misses},
+		}},
+		Family{Name: "eac_resident_bytes", Help: "bytes resident", Series: []Series{{Gauge: func() float64 { return 4096 }}}},
+		Family{Name: "eac_expiration_age_seconds", Help: "EA signal", Series: []Series{{Gauge: func() float64 { return 12.25 }}}},
+		Family{Name: "eac_stage_seconds", Help: "stage latency", Series: []Series{{Labels: Labels{"stage": "local"}, Histogram: h}}},
+	)
 	h.Observe(0.0005)
 	h.Observe(0.05)
 	h.Observe(5) // +Inf
@@ -224,20 +218,25 @@ func splitLabelPairs(s string) []string {
 // TestRegistryConcurrent registers, records, and scrapes from many
 // goroutines under -race.
 func TestRegistryConcurrent(t *testing.T) {
-	r := NewRegistry()
+	r := new(Registry)
+	var workers [2]Counter
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c := r.Counter("eac_concurrent_total", "", Labels{"worker": fmt.Sprint(i % 2)})
-			h := r.Histogram("eac_concurrent_seconds", "", nil, nil)
+			c, h := &workers[i%2], NewHistogram(nil)
+			r.Register(Family{Name: fmt.Sprintf("eac_worker%d_seconds", i), Series: []Series{{Histogram: h}}})
 			for j := 0; j < 2000; j++ {
 				c.Inc()
 				h.Observe(0.001)
 			}
 		}(i)
 	}
+	r.Register(Family{Name: "eac_concurrent_total", Series: []Series{
+		{Labels: Labels{"worker": "0"}, Counter: &workers[0]},
+		{Labels: Labels{"worker": "1"}, Counter: &workers[1]},
+	}})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -250,9 +249,17 @@ func TestRegistryConcurrent(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	a := r.Counter("eac_concurrent_total", "", Labels{"worker": "0"}).Value()
-	b := r.Counter("eac_concurrent_total", "", Labels{"worker": "1"}).Value()
-	if a+b != 8*2000 {
-		t.Fatalf("counter total = %d, want %d", a+b, 8*2000)
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	text := sb.String()
+	for _, want := range []string{`eac_concurrent_total{worker="0"} 8000` + "\n", `eac_concurrent_total{worker="1"} 8000` + "\n"} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("scrape missing %q:\n%s", want, text)
+		}
+	}
+	if n := strings.Count(text, "_seconds_count 2000\n"); n != 8 {
+		t.Fatalf("%d histogram series scraped, want 8:\n%s", n, text)
 	}
 }

@@ -404,7 +404,7 @@ type Telemetry struct {
 // decision log. prefix seeds request IDs (usually the node ID).
 func New(prefix string, traceCap int) *Telemetry {
 	return &Telemetry{
-		Registry:  NewRegistry(),
+		Registry:  new(Registry),
 		Traces:    NewTraceRing(traceCap),
 		Placement: NewDecisionLog(0),
 		prefix:    prefix,
